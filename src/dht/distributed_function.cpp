@@ -59,16 +59,11 @@ std::vector<std::size_t> DistributedFunction::apply_loads(
     const ops::SeparatedConvolution& op) const {
   std::vector<std::size_t> loads(ranks(), 0);
   for (std::size_t rank = 0; rank < ranks(); ++rank) {
+    const auto count = [&](const mra::Key&, const ops::Displacement&) {
+      ++loads[rank];
+    };
     for (const auto& [key, coeffs] : map_.shard(rank)) {
-      const auto& disps = op.displacements(key.level());
-      for (const auto& disp : disps) {
-        mra::Key target;
-        if (key.neighbor(
-                std::span<const std::int64_t>{disp.data(), params_.ndim},
-                target)) {
-          ++loads[rank];
-        }
-      }
+      ops::for_each_task(op, key, count);
     }
   }
   return loads;
@@ -103,21 +98,12 @@ mra::Function distributed_apply(const ops::SeparatedConvolution& op,
   DistributedMap<Tensor> result(f.map().owners());
   ops::ApplyStats local;
   for (std::size_t rank = 0; rank < f.ranks(); ++rank) {
-    for (const auto& [key, coeffs] : f.map().shard(rank)) {
-      for (const auto& disp : op.displacements(key.level())) {
-        mra::Key target;
-        if (!key.neighbor(std::span<const std::int64_t>{disp.data(), d},
-                          target)) {
-          continue;
-        }
-        Tensor r =
-            ops::apply_task_compute(op, coeffs, key.level(), disp, {}, &local);
-        result.accumulate(rank, target, std::move(r), payload_bytes,
-                          [](Tensor& acc, Tensor&& incoming) {
-                            acc += incoming;
-                          });
-      }
-    }
+    const ops::ContributionSink add = [&](const mra::Key& target, Tensor&& r) {
+      result.accumulate(rank, target, std::move(r), payload_bytes,
+                        [](Tensor& acc, Tensor&& in) { acc += in; });
+    };
+    for (const auto& [key, coeffs] : f.map().shard(rank))
+      ops::apply_leaf_tasks(op, key, coeffs, {}, &local, add);
   }
 
   // Gather the distributed result into one address space.

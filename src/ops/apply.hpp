@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "mra/function.hpp"
@@ -34,13 +35,32 @@ struct ApplyOptions {
   double rank_tol = 0.0;     ///< tolerance for rank screening (0: op thresh)
 };
 
+/// Call fn(target, disp) for every task of one source box: each screened
+/// displacement whose target stays on (free) or wraps onto (periodic) the
+/// grid.
+void for_each_task(
+    const SeparatedConvolution& op, const mra::Key& source,
+    const std::function<void(const mra::Key&, const Displacement&)>& fn);
+
 /// Enumerate all tasks of Apply(op, f): every (leaf, screened displacement)
 /// whose target stays on the grid. Requires f reconstructed.
 std::vector<ApplyTask> make_apply_tasks(const SeparatedConvolution& op,
                                         const mra::Function& f);
 
+/// Receives one task's (target, contribution).
+using ContributionSink = std::function<void(const mra::Key&, Tensor&&)>;
+
+/// The Apply task loop for one source leaf: every task of `leaf`, in
+/// for_each_task order, computed by apply_task_compute and handed to `sink`
+/// on the calling thread as soon as it is done.
+void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
+                      const Tensor& coeffs, const ApplyOptions& opts,
+                      ApplyStats* stats, const ContributionSink& sink);
+
 /// Compute one task's contribution tensor (Algorithm 5): the Formula 1 sum
 /// over the kernel's separated terms applied to the source coefficients.
+/// Operands are gathered as raw operator-table views (gather_task) and run
+/// as one linalg::fused_apply_chain.
 Tensor apply_task_compute(const SeparatedConvolution& op, const Tensor& source,
                           int level, const Displacement& disp,
                           const ApplyOptions& opts = {},

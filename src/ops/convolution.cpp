@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/diagnostics.hpp"
-#include "common/hash.hpp"
 #include "linalg/gemm.hpp"
 #include "mra/legendre.hpp"
 #include "mra/quadrature.hpp"
@@ -19,11 +18,10 @@ namespace {
 constexpr std::size_t kInnerOrder = 24;
 constexpr std::size_t kOuterOrder = 20;
 
-std::uint64_t block_key(std::size_t mu, int n, std::int64_t m) {
-  std::uint64_t h = mix64(mu);
-  h = hash_combine(h, static_cast<std::uint64_t>(n));
-  h = hash_combine(h, static_cast<std::uint64_t>(m + (1 << 20)));
-  return h;
+/// A non-owning handle on a table entry: the aliasing constructor over an
+/// empty owner touches no reference count. Valid as long as the operator.
+std::shared_ptr<const Tensor> borrowed(const Tensor& t) {
+  return {std::shared_ptr<const Tensor>(), &t};
 }
 
 }  // namespace
@@ -103,58 +101,105 @@ SeparatedConvolution::SeparatedConvolution(Params params,
   MH_CHECK(params_.k >= 1, "basis size must be positive");
   MH_CHECK(!kernel_.terms.empty(), "kernel must have at least one term");
   MH_CHECK(params_.max_disp >= 1, "displacement cap must be positive");
+  reach_ = 2 * params_.max_disp + 1;
+  width_ = static_cast<std::size_t>(2 * reach_ + 1);
 }
 
-SeparatedConvolution::Entry& SeparatedConvolution::entry_locked(
-    std::size_t mu, int n, std::int64_t m) const {
-  const std::uint64_t key = block_key(mu, n, m);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++stats_.hits;
-    return it->second;
+std::size_t SeparatedConvolution::Block::rank_for(double tol) const {
+  std::size_t r = h.dim(0);
+  while (r > 1 && tail[r - 1] < tol) --r;
+  return r;
+}
+
+SeparatedConvolution::Level& SeparatedConvolution::level(int n) const {
+  MH_CHECK(n >= 0 && n < kLevels, "operator level out of range");
+  auto& entry = levels_[static_cast<std::size_t>(n)];
+  if (Level* l = entry.get()) return *l;
+  std::scoped_lock lock(mu_);
+  if (Level* l = entry.get()) return *l;
+  return entry.publish(std::make_unique<Level>(rank() * width_));
+}
+
+SeparatedConvolution::Slot& SeparatedConvolution::slot(const Level& level,
+                                                       std::size_t mu,
+                                                       std::int64_t m) const {
+  MH_CHECK(mu < rank(), "term index out of range");
+  MH_CHECK(m >= -reach_ && m <= reach_,
+           "displacement outside the operator table");
+  return level.slot[mu * width_ + static_cast<std::size_t>(m + reach_)];
+}
+
+const SeparatedConvolution::Block& SeparatedConvolution::block(
+    const Level& level, std::size_t mu, int n, std::int64_t m,
+    std::size_t& hits) const {
+  auto& entry = slot(level, mu, m).block;
+  if (const Block* b = entry.get()) return ++hits, *b;
+  std::scoped_lock lock(mu_);
+  if (const Block* b = entry.get()) return ++hits, *b;
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  auto b = std::make_unique<Block>();
+  b->h = gaussian_block(params_.k,
+                        kernel_.terms[mu].exponent * std::pow(4.0, -n), m);
+  b->h.scale(std::pow(2.0, -n));
+  // Truncation norms from the largest corner down: shrinking from r to r-1
+  // drops row r-1 and column r-1 of the leading r x r corner.
+  const std::size_t k = params_.k;
+  b->tail.assign(k, b->h.normf());
+  double outside2 = 0.0;
+  for (std::size_t r = k; r > 1; --r) {
+    double add2 = 0.0;
+    for (std::size_t i = 0; i < r; ++i) {
+      const double row = b->h.at({r - 1, i});
+      add2 += row * row;
+    }
+    for (std::size_t j = 0; j + 1 < r; ++j) {
+      const double col = b->h.at({j, r - 1});
+      add2 += col * col;
+    }
+    b->tail[r - 1] = std::sqrt(outside2 + add2);
+    outside2 += add2;
   }
-  ++stats_.misses;
-  const SeparatedTerm& term = kernel_.terms.at(mu);
-  const double beta_n = term.exponent * std::pow(4.0, -n);
-  Tensor b = gaussian_block(params_.k, beta_n, m);
-  b.scale(std::pow(2.0, -n));
-  Entry e;
-  e.norm = b.normf();
-  e.block = std::make_shared<const Tensor>(std::move(b));
-  return cache_.emplace(key, std::move(e)).first->second;
+  return entry.publish(std::move(b));
+}
+
+const SeparatedConvolution::Block& SeparatedConvolution::lookup(
+    std::size_t mu, int n, std::int64_t m) const {
+  std::size_t hits = 0;
+  const Block& b = block(level(n), mu, n, m, hits);
+  if (hits != 0) hits_.fetch_add(hits, std::memory_order_relaxed);
+  return b;
 }
 
 std::shared_ptr<const Tensor> SeparatedConvolution::h_block(
     std::size_t mu, int n, std::int64_t m) const {
-  std::scoped_lock lock(mu_);
-  return entry_locked(mu, n, m).block;
+  return borrowed(lookup(mu, n, m).h);
 }
 
 double SeparatedConvolution::h_block_norm(std::size_t mu, int n,
                                           std::int64_t m) const {
-  std::scoped_lock lock(mu_);
-  return entry_locked(mu, n, m).norm;
+  return lookup(mu, n, m).tail[0];
 }
 
 std::shared_ptr<const Tensor> SeparatedConvolution::ns_block(
     std::size_t mu, int n, std::int64_t m, NsPart part) const {
-  const std::uint64_t key = hash_combine(
-      block_key(mu, n, m), part == NsPart::kFull ? 2u : 1u);
+  auto& entry = slot(level(n), mu, m).ns[part == NsPart::kFull ? 0 : 1];
+  if (const Tensor* t = entry.get()) return borrowed(*t);
   std::scoped_lock lock(mu_);
-  auto it = ns_cache_.find(key);
-  if (it != ns_cache_.end()) return it->second;
+  if (const Tensor* t = entry.get()) return borrowed(*t);
 
   const std::size_t k = params_.k;
   const std::size_t n2 = 2 * k;
   // M in the level-(n+1) children basis: block (source child b, output
   // child a) is the child-level block at image displacement 2m + a - b.
   // Layout everywhere: (source row, output column).
+  const Level& children = level(n + 1);
+  std::size_t hits = 0;
   Tensor mmat({n2, n2});
   for (std::size_t b = 0; b < 2; ++b) {
     for (std::size_t a = 0; a < 2; ++a) {
       const std::int64_t child_m = 2 * m + static_cast<std::int64_t>(a) -
                                    static_cast<std::int64_t>(b);
-      const Tensor& blk = *entry_locked(mu, n + 1, child_m).block;
+      const Tensor& blk = block(children, mu, n + 1, child_m, hits).h;
       for (std::size_t j = 0; j < k; ++j) {
         for (std::size_t i = 0; i < k; ++i) {
           mmat.at({b * k + j, a * k + i}) = blk.at({j, i});
@@ -162,6 +207,7 @@ std::shared_ptr<const Tensor> SeparatedConvolution::ns_block(
       }
     }
   }
+  hits_.fetch_add(hits, std::memory_order_relaxed);
 
   // U = W M W^T: rotate both indices into the combined {phi, psi} basis.
   const mra::TwoScaleCoeffs& ts = mra::two_scale(k);
@@ -179,64 +225,58 @@ std::shared_ptr<const Tensor> SeparatedConvolution::ns_block(
       }
     }
   }
-  auto ptr = std::make_shared<const Tensor>(std::move(u));
-  ns_cache_.emplace(key, ptr);
-  return ptr;
+  return borrowed(entry.publish(std::make_unique<const Tensor>(std::move(u))));
 }
 
 std::size_t SeparatedConvolution::reduced_rank(std::size_t mu, int n,
                                                std::int64_t m,
                                                double tol) const {
   MH_CHECK(tol > 0.0, "rank tolerance must be positive");
-  std::scoped_lock lock(mu_);
-  Entry& e = entry_locked(mu, n, m);
-  const auto tolkey = static_cast<std::size_t>(-std::log10(tol) * 16.0);
-  if (e.rank_cache != 0 && e.rank_cache_tolkey == tolkey) return e.rank_cache;
+  return lookup(mu, n, m).rank_for(tol);
+}
 
-  // Smallest r with || block - block[:r,:r] ||_F < tol: accumulate the
-  // squared mass outside the leading r x r corner from the largest r down.
-  const Tensor& b = *e.block;
+void SeparatedConvolution::gather_task(int n, const Displacement& disp,
+                                       double rank_tol,
+                                       std::vector<linalg::GemmMat>& mats,
+                                       std::vector<std::size_t>& kreds) const {
+  const std::size_t d = params_.ndim;
   const std::size_t k = params_.k;
-  std::size_t r = k;
-  double outside2 = 0.0;
-  while (r > 1) {
-    // Mass added when shrinking from r to r-1: row r-1 and column r-1 of
-    // the leading r x r corner.
-    double add2 = 0.0;
-    for (std::size_t i = 0; i < r; ++i) {
-      const double row = b.at({r - 1, i});
-      add2 += row * row;
+  const Level& lvl = level(n);
+  std::size_t hits = 0;
+  for (std::size_t mu = 0; mu < rank(); ++mu) {
+    std::size_t kred = k;
+    for (std::size_t dim = 0; dim < d; ++dim) {
+      const std::int64_t m = disp[dim];
+      const Block& b = block(lvl, mu, n, m, hits);
+      mats.push_back({b.h.data(), k, k});
+      if (rank_tol > 0.0) kred = std::min(kred, b.rank_for(rank_tol));
     }
-    for (std::size_t j = 0; j + 1 < r; ++j) {
-      const double col = b.at({j, r - 1});
-      add2 += col * col;
-    }
-    if (std::sqrt(outside2 + add2) >= tol) break;
-    outside2 += add2;
-    --r;
+    if (rank_tol > 0.0) kreds.push_back(kred);
   }
-  e.rank_cache = r;
-  e.rank_cache_tolkey = tolkey;
-  return r;
+  if (rank_tol > 0.0) hits += rank() * d;  // the reduced_rank lookups
+  hits_.fetch_add(hits, std::memory_order_relaxed);
 }
 
 const std::vector<Displacement>& SeparatedConvolution::displacements(
     int n) const {
+  Level& lvl = level(n);
+  if (const auto* disps = lvl.displacements.get()) return *disps;
   std::scoped_lock lock(mu_);
-  auto it = disp_cache_.find(n);
-  if (it != disp_cache_.end()) return it->second;
+  if (const auto* disps = lvl.displacements.get()) return *disps;
 
   const std::size_t d = params_.ndim;
   const std::int64_t cap = params_.max_disp;
   // 1-D screening norms: sum over terms of |c_mu| * block norm, per |m|.
+  std::size_t hits = 0;
   std::vector<double> norm1d(static_cast<std::size_t>(cap) + 1, 0.0);
   for (std::int64_t m = 0; m <= cap; ++m) {
     for (std::size_t mu = 0; mu < kernel_.rank(); ++mu) {
       norm1d[static_cast<std::size_t>(m)] +=
           std::abs(kernel_.terms[mu].coeff) *
-          entry_locked(mu, n, m).norm;
+          block(lvl, mu, n, m, hits).tail[0];
     }
   }
+  hits_.fetch_add(hits, std::memory_order_relaxed);
 
   std::vector<Displacement> out;
   // Enumerate the lattice [-cap, cap]^d with product screening: the operator
@@ -277,12 +317,13 @@ const std::vector<Displacement>& SeparatedConvolution::displacements(
     }
     return false;
   });
-  return disp_cache_.emplace(n, std::move(out)).first->second;
+  return lvl.displacements.publish(
+      std::make_unique<const std::vector<Displacement>>(std::move(out)));
 }
 
 CacheStats SeparatedConvolution::cache_stats() const {
-  std::scoped_lock lock(mu_);
-  return stats_;
+  return {hits_.load(std::memory_order_relaxed),
+          misses_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace mh::ops

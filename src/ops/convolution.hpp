@@ -10,17 +10,19 @@
 // The d-dimensional contribution of term mu is then the general transform of
 // the source tensor by the d per-dimension blocks (Formula 1). Blocks are
 // heavily reused across tasks, which is why the paper adds a write-once
-// software cache on the GPU mirroring the CPU-side one (§II-B).
+// software cache on the GPU mirroring the CPU-side one (§II-B); here it is a
+// per-level table read without locking (DESIGN.md, "The operator table").
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "linalg/batch_gemm.hpp"
 #include "ops/separated.hpp"
 #include "tensor/tensor.hpp"
 
@@ -61,8 +63,13 @@ class SeparatedConvolution {
   double term_coeff(std::size_t mu) const { return kernel_.terms.at(mu).coeff; }
   const SeparatedKernel& kernel() const noexcept { return kernel_; }
 
+  /// Levels the operator table covers (mra keys stop below level 62).
+  static constexpr int kLevels = 64;
+
   /// The cached (k x k) block for term mu, level n, 1-D displacement m,
-  /// including the 2^{-n} scale factor. Thread-safe, write-once.
+  /// including the 2^{-n} scale factor, for 0 <= n < kLevels and |m| <=
+  /// 2 max_disp + 1. Thread-safe, write-once, lock-free once filled; the
+  /// pointer does not own the block, which lives as long as the operator.
   std::shared_ptr<const Tensor> h_block(std::size_t mu, int n,
                                         std::int64_t m) const;
 
@@ -80,13 +87,14 @@ class SeparatedConvolution {
   /// index first, like h_block). Built from the level-(n+1) blocks at
   /// displacements 2m-1, 2m, 2m+1 via the two-scale matrix. kSsOnly keeps
   /// only the scaling->scaling quadrant (everything else zero). Cached,
-  /// thread-safe.
+  /// thread-safe, valid as long as the operator (like h_block).
   std::shared_ptr<const Tensor> ns_block(std::size_t mu, int n,
                                          std::int64_t m, NsPart part) const;
 
   /// Effective contraction rank of the block: the smallest r such that
   /// dropping trailing rows and columns changes the block by < tol in
-  /// Frobenius norm (paper §II-D / Figure 4). Cached.
+  /// Frobenius norm (paper §II-D / Figure 4). Exact for every tol: each
+  /// block keeps its truncation norms, so no tolerance is cached.
   std::size_t reduced_rank(std::size_t mu, int n, std::int64_t m,
                            double tol) const;
 
@@ -94,25 +102,72 @@ class SeparatedConvolution {
   /// sorted by distance (m = 0 first). Cached per level.
   const std::vector<Displacement>& displacements(int n) const;
 
+  /// One Apply task's operands: append its rank() * ndim blocks (term-major,
+  /// raw views) to `mats` and, if rank_tol > 0, each term's reduced rank to
+  /// `kreds`. Counts its lookups as h_block (+ reduced_rank) calls would.
+  void gather_task(int n, const Displacement& disp, double rank_tol,
+                   std::vector<linalg::GemmMat>& mats,
+                   std::vector<std::size_t>& kreds) const;
+
+  /// Each block lookup is one hit or one miss (the first fill of a block).
   CacheStats cache_stats() const;
 
  private:
-  struct Entry {
-    std::shared_ptr<const Tensor> block;
-    double norm = 0.0;
-    std::size_t rank_cache_tolkey = 0;  // quantized tol of rank_cache
-    std::size_t rank_cache = 0;
+  /// An object set once under mu_ and published with release; readers
+  /// acquire-load it without a lock. It never moves and is owned (deleted)
+  /// through the pointer.
+  template <typename T>
+  class WriteOnce {
+   public:
+    WriteOnce() = default;
+    WriteOnce(const WriteOnce&) = delete;
+    WriteOnce& operator=(const WriteOnce&) = delete;
+    ~WriteOnce() { delete get(); }
+    T* get() const noexcept { return ptr_.load(std::memory_order_acquire); }
+    T& publish(std::unique_ptr<T> value) {
+      ptr_.store(value.get(), std::memory_order_release);
+      return *value.release();
+    }
+
+   private:
+    std::atomic<T*> ptr_{nullptr};
   };
-  Entry& entry_locked(std::size_t mu, int n, std::int64_t m) const;
+  struct Block {
+    Tensor h;
+    /// tail[r] = || h - h[:r, :r] ||_F for 0 <= r < k (tail[0] = ||h||_F).
+    std::vector<double> tail;
+    std::size_t rank_for(double tol) const;
+  };
+  struct Slot {
+    WriteOnce<const Block> block;
+    std::array<WriteOnce<const Tensor>, 2> ns;  ///< kFull, kSsOnly
+  };
+  /// Slots [mu][m + reach_] of one level, plus its screened displacements.
+  struct Level {
+    explicit Level(std::size_t slots) : slot(new Slot[slots]) {}
+    std::unique_ptr<Slot[]> slot;
+    WriteOnce<const std::vector<Displacement>> displacements;
+  };
+
+  Level& level(int n) const;
+  Slot& slot(const Level& level, std::size_t mu, std::int64_t m) const;
+  /// Block (mu, n, m) of `level`: read lock-free once published, else
+  /// computed under mu_ (a miss). A published block counts into `hits`.
+  const Block& block(const Level& level, std::size_t mu, int n, std::int64_t m,
+                     std::size_t& hits) const;
+  const Block& lookup(std::size_t mu, int n, std::int64_t m) const;
 
   Params params_;
   SeparatedKernel kernel_;
-  mutable std::mutex mu_;
-  mutable std::unordered_map<std::uint64_t, Entry> cache_;
-  mutable std::unordered_map<std::uint64_t, std::shared_ptr<const Tensor>>
-      ns_cache_;
-  mutable std::unordered_map<int, std::vector<Displacement>> disp_cache_;
-  mutable CacheStats stats_;
+  // Largest |m| the table holds (2 max_disp + 1, for ns_block's children)
+  // and the slots per term (2 reach_ + 1).
+  std::int64_t reach_ = 0;
+  std::size_t width_ = 0;
+  mutable std::recursive_mutex mu_;  ///< serializes first fills only
+  mutable std::array<WriteOnce<Level>, kLevels> levels_;
+  // Own cache line: every lookup adds to it, and levels_ is read as often.
+  alignas(64) mutable std::atomic<std::size_t> hits_{0};
+  mutable std::atomic<std::size_t> misses_{0};
 };
 
 }  // namespace mh::ops

@@ -95,7 +95,6 @@ mra::Function apply_nonstandard(const SeparatedConvolution& op,
            "operator/function parameter mismatch");
   const std::size_t d = f.ndim();
   const std::size_t k = f.k();
-  const bool periodic = op.params().periodic;
 
   const NsForm ns = NsForm::from(f);
   NsForm::NodeMap result;
@@ -105,14 +104,7 @@ mra::Function apply_nonstandard(const SeparatedConvolution& op,
 
   for (const auto& [key, u] : ns.nodes()) {
     const int n = key.level();
-    for (const Displacement& disp : op.displacements(n)) {
-      const std::span<const std::int64_t> dspan{disp.data(), d};
-      mra::Key target;
-      if (periodic) {
-        target = key.neighbor_periodic(dspan);
-      } else if (!key.neighbor(dspan, target)) {
-        continue;
-      }
+    for_each_task(op, key, [&](const mra::Key& to, const Displacement& disp) {
       Tensor r = Tensor::cube(d, 2 * k);
       for (std::size_t mu = 0; mu < op.rank(); ++mu) {
         // Telescoped increment: (prod_dim U) - (prod_dim ss) for n > 0;
@@ -142,10 +134,10 @@ mra::Function apply_nonstandard(const SeparatedConvolution& op,
           }
         }
       }
-      auto [it, inserted] = result.try_emplace(target, std::move(r));
+      auto [it, inserted] = result.try_emplace(to, std::move(r));
       if (!inserted) it->second += r;
       if (stats != nullptr) ++stats->tasks;
-    }
+    });
   }
 
   mra::Function out(f.params());

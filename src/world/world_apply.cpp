@@ -9,7 +9,8 @@ namespace mh::world {
 
 mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
                           const dht::DistributedFunction& f,
-                          ops::ApplyStats* stats) {
+                          ops::ApplyStats* stats,
+                          const ops::ApplyOptions& opts) {
   MH_CHECK(world.ranks() == f.ranks(),
            "world and function must have matching rank counts");
   MH_CHECK(op.params().ndim == f.params().ndim &&
@@ -33,31 +34,26 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
   const auto& owners = f.map().owners();
   for (std::size_t rank = 0; rank < world.ranks(); ++rank) {
     world.submit(rank, [&, rank] {
+      const ops::ContributionSink ship = [&](const mra::Key& target,
+                                             Tensor&& r) {
+        const std::size_t owner = owners.owner(target);
+        // Ship the contribution to the owner; the handler runs on the
+        // owner's thread and mutates only the owner's shard.
+        world.send(rank, owner, payload_bytes,
+                   [&results, owner, target, r = std::move(r)]() mutable {
+                     auto [it, inserted] =
+                         results[owner].try_emplace(target, std::move(r));
+                     if (!inserted) it->second += r;
+                   });
+      };
       ops::ApplyStats local;
-      for (const auto& [key, coeffs] : f.map().shard(rank)) {
-        for (const auto& disp : op.displacements(key.level())) {
-          mra::Key target;
-          if (!key.neighbor(std::span<const std::int64_t>{disp.data(), d},
-                            target)) {
-            continue;
-          }
-          Tensor r = ops::apply_task_compute(op, coeffs, key.level(), disp,
-                                             {}, &local);
-          const std::size_t owner = owners.owner(target);
-          // Ship the contribution to the owner; the handler runs on the
-          // owner's thread and mutates only the owner's shard.
-          world.send(rank, owner, payload_bytes,
-                     [&results, owner, target, r = std::move(r)]() mutable {
-                       auto [it, inserted] =
-                           results[owner].try_emplace(target, std::move(r));
-                       if (!inserted) it->second += r;
-                     });
-        }
-      }
+      for (const auto& [key, coeffs] : f.map().shard(rank))
+        ops::apply_leaf_tasks(op, key, coeffs, opts, &local, ship);
       std::scoped_lock lock(stats_mu);
       total_stats.tasks += local.tasks;
       total_stats.gemms += local.gemms;
       total_stats.flops += local.flops;
+      total_stats.rank_reduced_gemms += local.rank_reduced_gemms;
     });
   }
   world.fence();

@@ -13,10 +13,12 @@
 
 namespace mh::world {
 
-/// Apply `op` to the scattered function `f` using one thread per rank.
+/// Apply `op` to the scattered function `f` using one thread per rank, each
+/// running its shard's leaves through ops::apply_leaf_tasks with `opts`.
 /// Returns the gathered, leaf-consistent result. Fences internally.
 mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
                           const dht::DistributedFunction& f,
-                          ops::ApplyStats* stats = nullptr);
+                          ops::ApplyStats* stats = nullptr,
+                          const ops::ApplyOptions& opts = {});
 
 }  // namespace mh::world

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <latch>
 #include <numbers>
+#include <thread>
 
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
@@ -206,6 +209,150 @@ TEST(Convolution, ReducedRankIsAccurate) {
   EXPECT_LT(std::sqrt(outside2), tol);
 }
 
+// Frobenius norm of what truncating `blk` to its leading r x r corner drops.
+double dropped_mass(const Tensor& blk, std::size_t r) {
+  double outside2 = 0.0;
+  for (std::size_t j = 0; j < blk.dim(0); ++j)
+    for (std::size_t i = 0; i < blk.dim(1); ++i)
+      if (j >= r || i >= r) outside2 += blk.at({j, i}) * blk.at({j, i});
+  return std::sqrt(outside2);
+}
+
+TEST(Convolution, ReducedRankIsExactForNearbyTolerances) {
+  // Tolerances within 1/16 decade of each other (1e-6, then 9e-7) must not
+  // share a cached rank: each answer is the smallest r whose dropped mass
+  // is below its own tol, as on an operator that never saw the other tol.
+  const auto params = op_params(1, 5, 1e-6, 4);
+  const SeparatedKernel kernel = fit_coulomb(1e-4, 1e-4, std::sqrt(3.0));
+  SeparatedConvolution warm(params, kernel);
+  SeparatedConvolution cold(params, kernel);
+  const double tol = 9e-7;
+  // Slack for this test's own summation order.
+  const double lo = tol * (1 - 1e-12);
+  const double hi = tol * (1 + 1e-12);
+  std::size_t blocks = 0;
+  std::size_t bad = 0;
+  for (std::size_t mu = 0; mu < kernel.rank(); ++mu) {
+    for (int n = 0; n <= 5; ++n) {
+      for (std::int64_t m = 0; m <= 4; ++m) {
+        warm.reduced_rank(mu, n, m, 1e-6);
+        const std::size_t r = warm.reduced_rank(mu, n, m, tol);
+        const auto blk = warm.h_block(mu, n, m);
+        const bool keeps = dropped_mass(*blk, r) < hi;
+        const bool minimal = r == 1 || dropped_mass(*blk, r - 1) >= lo;
+        if (r != cold.reduced_rank(mu, n, m, tol) || !keeps || !minimal) ++bad;
+        ++blocks;
+      }
+    }
+  }
+  EXPECT_EQ(bad, 0u) << "of " << blocks << " blocks";
+  // tol >= 1 is a valid question (everything may be dropped), not a key
+  // the cache can overflow on.
+  EXPECT_EQ(warm.reduced_rank(0, 2, 0, 2.0), 1u);
+  EXPECT_EQ(warm.reduced_rank(0, 2, 0, 1e-6), cold.reduced_rank(0, 2, 0, 1e-6));
+}
+
+TEST(Convolution, OutOfRangeKeysAreTypedErrors) {
+  SeparatedConvolution op(op_params(1, 5, 1e-8, 2), single_gaussian(0.2));
+  const std::int64_t reach = 2 * 2 + 1;  // ns_block's child displacements
+  EXPECT_NO_THROW(op.h_block(0, 1, reach));
+  EXPECT_NO_THROW(op.h_block(0, 1, -reach));
+  EXPECT_THROW(op.h_block(0, 1, reach + 1), Error);
+  EXPECT_THROW(op.h_block_norm(0, 1, -reach - 1), Error);
+  EXPECT_THROW(op.h_block(0, -1, 0), Error);
+  EXPECT_THROW(op.h_block(0, SeparatedConvolution::kLevels, 0), Error);
+  EXPECT_THROW(op.h_block(1, 1, 0), Error);  // one-term kernel
+  EXPECT_THROW(op.reduced_rank(0, 70, 0, 1e-6), Error);
+  EXPECT_THROW(op.displacements(-2), Error);
+  EXPECT_THROW(op.ns_block(0, SeparatedConvolution::kLevels - 1, 0,
+                           SeparatedConvolution::NsPart::kFull),
+               Error);  // its children sit one level past the table
+}
+
+TEST(Convolution, BlockPointersAreNonOwningTableViews) {
+  // h_block/ns_block hand out views into the operator table: no reference
+  // count and the same address on every call. They are valid only while
+  // the operator lives; callers must not keep them past it.
+  const SeparatedConvolution op(op_params(1, 5, 1e-8, 2),
+                                single_gaussian(0.2));
+  using NsPart = SeparatedConvolution::NsPart;
+  const auto h = op.h_block(0, 1, 1);
+  EXPECT_EQ(h.use_count(), 0);
+  EXPECT_EQ(op.h_block(0, 1, 1).get(), h.get());
+  EXPECT_EQ(op.h_block_norm(0, 1, 1), h->normf());
+  const auto ns = op.ns_block(0, 1, 1, NsPart::kFull);
+  EXPECT_EQ(ns.use_count(), 0);
+  EXPECT_EQ(op.ns_block(0, 1, 1, NsPart::kFull).get(), ns.get());
+}
+
+TEST(Convolution, ConcurrentFirstFillsAgreeWithOneThread) {
+  // Threads race the first fill of every block on a cold operator. All must
+  // see the same published objects, each block is computed exactly once,
+  // and the values equal a single-threaded operator's.
+  const auto params = op_params(2, 6, 1e-6, 2);
+  const SeparatedKernel kernel = fit_coulomb(1e-3, 1e-3, std::sqrt(2.0));
+  const SeparatedConvolution op(params, kernel);
+  const SeparatedConvolution ref(params, kernel);
+  constexpr int kMaxLevel = 3;
+  using NsPart = SeparatedConvolution::NsPart;
+
+  struct Seen {
+    std::vector<const Tensor*> blocks, ns;
+    std::vector<std::size_t> ranks;
+    std::vector<const std::vector<Displacement>*> disps;
+  };
+  auto visit = [&](const SeparatedConvolution& o, Seen& seen) {
+    for (int n = 0; n <= kMaxLevel; ++n) {
+      seen.disps.push_back(&o.displacements(n));
+      for (std::size_t mu = 0; mu < kernel.rank(); ++mu) {
+        for (std::int64_t m = -2; m <= 2; ++m) {
+          seen.blocks.push_back(o.h_block(mu, n, m).get());
+          seen.ranks.push_back(o.reduced_rank(mu, n, m, 1e-7));
+          seen.ns.push_back(o.ns_block(mu, n, m, NsPart::kFull).get());
+          seen.ns.push_back(o.ns_block(mu, n, m, NsPart::kSsOnly).get());
+        }
+      }
+    }
+  };
+  Seen expect;
+  visit(ref, expect);
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<Seen> seen(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      visit(op, seen[t]);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t].blocks, seen[0].blocks);
+    EXPECT_EQ(seen[t].ns, seen[0].ns);
+    EXPECT_EQ(seen[t].disps, seen[0].disps);
+    EXPECT_EQ(seen[t].ranks, expect.ranks);
+  }
+  EXPECT_EQ(seen[0].ranks, expect.ranks);
+  // Distinct blocks: the single-threaded operator filled each once.
+  EXPECT_EQ(op.cache_stats().misses, ref.cache_stats().misses);
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  for (std::size_t i = 0; i < expect.blocks.size(); ++i) {
+    EXPECT_TRUE(same(*seen[0].blocks[i], *expect.blocks[i])) << "block " << i;
+  }
+  for (std::size_t i = 0; i < expect.ns.size(); ++i) {
+    EXPECT_TRUE(same(*seen[0].ns[i], *expect.ns[i])) << "ns block " << i;
+  }
+  for (std::size_t i = 0; i < expect.disps.size(); ++i) {
+    EXPECT_EQ(*seen[0].disps[i], *expect.disps[i]) << "level " << i;
+  }
+}
+
 double gaussian1d(double x, double c, double w) {
   const double u = (x - c) / w;
   return std::exp(-u * u);
@@ -367,6 +514,87 @@ TEST(Apply, TaskEnumerationMatchesLeafAndBandCounts) {
     band_total += op.displacements(key.level()).size();
   EXPECT_LE(tasks.size(), band_total);
   EXPECT_GE(tasks.size(), f.num_leaves());
+}
+
+mra::Function coulomb_input_2d() {
+  mra::FunctionParams fp;
+  fp.ndim = 2;
+  fp.k = 5;
+  fp.thresh = 1e-4;
+  fp.initial_level = 2;
+  auto f_fn = [](std::span<const double> x) {
+    return gaussian1d(x[0], 0.45, 0.08) * gaussian1d(x[1], 0.55, 0.1);
+  };
+  return mra::Function::project(f_fn, fp);
+}
+
+bool bitwise_equal(const mra::Function& a, const mra::Function& b) {
+  if (a.num_nodes() != b.num_nodes()) return false;
+  for (const auto& [key, node] : a.nodes()) {
+    const auto it = b.nodes().find(key);
+    if (it == b.nodes().end()) return false;
+    const Tensor& x = node.coeffs;
+    const Tensor& y = it->second.coeffs;
+    if (node.has_children != it->second.has_children ||
+        x.size() != y.size() ||
+        (x.size() != 0 &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Apply, LeafTaskLoopIsBitwiseEqualToPerTaskCompute) {
+  // apply() runs each leaf's tasks through apply_leaf_tasks; the result and
+  // the stats must equal the loop over make_apply_tasks, task by task.
+  const mra::Function f = coulomb_input_2d();
+  const SeparatedConvolution op(op_params(2, 5, 1e-6, 3),
+                                fit_coulomb(1e-3, 1e-3, std::sqrt(2.0)));
+  ApplyOptions reduced;
+  reduced.rank_reduce = true;
+  reduced.rank_tol = 1e-5;
+  for (const ApplyOptions& opts : {ApplyOptions{}, reduced}) {
+    ApplyStats loop_stats, task_stats;
+    const mra::Function by_leaf = apply(op, f, opts, &loop_stats);
+    mra::Function by_task(f.params());
+    by_task.accumulate(mra::Key::root(2), Tensor::cube(2, 5));
+    for (const ApplyTask& t : make_apply_tasks(op, f)) {
+      by_task.accumulate(
+          t.target, apply_task_compute(op, f.leaf_coeffs(t.source),
+                                       t.source.level(), t.disp, opts,
+                                       &task_stats));
+    }
+    by_task.sum_down();
+    EXPECT_TRUE(bitwise_equal(by_leaf, by_task)) << opts.rank_reduce;
+    EXPECT_EQ(loop_stats.tasks, task_stats.tasks);
+    EXPECT_GT(loop_stats.tasks, 64u);
+    EXPECT_EQ(loop_stats.gemms, task_stats.gemms);
+    EXPECT_EQ(loop_stats.flops, task_stats.flops);
+    EXPECT_EQ(loop_stats.rank_reduced_gemms, task_stats.rank_reduced_gemms);
+    EXPECT_EQ(loop_stats.rank_reduced_gemms > 0, opts.rank_reduce);
+  }
+}
+
+TEST(Apply, WarmApplyCountsOneLookupPerBlockRead) {
+  // cache_stats keeps its meaning: every operator-block read of a task is
+  // one hit or one miss, so a warm Apply adds tasks * M * d hits (twice
+  // that with rank reduction, whose rank reads are lookups too).
+  const mra::Function f = coulomb_input_2d();
+  const SeparatedConvolution op(op_params(2, 5, 1e-6, 3),
+                                fit_coulomb(1e-3, 1e-3, std::sqrt(2.0)));
+  ApplyOptions reduced;
+  reduced.rank_reduce = true;
+  apply(op, f, reduced);  // warm every block the Apply reads
+  for (const ApplyOptions& opts : {ApplyOptions{}, reduced}) {
+    const CacheStats before = op.cache_stats();
+    ApplyStats stats;
+    apply(op, f, opts, &stats);
+    const CacheStats after = op.cache_stats();
+    const std::size_t reads = stats.tasks * op.rank() * 2;
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.hits - before.hits, opts.rank_reduce ? 2 * reads : reads);
+  }
 }
 
 SeparatedConvolution::Params periodic_params(std::size_t d, std::size_t k,

@@ -2,6 +2,7 @@
 // threaded distributed Apply built on it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
@@ -266,6 +267,85 @@ TEST(WorldApply, MatchesSerialApply) {
   for (int i = 0; i < 25; ++i) {
     const double x[1] = {rng.next_double()};
     EXPECT_NEAR(threaded.eval(x), serial.eval(x), 1e-12);
+  }
+}
+
+TEST(WorldApply, RankReductionMatchesSerialApply) {
+  // ApplyOptions reach the distributed path: rank-reduced world_apply on 2
+  // ranks equals the serial rank-reduced Apply, stats included.
+  const mra::Function f = make_test_function();
+  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
+  ops::ApplyOptions opts;
+  opts.rank_reduce = true;
+  opts.rank_tol = 1e-6;
+  ops::ApplyStats serial_stats;
+  const mra::Function serial = ops::apply(op, f, opts, &serial_stats);
+
+  dht::HashOwnerMap owners(2, 7);
+  dht::DistributedFunction df(f, owners);
+  World world(2);
+  ops::ApplyStats stats;
+  const mra::Function threaded = world_apply(world, op, df, &stats, opts);
+
+  EXPECT_GT(serial_stats.rank_reduced_gemms, 0u);
+  EXPECT_EQ(stats.tasks, serial_stats.tasks);
+  EXPECT_EQ(stats.gemms, serial_stats.gemms);
+  EXPECT_EQ(stats.flops, serial_stats.flops);
+  EXPECT_EQ(stats.rank_reduced_gemms, serial_stats.rank_reduced_gemms);
+  // Relative to the result's peak on the probe grid.
+  std::vector<double> xs, want;
+  double scale = 0.0;
+  for (int i = 0; i <= 40; ++i) {
+    xs.push_back(i / 40.0);
+    const double x[1] = {xs.back()};
+    want.push_back(serial.eval(x));
+    scale = std::max(scale, std::abs(want.back()));
+  }
+  ASSERT_GT(scale, 0.0);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double x[1] = {xs[i]};
+    EXPECT_NEAR(threaded.eval(x), want[i], 1e-12 * scale) << "x=" << xs[i];
+  }
+}
+
+TEST(WorldApply, PeriodicMatchesSerialApply) {
+  // The distributed drivers enumerate tasks like ops::apply, so on a torus
+  // they keep the wrapped displacements too.
+  mra::FunctionParams p;
+  p.ndim = 1;
+  p.k = 7;
+  p.thresh = 1e-6;
+  p.initial_level = 3;
+  auto f_fn = [](std::span<const double> x) {
+    const double u = (x[0] - 0.04) / 0.1;  // near the wrap at x = 0
+    return std::exp(-u * u);
+  };
+  const mra::Function f = mra::Function::project(f_fn, p);
+  ops::SeparatedConvolution::Params op_params;
+  op_params.ndim = 1;
+  op_params.k = 7;
+  op_params.thresh = 1e-7;
+  op_params.max_disp = 8;
+  op_params.periodic = true;
+  const ops::SeparatedConvolution op(op_params, ops::single_gaussian(0.08));
+  ops::ApplyStats serial_stats;
+  const mra::Function serial = ops::apply(op, f, {}, &serial_stats);
+
+  dht::HashOwnerMap owners(2, 5);
+  dht::DistributedFunction df(f, owners);
+  World world(2);
+  ops::ApplyStats world_stats, dht_stats;
+  const mra::Function threaded = world_apply(world, op, df, &world_stats);
+  const mra::Function simulated = dht::distributed_apply(op, df, &dht_stats);
+  EXPECT_EQ(world_stats.tasks, serial_stats.tasks);
+  EXPECT_EQ(dht_stats.tasks, serial_stats.tasks);
+  const auto loads = df.apply_loads(op);
+  EXPECT_EQ(loads[0] + loads[1], serial_stats.tasks);
+  for (int i = 0; i <= 40; ++i) {
+    const double x[1] = {i / 40.0};
+    const double want = serial.eval(x);
+    EXPECT_NEAR(threaded.eval(x), want, 1e-12) << "x=" << x[0];
+    EXPECT_NEAR(simulated.eval(x), want, 1e-12) << "x=" << x[0];
   }
 }
 
