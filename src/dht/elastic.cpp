@@ -176,6 +176,7 @@ ElasticFunction ElasticFunction::restore(std::istream& is, std::size_t ranks,
   params.max_level = read_pod<std::int32_t>(is);
   MH_CHECK(params.ndim >= 1 && params.ndim <= kMaxTensorDim,
            "checkpoint: tensor order out of range");
+  MH_CHECK(params.k >= 1, "checkpoint: k out of range");
 
   ElasticFunction out(params, subtree_level, seed, ranks, replication);
   const auto nleaves = read_pod<std::uint64_t>(is);
@@ -187,13 +188,16 @@ ElasticFunction ElasticFunction::restore(std::istream& is, std::size_t ranks,
     }
     const mra::Key key(params.ndim, level,
                        std::span<const std::int64_t>{l.data(), params.ndim});
+    // Every leaf is a k^d cube: Apply reads k^d doubles from each.
     const auto tensor_ndim =
         static_cast<std::size_t>(read_pod<std::uint64_t>(is));
-    MH_CHECK(tensor_ndim >= 1 && tensor_ndim <= kMaxTensorDim,
-             "checkpoint: leaf tensor order out of range");
+    MH_CHECK(tensor_ndim == params.ndim,
+             "checkpoint: leaf tensor order does not match ndim");
     std::array<std::size_t, kMaxTensorDim> shape{};
     for (std::size_t m = 0; m < tensor_ndim; ++m) {
       shape[m] = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
+      MH_CHECK(shape[m] == params.k,
+               "checkpoint: leaf tensor is not a k^d cube");
     }
     Tensor coeffs(std::span<const std::size_t>{shape.data(), tensor_ndim});
     is.read(reinterpret_cast<char*>(coeffs.data()),

@@ -126,7 +126,7 @@ Tensor custom_fused_compute(const Tensor& source,
   MH_CHECK(!coeffs.empty() && mats.size() == coeffs.size() * d,
            "need d matrices per term");
   // The whole M*d chain runs as one fused packed pass through linalg's
-  // batch-GEMM engine: workspace ping-pong buffers reused across all terms
+  // batch-GEMM engine: workspace buffers reused across all terms
   // (the "resident in shared memory" organization), per-term scaled
   // accumulation as the kernel epilogue.
   Tensor result = source;

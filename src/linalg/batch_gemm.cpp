@@ -194,44 +194,79 @@ void fused_apply_chain(std::size_t d, std::size_t k, const double* src,
                        std::span<const double> coeffs,
                        std::span<const std::size_t> kreds, double* result,
                        GemmWorkspace& ws) {
-  const std::size_t terms = coeffs.size();
-  MH_CHECK(d >= 1 && k >= 1, "fused_apply_chain needs d, k >= 1");
-  MH_CHECK(mats.size() == terms * d, "need terms*d operator blocks");
-  MH_CHECK(kreds.empty() || kreds.size() == terms,
-           "kreds must be empty or one per term");
-  std::size_t size = 1;
-  for (std::size_t m = 0; m < d; ++m) size *= k;
-  const std::size_t rest = size / k;
-  double* ping = ws.ping(size);
-  double* pong = d > 1 ? ws.pong(size) : nullptr;
-  for (std::size_t mu = 0; mu < terms; ++mu) {
-    const std::size_t kc =
-        kreds.empty() ? k : std::min(kreds[mu], k);
-    const double* cur = src;
-    for (std::size_t m = 0; m < d; ++m) {
-      const GemmMat& h = mats[mu * d + m];
-      MH_CHECK(h.rows == k && h.cols == k, "apply blocks must be (k, k)");
-      double* dst = (m % 2 == 0) ? ping : pong;
-      std::memset(dst, 0, size * sizeof(double));
-      run_packed(rest, k, kc, dst, cur, h.ptr, ws);
-      cur = dst;
-    }
-    // Same expression Tensor::gaxpy(1.0, contrib, coeff) evaluates per
-    // element; with contraction off this is one mul + one add, bitwise
-    // equal to the composed path.
-    const double cmu = coeffs[mu];
-    for (std::size_t i = 0; i < size; ++i) result[i] += cmu * cur[i];
-  }
-  ws.stats().fused_chains += 1;
+  const FusedApplyItem item{src, mats, coeffs, kreds, result};
+  batch_fused_apply(d, k, {&item, 1}, ws);
 }
 
 void batch_fused_apply(std::size_t d, std::size_t k,
                        std::span<const FusedApplyItem> items,
                        GemmWorkspace& ws) {
+  MH_CHECK(d >= 1 && k >= 1, "fused apply needs d, k >= 1");
+  std::size_t terms = 0;
   for (const FusedApplyItem& item : items) {
-    fused_apply_chain(d, k, item.src, item.mats, item.coeffs, item.kreds,
-                      item.result, ws);
+    const std::size_t t = item.coeffs.size();
+    MH_CHECK(item.mats.size() == t * d, "need terms*d operator blocks");
+    MH_CHECK(item.kreds.empty() || item.kreds.size() == t,
+             "kreds must be empty or one per term");
+    for (const GemmMat& h : item.mats)
+      MH_CHECK(h.rows == k && h.cols == k, "apply blocks must be (k, k)");
+    terms = std::max(terms, t);
   }
+  std::size_t size = 1;
+  for (std::size_t m = 0; m < d; ++m) size *= k;
+  const std::size_t rest = size / k;
+  // stack + m*size holds the current item's mode-0..m intermediate.
+  double* stack = ws.prefix(d * size);
+  // Sharing key of item i for the current term: (src, kc, d block
+  // pointers). Items sharing the first j + 2 words share the mode-0..j-1
+  // intermediate.
+  const std::size_t width = d + 2;
+  std::vector<std::uintptr_t>& keys = ws.share_scratch().keys;
+  std::vector<std::size_t>& order = ws.share_scratch().order;
+  keys.resize(items.size() * width);
+  const auto row = [&](std::size_t i) { return keys.data() + i * width; };
+  for (std::size_t mu = 0; mu < terms; ++mu) {
+    order.clear();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const FusedApplyItem& item = items[i];
+      if (mu >= item.coeffs.size()) continue;
+      std::uintptr_t* key = row(i);
+      key[0] = reinterpret_cast<std::uintptr_t>(item.src);
+      key[1] = item.kreds.empty() ? k : std::min(item.kreds[mu], k);
+      for (std::size_t m = 0; m < d; ++m) {
+        key[2 + m] =
+            reinterpret_cast<std::uintptr_t>(item.mats[mu * d + m].ptr);
+      }
+      order.push_back(i);
+    }
+    // Any total order on the keys keeps each shared prefix contiguous.
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return std::memcmp(row(a), row(b), width * sizeof(std::uintptr_t)) < 0;
+    });
+    const std::uintptr_t* prev = nullptr;
+    for (const std::size_t i : order) {
+      const FusedApplyItem& item = items[i];
+      const std::uintptr_t* key = row(i);
+      // Recompute from the first mode whose prefix differs from the
+      // previous item's: w key words shared cover w - 2 modes.
+      std::size_t w = 0;
+      while (prev != nullptr && w < width && key[w] == prev[w]) ++w;
+      for (std::size_t m = w < 2 ? 0 : w - 2; m < d; ++m) {
+        const double* cur = m == 0 ? item.src : stack + (m - 1) * size;
+        double* dst = stack + m * size;
+        std::memset(dst, 0, size * sizeof(double));
+        run_packed(rest, k, key[1], dst, cur, item.mats[mu * d + m].ptr, ws);
+      }
+      // Same expression Tensor::gaxpy(1.0, contrib, coeff) evaluates per
+      // element; with contraction off this is one mul + one add, bitwise
+      // equal to the composed path.
+      const double cmu = item.coeffs[mu];
+      const double* chain = stack + (d - 1) * size;
+      for (std::size_t e = 0; e < size; ++e) item.result[e] += cmu * chain[e];
+      prev = key;
+    }
+  }
+  ws.stats().fused_chains += items.size();
 }
 
 }  // namespace mh::linalg

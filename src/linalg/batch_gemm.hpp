@@ -12,8 +12,13 @@
 //     otherwise), with k-specialized dispatch for the paper's common k so
 //     the contraction loop is fully unrolled,
 //   - fuses the whole M * d transform chain of one Apply task into a single
-//     packed pass over two ping-pong workspace buffers — zero allocations
-//     after warm-up — instead of M * d mTxm calls with fresh temporaries.
+//     packed pass over workspace buffers — zero allocations after warm-up —
+//     instead of M * d mTxm calls with fresh temporaries,
+//   - shares mode-prefix intermediates across the tasks of a batch: a
+//     term's mode-0..j intermediate depends only on the source, the term's
+//     contraction length and its leading j+1 blocks, so the tasks of one
+//     source leaf (whose displacements share leading components) run it
+//     once instead of once per task.
 //
 // Numerical contract: every kernel here performs, per output element, the
 // exact same IEEE operation sequence as the scalar reference in gemm.cpp
@@ -51,9 +56,9 @@ struct BatchGemmStats {
   std::size_t packed_doubles = 0; ///< doubles staged through pack buffers
 };
 
-/// Grow-only aligned scratch arena for packed panels and fused-chain
-/// ping-pong buffers. Reused across calls; never shrinks. One per thread —
-/// see thread_workspace().
+/// Grow-only aligned scratch arena for packed panels, fused-chain
+/// ping-pong buffers and the fused-apply prefix stack. Reused across calls;
+/// never shrinks. One per thread — see thread_workspace().
 class GemmWorkspace {
  public:
   GemmWorkspace() = default;
@@ -64,6 +69,16 @@ class GemmWorkspace {
   double* pack_a(std::size_t n) { return pack_a_.ensure(n); }
   double* ping(std::size_t n) { return ping_.ensure(n); }
   double* pong(std::size_t n) { return pong_.ensure(n); }
+  /// batch_fused_apply's stack of d mode-prefix intermediates.
+  double* prefix(std::size_t n) { return prefix_.ensure(n); }
+
+  /// batch_fused_apply's grow-only bookkeeping: the items' sharing keys
+  /// and their order.
+  struct ShareScratch {
+    std::vector<std::uintptr_t> keys;
+    std::vector<std::size_t> order;
+  };
+  ShareScratch& share_scratch() noexcept { return share_; }
 
   BatchGemmStats& stats() noexcept { return stats_; }
   const BatchGemmStats& stats() const noexcept { return stats_; }
@@ -80,6 +95,8 @@ class GemmWorkspace {
   Buffer pack_a_;
   Buffer ping_;
   Buffer pong_;
+  Buffer prefix_;
+  ShareScratch share_;
   BatchGemmStats stats_;
 };
 
@@ -119,7 +136,7 @@ std::size_t chain_output_size(std::span<const std::size_t> shape,
 /// with all h square (k, k). `kreds` (optional, per-term) limits each
 /// contraction to the term's reduced rank (empty span = full rank).
 /// Bitwise-identical to the mode-by-mode composition through mTxm_ref plus
-/// gaxpy-style accumulation.
+/// gaxpy-style accumulation. This is batch_fused_apply on one item.
 void fused_apply_chain(std::size_t d, std::size_t k, const double* src,
                        std::span<const GemmMat> mats,
                        std::span<const double> coeffs,
@@ -137,10 +154,19 @@ struct FusedApplyItem {
   double* result = nullptr;         ///< k^d accumulation target
 };
 
-/// Batched entry point: run every item's fused chain through one workspace
-/// (packs and ping-pong buffers are sized once and reused across the whole
-/// batch). This is the CPU-side aggregated call the batching runtime hands
-/// a batch's CPU share to.
+/// Batched entry point: every item's fused chain through one workspace,
+/// with mode-prefix intermediates shared between items. For term mu, two
+/// items share the mode-0..j intermediate when they have the same src, the
+/// same contraction length (min(kreds[mu], k), k without kreds) and the
+/// same block pointers mats[mu*d+0..j]; it is then computed once. Per term
+/// the items are ordered by that key and a stack of d intermediates (in the
+/// workspace) is recomputed only from the first mode where an item differs
+/// from the one before, so a batch of the tasks of one source leaf runs
+/// one GEMM per distinct (src, kc, prefix) node instead of one per mode
+/// per item. Every intermediate is the same packed GEMM the item's own
+/// chain would run, and each result receives result += coeffs[mu] * chain
+/// in ascending mu, so every result is bitwise equal to that item's
+/// fused_apply_chain. Results must not overlap each other or any src.
 void batch_fused_apply(std::size_t d, std::size_t k,
                        std::span<const FusedApplyItem> items,
                        GemmWorkspace& ws);

@@ -23,10 +23,16 @@ struct ApplyTask {
   Displacement disp{};
 };
 
+/// Logical work of an Apply: tasks * M * d small GEMMs (Formula 1), the same
+/// on every path (serial, World, batching), which is what cross-path checks
+/// and the simulators' cost models consume. The GEMMs actually executed are
+/// fewer, because batch_fused_apply shares mode-prefix intermediates between
+/// a leaf's tasks; that count is linalg::BatchGemmStats::packed_gemms of the
+/// workspace of each thread that ran tasks.
 struct ApplyStats {
   std::size_t tasks = 0;       ///< (leaf, displacement) pairs executed
-  std::size_t gemms = 0;       ///< small matrix multiplies performed
-  double flops = 0.0;          ///< flops of those multiplies
+  std::size_t gemms = 0;       ///< logical small GEMMs (tasks * M * d)
+  double flops = 0.0;          ///< flops of those logical GEMMs
   std::size_t rank_reduced_gemms = 0;  ///< GEMMs shortened by rank reduction
 };
 
@@ -50,9 +56,11 @@ std::vector<ApplyTask> make_apply_tasks(const SeparatedConvolution& op,
 /// Receives one task's (target, contribution).
 using ContributionSink = std::function<void(const mra::Key&, Tensor&&)>;
 
-/// The Apply task loop for one source leaf: every task of `leaf`, in
-/// for_each_task order, computed by apply_task_compute and handed to `sink`
-/// on the calling thread as soon as it is done.
+/// The Apply task loop for one source leaf: every task of `leaf` gathered
+/// and computed by one linalg::batch_fused_apply call (which shares the
+/// tasks' mode-prefix GEMMs), then handed to `sink` on the calling thread in
+/// for_each_task order. Each contribution is bitwise equal to
+/// apply_task_compute's. `coeffs` must be a k^d cube (mh::Error otherwise).
 void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
                       const Tensor& coeffs, const ApplyOptions& opts,
                       ApplyStats* stats, const ContributionSink& sink);
@@ -60,7 +68,8 @@ void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
 /// Compute one task's contribution tensor (Algorithm 5): the Formula 1 sum
 /// over the kernel's separated terms applied to the source coefficients.
 /// Operands are gathered as raw operator-table views (gather_task) and run
-/// as one linalg::fused_apply_chain.
+/// as a one-item linalg::batch_fused_apply. `source` must be a k^d cube
+/// (mh::Error otherwise).
 Tensor apply_task_compute(const SeparatedConvolution& op, const Tensor& source,
                           int level, const Displacement& disp,
                           const ApplyOptions& opts = {},

@@ -244,6 +244,21 @@ TEST(Checkpoint, RestoreIntoResizedWorldIsBitwise) {
   }
 }
 
+TEST(Checkpoint, LeafThatIsNotAKCubeIsRejected) {
+  // Apply reads k^d doubles from every leaf, so a checkpoint leaf of any
+  // other shape (wrong order or wrong extent) must not restore.
+  const mra::Function f = make_test_function();
+  const mra::Key key = f.leaf_keys().front();
+  for (const Tensor& bad : {Tensor({7, 1}), Tensor({6}), Tensor({7, 7})}) {
+    ElasticFunction ef(f, 2, 2, /*replication=*/2, 3);
+    ef.store().put(0, key, bad, 0.0);
+    std::ostringstream os;
+    ef.checkpoint(os);
+    std::istringstream is(os.str());
+    EXPECT_THROW(ElasticFunction::restore(is, 2, 2), Error);
+  }
+}
+
 TEST(Checkpoint, CorruptMagicOrVersionIsRejected) {
   ElasticFunction ef(make_test_function(), 4, 2, 2, 1);
   std::ostringstream os;

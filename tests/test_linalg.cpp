@@ -1,7 +1,11 @@
 // Unit tests for src/linalg: GEMM kernels, QR, SVD.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <set>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -315,6 +319,218 @@ TEST(BatchGemm, BatchedFusedApplySharesOneWorkspace) {
     for (std::size_t e = 0; e < size; ++e)
       ASSERT_EQ(results[i][e], expected[i][e]);
   }
+}
+
+// Shared-prefix batches: items over a few sources whose blocks come from a
+// per-term table indexed by a 1-D displacement, as an Apply operator's do.
+struct PrefixBatch {
+  PrefixBatch(std::size_t d_, std::size_t k_, std::size_t terms_,
+              std::size_t sources, std::int64_t reach_, std::uint64_t seed)
+      : d(d_), k(k_), terms(terms_), reach(reach_), rng(seed) {
+    std::size_t size = 1;
+    for (std::size_t m = 0; m < d; ++m) size *= k;
+    for (std::size_t s = 0; s < sources; ++s)
+      srcs.push_back(random_matrix(1, size, rng));
+    for (std::size_t i = 0; i < terms * width(); ++i)
+      table.push_back(random_matrix(k, k, rng));
+    for (std::size_t mu = 0; mu < terms; ++mu)
+      coeffs.push_back(rng.uniform(-2.0, 2.0));
+  }
+
+  std::size_t width() const { return static_cast<std::size_t>(2 * reach + 1); }
+
+  /// Item over source `s` at displacement `disp` (d components), with
+  /// per-term reduced ranks `kreds` (empty: full rank) and `nterms` terms
+  /// (0: all).
+  void add(std::size_t s, const std::vector<std::int64_t>& disp,
+           std::vector<std::size_t> kreds = {}, std::size_t nterms = 0) {
+    if (nterms == 0) nterms = terms;
+    Slot slot;
+    slot.src = s;
+    for (std::size_t mu = 0; mu < nterms; ++mu) {
+      for (std::size_t m = 0; m < d; ++m) {
+        const auto col = static_cast<std::size_t>(disp[m] + reach);
+        slot.mats.push_back({table[mu * width() + col].data(), k, k});
+      }
+    }
+    slot.kreds = std::move(kreds);
+    slot.nterms = nterms;
+    slot.result = random_matrix(1, srcs[s].size(), rng);
+    slots.push_back(std::move(slot));
+  }
+
+  /// Every displacement of [-reach, reach]^d over source 0, shuffled.
+  void add_leaf() {
+    std::vector<std::vector<std::int64_t>> disps(1);
+    for (std::size_t m = 0; m < d; ++m) {
+      std::vector<std::vector<std::int64_t>> next;
+      for (const auto& v : disps) {
+        for (std::int64_t x = -reach; x <= reach; ++x) {
+          next.push_back(v);
+          next.back().push_back(x);
+        }
+      }
+      disps = std::move(next);
+    }
+    for (std::size_t i = disps.size(); i > 1; --i)
+      std::swap(disps[i - 1], disps[rng.next_u64() % i]);
+    for (const auto& disp : disps) add(0, disp);
+  }
+
+  std::vector<FusedApplyItem> items(
+      std::vector<std::vector<double>>& results) const {
+    std::vector<FusedApplyItem> out;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const Slot& slot = slots[i];
+      out.push_back({srcs[slot.src].data(),
+                     {slot.mats.data(), slot.mats.size()},
+                     {coeffs.data(), slot.nterms},
+                     {slot.kreds.data(), slot.kreds.size()},
+                     results[i].data()});
+    }
+    return out;
+  }
+
+  std::vector<std::vector<double>> initial_results() const {
+    std::vector<std::vector<double>> r;
+    for (const Slot& slot : slots) r.push_back(slot.result);
+    return r;
+  }
+
+  /// Distinct (term, src, kc, block prefix) nodes: the GEMMs a batch that
+  /// shares every common prefix must execute.
+  std::size_t distinct_nodes() const {
+    std::set<std::vector<std::uintptr_t>> nodes;
+    for (const Slot& slot : slots) {
+      for (std::size_t mu = 0; mu < slot.nterms; ++mu) {
+        std::vector<std::uintptr_t> key{
+            mu, slot.src,
+            slot.kreds.empty() ? k : std::min(slot.kreds[mu], k)};
+        for (std::size_t m = 0; m < d; ++m) {
+          key.push_back(reinterpret_cast<std::uintptr_t>(
+              slot.mats[mu * d + m].ptr));
+          nodes.insert(key);
+        }
+      }
+    }
+    return nodes.size();
+  }
+
+  /// Runs the whole batch through one workspace and checks every result
+  /// bitwise against the scalar composition and against the item's own
+  /// fused_apply_chain. Returns the packed GEMMs the batch executed.
+  std::size_t run_and_check() const {
+    std::vector<std::vector<double>> batched = initial_results();
+    GemmWorkspace ws;
+    batch_fused_apply(d, k, items(batched), ws);
+    EXPECT_EQ(ws.stats().fused_chains, slots.size());
+
+    std::vector<std::vector<double>> single = initial_results();
+    const std::vector<FusedApplyItem> alone = items(single);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const Slot& slot = slots[i];
+      const std::size_t size = slot.result.size();
+      const std::size_t rest = size / k;
+      GemmWorkspace own;
+      fused_apply_chain(d, k, alone[i].src, alone[i].mats, alone[i].coeffs,
+                        alone[i].kreds, alone[i].result, own);
+      std::vector<double> ref = slot.result;
+      for (std::size_t mu = 0; mu < slot.nterms; ++mu) {
+        const std::size_t kred =
+            slot.kreds.empty() ? k : std::min(slot.kreds[mu], k);
+        std::vector<double> cur = srcs[slot.src];
+        for (std::size_t m = 0; m < d; ++m) {
+          std::vector<double> next(size, 0.0);
+          mTxm_reduced_ref(rest, k, k, kred, next.data(), cur.data(),
+                           slot.mats[mu * d + m].ptr);
+          cur = std::move(next);
+        }
+        for (std::size_t e = 0; e < size; ++e)
+          ref[e] = 1.0 * ref[e] + coeffs[mu] * cur[e];
+      }
+      for (std::size_t e = 0; e < size; ++e) {
+        EXPECT_EQ(batched[i][e], ref[e]) << "item " << i;
+        EXPECT_EQ(single[i][e], ref[e]) << "item " << i;
+        if (batched[i][e] != ref[e] || single[i][e] != ref[e]) break;
+      }
+    }
+    return ws.stats().packed_gemms;
+  }
+
+  struct Slot {
+    std::size_t src = 0;
+    std::vector<GemmMat> mats;
+    std::vector<std::size_t> kreds;
+    std::size_t nterms = 0;
+    std::vector<double> result;
+  };
+
+  std::size_t d, k, terms;
+  std::int64_t reach;
+  Rng rng;
+  std::vector<std::vector<double>> srcs;
+  std::vector<std::vector<double>> table;  ///< [mu * width() + m + reach]
+  std::vector<double> coeffs;
+  std::vector<Slot> slots;
+};
+
+TEST(BatchGemm, LeafBatchSharesModePrefixesBitwise) {
+  // One source through every displacement of a small lattice: term mu's
+  // mode-0..j intermediate depends only on the leading j + 1 displacement
+  // components, so the batch runs one GEMM per distinct prefix —
+  // width + width^2 + ... + width^d per term — instead of d per item.
+  for (const auto& [d, k, reach] :
+       {std::tuple<std::size_t, std::size_t, std::int64_t>{1, 5, 2},
+        {3, 5, 2},
+        {4, 4, 1}}) {
+    PrefixBatch b(d, k, /*terms=*/3, /*sources=*/1, reach, 17 + d);
+    b.add_leaf();
+    std::size_t per_term = 0, level = 1;
+    for (std::size_t m = 0; m < d; ++m) per_term += (level *= b.width());
+    EXPECT_EQ(b.distinct_nodes(), b.terms * per_term);
+    EXPECT_EQ(b.run_and_check(), b.distinct_nodes()) << "d = " << d;
+    if (d > 1) {
+      EXPECT_LT(b.distinct_nodes(), b.slots.size() * b.terms * d);
+    }
+  }
+}
+
+TEST(BatchGemm, MixedSourcesAndDuplicatesShareOnlyEqualPrefixes) {
+  // Two sources, repeated items, items with fewer terms: only equal
+  // (src, kc, block prefix) nodes are shared, and a duplicate item
+  // (distinct result) costs no GEMM at all.
+  PrefixBatch b(3, 6, /*terms=*/4, /*sources=*/2, /*reach=*/1, 99);
+  b.add(0, {0, 0, 0});
+  b.add(1, {0, 0, 0});
+  b.add(0, {1, 0, -1});
+  b.add(0, {0, 0, 0});  // duplicate of item 0
+  b.add(1, {0, 1, 0});
+  b.add(0, {1, 0, 1}, {}, /*nterms=*/2);
+  b.add(1, {0, 0, 0});  // duplicate of item 1
+  b.add(0, {-1, 1, 1}, {}, /*nterms=*/1);
+  EXPECT_EQ(b.run_and_check(), b.distinct_nodes());
+  EXPECT_LT(b.distinct_nodes(), 8u * 4u * 3u);
+}
+
+TEST(BatchGemm, DifferentReducedRanksDoNotShare) {
+  // Same source, same blocks: items share a term's chain only when its
+  // contraction length matches. kreds >= k is full rank, like no kreds.
+  const std::size_t k = 5;
+  PrefixBatch b(3, k, /*terms=*/2, /*sources=*/1, /*reach=*/1, 7);
+  b.add(0, {1, 0, 1}, {k, 3});
+  b.add(0, {1, 0, 1}, {k, 4});
+  b.add(0, {1, 0, 1});
+  b.add(0, {1, 0, 1}, {k + 2, 3});
+  // Term 0: one full-rank chain. Term 1: contraction lengths 3, 4 and k.
+  EXPECT_EQ(b.distinct_nodes(), 3u + 3u * 3u);
+  EXPECT_EQ(b.run_and_check(), b.distinct_nodes());
+}
+
+TEST(BatchGemm, EmptyBatchIsANoOp) {
+  GemmWorkspace ws;
+  batch_fused_apply(3, 5, {}, ws);
+  EXPECT_EQ(ws.stats().packed_gemms, 0u);
+  EXPECT_EQ(ws.stats().fused_chains, 0u);
 }
 
 TEST(BatchGemm, VectorAndDegenerateChains) {

@@ -2,6 +2,7 @@
 // operator cache, displacement screening, rank reduction, and Apply.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <latch>
@@ -10,6 +11,7 @@
 
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
+#include "linalg/batch_gemm.hpp"
 #include "mra/legendre.hpp"
 #include "mra/quadrature.hpp"
 #include "ops/apply.hpp"
@@ -545,35 +547,124 @@ bool bitwise_equal(const mra::Function& a, const mra::Function& b) {
   return true;
 }
 
+SeparatedConvolution::Params periodic_params(std::size_t d, std::size_t k,
+                                             double thresh,
+                                             std::int64_t cap) {
+  auto p = op_params(d, k, thresh, cap);
+  p.periodic = true;
+  return p;
+}
+
+// apply() runs each leaf's tasks as one batch through apply_leaf_tasks; the
+// result and the stats must equal the loop over make_apply_tasks, task by
+// task, accumulated in the same order.
+void expect_leaf_loop_matches_task_loop(const SeparatedConvolution& op,
+                                        const mra::Function& f,
+                                        const ApplyOptions& opts) {
+  ApplyStats loop_stats, task_stats;
+  const mra::Function by_leaf = apply(op, f, opts, &loop_stats);
+  mra::Function by_task(f.params());
+  by_task.accumulate(mra::Key::root(f.ndim()), Tensor::cube(f.ndim(), f.k()));
+  for (const ApplyTask& t : make_apply_tasks(op, f)) {
+    by_task.accumulate(
+        t.target, apply_task_compute(op, f.leaf_coeffs(t.source),
+                                     t.source.level(), t.disp, opts,
+                                     &task_stats));
+  }
+  by_task.sum_down();
+  EXPECT_TRUE(bitwise_equal(by_leaf, by_task)) << opts.rank_reduce;
+  EXPECT_EQ(loop_stats.tasks, task_stats.tasks);
+  EXPECT_EQ(loop_stats.gemms, task_stats.gemms);
+  EXPECT_EQ(loop_stats.flops, task_stats.flops);
+  EXPECT_EQ(loop_stats.rank_reduced_gemms, task_stats.rank_reduced_gemms);
+  EXPECT_EQ(loop_stats.rank_reduced_gemms > 0, opts.rank_reduce);
+}
+
 TEST(Apply, LeafTaskLoopIsBitwiseEqualToPerTaskCompute) {
-  // apply() runs each leaf's tasks through apply_leaf_tasks; the result and
-  // the stats must equal the loop over make_apply_tasks, task by task.
   const mra::Function f = coulomb_input_2d();
   const SeparatedConvolution op(op_params(2, 5, 1e-6, 3),
                                 fit_coulomb(1e-3, 1e-3, std::sqrt(2.0)));
   ApplyOptions reduced;
   reduced.rank_reduce = true;
   reduced.rank_tol = 1e-5;
-  for (const ApplyOptions& opts : {ApplyOptions{}, reduced}) {
-    ApplyStats loop_stats, task_stats;
-    const mra::Function by_leaf = apply(op, f, opts, &loop_stats);
-    mra::Function by_task(f.params());
-    by_task.accumulate(mra::Key::root(2), Tensor::cube(2, 5));
-    for (const ApplyTask& t : make_apply_tasks(op, f)) {
-      by_task.accumulate(
-          t.target, apply_task_compute(op, f.leaf_coeffs(t.source),
-                                       t.source.level(), t.disp, opts,
-                                       &task_stats));
-    }
-    by_task.sum_down();
-    EXPECT_TRUE(bitwise_equal(by_leaf, by_task)) << opts.rank_reduce;
-    EXPECT_EQ(loop_stats.tasks, task_stats.tasks);
-    EXPECT_GT(loop_stats.tasks, 64u);
-    EXPECT_EQ(loop_stats.gemms, task_stats.gemms);
-    EXPECT_EQ(loop_stats.flops, task_stats.flops);
-    EXPECT_EQ(loop_stats.rank_reduced_gemms, task_stats.rank_reduced_gemms);
-    EXPECT_EQ(loop_stats.rank_reduced_gemms > 0, opts.rank_reduce);
+  EXPECT_GT(make_apply_tasks(op, f).size(), 64u);
+  for (const ApplyOptions& opts : {ApplyOptions{}, reduced})
+    expect_leaf_loop_matches_task_loop(op, f, opts);
+}
+
+TEST(Apply, PeriodicLeafTaskLoopKeepsWrappedSinkOrder) {
+  // On a 4-box-wide level-2 torus, displacements m and m +- 4 wrap onto
+  // one target, so one leaf sends several contributions to the same box:
+  // the batched leaf must still accumulate them in for_each_task order.
+  const mra::Function f = coulomb_input_2d();
+  const SeparatedConvolution op(periodic_params(2, 5, 1e-6, 4),
+                                single_gaussian(0.3));
+  std::size_t repeats = 0;
+  for (const mra::Key& leaf : f.leaf_keys()) {
+    std::vector<mra::Key> targets;
+    for_each_task(op, leaf, [&](const mra::Key& to, const Displacement&) {
+      repeats += std::count(targets.begin(), targets.end(), to);
+      targets.push_back(to);
+    });
   }
+  EXPECT_GT(repeats, 0u);
+  ApplyOptions reduced;
+  reduced.rank_reduce = true;
+  for (const ApplyOptions& opts : {ApplyOptions{}, reduced})
+    expect_leaf_loop_matches_task_loop(op, f, opts);
+}
+
+TEST(Apply, FourDimensionalLeafTaskLoopIsBitwiseEqual) {
+  // The tdse shape: d = 4, k = 10, a single-Gaussian smoothing operator.
+  mra::FunctionParams fp;
+  fp.ndim = 4;
+  fp.k = 10;
+  fp.thresh = 1e-3;
+  fp.initial_level = 1;
+  fp.max_level = 1;
+  auto f_fn = [](std::span<const double> x) {
+    return gaussian1d(x[0], 0.4, 0.3) * gaussian1d(x[1], 0.5, 0.3) *
+           gaussian1d(x[2], 0.6, 0.3) * gaussian1d(x[3], 0.5, 0.3);
+  };
+  const mra::Function f = mra::Function::project(f_fn, fp);
+  const SeparatedConvolution op(op_params(4, 10, 1e-8, 1),
+                                single_gaussian(0.1));
+  EXPECT_GT(make_apply_tasks(op, f).size(), f.num_leaves());
+  expect_leaf_loop_matches_task_loop(op, f, {});
+}
+
+TEST(Apply, SharesModePrefixGemmsAcrossALeafsTasks) {
+  // ApplyStats::gemms stays the logical tasks * M * d count; the packed
+  // GEMMs the engine executes are fewer, because a leaf's tasks share
+  // their mode-prefix intermediates.
+  const mra::Function f = coulomb_input_2d();
+  const SeparatedConvolution op(op_params(2, 5, 1e-6, 3),
+                                fit_coulomb(1e-3, 1e-3, std::sqrt(2.0)));
+  ApplyStats stats;
+  const std::size_t before =
+      linalg::thread_workspace().stats().packed_gemms;
+  apply(op, f, {}, &stats);
+  const std::size_t executed =
+      linalg::thread_workspace().stats().packed_gemms - before;
+  EXPECT_EQ(stats.gemms, stats.tasks * op.rank() * 2);
+  EXPECT_GT(executed, 0u);
+  EXPECT_LT(executed, stats.gemms);
+}
+
+TEST(Apply, SourceThatIsNotAKCubeIsATypedError) {
+  // Every entry point reads k^d doubles from the source: a (k, k, 1) leaf
+  // of a 3-D operator must be rejected, not read past its end.
+  const SeparatedConvolution op(op_params(3, 5, 1e-6, 2),
+                                single_gaussian(0.2));
+  const mra::Key leaf = mra::Key::root(3);
+  const auto ignore = [](const mra::Key&, Tensor&&) {};
+  for (const Tensor& bad : {Tensor({5, 5, 1}), Tensor({5, 5}),
+                            Tensor({5, 5, 5, 1}), Tensor({5, 4, 5})}) {
+    EXPECT_THROW(apply_task_compute(op, bad, 0, Displacement{}), Error);
+    EXPECT_THROW(apply_leaf_tasks(op, leaf, bad, {}, nullptr, ignore),
+                 Error);
+  }
+  EXPECT_NO_THROW(apply_task_compute(op, Tensor::cube(3, 5), 0, {}));
 }
 
 TEST(Apply, WarmApplyCountsOneLookupPerBlockRead) {
@@ -595,14 +686,6 @@ TEST(Apply, WarmApplyCountsOneLookupPerBlockRead) {
     EXPECT_EQ(after.misses, before.misses);
     EXPECT_EQ(after.hits - before.hits, opts.rank_reduce ? 2 * reads : reads);
   }
-}
-
-SeparatedConvolution::Params periodic_params(std::size_t d, std::size_t k,
-                                             double thresh,
-                                             std::int64_t cap) {
-  auto p = op_params(d, k, thresh, cap);
-  p.periodic = true;
-  return p;
 }
 
 TEST(Apply, PeriodicConservesMassAtTheBoundary) {
