@@ -113,10 +113,12 @@ int run(int argc, char** argv) {
 
   // One source leaf's tasks in one batch: the blocks of every displacement
   // in [-2,2]^3, drawn per term from a 5-block table as an operator's are,
-  // so the engine shares mode-prefix GEMMs between items. GFLOPS counts the
-  // logical tasks * M * d work, so sharing shows as a higher rate.
-  {
-    const std::size_t d = 3, k = 10, terms = 8, reach = 2;
+  // so the engine shares mode-prefix GEMMs between items and takes each
+  // prefix node's 5 last-mode children in one wide product. GFLOPS counts
+  // the logical tasks * M * d work, so sharing shows as a higher rate.
+  // k = 5 is the Coulomb input's shape, k = 10 the TDSE one's.
+  for (const std::size_t k : {10, 5}) {
+    const std::size_t d = 3, terms = 8, reach = 2;
     const std::size_t width = 2 * reach + 1;
     const std::size_t size = k * k * k;
     Rng rng(h.seed_or(6));
@@ -147,7 +149,7 @@ int run(int argc, char** argv) {
     const double flops =
         static_cast<double>(nitems) * gpu::ApplyTaskShape{d, k, terms}.flops();
     linalg::GemmWorkspace ws;
-    record(h, t, "batch_fused_leaf_k10", flops, [&] {
+    record(h, t, "batch_fused_leaf_k" + std::to_string(k), flops, [&] {
       linalg::batch_fused_apply(d, k, items, ws);
     });
   }

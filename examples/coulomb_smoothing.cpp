@@ -40,29 +40,38 @@ int main() {
                                               /*screen_thresh=*/1e-3);
   std::printf("coulomb fit: M = %zu separated terms\n", op.rank());
 
-  // ApplyStats counts the logical tasks * M * d GEMMs; the engine executes
-  // fewer, since each leaf's tasks share their mode-prefix intermediates.
+  // ApplyStats counts the logical tasks * M * d GEMMs. The engine computes
+  // fewer prefix nodes, since each leaf's tasks share their mode-prefix
+  // intermediates, and runs fewer kernel calls still, since the last-mode
+  // children of one prefix node are one wide product. Kernel calls also
+  // count sum_down's d transforms per interior node of the result.
   ops::ApplyStats full;
   const linalg::BatchGemmStats& engine = linalg::thread_workspace().stats();
-  const std::size_t packed_before = engine.packed_gemms;
+  linalg::BatchGemmStats before = engine;
   mra::Function v = ops::apply(op, rho, {}, &full);
-  const std::size_t executed = engine.packed_gemms - packed_before;
+  std::size_t nodes = engine.prefix_nodes - before.prefix_nodes;
+  std::size_t calls = engine.packed_gemms - before.packed_gemms;
+  const auto pct = [&](std::size_t n) {
+    return 100.0 * static_cast<double>(n) / static_cast<double>(full.gemms);
+  };
   std::printf(
-      "apply (full rank):   %zu tasks, %zu GEMMs (%zu executed, %.1f%%), "
-      "%.1f Mflops, |V| = %.4f\n",
-      full.tasks, full.gemms, executed,
-      100.0 * static_cast<double>(executed) / static_cast<double>(full.gemms),
+      "apply (full rank):   %zu tasks, %zu GEMMs (%zu prefix nodes, %.1f%%; "
+      "%zu kernel calls, %.1f%%), %.1f Mflops, |V| = %.4f\n",
+      full.tasks, full.gemms, nodes, pct(nodes), calls, pct(calls),
       full.flops / 1e6, v.norm2());
 
   ops::ApplyOptions rr;
   rr.rank_reduce = true;
   rr.rank_tol = 1e-5;
   ops::ApplyStats reduced;
+  before = engine;
   mra::Function v2 = ops::apply(op, rho, rr, &reduced);
+  nodes = engine.prefix_nodes - before.prefix_nodes;
+  calls = engine.packed_gemms - before.packed_gemms;
   std::printf(
-      "apply (rank reduced): %zu GEMMs shortened of %zu; |V| = %.4f, "
-      "deviation %.2e\n",
-      reduced.rank_reduced_gemms, reduced.gemms, v2.norm2(),
+      "apply (rank reduced): %zu GEMMs shortened of %zu (%zu prefix nodes, "
+      "%zu kernel calls); |V| = %.4f, deviation %.2e\n",
+      reduced.rank_reduced_gemms, reduced.gemms, nodes, calls, v2.norm2(),
       std::abs(v.norm2() - v2.norm2()));
 
   // The potential at the midpoint between the atoms.

@@ -215,58 +215,135 @@ void batch_fused_apply(std::size_t d, std::size_t k,
   std::size_t size = 1;
   for (std::size_t m = 0; m < d; ++m) size *= k;
   const std::size_t rest = size / k;
-  // stack + m*size holds the current item's mode-0..m intermediate.
-  double* stack = ws.prefix(d * size);
-  // Sharing key of item i for the current term: (src, kc, d block
+  // Most distinct last blocks one fan-out group can hold.
+  const std::size_t widest =
+      std::min(fan_out_limit(k), std::max<std::size_t>(items.size(), 1));
+  // All buffers are sized up front, so no ensure() moves data in use.
+  // stack + m*size holds the current mode-0..m intermediate, m < d - 1.
+  double* stack = ws.prefix((d - 1) * size);
+  double* fan_b = ws.fan_b(k * widest * k);
+  double* fan_c = ws.fan_c(size * widest);
+  // Sharing key of an item for the current term: (src, kc, d block
   // pointers). Items sharing the first j + 2 words share the mode-0..j-1
-  // intermediate.
+  // intermediate; the first d + 1 words name the fan-out group.
   const std::size_t width = d + 2;
-  std::vector<std::uintptr_t>& keys = ws.share_scratch().keys;
-  std::vector<std::size_t>& order = ws.share_scratch().order;
-  keys.resize(items.size() * width);
-  const auto row = [&](std::size_t i) { return keys.data() + i * width; };
+  GemmWorkspace::ShareScratch& sc = ws.share_scratch();
+  sc.keys.resize(items.size() * width);
+  sc.fan_blocks.resize(widest);
+  sc.fan_slot.resize(items.size());
+  sc.kc_start.resize(k + 2);
+  const auto row = [&](std::size_t i) { return sc.keys.data() + i * width; };
+  const auto fill_key = [&](std::size_t i, std::size_t mu) {
+    const FusedApplyItem& item = items[i];
+    std::uintptr_t* key = row(i);
+    key[0] = reinterpret_cast<std::uintptr_t>(item.src);
+    key[1] = item.kreds.empty() ? k : std::min(item.kreds[mu], k);
+    for (std::size_t m = 0; m < d; ++m)
+      key[2 + m] = reinterpret_cast<std::uintptr_t>(item.mats[mu * d + m].ptr);
+  };
+  // One ordering per call, by src and term-0 blocks but not kc, which may
+  // differ per term. It keeps every term's equal prefixes adjacent when
+  // the blocks are a function of per-mode identities (see the header).
+  sc.order.clear();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i].coeffs.empty()) continue;
+    fill_key(i, 0);
+    sc.order.push_back(i);
+  }
+  std::sort(sc.order.begin(), sc.order.end(),
+            [&](std::size_t a, std::size_t b) {
+              const std::uintptr_t* ka = row(a);
+              const std::uintptr_t* kb = row(b);
+              if (ka[0] != kb[0]) return ka[0] < kb[0];
+              return std::lexicographical_compare(ka + 2, ka + width, kb + 2,
+                                                  kb + width);
+            });
+  sc.term_order.resize(sc.order.size());
+  BatchGemmStats& st = ws.stats();
   for (std::size_t mu = 0; mu < terms; ++mu) {
-    order.clear();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const FusedApplyItem& item = items[i];
-      if (mu >= item.coeffs.size()) continue;
-      std::uintptr_t* key = row(i);
-      key[0] = reinterpret_cast<std::uintptr_t>(item.src);
-      key[1] = item.kreds.empty() ? k : std::min(item.kreds[mu], k);
-      for (std::size_t m = 0; m < d; ++m) {
-        key[2 + m] =
-            reinterpret_cast<std::uintptr_t>(item.mats[mu * d + m].ptr);
-      }
-      order.push_back(i);
+    // Regroup the call's order by kc, stably (a counting pass), so items
+    // of equal kc stay in that order.
+    std::fill(sc.kc_start.begin(), sc.kc_start.end(), 0);
+    for (const std::size_t i : sc.order) {
+      if (mu >= items[i].coeffs.size()) continue;
+      fill_key(i, mu);
+      ++sc.kc_start[row(i)[1] + 1];
     }
-    // Any total order on the keys keeps each shared prefix contiguous.
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return std::memcmp(row(a), row(b), width * sizeof(std::uintptr_t)) < 0;
-    });
+    for (std::size_t c = 1; c <= k + 1; ++c)
+      sc.kc_start[c] += sc.kc_start[c - 1];
+    const std::size_t count = sc.kc_start[k + 1];
+    for (const std::size_t i : sc.order) {
+      if (mu < items[i].coeffs.size())
+        sc.term_order[sc.kc_start[row(i)[1]]++] = i;
+    }
     const std::uintptr_t* prev = nullptr;
-    for (const std::size_t i : order) {
-      const FusedApplyItem& item = items[i];
-      const std::uintptr_t* key = row(i);
-      // Recompute from the first mode whose prefix differs from the
-      // previous item's: w key words shared cover w - 2 modes.
+    for (std::size_t pos = 0; pos < count;) {
+      const FusedApplyItem& lead = items[sc.term_order[pos]];
+      const std::uintptr_t* key = row(sc.term_order[pos]);
+      const std::size_t kc = key[1];
+      // Recompute modes 0..d-2 from the first whose prefix differs from the
+      // previous group's: w key words shared cover w - 2 modes.
       std::size_t w = 0;
-      while (prev != nullptr && w < width && key[w] == prev[w]) ++w;
-      for (std::size_t m = w < 2 ? 0 : w - 2; m < d; ++m) {
-        const double* cur = m == 0 ? item.src : stack + (m - 1) * size;
+      while (prev != nullptr && w + 1 < width && key[w] == prev[w]) ++w;
+      for (std::size_t m = w < 2 ? 0 : w - 2; m + 1 < d; ++m) {
+        const double* cur = m == 0 ? lead.src : stack + (m - 1) * size;
         double* dst = stack + m * size;
         std::memset(dst, 0, size * sizeof(double));
-        run_packed(rest, k, key[1], dst, cur, item.mats[mu * d + m].ptr, ws);
+        run_packed(rest, k, kc, dst, cur, lead.mats[mu * d + m].ptr, ws);
+        ++st.prefix_nodes;
       }
+      // The fan-out group: the following items below the same mode-(d-2)
+      // node, up to `widest` distinct last blocks; duplicates share a
+      // column block.
+      std::size_t n = 0;
+      std::size_t end = pos;
+      for (; end < count; ++end) {
+        const std::size_t i = sc.term_order[end];
+        if (std::memcmp(row(i), key, (width - 1) * sizeof(std::uintptr_t)))
+          break;
+        const double* h = items[i].mats[mu * d + d - 1].ptr;
+        std::size_t slot = 0;
+        while (slot < n && sc.fan_blocks[slot] != h) ++slot;
+        if (slot == n) {
+          if (n == widest) break;
+          sc.fan_blocks[n++] = h;
+        }
+        sc.fan_slot[end - pos] = slot;
+      }
+      // Last mode: one (rest, kc) x (kc, n*k) product over the blocks side
+      // by side (rows >= kc are never read).
+      const std::size_t cols = n * k;
+      const double* b = sc.fan_blocks[0];
+      if (n > 1) {
+        for (std::size_t r = 0; r < kc; ++r) {
+          for (std::size_t j = 0; j < n; ++j) {
+            std::memcpy(fan_b + r * cols + j * k, sc.fan_blocks[j] + r * k,
+                        k * sizeof(double));
+          }
+        }
+        b = fan_b;
+      }
+      const double* cur = d == 1 ? lead.src : stack + (d - 2) * size;
+      std::memset(fan_c, 0, rest * cols * sizeof(double));
+      run_packed(rest, cols, kc, fan_c, cur, b, ws);
+      st.prefix_nodes += n;
       // Same expression Tensor::gaxpy(1.0, contrib, coeff) evaluates per
       // element; with contraction off this is one mul + one add, bitwise
       // equal to the composed path.
-      const double cmu = item.coeffs[mu];
-      const double* chain = stack + (d - 1) * size;
-      for (std::size_t e = 0; e < size; ++e) item.result[e] += cmu * chain[e];
+      for (std::size_t q = pos; q < end; ++q) {
+        const FusedApplyItem& item = items[sc.term_order[q]];
+        const double cmu = item.coeffs[mu];
+        const double* chain = fan_c + sc.fan_slot[q - pos] * k;
+        double* out = item.result;
+        for (std::size_t r = 0; r < rest; ++r, out += k, chain += cols) {
+          for (std::size_t t = 0; t < k; ++t) out[t] += cmu * chain[t];
+        }
+      }
       prev = key;
+      pos = end;
     }
   }
-  ws.stats().fused_chains += items.size();
+  st.fused_chains += items.size();
 }
 
 }  // namespace mh::linalg

@@ -18,7 +18,18 @@
 //     term's mode-0..j intermediate depends only on the source, the term's
 //     contraction length and its leading j+1 blocks, so the tasks of one
 //     source leaf (whose displacements share leading components) run it
-//     once instead of once per task.
+//     once instead of once per task,
+//   - fans out the last mode: the tasks below one mode-(d-2) prefix node
+//     differ only in their last block, so their last mode is ONE wide
+//     (k^{d-1}, kc) x (kc, n*k) product over the n distinct last blocks
+//     placed side by side, not n narrow (k^{d-1}, kc) x (kc, k) ones.
+//
+// Sharing is complete when, for every term, an item's block in mode m is a
+// function of one per-mode identity that term 0's block also determines —
+// as an operator's blocks are a function of the displacement component:
+// then the one item ordering per call (by source and term-0 blocks) keeps
+// every term's equal prefixes adjacent. Otherwise results are unchanged
+// and only some sharing is lost.
 //
 // Numerical contract: every kernel here performs, per output element, the
 // exact same IEEE operation sequence as the scalar reference in gemm.cpp
@@ -52,6 +63,9 @@ struct GemmMat {
 /// Counters the engine accumulates per workspace (cheap, thread-local).
 struct BatchGemmStats {
   std::size_t packed_gemms = 0;   ///< microkernel GEMMs executed
+  /// batch_fused_apply's distinct (src, kc, h_0..h_j) prefix nodes
+  /// computed; a fan-out product computes n last-mode nodes in one call.
+  std::size_t prefix_nodes = 0;
   std::size_t fused_chains = 0;   ///< whole-task fused passes
   std::size_t packed_doubles = 0; ///< doubles staged through pack buffers
 };
@@ -69,14 +83,23 @@ class GemmWorkspace {
   double* pack_a(std::size_t n) { return pack_a_.ensure(n); }
   double* ping(std::size_t n) { return ping_.ensure(n); }
   double* pong(std::size_t n) { return pong_.ensure(n); }
-  /// batch_fused_apply's stack of d mode-prefix intermediates.
+  /// batch_fused_apply's stack of d - 1 mode-prefix intermediates.
   double* prefix(std::size_t n) { return prefix_.ensure(n); }
+  /// batch_fused_apply's fan-out operands: the last-mode blocks side by
+  /// side (fan_b) and the wide product they produce (fan_c).
+  double* fan_b(std::size_t n) { return fan_b_.ensure(n); }
+  double* fan_c(std::size_t n) { return fan_c_.ensure(n); }
 
-  /// batch_fused_apply's grow-only bookkeeping: the items' sharing keys
-  /// and their order.
+  /// batch_fused_apply's grow-only bookkeeping: the items' sharing keys,
+  /// their one ordering per call, its per-term regrouping by contraction
+  /// length, and one fan-out group's distinct last blocks.
   struct ShareScratch {
     std::vector<std::uintptr_t> keys;
     std::vector<std::size_t> order;
+    std::vector<std::size_t> term_order;
+    std::vector<std::size_t> kc_start;
+    std::vector<const double*> fan_blocks;
+    std::vector<std::size_t> fan_slot;
   };
   ShareScratch& share_scratch() noexcept { return share_; }
 
@@ -96,6 +119,8 @@ class GemmWorkspace {
   Buffer ping_;
   Buffer pong_;
   Buffer prefix_;
+  Buffer fan_b_;
+  Buffer fan_c_;
   ShareScratch share_;
   BatchGemmStats stats_;
 };
@@ -154,19 +179,37 @@ struct FusedApplyItem {
   double* result = nullptr;         ///< k^d accumulation target
 };
 
+/// Most last-mode blocks one fan-out product places side by side:
+/// n <= k, so the wide B is at most a (k, k^2) panel (k^3 doubles, 8 KB at
+/// k = 10, re-read from cache by every 4-row tile) and the wide product at
+/// most k cubes (k^{d+1} doubles). An operator prefix node has one child per
+/// screened last displacement component, at most 2 * max_disp + 1.
+constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
+
 /// Batched entry point: every item's fused chain through one workspace,
 /// with mode-prefix intermediates shared between items. For term mu, two
 /// items share the mode-0..j intermediate when they have the same src, the
-/// same contraction length (min(kreds[mu], k), k without kreds) and the
-/// same block pointers mats[mu*d+0..j]; it is then computed once. Per term
-/// the items are ordered by that key and a stack of d intermediates (in the
-/// workspace) is recomputed only from the first mode where an item differs
-/// from the one before, so a batch of the tasks of one source leaf runs
-/// one GEMM per distinct (src, kc, prefix) node instead of one per mode
-/// per item. Every intermediate is the same packed GEMM the item's own
-/// chain would run, and each result receives result += coeffs[mu] * chain
-/// in ascending mu, so every result is bitwise equal to that item's
-/// fused_apply_chain. Results must not overlap each other or any src.
+/// same contraction length kc = min(kreds[mu], k) (k without kreds) and the
+/// same block pointers mats[mu*d+0..j]; it is then computed once.
+///
+/// The items are ordered once per call, by src and term-0 block pointers;
+/// each term regroups that order by kc (a stable counting pass) and walks
+/// it with a stack of d - 1 intermediates (in the workspace), recomputed
+/// only from the first mode where an item's key differs from the one
+/// before. The run of items below one mode-(d-2) node then takes its last
+/// mode as one (k^{d-1}, kc) x (kc, n*k) product over its n distinct last
+/// blocks side by side (n <= fan_out_limit(k); n = 1 is the block itself),
+/// and each item accumulates result += coeffs[mu] * chain from its own
+/// k-column block of that product. So a batch of the tasks of one source
+/// leaf runs one GEMM per distinct (src, kc, h_0..h_j) node of modes
+/// 0..d-2 plus one per fan-out group, instead of d per item per term.
+///
+/// Every output element sees the same packed-kernel operation sequence as
+/// in the item's own chain, and each result receives its terms in
+/// ascending mu, so every result is bitwise equal to that item's
+/// fused_apply_chain and to the mTxm_reduced_ref composition, whatever the
+/// grouping. Results must not overlap each other or any src. Warm calls
+/// allocate nothing: all scratch lives in `ws` and only grows.
 void batch_fused_apply(std::size_t d, std::size_t k,
                        std::span<const FusedApplyItem> items,
                        GemmWorkspace& ws);

@@ -25,10 +25,12 @@ struct ApplyTask {
 
 /// Logical work of an Apply: tasks * M * d small GEMMs (Formula 1), the same
 /// on every path (serial, World, batching), which is what cross-path checks
-/// and the simulators' cost models consume. The GEMMs actually executed are
-/// fewer, because batch_fused_apply shares mode-prefix intermediates between
-/// a leaf's tasks; that count is linalg::BatchGemmStats::packed_gemms of the
-/// workspace of each thread that ran tasks.
+/// and the simulators' cost models consume. The work actually executed is
+/// less: batch_fused_apply computes each mode-prefix intermediate a leaf's
+/// tasks share once (linalg::BatchGemmStats::prefix_nodes) and takes the
+/// last-mode children of one prefix node in one wide product, so its kernel
+/// calls (BatchGemmStats::packed_gemms) are fewer still. Both are counted
+/// in the workspace of each thread that ran tasks.
 struct ApplyStats {
   std::size_t tasks = 0;       ///< (leaf, displacement) pairs executed
   std::size_t gemms = 0;       ///< logical small GEMMs (tasks * M * d)

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <span>
 #include <tuple>
@@ -13,6 +14,7 @@
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
 #include "linalg/batch_gemm.hpp"
+#include "linalg/batch_gemm_kernels.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/svd.hpp"
@@ -416,10 +418,36 @@ struct PrefixBatch {
     return nodes.size();
   }
 
+  /// Microkernel calls of a batch that shares every common prefix and fans
+  /// out the last mode: the nodes of modes 0..d-2, plus per mode-(d-2)
+  /// node one call per fan_out_limit(k) distinct last blocks.
+  std::size_t fan_out_calls() const {
+    std::set<std::vector<std::uintptr_t>> inner;
+    std::map<std::vector<std::uintptr_t>, std::set<const double*>> children;
+    for (const Slot& slot : slots) {
+      for (std::size_t mu = 0; mu < slot.nterms; ++mu) {
+        std::vector<std::uintptr_t> key{
+            mu, slot.src,
+            slot.kreds.empty() ? k : std::min(slot.kreds[mu], k)};
+        for (std::size_t m = 0; m + 1 < d; ++m) {
+          key.push_back(reinterpret_cast<std::uintptr_t>(
+              slot.mats[mu * d + m].ptr));
+          inner.insert(key);
+        }
+        children[key].insert(slot.mats[mu * d + d - 1].ptr);
+      }
+    }
+    const std::size_t cap = fan_out_limit(k);
+    std::size_t calls = inner.size();
+    for (const auto& [node, blocks] : children)
+      calls += (blocks.size() + cap - 1) / cap;
+    return calls;
+  }
+
   /// Runs the whole batch through one workspace and checks every result
   /// bitwise against the scalar composition and against the item's own
-  /// fused_apply_chain. Returns the packed GEMMs the batch executed.
-  std::size_t run_and_check() const {
+  /// fused_apply_chain. Returns the batch's engine counters.
+  BatchGemmStats run_and_check() const {
     std::vector<std::vector<double>> batched = initial_results();
     GemmWorkspace ws;
     batch_fused_apply(d, k, items(batched), ws);
@@ -454,7 +482,7 @@ struct PrefixBatch {
         if (batched[i][e] != ref[e] || single[i][e] != ref[e]) break;
       }
     }
-    return ws.stats().packed_gemms;
+    return ws.stats();
   }
 
   struct Slot {
@@ -477,8 +505,10 @@ struct PrefixBatch {
 TEST(BatchGemm, LeafBatchSharesModePrefixesBitwise) {
   // One source through every displacement of a small lattice: term mu's
   // mode-0..j intermediate depends only on the leading j + 1 displacement
-  // components, so the batch runs one GEMM per distinct prefix —
-  // width + width^2 + ... + width^d per term — instead of d per item.
+  // components, so the batch computes one node per distinct prefix —
+  // width + width^2 + ... + width^d per term — instead of d per item, and
+  // takes the width last-mode children of each mode-(d-2) node in one
+  // wide product.
   for (const auto& [d, k, reach] :
        {std::tuple<std::size_t, std::size_t, std::int64_t>{1, 5, 2},
         {3, 5, 2},
@@ -488,7 +518,13 @@ TEST(BatchGemm, LeafBatchSharesModePrefixesBitwise) {
     std::size_t per_term = 0, level = 1;
     for (std::size_t m = 0; m < d; ++m) per_term += (level *= b.width());
     EXPECT_EQ(b.distinct_nodes(), b.terms * per_term);
-    EXPECT_EQ(b.run_and_check(), b.distinct_nodes()) << "d = " << d;
+    const BatchGemmStats st = b.run_and_check();
+    EXPECT_EQ(st.prefix_nodes, b.distinct_nodes()) << "d = " << d;
+    // width <= k, so every mode-(d-2) node is one fan-out call.
+    ASSERT_LE(b.width(), fan_out_limit(k));
+    const std::size_t calls = per_term - level + level / b.width();
+    EXPECT_EQ(b.fan_out_calls(), b.terms * calls);
+    EXPECT_EQ(st.packed_gemms, b.fan_out_calls()) << "d = " << d;
     if (d > 1) {
       EXPECT_LT(b.distinct_nodes(), b.slots.size() * b.terms * d);
     }
@@ -508,7 +544,9 @@ TEST(BatchGemm, MixedSourcesAndDuplicatesShareOnlyEqualPrefixes) {
   b.add(0, {1, 0, 1}, {}, /*nterms=*/2);
   b.add(1, {0, 0, 0});  // duplicate of item 1
   b.add(0, {-1, 1, 1}, {}, /*nterms=*/1);
-  EXPECT_EQ(b.run_and_check(), b.distinct_nodes());
+  const BatchGemmStats st = b.run_and_check();
+  EXPECT_EQ(st.prefix_nodes, b.distinct_nodes());
+  EXPECT_EQ(st.packed_gemms, b.fan_out_calls());
   EXPECT_LT(b.distinct_nodes(), 8u * 4u * 3u);
 }
 
@@ -523,7 +561,114 @@ TEST(BatchGemm, DifferentReducedRanksDoNotShare) {
   b.add(0, {1, 0, 1}, {k + 2, 3});
   // Term 0: one full-rank chain. Term 1: contraction lengths 3, 4 and k.
   EXPECT_EQ(b.distinct_nodes(), 3u + 3u * 3u);
-  EXPECT_EQ(b.run_and_check(), b.distinct_nodes());
+  const BatchGemmStats st = b.run_and_check();
+  EXPECT_EQ(st.prefix_nodes, b.distinct_nodes());
+  // One fan-out call per (term, kc) chain: nothing to widen.
+  EXPECT_EQ(st.packed_gemms, b.distinct_nodes());
+}
+
+TEST(BatchGemm, FanOutLastModeBitwise) {
+  // Runs of items below one mode-(d-2) node, with 1 up to more than
+  // fan_out_limit(k) distinct last blocks, plus duplicate last blocks,
+  // mixed kreds within one prefix group and items with fewer terms, over
+  // non-zero initial results. k = 7 is a runtime-kc kernel and leaves
+  // 4-wide and scalar column tails in every wide product.
+  for (const std::size_t d : {1, 2, 3, 4}) {
+    for (const std::size_t k : {5, 7, 10}) {
+      const std::size_t cap = fan_out_limit(k);
+      const std::vector<std::size_t> fans{1, 2, cap - 1, cap, cap + 1,
+                                          2 * cap + 1};
+      const auto reach = static_cast<std::int64_t>(cap);  // width 2cap+1
+      PrefixBatch b(d, k, /*terms=*/3, /*sources=*/fans.size(), reach,
+                    100 * d + k);
+      // At d = 1 every item of a source is below the root node, so each
+      // run gets its own source; above that, runs alternate two sources
+      // and differ in their leading components.
+      const auto run_at = [&](std::size_t c, std::int64_t last) {
+        std::vector<std::int64_t> disp;
+        for (std::size_t m = 0; m + 1 < d; ++m)
+          disp.push_back(static_cast<std::int64_t>((c + m) % b.width()) -
+                         reach);
+        disp.push_back(last);
+        return disp;
+      };
+      for (std::size_t c = 0; c < fans.size(); ++c) {
+        const std::size_t src = d == 1 ? c : c % 2;
+        for (std::size_t j = 0; j < fans[c]; ++j)
+          b.add(src, run_at(c, static_cast<std::int64_t>(j) - reach));
+      }
+      const std::size_t big = fans.size() - 1;
+      const std::size_t big_src = d == 1 ? big : big % 2;
+      // Duplicate last blocks, then mixed kreds in the widest run.
+      b.add(big_src, run_at(big, -reach));
+      b.add(big_src, run_at(big, 1 - reach));
+      b.add(big_src, run_at(big, -reach), {k, 3, k});
+      b.add(big_src, run_at(big, 2 - reach), {k, 3, k + 1});
+      b.add(big_src, run_at(big, 3 - reach), {2, k, 3});
+      b.add(big_src, run_at(big, 4 - reach), {}, /*nterms=*/1);
+      b.add(0, run_at(0, 0), {}, /*nterms=*/2);
+      // Term 0 reduced in two runs of one source: the call's one ordering
+      // must not separate them from their run for the later terms.
+      b.add(d == 1 ? 2 : 0, run_at(2, 0), {2, k, k});
+      b.add(d == 1 ? 4 : 0, run_at(4, 0), {2, k, k});
+
+      const BatchGemmStats st = b.run_and_check();
+      EXPECT_EQ(st.prefix_nodes, b.distinct_nodes()) << d << " " << k;
+      EXPECT_EQ(st.packed_gemms, b.fan_out_calls()) << d << " " << k;
+      EXPECT_LT(st.packed_gemms, st.prefix_nodes) << d << " " << k;
+    }
+  }
+}
+
+TEST(BatchGemm, WarmCallsAllocateNothing) {
+  // The workspace buffers, the call's order and its per-term regrouping
+  // only grow: a warm call, and a smaller batch after it, move none of
+  // them.
+  const std::size_t k = 5;
+  PrefixBatch b(3, k, /*terms=*/3, /*sources=*/1, /*reach=*/3, 5);
+  b.add_leaf();  // 7 last-mode children per node: past fan_out_limit(5)
+  b.add(0, {0, 0, 0}, {k, 2, 4});
+  std::vector<std::vector<double>> results = b.initial_results();
+  const std::vector<FusedApplyItem> items = b.items(results);
+  GemmWorkspace ws;
+  const auto storage = [&ws] {
+    const GemmWorkspace::ShareScratch& sc = ws.share_scratch();
+    return std::vector<const void*>{
+        ws.pack_a(0), ws.prefix(0), ws.fan_b(0), ws.fan_c(0),
+        sc.keys.data(), sc.order.data(), sc.kc_start.data(),
+        sc.term_order.data(), sc.fan_blocks.data(), sc.fan_slot.data()};
+  };
+  batch_fused_apply(3, k, items, ws);
+  const std::vector<const void*> warm = storage();
+  batch_fused_apply(3, k, items, ws);
+  EXPECT_EQ(storage(), warm);
+  batch_fused_apply(3, k, {items.data(), items.size() / 2}, ws);
+  EXPECT_EQ(storage(), warm);
+}
+
+TEST(BatchGemm, WideLastModeShapesAgreeBitwise) {
+  // The fan-out products' shapes: portable tile, dispatched packed kernel
+  // and scalar reference agree bit for bit.
+  for (const auto& [di, dj, dk] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{25, 25, 5},
+        {100, 50, 10}}) {
+    Rng rng(di + dj + dk);
+    const auto at = random_matrix(dk, di, rng);
+    const auto b = random_matrix(dk, dj, rng);
+    std::vector<double> ref(di * dj, 0.5);
+    std::vector<double> packed = ref;
+    std::vector<double> portable = ref;
+    std::vector<double> apack(4 * dk);
+    mTxm_ref(di, dj, dk, ref.data(), at.data(), b.data());
+    GemmWorkspace ws;
+    mTxm_packed(di, dj, dk, dk, packed.data(), at.data(), b.data(), ws);
+    detail::mtxm_portable(di, dj, dk, portable.data(), at.data(), b.data(),
+                          apack.data());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(packed[i], ref[i]) << di << "x" << dj << " element " << i;
+      ASSERT_EQ(portable[i], ref[i]) << di << "x" << dj << " element " << i;
+    }
+  }
 }
 
 TEST(BatchGemm, EmptyBatchIsANoOp) {
