@@ -9,6 +9,7 @@
 // numbers are machine-dependent, so nothing here gates CI.
 #include <cstddef>
 #include <iostream>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -72,6 +73,22 @@ int run(int argc, char** argv) {
            linalg::gemm_flops(rows, k, k), [&, rows, k] {
              linalg::mTxm_ref(rows, k, k, c.data(), a.data(), b.data());
            });
+  }
+
+  // The benchmark inputs' narrow shapes, whose k leaves 1 (k = 5) or 2
+  // (k = 10) columns past the 4-wide tiles for the column-vector tail: the
+  // Coulomb (k^2, k) x (k, k) at k = 5 and the 4-D TDSE (k^3, k) x (k, k)
+  // at k = 10.
+  for (const auto& [name, rows, k] :
+       {std::tuple<const char*, std::size_t, std::size_t>{"mTxm_k5", 25, 5},
+        {"mTxm_4d_k10", 1000, 10}}) {
+    Rng rng(h.seed_or(2));
+    std::vector<double> a(k * rows), b(k * k), c(rows * k, 0.0);
+    for (auto& x : a) x = rng.uniform(-1.0, 1.0);
+    for (auto& x : b) x = rng.uniform(-1.0, 1.0);
+    record(h, t, name, linalg::gemm_flops(rows, k, k), [&, rows, k] {
+      linalg::mTxm(rows, k, k, c.data(), a.data(), b.data());
+    });
   }
 
   // Batched whole-task fusion: distinct Apply tasks (nothing to share)

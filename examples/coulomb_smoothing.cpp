@@ -44,7 +44,8 @@ int main() {
   // fewer prefix nodes, since each leaf's tasks share their mode-prefix
   // intermediates, and runs fewer kernel calls still, since the last-mode
   // children of one prefix node are one wide product. Kernel calls also
-  // count sum_down's d transforms per interior node of the result.
+  // count sum_down's d slab transforms per interior node of the result
+  // that holds nonzero coefficients (all-zero ones are skipped).
   ops::ApplyStats full;
   const linalg::BatchGemmStats& engine = linalg::thread_workspace().stats();
   linalg::BatchGemmStats before = engine;

@@ -59,7 +59,6 @@ int main() {
   Engine engine(cfg);
 
   mra::Function out(params);
-  out.accumulate(mra::Key::root(1), Tensor::cube(1, params.k));
   std::mutex out_mu;
 
   const rt::KindId kind = engine.register_kind(

@@ -416,7 +416,6 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
   // Final reduction in ascending task-id order: the one order every churn
   // script shares. This is what makes the result bitwise-reproducible.
   mra::Function out(f.params());
-  out.accumulate(mra::Key::root(ndim), Tensor::cube(ndim, f.params().k));
   for (std::uint64_t id = 0; id < tasks.size(); ++id) {
     const TaskResult* entry = ledger.find(id);
     MH_CHECK(entry != nullptr, "ledger incomplete after scrub");

@@ -108,7 +108,6 @@ mra::Function distributed_apply(const ops::SeparatedConvolution& op,
 
   // Gather the distributed result into one address space.
   mra::Function out(f.params());
-  out.accumulate(mra::Key::root(d), Tensor::cube(d, op.params().k));
   for (std::size_t rank = 0; rank < f.ranks(); ++rank) {
     for (const auto& [key, r] : result.shard(rank)) {
       out.accumulate(key, r);

@@ -16,9 +16,9 @@ namespace mh::linalg {
 namespace detail {
 
 // Portable mirror of the AVX2 macro/micro structure in batch_gemm_avx2.cpp:
-// identical packing, identical 4x8 / 4x4 / scalar-tail tiling, identical
-// per-element operation order — only the vector ISA differs, so the two
-// kernels agree bitwise and either can serve as the dispatch target.
+// identical packing, identical 4x8 / 4x4 / column-vector tail tiling,
+// identical per-element operation order — only the vector ISA differs, so
+// the two kernels agree bitwise and either can serve as the dispatch target.
 void mtxm_portable(std::size_t dimi, std::size_t dimj, std::size_t kc,
                    double* c, const double* a, const double* b,
                    double* apack) {
@@ -65,13 +65,13 @@ void mtxm_portable(std::size_t dimi, std::size_t dimj, std::size_t kc,
       }
       j0 += 4;
     }
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = j0; j < dimj; ++j) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < kc; ++k)
-          acc += apack[4 * k + r] * b[k * dimj + j];
-        ci[r * dimj + j] += acc;
+    for (; j0 < dimj; ++j0) {
+      double acc[4] = {};
+      for (std::size_t k = 0; k < kc; ++k) {
+        for (std::size_t r = 0; r < 4; ++r)
+          acc[r] += apack[4 * k + r] * b[k * dimj + j0];
       }
+      for (std::size_t r = 0; r < rows; ++r) ci[r * dimj + j0] += acc[r];
     }
   }
 }

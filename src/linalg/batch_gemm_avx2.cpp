@@ -4,7 +4,10 @@
 //
 // Structure: 4-wide i-panels of a are packed k-major into `apack` (tail
 // panels zero-padded so the microkernel shape never changes), then 4x8 and
-// 4x4 register tiles walk contiguous rows of b. Only _mm256_mul_pd +
+// 4x4 register tiles walk contiguous rows of b. The 1..3 columns left over
+// run as column vectors on the same panel: one 4-lane accumulator per
+// column (lane r = row r), two columns per pass so their add chains
+// overlap, added into c lane by lane. Only _mm256_mul_pd +
 // _mm256_add_pd are used — never FMA — and each output element sees exactly
 // the reference operation order (zeroed accumulator, ascending k, one final
 // add into c), so results are bitwise-identical to mTxm_ref.
@@ -111,6 +114,30 @@ inline void micro_4x4(std::size_t kc_rt, const double* ap, const double* b,
   }
 }
 
+// NC (1 or 2) of the columns past the last 4-wide tile, as column vectors
+// over the packed panel: acc_j += panel(k) * b(k, j), one 4-lane
+// accumulator per column (lane r = row r), added into c lane by lane.
+template <int KC, int NC>
+inline void micro_cols(std::size_t kc_rt, const double* ap, const double* b,
+                       std::size_t ldb, double* c, std::size_t ldc,
+                       std::size_t rows) {
+  const std::size_t kc = KC > 0 ? static_cast<std::size_t>(KC) : kc_rt;
+  __m256d acc[NC];
+  for (int j = 0; j < NC; ++j) acc[j] = _mm256_setzero_pd();
+  for (std::size_t k = 0; k < kc; ++k) {
+    const __m256d av = _mm256_loadu_pd(ap + 4 * k);
+    for (int j = 0; j < NC; ++j) {
+      const __m256d bv = _mm256_broadcast_sd(b + k * ldb + j);
+      acc[j] = _mm256_add_pd(acc[j], _mm256_mul_pd(av, bv));
+    }
+  }
+  alignas(32) double lane[4];
+  for (int j = 0; j < NC; ++j) {
+    _mm256_store_pd(lane, acc[j]);
+    for (std::size_t r = 0; r < rows; ++r) c[r * ldc + j] += lane[r];
+  }
+}
+
 template <int KC>
 void mtxm_impl(std::size_t dimi, std::size_t dimj, std::size_t kc_rt,
                double* c, const double* a, const double* b, double* apack) {
@@ -144,14 +171,10 @@ void mtxm_impl(std::size_t dimi, std::size_t dimj, std::size_t kc_rt,
       micro_4x4<KC>(kc, apack, b + j0, dimj, ci + j0, dimj, rows);
       j0 += 4;
     }
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t j = j0; j < dimj; ++j) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < kc; ++k)
-          acc += apack[4 * k + r] * b[k * dimj + j];
-        ci[r * dimj + j] += acc;
-      }
-    }
+    for (; j0 + 2 <= dimj; j0 += 2)
+      micro_cols<KC, 2>(kc, apack, b + j0, dimj, ci + j0, dimj, rows);
+    if (j0 < dimj)
+      micro_cols<KC, 1>(kc, apack, b + j0, dimj, ci + j0, dimj, rows);
   }
 }
 

@@ -173,7 +173,6 @@ Function derivative(const Function& f, std::size_t axis) {
   for (std::size_t i = 0; i < k; ++i) ctx.identity[i * k + i] = 1.0;
 
   Function out(f.params());
-  out.accumulate(Key::root(f.ndim()), Tensor::cube(f.ndim(), k));
   ctx.out = &out;
   for (const Key& key : f.leaf_keys()) {
     ctx.diff_box(key);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "mra/legendre.hpp"
 #include "mra/quadrature.hpp"
@@ -57,6 +58,12 @@ std::array<std::size_t, kMaxTensorDim> child_offsets(std::size_t ndim,
 }
 
 }  // namespace
+
+Tensor unfilter_scaling(const Tensor& s, std::size_t k) {
+  MH_CHECK(s.ndim() >= 1 && s.dim(0) == k, "scaling tensor extent mismatch");
+  const TwoScaleCoeffs& ts = two_scale(k);
+  return transform(s, MatrixView(ts.w.data(), k, 2 * k));
+}
 
 Tensor gather_children(std::span<const Tensor> children, std::size_t ndim,
                        std::size_t k) {
@@ -468,44 +475,40 @@ const Tensor& Function::leaf_coeffs(const Key& key) const {
   return it->second.coeffs;
 }
 
-void Function::sum_down_rec(const Key& key, const Tensor& inherited) {
+void Function::sum_down_rec(const Key& key, Tensor inherited) {
   FunctionNode& node = nodes_.at(key);
   Tensor s = std::move(node.coeffs);
   node.coeffs = Tensor{};
   if (!inherited.empty()) {
     if (s.empty()) {
-      s = inherited;
+      s = std::move(inherited);
     } else {
       s += inherited;
     }
   }
   if (!node.has_children) {
     if (s.empty()) s = Tensor::cube(params_.ndim, params_.k);
-    nodes_.at(key).coeffs = std::move(s);
+    node.coeffs = std::move(s);
     return;
   }
-  // Express the interior scaling coefficients in the children's basis:
-  // unfilter a supertensor whose low corner is s and wavelet part is zero.
-  std::vector<Tensor> child_parts(key.num_children());
-  if (!s.empty()) {
-    Tensor v = Tensor::cube(params_.ndim, 2 * params_.k);
-    set_low_corner(v, s);
-    const TwoScaleCoeffs& ts = two_scale(params_.k);
-    Tensor u = transform(v, MatrixView(ts.w));
-    for (std::size_t c = 0; c < key.num_children(); ++c) {
-      child_parts[c] = extract_child_block(u, c, params_.k);
-    }
-  }
+  // Express the interior scaling coefficients in the children's basis. An
+  // all-zero s (e.g. a seeded root) would only add +-0 to them: skip it.
+  const bool nonzero = std::ranges::any_of(std::as_const(s).flat(),
+                                           [](double x) { return x != 0.0; });
+  const Tensor u = nonzero ? unfilter_scaling(s, params_.k) : Tensor{};
   for (std::size_t c = 0; c < key.num_children(); ++c) {
     // Accumulation may have created only some children; materialize the
     // missing siblings as empty leaves so the tree tiles the domain.
     nodes_.try_emplace(key.child(c));
-    sum_down_rec(key.child(c), child_parts[c]);
+    sum_down_rec(key.child(c),
+                 nonzero ? extract_child_block(u, c, params_.k) : Tensor{});
   }
 }
 
 void Function::sum_down() {
   MH_CHECK(!compressed_, "sum_down requires reconstructed form");
+  // A function nothing was accumulated into ends as one zero leaf.
+  nodes_.try_emplace(Key::root(params_.ndim));
   sum_down_rec(Key::root(params_.ndim), Tensor{});
 }
 
@@ -519,17 +522,26 @@ void Function::ensure_ancestors(const Key& key) {
   }
 }
 
-void Function::accumulate(const Key& key, const Tensor& delta) {
+template <typename T>
+void Function::accumulate_impl(const Key& key, T&& delta) {
   MH_CHECK(!compressed_, "accumulate requires reconstructed form");
   MH_CHECK(delta.ndim() == params_.ndim && delta.dim(0) == params_.k,
            "delta shape mismatch");
   FunctionNode& node = nodes_[key];
   if (node.coeffs.empty()) {
-    node.coeffs = delta;
+    node.coeffs = std::forward<T>(delta);
   } else {
     node.coeffs += delta;
   }
   ensure_ancestors(key);
+}
+
+void Function::accumulate(const Key& key, const Tensor& delta) {
+  accumulate_impl(key, delta);
+}
+
+void Function::accumulate(const Key& key, Tensor&& delta) {
+  accumulate_impl(key, std::move(delta));
 }
 
 Tensor coeffs_on_box(const Function& f, const Key& box) {
@@ -552,13 +564,8 @@ Tensor coeffs_on_box(const Function& f, const Key& box) {
   // Refine the covering leaf's coefficients down along the path: unfilter
   // with zero wavelet part and take the child block (exact nesting).
   Tensor s = nodes.at(cover).coeffs;
-  const TwoScaleCoeffs& ts = two_scale(k);
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    Tensor v = Tensor::cube(f.ndim(), 2 * k);
-    set_low_corner(v, s);
-    Tensor u = transform(v, MatrixView(ts.w));
-    s = extract_child_block(u, *it, k);
-  }
+  for (auto it = path.rbegin(); it != path.rend(); ++it)
+    s = extract_child_block(unfilter_scaling(s, k), *it, k);
   return s;
 }
 

@@ -110,12 +110,16 @@ class Function {
 
   /// Add `delta` (shape k^d) into the leaf at `key`, creating the leaf and
   /// any missing ancestors. Used by Apply's postprocess accumulation.
-  /// Requires reconstructed form.
+  /// Requires reconstructed form. The rvalue overload moves `delta` into an
+  /// empty node instead of copying it.
   void accumulate(const Key& key, const Tensor& delta);
+  void accumulate(const Key& key, Tensor&& delta);
 
   /// Push scaling coefficients held at interior nodes down to the leaves
-  /// (via the two-scale unfilter), restoring the leaf-only invariant after a
-  /// sequence of accumulate() calls at mixed levels. Reconstructed form.
+  /// (via unfilter_scaling), restoring the leaf-only invariant after a
+  /// sequence of accumulate() calls at mixed levels; all-zero interior
+  /// tensors are skipped. Creates the root if absent, so a function with no
+  /// contributions ends as one zero leaf. Reconstructed form.
   void sum_down();
 
   /// Build a function directly from explicit leaf coefficients (workload
@@ -129,8 +133,10 @@ class Function {
   Tensor compress_rec(const Key& key);
   void reconstruct_rec(const Key& key, Tensor s);
   bool truncate_rec(const Key& key, double tol, TruncateMode mode);
-  void sum_down_rec(const Key& key, const Tensor& inherited);
+  void sum_down_rec(const Key& key, Tensor inherited);
   void ensure_ancestors(const Key& key);
+  template <typename T>
+  void accumulate_impl(const Key& key, T&& delta);
 
   FunctionParams params_;
   NodeMap nodes_;
@@ -154,6 +160,13 @@ Function multiply(const Function& f, const Function& g);
 /// descendant of one of f's leaves: coarser coefficients refine down
 /// exactly through the two-scale relation. Requires reconstructed form.
 Tensor coeffs_on_box(const Function& f, const Key& box);
+
+/// Unfilter scaling coefficients s (extent k per mode) into the children's
+/// basis: the (2k)^d supertensor whose child block c is child c's share.
+/// Applies the k x 2k low-pass slab w[0:k, :] = [h0 h1] on every mode, which
+/// equals transform(v, w) of the supertensor v with s in its low corner and
+/// a zero wavelet part up to the sign of exact zeros.
+Tensor unfilter_scaling(const Tensor& s, std::size_t k);
 
 /// Gather 2^d child tensors (each extent k per mode) into one supertensor of
 /// extent 2k per mode; child c occupies the block selected by its bitmask.

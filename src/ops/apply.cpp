@@ -155,12 +155,8 @@ mra::Function apply(const SeparatedConvolution& op, const mra::Function& f,
                     const ApplyOptions& opts, ApplyStats* stats) {
   check_input(op, f);
   mra::Function out(f.params());
-  // Seed the output tree with an (empty) root so sum_down has an anchor even
-  // if no task contributes (e.g. the zero function).
-  out.accumulate(mra::Key::root(f.ndim()),
-                 Tensor::cube(f.ndim(), f.k()));
   const ContributionSink add = [&out](const mra::Key& target, Tensor&& r) {
-    out.accumulate(target, r);
+    out.accumulate(target, std::move(r));
   };
   for (const mra::Key& key : f.leaf_keys())
     apply_leaf_tasks(op, key, f.leaf_coeffs(key), opts, stats, add);

@@ -141,7 +141,6 @@ mra::Function apply_nonstandard(const SeparatedConvolution& op,
   }
 
   mra::Function out(f.params());
-  out.accumulate(mra::Key::root(d), Tensor::cube(d, k));
   if (!result.empty()) {
     const auto interior = interior_keys(result);
     convert_rec(result, interior, mra::Key::root(d), Tensor{}, f.params(),

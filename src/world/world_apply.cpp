@@ -59,9 +59,8 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
   world.fence();
 
   mra::Function out(f.params());
-  out.accumulate(mra::Key::root(d), Tensor::cube(d, k));
-  for (const Shard& shard : results) {
-    for (const auto& [key, r] : shard) out.accumulate(key, r);
+  for (Shard& shard : results) {
+    for (auto& [key, r] : shard) out.accumulate(key, std::move(r));
   }
   out.sum_down();
   if (stats != nullptr) *stats = total_stats;

@@ -151,7 +151,7 @@ TEST(Gemm, FlopCount) {
 
 // Edge shapes around the 4x8 register tile: dims in {1, 2, tile-1, tile,
 // tile+1} plus the paper's (k^{d-1}, k) shapes; k in {1, 2, 3, 4, 5} and
-// odd j remainders exercise the 4-wide and scalar tails.
+// odd j remainders exercise the 4-wide tile and the column-vector tail.
 class PackedGemmShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -215,6 +215,47 @@ INSTANTIATE_TEST_SUITE_P(
         std::tuple{100, 10, 10}, std::tuple{196, 14, 14},
         std::tuple{2744, 14, 14}, std::tuple{400, 20, 20},
         std::tuple{841, 29, 29}, std::tuple{1, 16, 32}));
+
+// Column-tail shapes: every dj mod 4 remainder (1..3 leftover columns, one
+// or two per pass) at the benchmark's k = 5 and k = 10, for 1-row, partial
+// 4-row and long panels. dk = 10 runs the k-specialised dispatch at full
+// kc; the reduced kc's run the runtime-kc path.
+class PackedTailShapes
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::size_t, std::size_t>> {};
+
+TEST_P(PackedTailShapes, PackedAndPortableBitwiseEqualReference) {
+  const auto [di, dj, dk] = GetParam();
+  Rng rng(di * 7919 + dj * 37 + dk);
+  const auto at = random_matrix(dk, di, rng);
+  const auto b = random_matrix(dk, dj, rng);
+  std::vector<double> apack(4 * dk);
+  GemmWorkspace ws;
+  for (const std::size_t kc : {dk, dk / 2, std::size_t{1}}) {
+    std::vector<double> ref(di * dj, 0.375);
+    std::vector<double> packed = ref;
+    std::vector<double> portable = ref;
+    if (kc == dk) {
+      mTxm_ref(di, dj, dk, ref.data(), at.data(), b.data());
+    } else {
+      mTxm_reduced_ref(di, dj, dk, kc, ref.data(), at.data(), b.data());
+    }
+    mTxm_packed(di, dj, dk, kc, packed.data(), at.data(), b.data(), ws);
+    detail::mtxm_portable(di, dj, kc, portable.data(), at.data(), b.data(),
+                          apack.data());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(packed[i], ref[i]) << "kc " << kc << " element " << i;
+      ASSERT_EQ(portable[i], ref[i]) << "kc " << kc << " element " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ColumnTails, PackedTailShapes,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 3, 25, 100, 1000),
+                       ::testing::Values<std::size_t>(5, 9, 10, 13, 15, 25,
+                                                      30),
+                       ::testing::Values<std::size_t>(5, 10)));
 
 TEST(BatchGemm, FusedChainBitwiseEqualsSequentialComposition) {
   // One fused pass over a d=3 mode chain must reproduce, bit for bit, the
@@ -571,8 +612,8 @@ TEST(BatchGemm, FanOutLastModeBitwise) {
   // Runs of items below one mode-(d-2) node, with 1 up to more than
   // fan_out_limit(k) distinct last blocks, plus duplicate last blocks,
   // mixed kreds within one prefix group and items with fewer terms, over
-  // non-zero initial results. k = 7 is a runtime-kc kernel and leaves
-  // 4-wide and scalar column tails in every wide product.
+  // non-zero initial results. k = 7 is a runtime-kc kernel and leaves a
+  // 4-wide tile and column-vector tail in every wide product.
   for (const std::size_t d : {1, 2, 3, 4}) {
     for (const std::size_t k : {5, 7, 10}) {
       const std::size_t cap = fan_out_limit(k);

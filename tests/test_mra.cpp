@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -417,6 +419,138 @@ TEST(Function, AccumulateAndSumDown) {
   EXPECT_NEAR(f.eval(x1), 1.0, 1e-12);
   EXPECT_NEAR(f.eval(x2), 2.0, 1e-12);
   EXPECT_NEAR(f.eval(x3), 0.0, 1e-12);
+}
+
+Tensor random_cube(std::size_t d, std::size_t k, Rng& rng) {
+  Tensor t = Tensor::cube(d, k);
+  for (double& x : t.flat()) x = rng.uniform(-1.0, 1.0);
+  return t;
+}
+
+// The unfilter sum_down used before the low-pass slab, kept as the
+// reference: zero-pad s into a (2k)^d supertensor (zero wavelet part) and
+// apply the full 2k x 2k filter w on every mode.
+Tensor supertensor_unfilter(const Tensor& s, std::size_t k) {
+  Tensor v = Tensor::cube(s.ndim(), 2 * k);
+  set_low_corner(v, s);
+  return transform(v, MatrixView(two_scale(k).w));
+}
+
+TEST(SumDown, SlabUnfilterEqualsSupertensorUnfilter) {
+  // Random scaling data at two interior levels (the root and its child 0)
+  // over a tree whose child 0 is refined to level 2 and whose other level-1
+  // boxes are leaves, every leaf carrying data too.
+  for (std::size_t d = 1; d <= 4; ++d) {
+    const std::size_t k = d == 4 ? 4 : 6;
+    FunctionParams p;
+    p.ndim = d;
+    p.k = k;
+    Rng rng(1000 + d);
+    const Key root = Key::root(d);
+    const Key mid = root.child(0);
+    std::unordered_map<Key, Tensor, KeyHash> own;
+    own[root] = random_cube(d, k, rng);
+    own[mid] = random_cube(d, k, rng);
+    for (std::size_t c = 1; c < root.num_children(); ++c)
+      own[root.child(c)] = random_cube(d, k, rng);
+    for (std::size_t c = 0; c < mid.num_children(); ++c)
+      own[mid.child(c)] = random_cube(d, k, rng);
+    Function f(p);
+    for (const auto& [key, t] : own) f.accumulate(key, t);
+    f.sum_down();
+
+    // Reference: the old recursion, s = own + inherited, unfiltered
+    // through the supertensor.
+    std::unordered_map<Key, Tensor, KeyHash> ref;
+    const auto walk = [&](const auto& self, const Key& key,
+                          const Tensor& inherited) -> void {
+      Tensor s = own.at(key);
+      if (!inherited.empty()) s += inherited;
+      if (key != root && key != mid) {
+        ref[key] = s;
+        return;
+      }
+      const Tensor u = supertensor_unfilter(s, k);
+      const Tensor slab = unfilter_scaling(s, k);
+      ASSERT_EQ(slab.size(), u.size());
+      for (std::size_t i = 0; i < u.size(); ++i)
+        ASSERT_EQ(slab[i], u[i]) << "d " << d << " element " << i;
+      for (std::size_t c = 0; c < key.num_children(); ++c)
+        self(self, key.child(c), extract_child_block(u, c, k));
+    };
+    walk(walk, root, Tensor{});
+
+    const std::vector<Key> leaves = f.leaf_keys();
+    ASSERT_EQ(leaves.size(), ref.size());
+    for (const Key& key : leaves) {
+      const Tensor& got = f.leaf_coeffs(key);
+      const Tensor& want = ref.at(key);
+      for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "d " << d << " element " << i;
+    }
+  }
+}
+
+TEST(SumDown, ZeroSeededAndUnseededTreesAgree) {
+  FunctionParams p;
+  p.ndim = 3;
+  p.k = 5;
+  Rng rng(77);
+  const Key mid = Key::root(3).child(5);
+  const std::vector<std::pair<Key, Tensor>> parts{
+      {mid, random_cube(3, 5, rng)},
+      {mid.child(2), random_cube(3, 5, rng)},
+      {mid.child(6).child(1), random_cube(3, 5, rng)}};
+  Function seeded(p), unseeded(p);
+  seeded.accumulate(Key::root(3), Tensor::cube(3, 5));
+  for (const auto& [key, t] : parts) {
+    seeded.accumulate(key, t);
+    unseeded.accumulate(key, t);
+  }
+  seeded.sum_down();
+  unseeded.sum_down();
+  const std::vector<Key> leaves = unseeded.leaf_keys();
+  ASSERT_EQ(seeded.leaf_keys(), leaves);
+  for (const Key& key : leaves) {
+    const Tensor& a = seeded.leaf_coeffs(key);
+    const Tensor& b = unseeded.leaf_coeffs(key);
+    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+  }
+}
+
+TEST(SumDown, RootlessFunctionEndsAsOneZeroLeaf) {
+  FunctionParams p;
+  p.ndim = 2;
+  p.k = 4;
+  Function f(p);
+  f.sum_down();
+  ASSERT_EQ(f.num_nodes(), 1u);
+  const std::vector<Key> leaves = f.leaf_keys();
+  ASSERT_EQ(leaves.size(), 1u);
+  EXPECT_EQ(leaves[0], Key::root(2));
+  const Tensor& s = f.leaf_coeffs(leaves[0]);
+  EXPECT_EQ(s.size(), 16u);
+  EXPECT_EQ(s.normf(), 0.0);
+}
+
+TEST(Function, AccumulateMovesIntoEmptyNodeAndAddsOtherwise) {
+  FunctionParams p;
+  p.ndim = 2;
+  p.k = 3;
+  Rng rng(5);
+  const Key leaf = Key::root(2).child(1);
+  const Tensor a = random_cube(2, 3, rng);
+  const Tensor b = random_cube(2, 3, rng);
+  Tensor moved = a;
+  const double* storage = moved.data();
+  Function f(p);
+  f.accumulate(leaf, std::move(moved));
+  EXPECT_EQ(f.nodes().at(leaf).coeffs.data(), storage);
+  f.accumulate(leaf, Tensor(b));
+  Tensor want = a;
+  want += b;
+  EXPECT_EQ(f.nodes().at(leaf).coeffs, want);
+  EXPECT_TRUE(f.nodes().at(Key::root(2)).has_children);
 }
 
 TEST(Function, FromLeavesBuildsEvaluableTree) {
