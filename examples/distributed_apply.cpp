@@ -38,6 +38,7 @@ int main() {
   const mra::Function serial = ops::apply(op, f);
 
   const std::size_t ranks = 8;
+  bool mismatch = false;
   for (const bool locality : {false, true}) {
     std::unique_ptr<dht::OwnerMap> owners;
     if (locality) {
@@ -72,6 +73,7 @@ int main() {
                 ranks);
     std::printf("  active messages: %zu (%.0f KB shipped)\n",
                 world.stats().messages, world.stats().bytes / 1024.0);
+    mismatch = mismatch || !(max_err < 1e-10);
     std::printf("  max |distributed - serial| = %.2e %s\n", max_err,
                 max_err < 1e-10 ? "(exact)" : "(MISMATCH!)");
   }
@@ -107,5 +109,5 @@ int main() {
         "  %zu truncated at 1e-5, reconstructed max error %.1e\n",
         ranks, interior, msgs_compress, removed, max_err);
   }
-  return 0;
+  return mismatch ? 1 : 0;
 }

@@ -124,7 +124,8 @@ int main() {
     const double p[1] = {x};
     max_err = std::max(max_err, std::abs(out.eval(p) - reference.eval(p)));
   }
+  const bool match = max_err < 1e-10;
   std::printf("max |batched - serial| over probes: %.3e %s\n", max_err,
-              max_err < 1e-10 ? "(bit-equivalent path: OK)" : "(MISMATCH!)");
-  return 0;
+              match ? "(bit-equivalent path: OK)" : "(MISMATCH!)");
+  return match ? 0 : 1;
 }

@@ -117,43 +117,6 @@ std::uint64_t record_batch(NodeBreakdown* bd, const NodeTracer& tracer,
   return prev;
 }
 
-// The GPU/hybrid node times below run on an absolute clock from `start` and
-// return the end time; node_run_time converts back to a duration. The
-// causal chain is seeded with `chain_from` so back-to-back invocations on
-// one node (the steal scheduler runs one group per call) form a single
-// connected per-rank timeline.
-SimTime gpu_only_node_time(const Workload& workload, std::size_t tasks,
-                           const ClusterConfig& config,
-                           NodeBreakdown* breakdown,
-                           const NodeTracer& tracer,
-                           const std::string& node_track,
-                           std::uint64_t* last_span, SimTime start,
-                           std::uint64_t chain_from) {
-  gpu::GpuDevice device(config.node.device, config.node.gpu_streams);
-  if (tracer.session != nullptr) {
-    device.set_trace(tracer.session, node_track + "/gpu/");
-  }
-  gpu::BatchConfig gcfg = config.gpu;
-  gcfg.streams = config.node.gpu_streams;
-  std::size_t remaining_new = workload.unique_h_blocks;
-  SimTime t = start;
-  std::size_t left = tasks;
-  std::uint64_t prev_last = chain_from;
-  while (left > 0) {
-    const std::size_t count = std::min(left, config.batch_size);
-    const auto batch = make_batch(workload, count, remaining_new);
-    const std::uint64_t task = obs::mint_span_id();
-    device.set_trace_link({prev_last, task});
-    const auto timing = gpu::run_apply_batch(device, nullptr, batch, gcfg, t);
-    prev_last =
-        record_batch(breakdown, tracer, timing, {prev_last, task});
-    t = timing.total_done;
-    left -= count;
-  }
-  if (last_span != nullptr) *last_span = prev_last;
-  return t;
-}
-
 SimTime cpu_only_node_time(const Workload& workload, std::size_t tasks,
                            const ClusterConfig& config) {
   return cpu_batch_time(config.node.cpu, workload.shape, tasks,
@@ -161,8 +124,14 @@ SimTime cpu_only_node_time(const Workload& workload, std::size_t tasks,
                         config.rank_reduce ? config.rank_fraction : 1.0);
 }
 
+// The GPU/hybrid node time runs on an absolute clock from `start` and
+// returns the end time; node_run_time converts back to a duration. The
+// causal chain is seeded with `chain_from` so back-to-back invocations on
+// one node (the steal scheduler runs one group per call) form a single
+// connected per-rank timeline. A `cpu_fraction` of 0 is GPU-only: every
+// batch goes whole to the device.
 SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
-                         const ClusterConfig& config,
+                         const ClusterConfig& config, double cpu_fraction,
                          NodeBreakdown* breakdown, const NodeTracer& tracer,
                          const std::string& node_track,
                          std::uint64_t* last_span, SimTime start,
@@ -177,7 +146,7 @@ SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
   // Split fraction: explicit, or k* = n/(m+n) from the model's own rates
   // measured on a probe batch (mirrors the paper: the developer knows the
   // relative CPU/GPU performance of the operator).
-  double frac = config.cpu_fraction;
+  double frac = cpu_fraction;
   double gpu_per_item_s = 0.0;  // probe GPU-only seconds per item
   if (frac < 0.0) {
     const std::size_t probe = std::min<std::size_t>(
@@ -342,13 +311,14 @@ SimTime node_run_time(const Workload& workload, std::size_t tasks,
       return t;
     }
     case ComputeMode::kGpuOnly:
-      return gpu_only_node_time(workload, tasks, config, breakdown, tracer,
-                                node_track, last_span, start, chain_from) -
+    case ComputeMode::kHybrid: {
+      const double frac =
+          config.mode == ComputeMode::kGpuOnly ? 0.0 : config.cpu_fraction;
+      return hybrid_node_time(workload, tasks, config, frac, breakdown,
+                              tracer, node_track, last_span, start,
+                              chain_from) -
              start;
-    case ComputeMode::kHybrid:
-      return hybrid_node_time(workload, tasks, config, breakdown, tracer,
-                              node_track, last_span, start, chain_from) -
-             start;
+    }
   }
   MH_CHECK(false, "unknown compute mode");
   return SimTime::zero();

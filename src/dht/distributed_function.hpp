@@ -1,20 +1,19 @@
-// A multiresolution function scattered over simulated ranks, and the
-// distributed Apply over it.
+// A multiresolution function scattered over simulated ranks.
 //
 // This is the data layout of the paper's runs: tree nodes live in a
-// distributed hash table under a process map; every Apply task executes on
-// the rank that owns its *source* leaf, and its result is accumulated into
-// the owner of the *target* key — a remote active message when the
-// displacement crosses a subtree boundary. The distributed result is
-// bit-identical to the serial ops::apply (tests enforce this); what differs
-// is the communication profile, which depends on the owner map.
+// distributed hash table under a process map, one shard per rank. The
+// World operators (world_apply, world_compress, world_reconstruct) run
+// over it: every Apply task executes on the rank that owns its *source*
+// leaf, and its result is accumulated into the owner of the *target* key —
+// a remote active message when the displacement crosses a subtree
+// boundary. Replication and shard recovery live in ElasticFunction
+// (elastic.hpp).
 #pragma once
 
 #include <cstddef>
 #include <unordered_map>
 #include <vector>
 
-#include "dht/distributed_map.hpp"
 #include "dht/owner_map.hpp"
 #include "mra/function.hpp"
 #include "ops/apply.hpp"
@@ -23,22 +22,27 @@ namespace mh::dht {
 
 class DistributedFunction {
  public:
-  /// Scatter a reconstructed function's leaves over the owner map's ranks.
-  /// Scattering is issued from rank 0 (the projector), so the initial
-  /// distribution itself counts messages, as a real run would.
-  /// `replication` > 1 additionally writes every leaf through to the first
-  /// replication-1 backup ranks of its rendezvous order
-  /// (OwnerMap::replicas_of) that differ from the primary, so a dead rank's
-  /// shard can be rebuilt from survivors (rebuild_shard).
-  DistributedFunction(const mra::Function& fn, const OwnerMap& owners,
-                      std::size_t replication = 1);
+  using Shard = std::unordered_map<mra::Key, Tensor, mra::KeyHash>;
 
-  std::size_t ranks() const noexcept { return map_.ranks(); }
+  /// Scatter a reconstructed function's leaves over the owner map's ranks,
+  /// in fn.leaf_keys() order. `owners` is not copied and must outlive the
+  /// function.
+  DistributedFunction(const mra::Function& fn, const OwnerMap& owners);
+
+  /// An empty function under `owners`, filled shard by shard (see
+  /// world_reconstruct).
+  DistributedFunction(const mra::FunctionParams& params,
+                      const OwnerMap& owners);
+
+  std::size_t ranks() const noexcept { return shards_.size(); }
   const mra::FunctionParams& params() const noexcept { return params_; }
-  std::size_t num_leaves() const { return map_.size(); }
-  std::size_t leaves_on(std::size_t rank) const {
-    return map_.shard_size(rank);
-  }
+  const OwnerMap& owners() const noexcept { return owners_; }
+  std::size_t num_leaves() const;
+  std::size_t leaves_on(std::size_t rank) const { return shard(rank).size(); }
+
+  /// One rank's leaves. Writers keep every key on owners().owner(key).
+  const Shard& shard(std::size_t rank) const;
+  Shard& shard(std::size_t rank);
 
   /// Task-count load of every rank for one Apply of `op` (what the process
   /// map hands each compute node).
@@ -48,33 +52,10 @@ class DistributedFunction {
   /// Reassemble a single-address-space Function (gather to rank 0).
   mra::Function gather() const;
 
-  std::size_t replication() const noexcept { return replication_; }
-
-  /// Rebuild `dead_rank`'s primary shard from the replica copies the
-  /// survivors hold: the shard is dropped, then every replicated leaf the
-  /// dead rank owned is re-put from the first surviving backup. Returns
-  /// the number of leaves restored. Requires replication >= 2 — without
-  /// backups the shard is unrecoverable, a typed kDataLost fault.
-  std::size_t rebuild_shard(std::size_t dead_rank);
-
-  const DistributedMap<Tensor>& map() const noexcept { return map_; }
-
  private:
-  using Shard = std::unordered_map<mra::Key, Tensor, mra::KeyHash>;
-
   mra::FunctionParams params_;
-  std::size_t replication_;
-  DistributedMap<Tensor> map_;
-  std::vector<Shard> replicas_;  ///< backup copies, indexed by backup rank
+  const OwnerMap& owners_;
+  std::vector<Shard> shards_;
 };
-
-/// Distributed Apply: each source rank computes its own leaves' tasks and
-/// accumulates results at the target owners. Returns the gathered result
-/// (leaf-consistent via sum_down). `comm_out`, if given, receives the
-/// Apply-phase communication stats (scatter traffic excluded).
-mra::Function distributed_apply(const ops::SeparatedConvolution& op,
-                                const DistributedFunction& f,
-                                ops::ApplyStats* stats = nullptr,
-                                CommStats* comm_out = nullptr);
 
 }  // namespace mh::dht

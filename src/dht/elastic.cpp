@@ -19,15 +19,6 @@ std::size_t replication_from_env(std::size_t fallback) {
 
 namespace {
 
-// The same level-L ancestor co-location SubtreeOwnerMap uses for primaries:
-// every key of a subtree is placed by its level-`subtree_level` anchor, so
-// a replica holds whole subtrees.
-std::uint64_t anchor_hash(const mra::Key& key, int subtree_level) {
-  mra::Key anchor = key;
-  while (anchor.level() > subtree_level) anchor = anchor.parent();
-  return anchor.hash();
-}
-
 bool key_less(const mra::Key& a, const mra::Key& b) {
   if (a.level() != b.level()) return a.level() < b.level();
   for (std::size_t m = 0; m < a.ndim(); ++m) {
@@ -76,8 +67,10 @@ ElasticFunction::ElasticFunction(const mra::FunctionParams& params,
       subtree_level_(subtree_level),
       seed_(seed),
       store_(ranks, replication, seed,
+             // The co-location SubtreeOwnerMap gives primaries: a replica
+             // holds whole subtrees.
              [subtree_level](const mra::Key& key) {
-               return anchor_hash(key, subtree_level);
+               return subtree_anchor(key, subtree_level).hash();
              }) {
   MH_CHECK(subtree_level >= 0, "subtree level must be non-negative");
 }

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/diagnostics.hpp"
-#include "dht/distributed_map.hpp"
 #include "dht/owner_map.hpp"
 #include "fault/fault.hpp"
 #include "mra/function.hpp"
@@ -45,6 +44,15 @@ namespace mh::dht {
 /// MH_REPLICATION parsed as a replication factor (>= 1); `fallback` when
 /// unset or unparsable.
 std::size_t replication_from_env(std::size_t fallback = 2);
+
+/// Communication accounting: every store operation is issued from a rank,
+/// and touching a copy held elsewhere is one active message.
+struct CommStats {
+  std::size_t local_ops = 0;
+  std::size_t remote_ops = 0;   ///< operations that crossed ranks
+  std::size_t messages = 0;     ///< one per remote op (active message)
+  double bytes = 0.0;           ///< payload bytes shipped
+};
 
 /// What one repair() pass moved to restore the R-way replica invariant.
 struct RecoveryStats {
@@ -57,7 +65,7 @@ struct RecoveryStats {
 /// An R-way replicated key/value store over simulated ranks. Placement is
 /// rendezvous hashing of `placement(key)` (so co-placement policy — e.g.
 /// whole subtrees — is the caller's choice), membership is explicit, and
-/// every mutation keeps communication accounting like DistributedMap.
+/// every mutation keeps communication accounting (CommStats).
 template <typename K, typename V, typename Hash>
 class ReplicatedStore {
  public:

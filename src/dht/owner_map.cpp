@@ -38,9 +38,10 @@ std::vector<std::size_t> rendezvous_order(std::uint64_t placement_hash,
   return order;
 }
 
-std::vector<std::size_t> OwnerMap::replicas_of(const mra::Key& key,
-                                               std::size_t r) const {
-  return rendezvous_order(key.hash(), ranks_, r, /*seed=*/0);
+mra::Key subtree_anchor(const mra::Key& key, int level) {
+  mra::Key anchor = key;
+  while (anchor.level() > level) anchor = anchor.parent();
+  return anchor;
 }
 
 HashOwnerMap::HashOwnerMap(std::size_t ranks, std::uint64_t seed)
@@ -59,18 +60,8 @@ SubtreeOwnerMap::SubtreeOwnerMap(std::size_t ranks, int subtree_level,
 
 std::size_t SubtreeOwnerMap::owner(const mra::Key& key) const {
   return static_cast<std::size_t>(
-      hash_combine(mix64(seed_), anchor_of(key).hash()) % ranks_);
-}
-
-std::vector<std::size_t> SubtreeOwnerMap::replicas_of(const mra::Key& key,
-                                                      std::size_t r) const {
-  return rendezvous_order(anchor_of(key).hash(), ranks_, r, seed_);
-}
-
-mra::Key SubtreeOwnerMap::anchor_of(const mra::Key& key) const {
-  mra::Key anchor = key;
-  while (anchor.level() > subtree_level_) anchor = anchor.parent();
-  return anchor;
+      hash_combine(mix64(seed_), subtree_anchor(key, subtree_level_).hash()) %
+      ranks_);
 }
 
 int anchor_level(std::size_t ngroups, std::size_t ndim) {

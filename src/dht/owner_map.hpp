@@ -29,14 +29,6 @@ class OwnerMap {
   /// The rank owning this key.
   virtual std::size_t owner(const mra::Key& key) const = 0;
 
-  /// The first min(r, ranks) ranks of the key's rendezvous order (see
-  /// rendezvous_order below): deterministic R-way replica placement that
-  /// stays stable under membership change. The base implementation mixes
-  /// the key's own hash; SubtreeOwnerMap overrides to place whole subtrees
-  /// together (every key of a subtree shares its anchor's replica set).
-  virtual std::vector<std::size_t> replicas_of(const mra::Key& key,
-                                               std::size_t r) const;
-
  protected:
   std::size_t ranks_;
 };
@@ -45,11 +37,16 @@ class OwnerMap {
 /// every rank is scored by hash(seed, rank, key) and the first `r` ranks in
 /// descending score order are returned. The order is a property of the key
 /// alone — removing a rank from consideration only promotes the ranks
-/// behind it, never reshuffles the survivors — which is what makes replica
-/// placement stable under membership change.
+/// behind it, never reshuffles the survivors — which is what makes
+/// ReplicatedStore's placement stable under membership change.
 std::vector<std::size_t> rendezvous_order(std::uint64_t placement_hash,
                                           std::size_t ranks, std::size_t r,
                                           std::uint64_t seed = 0);
+
+/// The level-`level` ancestor every key of a subtree shares (keys at or
+/// above that level are their own anchor). SubtreeOwnerMap places keys by
+/// it, and ElasticFunction places replica sets by it.
+mra::Key subtree_anchor(const mra::Key& key, int level);
 
 /// Uniform hashing of (level, translation).
 class HashOwnerMap final : public OwnerMap {
@@ -69,17 +66,6 @@ class SubtreeOwnerMap final : public OwnerMap {
                   std::uint64_t seed = 0);
   std::size_t owner(const mra::Key& key) const override;
   int subtree_level() const noexcept { return subtree_level_; }
-
-  /// Replica placement by the key's subtree anchor: every key of a subtree
-  /// shares one rendezvous order, so a replica holds whole subtrees — the
-  /// same co-location guarantee owner() gives the primary copy.
-  std::vector<std::size_t> replicas_of(const mra::Key& key,
-                                       std::size_t r) const override;
-
-  /// The level-`subtree_level` ancestor every key of a subtree shares —
-  /// owner(key) == owner(anchor_of(key)) by construction (keys at or above
-  /// the subtree level are their own anchor).
-  mra::Key anchor_of(const mra::Key& key) const;
 
  private:
   int subtree_level_;

@@ -31,7 +31,7 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
   std::mutex stats_mu;
   ops::ApplyStats total_stats;
 
-  const auto& owners = f.map().owners();
+  const auto& owners = f.owners();
   for (std::size_t rank = 0; rank < world.ranks(); ++rank) {
     world.submit(rank, [&, rank] {
       const ops::ContributionSink ship = [&](const mra::Key& target,
@@ -47,7 +47,7 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
                    });
       };
       ops::ApplyStats local;
-      for (const auto& [key, coeffs] : f.map().shard(rank))
+      for (const auto& [key, coeffs] : f.shard(rank))
         ops::apply_leaf_tasks(op, key, coeffs, opts, &local, ship);
       std::scoped_lock lock(stats_mu);
       total_stats.tasks += local.tasks;

@@ -82,7 +82,7 @@ DistributedCompressed world_compress(World& world,
   out.shards.resize(world.ranks());
 
   CompressState state;
-  state.owners = &f.map().owners();
+  state.owners = &f.owners();
   state.params = f.params();
   state.world = &world;
   state.out = &out;
@@ -93,7 +93,7 @@ DistributedCompressed world_compress(World& world,
   // trees always have depth >= 1).
   for (std::size_t rank = 0; rank < world.ranks(); ++rank) {
     world.submit(rank, [&, rank] {
-      for (const auto& [key, coeffs] : f.map().shard(rank)) {
+      for (const auto& [key, coeffs] : f.shard(rank)) {
         MH_CHECK(key.level() > 0, "single-leaf tree cannot be compressed");
         const mra::Key parent = key.parent();
         const std::size_t up = state.owners->owner(parent);

@@ -8,20 +8,12 @@
 
 namespace mh::world {
 
-mra::Function DistributedLeaves::gather() const {
-  std::vector<std::pair<mra::Key, Tensor>> leaves;
-  for (const auto& shard : shards) {
-    for (const auto& [key, coeffs] : shard) leaves.emplace_back(key, coeffs);
-  }
-  return mra::Function::from_leaves(params, leaves);
-}
-
 namespace {
 
 struct ReconstructState {
   const dht::OwnerMap* owners = nullptr;
   const DistributedCompressed* compressed = nullptr;
-  DistributedLeaves* out = nullptr;
+  dht::DistributedFunction* out = nullptr;
   World* world = nullptr;
 
   // Runs on `key`'s owner: either continue downward (interior) or store the
@@ -31,10 +23,10 @@ struct ReconstructState {
     const auto& shard = compressed->shards[rank];
     const auto it = shard.find(key);
     if (it == shard.end()) {
-      out->shards[rank].emplace(key, std::move(s));
+      out->shard(rank).emplace(key, std::move(s));
       return;
     }
-    const std::size_t k = out->params.k;
+    const std::size_t k = out->params().k;
     Tensor v = it->second;
     if (!s.empty()) {
       // Non-root: the corner is zero in compressed form; install s.
@@ -56,14 +48,13 @@ struct ReconstructState {
 
 }  // namespace
 
-DistributedLeaves world_reconstruct(World& world, const dht::OwnerMap& owners,
-                                    const DistributedCompressed& compressed) {
+dht::DistributedFunction world_reconstruct(
+    World& world, const dht::OwnerMap& owners,
+    const DistributedCompressed& compressed) {
   MH_CHECK(world.ranks() == owners.ranks() &&
                compressed.shards.size() == owners.ranks(),
            "rank count mismatch");
-  DistributedLeaves out;
-  out.params = compressed.params;
-  out.shards.resize(world.ranks());
+  dht::DistributedFunction out(compressed.params, owners);
 
   ReconstructState state;
   state.owners = &owners;

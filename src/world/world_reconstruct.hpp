@@ -18,19 +18,12 @@
 
 namespace mh::world {
 
-/// Invert world_compress: returns the leaves scattered per rank (same owner
-/// map as the compressed tree used). Fences internally.
-struct DistributedLeaves {
-  mra::FunctionParams params;
-  std::vector<std::unordered_map<mra::Key, Tensor, mra::KeyHash>> shards;
-
-  /// Reassemble into a single-address-space reconstructed Function.
-  mra::Function gather() const;
-};
-
-DistributedLeaves world_reconstruct(World& world,
-                                    const dht::OwnerMap& owners,
-                                    const DistributedCompressed& compressed);
+/// Invert world_compress: returns the leaves scattered over `owners` (the
+/// owner map the compressed tree used; it must outlive the result). Fences
+/// internally.
+dht::DistributedFunction world_reconstruct(
+    World& world, const dht::OwnerMap& owners,
+    const DistributedCompressed& compressed);
 
 /// Distributed truncate on a compressed tree, in place: interior nodes
 /// whose subtree qualifies drop their wavelet supertensors. Returns the

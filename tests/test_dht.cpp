@@ -1,5 +1,5 @@
-// Tests for src/dht: owner maps, the distributed hash table with
-// communication accounting, and the distributed Apply.
+// Tests for src/dht: owner maps and the scattered DistributedFunction.
+// The distributed Apply over it is tested in test_world.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
 #include "dht/distributed_function.hpp"
-#include "dht/distributed_map.hpp"
 #include "dht/owner_map.hpp"
 #include "ops/apply.hpp"
 
@@ -61,8 +60,8 @@ TEST(OwnerMaps, RejectZeroRanks) {
 
 TEST(OwnerMaps, AnyKeyOwnedLikeItsSubtreeAncestor) {
   // Property: for random keys at random depths, owner(key) equals
-  // owner(ancestor at the subtree level), and anchor_of names exactly that
-  // ancestor.
+  // owner(ancestor at the subtree level), and subtree_anchor names exactly
+  // that ancestor.
   SubtreeOwnerMap map(11, /*subtree_level=*/3, 77);
   Rng rng(123);
   for (int trial = 0; trial < 200; ++trial) {
@@ -75,7 +74,8 @@ TEST(OwnerMaps, AnyKeyOwnedLikeItsSubtreeAncestor) {
     const mra::Key key(ndim, level, l);
     mra::Key ancestor = key;
     while (ancestor.level() > 3) ancestor = ancestor.parent();
-    EXPECT_EQ(map.anchor_of(key).hash(), ancestor.hash());
+    EXPECT_EQ(subtree_anchor(key, map.subtree_level()).hash(),
+              ancestor.hash());
     EXPECT_EQ(map.owner(key), map.owner(ancestor));
   }
 }
@@ -116,60 +116,6 @@ TEST(OwnerMaps, AnchorLevelIsMinimal) {
   EXPECT_THROW(subtree_anchors(10, 1, 2), Error);
 }
 
-TEST(DistributedMap, PutFindRoundTrip) {
-  HashOwnerMap owners(4, 11);
-  DistributedMap<int> map(owners);
-  const mra::Key key = key1d(3, 5);
-  map.put(0, key, 42, 8.0);
-  EXPECT_TRUE(map.contains(key));
-  const int* v = map.find(1, key, 8.0);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(*v, 42);
-  EXPECT_EQ(map.find(1, key1d(3, 6), 8.0), nullptr);
-  EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(DistributedMap, CommAccountingDistinguishesLocalAndRemote) {
-  HashOwnerMap owners(4, 11);
-  DistributedMap<int> map(owners);
-  const mra::Key key = key1d(4, 9);
-  const std::size_t home = owners.owner(key);
-  const std::size_t away = (home + 1) % 4;
-  map.put(home, key, 1, 100.0);  // local: no message
-  EXPECT_EQ(map.comm().messages, 0u);
-  EXPECT_EQ(map.comm().local_ops, 1u);
-  map.put(away, key, 2, 100.0);  // remote: one message, 100 bytes
-  EXPECT_EQ(map.comm().messages, 1u);
-  EXPECT_DOUBLE_EQ(map.comm().bytes, 100.0);
-  EXPECT_NEAR(map.comm().remote_fraction(), 0.5, 1e-12);
-}
-
-TEST(DistributedMap, AccumulateCombinesAtOwner) {
-  HashOwnerMap owners(3, 5);
-  DistributedMap<int> map(owners);
-  const mra::Key key = key1d(2, 1);
-  auto add = [](int& acc, int&& x) { acc += x; };
-  map.accumulate(0, key, 10, 4.0, add);
-  map.accumulate(1, key, 5, 4.0, add);
-  map.accumulate(2, key, 1, 4.0, add);
-  const int* v = map.find(owners.owner(key), key, 4.0);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(*v, 16);
-  EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(DistributedMap, ShardSizesSumToTotal) {
-  HashOwnerMap owners(5, 2);
-  DistributedMap<int> map(owners);
-  for (std::int64_t l = 0; l < 200; ++l) {
-    map.put(0, key1d(8, l), static_cast<int>(l), 8.0);
-  }
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < map.ranks(); ++r) total += map.shard_size(r);
-  EXPECT_EQ(total, 200u);
-  EXPECT_EQ(map.size(), 200u);
-}
-
 mra::Function make_test_function() {
   mra::FunctionParams p;
   p.ndim = 1;
@@ -183,47 +129,18 @@ mra::Function make_test_function() {
   return mra::Function::project(f_fn, p);
 }
 
-TEST(DistributedMap, TensorPayloadsAccumulateElementwise) {
-  HashOwnerMap owners(3, 77);
-  DistributedMap<Tensor> map(owners);
-  const mra::Key key = key1d(3, 2);
-  auto add = [](Tensor& acc, Tensor&& x) { acc += x; };
-  Tensor a({4});
-  a.fill(1.0);
-  Tensor b({4});
-  b.fill(2.5);
-  map.accumulate(0, key, a, 32.0, add);
-  map.accumulate(1, key, b, 32.0, add);
-  const Tensor* got = map.find(owners.owner(key), key, 32.0);
-  ASSERT_NE(got, nullptr);
-  for (double x : got->flat()) EXPECT_DOUBLE_EQ(x, 3.5);
-}
-
-TEST(DistributedMap, RemoteFractionScalesWithRankCount) {
-  // With R ranks and uniform hashing, ~ (R-1)/R of random-origin ops are
-  // remote.
-  for (std::size_t ranks : {2u, 8u}) {
-    HashOwnerMap owners(ranks, 5);
-    DistributedMap<int> map(owners);
-    Rng rng(ranks);
-    for (int i = 0; i < 2000; ++i) {
-      map.put(static_cast<std::size_t>(rng.below(ranks)), key1d(12, i), i,
-              8.0);
-    }
-    const double expect =
-        (static_cast<double>(ranks) - 1.0) / static_cast<double>(ranks);
-    EXPECT_NEAR(map.comm().remote_fraction(), expect, 0.06)
-        << ranks << " ranks";
-  }
-}
-
 TEST(DistributedFunction, ScatterPreservesLeavesAndGathersBack) {
   const mra::Function f = make_test_function();
   HashOwnerMap owners(6, 13);
   DistributedFunction df(f, owners);
   EXPECT_EQ(df.num_leaves(), f.num_leaves());
   std::size_t total = 0;
-  for (std::size_t r = 0; r < df.ranks(); ++r) total += df.leaves_on(r);
+  for (std::size_t r = 0; r < df.ranks(); ++r) {
+    total += df.leaves_on(r);
+    for (const auto& [key, coeffs] : df.shard(r)) {
+      EXPECT_EQ(owners.owner(key), r);
+    }
+  }
   EXPECT_EQ(total, f.num_leaves());
 
   mra::Function g = df.gather();
@@ -232,44 +149,6 @@ TEST(DistributedFunction, ScatterPreservesLeavesAndGathersBack) {
     const double x[1] = {rng.next_double()};
     EXPECT_NEAR(g.eval(x), f.eval(x), 1e-13);
   }
-}
-
-TEST(DistributedFunction, ApplyMatchesSerialBitForBit) {
-  const mra::Function f = make_test_function();
-  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
-  const mra::Function serial = ops::apply(op, f);
-
-  HashOwnerMap owners(4, 21);
-  DistributedFunction df(f, owners);
-  ops::ApplyStats stats;
-  CommStats comm;
-  const mra::Function dist = distributed_apply(op, df, &stats, &comm);
-
-  EXPECT_GT(stats.tasks, 0u);
-  Rng rng(10);
-  for (int i = 0; i < 25; ++i) {
-    const double x[1] = {rng.next_double()};
-    EXPECT_NEAR(dist.eval(x), serial.eval(x), 1e-12);
-  }
-}
-
-TEST(DistributedFunction, SubtreeMapSendsFewerMessagesThanHashMap) {
-  const mra::Function f = make_test_function();
-  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
-
-  HashOwnerMap hash_owners(8, 3);
-  DistributedFunction df_hash(f, hash_owners);
-  CommStats comm_hash;
-  distributed_apply(op, df_hash, nullptr, &comm_hash);
-
-  SubtreeOwnerMap tree_owners(8, /*subtree_level=*/2, 3);
-  DistributedFunction df_tree(f, tree_owners);
-  CommStats comm_tree;
-  distributed_apply(op, df_tree, nullptr, &comm_tree);
-
-  // Locality co-location keeps most accumulations on-rank.
-  EXPECT_LT(comm_tree.remote_fraction(), comm_hash.remote_fraction());
-  EXPECT_LT(comm_tree.bytes, comm_hash.bytes);
 }
 
 TEST(DistributedFunction, ApplyLoadsMatchTaskEnumeration) {
@@ -281,17 +160,6 @@ TEST(DistributedFunction, ApplyLoadsMatchTaskEnumeration) {
   const std::size_t total =
       std::accumulate(loads.begin(), loads.end(), std::size_t{0});
   EXPECT_EQ(total, ops::make_apply_tasks(op, f).size());
-}
-
-TEST(DistributedFunction, SingleRankHasNoRemoteTraffic) {
-  const mra::Function f = make_test_function();
-  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
-  HashOwnerMap owners(1);
-  DistributedFunction df(f, owners);
-  CommStats comm;
-  distributed_apply(op, df, nullptr, &comm);
-  EXPECT_EQ(comm.messages, 0u);
-  EXPECT_DOUBLE_EQ(comm.remote_fraction(), 0.0);
 }
 
 }  // namespace

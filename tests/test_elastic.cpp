@@ -1,7 +1,7 @@
 // Tests for the elastic-recovery subsystem: rendezvous replica placement,
 // the R-way replicated store (kill / revive / repair), versioned
-// checkpoint/restart into resized worlds, replicated DistributedFunction
-// shard rebuild, the World death-handler protocol, and the churn drill —
+// checkpoint/restart into resized worlds, the World death-handler
+// protocol, and the churn drill —
 // a distributed Apply that completes bitwise-equal to the fault-free
 // reference while ranks die and rejoin mid-run.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "apps/coulomb.hpp"
 #include "clustersim/churn.hpp"
 #include "common/diagnostics.hpp"
-#include "dht/distributed_function.hpp"
 #include "dht/elastic.hpp"
 #include "dht/owner_map.hpp"
 #include "obs/export.hpp"
@@ -89,12 +88,13 @@ TEST(ReplicaPlacement, RendezvousOrderIsAPermutationAndDeterministic) {
 }
 
 TEST(ReplicaPlacement, SubtreeMapColocatesReplicaSets) {
-  SubtreeOwnerMap map(12, /*subtree_level=*/2, 3);
+  ElasticFunction ef(make_test_function(), 12, /*subtree_level=*/2,
+                     /*replication=*/3, 3);
   const mra::Key anchor = key1d(2, 3);
   mra::Key deep = anchor;
   for (int i = 0; i < 4; ++i) {
     deep = deep.child(0);
-    EXPECT_EQ(map.replicas_of(deep, 3), map.replicas_of(anchor, 3));
+    EXPECT_EQ(ef.holders(deep), ef.holders(anchor));
   }
 }
 
@@ -282,36 +282,6 @@ TEST(Checkpoint, LostLeavesCannotBeCheckpointed) {
   ASSERT_GT(lost, 0u);
   std::ostringstream os;
   EXPECT_THROW(ef.checkpoint(os), fault::FaultError);
-}
-
-// ---------------------------------------------------------------------------
-// Replicated DistributedFunction
-// ---------------------------------------------------------------------------
-
-TEST(ReplicatedDistributedFunction, RebuildShardIsBitwise) {
-  const mra::Function f = make_test_function();
-  SubtreeOwnerMap owners(5, 2, 17);
-  DistributedFunction df(f, owners, /*replication=*/2);
-  for (std::size_t dead = 0; dead < 5; ++dead) {
-    DistributedFunction victim(f, owners, /*replication=*/2);
-    const std::size_t had = victim.leaves_on(dead);
-    const std::size_t restored = victim.rebuild_shard(dead);
-    EXPECT_EQ(restored, had);
-    EXPECT_EQ(victim.num_leaves(), f.num_leaves());
-    expect_bitwise_equal(victim.gather(), f);
-  }
-  EXPECT_EQ(df.replication(), 2u);
-}
-
-TEST(ReplicatedDistributedFunction, UnreplicatedRebuildIsTyped) {
-  SubtreeOwnerMap owners(4, 2, 1);
-  DistributedFunction df(make_test_function(), owners);
-  try {
-    df.rebuild_shard(1);
-    FAIL() << "expected FaultError";
-  } catch (const fault::FaultError& e) {
-    EXPECT_EQ(e.code(), fault::ErrorCode::kDataLost);
-  }
 }
 
 // ---------------------------------------------------------------------------

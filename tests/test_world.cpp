@@ -1,5 +1,5 @@
 // Tests for src/world: the multi-rank active-message runtime and the
-// threaded distributed Apply built on it.
+// distributed Apply, Compress, Reconstruct and Truncate built on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -237,14 +237,14 @@ TEST(WorldSteal, RejectsSelfSteal) {
   world.fence();
 }
 
-mra::Function make_test_function() {
+mra::Function make_test_function(double center = 0.5, double width = 0.12) {
   mra::FunctionParams p;
   p.ndim = 1;
   p.k = 7;
   p.thresh = 1e-6;
   p.initial_level = 3;
-  auto f_fn = [](std::span<const double> x) {
-    const double u = (x[0] - 0.5) / 0.12;
+  auto f_fn = [center, width](std::span<const double> x) {
+    const double u = (x[0] - center) / width;
     return std::exp(-u * u);
   };
   return mra::Function::project(f_fn, p);
@@ -334,35 +334,92 @@ TEST(WorldApply, PeriodicMatchesSerialApply) {
   dht::HashOwnerMap owners(2, 5);
   dht::DistributedFunction df(f, owners);
   World world(2);
-  ops::ApplyStats world_stats, dht_stats;
+  ops::ApplyStats world_stats;
   const mra::Function threaded = world_apply(world, op, df, &world_stats);
-  const mra::Function simulated = dht::distributed_apply(op, df, &dht_stats);
   EXPECT_EQ(world_stats.tasks, serial_stats.tasks);
-  EXPECT_EQ(dht_stats.tasks, serial_stats.tasks);
   const auto loads = df.apply_loads(op);
   EXPECT_EQ(loads[0] + loads[1], serial_stats.tasks);
   for (int i = 0; i <= 40; ++i) {
     const double x[1] = {i / 40.0};
     const double want = serial.eval(x);
     EXPECT_NEAR(threaded.eval(x), want, 1e-12) << "x=" << x[0];
-    EXPECT_NEAR(simulated.eval(x), want, 1e-12) << "x=" << x[0];
   }
 }
 
-TEST(WorldApply, MessageCountMatchesSingleThreadedDht) {
+TEST(WorldApply, MessagesAreTheCrossRankContributions) {
+  // Oracle independent of world_apply: every task whose target is owned by
+  // another rank than its source leaf ships one k^d tensor of doubles.
   const mra::Function f = make_test_function();
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
   dht::SubtreeOwnerMap owners(6, 2, 5);
+  std::size_t remote = 0;
+  for (const mra::Key& leaf : f.leaf_keys()) {
+    const std::size_t home = owners.owner(leaf);
+    ops::for_each_task(op, leaf,
+                       [&](const mra::Key& target, const ops::Displacement&) {
+                         if (owners.owner(target) != home) ++remote;
+                       });
+  }
+  ASSERT_GT(remote, 0u);
 
-  dht::DistributedFunction df1(f, owners);
-  dht::CommStats comm;
-  dht::distributed_apply(op, df1, nullptr, &comm);
-
-  dht::DistributedFunction df2(f, owners);
+  dht::DistributedFunction df(f, owners);
   World world(6);
-  world_apply(world, op, df2);
+  world_apply(world, op, df);
 
-  EXPECT_EQ(world.stats().messages, comm.messages);
+  const double tensor_bytes = 7.0 * 8.0;  // k^d doubles with k = 7, d = 1
+  EXPECT_EQ(world.stats().messages, remote);
+  EXPECT_DOUBLE_EQ(world.stats().bytes,
+                   static_cast<double>(remote) * tensor_bytes);
+}
+
+// The distributed Apply over a scattered DistributedFunction.
+TEST(DistributedFunction, ApplyMatchesSerialBitForBit) {
+  const mra::Function f = make_test_function(0.45, 0.1);
+  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
+  const mra::Function serial = ops::apply(op, f);
+
+  dht::HashOwnerMap owners(4, 21);
+  dht::DistributedFunction df(f, owners);
+  World world(4);
+  ops::ApplyStats stats;
+  const mra::Function dist = world_apply(world, op, df, &stats);
+
+  EXPECT_GT(stats.tasks, 0u);
+  Rng rng(10);
+  for (int i = 0; i < 25; ++i) {
+    const double x[1] = {rng.next_double()};
+    EXPECT_NEAR(dist.eval(x), serial.eval(x), 1e-12);
+  }
+}
+
+TEST(DistributedFunction, SubtreeMapSendsFewerMessagesThanHashMap) {
+  const mra::Function f = make_test_function(0.45, 0.1);
+  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
+
+  dht::HashOwnerMap hash_owners(8, 3);
+  dht::DistributedFunction df_hash(f, hash_owners);
+  World w_hash(8);
+  world_apply(w_hash, op, df_hash);
+
+  dht::SubtreeOwnerMap tree_owners(8, /*subtree_level=*/2, 3);
+  dht::DistributedFunction df_tree(f, tree_owners);
+  World w_tree(8);
+  world_apply(w_tree, op, df_tree);
+
+  // Locality co-location keeps most accumulations on-rank.
+  EXPECT_LT(w_tree.stats().messages, w_hash.stats().messages);
+  EXPECT_LT(w_tree.stats().bytes, w_hash.stats().bytes);
+}
+
+TEST(DistributedFunction, SingleRankHasNoRemoteTraffic) {
+  const mra::Function f = make_test_function(0.45, 0.1);
+  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
+  dht::HashOwnerMap owners(1);
+  dht::DistributedFunction df(f, owners);
+  World world(1);
+  world_apply(world, op, df);
+  EXPECT_EQ(world.stats().messages, 0u);
+  EXPECT_DOUBLE_EQ(world.stats().bytes, 0.0);
 }
 
 TEST(WorldCompress, MatchesSerialCompressNodeByNode) {
@@ -440,12 +497,12 @@ TEST(WorldReconstruct, RoundTripsCompressExactly) {
 
   World world(5);
   const DistributedCompressed dc = world_compress(world, df);
-  const DistributedLeaves leaves = world_reconstruct(world, owners, dc);
+  const dht::DistributedFunction leaves = world_reconstruct(world, owners, dc);
 
   // Every original leaf comes back bit-near-identically on some rank.
   std::unordered_map<mra::Key, Tensor, mra::KeyHash> got;
-  for (const auto& shard : leaves.shards) {
-    for (const auto& [key, coeffs] : shard) got.emplace(key, coeffs);
+  for (std::size_t r = 0; r < leaves.ranks(); ++r) {
+    for (const auto& [key, coeffs] : leaves.shard(r)) got.emplace(key, coeffs);
   }
   const auto keys = f.leaf_keys();
   ASSERT_EQ(got.size(), keys.size());
@@ -456,7 +513,7 @@ TEST(WorldReconstruct, RoundTripsCompressExactly) {
   }
   // Leaves land on their owners.
   for (std::size_t r = 0; r < 5; ++r) {
-    for (const auto& [key, coeffs] : leaves.shards[r]) {
+    for (const auto& [key, coeffs] : leaves.shard(r)) {
       EXPECT_EQ(owners.owner(key), r);
     }
   }
@@ -466,6 +523,28 @@ TEST(WorldReconstruct, RoundTripsCompressExactly) {
   for (int i = 0; i < 20; ++i) {
     const double x[1] = {rng.next_double()};
     EXPECT_NEAR(back.eval(x), f.eval(x), 1e-10);
+  }
+}
+
+TEST(WorldReconstruct, ReconstructedFunctionFeedsWorldApply) {
+  // compress -> reconstruct -> Apply, all on World ranks: the reconstructed
+  // DistributedFunction is a valid Apply input. Cross-rank accumulation
+  // order varies, so the check is pointwise, not bitwise.
+  const mra::Function f = make_test_function();
+  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
+  dht::SubtreeOwnerMap owners(4, 2, 19);
+  dht::DistributedFunction df(f, owners);
+
+  World world(4);
+  const DistributedCompressed dc = world_compress(world, df);
+  const dht::DistributedFunction back = world_reconstruct(world, owners, dc);
+  ASSERT_EQ(back.num_leaves(), f.num_leaves());
+  const mra::Function threaded = world_apply(world, op, back);
+
+  const mra::Function serial = ops::apply(op, back.gather());
+  for (int i = 0; i <= 40; ++i) {
+    const double x[1] = {i / 40.0};
+    EXPECT_NEAR(threaded.eval(x), serial.eval(x), 1e-12) << "x=" << x[0];
   }
 }
 
