@@ -17,6 +17,8 @@ namespace {
 
 constexpr std::size_t kNoRank = std::numeric_limits<std::size_t>::max();
 constexpr double kMessageHeaderBytes = 64.0;
+// Per-task compute time on the simulated clock.
+constexpr SimTime kTaskTime = SimTime::micros(50.0);
 
 /// One entry of the exactly-once result ledger: a task's contribution
 /// tensor, addressed to the target key it accumulates into.
@@ -144,7 +146,7 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
     Tensor value = ops::apply_task_compute(op, *source, task.source.level(),
                                            task.disp);
     const double bytes = tensor_bytes(value);
-    clocks[rank] += config.task_cost;
+    clocks[rank] += kTaskTime;
     const auto holders = ledger.holders(id);
     std::size_t remote = holders.size();
     for (const std::size_t h : holders) remote -= (h == rank) ? 1 : 0;

@@ -58,8 +58,6 @@ struct ChurnConfig {
   /// Snapshot the function every N completed tasks (0 = never). The R=1
   /// restart path needs at least one checkpoint to recover a lost shard.
   std::size_t checkpoint_every = 0;
-  /// Per-task compute cost on the simulated clock.
-  SimTime task_cost = SimTime::micros(50.0);
   // Interconnect model for replica write-through / recovery traffic.
   double interconnect_bandwidth = 5e9;
   SimTime message_latency = SimTime::micros(2.0);

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <deque>
 #include <memory>
+#include <numeric>
 
 #include "common/diagnostics.hpp"
 #include "common/hash.hpp"
@@ -12,6 +13,12 @@
 
 namespace mh::cluster {
 namespace {
+
+// Steal scheduler constants. The cap on migrations (this many per group)
+// is a determinism backstop, not a tuning knob; the seed drives the
+// random-victim policy.
+constexpr std::size_t kStealsPerGroup = 4;
+constexpr std::uint64_t kStealSeed = 0x57ea1ULL;
 
 // Span sink for one node's phase track; a null session makes every call a
 // no-op so the simulation paths need no guards. Spans carry causal
@@ -62,18 +69,12 @@ std::vector<gpu::GpuTaskDesc> make_batch(const Workload& workload,
 
 // GPU device-memory feasibility: input tree share + write-once cache.
 bool gpu_fits(const Workload& workload, std::size_t tasks,
-              const ClusterConfig& config, std::string* note) {
+              const ClusterConfig& config) {
   const double cache_bytes = static_cast<double>(workload.unique_h_blocks) *
                              workload.shape.h_block_bytes();
   const double data_bytes =
       static_cast<double>(tasks) * workload.gpu_bytes_per_task;
-  if (cache_bytes + data_bytes > config.node.device.memory_bytes) {
-    if (note != nullptr) {
-      *note = "data per node too large for the GPU RAM";
-    }
-    return false;
-  }
-  return true;
+  return cache_bytes + data_bytes <= config.node.device.memory_bytes;
 }
 
 // Records the batch's phase spans and returns the id of the last one, so
@@ -117,11 +118,40 @@ std::uint64_t record_batch(NodeBreakdown* bd, const NodeTracer& tracer,
   return prev;
 }
 
-SimTime cpu_only_node_time(const Workload& workload, std::size_t tasks,
-                           const ClusterConfig& config) {
+// CPU time of `tasks` tasks on one node (the CPU-only node time, and the
+// CPU share of a hybrid batch).
+SimTime cpu_time(const Workload& workload, const ClusterConfig& config,
+                 std::size_t tasks) {
   return cpu_batch_time(config.node.cpu, workload.shape, tasks,
                         config.cpu_compute_threads,
                         config.rank_reduce ? config.rank_fraction : 1.0);
+}
+
+gpu::BatchConfig gpu_config(const ClusterConfig& config) {
+  gpu::BatchConfig gcfg = config.gpu;
+  gcfg.streams = config.node.gpu_streams;
+  return gcfg;
+}
+
+// CPU-only (m) and GPU-only (n) times of one `probe`-task batch with a
+// warm operator cache: the rates behind the k* split. n stays zero in
+// CPU-only mode, where no device is probed.
+struct ProbeTimes {
+  SimTime m, n;
+};
+
+ProbeTimes probe_times(const Workload& workload, const ClusterConfig& config,
+                       std::size_t probe) {
+  ProbeTimes out{cpu_time(workload, config, probe), SimTime::zero()};
+  if (config.mode != ComputeMode::kCpuOnly) {
+    gpu::GpuDevice device(config.node.device, config.node.gpu_streams);
+    std::size_t warm = 0;
+    out.n = gpu::run_apply_batch(device, nullptr,
+                                 make_batch(workload, probe, warm),
+                                 gpu_config(config), SimTime::zero())
+                .elapsed();
+  }
+  return out;
 }
 
 // The GPU/hybrid node time runs on an absolute clock from `start` and
@@ -140,8 +170,6 @@ SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
   if (tracer.session != nullptr) {
     device.set_trace(tracer.session, node_track + "/gpu/");
   }
-  gpu::BatchConfig gcfg = config.gpu;
-  gcfg.streams = config.node.gpu_streams;
 
   // Split fraction: explicit, or k* = n/(m+n) from the model's own rates
   // measured on a probe batch (mirrors the paper: the developer knows the
@@ -151,16 +179,7 @@ SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
   if (frac < 0.0) {
     const std::size_t probe = std::min<std::size_t>(
         std::max<std::size_t>(tasks, 1), config.batch_size);
-    const SimTime m = cpu_batch_time(
-        config.node.cpu, workload.shape, probe, config.cpu_compute_threads,
-        config.rank_reduce ? config.rank_fraction : 1.0);
-    gpu::GpuDevice probe_dev(config.node.device, config.node.gpu_streams);
-    std::size_t probe_new = 0;  // steady-state: cache is warm
-    const auto probe_batch = make_batch(workload, probe, probe_new);
-    const SimTime n =
-        gpu::run_apply_batch(probe_dev, nullptr, probe_batch, gcfg,
-                             SimTime::zero())
-            .elapsed();
+    const auto [m, n] = probe_times(workload, config, probe);
     frac = rt::optimal_cpu_fraction(m.sec(), n.sec());
     gpu_per_item_s = n.sec() / static_cast<double>(probe);
     if (tracer.session != nullptr) {
@@ -192,14 +211,9 @@ SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
     // untouched — it is the caller's ablation knob.
     if (gpu_per_item_s > 0.0 && config.cpu_compute_threads > 0) {
       const std::size_t threads = config.cpu_compute_threads;
-      const double rank_scale =
-          config.rank_reduce ? config.rank_fraction : 1.0;
       const auto predicted_bound = [&](std::size_t nc) {
         const double cpu_s =
-            nc == 0 ? 0.0
-                    : cpu_batch_time(config.node.cpu, workload.shape, nc,
-                                     threads, rank_scale)
-                          .sec();
+            nc == 0 ? 0.0 : cpu_time(workload, config, nc).sec();
         return std::max(cpu_s,
                         gpu_per_item_s * static_cast<double>(count - nc));
       };
@@ -213,10 +227,7 @@ SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
       ncpu = best;
     }
     const std::size_t ngpu = count - ncpu;
-    const SimTime cpu_part =
-        cpu_batch_time(config.node.cpu, workload.shape, ncpu,
-                       config.cpu_compute_threads,
-                       config.rank_reduce ? config.rank_fraction : 1.0);
+    const SimTime cpu_part = cpu_time(workload, config, ncpu);
     const SimTime cpu_done = t + cpu_part;
     if (breakdown != nullptr) breakdown->cpu_compute += cpu_part;
     // Both sides of the batch share one task id and chain causally to the
@@ -234,7 +245,8 @@ SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
     if (ngpu > 0) {
       const auto batch = make_batch(workload, ngpu, remaining_new);
       device.set_trace_link({prev_last, task});
-      const auto timing = gpu::run_apply_batch(device, nullptr, batch, gcfg, t);
+      const auto timing =
+          gpu::run_apply_batch(device, nullptr, batch, gpu_config(config), t);
       gpu_last = record_batch(breakdown, tracer, timing, {prev_last, task});
       gpu_done = timing.total_done;
     }
@@ -263,166 +275,33 @@ double estimate_task_seconds(const Workload& workload,
                              const ClusterConfig& config) {
   const std::size_t probe =
       std::max<std::size_t>(std::size_t{1}, config.batch_size);
-  const double rank_scale = config.rank_reduce ? config.rank_fraction : 1.0;
-  const double m = cpu_batch_time(config.node.cpu, workload.shape, probe,
-                                  config.cpu_compute_threads, rank_scale)
-                       .sec();
-  if (config.mode == ComputeMode::kCpuOnly) {
-    return m / static_cast<double>(probe);
-  }
-  gpu::GpuDevice device(config.node.device, config.node.gpu_streams);
-  gpu::BatchConfig gcfg = config.gpu;
-  gcfg.streams = config.node.gpu_streams;
-  std::size_t warm = 0;  // steady state: operator cache warm
-  const auto batch = make_batch(workload, probe, warm);
-  const double n =
-      gpu::run_apply_batch(device, nullptr, batch, gcfg, SimTime::zero())
-          .elapsed()
-          .sec();
+  const auto [m, n] = probe_times(workload, config, probe);
+  double batch_s = m.sec();
   if (config.mode == ComputeMode::kGpuOnly) {
-    return n / static_cast<double>(probe);
+    batch_s = n.sec();
+  } else if (config.mode == ComputeMode::kHybrid) {
+    batch_s = config.cpu_fraction >= 0.0
+                  ? rt::overlap_time(m.sec(), n.sec(), config.cpu_fraction)
+                  : rt::optimal_overlap_time(m.sec(), n.sec());
   }
-  const double batch_s =
-      config.cpu_fraction >= 0.0
-          ? std::max(m * config.cpu_fraction,
-                     n * (1.0 - config.cpu_fraction))
-          : (m * n) / (m + n);
   return batch_s / static_cast<double>(probe);
 }
 
-}  // namespace
-
-SimTime node_run_time(const Workload& workload, std::size_t tasks,
-                      const ClusterConfig& config, NodeBreakdown* breakdown,
-                      const std::string& node_track,
-                      std::uint64_t* last_span, SimTime start,
-                      std::uint64_t chain_from) {
-  if (last_span != nullptr) *last_span = 0;
-  if (tasks == 0) return SimTime::zero();
-  const NodeTracer tracer = make_tracer(config, node_track);
-  switch (config.mode) {
-    case ComputeMode::kCpuOnly: {
-      const SimTime t = cpu_only_node_time(workload, tasks, config);
-      if (breakdown != nullptr) breakdown->cpu_compute += t;
-      const std::uint64_t id =
-          tracer.span("cpu-compute", obs::Category::kCpuCompute, start,
-                      start + t, {chain_from, 0});
-      if (last_span != nullptr) *last_span = id;
-      return t;
-    }
-    case ComputeMode::kGpuOnly:
-    case ComputeMode::kHybrid: {
-      const double frac =
-          config.mode == ComputeMode::kGpuOnly ? 0.0 : config.cpu_fraction;
-      return hybrid_node_time(workload, tasks, config, frac, breakdown,
-                              tracer, node_track, last_span, start,
-                              chain_from) -
-             start;
-    }
-  }
-  MH_CHECK(false, "unknown compute mode");
-  return SimTime::zero();
-}
-
-ClusterResult run_cluster_apply(const Workload& workload,
-                                const NodeLoads& loads,
-                                const ClusterConfig& config) {
-  MH_CHECK(loads.size() == config.nodes, "load vector / node count mismatch");
-  MH_CHECK(config.nodes >= 1, "need at least one node");
-
-  ClusterResult result;
-  result.load_imbalance = imbalance(loads);
-
-  // An all-zero schedule is feasible but vacuous: makespan 0 and
-  // imbalance 1.0 would read as a perfect run, so say what happened.
-  std::size_t total_tasks = 0;
-  for (const std::size_t l : loads) total_tasks += l;
-  if (total_tasks == 0) {
-    result.empty = true;
-    result.note = "empty schedule: no tasks";
-    result.node_times.assign(loads.size(), SimTime::zero());
-    return result;
-  }
-
-  // Feasibility: every node's GPU data must fit (GPU and hybrid modes).
-  if (config.mode != ComputeMode::kCpuOnly) {
-    const std::size_t worst = *std::max_element(loads.begin(), loads.end());
-    std::string note;
-    if (!gpu_fits(workload, worst, config, &note)) {
-      result.feasible = false;
-      result.note = note;
-      return result;
-    }
-  }
-
-  const double msg_bytes = workload.shape.tensor_bytes();
-  for (std::size_t nodei = 0; nodei < loads.size(); ++nodei) {
-    const std::size_t tasks = loads[nodei];
-    const std::string node_track = "node" + std::to_string(nodei);
-    // Per-rank sessions, when provided, give every node its own
-    // TraceSession (merged later with write_merged_chrome_trace).
-    ClusterConfig node_config = config;
-    if (!config.node_traces.empty()) {
-      node_config.trace = config.node_traces[nodei % config.node_traces.size()];
-    }
-    NodeBreakdown breakdown;
-    std::uint64_t last_span = 0;
-    const SimTime compute = node_run_time(workload, tasks, node_config,
-                                          &breakdown, node_track, &last_span);
-    // Remote accumulations: latency-dominated small messages, overlapped
-    // poorly with the tail of the computation (conservatively additive).
-    // A node with no tasks sends nothing — emitting its comm span would
-    // plant a parentless orphan at t=0 on an otherwise empty rank.
-    SimTime comm;
-    if (tasks > 0) {
-      const double msgs =
-          static_cast<double>(tasks) * workload.remote_fraction;
-      comm =
-          SimTime::seconds(msgs * (config.message_latency.sec() +
-                                   msg_bytes / config.interconnect_bandwidth));
-      make_tracer(node_config, node_track)
-          .span("comm", obs::Category::kComm, compute, compute + comm,
-                {last_span, 0});
-    }
-    const SimTime total = compute + comm;
-    result.node_times.push_back(total);
-    if (total > result.makespan) {
-      result.makespan = total;
-      result.slowest_node_compute = compute;
-      result.slowest_node_comm = comm;
-      breakdown.comm = comm;
-      result.slowest_breakdown = breakdown;
-    }
-  }
-  return result;
-}
-
-StealPolicy StealPolicy::from_env() {
-  StealPolicy policy;
-  if (const char* v = std::getenv("MH_STEAL_VICTIM")) {
-    const std::string s(v);
-    if (s == "random") {
-      policy.victim = Victim::kRandom;
-    } else if (s == "locality") {
-      policy.victim = Victim::kLocalityBiased;
-    }
-  }
-  if (const char* v = std::getenv("MH_STEAL_OWNED_FRACTION")) {
-    char* end = nullptr;
-    const double f = std::strtod(v, &end);
-    if (end != v && f >= 0.0 && f <= 1.0) policy.owned_bytes_fraction = f;
-  }
-  return policy;
-}
-
-StealScheduleResult run_cluster_apply_stealing(
-    const Workload& workload, const GroupMap& placement,
-    const std::vector<std::size_t>& group_owner, const ClusterConfig& config,
-    const StealPolicy& policy) {
+// The one cluster loop: per-node FIFO queues of whole groups (sizes[g]
+// tasks each, starting where `placement` put them) run on per-node
+// simulated clocks, earliest clock first. A non-null `policy` lets drained
+// nodes steal groups off stragglers; a null one is the paper's static
+// load balancing, where each node simply runs its own queue. Every node
+// then pays its remote-accumulation comm tail.
+StealScheduleResult schedule(const Workload& workload,
+                             const std::vector<std::size_t>& sizes,
+                             const GroupMap& placement,
+                             const std::vector<std::size_t>& group_owner,
+                             const ClusterConfig& config,
+                             const StealPolicy* policy) {
   MH_CHECK(config.nodes >= 1, "need at least one node");
   MH_CHECK(placement.nodes == config.nodes,
            "placement node count / cluster node count mismatch");
-  const std::vector<std::size_t>& sizes = workload.group_sizes;
   MH_CHECK(placement.node_of.size() == sizes.size(),
            "placement / workload group count mismatch");
   MH_CHECK(group_owner.empty() || group_owner.size() == sizes.size(),
@@ -432,10 +311,12 @@ StealScheduleResult run_cluster_apply_stealing(
   ClusterResult& result = out.result;
   const std::size_t nodes = config.nodes;
   out.executed.assign(nodes, 0);
+  const NodeLoads initial = placement.loads(sizes);
+  result.load_imbalance = imbalance(initial);
 
-  std::size_t total_tasks = 0;
-  for (const std::size_t s : sizes) total_tasks += s;
-  if (total_tasks == 0) {
+  // An all-zero schedule is feasible but vacuous: makespan 0 and
+  // imbalance 1.0 would read as a perfect run, so say what happened.
+  if (std::accumulate(initial.begin(), initial.end(), std::size_t{0}) == 0) {
     result.empty = true;
     result.note = "empty schedule: no tasks";
     result.node_times.assign(nodes, SimTime::zero());
@@ -445,13 +326,11 @@ StealScheduleResult run_cluster_apply_stealing(
   // Feasibility against the worst *initial* load: stealing only moves work
   // off that node, so the static bound is the conservative one.
   if (config.mode != ComputeMode::kCpuOnly) {
-    const NodeLoads initial = placement.loads(sizes);
     const std::size_t worst =
         *std::max_element(initial.begin(), initial.end());
-    std::string note;
-    if (!gpu_fits(workload, worst, config, &note)) {
+    if (!gpu_fits(workload, worst, config)) {
       result.feasible = false;
-      result.note = note;
+      result.note = "data per node too large for the GPU RAM";
       return out;
     }
   }
@@ -467,14 +346,18 @@ StealScheduleResult run_cluster_apply_stealing(
     std::uint64_t chain = 0;  // last causal span on this node's track
     ClusterConfig cfg;
     std::string track;
+    NodeTracer tracer;
   };
   std::vector<NodeState> ns(nodes);
   for (std::size_t i = 0; i < nodes; ++i) {
+    // Per-rank sessions, when provided, give every node its own
+    // TraceSession (merged later with write_merged_chrome_trace).
     ns[i].cfg = config;
     if (!config.node_traces.empty()) {
       ns[i].cfg.trace = config.node_traces[i % config.node_traces.size()];
     }
     ns[i].track = "node" + std::to_string(i);
+    ns[i].tracer = make_tracer(ns[i].cfg, ns[i].track);
   }
   for (std::size_t g = 0; g < sizes.size(); ++g) {
     if (sizes[g] == 0) continue;  // empty groups neither run nor migrate
@@ -515,11 +398,13 @@ StealScheduleResult run_cluster_apply_stealing(
     publish_health(0.0);
   }
 
-  const double est = estimate_task_seconds(workload, config);
   const double msg_bytes = workload.shape.tensor_bytes();
-  const std::size_t cap =
-      policy.max_steals != 0 ? policy.max_steals : 4 * sizes.size();
-  std::uint64_t rng = mix64(policy.seed | 1);
+  // Steal-only setup. A static run skips the estimate: its probe batch
+  // would move the device occupancy gauge.
+  const double est =
+      policy != nullptr ? estimate_task_seconds(workload, config) : 0.0;
+  const std::size_t cap = kStealsPerGroup * sizes.size();
+  std::uint64_t rng = mix64(kStealSeed | 1);
   const auto next_rand = [&rng]() {
     rng = mix64(rng + 0x9e3779b97f4a7c15ULL);
     return rng;
@@ -529,19 +414,17 @@ StealScheduleResult run_cluster_apply_stealing(
     return !group_owner.empty() && group_owner[g] == rank;
   };
 
-  // Migration cost of group g into `thief` (request round trip + transfer;
-  // owned groups ship descriptors, not coefficients) and the thief's
-  // projected finish were it granted.
-  const auto steal_cost = [&](std::size_t g, bool owned) {
-    const double bytes = static_cast<double>(sizes[g]) * msg_bytes *
-                         (owned ? policy.owned_bytes_fraction : 1.0);
-    return SimTime::seconds(3.0 * config.message_latency.sec() +
-                            bytes / config.interconnect_bandwidth);
+  // Bytes and cost of migrating group g (request round trip + transfer).
+  // Owned groups ship descriptors only: their coefficient blocks are
+  // already local to the thief.
+  const auto steal_bytes = [&](std::size_t g, bool owned) {
+    return static_cast<double>(sizes[g]) * msg_bytes *
+           (owned ? policy->owned_bytes_fraction : 1.0);
   };
-  const auto thief_finish = [&](const NodeState& me, std::size_t g,
-                                bool owned) {
-    return me.t + steal_cost(g, owned) +
-           SimTime::seconds(est * static_cast<double>(sizes[g]));
+  const auto steal_cost = [&](std::size_t g, bool owned) {
+    return SimTime::seconds(3.0 * config.message_latency.sec() +
+                            steal_bytes(g, owned) /
+                                config.interconnect_bandwidth);
   };
 
   const auto attempt_steal = [&](std::size_t thief) -> bool {
@@ -555,9 +438,11 @@ StealScheduleResult run_cluster_apply_stealing(
       const SimTime victim_done =
           ns[v].t +
           SimTime::seconds(est * static_cast<double>(ns[v].pending));
-      return thief_finish(me, g, owned) < victim_done;
+      return me.t + steal_cost(g, owned) +
+                 SimTime::seconds(est * static_cast<double>(sizes[g])) <
+             victim_done;
     };
-    if (policy.victim == StealPolicy::Victim::kRandom) {
+    if (policy->victim == StealPolicy::Victim::kRandom) {
       std::vector<std::size_t> candidates;
       for (std::size_t v = 0; v < nodes; ++v) {
         if (v != thief && !ns[v].queue.empty()) candidates.push_back(v);
@@ -611,37 +496,26 @@ StealScheduleResult run_cluster_apply_stealing(
       }
     }
     ++out.steals.attempts;
-
-    // Profitability: the thief must finish the group before the victim
-    // would drain its whole queue — that is when the migration shortens
-    // the victim's projected finish instead of just shuffling work. Owned
-    // groups move descriptors only — their coefficient blocks are already
-    // local.
-    NodeState& vic = ns[victim];
-    const SimTime victim_done =
-        vic.t + SimTime::seconds(est * static_cast<double>(vic.pending));
     const bool owned = owned_by(group, thief);
-    const double bytes = static_cast<double>(sizes[group]) * msg_bytes *
-                         (owned ? policy.owned_bytes_fraction : 1.0);
-    const SimTime cost = steal_cost(group, owned);
-    const SimTime thief_done = thief_finish(me, group, owned);
-    if (!(thief_done < victim_done)) return false;
+    if (!profitable(victim, group, owned)) return false;
 
     // Commit: move the group and charge the migration on the thief's
     // clock. The request round trip (2 latencies) and the transfer itself
     // land as kComm spans chained into the thief's causal timeline, so
     // mh_trace_analyze attributes migration cost like any other phase.
+    NodeState& vic = ns[victim];
     vic.queue.erase(std::find(vic.queue.begin(), vic.queue.end(), group));
     vic.pending -= sizes[group];
-    const NodeTracer tracer = make_tracer(me.cfg, me.track);
+    const double bytes = steal_bytes(group, owned);
+    const SimTime cost = steal_cost(group, owned);
     const SimTime request_done = me.t + config.message_latency +
                                  config.message_latency;
-    const std::uint64_t req = tracer.span(
+    const std::uint64_t req = me.tracer.span(
         "steal", obs::Category::kComm, me.t, request_done, {me.chain, 0},
         {{"victim", static_cast<double>(victim)},
          {"group", static_cast<double>(group)},
          {"tasks", static_cast<double>(sizes[group])}});
-    const std::uint64_t mig = tracer.span(
+    const std::uint64_t mig = me.tracer.span(
         "migrate", obs::Category::kComm, request_done, me.t + cost,
         {req != 0 ? req : me.chain, 0},
         {{"bytes", bytes}, {"owned", owned ? 1.0 : 0.0}});
@@ -666,7 +540,7 @@ StealScheduleResult run_cluster_apply_stealing(
     // Idle (drained) nodes steal before the next group runs, earliest
     // clock first; each success can unblock further steals, so loop until
     // no idle node finds a profitable migration.
-    bool progress = true;
+    bool progress = policy != nullptr;
     while (progress && out.steals.steals < cap) {
       progress = false;
       std::vector<std::size_t> idle;
@@ -707,9 +581,13 @@ StealScheduleResult run_cluster_apply_stealing(
     publish_health(n.t.sec());
   }
 
-  // Comm tails and result assembly. load_imbalance reports the *achieved*
-  // balance (post-migration); slowest_node_comm folds in any migration
-  // cost the slowest node paid as a thief.
+  // Comm tails and result assembly. Remote accumulations are
+  // latency-dominated small messages, overlapped poorly with the tail of
+  // the computation (conservatively additive). A node with no tasks sends
+  // nothing: its comm span would be a parentless orphan on an empty rank.
+  // load_imbalance reports the *achieved* balance (post-migration);
+  // slowest_node_comm folds in any migration cost the slowest node paid
+  // as a thief.
   result.load_imbalance = imbalance(out.executed);
   for (std::size_t i = 0; i < nodes; ++i) {
     NodeState& n = ns[i];
@@ -721,21 +599,95 @@ StealScheduleResult run_cluster_apply_stealing(
       const SimTime comm =
           SimTime::seconds(msgs * (config.message_latency.sec() +
                                    msg_bytes / config.interconnect_bandwidth));
-      make_tracer(n.cfg, n.track)
-          .span("comm", obs::Category::kComm, n.t, n.t + comm, {n.chain, 0});
+      n.tracer.span("comm", obs::Category::kComm, n.t, n.t + comm,
+                    {n.chain, 0});
       n.breakdown.comm += comm;
       total = n.t + comm;
     }
     result.node_times.push_back(total);
     if (total > result.makespan) {
       result.makespan = total;
-      result.slowest_node_compute = total - n.breakdown.comm;
       result.slowest_node_comm = n.breakdown.comm;
       result.slowest_breakdown = n.breakdown;
     }
   }
   publish_health(result.makespan.sec());
   return out;
+}
+
+}  // namespace
+
+SimTime node_run_time(const Workload& workload, std::size_t tasks,
+                      const ClusterConfig& config, NodeBreakdown* breakdown,
+                      const std::string& node_track,
+                      std::uint64_t* last_span, SimTime start,
+                      std::uint64_t chain_from) {
+  if (last_span != nullptr) *last_span = 0;
+  if (tasks == 0) return SimTime::zero();
+  const NodeTracer tracer = make_tracer(config, node_track);
+  switch (config.mode) {
+    case ComputeMode::kCpuOnly: {
+      const SimTime t = cpu_time(workload, config, tasks);
+      if (breakdown != nullptr) breakdown->cpu_compute += t;
+      const std::uint64_t id =
+          tracer.span("cpu-compute", obs::Category::kCpuCompute, start,
+                      start + t, {chain_from, 0});
+      if (last_span != nullptr) *last_span = id;
+      return t;
+    }
+    case ComputeMode::kGpuOnly:
+    case ComputeMode::kHybrid: {
+      const double frac =
+          config.mode == ComputeMode::kGpuOnly ? 0.0 : config.cpu_fraction;
+      return hybrid_node_time(workload, tasks, config, frac, breakdown,
+                              tracer, node_track, last_span, start,
+                              chain_from) -
+             start;
+    }
+  }
+  MH_CHECK(false, "unknown compute mode");
+  return SimTime::zero();
+}
+
+ClusterResult run_cluster_apply(const Workload& workload,
+                                const NodeLoads& loads,
+                                const ClusterConfig& config) {
+  MH_CHECK(loads.size() == config.nodes, "load vector / node count mismatch");
+  // Static load balancing is the no-steal run with one group per node.
+  GroupMap one_per_node;
+  one_per_node.nodes = config.nodes;
+  one_per_node.node_of.resize(config.nodes);
+  std::iota(one_per_node.node_of.begin(), one_per_node.node_of.end(),
+            std::size_t{0});
+  return schedule(workload, loads, one_per_node, {}, config, nullptr).result;
+}
+
+StealPolicy StealPolicy::from_env() {
+  StealPolicy policy;
+  if (const char* v = std::getenv("MH_STEAL_VICTIM")) {
+    const std::string s(v);
+    if (s == "random") {
+      policy.victim = Victim::kRandom;
+    } else if (s == "locality") {
+      policy.victim = Victim::kLocalityBiased;
+    }
+  }
+  if (const char* v = std::getenv("MH_STEAL_OWNED_FRACTION")) {
+    char* end = nullptr;
+    const double f = std::strtod(v, &end);
+    if (end != v && *end == '\0' && f >= 0.0 && f <= 1.0) {
+      policy.owned_bytes_fraction = f;
+    }
+  }
+  return policy;
+}
+
+StealScheduleResult run_cluster_apply_stealing(
+    const Workload& workload, const GroupMap& placement,
+    const std::vector<std::size_t>& group_owner, const ClusterConfig& config,
+    const StealPolicy& policy) {
+  return schedule(workload, workload.group_sizes, placement, group_owner,
+                  config, &policy);
 }
 
 }  // namespace mh::cluster

@@ -2,12 +2,16 @@
 //
 // Each node owns the tasks its process map assigned; within a node the run
 // proceeds in batches of `batch_size` compute tasks flowing through the
-// CPU-only, GPU-only, or hybrid path. Two schedulers are provided:
+// CPU-only, GPU-only, or hybrid path. One discrete-event scheduler runs
+// every node's queue of whole subtree groups on per-node simulated clocks
+// and adds each node's communication tail; the two entry points differ
+// only in whether idle nodes may steal:
 //
-//   run_cluster_apply          — static load balancing: the cluster makespan
-//                                is the slowest node plus its communication,
-//                                mirroring the paper (its scaling limits
-//                                come precisely from that).
+//   run_cluster_apply          — static load balancing, the no-steal run
+//                                with one group per node: the cluster
+//                                makespan is the slowest node plus its
+//                                communication, mirroring the paper (its
+//                                scaling limits come precisely from that).
 //   run_cluster_apply_stealing — extension beyond the paper: idle nodes
 //                                migrate whole subtree groups off
 //                                stragglers, paying the steal round trip
@@ -77,11 +81,11 @@ struct ClusterConfig {
   std::vector<obs::TraceSession*> node_traces;
 
   /// Live health plane on the simulated clock: when non-null the
-  /// steal-enabled scheduler publishes per-node telemetry (queue depth,
-  /// liveness, executed tasks, steal counters) after every executed group
-  /// and runs one detector tick, so stragglers are flagged *while* the
-  /// simulated run is in flight — not from the trace afterwards.
-  /// Non-owning.
+  /// scheduler publishes per-node telemetry (queue depth, liveness,
+  /// executed tasks, steal counters) after every executed group and runs
+  /// one detector tick, so stragglers are flagged *while* the simulated
+  /// run is in flight — not from the trace afterwards. Static runs publish
+  /// too, though no caller sets it for them today. Non-owning.
   obs::HealthPlane* health = nullptr;
 };
 
@@ -109,13 +113,13 @@ struct ClusterResult {
   std::string note;  ///< set when infeasible or empty
   SimTime makespan;
   double load_imbalance = 1.0;
-  SimTime slowest_node_compute;
   SimTime slowest_node_comm;
   NodeBreakdown slowest_breakdown;  ///< phase profile of the slowest node
   std::vector<SimTime> node_times;
 };
 
-/// Simulate the run given per-node task loads (from a process map).
+/// Simulate the run given per-node task loads (from a process map): the
+/// no-steal scheduler run with node i holding one group of loads[i] tasks.
 ClusterResult run_cluster_apply(const Workload& workload,
                                 const NodeLoads& loads,
                                 const ClusterConfig& config);
@@ -125,11 +129,11 @@ ClusterResult run_cluster_apply(const Workload& workload,
 /// `breakdown`, when non-null, receives the phase profile. `node_track`
 /// names the node's trace tracks when a trace session is attached.
 /// `last_span`, when non-null, receives the id of the node's final causal
-/// span (0 if untraced) so follow-up spans — the comm tail in
-/// run_cluster_apply — can chain to it. `start` offsets every recorded
-/// span on the simulated clock and `chain_from` seeds the causal chain:
-/// the steal-enabled scheduler uses both to run one node's groups
-/// back-to-back on a single connected per-rank timeline.
+/// span (0 if untraced) so follow-up spans — the scheduler's comm tail —
+/// can chain to it. `start` offsets every recorded span on the simulated
+/// clock and `chain_from` seeds the causal chain: the scheduler uses both
+/// to run one node's groups back-to-back on a single connected per-rank
+/// timeline.
 SimTime node_run_time(const Workload& workload, std::size_t tasks,
                       const ClusterConfig& config,
                       NodeBreakdown* breakdown = nullptr,
@@ -149,14 +153,11 @@ struct StealPolicy {
   /// group's anchor coefficients in the DHT: only task descriptors cross
   /// the wire, the coefficient blocks are already local.
   double owned_bytes_fraction = 0.05;
-  /// Hard cap on migrations (0 = 4x the group count) — a determinism
-  /// backstop, not a tuning knob.
-  std::size_t max_steals = 0;
-  std::uint64_t seed = 0x57ea1ULL;
 
   /// Defaults overridden from the environment: MH_STEAL_VICTIM
   /// ("random" | "locality") and MH_STEAL_OWNED_FRACTION (a fraction in
-  /// [0, 1]). Unset or unparsable variables keep the defaults.
+  /// [0, 1]). Unset or malformed values (another victim name, trailing
+  /// characters, a fraction outside [0, 1]) keep the defaults.
   static StealPolicy from_env();
 };
 

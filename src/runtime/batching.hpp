@@ -689,89 +689,43 @@ class BatchingEngine {
     // id; its compute span chains to the batch dispatch.
     const std::size_t chunk = std::max<std::size_t>(1, config_.cpu_chunk);
     for (std::size_t i0 = 0; i0 < ncpu; i0 += chunk) {
-      const std::size_t i1 = std::min(ncpu, i0 + chunk);
-      if (i1 - i0 == 1) {
-        obs::TraceContext ctx = i0 < staged.ctxs.size()
-                                    ? staged.ctxs[i0]
-                                    : obs::TraceContext{};
-        if (batch_id != 0) ctx.span = batch_id;
-        submit_cpu_item(kptr, kind_id,
-                        std::make_shared<Input>(std::move(staged.items[i0])),
-                        ctx);
-        continue;
-      }
-      auto items = std::make_shared<std::vector<Input>>();
-      auto ctxs = std::make_shared<std::vector<obs::TraceContext>>();
-      items->reserve(i1 - i0);
-      ctxs->reserve(i1 - i0);
-      for (std::size_t i = i0; i < i1; ++i) {
-        obs::TraceContext ctx = i < staged.ctxs.size() ? staged.ctxs[i]
-                                                       : obs::TraceContext{};
-        if (batch_id != 0) ctx.span = batch_id;
-        items->push_back(std::move(staged.items[i]));
-        ctxs->push_back(ctx);
-      }
-      submit_cpu_chunk(kptr, kind_id, std::move(items), std::move(ctxs));
+      submit_cpu_chunk(kptr, kind_id, staged.items, staged.ctxs, i0,
+                       std::min(ncpu, i0 + chunk), batch_id);
     }
   }
 
-  /// Compute+postprocess one item on the CPU pool — the CPU share of a
-  /// batch, and the per-item fallback path for failed GPU batches. `ctx`
-  /// is the item's causal context (task id + producer span), re-installed
-  /// on the worker thread so the compute span continues the item's chain.
-  void submit_cpu_item(Kind* kptr, double kind_id,
-                       std::shared_ptr<Input> boxed,
-                       obs::TraceContext ctx = {}) {
-    cpu_pool_.submit([this, kptr, kind_id, boxed, ctx] {
-      obs::ScopedContext provenance(ctx);
-      try {
-        obs::TraceContext chain = ctx;
-        Output out = [&] {
-          obs::ScopedSpan cpu_span(trace_, "cpu-compute",
-                                   obs::Category::kCpuCompute,
-                                   {{"kind", kind_id}});
-          if (cpu_span.id() != 0) chain = cpu_span.context();
-          const auto t0 = std::chrono::steady_clock::now();
-          Output result = kptr->spec.compute_cpu(*boxed);
-          const std::chrono::duration<double> dt =
-              std::chrono::steady_clock::now() - t0;
-          std::scoped_lock lock(mu_);
-          kptr->cpu_rate.record(1, dt.count());
-          return result;
-        }();
-        // Postprocess chains to the compute span (the compute span has
-        // already closed, so the ambient context must be re-installed).
-        obs::ScopedContext after(chain);
-        obs::ScopedSpan post_span(trace_, "postprocess",
-                                  obs::Category::kPostprocess,
-                                  {{"kind", kind_id}});
-        kptr->spec.postprocess(std::move(out));
-      } catch (...) {
-        record_error(std::current_exception());
-      }
-      complete_one();
-    });
-  }
-
-  /// Chunked variant of submit_cpu_item: a contiguous run of a batch's CPU
-  /// share computed as ONE pool task. The steal loop then migrates whole
-  /// runs of small compute calls between workers and each worker's
-  /// thread-local scratch (e.g. linalg's GemmWorkspace) stays hot across
-  /// the run. Per-item spans, postprocess, error isolation and completion
-  /// accounting all match the per-item path; the CPU rate sample is
-  /// aggregated over the chunk (rate.record(n, dt)).
-  void submit_cpu_chunk(Kind* kptr, double kind_id,
-                        std::shared_ptr<std::vector<Input>> items,
-                        std::shared_ptr<std::vector<obs::TraceContext>> ctxs) {
+  /// Compute+postprocess items [i0, i1) of `src` (moved out) on the CPU
+  /// pool as ONE pool task: a run of a batch's CPU share, or one item of a
+  /// failed GPU batch falling back to the CPU. The steal loop then
+  /// migrates whole runs of small compute calls between workers and each
+  /// worker's thread-local scratch (e.g. linalg's GemmWorkspace) stays hot
+  /// across the run. Each item's causal context (task id + producer span;
+  /// `batch_id`, when nonzero, replaces the producer) is re-installed on
+  /// the worker so its compute span continues the item's chain. Spans,
+  /// postprocess, error isolation and completion accounting are per item;
+  /// the CPU rate sample is aggregated over the chunk (rate.record(n, dt)).
+  void submit_cpu_chunk(Kind* kptr, double kind_id, std::vector<Input>& src,
+                        const std::vector<obs::TraceContext>& src_ctxs,
+                        std::size_t i0, std::size_t i1,
+                        std::uint64_t batch_id) {
+    auto items = std::make_shared<std::vector<Input>>();
+    auto ctxs = std::make_shared<std::vector<obs::TraceContext>>();
+    items->reserve(i1 - i0);
+    ctxs->reserve(i1 - i0);
+    for (std::size_t i = i0; i < i1; ++i) {
+      obs::TraceContext ctx =
+          i < src_ctxs.size() ? src_ctxs[i] : obs::TraceContext{};
+      if (batch_id != 0) ctx.span = batch_id;
+      items->push_back(std::move(src[i]));
+      ctxs->push_back(ctx);
+    }
     cpu_pool_.submit([this, kptr, kind_id, items, ctxs] {
       double chunk_secs = 0.0;
       std::size_t computed = 0;
       for (std::size_t i = 0; i < items->size(); ++i) {
-        obs::TraceContext ctx =
-            i < ctxs->size() ? (*ctxs)[i] : obs::TraceContext{};
-        obs::ScopedContext provenance(ctx);
+        obs::ScopedContext provenance((*ctxs)[i]);
         try {
-          obs::TraceContext chain = ctx;
+          obs::TraceContext chain = (*ctxs)[i];
           Output out = [&] {
             obs::ScopedSpan cpu_span(trace_, "cpu-compute",
                                      obs::Category::kCpuCompute,
@@ -785,6 +739,8 @@ class BatchingEngine {
             ++computed;
             return result;
           }();
+          // Postprocess chains to the compute span (the compute span has
+          // already closed, so the ambient context must be re-installed).
           obs::ScopedContext after(chain);
           obs::ScopedSpan post_span(trace_, "postprocess",
                                     obs::Category::kPostprocess,
@@ -1010,11 +966,7 @@ class BatchingEngine {
       // Fallback items keep their provenance: the compute span on the CPU
       // side continues each item's original task chain.
       for (std::size_t i = 0; i < work->items.size(); ++i) {
-        obs::TraceContext ctx = i < work->ctxs.size() ? work->ctxs[i]
-                                                      : obs::TraceContext{};
-        submit_cpu_item(kptr, kind_id,
-                        std::make_shared<Input>(std::move(work->items[i])),
-                        ctx);
+        submit_cpu_chunk(kptr, kind_id, work->items, work->ctxs, i, i + 1, 0);
       }
       return;
     }

@@ -243,9 +243,8 @@ class Sim {
     return earliest;
   }
 
-  /// Known-cost service estimate for the class's next batch.
-  double service_estimate(std::size_t c) const {
-    const std::size_t n = std::min(pending_[c], cfg_.max_batch);
+  /// Simulated seconds a class-c batch of n items keeps a worker busy.
+  double service_time(std::size_t c, std::size_t n) const {
     return cfg_.batch_setup[c].sec() +
            static_cast<double>(n) * cfg_.per_item[c].sec();
   }
@@ -256,9 +255,12 @@ class Sim {
       return oldest_arrival(c) + cfg_.flush_window.sec();
     }
     // The serving discipline: the same last-responsible-moment arithmetic
-    // the BatchingEngine's deadline hook runs on the wall clock.
-    return rt::deadline_flush_at(earliest_deadline(c), service_estimate(c),
-                                 cfg_.deadline_margin.sec());
+    // the BatchingEngine's deadline hook runs on the wall clock, with the
+    // known-cost service estimate of the class's next batch.
+    return rt::deadline_flush_at(
+        earliest_deadline(c),
+        service_time(c, std::min(pending_[c], cfg_.max_batch)),
+        cfg_.deadline_margin.sec());
   }
 
   void schedule_class_check(std::size_t c, double now) {
@@ -366,9 +368,7 @@ class Sim {
       last_response_ = std::max(last_response_, respond_at);
       return;  // the worker stays free; its rank does not
     }
-    const double service =
-        cfg_.batch_setup[c].sec() +
-        static_cast<double>(batch.size()) * cfg_.per_item[c].sec();
+    const double service = service_time(c, batch.size());
     worker.busy = true;
     worker.cls = static_cast<RequestClass>(c);
     worker.batch = std::move(batch);
@@ -490,12 +490,24 @@ class Sim {
   ServeStats stats_;
 };
 
+// The variable as a fully parsed, finite number; `fallback` when it is
+// unset or malformed (empty, trailing characters, inf, nan).
 double env_number(const char* name, double fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
   const double v = std::strtod(raw, &end);
-  return end != raw ? v : fallback;
+  return *end == '\0' && std::isfinite(v) ? v : fallback;
+}
+
+// A count or seed: env_number that must also fit T (whole part in
+// [0, T's max]), else `fallback`.
+template <typename T>
+T env_integer(const char* name, T fallback) {
+  const double v = env_number(name, -1.0);
+  const double limit =
+      std::ldexp(1.0, std::numeric_limits<T>::digits);  // T's max + 1
+  return v >= 0.0 && v < limit ? static_cast<T>(v) : fallback;
 }
 
 }  // namespace
@@ -561,15 +573,12 @@ ServeConfig default_serve_config(double load) {
 }
 
 void apply_env_overrides(ServeConfig& config) {
-  config.workers = static_cast<std::size_t>(std::max(
-      1.0,
-      env_number("MH_SERVE_WORKERS", static_cast<double>(config.workers))));
-  config.backend_ranks = static_cast<std::size_t>(std::max(
-      1.0,
-      env_number("MH_SERVE_RANKS", static_cast<double>(config.backend_ranks))));
-  config.max_batch = static_cast<std::size_t>(std::max(
-      1.0,
-      env_number("MH_SERVE_MAX_BATCH", static_cast<double>(config.max_batch))));
+  config.workers = std::max<std::size_t>(
+      1, env_integer("MH_SERVE_WORKERS", config.workers));
+  config.backend_ranks = std::max<std::size_t>(
+      1, env_integer("MH_SERVE_RANKS", config.backend_ranks));
+  config.max_batch = std::max<std::size_t>(
+      1, env_integer("MH_SERVE_MAX_BATCH", config.max_batch));
   config.flush_window =
       SimTime::micros(env_number("MH_SERVE_WINDOW_US",
                                  config.flush_window.us()));
@@ -579,8 +588,7 @@ void apply_env_overrides(ServeConfig& config) {
   config.duration =
       SimTime::seconds(env_number("MH_SERVE_DURATION_S",
                                   config.duration.sec()));
-  config.seed = static_cast<std::uint64_t>(
-      env_number("MH_SERVE_SEED", static_cast<double>(config.seed)));
+  config.seed = env_integer("MH_SERVE_SEED", config.seed);
   const double slo_ms = env_number("MH_SERVE_SLO_MS", 0.0);
   const double load = env_number("MH_SERVE_LOAD", 0.0);
   for (TenantSpec& spec : config.tenants) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -492,6 +493,63 @@ TEST(ClusterSteal, SkewedRunBeatsStaticLocalityMap) {
   EXPECT_DOUBLE_EQ(again.result.makespan.sec(), dyn.result.makespan.sec());
   EXPECT_EQ(again.steals.steals, dyn.steals.steals);
   EXPECT_EQ(again.executed, dyn.executed);
+}
+
+TEST(ClusterSteal, BalancedOneGroupPerNodeRunIsTheStaticRun) {
+  // Static load balancing is the no-steal case of the one scheduler: a
+  // balanced placement of one group per node gives the steal scheduler
+  // nothing profitable to move, so both entry points produce bitwise the
+  // same result.
+  Workload w = make_workload("equiv", kSmall3d, 2400, 4, 1.0, 12);
+  w.group_sizes = even_map(w.tasks, 4);
+  GroupMap gm;
+  gm.nodes = 4;
+  gm.node_of = {0, 1, 2, 3};
+  for (const ComputeMode mode : {ComputeMode::kCpuOnly, ComputeMode::kHybrid}) {
+    auto cfg = base_config(4, mode);
+    cfg.cpu_compute_threads = 15;
+    const ClusterResult st = run_cluster_apply(w, w.group_sizes, cfg);
+    const StealScheduleResult dyn = run_cluster_apply_stealing(w, gm, {}, cfg);
+    ASSERT_TRUE(st.feasible);
+    ASSERT_TRUE(dyn.result.feasible);
+    EXPECT_EQ(dyn.steals.steals, 0u);
+    EXPECT_EQ(dyn.executed, w.group_sizes);
+    EXPECT_EQ(dyn.result.makespan.sec(), st.makespan.sec());
+    ASSERT_EQ(dyn.result.node_times.size(), st.node_times.size());
+    for (std::size_t i = 0; i < st.node_times.size(); ++i) {
+      EXPECT_EQ(dyn.result.node_times[i].sec(), st.node_times[i].sec());
+    }
+    EXPECT_EQ(dyn.result.load_imbalance, st.load_imbalance);
+    EXPECT_EQ(dyn.result.slowest_node_comm.sec(), st.slowest_node_comm.sec());
+    const NodeBreakdown& a = dyn.result.slowest_breakdown;
+    const NodeBreakdown& b = st.slowest_breakdown;
+    EXPECT_EQ(a.cpu_compute.sec(), b.cpu_compute.sec());
+    EXPECT_EQ(a.host_data.sec(), b.host_data.sec());
+    EXPECT_EQ(a.dispatch.sec(), b.dispatch.sec());
+    EXPECT_EQ(a.transfers.sec(), b.transfers.sec());
+    EXPECT_EQ(a.gpu_kernels.sec(), b.gpu_kernels.sec());
+    EXPECT_EQ(a.comm.sec(), b.comm.sec());
+  }
+}
+
+TEST(ClusterSteal, PolicyFromEnvKeepsDefaultsOnMalformedValues) {
+  const StealPolicy defaults;
+  ::setenv("MH_STEAL_VICTIM", "random", 1);
+  ::setenv("MH_STEAL_OWNED_FRACTION", "0.5", 1);
+  StealPolicy p = StealPolicy::from_env();
+  EXPECT_EQ(p.victim, StealPolicy::Victim::kRandom);
+  EXPECT_EQ(p.owned_bytes_fraction, 0.5);
+  // Unknown victim names, trailing characters, out-of-range and non-finite
+  // fractions all keep the defaults, as unset variables do.
+  for (const char* bad : {"0.5x", "1.5", "-0.1", "nan", "inf", ""}) {
+    ::setenv("MH_STEAL_VICTIM", "nearest", 1);
+    ::setenv("MH_STEAL_OWNED_FRACTION", bad, 1);
+    p = StealPolicy::from_env();
+    EXPECT_EQ(p.victim, defaults.victim) << bad;
+    EXPECT_EQ(p.owned_bytes_fraction, defaults.owned_bytes_fraction) << bad;
+  }
+  ::unsetenv("MH_STEAL_VICTIM");
+  ::unsetenv("MH_STEAL_OWNED_FRACTION");
 }
 
 TEST(ClusterSteal, LocalityBiasStealsOwnedGroupsCheaper) {

@@ -243,6 +243,29 @@ TEST(Serve, EnvOverridesParseClampAndDefault) {
   serve::ServeConfig fresh = serve::default_serve_config(0.5);
   serve::apply_env_overrides(fresh);
   EXPECT_DOUBLE_EQ(fresh.tenants[0].arrival_rps, base_arrival);
+
+  // Hostile values keep the default, as unset does: a non-finite duration
+  // would never end the run, a nan window would flush every batch at
+  // once, and a count or seed outside its integer type would wrap.
+  const serve::ServeConfig defaults = serve::default_serve_config(0.5);
+  const struct {
+    const char* name;
+    const char* value;
+  } hostile[] = {
+      {"MH_SERVE_DURATION_S", "inf"}, {"MH_SERVE_WINDOW_US", "nan"},
+      {"MH_SERVE_WORKERS", "1e30"},   {"MH_SERVE_SEED", "4x"},
+      {"MH_SERVE_SEED", "-1"},
+  };
+  for (const auto& h : hostile) {
+    ::setenv(h.name, h.value, 1);
+    serve::ServeConfig c = serve::default_serve_config(0.5);
+    serve::apply_env_overrides(c);
+    ::unsetenv(h.name);
+    EXPECT_EQ(c.duration.sec(), defaults.duration.sec()) << h.name;
+    EXPECT_EQ(c.flush_window.sec(), defaults.flush_window.sec()) << h.name;
+    EXPECT_EQ(c.workers, defaults.workers) << h.name;
+    EXPECT_EQ(c.seed, defaults.seed) << h.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
