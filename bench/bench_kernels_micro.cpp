@@ -129,33 +129,39 @@ int run(int argc, char** argv) {
   }
 
   // One source leaf's tasks in one batch: the blocks of every displacement
-  // in [-2,2]^3, drawn per term from a 5-block table as an operator's are,
-  // so the engine shares mode-prefix GEMMs between items and takes each
-  // prefix node's 5 last-mode children in one wide product. GFLOPS counts
-  // the logical tasks * M * d work, so sharing shows as a higher rate.
-  // k = 5 is the Coulomb input's shape, k = 10 the TDSE one's.
-  for (const std::size_t k : {10, 5}) {
-    const std::size_t d = 3, terms = 8, reach = 2;
+  // in [-reach,reach]^d, drawn per term from a (2*reach+1)-block table as
+  // an operator's are, so the engine shares mode-prefix GEMMs between
+  // items and takes each prefix node's last-mode children in one fan-out
+  // call. GFLOPS counts the logical tasks * M * d work, so sharing shows
+  // as a higher rate. The d = 3 rows at k = 5 and k = 10 are the Coulomb
+  // input's and a TDSE-order shape; the d = 4, k = 10, M = 1 row (81
+  // tasks) is the tdse_d4 input's.
+  for (const auto& [name, d, k, terms, reach] :
+       {std::tuple<const char*, std::size_t, std::size_t, std::size_t,
+                   std::size_t>{"batch_fused_leaf_k10", 3, 10, 8, 2},
+        {"batch_fused_leaf_k5", 3, 5, 8, 2},
+        {"batch_fused_leaf_4d_k10", 4, 10, 1, 1}}) {
     const std::size_t width = 2 * reach + 1;
-    const std::size_t size = k * k * k;
+    std::size_t size = 1, nitems = 1;
+    for (std::size_t m = 0; m < d; ++m) {
+      size *= k;
+      nitems *= width;
+    }
     Rng rng(h.seed_or(6));
     std::vector<double> src(size);
     std::vector<double> hblocks(terms * width * k * k);
     std::vector<double> coeffs(terms, 1.0);
     for (auto& x : src) x = rng.uniform(-1.0, 1.0);
     for (auto& x : hblocks) x = rng.uniform(-1.0, 1.0);
-    const std::size_t nitems = width * width * width;
     std::vector<std::vector<double>> results(nitems,
                                              std::vector<double>(size, 0.0));
     std::vector<std::vector<linalg::GemmMat>> mats(nitems);
     std::vector<linalg::FusedApplyItem> items(nitems);
     for (std::size_t i = 0; i < nitems; ++i) {
-      const std::size_t disp[3] = {i % width, i / width % width,
-                                   i / (width * width)};
       for (std::size_t mu = 0; mu < terms; ++mu) {
-        for (std::size_t m = 0; m < d; ++m) {
+        for (std::size_t m = 0, rest = i; m < d; ++m, rest /= width) {
           mats[i].push_back(linalg::GemmMat{
-              hblocks.data() + (mu * width + disp[m]) * k * k, k, k});
+              hblocks.data() + (mu * width + rest % width) * k * k, k, k});
         }
       }
       items[i].src = src.data();
@@ -166,7 +172,7 @@ int run(int argc, char** argv) {
     const double flops =
         static_cast<double>(nitems) * gpu::ApplyTaskShape{d, k, terms}.flops();
     linalg::GemmWorkspace ws;
-    record(h, t, "batch_fused_leaf_k" + std::to_string(k), flops, [&] {
+    record(h, t, name, flops, [&] {
       linalg::batch_fused_apply(d, k, items, ws);
     });
   }

@@ -43,7 +43,9 @@ int main() {
   // ApplyStats counts the logical tasks * M * d GEMMs. The engine computes
   // fewer prefix nodes, since each leaf's tasks share their mode-prefix
   // intermediates, and runs fewer kernel calls still, since the last-mode
-  // children of one prefix node are one wide product. Kernel calls also
+  // children of one prefix node are one fan-out call: it packs the prefix
+  // intermediate once, reads the children's blocks in place and adds each
+  // scaled product into its task's result from registers. Kernel calls also
   // count sum_down's d slab transforms per interior node of the result
   // that holds nonzero coefficients (all-zero ones are skipped).
   ops::ApplyStats full;

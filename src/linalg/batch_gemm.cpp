@@ -14,6 +14,114 @@
 
 namespace mh::linalg {
 namespace detail {
+namespace {
+
+// Tile epilogues, as in batch_gemm_avx2.cpp: where a finished accumulator
+// element of block s (panel row r, column j) goes.
+
+// mtxm: one block, c += acc, c already offset to the panel's first row.
+struct AddInto {
+  double* c;
+  std::size_t ldc;
+
+  void operator()(std::size_t, std::size_t r, std::size_t j,
+                  double x) const {
+    c[r * ldc + j] += x;
+  }
+};
+
+// Fan-out: result += coeff * (0.0 + acc) for every target of block s.
+struct ScaledAddInto {
+  const std::size_t* start;
+  const FanOutTarget* targets;
+  std::size_t row0;
+  std::size_t k;
+
+  void operator()(std::size_t s, std::size_t r, std::size_t j,
+                  double x) const {
+    const double z = 0.0 + x;
+    const std::size_t off = row0 + r * k + j;
+    for (std::size_t t = start[s]; t < start[s + 1]; ++t)
+      targets[t].result[off] += targets[t].coeff * z;
+  }
+};
+
+void pack_panel(std::size_t kc, const double* a, std::size_t dimi,
+                std::size_t i0, std::size_t rows, double* apack) {
+  for (std::size_t k = 0; k < kc; ++k) {
+    const double* ak = a + k * dimi + i0;
+    double* p = apack + 4 * k;
+    p[0] = ak[0];
+    p[1] = rows > 1 ? ak[1] : 0.0;
+    p[2] = rows > 2 ? ak[2] : 0.0;
+    p[3] = rows > 3 ? ak[3] : 0.0;
+  }
+}
+
+// Every tile of one packed panel across n (kc, width) blocks: each
+// block's 4x8 and 4x4 tiles, then the columns left in every block as one
+// run of column vectors.
+template <class Epi>
+void panel_tiles(std::size_t kc, const double* apack,
+                 const double* const* blocks, std::size_t n,
+                 std::size_t width, std::size_t rows, const Epi& epi) {
+  const std::size_t tiled = width - width % 4;
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* b = blocks[s];
+    std::size_t j0 = 0;
+    for (; j0 + 8 <= tiled; j0 += 8) {
+      double acc[4][8] = {};
+      for (std::size_t k = 0; k < kc; ++k) {
+        const double* bk = b + k * width + j0;
+        const double* apk = apack + 4 * k;
+        for (std::size_t r = 0; r < 4; ++r) {
+          const double av = apk[r];
+          for (std::size_t t = 0; t < 8; ++t) acc[r][t] += av * bk[t];
+        }
+      }
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t t = 0; t < 8; ++t) epi(s, r, j0 + t, acc[r][t]);
+    }
+    if (j0 < tiled) {
+      double acc[4][4] = {};
+      for (std::size_t k = 0; k < kc; ++k) {
+        const double* bk = b + k * width + j0;
+        const double* apk = apack + 4 * k;
+        for (std::size_t r = 0; r < 4; ++r) {
+          const double av = apk[r];
+          for (std::size_t t = 0; t < 4; ++t) acc[r][t] += av * bk[t];
+        }
+      }
+      for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t t = 0; t < 4; ++t) epi(s, r, j0 + t, acc[r][t]);
+    }
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t j = tiled; j < width; ++j) {
+      double acc[4] = {};
+      for (std::size_t k = 0; k < kc; ++k) {
+        for (std::size_t r = 0; r < 4; ++r)
+          acc[r] += apack[4 * k + r] * blocks[s][k * width + j];
+      }
+      for (std::size_t r = 0; r < rows; ++r) epi(s, r, j, acc[r]);
+    }
+  }
+}
+
+// Packs each 4-row panel of a once and runs it over all n blocks;
+// epi_at(i0) is the epilogue of the panel whose first row is i0.
+template <class EpiAt>
+void panels(std::size_t dimi, std::size_t kc, const double* a,
+            const double* const* blocks, std::size_t n, std::size_t width,
+            double* apack, const EpiAt& epi_at) {
+  for (std::size_t i0 = 0; i0 < dimi; i0 += 4) {
+    const std::size_t rows = std::min<std::size_t>(4, dimi - i0);
+    pack_panel(kc, a, dimi, i0, rows, apack);
+    panel_tiles(kc, apack, blocks, n, width, rows, epi_at(i0));
+  }
+}
+
+}  // namespace
 
 // Portable mirror of the AVX2 macro/micro structure in batch_gemm_avx2.cpp:
 // identical packing, identical 4x8 / 4x4 / column-vector tail tiling,
@@ -22,58 +130,17 @@ namespace detail {
 void mtxm_portable(std::size_t dimi, std::size_t dimj, std::size_t kc,
                    double* c, const double* a, const double* b,
                    double* apack) {
-  for (std::size_t i0 = 0; i0 < dimi; i0 += 4) {
-    const std::size_t rows = std::min<std::size_t>(4, dimi - i0);
-    for (std::size_t k = 0; k < kc; ++k) {
-      const double* ak = a + k * dimi + i0;
-      double* p = apack + 4 * k;
-      p[0] = ak[0];
-      p[1] = rows > 1 ? ak[1] : 0.0;
-      p[2] = rows > 2 ? ak[2] : 0.0;
-      p[3] = rows > 3 ? ak[3] : 0.0;
-    }
-    double* ci = c + i0 * dimj;
-    std::size_t j0 = 0;
-    for (; j0 + 8 <= dimj; j0 += 8) {
-      double acc[4][8] = {};
-      for (std::size_t k = 0; k < kc; ++k) {
-        const double* bk = b + k * dimj + j0;
-        const double* apk = apack + 4 * k;
-        for (std::size_t r = 0; r < 4; ++r) {
-          const double av = apk[r];
-          for (std::size_t t = 0; t < 8; ++t) acc[r][t] += av * bk[t];
-        }
-      }
-      for (std::size_t r = 0; r < rows; ++r) {
-        double* cr = ci + r * dimj + j0;
-        for (std::size_t t = 0; t < 8; ++t) cr[t] += acc[r][t];
-      }
-    }
-    if (j0 + 4 <= dimj) {
-      double acc[4][4] = {};
-      for (std::size_t k = 0; k < kc; ++k) {
-        const double* bk = b + k * dimj + j0;
-        const double* apk = apack + 4 * k;
-        for (std::size_t r = 0; r < 4; ++r) {
-          const double av = apk[r];
-          for (std::size_t t = 0; t < 4; ++t) acc[r][t] += av * bk[t];
-        }
-      }
-      for (std::size_t r = 0; r < rows; ++r) {
-        double* cr = ci + r * dimj + j0;
-        for (std::size_t t = 0; t < 4; ++t) cr[t] += acc[r][t];
-      }
-      j0 += 4;
-    }
-    for (; j0 < dimj; ++j0) {
-      double acc[4] = {};
-      for (std::size_t k = 0; k < kc; ++k) {
-        for (std::size_t r = 0; r < 4; ++r)
-          acc[r] += apack[4 * k + r] * b[k * dimj + j0];
-      }
-      for (std::size_t r = 0; r < rows; ++r) ci[r * dimj + j0] += acc[r];
-    }
-  }
+  panels(dimi, kc, a, &b, 1, dimj, apack,
+         [&](std::size_t i0) { return AddInto{c + i0 * dimj, dimj}; });
+}
+
+void fan_out_portable(std::size_t dimi, std::size_t k, std::size_t kc,
+                      const double* a, const double* const* blocks,
+                      std::size_t n, const std::size_t* start,
+                      const FanOutTarget* targets, double* apack) {
+  panels(dimi, kc, a, blocks, n, k, apack, [&](std::size_t i0) {
+    return ScaledAddInto{start, targets, i0 * k, k};
+  });
 }
 
 }  // namespace detail
@@ -89,12 +156,34 @@ detail::MTxmKernelFn pick_kernel() noexcept {
 
 detail::MTxmKernelFn g_kernel = pick_kernel();
 
+detail::FanOutKernelFn pick_fan_out() noexcept {
+#if defined(MH_LINALG_HAVE_AVX2_TU)
+  if (g_kernel == detail::mtxm_avx2) return detail::fan_out_avx2;
+#endif
+  return detail::fan_out_portable;
+}
+
+detail::FanOutKernelFn g_fan_out = pick_fan_out();
+
 // Central packed-GEMM call: every engine entry point funnels through here.
 void run_packed(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
                 const double* a, const double* b, GemmWorkspace& ws) {
   if (dimi == 0 || dimj == 0) return;
   double* apack = ws.pack_a(4 * std::max<std::size_t>(kc, 1));
   g_kernel(dimi, dimj, kc, c, a, b, apack);
+  BatchGemmStats& st = ws.stats();
+  st.packed_gemms += 1;
+  st.packed_doubles += ((dimi + 3) / 4) * 4 * kc;
+}
+
+// batch_fused_apply's last mode: one packed-GEMM call, counted like
+// run_packed's, over n blocks and their slot lists (see the kernel header).
+void run_fan_out(std::size_t dimi, std::size_t k, std::size_t kc,
+                 const double* a, const double* const* blocks, std::size_t n,
+                 const std::size_t* start, const FanOutTarget* targets,
+                 GemmWorkspace& ws) {
+  double* apack = ws.pack_a(4 * std::max<std::size_t>(kc, 1));
+  g_fan_out(dimi, k, kc, a, blocks, n, start, targets, apack);
   BatchGemmStats& st = ws.stats();
   st.packed_gemms += 1;
   st.packed_doubles += ((dimi + 3) / 4) * 4 * kc;
@@ -125,6 +214,10 @@ GemmWorkspace& thread_workspace() {
   thread_local GemmWorkspace ws;
   return ws;
 }
+
+namespace detail {
+FanOutKernelFn fan_out_kernel() noexcept { return g_fan_out; }
+}  // namespace detail
 
 bool packed_kernels_use_avx2() noexcept {
 #if defined(MH_LINALG_HAVE_AVX2_TU)
@@ -221,8 +314,6 @@ void batch_fused_apply(std::size_t d, std::size_t k,
   // All buffers are sized up front, so no ensure() moves data in use.
   // stack + m*size holds the current mode-0..m intermediate, m < d - 1.
   double* stack = ws.prefix((d - 1) * size);
-  double* fan_b = ws.fan_b(k * widest * k);
-  double* fan_c = ws.fan_c(size * widest);
   // Sharing key of an item for the current term: (src, kc, d block
   // pointers). Items sharing the first j + 2 words share the mode-0..j-1
   // intermediate; the first d + 1 words name the fan-out group.
@@ -231,6 +322,8 @@ void batch_fused_apply(std::size_t d, std::size_t k,
   sc.keys.resize(items.size() * width);
   sc.fan_blocks.resize(widest);
   sc.fan_slot.resize(items.size());
+  sc.fan_start.resize(widest + 2);
+  sc.fan_targets.resize(items.size());
   sc.kc_start.resize(k + 2);
   const auto row = [&](std::size_t i) { return sc.keys.data() + i * width; };
   const auto fill_key = [&](std::size_t i, std::size_t mu) {
@@ -294,7 +387,7 @@ void batch_fused_apply(std::size_t d, std::size_t k,
       }
       // The fan-out group: the following items below the same mode-(d-2)
       // node, up to `widest` distinct last blocks; duplicates share a
-      // column block.
+      // slot.
       std::size_t n = 0;
       std::size_t end = pos;
       for (; end < count; ++end) {
@@ -310,35 +403,24 @@ void batch_fused_apply(std::size_t d, std::size_t k,
         }
         sc.fan_slot[end - pos] = slot;
       }
-      // Last mode: one (rest, kc) x (kc, n*k) product over the blocks side
-      // by side (rows >= kc are never read).
-      const std::size_t cols = n * k;
-      const double* b = sc.fan_blocks[0];
-      if (n > 1) {
-        for (std::size_t r = 0; r < kc; ++r) {
-          for (std::size_t j = 0; j < n; ++j) {
-            std::memcpy(fan_b + r * cols + j * k, sc.fan_blocks[j] + r * k,
-                        k * sizeof(double));
-          }
-        }
-        b = fan_b;
-      }
-      const double* cur = d == 1 ? lead.src : stack + (d - 2) * size;
-      std::memset(fan_c, 0, rest * cols * sizeof(double));
-      run_packed(rest, cols, kc, fan_c, cur, b, ws);
-      st.prefix_nodes += n;
-      // Same expression Tensor::gaxpy(1.0, contrib, coeff) evaluates per
-      // element; with contraction off this is one mul + one add, bitwise
-      // equal to the composed path.
+      // Each block's slot list: the items that read it, grouped by slot
+      // with a counting pass that leaves fan_start[s] at slot s's start.
+      std::fill_n(sc.fan_start.begin(), n + 2, 0);
+      for (std::size_t q = pos; q < end; ++q)
+        ++sc.fan_start[sc.fan_slot[q - pos] + 2];
+      for (std::size_t s = 2; s < n + 2; ++s)
+        sc.fan_start[s] += sc.fan_start[s - 1];
       for (std::size_t q = pos; q < end; ++q) {
         const FusedApplyItem& item = items[sc.term_order[q]];
-        const double cmu = item.coeffs[mu];
-        const double* chain = fan_c + sc.fan_slot[q - pos] * k;
-        double* out = item.result;
-        for (std::size_t r = 0; r < rest; ++r, out += k, chain += cols) {
-          for (std::size_t t = 0; t < k; ++t) out[t] += cmu * chain[t];
-        }
+        sc.fan_targets[sc.fan_start[sc.fan_slot[q - pos] + 1]++] = {
+            item.result, item.coeffs[mu]};
       }
+      // Last mode: one packed pass over the n blocks in place, adding
+      // coeffs[mu] * chain into each result from the tile's registers.
+      const double* cur = d == 1 ? lead.src : stack + (d - 2) * size;
+      run_fan_out(rest, k, kc, cur, sc.fan_blocks.data(), n,
+                  sc.fan_start.data(), sc.fan_targets.data(), ws);
+      st.prefix_nodes += n;
       prev = key;
       pos = end;
     }

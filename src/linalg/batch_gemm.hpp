@@ -10,7 +10,7 @@
 //   - runs explicit 4 x 8 register-tile microkernels over the packed panels
 //     (AVX2 on x86-64 when the CPU has it, a same-order portable tile
 //     otherwise), with k-specialized dispatch for the paper's common k so
-//     the contraction loop is fully unrolled,
+//     the contraction loop has a compile-time trip count,
 //   - fuses the whole M * d transform chain of one Apply task into a single
 //     packed pass over workspace buffers — zero allocations after warm-up —
 //     instead of M * d mTxm calls with fresh temporaries,
@@ -20,9 +20,12 @@
 //     source leaf (whose displacements share leading components) run it
 //     once instead of once per task,
 //   - fans out the last mode: the tasks below one mode-(d-2) prefix node
-//     differ only in their last block, so their last mode is ONE wide
-//     (k^{d-1}, kc) x (kc, n*k) product over the n distinct last blocks
-//     placed side by side, not n narrow (k^{d-1}, kc) x (kc, k) ones.
+//     differ only in their last block, so their last mode is ONE fused
+//     kernel call over the n distinct last blocks, not n separate GEMMs:
+//     it packs each 4-row panel of the shared intermediate once, walks the
+//     blocks in place, and in each tile's epilogue adds coeff * product
+//     straight from registers into every task result that reads the block
+//     — no product buffer and no separate accumulation pass.
 //
 // Sharing is complete when, for every term, an item's block in mode m is a
 // function of one per-mode identity that term 0's block also determines —
@@ -64,10 +67,17 @@ struct GemmMat {
 struct BatchGemmStats {
   std::size_t packed_gemms = 0;   ///< microkernel GEMMs executed
   /// batch_fused_apply's distinct (src, kc, h_0..h_j) prefix nodes
-  /// computed; a fan-out product computes n last-mode nodes in one call.
+  /// computed; a fan-out call computes n last-mode nodes in one call.
   std::size_t prefix_nodes = 0;
   std::size_t fused_chains = 0;   ///< whole-task fused passes
   std::size_t packed_doubles = 0; ///< doubles staged through pack buffers
+};
+
+/// One result a fan-out kernel call adds a scaled product into: a task's
+/// (k^{d-1}, k) result and its term's coefficient (see batch_fused_apply).
+struct FanOutTarget {
+  double* result = nullptr;
+  double coeff = 0.0;
 };
 
 /// Grow-only aligned scratch arena for packed panels, fused-chain
@@ -85,14 +95,12 @@ class GemmWorkspace {
   double* pong(std::size_t n) { return pong_.ensure(n); }
   /// batch_fused_apply's stack of d - 1 mode-prefix intermediates.
   double* prefix(std::size_t n) { return prefix_.ensure(n); }
-  /// batch_fused_apply's fan-out operands: the last-mode blocks side by
-  /// side (fan_b) and the wide product they produce (fan_c).
-  double* fan_b(std::size_t n) { return fan_b_.ensure(n); }
-  double* fan_c(std::size_t n) { return fan_c_.ensure(n); }
 
   /// batch_fused_apply's grow-only bookkeeping: the items' sharing keys,
   /// their one ordering per call, its per-term regrouping by contraction
-  /// length, and one fan-out group's distinct last blocks.
+  /// length, and one fan-out group's distinct last blocks (its slots),
+  /// each item's slot, and the slot lists the kernel epilogue adds into:
+  /// slot s's targets are fan_targets[fan_start[s] .. fan_start[s + 1]).
   struct ShareScratch {
     std::vector<std::uintptr_t> keys;
     std::vector<std::size_t> order;
@@ -100,6 +108,8 @@ class GemmWorkspace {
     std::vector<std::size_t> kc_start;
     std::vector<const double*> fan_blocks;
     std::vector<std::size_t> fan_slot;
+    std::vector<std::size_t> fan_start;
+    std::vector<FanOutTarget> fan_targets;
   };
   ShareScratch& share_scratch() noexcept { return share_; }
 
@@ -119,8 +129,6 @@ class GemmWorkspace {
   Buffer ping_;
   Buffer pong_;
   Buffer prefix_;
-  Buffer fan_b_;
-  Buffer fan_c_;
   ShareScratch share_;
   BatchGemmStats stats_;
 };
@@ -179,11 +187,12 @@ struct FusedApplyItem {
   double* result = nullptr;         ///< k^d accumulation target
 };
 
-/// Most last-mode blocks one fan-out product places side by side:
-/// n <= k, so the wide B is at most a (k, k^2) panel (k^3 doubles, 8 KB at
-/// k = 10, re-read from cache by every 4-row tile) and the wide product at
-/// most k cubes (k^{d+1} doubles). An operator prefix node has one child per
-/// screened last displacement component, at most 2 * max_disp + 1.
+/// Most distinct last-mode blocks one fan-out call walks under a packed
+/// panel: n <= k keeps the group's blocks within k^3 doubles (8 KB at
+/// k = 10), so every 4-row panel re-reads them from L1 as it sweeps them.
+/// A longer run is split into several calls. An operator prefix node has
+/// one child per screened last displacement component, at most
+/// 2 * max_disp + 1.
 constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
 
 /// Batched entry point: every item's fused chain through one workspace,
@@ -197,19 +206,22 @@ constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
 /// it with a stack of d - 1 intermediates (in the workspace), recomputed
 /// only from the first mode where an item's key differs from the one
 /// before. The run of items below one mode-(d-2) node then takes its last
-/// mode as one (k^{d-1}, kc) x (kc, n*k) product over its n distinct last
-/// blocks side by side (n <= fan_out_limit(k); n = 1 is the block itself),
-/// and each item accumulates result += coeffs[mu] * chain from its own
-/// k-column block of that product. So a batch of the tasks of one source
-/// leaf runs one GEMM per distinct (src, kc, h_0..h_j) node of modes
-/// 0..d-2 plus one per fan-out group, instead of d per item per term.
+/// mode as one fused kernel call over its n distinct last blocks
+/// (n <= fan_out_limit(k)): each 4-row panel of the mode-(d-2)
+/// intermediate is packed once, the blocks are read in place, and each
+/// tile's epilogue adds coeffs[mu] * (0.0 + acc) into the result of every
+/// item that reads that block (duplicate blocks share a slot). So a batch
+/// of the tasks of one source leaf runs one GEMM per distinct
+/// (src, kc, h_0..h_j) node of modes 0..d-2 plus one per fan-out group,
+/// instead of d per item per term, and no product is ever stored.
 ///
 /// Every output element sees the same packed-kernel operation sequence as
-/// in the item's own chain, and each result receives its terms in
-/// ascending mu, so every result is bitwise equal to that item's
-/// fused_apply_chain and to the mTxm_reduced_ref composition, whatever the
-/// grouping. Results must not overlap each other or any src. Warm calls
-/// allocate nothing: all scratch lives in `ws` and only grows.
+/// in the item's own chain, `0.0 + acc` being the add into a zeroed
+/// product, and each result receives its terms in ascending mu, so every
+/// result is bitwise equal to that item's fused_apply_chain and to the
+/// mTxm_reduced_ref composition, whatever the grouping. Results must not
+/// overlap each other or any src. Warm calls allocate nothing: all scratch
+/// lives in `ws` and only grows.
 void batch_fused_apply(std::size_t d, std::size_t k,
                        std::span<const FusedApplyItem> items,
                        GemmWorkspace& ws);

@@ -28,9 +28,10 @@ struct ApplyTask {
 /// and the simulators' cost models consume. The work actually executed is
 /// less: batch_fused_apply computes each mode-prefix intermediate a leaf's
 /// tasks share once (linalg::BatchGemmStats::prefix_nodes) and takes the
-/// last-mode children of one prefix node in one wide product, so its kernel
-/// calls (BatchGemmStats::packed_gemms) are fewer still. Both are counted
-/// in the workspace of each thread that ran tasks.
+/// last-mode children of one prefix node in one fan-out kernel call, which
+/// adds each child's scaled product straight into its task's result, so its
+/// kernel calls (BatchGemmStats::packed_gemms) are fewer still. Both are
+/// counted in the workspace of each thread that ran tasks.
 struct ApplyStats {
   std::size_t tasks = 0;       ///< (leaf, displacement) pairs executed
   std::size_t gemms = 0;       ///< logical small GEMMs (tasks * M * d)

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <set>
 #include <span>
@@ -675,9 +676,9 @@ TEST(BatchGemm, WarmCallsAllocateNothing) {
   const auto storage = [&ws] {
     const GemmWorkspace::ShareScratch& sc = ws.share_scratch();
     return std::vector<const void*>{
-        ws.pack_a(0), ws.prefix(0), ws.fan_b(0), ws.fan_c(0),
-        sc.keys.data(), sc.order.data(), sc.kc_start.data(),
-        sc.term_order.data(), sc.fan_blocks.data(), sc.fan_slot.data()};
+        ws.pack_a(0), ws.prefix(0), sc.keys.data(), sc.order.data(),
+        sc.kc_start.data(), sc.term_order.data(), sc.fan_blocks.data(),
+        sc.fan_slot.data(), sc.fan_start.data(), sc.fan_targets.data()};
   };
   batch_fused_apply(3, k, items, ws);
   const std::vector<const void*> warm = storage();
@@ -708,6 +709,99 @@ TEST(BatchGemm, WideLastModeShapesAgreeBitwise) {
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(packed[i], ref[i]) << di << "x" << dj << " element " << i;
       ASSERT_EQ(portable[i], ref[i]) << di << "x" << dj << " element " << i;
+    }
+  }
+}
+
+TEST(BatchGemm, FanOutEpilogueKernelsAgreeBitwise) {
+  // The fused last-mode kernel, portable and dispatched, against mTxm_ref
+  // into a zeroed product followed by the gaxpy result + coeff * chain.
+  // Each block is its own allocation read in place, so a tile that reads
+  // past a block's k columns shows up under ASan. Slot 0 has two items
+  // with different coefficients; dimi = 25 leaves a row tail.
+  for (const auto& [dimi, k] :
+       {std::pair<std::size_t, std::size_t>{25, 5}, {1000, 10}}) {
+    Rng rng(dimi + k);
+    const auto a = random_matrix(k, dimi, rng);
+    for (std::size_t n = 1; n <= k; ++n) {
+      std::vector<std::vector<double>> blocks;
+      std::vector<const double*> block_ptrs;
+      for (std::size_t s = 0; s < n; ++s) {
+        blocks.push_back(random_matrix(k, k, rng));
+        block_ptrs.push_back(blocks.back().data());
+      }
+      // Targets grouped by slot: slot 0 has two, every other slot one.
+      std::vector<std::size_t> start{0, 2};
+      for (std::size_t s = 1; s < n; ++s) start.push_back(start.back() + 1);
+      const std::size_t count = start.back();
+      std::vector<double> coeffs;
+      for (std::size_t t = 0; t < count; ++t)
+        coeffs.push_back(rng.uniform(-2.0, 2.0));
+      std::vector<std::vector<double>> init;
+      for (std::size_t t = 0; t < count; ++t)
+        init.push_back(random_matrix(dimi, k, rng));
+      for (const std::size_t kc : {k, k - 2, std::size_t{1}}) {
+        std::vector<std::vector<double>> ref = init;
+        for (std::size_t s = 0; s < n; ++s) {
+          std::vector<double> chain(dimi * k, 0.0);
+          mTxm_reduced_ref(dimi, k, k, kc, chain.data(), a.data(),
+                           blocks[s].data());
+          for (std::size_t t = start[s]; t < start[s + 1]; ++t) {
+            for (std::size_t e = 0; e < chain.size(); ++e)
+              ref[t][e] = 1.0 * ref[t][e] + coeffs[t] * chain[e];
+          }
+        }
+        for (const detail::FanOutKernelFn kernel :
+             {detail::fan_out_portable, detail::fan_out_kernel()}) {
+          std::vector<std::vector<double>> got = init;
+          std::vector<FanOutTarget> targets;
+          for (std::size_t t = 0; t < count; ++t)
+            targets.push_back({got[t].data(), coeffs[t]});
+          std::vector<double> apack(4 * k);
+          kernel(dimi, k, kc, a.data(), block_ptrs.data(), n, start.data(),
+                 targets.data(), apack.data());
+          for (std::size_t t = 0; t < count; ++t) {
+            for (std::size_t e = 0; e < got[t].size(); ++e) {
+              ASSERT_EQ(got[t][e], ref[t][e])
+                  << dimi << "x" << k << " n " << n << " kc " << kc
+                  << " target " << t << " element " << e;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Exact zeros: an all-zero A over results of -0.0. Each element becomes
+  // -0.0 + coeff * (+0.0), whose sign depends on the coefficient's;
+  // ASSERT_EQ cannot tell -0 from +0, so compare bytes.
+  const std::size_t dimi = 9, k = 5;
+  const std::vector<double> zero_a(k * dimi, 0.0);
+  Rng rng(3);
+  const auto block = random_matrix(k, k, rng);
+  const double* block_ptr = block.data();
+  const std::size_t start[2] = {0, 2};
+  const double coeffs[2] = {0.75, -0.75};
+  for (const detail::FanOutKernelFn kernel :
+       {detail::fan_out_portable, detail::fan_out_kernel()}) {
+    std::vector<std::vector<double>> got(2,
+                                         std::vector<double>(dimi * k, -0.0));
+    std::vector<std::vector<double>> ref = got;
+    std::vector<double> chain(dimi * k, 0.0);
+    mTxm_ref(dimi, k, k, chain.data(), zero_a.data(), block.data());
+    for (std::size_t t = 0; t < 2; ++t) {
+      for (std::size_t e = 0; e < chain.size(); ++e)
+        ref[t][e] = 1.0 * ref[t][e] + coeffs[t] * chain[e];
+    }
+    const FanOutTarget targets[2] = {{got[0].data(), coeffs[0]},
+                                     {got[1].data(), coeffs[1]}};
+    std::vector<double> apack(4 * k);
+    kernel(dimi, k, k, zero_a.data(), &block_ptr, 1, start, targets,
+           apack.data());
+    for (std::size_t t = 0; t < 2; ++t) {
+      EXPECT_EQ(std::memcmp(got[t].data(), ref[t].data(),
+                            got[t].size() * sizeof(double)),
+                0)
+          << "target " << t;
     }
   }
 }
