@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/diagnostics.hpp"
+#include "common/env.hpp"
 #include "common/hash.hpp"
 #include "obs/health.hpp"
 #include "runtime/dispatch.hpp"
@@ -672,13 +673,8 @@ StealPolicy StealPolicy::from_env() {
       policy.victim = Victim::kLocalityBiased;
     }
   }
-  if (const char* v = std::getenv("MH_STEAL_OWNED_FRACTION")) {
-    char* end = nullptr;
-    const double f = std::strtod(v, &end);
-    if (end != v && *end == '\0' && f >= 0.0 && f <= 1.0) {
-      policy.owned_bytes_fraction = f;
-    }
-  }
+  const double f = env_number("MH_STEAL_OWNED_FRACTION", -1.0);
+  if (f >= 0.0 && f <= 1.0) policy.owned_bytes_fraction = f;
   return policy;
 }
 

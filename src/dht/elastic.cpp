@@ -1,21 +1,11 @@
 #include "dht/elastic.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <string>
 
 namespace mh::dht {
-
-std::size_t replication_from_env(std::size_t fallback) {
-  const char* value = std::getenv("MH_REPLICATION");
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < 1) return fallback;
-  return static_cast<std::size_t>(parsed);
-}
 
 namespace {
 

@@ -19,9 +19,6 @@
 // state and restore() rebuilds it into a world of any size — the
 // checkpoint/restart leg of the recovery protocol when replication alone
 // cannot recover (R=1, or multiple holders lost between repairs).
-//
-// Environment conventions: MH_REPLICATION overrides the default replication
-// factor R where a caller opts in via replication_from_env().
 #pragma once
 
 #include <cstddef>
@@ -40,10 +37,6 @@
 #include "mra/function.hpp"
 
 namespace mh::dht {
-
-/// MH_REPLICATION parsed as a replication factor (>= 1); `fallback` when
-/// unset or unparsable.
-std::size_t replication_from_env(std::size_t fallback = 2);
 
 /// Communication accounting: every store operation is issued from a rank,
 /// and touching a copy held elsewhere is one active message.

@@ -43,8 +43,7 @@
 //
 // Thread model: kernels are stateless; all scratch lives in a GemmWorkspace.
 // One workspace per thread (thread_workspace()) makes every pool worker
-// contention-free — the property the work-stealing ThreadPool preserves on
-// the dispatch side.
+// contention-free.
 #pragma once
 
 #include <cstddef>

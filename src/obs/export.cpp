@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace mh::obs {
 namespace {
 
@@ -33,26 +35,6 @@ void format_number(std::ostream& os, double v) {
     std::snprintf(buf, sizeof buf, "%.10g", v);
   }
   os << buf;
-}
-
-void json_escape(std::ostream& os, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          os << hex;
-        } else {
-          os << c;
-        }
-    }
-  }
 }
 
 // "{k1="v1",k2="v2"}" with exposition-format escaping, or "" if no labels.
@@ -174,13 +156,12 @@ void write_json(std::ostream& os,
   for (const MetricsRegistry::Sample& s : samples) {
     if (!first_sample) os << ",";
     first_sample = false;
-    os << "\n{\"name\":\"";
-    json_escape(os, s.name);
-    os << "\",\"kind\":\"" << kind_name(s.kind) << "\"";
+    os << "\n{\"name\":";
+    json::write_escaped(os, s.name);
+    os << ",\"kind\":\"" << kind_name(s.kind) << "\"";
     if (!s.help.empty()) {
-      os << ",\"help\":\"";
-      json_escape(os, s.help);
-      os << "\"";
+      os << ",\"help\":";
+      json::write_escaped(os, s.help);
     }
     if (!s.labels.empty()) {
       os << ",\"labels\":{";
@@ -188,11 +169,9 @@ void write_json(std::ostream& os,
       for (const auto& [key, value] : s.labels) {
         if (!first_label) os << ",";
         first_label = false;
-        os << "\"";
-        json_escape(os, key);
-        os << "\":\"";
-        json_escape(os, value);
-        os << "\"";
+        json::write_escaped(os, key);
+        os << ":";
+        json::write_escaped(os, value);
       }
       os << "}";
     }

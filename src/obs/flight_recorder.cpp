@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "common/env.hpp"
 #include "obs/metrics.hpp"
 
 namespace mh::obs {
@@ -71,10 +72,8 @@ FlightRecorder* FlightRecorder::arm_from_env() {
   if (path == nullptr || *path == '\0') return nullptr;
   Config cfg;
   cfg.path = path;
-  if (const char* spans = std::getenv("MH_FLIGHT_RECORDER_SPANS")) {
-    const long v = std::atol(spans);
-    if (v > 0) cfg.spans_per_thread = static_cast<std::size_t>(v);
-  }
+  const auto spans = env_integer<std::size_t>("MH_FLIGHT_RECORDER_SPANS", 0);
+  if (spans > 0) cfg.spans_per_thread = spans;
   return arm(std::move(cfg));
 }
 

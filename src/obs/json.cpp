@@ -233,4 +233,14 @@ void write_escaped(std::ostream& os, std::string_view s) {
   os << '"';
 }
 
+void write_number(std::ostream& os, double v) {
+  if (!std::isfinite(v)) {
+    os << "0";
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  os << buf;
+}
+
 }  // namespace mh::obs::json

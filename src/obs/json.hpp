@@ -62,4 +62,8 @@ bool parse(std::string_view text, JsonValue* out, std::string* error);
 /// Escape and double-quote `s` as a JSON string.
 void write_escaped(std::ostream& os, std::string_view s);
 
+/// `v` as a JSON number with six significant digits ("%.6g"); non-finite
+/// values, which JSON cannot hold, are written as 0.
+void write_number(std::ostream& os, double v);
+
 }  // namespace mh::obs::json

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace mh::obs {
@@ -34,36 +35,6 @@ struct CacheEntry {
   std::uint32_t thread_track = 0;
 };
 thread_local std::vector<CacheEntry> t_buffer_cache;
-
-void json_escape(std::ostream& os, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          os << hex;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-void json_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "0";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
-}
 
 // Subsystem a track belongs to, derived from its name. Emitted as the
 // second component of the Chrome "cat" field so Perfetto can filter by
@@ -458,15 +429,16 @@ void write_merged_chrome_trace(std::ostream& os,
     std::scoped_lock lock(session->mu_);
     sep();
     os << "{\"ph\":\"M\",\"pid\":" << wall_pid
-       << ",\"name\":\"process_name\",\"args\":{\"name\":\"";
-    json_escape(os, label.empty() ? "wall-clock" : label + " wall-clock");
-    os << "\"}}";
+       << ",\"name\":\"process_name\",\"args\":{\"name\":";
+    json::write_escaped(os,
+                        label.empty() ? "wall-clock" : label + " wall-clock");
+    os << "}}";
     sep();
     os << "{\"ph\":\"M\",\"pid\":" << sim_pid
-       << ",\"name\":\"process_name\",\"args\":{\"name\":\"";
-    json_escape(os,
-                label.empty() ? "simulated-time" : label + " simulated-time");
-    os << "\"}}";
+       << ",\"name\":\"process_name\",\"args\":{\"name\":";
+    json::write_escaped(
+        os, label.empty() ? "simulated-time" : label + " simulated-time");
+    os << "}}";
 
     // Truncation signal: spans evicted by ring-buffer recycling. Emitted
     // only when non-zero so unbounded sessions keep the historical file
@@ -488,9 +460,9 @@ void write_merged_chrome_trace(std::ostream& os,
       subsystem[t.id] = track_subsystem(t.name);
       sep();
       os << "{\"ph\":\"M\",\"pid\":" << pid_of(t.domain) << ",\"tid\":" << t.id
-         << ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-      json_escape(os, t.name);
-      os << "\"}}";
+         << ",\"name\":\"thread_name\",\"args\":{\"name\":";
+      json::write_escaped(os, t.name);
+      os << "}}";
     }
 
     double max_ts = 0.0;
@@ -498,26 +470,26 @@ void write_merged_chrome_trace(std::ostream& os,
       sep();
       os << "{\"ph\":\"X\",\"pid\":" << pid_of(s.domain)
          << ",\"tid\":" << s.track << ",\"ts\":";
-      json_number(os, s.start_us);
+      json::write_number(os, s.start_us);
       os << ",\"dur\":";
-      json_number(os, std::max(s.dur_us, 0.0));
-      os << ",\"name\":\"";
-      json_escape(os, s.name != nullptr ? s.name : "span");
-      os << "\",\"cat\":\"" << category_name(s.cat) << ","
+      json::write_number(os, std::max(s.dur_us, 0.0));
+      os << ",\"name\":";
+      json::write_escaped(os, s.name != nullptr ? s.name : "span");
+      os << ",\"cat\":\"" << category_name(s.cat) << ","
          << (s.track < subsystem.size() ? subsystem[s.track] : "pool") << "\"";
       bool has_args = false;
       auto arg = [&](const char* key, auto value) {
-        os << (has_args ? "," : ",\"args\":{") << "\"";
-        json_escape(os, key);
-        os << "\":" << value;
+        os << (has_args ? "," : ",\"args\":{");
+        json::write_escaped(os, key);
+        os << ":" << value;
         has_args = true;
       };
       for (const SpanArg& a : s.args) {
         if (a.key == nullptr) continue;
-        os << (has_args ? "," : ",\"args\":{") << "\"";
-        json_escape(os, a.key);
-        os << "\":";
-        json_number(os, a.value);
+        os << (has_args ? "," : ",\"args\":{");
+        json::write_escaped(os, a.key);
+        os << ":";
+        json::write_number(os, a.value);
         has_args = true;
       }
       // Causal identity rides along as numeric args so the DAG survives the
@@ -539,26 +511,26 @@ void write_merged_chrome_trace(std::ostream& os,
       for (const auto& [name, value] : session->counters_) {
         sep();
         os << "{\"ph\":\"C\",\"pid\":" << wall_pid << ",\"tid\":0,\"ts\":";
-        json_number(os, max_ts);
-        os << ",\"name\":\"";
-        json_escape(os, name);
-        os << "\",\"args\":{\"value\":";
-        json_number(os, value);
+        json::write_number(os, max_ts);
+        os << ",\"name\":";
+        json::write_escaped(os, name);
+        os << ",\"args\":{\"value\":";
+        json::write_number(os, value);
         os << "}}";
       }
       for (const auto& [name, h] : session->hists_) {
         sep();
         os << "{\"ph\":\"i\",\"pid\":" << wall_pid
            << ",\"tid\":0,\"s\":\"g\",\"ts\":";
-        json_number(os, max_ts);
-        os << ",\"name\":\"";
-        json_escape(os, name);
-        os << "\",\"args\":{\"count\":" << h.count << ",\"sum\":";
-        json_number(os, h.sum);
+        json::write_number(os, max_ts);
+        os << ",\"name\":";
+        json::write_escaped(os, name);
+        os << ",\"args\":{\"count\":" << h.count << ",\"sum\":";
+        json::write_number(os, h.sum);
         os << ",\"min\":";
-        json_number(os, h.min);
+        json::write_number(os, h.min);
         os << ",\"max\":";
-        json_number(os, h.max);
+        json::write_number(os, h.max);
         os << "}}";
       }
     }
@@ -577,14 +549,14 @@ void write_merged_chrome_trace(std::ostream& os,
     sep();
     os << "{\"ph\":\"s\",\"id\":" << flow_id << ",\"pid\":" << pf->second.pid
        << ",\"tid\":" << pf->second.tid << ",\"ts\":";
-    json_number(os, pf->second.end_us);
+    json::write_number(os, pf->second.end_us);
     os << ",\"name\":\"dep\",\"cat\":\"mh_flow\",\"args\":{\"mh_from\":"
        << from << ",\"mh_to\":" << to << "}}";
     sep();
     os << "{\"ph\":\"f\",\"bp\":\"e\",\"id\":" << flow_id
        << ",\"pid\":" << pt->second.pid << ",\"tid\":" << pt->second.tid
        << ",\"ts\":";
-    json_number(os, pt->second.start_us);
+    json::write_number(os, pt->second.start_us);
     os << ",\"name\":\"dep\",\"cat\":\"mh_flow\",\"args\":{\"mh_from\":"
        << from << ",\"mh_to\":" << to << "}}";
   }

@@ -6,6 +6,8 @@
 #include <map>
 #include <string>
 
+#include "obs/json.hpp"
+
 namespace mh::obs {
 namespace {
 
@@ -111,36 +113,6 @@ std::string fmt_share(double delta_us, double mk_delta_us) {
   return buf;
 }
 
-void json_escape(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          os << hex;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-void json_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "0";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
-}
-
 void json_entries(std::ostream& os, const char* key,
                   const std::vector<DiffEntry>& entries, bool counts) {
   os << "\"" << key << "\":[";
@@ -148,14 +120,14 @@ void json_entries(std::ostream& os, const char* key,
   for (const DiffEntry& e : entries) {
     if (!first) os << ",";
     first = false;
-    os << "\n    {\"name\":\"";
-    json_escape(os, e.name);
-    os << "\",\"base_us\":";
-    json_number(os, e.base_us);
+    os << "\n    {\"name\":";
+    json::write_escaped(os, e.name);
+    os << ",\"base_us\":";
+    json::write_number(os, e.base_us);
     os << ",\"current_us\":";
-    json_number(os, e.cur_us);
+    json::write_number(os, e.cur_us);
     os << ",\"delta_us\":";
-    json_number(os, e.delta_us());
+    json::write_number(os, e.delta_us());
     if (counts) {
       os << ",\"base_count\":" << e.base_count
          << ",\"current_count\":" << e.cur_count;
@@ -350,19 +322,19 @@ void write_diff(std::ostream& os, const TraceDiff& d) {
 
 void write_diff_json(std::ostream& os, const TraceDiff& d) {
   os << "{\n  \"baseline_makespan_us\":";
-  json_number(os, d.base.makespan_us());
+  json::write_number(os, d.base.makespan_us());
   os << ",\n  \"current_makespan_us\":";
-  json_number(os, d.cur.makespan_us());
+  json::write_number(os, d.cur.makespan_us());
   os << ",\n  \"delta_us\":";
-  json_number(os, d.makespan_delta_us());
+  json::write_number(os, d.makespan_delta_us());
   os << ",\n  \"sim_domain\":" << (d.base.sim_domain ? "true" : "false");
   os << ",\n  \"dropped_spans\":{\"baseline\":" << d.base_dropped
      << ",\"current\":" << d.cur_dropped << "}";
   os << ",\n  \"path_similarity\":";
-  json_number(os, d.path_similarity);
+  json::write_number(os, d.path_similarity);
   os << ",\n  \"rerouted\":" << (d.rerouted ? "true" : "false");
   os << ",\n  \"attributed_fraction\":";
-  json_number(os, d.attributed_fraction);
+  json::write_number(os, d.attributed_fraction);
   os << ",\n  ";
   json_entries(os, "phases", d.phases, false);
   os << ",\n  ";

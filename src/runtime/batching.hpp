@@ -21,8 +21,7 @@
 // estimators. The dispatcher *stages* ready batches under mu_ and submits
 // them to the worker pools only after releasing it — worker lambdas
 // re-acquire mu_ in complete_one()/rate recording, so submitting while
-// locked would serialize every batch against its own workers (and deadlock
-// outright if ThreadPool::submit blocks on a bounded queue).
+// locked would serialize every batch against its own workers.
 //
 // Flush-reason accounting: every per-kind batch dispatch is attributed to
 // exactly one of {timer, size, deadline, explicit}, so
@@ -91,15 +90,11 @@ class BatchingEngine {
     std::chrono::milliseconds flush_interval{5};
     /// Dispatch immediately once a kind has this many pending items.
     std::size_t max_batch = 256;
-    /// Bound on the CPU pool's task queue (0 = unbounded). With a bound the
-    /// dispatcher applies backpressure instead of queueing without limit.
-    std::size_t cpu_queue_capacity = 0;
     /// Items per CPU pool task when fanning a batch's CPU share out
-    /// (<= 1: one task per item, the classic cadence). Larger chunks let
-    /// the work-stealing pool migrate whole runs of small compute calls
-    /// between workers and keep each worker's thread-local GemmWorkspace
-    /// hot across the run; per-item postprocess, error isolation and
-    /// completion accounting are unchanged.
+    /// (<= 1: one task per item, the classic cadence). Larger chunks hand
+    /// a worker whole runs of small compute calls and keep its thread-local
+    /// GemmWorkspace hot across the run; per-item postprocess, error
+    /// isolation and completion accounting are unchanged.
     std::size_t cpu_chunk = 1;
     /// Safety margin subtracted from a deadline-armed kind's last
     /// responsible flush moment (deadline.hpp): the flush fires at
@@ -221,8 +216,7 @@ class BatchingEngine {
         faults_(config.faults != nullptr ? config.faults
                                          : &fault::FaultInjector::global()),
         retry_rng_(config.retry_seed),
-        cpu_pool_(std::max<std::size_t>(1, config.cpu_threads), "cpu-pool",
-                  config.cpu_queue_capacity),
+        cpu_pool_(std::max<std::size_t>(1, config.cpu_threads), "cpu-pool"),
         gpu_driver_(1, "gpu-driver") {
     MH_CHECK(config_.max_batch >= 1, "batch cap must be positive");
     // Worker-stall injection (site worker_slow) applies to the CPU workers;
@@ -577,8 +571,7 @@ class BatchingEngine {
         staged.push_back(stage_batch_locked(kind, id, reason));
       }
       if (staged.empty()) continue;
-      // Submit with mu_ released: worker lambdas take mu_ immediately, and
-      // a bounded cpu_pool_ may block submit() for backpressure.
+      // Submit with mu_ released: worker lambdas take mu_ immediately.
       lock.unlock();
       for (StagedBatch& batch : staged) submit_batch(std::move(batch));
       staged.clear();
@@ -683,7 +676,7 @@ class BatchingEngine {
       });
     }
 
-    // CPU side: the batch's CPU share fans out over the work-stealing pool
+    // CPU side: the batch's CPU share fans out over the CPU pool
     // in chunks of Config::cpu_chunk items (1 = one task per item; they are
     // independent MADNESS tasks either way). Each item keeps its own task
     // id; its compute span chains to the batch dispatch.
@@ -696,12 +689,11 @@ class BatchingEngine {
 
   /// Compute+postprocess items [i0, i1) of `src` (moved out) on the CPU
   /// pool as ONE pool task: a run of a batch's CPU share, or one item of a
-  /// failed GPU batch falling back to the CPU. The steal loop then
-  /// migrates whole runs of small compute calls between workers and each
-  /// worker's thread-local scratch (e.g. linalg's GemmWorkspace) stays hot
-  /// across the run. Each item's causal context (task id + producer span;
-  /// `batch_id`, when nonzero, replaces the producer) is re-installed on
-  /// the worker so its compute span continues the item's chain. Spans,
+  /// failed GPU batch falling back to the CPU. One worker runs the whole
+  /// chunk, so its thread-local scratch (e.g. linalg's GemmWorkspace)
+  /// stays hot across it. Each item's causal context (task id + producer
+  /// span; `batch_id`, when nonzero, replaces the producer) is re-installed
+  /// on the worker so its compute span continues the item's chain. Spans,
   /// postprocess, error isolation and completion accounting are per item;
   /// the CPU rate sample is aggregated over the chunk (rate.record(n, dt)).
   void submit_cpu_chunk(Kind* kptr, double kind_id, std::vector<Input>& src,

@@ -1,22 +1,16 @@
 // A fixed-size worker pool — the "CPU threads" of the paper's runtime.
 //
-// MADNESS tasks are many and small, and the BatchingEngine fans its CPU
-// share out exactly where a single mutex-guarded global queue would
-// serialize dispatch. The pool therefore keeps one Chase-Lev-style
-// work-stealing deque per worker (owner pushes/pops the bottom lock-free,
-// idle workers steal the top) plus a small mutex-guarded inbox per worker
-// that external submitters feed round-robin. Workers sweep: own deque, own
-// inbox, then steal from the other workers' deques and inboxes; they only
-// park on a condition variable after a full failed sweep.
+// One mutex guards one FIFO task queue and the pool's counters; workers
+// park on a condition variable while the queue is empty. Tasks run in
+// submission order, whether they come from outside the pool or are spawned
+// by a running task, so work a task re-submits queues behind everything
+// submitted before it. Each worker claims its next task and records the
+// previous one's completion in a single critical section.
 //
-// Semantics are unchanged from the global-queue pool: the first exception
-// thrown by any task is captured and re-thrown from wait_idle() (then
-// cleared, so the pool stays usable); a pool may be given a name (workers
-// label their trace tracks "<name>/<i>" for src/obs sessions) and a queue
-// capacity — with a bound, submit() from a non-worker thread blocks until
-// the pending count drains below the bound (backpressure), while worker
-// threads always bypass the bound and push straight to their own deque so
-// task-spawned tasks cannot deadlock the pool against itself.
+// The first exception thrown by any task is captured and re-thrown from
+// wait_idle() (then cleared, so the pool stays usable). A pool may be given
+// a name: workers label their trace tracks "<name>/<i>" for src/obs
+// sessions. The destructor runs every task still queued before it returns.
 #pragma once
 
 #include <atomic>
@@ -24,9 +18,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -44,19 +38,15 @@ namespace mh::rt {
 
 class ThreadPool {
  public:
-  /// Start `nthreads` workers (>= 1). `name` labels worker trace tracks;
-  /// `queue_capacity` of 0 means unbounded.
-  explicit ThreadPool(std::size_t nthreads, std::string name = {},
-                      std::size_t queue_capacity = 0);
+  /// Start `nthreads` workers (>= 1). `name` labels worker trace tracks.
+  explicit ThreadPool(std::size_t nthreads, std::string name = {});
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task. Safe to call from worker threads (tasks may spawn
-  /// tasks; workers are exempt from the queue bound and push to their own
-  /// deque). Blocks external callers while the pending count is at
-  /// capacity. Throws if the pool is shutting down.
+  /// Append a task to the queue. Safe to call from worker threads (tasks
+  /// may spawn tasks). Throws if the pool is shutting down.
   void submit(std::function<void()> task);
 
   /// Block until no task is pending or executing, then rethrow the first
@@ -73,7 +63,7 @@ class ThreadPool {
   /// total worker-seconds since construction.
   struct Stats {
     std::size_t workers = 0;
-    std::size_t queued = 0;     ///< tasks waiting (deques + inboxes)
+    std::size_t queued = 0;     ///< tasks waiting in the queue
     std::size_t active = 0;     ///< tasks currently executing
     std::size_t executed = 0;
     double busy_seconds = 0.0;  ///< summed task wall time across workers
@@ -96,44 +86,25 @@ class ThreadPool {
     injector_.store(injector, std::memory_order_release);
   }
 
-  /// Tasks stolen from another worker's deque or inbox (steal-loop health;
-  /// also published by sample_metrics as mh_pool_steals).
-  std::size_t steals() const noexcept;
-
  private:
-  struct Worker;  // per-worker deque + inbox + counters (thread_pool.cpp)
-
   void worker_loop(std::size_t index);
-  bool is_worker_thread() const noexcept;
-  void* find_task(std::size_t self);  // TaskNode*; null after a full sweep
-  void run_task(void* node);
-  void wake_one();
 
   std::string name_;
-  std::size_t queue_capacity_;
   const std::chrono::steady_clock::time_point created_ =
       std::chrono::steady_clock::now();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-
-  // Global pending / executing counts: queued_ counts submitted tasks not
-  // yet claimed by a worker (claim order is active_ up, then queued_ down,
-  // so queued_ + active_ never dips to zero while a task is in flight).
-  std::atomic<std::int64_t> queued_{0};
-  std::atomic<std::int64_t> active_{0};
-  std::atomic<std::size_t> next_victim_{0};  // round-robin external inbox
-  std::atomic<std::size_t> sleepers_{0};     // workers parked in work_cv_
-  std::atomic<bool> stop_{false};
-
-  // mu_ only guards condition-variable parking and first_error_; every
-  // queue operation is per-worker (lock-free deque or per-inbox mutex).
+  // mu_ guards the members from here through first_error_.
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers park here after a dry sweep
-  std::condition_variable idle_cv_;   // wait_idle waits here
-  std::condition_variable space_cv_;  // bounded submit waits here
+  std::condition_variable work_cv_;  // workers wait here for a task
+  std::condition_variable idle_cv_;  // wait_idle waits here
+  std::deque<std::function<void()>> queue_;
+  std::size_t active_ = 0;  // tasks claimed and not yet recorded done
+  std::size_t executed_ = 0;
+  std::uint64_t busy_ns_ = 0;
+  bool stop_ = false;
   std::exception_ptr first_error_;
   std::atomic<fault::FaultInjector*> injector_{nullptr};
+  std::vector<std::thread> threads_;  // last: workers use every member above
 };
 
 }  // namespace mh::rt

@@ -11,6 +11,7 @@
 #include <string_view>
 
 #include "common/diagnostics.hpp"
+#include "common/env.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "obs/telemetry.hpp"
@@ -489,26 +490,6 @@ class Sim {
   double last_response_ = 0.0;
   ServeStats stats_;
 };
-
-// The variable as a fully parsed, finite number; `fallback` when it is
-// unset or malformed (empty, trailing characters, inf, nan).
-double env_number(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(raw, &end);
-  return *end == '\0' && std::isfinite(v) ? v : fallback;
-}
-
-// A count or seed: env_number that must also fit T (whole part in
-// [0, T's max]), else `fallback`.
-template <typename T>
-T env_integer(const char* name, T fallback) {
-  const double v = env_number(name, -1.0);
-  const double limit =
-      std::ldexp(1.0, std::numeric_limits<T>::digits);  // T's max + 1
-  return v >= 0.0 && v < limit ? static_cast<T>(v) : fallback;
-}
 
 }  // namespace
 

@@ -1,11 +1,15 @@
-// Unit tests for src/common: diagnostics, hashing, RNG, stats, table, time.
+// Unit tests for src/common: diagnostics, env parsing, hashing, RNG, stats,
+// table, time.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 
 #include "common/diagnostics.hpp"
+#include "common/env.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
@@ -34,6 +38,31 @@ TEST(Diagnostics, CheckMessageIncludesExpressionAndLocation) {
     EXPECT_NE(what.find("test_common.cpp"), std::string::npos);
     EXPECT_GT(e.line(), 0u);
   }
+}
+
+TEST(Env, StrictParserFallsBackOnMalformedValues) {
+  constexpr const char* kVar = "MH_TEST_ENV_NUMBER";
+  ::unsetenv(kVar);
+  EXPECT_EQ(env_number(kVar, 7.0), 7.0);
+  EXPECT_EQ(env_integer<std::size_t>(kVar, 7), 7u);
+  ::setenv(kVar, "12", 1);
+  EXPECT_EQ(env_number(kVar, 7.0), 12.0);
+  EXPECT_EQ(env_integer<std::size_t>(kVar, 7), 12u);
+  // Empty, trailing characters and non-finite values are not numbers.
+  for (const char* bad : {"", "12abc", "inf", "nan"}) {
+    ::setenv(kVar, bad, 1);
+    EXPECT_EQ(env_number(kVar, 7.0), 7.0) << bad;
+    EXPECT_EQ(env_integer<std::size_t>(kVar, 7), 7u) << bad;
+  }
+  // Finite numbers parse, but a count must also fit its type.
+  ::setenv(kVar, "-1", 1);
+  EXPECT_EQ(env_number(kVar, 7.0), -1.0);
+  EXPECT_EQ(env_integer<std::size_t>(kVar, 7), 7u);
+  ::setenv(kVar, "1e30", 1);
+  EXPECT_EQ(env_number(kVar, 7.0), 1e30);
+  EXPECT_EQ(env_integer<std::size_t>(kVar, 7), 7u);
+  EXPECT_EQ(env_integer<std::uint32_t>(kVar, 7), 7u);
+  ::unsetenv(kVar);
 }
 
 TEST(Hash, Fnv1aDiffersOnDifferentInput) {

@@ -262,10 +262,10 @@ TEST(ThreadPoolFaults, WorkerSlowStallsTasks) {
 }
 
 TEST(ThreadPoolFaults, StallPinsOneWorkerWhileOthersDrain) {
-  // With the work-stealing pool, an injected stall (site consulted at task
-  // pickup, ordinal 1 = the first task claimed) must pin only the claiming
-  // worker: the other worker keeps draining the remaining tasks while the
-  // victim sits in its delay.
+  // An injected stall (site consulted at task pickup, ordinal 1 = the
+  // first task claimed) must pin only the claiming worker: the other
+  // worker keeps draining the remaining tasks while the victim sits in its
+  // delay.
   FaultInjector fi(11);
   SiteRule rule;
   rule.at = {1};

@@ -65,55 +65,14 @@ TEST(ThreadPool, ReportsItsName) {
   EXPECT_EQ(pool.name(), "io");
 }
 
-TEST(ThreadPool, BoundedQueueBlocksExternalSubmitters) {
-  ThreadPool pool(1, "bp", /*queue_capacity=*/1);
-  std::atomic<bool> gate_open{false}, gate_running{false};
-  pool.submit([&] {
-    gate_running = true;
-    while (!gate_open) std::this_thread::sleep_for(100us);
-  });
-  while (!gate_running) std::this_thread::sleep_for(100us);
-
-  // Worker busy, capacity 1: the first queued task fits, the second submit
-  // must block until the queue drains.
-  std::atomic<int> accepted{0}, ran{0};
-  std::thread submitter([&] {
-    for (int i = 0; i < 3; ++i) {
-      pool.submit([&ran] { ++ran; });
-      ++accepted;
-    }
-  });
-  std::this_thread::sleep_for(50ms);
-  EXPECT_EQ(accepted.load(), 1);  // backpressure engaged
-  gate_open = true;
-  submitter.join();
-  pool.wait_idle();
-  EXPECT_EQ(accepted.load(), 3);
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ThreadPool, WorkersBypassTheQueueBound) {
-  // Task-spawned tasks must not deadlock against a full queue: workers are
-  // exempt from the bound.
-  ThreadPool pool(1, "spawn", /*queue_capacity=*/1);
-  std::atomic<int> ran{0};
-  pool.submit([&] {
-    for (int i = 0; i < 32; ++i) {
-      pool.submit([&ran] { ++ran; });  // would block forever if bounded here
-    }
-  });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 32);
-}
-
 TEST(ThreadPool, RequiresWorkers) { EXPECT_THROW(ThreadPool(0), Error); }
 
-// --- work-stealing semantics -------------------------------------------
+// --- concurrent submission ----------------------------------------------
 
 TEST(ThreadPool, StressManyProducersNoLostOrDuplicatedTasks) {
-  // N external producers feed the round-robin inboxes while every task
-  // spawns a child into its worker's own deque — both submission paths and
-  // the steal path run concurrently. Every id must execute exactly once.
+  // N external producers feed the queue while every task spawns a child
+  // from its worker thread — both kinds of submitter race the workers'
+  // pops. Every id must execute exactly once.
   constexpr int kProducers = 6, kWorkers = 4, kPerProducer = 400;
   constexpr int kTotal = kProducers * kPerProducer * 2;
   ThreadPool pool(kWorkers, "stress");
@@ -143,54 +102,6 @@ TEST(ThreadPool, StressManyProducersNoLostOrDuplicatedTasks) {
   EXPECT_EQ(st.queued, 0u);
   EXPECT_EQ(st.active, 0u);
   EXPECT_EQ(st.executed, static_cast<std::size_t>(kTotal));
-}
-
-TEST(ThreadPool, IdleWorkersStealSpawnedTasks) {
-  // Worker-spawned tasks land in the spawner's own deque; external threads
-  // never touch it. While the spawner spins, the only way `ran` can move is
-  // another worker stealing from that deque — so progress proves a steal.
-  ThreadPool pool(4, "steal");
-  std::atomic<int> ran{0};
-  pool.submit([&] {
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    while (ran.load() == 0) std::this_thread::sleep_for(50us);
-  });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_GE(pool.steals(), 1u);
-}
-
-TEST(ThreadPool, BoundedBackpressureEngagesAcrossWorkers) {
-  // Capacity counts pending tasks pool-wide, not per deque: with both
-  // workers pinned and capacity 2, the third external submit must block
-  // until the pool drains, then everything still runs exactly once.
-  ThreadPool pool(2, "bp2", /*queue_capacity=*/2);
-  std::atomic<bool> gate{false};
-  std::atomic<int> pinned{0};
-  for (int i = 0; i < 2; ++i) {
-    pool.submit([&] {
-      ++pinned;
-      while (!gate) std::this_thread::sleep_for(100us);
-    });
-  }
-  while (pinned.load() < 2) std::this_thread::sleep_for(100us);
-
-  std::atomic<int> accepted{0}, ran{0};
-  std::thread submitter([&] {
-    for (int i = 0; i < 6; ++i) {
-      pool.submit([&ran] { ++ran; });
-      ++accepted;
-    }
-  });
-  std::this_thread::sleep_for(50ms);
-  EXPECT_EQ(accepted.load(), 2);  // backpressure engaged at the bound
-  gate = true;
-  submitter.join();
-  pool.wait_idle();
-  EXPECT_EQ(accepted.load(), 6);
-  EXPECT_EQ(ran.load(), 6);
 }
 
 TEST(ThreadPool, RecursiveSpawnFanOutUnderStealing) {
@@ -631,35 +542,6 @@ TEST(BatchingEngine, KindHashMixesUserHash) {
   EXPECT_NE(engine.kind_hash(k1), engine.kind_hash(k2));
 }
 
-// Regression (dispatch while holding mu_): the dispatcher used to call
-// ThreadPool::submit with mu_ held. With a bounded CPU queue that is a
-// deterministic deadlock — submit() blocks on backpressure while every
-// worker blocks on mu_ in complete_one()/rate recording, so the queue can
-// never drain. The fixed dispatcher stages batches under the lock and
-// submits after releasing it; this test completes instead of hanging.
-TEST(BatchingEngine, DispatchReleasesLockUnderBackpressure) {
-  auto cfg = quick_config(1.0);
-  cfg.cpu_threads = 1;
-  cfg.cpu_queue_capacity = 2;
-  cfg.max_batch = 16;
-  Engine engine(cfg);
-  std::atomic<int> done{0};
-  const KindId kind = engine.register_kind(
-      {[](const int& x) {
-         std::this_thread::sleep_for(1ms);
-         return x;
-       },
-       nullptr,
-       [&](int&&) { ++done; },
-       20});
-  for (int round = 0; round < 2; ++round) {
-    for (int i = 0; i < 16; ++i) engine.submit(kind, i);
-    engine.wait();
-  }
-  EXPECT_EQ(done.load(), 32);
-  EXPECT_EQ(engine.stats().completed, 32u);
-}
-
 // Regression (errors dropped during the pool drain): wait() used to snapshot
 // first_error_ before cpu_pool_.wait_idle(), so an exception recorded by a
 // task still finishing inside the drain was silently deferred to a later
@@ -797,7 +679,6 @@ TEST(BatchingEngine, StressSubmittersKindsFlushesAndErrors) {
   cfg.cpu_threads = 4;
   cfg.flush_interval = 1ms;
   cfg.max_batch = 32;
-  cfg.cpu_queue_capacity = 64;
   Engine engine(cfg);
 
   constexpr int kThreads = 6, kPerThread = 2000, kKinds = 3;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -227,6 +228,38 @@ TEST(WorldSteal, PumpAndThievesRunEveryItemExactlyOnce) {
   const auto stats = world.stats();
   EXPECT_EQ(stats.steal_requests, 30u);
   EXPECT_EQ(stats.steal_grants + stats.steal_denials, 30u);
+}
+
+TEST(WorldSteal, StealRequestsInterleaveWithThePump) {
+  // The pump re-submits itself after each item, so steal requests queued
+  // on the victim's thread before that re-submit run ahead of the next
+  // item. A pump that jumped the queue would drain every item first and
+  // leave the thieves nothing to grant.
+  using namespace std::chrono_literals;
+  World world(2);
+  std::atomic<bool> gate_open{false}, gate_running{false};
+  world.submit(0, [&] {
+    gate_running = true;
+    while (!gate_open) std::this_thread::sleep_for(100us);
+  });
+  while (!gate_running) std::this_thread::sleep_for(100us);
+
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 8; ++i) {
+    world.stealable_push(0, 10.0, [&ran] { ++ran; });
+  }
+  world.run_stealable(0);
+  std::atomic<int> grants{0};
+  for (int k = 0; k < 3; ++k) {
+    world.steal(1, 0, [&grants](bool granted) {
+      if (granted) ++grants;
+    });
+  }
+  gate_open = true;
+  world.fence();
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(grants.load(), 3);
+  EXPECT_EQ(world.stats().steal_grants, 3u);
 }
 
 TEST(WorldSteal, RejectsSelfSteal) {
