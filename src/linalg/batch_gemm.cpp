@@ -171,9 +171,7 @@ void run_packed(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
   if (dimi == 0 || dimj == 0) return;
   double* apack = ws.pack_a(4 * std::max<std::size_t>(kc, 1));
   g_kernel(dimi, dimj, kc, c, a, b, apack);
-  BatchGemmStats& st = ws.stats();
-  st.packed_gemms += 1;
-  st.packed_doubles += ((dimi + 3) / 4) * 4 * kc;
+  ws.stats().packed_gemms += 1;
 }
 
 // batch_fused_apply's last mode: one packed-GEMM call, counted like
@@ -184,9 +182,7 @@ void run_fan_out(std::size_t dimi, std::size_t k, std::size_t kc,
                  GemmWorkspace& ws) {
   double* apack = ws.pack_a(4 * std::max<std::size_t>(kc, 1));
   g_fan_out(dimi, k, kc, a, blocks, n, start, targets, apack);
-  BatchGemmStats& st = ws.stats();
-  st.packed_gemms += 1;
-  st.packed_doubles += ((dimi + 3) / 4) * 4 * kc;
+  ws.stats().packed_gemms += 1;
 }
 
 std::size_t span_product(std::span<const std::size_t> shape) {

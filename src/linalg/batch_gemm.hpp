@@ -9,8 +9,7 @@
 //     aligned, cache-resident 4-wide panels once per tile,
 //   - runs explicit 4 x 8 register-tile microkernels over the packed panels
 //     (AVX2 on x86-64 when the CPU has it, a same-order portable tile
-//     otherwise), with k-specialized dispatch for the paper's common k so
-//     the contraction loop has a compile-time trip count,
+//     otherwise),
 //   - fuses the whole M * d transform chain of one Apply task into a single
 //     packed pass over workspace buffers — zero allocations after warm-up —
 //     instead of M * d mTxm calls with fresh temporaries,
@@ -64,12 +63,11 @@ struct GemmMat {
 
 /// Counters the engine accumulates per workspace (cheap, thread-local).
 struct BatchGemmStats {
-  std::size_t packed_gemms = 0;   ///< microkernel GEMMs executed
+  std::size_t packed_gemms = 0;  ///< microkernel GEMMs executed
   /// batch_fused_apply's distinct (src, kc, h_0..h_j) prefix nodes
   /// computed; a fan-out call computes n last-mode nodes in one call.
   std::size_t prefix_nodes = 0;
-  std::size_t fused_chains = 0;   ///< whole-task fused passes
-  std::size_t packed_doubles = 0; ///< doubles staged through pack buffers
+  std::size_t fused_chains = 0;  ///< whole-task fused passes
 };
 
 /// One result a fan-out kernel call adds a scaled product into: a task's

@@ -17,14 +17,11 @@
 // ascending k, one final add into c), so results are bitwise-identical to
 // mTxm_ref.
 //
-// The k-specialized dispatch below gives the contraction loop a
-// compile-time trip count for the paper's common polynomial orders
-// (k = 10..30). Every contraction loop is unrolled by exactly two: fully
-// unrolled, GCC hoists the loads of all iterations and spills the
-// accumulators, while by two the whole 4x8 tile (8 accumulators + 2
-// b-loads + 1 broadcast = 11 ymm) stays in registers. A full 4-row panel
-// runs its tiles with rows = 4 as a constant, so its epilogues store
-// without row checks.
+// Every contraction loop is unrolled by exactly two: fully unrolled, GCC
+// hoists the loads of all iterations and spills the accumulators, while by
+// two the whole 4x8 tile (8 accumulators + 2 b-loads + 1 broadcast = 11
+// ymm) stays in registers. A full 4-row panel runs its tiles with rows = 4
+// as a constant, so its epilogues store without row checks.
 #include "linalg/batch_gemm_kernels.hpp"
 
 #if defined(MH_LINALG_HAVE_AVX2_TU)
@@ -32,7 +29,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <type_traits>
 
 namespace mh::linalg::detail {
 namespace {
@@ -111,11 +107,10 @@ struct ScaledAddInto {
 
 // One 4x8 tile: columns j..j+8 of block s over the panel's rows. `ap` is
 // the packed panel (4 doubles per k), `b` already offset to column j.
-template <int KC, class Epi>
-inline void micro_4x8(std::size_t kc_rt, const double* ap, const double* b,
+template <class Epi>
+inline void micro_4x8(std::size_t kc, const double* ap, const double* b,
                       std::size_t ldb, std::size_t s, std::size_t j,
                       std::size_t rows, const Epi& epi) {
-  const std::size_t kc = KC > 0 ? static_cast<std::size_t>(KC) : kc_rt;
   __m256d acc0l = _mm256_setzero_pd(), acc0h = _mm256_setzero_pd();
   __m256d acc1l = _mm256_setzero_pd(), acc1h = _mm256_setzero_pd();
   __m256d acc2l = _mm256_setzero_pd(), acc2h = _mm256_setzero_pd();
@@ -144,11 +139,10 @@ inline void micro_4x8(std::size_t kc_rt, const double* ap, const double* b,
   epi.tile(s, j, rows, acc);
 }
 
-template <int KC, class Epi>
-inline void micro_4x4(std::size_t kc_rt, const double* ap, const double* b,
+template <class Epi>
+inline void micro_4x4(std::size_t kc, const double* ap, const double* b,
                       std::size_t ldb, std::size_t s, std::size_t j,
                       std::size_t rows, const Epi& epi) {
-  const std::size_t kc = KC > 0 ? static_cast<std::size_t>(KC) : kc_rt;
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
   __m256d acc2 = _mm256_setzero_pd();
@@ -174,12 +168,11 @@ inline void micro_4x4(std::size_t kc_rt, const double* ap, const double* b,
 // (block s, column j) and steps the cursor past them, as column vectors
 // over the packed panel: acc_c += panel(k) * b(k, column c), one 4-lane
 // accumulator per column (lane r = row r).
-template <int KC, int NC, class Epi>
-inline void micro_cols(std::size_t kc_rt, const double* ap,
+template <int NC, class Epi>
+inline void micro_cols(std::size_t kc, const double* ap,
                        const double* const* blocks, std::size_t first,
                        std::size_t width, std::size_t& s, std::size_t& j,
                        std::size_t rows, const Epi& epi) {
-  const std::size_t kc = KC > 0 ? static_cast<std::size_t>(KC) : kc_rt;
   std::size_t cs[NC], cj[NC];
   const double* col[NC];
   for (int c = 0; c < NC; ++c) {
@@ -206,10 +199,8 @@ inline void micro_cols(std::size_t kc_rt, const double* ap,
 
 // Packs rows i0..i0+rows of a (row stride dimi) k-major into apack, the
 // tail panel zero-padded so the microkernel shape never changes.
-template <int KC>
-inline void pack_panel(std::size_t kc_rt, const double* a, std::size_t dimi,
+inline void pack_panel(std::size_t kc, const double* a, std::size_t dimi,
                        std::size_t i0, std::size_t rows, double* apack) {
-  const std::size_t kc = KC > 0 ? static_cast<std::size_t>(KC) : kc_rt;
   if (rows == 4) {
     for (std::size_t k = 0; k < kc; ++k) {
       const double* ak = a + k * dimi + i0;
@@ -234,7 +225,7 @@ inline void pack_panel(std::size_t kc_rt, const double* a, std::size_t dimi,
 // Every tile of one packed panel across n (kc, width) blocks: each
 // block's 4x8 and 4x4 tiles, then the 1..3 columns left in every block as
 // one run of column vectors, up to 8 per pass so their add chains overlap.
-template <int KC, class Epi>
+template <class Epi>
 [[gnu::always_inline]] inline void panel_tiles(
     std::size_t kc, const double* apack, const double* const* blocks,
     std::size_t n, std::size_t width, std::size_t rows, const Epi& epi) {
@@ -243,57 +234,40 @@ template <int KC, class Epi>
     const double* b = blocks[s];
     std::size_t j0 = 0;
     for (; j0 + 8 <= tiled; j0 += 8)
-      micro_4x8<KC>(kc, apack, b + j0, width, s, j0, rows, epi);
-    if (j0 < tiled) micro_4x4<KC>(kc, apack, b + j0, width, s, j0, rows, epi);
+      micro_4x8(kc, apack, b + j0, width, s, j0, rows, epi);
+    if (j0 < tiled) micro_4x4(kc, apack, b + j0, width, s, j0, rows, epi);
   }
   std::size_t left = n * (width - tiled);
   std::size_t s = 0, j = tiled;
   for (; left >= 8; left -= 8)
-    micro_cols<KC, 8>(kc, apack, blocks, tiled, width, s, j, rows, epi);
+    micro_cols<8>(kc, apack, blocks, tiled, width, s, j, rows, epi);
   if (left >= 4) {
-    micro_cols<KC, 4>(kc, apack, blocks, tiled, width, s, j, rows, epi);
+    micro_cols<4>(kc, apack, blocks, tiled, width, s, j, rows, epi);
     left -= 4;
   }
   if (left >= 2) {
-    micro_cols<KC, 2>(kc, apack, blocks, tiled, width, s, j, rows, epi);
+    micro_cols<2>(kc, apack, blocks, tiled, width, s, j, rows, epi);
     left -= 2;
   }
   if (left == 1)
-    micro_cols<KC, 1>(kc, apack, blocks, tiled, width, s, j, rows, epi);
+    micro_cols<1>(kc, apack, blocks, tiled, width, s, j, rows, epi);
 }
 
 // Packs each 4-row panel of a once and runs it over all n blocks;
 // epi_at(i0) is the epilogue of the panel whose first row is i0.
-template <int KC, class EpiAt>
+template <class EpiAt>
 void panels(std::size_t dimi, std::size_t kc, const double* a,
             const double* const* blocks, std::size_t n, std::size_t width,
             double* apack, const EpiAt& epi_at) {
   for (std::size_t i0 = 0; i0 < dimi; i0 += 4) {
     const std::size_t rows = std::min<std::size_t>(4, dimi - i0);
-    pack_panel<KC>(kc, a, dimi, i0, rows, apack);
+    pack_panel(kc, a, dimi, i0, rows, apack);
     const auto epi = epi_at(i0);
     if (rows == 4) {
-      panel_tiles<KC>(kc, apack, blocks, n, width, 4, epi);
+      panel_tiles(kc, apack, blocks, n, width, 4, epi);
     } else {
-      panel_tiles<KC>(kc, apack, blocks, n, width, rows, epi);
+      panel_tiles(kc, apack, blocks, n, width, rows, epi);
     }
-  }
-}
-
-// Calls run(std::integral_constant<int, KC>) with KC = kc for the
-// k-specialized orders and KC = 0 (runtime kc) otherwise.
-template <class Run>
-void with_kc(std::size_t kc, const Run& run) {
-  switch (kc) {
-    case 10: run(std::integral_constant<int, 10>{}); break;
-    case 12: run(std::integral_constant<int, 12>{}); break;
-    case 14: run(std::integral_constant<int, 14>{}); break;
-    case 16: run(std::integral_constant<int, 16>{}); break;
-    case 20: run(std::integral_constant<int, 20>{}); break;
-    case 24: run(std::integral_constant<int, 24>{}); break;
-    case 28: run(std::integral_constant<int, 28>{}); break;
-    case 30: run(std::integral_constant<int, 30>{}); break;
-    default: run(std::integral_constant<int, 0>{}); break;
   }
 }
 
@@ -301,22 +275,16 @@ void with_kc(std::size_t kc, const Run& run) {
 
 void mtxm_avx2(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
                const double* a, const double* b, double* apack) {
-  with_kc(kc, [&](auto kc_const) {
-    panels<decltype(kc_const)::value>(
-        dimi, kc, a, &b, 1, dimj, apack,
-        [&](std::size_t i0) { return AddInto{c + i0 * dimj, dimj}; });
-  });
+  panels(dimi, kc, a, &b, 1, dimj, apack,
+         [&](std::size_t i0) { return AddInto{c + i0 * dimj, dimj}; });
 }
 
 void fan_out_avx2(std::size_t dimi, std::size_t k, std::size_t kc,
                   const double* a, const double* const* blocks, std::size_t n,
                   const std::size_t* start, const FanOutTarget* targets,
                   double* apack) {
-  with_kc(kc, [&](auto kc_const) {
-    panels<decltype(kc_const)::value>(
-        dimi, kc, a, blocks, n, k, apack, [&](std::size_t i0) {
-          return ScaledAddInto{start, targets, i0 * k, k};
-        });
+  panels(dimi, kc, a, blocks, n, k, apack, [&](std::size_t i0) {
+    return ScaledAddInto{start, targets, i0 * k, k};
   });
 }
 

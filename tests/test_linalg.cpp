@@ -219,8 +219,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Column-tail shapes: every dj mod 4 remainder (1..3 leftover columns, one
 // or two per pass) at the benchmark's k = 5 and k = 10, for 1-row, partial
-// 4-row and long panels. dk = 10 runs the k-specialised dispatch at full
-// kc; the reduced kc's run the runtime-kc path.
+// 4-row and long panels. Each shape runs at the full contraction length
+// kc = dk and at the reduced kc = dk / 2 and 1 of rank-reduced blocks.
 class PackedTailShapes
     : public ::testing::TestWithParam<
           std::tuple<std::size_t, std::size_t, std::size_t>> {};
@@ -613,8 +613,8 @@ TEST(BatchGemm, FanOutLastModeBitwise) {
   // Runs of items below one mode-(d-2) node, with 1 up to more than
   // fan_out_limit(k) distinct last blocks, plus duplicate last blocks,
   // mixed kreds within one prefix group and items with fewer terms, over
-  // non-zero initial results. k = 7 is a runtime-kc kernel and leaves a
-  // 4-wide tile and column-vector tail in every wide product.
+  // non-zero initial results. k = 7 leaves a 4-wide tile and a
+  // column-vector tail in every wide product.
   for (const std::size_t d : {1, 2, 3, 4}) {
     for (const std::size_t k : {5, 7, 10}) {
       const std::size_t cap = fan_out_limit(k);
@@ -718,9 +718,10 @@ TEST(BatchGemm, FanOutEpilogueKernelsAgreeBitwise) {
   // into a zeroed product followed by the gaxpy result + coeff * chain.
   // Each block is its own allocation read in place, so a tile that reads
   // past a block's k columns shows up under ASan. Slot 0 has two items
-  // with different coefficients; dimi = 25 leaves a row tail.
+  // with different coefficients; dimi = 25 leaves a row tail, and k = 20
+  // runs the kernels at an order above 10 (two 4x8 tiles and a 4x4 one).
   for (const auto& [dimi, k] :
-       {std::pair<std::size_t, std::size_t>{25, 5}, {1000, 10}}) {
+       {std::pair<std::size_t, std::size_t>{25, 5}, {1000, 10}, {400, 20}}) {
     Rng rng(dimi + k);
     const auto a = random_matrix(k, dimi, rng);
     for (std::size_t n = 1; n <= k; ++n) {
