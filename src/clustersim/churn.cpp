@@ -151,8 +151,7 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
     std::size_t remote = holders.size();
     for (const std::size_t h : holders) remote -= (h == rank) ? 1 : 0;
     clocks[rank] += wire_time(bytes * static_cast<double>(remote), remote);
-    ledger.put(rank, id, TaskResult{task.target, std::move(value)}, bytes,
-               faults);
+    ledger.put(rank, id, TaskResult{task.target, std::move(value)}, faults);
     ++stats.tasks;
     ++completed;
   };
@@ -244,7 +243,7 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
     double carried = 0.0;
     for (const std::uint64_t id : surviving) {
       const TaskResult* entry = ledger.find(id);
-      new_ledger.put(/*from_rank=*/0, id, *entry, tensor_bytes(entry->value));
+      new_ledger.put(/*from_rank=*/0, id, *entry);
       carried += tensor_bytes(entry->value);
     }
 

@@ -54,8 +54,8 @@ double percentile(std::vector<double> xs, double p);
 // --- log-bucketed histogram geometry ---------------------------------------
 // Bucket i covers values with binary exponent i-31: bucket index is
 // frexp(v)'s exponent clamped into [0, 63], so ~1.0 lands mid-array and the
-// range spans 2^-31 .. 2^32. Shared by obs::Histogram, TraceSession::hist,
-// and the open-loop latency summaries below.
+// range spans 2^-31 .. 2^32. Shared by obs::Histogram and the open-loop
+// latency summaries below.
 inline constexpr std::size_t kHistogramBuckets = 64;
 
 std::size_t log_bucket_index(double value) noexcept;

@@ -44,9 +44,7 @@ ElasticFunction::ElasticFunction(const mra::Function& fn, std::size_t ranks,
     : ElasticFunction(fn.params(), subtree_level, seed, ranks, replication) {
   MH_CHECK(!fn.compressed(), "scatter requires reconstructed form");
   for (const mra::Key& key : fn.leaf_keys()) {
-    const Tensor& coeffs = fn.leaf_coeffs(key);
-    store_.put(/*from_rank=*/0, key, coeffs,
-               static_cast<double>(coeffs.size()) * 8.0);
+    store_.put(/*from_rank=*/0, key, fn.leaf_coeffs(key));
   }
 }
 
@@ -159,7 +157,9 @@ ElasticFunction ElasticFunction::restore(std::istream& is, std::size_t ranks,
   params.max_level = read_pod<std::int32_t>(is);
   MH_CHECK(params.ndim >= 1 && params.ndim <= kMaxTensorDim,
            "checkpoint: tensor order out of range");
-  MH_CHECK(params.k >= 1, "checkpoint: k out of range");
+  // The basis range compute_two_scale accepts; it also bounds k^d, so a
+  // leaf's element count cannot overflow.
+  MH_CHECK(params.k >= 1 && params.k <= 64, "checkpoint: k out of range");
 
   ElasticFunction out(params, subtree_level, seed, ranks, replication);
   const auto nleaves = read_pod<std::uint64_t>(is);
@@ -186,8 +186,7 @@ ElasticFunction ElasticFunction::restore(std::istream& is, std::size_t ranks,
     is.read(reinterpret_cast<char*>(coeffs.data()),
             static_cast<std::streamsize>(coeffs.size() * sizeof(double)));
     MH_CHECK(static_cast<bool>(is), "checkpoint stream truncated");
-    out.store_.put(/*from_rank=*/0, key, std::move(coeffs),
-                   out.leaf_bytes());
+    out.store_.put(/*from_rank=*/0, key, std::move(coeffs));
   }
   return out;
 }

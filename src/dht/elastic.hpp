@@ -38,15 +38,6 @@
 
 namespace mh::dht {
 
-/// Communication accounting: every store operation is issued from a rank,
-/// and touching a copy held elsewhere is one active message.
-struct CommStats {
-  std::size_t local_ops = 0;
-  std::size_t remote_ops = 0;   ///< operations that crossed ranks
-  std::size_t messages = 0;     ///< one per remote op (active message)
-  double bytes = 0.0;           ///< payload bytes shipped
-};
-
 /// What one repair() pass moved to restore the R-way replica invariant.
 struct RecoveryStats {
   std::size_t copied = 0;   ///< entries re-replicated onto a new holder
@@ -57,8 +48,7 @@ struct RecoveryStats {
 
 /// An R-way replicated key/value store over simulated ranks. Placement is
 /// rendezvous hashing of `placement(key)` (so co-placement policy — e.g.
-/// whole subtrees — is the caller's choice), membership is explicit, and
-/// every mutation keeps communication accounting (CommStats).
+/// whole subtrees — is the caller's choice) and membership is explicit.
 template <typename K, typename V, typename Hash>
 class ReplicatedStore {
  public:
@@ -113,11 +103,12 @@ class ReplicatedStore {
     return live.front();
   }
 
-  /// Write-through put: the value lands on every holder. Remote copies ride
-  /// the send fault site when `faults` is armed — an injected failure drops
-  /// that one copy (a later repair() or re-execution heals it) instead of
-  /// failing the put. Throws kDataLost when no live holder exists.
-  void put(std::size_t from_rank, const K& key, V value, double bytes,
+  /// Write-through put: the value lands on every holder. Copies sent to a
+  /// rank other than `from_rank` ride the send fault site when `faults` is
+  /// armed — an injected failure drops that one copy (a later repair() or
+  /// re-execution heals it) instead of failing the put. Throws kDataLost
+  /// when no live holder exists.
+  void put(std::size_t from_rank, const K& key, V value,
            fault::FaultInjector* faults = nullptr) {
     MH_CHECK(from_rank < ranks(), "rank out of range");
     const auto live = holders(key);
@@ -126,17 +117,10 @@ class ReplicatedStore {
                               "put: every replica rank of the entry is dead");
     }
     for (const std::size_t to : live) {
-      if (to == from_rank) {
-        ++comm_.local_ops;
-      } else {
-        if (faults != nullptr && faults->armed(fault::FaultSite::kSend) &&
-            faults->should_fail(fault::FaultSite::kSend)) {
-          ++dropped_writes_;
-          continue;  // this copy is lost on the wire; self-heals later
-        }
-        ++comm_.remote_ops;
-        ++comm_.messages;
-        comm_.bytes += bytes;
+      if (to != from_rank && faults != nullptr &&
+          faults->armed(fault::FaultSite::kSend) &&
+          faults->should_fail(fault::FaultSite::kSend)) {
+        continue;  // this copy is lost on the wire; self-heals later
       }
       if (shards_[to].insert_or_assign(key, value).second) {
         bump_copies(key, +1);
@@ -254,9 +238,6 @@ class ReplicatedStore {
         ++stats.copied;
         ++stats.messages;
         stats.bytes += bytes_per_entry;
-        ++comm_.remote_ops;
-        ++comm_.messages;
-        comm_.bytes += bytes_per_entry;
       }
       for (std::size_t rank = 0; rank < ranks(); ++rank) {
         if (!alive_[rank] || want.contains(rank)) continue;
@@ -281,10 +262,6 @@ class ReplicatedStore {
     }
     return true;
   }
-
-  const CommStats& comm() const noexcept { return comm_; }
-  /// Write-through copies dropped by injected send faults.
-  std::size_t dropped_writes() const noexcept { return dropped_writes_; }
 
  private:
   // Incremental copy accounting behind min_copies(): per-key live-copy
@@ -312,8 +289,6 @@ class ReplicatedStore {
   std::size_t replication_;
   std::uint64_t seed_;
   PlacementFn placement_;
-  CommStats comm_;
-  std::size_t dropped_writes_ = 0;
   std::unordered_map<K, std::size_t, Hash> copy_count_;
   std::map<std::size_t, std::size_t> count_hist_;
 };
@@ -378,8 +353,6 @@ class ElasticFunction {
   /// `replication`-way redundancy. Magic/version mismatches throw.
   static ElasticFunction restore(std::istream& is, std::size_t ranks,
                                  std::size_t replication);
-
-  const CommStats& comm() const noexcept { return store_.comm(); }
 
  private:
   ElasticFunction(const mra::FunctionParams& params, int subtree_level,

@@ -76,13 +76,6 @@ void mxmT(std::size_t dimi, std::size_t dimj, std::size_t dimk,
   }
 }
 
-void mTxm_reduced(std::size_t dimi, std::size_t dimj, std::size_t dimk,
-                  std::size_t kred, double* c, const double* a,
-                  const double* b) noexcept {
-  // Packed-panel SIMD engine; bitwise-identical to mTxm_reduced_ref below.
-  mTxm_packed(dimi, dimj, dimk, kred, c, a, b, thread_workspace());
-}
-
 void mTxm_reduced_ref(std::size_t dimi, std::size_t dimj, std::size_t dimk,
                       std::size_t kred, double* c, const double* a,
                       const double* b) noexcept {

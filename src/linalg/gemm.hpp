@@ -39,16 +39,11 @@ void mTxm_ref(std::size_t dimi, std::size_t dimj, std::size_t dimk,
 void mxmT(std::size_t dimi, std::size_t dimj, std::size_t dimk,
           double* c, const double* a, const double* b) noexcept;
 
-/// Rank-reduced mTxm: contracts only the first `kred` rows of a and b
-/// (i.e. truncates the summation index). Implements the paper's §II-D rank
-/// reduction, where trailing rows/columns of s and h are screened away.
-/// Routed through the packed batch-GEMM engine; bitwise-identical to
-/// mTxm_reduced_ref.
-void mTxm_reduced(std::size_t dimi, std::size_t dimj, std::size_t dimk,
-                  std::size_t kred, double* c, const double* a,
-                  const double* b) noexcept;
-
-/// Scalar reference implementation of mTxm_reduced (see mTxm_ref).
+/// Scalar reference of rank-reduced mTxm: contracts only the first `kred`
+/// rows of a and b (i.e. truncates the summation index; kred > dimk is
+/// clamped). The paper's §II-D rank reduction, where trailing rows/columns
+/// of s and h are screened away. The ground truth that mTxm_packed's kred
+/// argument (linalg/batch_gemm.hpp) is tested against bitwise.
 void mTxm_reduced_ref(std::size_t dimi, std::size_t dimj, std::size_t dimk,
                       std::size_t kred, double* c, const double* a,
                       const double* b) noexcept;

@@ -52,6 +52,9 @@ std::size_t FlightRecorder::dump_count() const noexcept {
 }
 
 FlightRecorder* FlightRecorder::arm(Config cfg) {
+  // Ask for the ambient session before taking g_arm_mu: the process's first
+  // current() call arms from MH_FLIGHT_RECORDER, which re-enters arm().
+  const bool ambient_free = TraceSession::current() == nullptr;
   std::scoped_lock lock(g_arm_mu);
   if (FlightRecorder* existing = g_recorder.load(std::memory_order_acquire)) {
     return existing;
@@ -59,7 +62,7 @@ FlightRecorder* FlightRecorder::arm(Config cfg) {
   const bool dump_exit = cfg.dump_at_exit;
   const bool install = cfg.install_as_current;
   auto* rec = new FlightRecorder(std::move(cfg));  // intentionally leaked
-  if (install && TraceSession::current() == nullptr) {
+  if (install && ambient_free) {
     TraceSession::set_current(&rec->session());
   }
   g_recorder.store(rec, std::memory_order_release);

@@ -9,9 +9,10 @@
 //
 //   Counter   — monotonically increasing (batches dispatched, bytes moved);
 //   Gauge     — a level sampled in place (queue depth, split fraction);
-//   Histogram — log-bucketed distribution (batch sizes, task durations).
-//               The power-of-two bucketing is the one TraceSession::hist
-//               used; it is promoted here so both layers share it.
+//   Histogram — log-bucketed distribution (batch sizes, task durations),
+//               on the power-of-two bucket geometry of common/stats.hpp.
+//
+// This is the one sink for scalar metrics: TraceSession records spans only.
 //
 // Instruments are registered once (mutex) and updated lock-free (relaxed
 // atomics) — an update is one atomic RMW, cheap enough to leave always on.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <map>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
@@ -292,49 +293,6 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> TraceSession::edges()
   return edges_;
 }
 
-void TraceSession::counter_add(std::string_view name, double delta) {
-  std::scoped_lock lock(metrics_mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    counters_.emplace(std::string(name), delta);
-  } else {
-    it->second += delta;
-  }
-}
-
-double TraceSession::counter(std::string_view name) const {
-  std::scoped_lock lock(metrics_mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0.0 : it->second;
-}
-
-void TraceSession::hist_record(std::string_view name, double value) {
-  std::scoped_lock lock(metrics_mu_);
-  auto it = hists_.find(name);
-  if (it == hists_.end()) {
-    it = hists_.emplace(std::string(name), Hist{}).first;
-  }
-  Hist& h = it->second;
-  if (h.count == 0) {
-    h.min = h.max = value;
-  } else {
-    h.min = std::min(h.min, value);
-    h.max = std::max(h.max, value);
-  }
-  ++h.count;
-  h.sum += value;
-  // Bucket geometry shared with the metrics registry (obs/metrics.hpp).
-  static_assert(std::tuple_size_v<decltype(h.buckets)> == kHistogramBuckets);
-  ++h.buckets[log_bucket_index(value)];
-}
-
-HistSummary TraceSession::hist(std::string_view name) const {
-  std::scoped_lock lock(metrics_mu_);
-  auto it = hists_.find(name);
-  if (it == hists_.end()) return {};
-  return {it->second.count, it->second.sum, it->second.min, it->second.max};
-}
-
 template <typename Fn>
 void TraceSession::for_each_span(Fn&& fn) const {
   // mu_ held: blocks new thread registration; existing buffers append
@@ -465,7 +423,6 @@ void write_merged_chrome_trace(std::ostream& os,
       os << "}}";
     }
 
-    double max_ts = 0.0;
     session->for_each_span([&](const Span& s) {
       sep();
       os << "{\"ph\":\"X\",\"pid\":" << pid_of(s.domain)
@@ -503,37 +460,8 @@ void write_merged_chrome_trace(std::ostream& os,
       }
       if (has_args) os << "}";
       os << "}";
-      max_ts = std::max(max_ts, s.start_us + s.dur_us);
     });
 
-    {
-      std::scoped_lock metrics_lock(session->metrics_mu_);
-      for (const auto& [name, value] : session->counters_) {
-        sep();
-        os << "{\"ph\":\"C\",\"pid\":" << wall_pid << ",\"tid\":0,\"ts\":";
-        json::write_number(os, max_ts);
-        os << ",\"name\":";
-        json::write_escaped(os, name);
-        os << ",\"args\":{\"value\":";
-        json::write_number(os, value);
-        os << "}}";
-      }
-      for (const auto& [name, h] : session->hists_) {
-        sep();
-        os << "{\"ph\":\"i\",\"pid\":" << wall_pid
-           << ",\"tid\":0,\"s\":\"g\",\"ts\":";
-        json::write_number(os, max_ts);
-        os << ",\"name\":";
-        json::write_escaped(os, name);
-        os << ",\"args\":{\"count\":" << h.count << ",\"sum\":";
-        json::write_number(os, h.sum);
-        os << ",\"min\":";
-        json::write_number(os, h.min);
-        os << ",\"max\":";
-        json::write_number(os, h.max);
-        os << "}}";
-      }
-    }
     for (const auto& e : session->edges()) flow_edges.push_back(e);
   }
 

@@ -1,5 +1,5 @@
-// Low-overhead runtime tracing + metrics (the observability layer the
-// batching runtime is profiled with).
+// Low-overhead runtime tracing (the observability layer the batching
+// runtime is profiled with).
 //
 // A TraceSession collects *spans* — named, categorised intervals — from many
 // threads into per-thread lock-free buffers: the recording fast path is one
@@ -16,9 +16,9 @@
 // chrome://tracing or https://ui.perfetto.dev — with the two clock domains
 // as two separate processes so their timelines never mix.
 //
-// Counters and log-bucketed histograms ride along for scalar metrics.
-// Aggregation (category_totals) is what bench_breakdown's phase profile is
-// built from.
+// Scalar metrics (counters, gauges, histograms) live in MetricsRegistry
+// (obs/metrics.hpp), not here. Aggregation (category_totals) is what
+// bench_breakdown's phase profile is built from.
 //
 // Causal tracing: every span can carry a process-unique id, the id of the
 // span that causally produced it (`parent`), and a stable task id shared by
@@ -38,7 +38,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -117,14 +116,6 @@ TraceContext current_context() noexcept;
 /// sessions, so merged multi-rank traces never collide).
 std::uint64_t mint_span_id() noexcept;
 
-/// Summary of a log-bucketed histogram.
-struct HistSummary {
-  std::size_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
 /// Name + domain of a registered track.
 struct TrackInfo {
   std::uint32_t id = 0;
@@ -201,12 +192,6 @@ class TraceSession {
   void add_edge(std::uint64_t from, std::uint64_t to);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> edges() const;
 
-  // --- scalar metrics -----------------------------------------------------
-  void counter_add(std::string_view name, double delta);
-  double counter(std::string_view name) const;
-  void hist_record(std::string_view name, double value);
-  HistSummary hist(std::string_view name) const;
-
   // --- aggregation / export ----------------------------------------------
   /// Sum span durations per category over one clock domain, optionally
   /// restricted to tracks whose name starts with `track_prefix`.
@@ -256,15 +241,6 @@ class TraceSession {
   mutable std::mutex mu_;       // registry: buffers + tracks
   std::vector<std::unique_ptr<ThreadBuf>> buffers_;
   std::vector<TrackInfo> tracks_;
-
-  mutable std::mutex metrics_mu_;
-  std::map<std::string, double, std::less<>> counters_;
-  struct Hist {
-    std::size_t count = 0;
-    double sum = 0.0, min = 0.0, max = 0.0;
-    std::array<std::uint64_t, 64> buckets{};
-  };
-  std::map<std::string, Hist, std::less<>> hists_;
 
   mutable std::mutex edges_mu_;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> edges_;

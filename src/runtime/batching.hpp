@@ -24,20 +24,11 @@
 // locked would serialize every batch against its own workers.
 //
 // Flush-reason accounting: every per-kind batch dispatch is attributed to
-// exactly one of {timer, size, deadline, explicit}, so
-//   timer_flushes + size_flushes + deadline_flushes + explicit_flushes
-//     == batches
+// exactly one of {timer, size, explicit}, so
+//   timer_flushes + size_flushes + explicit_flushes == batches
 // holds at all times. A size trigger on one kind dispatches only that kind;
 // the other kinds keep aggregating until their own trigger, timer, or an
 // explicit flush (this is what preserves batch amortisation — ablation #1).
-//
-// Deadline-aware flushing (the serving discipline, deadline.hpp): items
-// submitted via submit(id, input, deadline) arm a per-kind earliest
-// deadline, and the dispatcher flushes that kind at the last responsible
-// moment — earliest_deadline minus the estimated batch service time minus
-// Config::deadline_margin — instead of letting the item sit out the full
-// flush window. Items without deadlines keep the classic size/timer
-// cadence untouched.
 //
 // Resilience: the GPU side of a batch can fail (injected via src/fault, a
 // thrown compute_gpu, or a per-batch deadline). A failed GPU batch is
@@ -70,7 +61,6 @@
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/deadline.hpp"
 #include "runtime/dispatch.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -96,12 +86,7 @@ class BatchingEngine {
     /// GemmWorkspace hot across the run; per-item postprocess, error
     /// isolation and completion accounting are unchanged.
     std::size_t cpu_chunk = 1;
-    /// Safety margin subtracted from a deadline-armed kind's last
-    /// responsible flush moment (deadline.hpp): the flush fires at
-    /// earliest_deadline - service_estimate - deadline_margin. Only
-    /// consulted for items submitted with a deadline.
-    std::chrono::microseconds deadline_margin{500};
-    /// Span/metrics sink; nullptr falls back to obs::TraceSession::current()
+    /// Span sink; nullptr falls back to obs::TraceSession::current()
     /// at construction (still tracing-off if that is null too).
     obs::TraceSession* trace = nullptr;
     /// Metrics registry for counters/gauges; nullptr means the process
@@ -154,7 +139,6 @@ class BatchingEngine {
     std::size_t gpu_items = 0;
     std::size_t timer_flushes = 0;
     std::size_t size_flushes = 0;
-    std::size_t deadline_flushes = 0;
     std::size_t explicit_flushes = 0;
     std::size_t max_batch_seen = 0;
     // Resilience accounting.
@@ -181,8 +165,6 @@ class BatchingEngine {
                                         {{"reason", "timer"}})),
         m_flush_size_(metrics_.counter("mh_batching_flushes_total", {},
                                        {{"reason", "size"}})),
-        m_flush_deadline_(metrics_.counter("mh_batching_flushes_total", {},
-                                           {{"reason", "deadline"}})),
         m_flush_explicit_(metrics_.counter("mh_batching_flushes_total", {},
                                            {{"reason", "explicit"}})),
         m_cpu_items_(metrics_.counter("mh_batching_items_total",
@@ -285,16 +267,25 @@ class BatchingEngine {
   /// caller's ambient context (e.g. a World task) or starts a fresh task —
   /// and carries it through batch membership, compute, and postprocess.
   void submit(KindId id, Input input) {
-    submit_impl(id, std::move(input), nullptr);
-  }
-
-  /// Deadline-carrying enqueue: the item must be *dispatched* early enough
-  /// that its batch can (by estimate) complete by `deadline`. Arms the
-  /// kind's earliest-deadline trigger; the dispatcher flushes at the last
-  /// responsible moment (deadline.hpp) instead of the full flush window.
-  void submit(KindId id, Input input,
-              std::chrono::steady_clock::time_point deadline) {
-    submit_impl(id, std::move(input), &deadline);
+    obs::ScopedSpan span(trace_, "enqueue", obs::Category::kPreprocess,
+                         {{"kind", static_cast<double>(id)}});
+    bool notify = false;
+    {
+      std::scoped_lock lock(mu_);
+      MH_CHECK(!stop_, "engine is shutting down");
+      Kind& kind = *kinds_.at(id);
+      if (kind.pending.empty()) {
+        kind.oldest_pending = std::chrono::steady_clock::now();
+      }
+      kind.pending.push_back(std::move(input));
+      kind.pending_ctx.push_back(span.context());
+      ++stats_.submitted;
+      if (kind.pending.size() >= config_.max_batch) {
+        kind.size_trigger = true;
+        notify = true;
+      }
+    }
+    if (notify) dispatch_cv_.notify_all();
   }
 
   /// Force-dispatch everything pending without waiting for the timer.
@@ -374,10 +365,6 @@ class BatchingEngine {
     /// while other kinds' size triggers keep waking the dispatcher.
     std::chrono::steady_clock::time_point oldest_pending{};
     bool size_trigger = false;
-    /// Earliest deadline among pending items (valid while has_deadline);
-    /// cleared when the pending queue is staged.
-    std::chrono::steady_clock::time_point earliest_deadline{};
-    bool has_deadline = false;
     RateEstimator cpu_rate;
     RateEstimator gpu_rate;
     // Sampler targets, registered in register_kind (stable for the
@@ -391,7 +378,6 @@ class BatchingEngine {
     kTimerFlush = 0,
     kSizeFlush = 1,
     kExplicitFlush = 2,
-    kDeadlineFlush = 3,
   };
 
   /// A batch staged under mu_ for submission after mu_ is released.
@@ -435,83 +421,14 @@ class BatchingEngine {
     return 0.5;  // cold start: split evenly until rates are known
   }
 
-  /// Common enqueue path; `deadline` is null for the classic cadence.
-  void submit_impl(KindId id, Input input,
-                   const std::chrono::steady_clock::time_point* deadline) {
-    obs::ScopedSpan span(trace_, "enqueue", obs::Category::kPreprocess,
-                         {{"kind", static_cast<double>(id)}});
-    bool notify = false;
-    {
-      std::scoped_lock lock(mu_);
-      MH_CHECK(!stop_, "engine is shutting down");
-      Kind& kind = *kinds_.at(id);
-      if (kind.pending.empty()) {
-        kind.oldest_pending = std::chrono::steady_clock::now();
-      }
-      kind.pending.push_back(std::move(input));
-      kind.pending_ctx.push_back(span.context());
-      ++stats_.submitted;
-      if (deadline != nullptr &&
-          (!kind.has_deadline || *deadline < kind.earliest_deadline)) {
-        kind.has_deadline = true;
-        kind.earliest_deadline = *deadline;
-        // The dispatcher's current wait may outlast the new flush-by
-        // moment; wake it so it re-derives its wake-up time.
-        rewake_ = true;
-        notify = true;
-      }
-      if (kind.pending.size() >= config_.max_batch) {
-        kind.size_trigger = true;
-        notify = true;
-      }
-    }
-    if (notify) dispatch_cv_.notify_all();
-  }
-
-  /// Estimated time (seconds) to service the kind's current pending batch,
-  /// from the faster of the two observed per-item rates. 0 until a rate
-  /// estimator has seen a batch — the margin then carries the policy.
-  double service_estimate_locked(const Kind& kind) const {
-    double per_item = 0.0;
-    if (kind.cpu_rate.ready() && kind.cpu_rate.per_item() > 0.0) {
-      per_item = kind.cpu_rate.per_item();
-    }
-    if (kind.gpu_rate.ready() && kind.gpu_rate.per_item() > 0.0) {
-      per_item = per_item > 0.0 ? std::min(per_item, kind.gpu_rate.per_item())
-                                : kind.gpu_rate.per_item();
-    }
-    return per_item * static_cast<double>(kind.pending.size());
-  }
-
-  /// The kind's last responsible dispatch moment (deadline.hpp), as a
-  /// steady_clock point. Only meaningful while has_deadline.
-  std::chrono::steady_clock::time_point deadline_flush_at_locked(
-      const Kind& kind) const {
-    const double deadline_s =
-        std::chrono::duration<double>(
-            kind.earliest_deadline.time_since_epoch())
-            .count();
-    const double margin_s =
-        std::chrono::duration<double>(config_.deadline_margin).count();
-    const double at_s = deadline_flush_at(
-        deadline_s, service_estimate_locked(kind), margin_s);
-    return std::chrono::steady_clock::time_point(
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(at_s)));
-  }
-
-  /// Earliest moment any kind becomes due — its window expiry or its
-  /// deadline flush-by moment — bounded by one full flush interval.
+  /// Earliest window expiry across kinds, bounded by one full flush
+  /// interval.
   std::chrono::steady_clock::time_point next_wake_locked() const {
     const auto now = std::chrono::steady_clock::now();
     auto wake = now + config_.flush_interval;
-    for (const auto& kind_ptr : kinds_) {
-      const Kind& kind = *kind_ptr;
-      if (kind.pending.empty()) continue;
-      wake = std::min(wake, kind.oldest_pending + config_.flush_interval);
-      if (kind.has_deadline) {
-        wake = std::min(wake, deadline_flush_at_locked(kind));
-      }
+    for (const auto& kind : kinds_) {
+      if (kind->pending.empty()) continue;
+      wake = std::min(wake, kind->oldest_pending + config_.flush_interval);
     }
     return std::max(wake, now);
   }
@@ -521,18 +438,16 @@ class BatchingEngine {
     std::vector<StagedBatch> staged;
     std::unique_lock lock(mu_);
     for (;;) {
-      // Sleep until the earliest due moment across kinds (window expiry or
-      // deadline flush-by); size triggers, explicit flushes, and
-      // newly-armed earlier deadlines (rewake_) cut the sleep short.
+      // Sleep until the earliest window expiry across kinds; size triggers
+      // and explicit flushes cut the sleep short.
       dispatch_cv_.wait_until(lock, next_wake_locked(), [this] {
-        if (stop_ || flush_requested_ || rewake_) return true;
+        if (stop_ || flush_requested_) return true;
         for (const auto& kind : kinds_) {
           if (kind->size_trigger) return true;
         }
         return false;
       });
       if (stop_) return;
-      rewake_ = false;
       const bool explicit_flush = flush_requested_;
       flush_requested_ = false;
       const auto now = std::chrono::steady_clock::now();
@@ -553,13 +468,6 @@ class BatchingEngine {
           reason = kSizeFlush;
           ++stats_.size_flushes;
           m_flush_size_.inc();
-        } else if (kind.has_deadline &&
-                   now >= deadline_flush_at_locked(kind)) {
-          // Last responsible moment for the earliest enqueued deadline:
-          // dispatch now or (by estimate) miss it.
-          reason = kDeadlineFlush;
-          ++stats_.deadline_flushes;
-          m_flush_deadline_.inc();
         } else if (now - kind.oldest_pending >= config_.flush_interval) {
           // The batch outwaited its aggregation window.
           reason = kTimerFlush;
@@ -587,10 +495,6 @@ class BatchingEngine {
     kind.pending.clear();
     staged.ctxs = std::move(kind.pending_ctx);
     kind.pending_ctx.clear();
-    // The whole pending queue ships in this batch, so its deadline trigger
-    // is consumed with it.
-    kind.has_deadline = false;
-    kind.earliest_deadline = {};
     staged.reason = reason;
     ++stats_.batches;
     stats_.max_batch_seen = std::max(stats_.max_batch_seen, staged.items.size());
@@ -641,9 +545,6 @@ class BatchingEngine {
          {"items", static_cast<double>(staged.items.size())},
          {"ncpu", static_cast<double>(staged.ncpu)}});
     if (trace_ != nullptr) {
-      trace_->counter_add("batching.batches", 1.0);
-      trace_->hist_record("batching.batch_items",
-                          static_cast<double>(staged.items.size()));
       // Many-to-one join: every member item's enqueue span feeds this batch
       // span (a single parent link cannot express the fan-in).
       for (const obs::TraceContext& ctx : staged.ctxs) {
@@ -858,7 +759,6 @@ class BatchingEngine {
       }
     }
     m_gpu_retries_.inc();
-    if (trace_ != nullptr) trace_->counter_add("fault.gpu_retries", 1.0);
     obs::ScopedSpan span(trace_, "gpu-retry-backoff", obs::Category::kOther,
                          {{"delay_ms", delay_ms}});
     std::this_thread::sleep_for(
@@ -869,7 +769,6 @@ class BatchingEngine {
   /// the breaker is now open (which short-circuits further retries).
   bool on_gpu_failure() {
     m_gpu_failures_.inc();
-    if (trace_ != nullptr) trace_->counter_add("fault.gpu_failures", 1.0);
     std::scoped_lock lock(mu_);
     ++stats_.gpu_failures;
     ++consecutive_gpu_failures_;
@@ -896,10 +795,6 @@ class BatchingEngine {
     ++stats_.breaker_closes;
     m_breaker_to_closed_.inc();
     m_breaker_state_.set(0.0);
-    if (trace_ != nullptr) {
-      trace_->counter_add("fault.breaker_transitions", 1.0);
-      trace_->hist_record("fault.breaker_open_seconds", open_for.count());
-    }
   }
 
   void open_breaker_locked() {
@@ -915,9 +810,6 @@ class BatchingEngine {
       breaker_ = BreakerState::kOpen;
       m_breaker_to_open_.inc();
       m_breaker_state_.set(1.0);
-      if (trace_ != nullptr) {
-        trace_->counter_add("fault.breaker_transitions", 1.0);
-      }
     }
     // Every failure while open restarts the cooldown clock.
     breaker_reprobe_at_ =
@@ -933,9 +825,6 @@ class BatchingEngine {
       probe_inflight_ = false;
       m_breaker_to_half_.inc();
       m_breaker_state_.set(0.5);
-      if (trace_ != nullptr) {
-        trace_->counter_add("fault.breaker_transitions", 1.0);
-      }
     }
   }
 
@@ -951,10 +840,6 @@ class BatchingEngine {
         stats_.gpu_fallback_items += work->items.size();
       }
       m_fallback_items_.inc(static_cast<double>(work->items.size()));
-      if (trace_ != nullptr) {
-        trace_->counter_add("fault.cpu_fallback_items",
-                            static_cast<double>(work->items.size()));
-      }
       // Fallback items keep their provenance: the compute span on the CPU
       // side continues each item's original task chain.
       for (std::size_t i = 0; i < work->items.size(); ++i) {
@@ -993,7 +878,6 @@ class BatchingEngine {
   obs::Counter& m_batches_;
   obs::Counter& m_flush_timer_;
   obs::Counter& m_flush_size_;
-  obs::Counter& m_flush_deadline_;
   obs::Counter& m_flush_explicit_;
   obs::Counter& m_cpu_items_;
   obs::Counter& m_gpu_items_;
@@ -1014,9 +898,6 @@ class BatchingEngine {
   Stats stats_;
   std::exception_ptr first_error_;
   bool flush_requested_ = false;
-  /// A submit armed an earlier deadline than the dispatcher's current wait
-  /// accounts for; wake and re-derive the wake-up time.
-  bool rewake_ = false;
   bool stop_ = false;
   // Resilience state (all under mu_ except the metric handles above).
   Rng retry_rng_;

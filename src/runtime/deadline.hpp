@@ -1,37 +1,36 @@
 // Deadline-aware flush policy — when to dispatch a partial batch so its
 // most urgent member still meets its latency deadline.
 //
-// Pure size/timer flushing (batching.hpp's classic cadence) optimizes
-// throughput: a batch waits its whole window even when a request in it is
-// about to blow its SLO. The serving discipline instead flushes at the
+// Pure size/timer flushing (batching.hpp's cadence) optimizes throughput:
+// a batch waits its whole window even when a request in it is about to
+// blow its SLO. The serving discipline instead flushes at the
 // *last responsible moment*:
 //
-//   flush_at = earliest_deadline - service_estimate - margin
+//   flush_at = first_due - service_estimate - margin
 //
-// i.e. keep aggregating (amortizing dispatch overhead over more items)
-// right up until service could no longer finish by the earliest enqueued
-// deadline, with `margin` absorbing estimate error. Expressed over plain
-// double timestamps (seconds on an arbitrary epoch) so the same policy
-// drives both rt::BatchingEngine on the wall clock and serve::ServeFrontEnd
-// on the simulated clock — the tail-latency claims CI gates are made about
-// this exact arithmetic.
+// where first_due is the earliest deadline among the batch's items: keep
+// aggregating (amortizing dispatch overhead over more items) right up
+// until service could no longer finish by it, with `margin` absorbing
+// estimate error. Expressed over plain
+// double timestamps (seconds on an arbitrary epoch); serve::ServeFrontEnd
+// evaluates it on the simulated clock, and the tail-latency claims CI
+// gates are made about this exact arithmetic.
 #pragma once
 
 namespace mh::rt {
 
-/// The latest time a batch holding an item due at `earliest_deadline` can
-/// be dispatched and still (by estimate) meet it.
-inline double deadline_flush_at(double earliest_deadline,
-                                double service_estimate,
+/// The latest time a batch holding an item due at `first_due` can be
+/// dispatched and still (by estimate) meet it.
+inline double deadline_flush_at(double first_due, double service_estimate,
                                 double margin) noexcept {
-  return earliest_deadline - service_estimate - margin;
+  return first_due - service_estimate - margin;
 }
 
 /// True once `now` has reached the last responsible moment.
-inline bool deadline_flush_due(double now, double earliest_deadline,
+inline bool deadline_flush_due(double now, double first_due,
                                double service_estimate,
                                double margin) noexcept {
-  return now >= deadline_flush_at(earliest_deadline, service_estimate, margin);
+  return now >= deadline_flush_at(first_due, service_estimate, margin);
 }
 
 }  // namespace mh::rt

@@ -21,9 +21,8 @@
 //                    batching.hpp default;
 //        kDeadline — the serving discipline: flush at the last
 //                    responsible moment for the earliest enqueued
-//                    deadline (rt::deadline_flush_at, the same policy
-//                    arithmetic the BatchingEngine's deadline hook runs
-//                    on the wall clock).
+//                    deadline (rt::deadline_flush_at in
+//                    runtime/deadline.hpp).
 //   3. Service — `workers` parallel batch servers, each bound to a
 //      backend rank; a batch costs batch_setup[class] +
 //      n * per_item[class] of simulated time. Every dispatch consults

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace mh {
@@ -13,6 +14,8 @@ Tensor::Tensor(std::span<const std::size_t> shape) {
   std::size_t total = 1;
   for (std::size_t i = 0; i < ndim_; ++i) {
     MH_CHECK(shape[i] > 0, "tensor extents must be positive");
+    MH_CHECK(total <= std::numeric_limits<std::size_t>::max() / shape[i],
+             "tensor size overflows");
     shape_[i] = shape[i];
     total *= shape[i];
   }

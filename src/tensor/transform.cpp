@@ -20,40 +20,12 @@ Tensor make_cycled_result(const Tensor& t, std::size_t cols) {
   return Tensor(std::span<const std::size_t>{shape.data(), d});
 }
 
-Tensor inner_first_impl(const Tensor& t, MatrixView c, std::size_t kred) {
-  MH_CHECK(t.ndim() >= 1 && !t.empty(), "inner_first on empty tensor");
-  MH_CHECK(t.dim(0) == c.rows, "contraction extent mismatch");
-  const std::size_t k = t.dim(0);
-  const std::size_t rest = t.size() / k;
-
-  if (t.ndim() == 1) {
-    // Vector case: r(i) = sum_j t(j) c(j, i).
-    Tensor r({c.cols});
-    if (kred >= k) {
-      linalg::mTxm(1, c.cols, k, r.data(), t.data(), c.ptr);
-    } else {
-      linalg::mTxm_reduced(1, c.cols, k, kred, r.data(), t.data(), c.ptr);
-    }
-    return r;
-  }
-
-  // t viewed as (k, rest): r(rest, i) = sum_j t(j, rest) c(j, i) = t^T c.
-  Tensor r = make_cycled_result(t, c.cols);
-  if (kred >= k) {
-    linalg::mTxm(rest, c.cols, k, r.data(), t.data(), c.ptr);
-  } else {
-    linalg::mTxm_reduced(rest, c.cols, k, kred, r.data(), t.data(), c.ptr);
-  }
-  return r;
-}
-
 // Run the whole mode chain through the batch-GEMM engine in one fused pass:
 // one result allocation, intermediates in the thread's workspace. The chain
 // cycles indices exactly like repeated inner_first, so the final shape is
 // the operators' column extents in order. Bitwise-identical to the
 // mode-by-mode path (the engine's contract).
-Tensor fused_chain(const Tensor& t, std::span<const MatrixView> mats,
-                   std::size_t kred) {
+Tensor fused_chain(const Tensor& t, std::span<const MatrixView> mats) {
   MH_CHECK(mats.size() == t.ndim(), "one operator matrix per mode required");
   MH_CHECK(t.ndim() >= 1 && !t.empty(), "transform on empty tensor");
   const std::size_t d = t.ndim();
@@ -66,36 +38,34 @@ Tensor fused_chain(const Tensor& t, std::span<const MatrixView> mats,
     out_shape[m] = mats[m].cols;
   }
   Tensor r(std::span<const std::size_t>{out_shape.data(), d});
+  // kred >= every extent: no screening.
   linalg::fused_transform_chain({shape.data(), d}, t.data(), {gm.data(), d},
-                                kred, r.data(), linalg::thread_workspace());
+                                std::numeric_limits<std::size_t>::max(),
+                                r.data(), linalg::thread_workspace());
   return r;
 }
 
 }  // namespace
 
 Tensor inner_first(const Tensor& t, MatrixView c) {
-  return inner_first_impl(t, c, t.dim(0));
+  MH_CHECK(t.ndim() >= 1 && !t.empty(), "inner_first on empty tensor");
+  MH_CHECK(t.dim(0) == c.rows, "contraction extent mismatch");
+  const std::size_t k = t.dim(0);
+  // t viewed as (k, rest): r(rest, i) = sum_j t(j, rest) c(j, i) = t^T c.
+  // The vector case (rest = 1) yields r(i) = sum_j t(j) c(j, i).
+  Tensor r = make_cycled_result(t, c.cols);
+  linalg::mTxm(t.size() / k, c.cols, k, r.data(), t.data(), c.ptr);
+  return r;
 }
 
 Tensor transform(const Tensor& t, MatrixView c) {
   std::array<MatrixView, kMaxTensorDim> mats;
   mats.fill(c);
-  // kred >= every extent: no screening.
-  return fused_chain(t, {mats.data(), t.ndim()},
-                     std::numeric_limits<std::size_t>::max());
+  return fused_chain(t, {mats.data(), t.ndim()});
 }
 
 Tensor general_transform(const Tensor& t, std::span<const MatrixView> mats) {
-  return fused_chain(t, mats, std::numeric_limits<std::size_t>::max());
-}
-
-Tensor general_transform_reduced(const Tensor& t,
-                                 std::span<const MatrixView> mats,
-                                 std::size_t kred) {
-  // Screening applies to the contracted (input) index of every mode, which
-  // is always index 0 of the running intermediate — the fused chain applies
-  // kred to each contraction just like repeated inner_first_impl.
-  return fused_chain(t, mats, kred);
+  return fused_chain(t, mats);
 }
 
 void fused_apply_accumulate(const Tensor& t, std::span<const MatrixView> mats,

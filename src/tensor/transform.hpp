@@ -48,21 +48,16 @@ Tensor transform(const Tensor& t, MatrixView c);
 /// per-dimension h^(mu,dim) matrices). mats.size() must equal t.ndim().
 Tensor general_transform(const Tensor& t, std::span<const MatrixView> mats);
 
-/// Rank-reduced general transform: each contraction sums only over the first
-/// `kred` values of the contracted index (the paper's §II-D row/column
-/// screening, Figure 4). kred >= extent gives the exact result.
-Tensor general_transform_reduced(const Tensor& t,
-                                 std::span<const MatrixView> mats,
-                                 std::size_t kred);
-
 /// Whole-task fusion of Formula 1 (the paper's custom-kernel organization,
 /// run on the CPU through linalg's batch-GEMM engine):
 ///   result += sum_mu coeffs[mu] * general_transform(t, mats[mu*d .. +d])
 /// in ONE packed pass — all intermediates live in the calling thread's
 /// GemmWorkspace, no per-mode allocations. t must be a cube and every
 /// operator block square (k, k). `kreds`, when non-empty, gives the per-term
-/// reduced rank (general_transform_reduced semantics). Bitwise-identical to
-/// the composed mode-by-mode path.
+/// reduced rank: each of the term's contractions sums only over the first
+/// kred values of the contracted index (the paper's §II-D row/column
+/// screening, Figure 4). Bitwise-identical to the composed mode-by-mode
+/// path.
 void fused_apply_accumulate(const Tensor& t, std::span<const MatrixView> mats,
                             std::span<const double> coeffs,
                             std::span<const std::size_t> kreds,

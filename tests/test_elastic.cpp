@@ -251,12 +251,54 @@ TEST(Checkpoint, LeafThatIsNotAKCubeIsRejected) {
   const mra::Key key = f.leaf_keys().front();
   for (const Tensor& bad : {Tensor({7, 1}), Tensor({6}), Tensor({7, 7})}) {
     ElasticFunction ef(f, 2, 2, /*replication=*/2, 3);
-    ef.store().put(0, key, bad, 0.0);
+    ef.store().put(0, key, bad);
     std::ostringstream os;
     ef.checkpoint(os);
     std::istringstream is(os.str());
     EXPECT_THROW(ElasticFunction::restore(is, 2, 2), Error);
   }
+}
+
+// A hand-written snapshot of one leaf whose k^d cube has no coefficient
+// bytes: if k^d wraps to 0 the leaf "restores" with no elements.
+std::string one_leaf_snapshot(std::uint64_t d, std::uint64_t k) {
+  std::ostringstream os;
+  const auto pod = [&os](const auto& value) {
+    os.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  pod(std::uint32_t{0x4d48434bu});  // magic "MHCK"
+  pod(std::uint32_t{1});            // version
+  pod(std::int32_t{0});             // subtree level
+  pod(std::uint64_t{1});            // seed
+  pod(d);
+  pod(k);
+  pod(1e-6);              // thresh
+  pod(std::int32_t{0});   // initial level
+  pod(std::int32_t{30});  // max level
+  pod(std::uint64_t{1});  // one leaf
+  pod(std::int32_t{0});   // its level
+  for (std::uint64_t m = 0; m < d; ++m) pod(std::int64_t{0});
+  pod(d);  // tensor order
+  for (std::uint64_t m = 0; m < d; ++m) pod(k);
+  return os.str();
+}
+
+TEST(Checkpoint, CubeWhoseSizeOverflowsIsRejected) {
+  // k^d wraps to 0 for both: 2^66 and 2^64.
+  for (const auto& [d, k] : {std::pair<std::uint64_t, std::uint64_t>{3, 1u << 22},
+                             {4, 1u << 16}}) {
+    std::istringstream is(one_leaf_snapshot(d, k));
+    EXPECT_THROW(ElasticFunction::restore(is, 2, 2), Error)
+        << "d=" << d << " k=" << k;
+  }
+  // The same framing at a valid k restores (a truncation error here would
+  // mean the crafted layout drifted from checkpoint()).
+  std::string ok = one_leaf_snapshot(1, 2);
+  for (const double c : {0.5, -0.25}) {
+    ok.append(reinterpret_cast<const char*>(&c), sizeof(c));
+  }
+  std::istringstream is(ok);
+  EXPECT_EQ(ElasticFunction::restore(is, 2, 2).num_leaves(), 1u);
 }
 
 TEST(Checkpoint, CorruptMagicOrVersionIsRejected) {

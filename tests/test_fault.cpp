@@ -9,7 +9,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -353,12 +355,23 @@ TEST(EngineResilience, BreakerOpensAndEverythingCompletesOnCpu) {
     EXPECT_GE(stats.breaker_opens, 1u);
   }
   EXPECT_EQ(engine.breaker_state(), Engine::BreakerState::kOpen);
-  // The degradation is visible in the metrics registry.
+  // The degradation is visible in the metrics registry, which counts
+  // exactly what Stats counts (the cooldown keeps the breaker from
+  // re-opening out of half-open, so every open transition is from closed).
   EXPECT_DOUBLE_EQ(reg.gauge("mh_fault_breaker_state", {}).value(), 1.0);
-  EXPECT_GE(reg.counter("mh_fault_breaker_transitions_total", {},
-                        {{"to", "open"}})
-                .value(),
-            1.0);
+  {
+    const auto stats = engine.stats();
+    EXPECT_EQ(reg.counter("mh_fault_gpu_batch_failures_total", {}).value(),
+              static_cast<double>(stats.gpu_failures));
+    EXPECT_EQ(reg.counter("mh_fault_gpu_batch_retries_total", {}).value(),
+              static_cast<double>(stats.gpu_retries));
+    EXPECT_EQ(reg.counter("mh_fault_cpu_fallback_items_total", {}).value(),
+              static_cast<double>(stats.gpu_fallback_items));
+    EXPECT_EQ(reg.counter("mh_fault_breaker_transitions_total", {},
+                          {{"to", "open"}})
+                  .value(),
+              static_cast<double>(stats.breaker_opens));
+  }
   // A wave staged entirely after the breaker opened routes 100% to the CPU:
   // the live split degrades to 1.0 and no new GPU failures accrue.
   const auto before = engine.stats();
@@ -667,6 +680,30 @@ TEST(FlightRecorderFaultPath, FirstFaultErrorDumpsArmedRecorder) {
   }
   EXPECT_TRUE(lead_up) << "dump lost the pre-fault spans";
   std::remove(path.c_str());
+}
+
+TEST(FlightRecorderFaultPath, ArmFromEnvAsTheFirstRecorderCallReturns) {
+  // The bench harness and FaultInjector::global() call arm_from_env()
+  // before anything has asked for the ambient session. arm() asks for it,
+  // and that first ambient lookup arms from the environment in turn; it
+  // must not wait on the arming lock its own caller holds.
+  const std::string path = ::testing::TempDir() + "/mh_env_flight.json";
+  ASSERT_EQ(setenv("MH_FLIGHT_RECORDER", path.c_str(), 1), 0);
+  auto armed = std::async(std::launch::async,
+                          [] { return obs::FlightRecorder::arm_from_env(); });
+  if (armed.wait_for(10s) != std::future_status::ready) {
+    // A deadlocked arm never returns, and the future's destructor would
+    // wait for it forever.
+    std::fprintf(stderr, "arm_from_env() deadlocked\n");
+    std::_Exit(1);
+  }
+  obs::FlightRecorder* rec = armed.get();
+  unsetenv("MH_FLIGHT_RECORDER");
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(obs::FlightRecorder::armed(), rec);
+  if (obs::TraceSession::current() == &rec->session()) {
+    obs::TraceSession::set_current(nullptr);
+  }
 }
 
 // ---------------------------------------------------------------------------

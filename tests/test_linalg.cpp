@@ -110,10 +110,15 @@ TEST(Gemm, ReducedEqualsFullWhenKredIsDimk) {
   const auto at = random_matrix(dk, di, rng);
   const auto b = random_matrix(dk, dj, rng);
   std::vector<double> full(di * dj, 0.0), red(di * dj, 0.0);
+  std::vector<double> ref = red;
   mTxm(di, dj, dk, full.data(), at.data(), b.data());
-  mTxm_reduced(di, dj, dk, dk, red.data(), at.data(), b.data());
-  for (std::size_t i = 0; i < full.size(); ++i)
+  mTxm_packed(di, dj, dk, dk, red.data(), at.data(), b.data(),
+              thread_workspace());
+  mTxm_reduced_ref(di, dj, dk, dk, ref.data(), at.data(), b.data());
+  for (std::size_t i = 0; i < full.size(); ++i) {
     EXPECT_NEAR(full[i], red[i], 1e-13);
+    EXPECT_EQ(red[i], ref[i]);
+  }
 }
 
 TEST(Gemm, ReducedContractsOnlyLeadingRows) {
@@ -122,7 +127,10 @@ TEST(Gemm, ReducedContractsOnlyLeadingRows) {
   const double at[dk * di] = {1, 2, 100, 100, 100, 100};
   const double b[dk * dj] = {3, 4, 100, 100, 100, 100};
   double c[di * dj] = {};
-  mTxm_reduced(di, dj, dk, 1, c, at, b);
+  double ref[di * dj] = {};
+  mTxm_packed(di, dj, dk, 1, c, at, b, thread_workspace());
+  mTxm_reduced_ref(di, dj, dk, 1, ref, at, b);
+  for (std::size_t i = 0; i < di * dj; ++i) EXPECT_EQ(c[i], ref[i]);
   EXPECT_DOUBLE_EQ(c[0], 3.0);   // 1*3
   EXPECT_DOUBLE_EQ(c[1], 4.0);   // 1*4
   EXPECT_DOUBLE_EQ(c[2], 6.0);   // 2*3
@@ -134,10 +142,15 @@ TEST(Gemm, ReducedClampsOversizedKred) {
   const std::size_t d = 4;
   const auto at = random_matrix(d, d, rng);
   const auto b = random_matrix(d, d, rng);
-  std::vector<double> c1(d * d, 0.0), c2(d * d, 0.0);
-  mTxm_reduced(d, d, d, d + 10, c1.data(), at.data(), b.data());
+  std::vector<double> c1(d * d, 0.0), c2(d * d, 0.0), ref(d * d, 0.0);
+  mTxm_packed(d, d, d, d + 10, c1.data(), at.data(), b.data(),
+              thread_workspace());
+  mTxm_reduced_ref(d, d, d, d + 10, ref.data(), at.data(), b.data());
   mTxm(d, d, d, c2.data(), at.data(), b.data());
-  for (std::size_t i = 0; i < c1.size(); ++i) EXPECT_NEAR(c1[i], c2[i], 1e-13);
+  for (std::size_t i = 0; i < c1.size(); ++i) {
+    EXPECT_NEAR(c1[i], c2[i], 1e-13);
+    EXPECT_EQ(c1[i], ref[i]);
+  }
 }
 
 TEST(Gemm, FlopCount) {
@@ -181,7 +194,8 @@ TEST_P(PackedGemmShapes, ReducedBitwiseEqualsScalarReference) {
                            static_cast<std::size_t>(dk)}) {
     std::vector<double> c(static_cast<std::size_t>(di) * dj, -0.125);
     std::vector<double> ref = c;
-    mTxm_reduced(di, dj, dk, kred, c.data(), at.data(), b.data());
+    mTxm_packed(di, dj, dk, kred, c.data(), at.data(), b.data(),
+                thread_workspace());
     mTxm_reduced_ref(di, dj, dk, kred, ref.data(), at.data(), b.data());
     for (std::size_t i = 0; i < c.size(); ++i) {
       ASSERT_EQ(c[i], ref[i]) << "kred " << kred << " element " << i;

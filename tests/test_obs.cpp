@@ -276,24 +276,6 @@ TEST(TraceSession, SimDomainTotalsRespectTrackPrefix) {
   EXPECT_DOUBLE_EQ(wall[Category::kTransfer], 0.0);
 }
 
-TEST(TraceSession, CountersAccumulateAndHistogramsSummarize) {
-  TraceSession session;
-  session.counter_add("batches", 1.0);
-  session.counter_add("batches", 2.5);
-  EXPECT_DOUBLE_EQ(session.counter("batches"), 3.5);
-  EXPECT_DOUBLE_EQ(session.counter("missing"), 0.0);
-
-  session.hist_record("items", 4.0);
-  session.hist_record("items", 64.0);
-  session.hist_record("items", 1.0);
-  const HistSummary h = session.hist("items");
-  EXPECT_EQ(h.count, 3u);
-  EXPECT_DOUBLE_EQ(h.sum, 69.0);
-  EXPECT_DOUBLE_EQ(h.min, 1.0);
-  EXPECT_DOUBLE_EQ(h.max, 64.0);
-  EXPECT_EQ(session.hist("missing").count, 0u);
-}
-
 TEST(TraceSession, CurrentSessionInstallAndRestore) {
   ASSERT_EQ(TraceSession::current(), nullptr);
   TraceSession session;
@@ -318,8 +300,6 @@ TEST(TraceSession, ChromeTraceIsValidJsonWithBothClockDomains) {
   const auto sim = session.track(ClockDomain::kSim, "node0/phases");
   session.record_sim(sim, "kernels", Category::kGpuKernel, SimTime::micros(5),
                      SimTime::micros(25), {{"sms", 16.0}});
-  session.counter_add("batching.batches", 2.0);
-  session.hist_record("batching.batch_items", 60.0);
 
   std::ostringstream os;
   session.write_chrome_trace(os);
@@ -331,7 +311,6 @@ TEST(TraceSession, ChromeTraceIsValidJsonWithBothClockDomains) {
   EXPECT_NE(json.find("\"pid\":2"), std::string::npos);
   EXPECT_NE(json.find("process_name"), std::string::npos);
   EXPECT_NE(json.find("traceEvents"), std::string::npos);
-  EXPECT_NE(json.find("batching.batches"), std::string::npos);
   EXPECT_NE(json.find("node0/phases"), std::string::npos);
 }
 
@@ -574,23 +553,34 @@ TEST(Metrics, BatchingEngineExportsCountersAndSplitGauges) {
   engine.sample_metrics();
   EXPECT_EQ(done.load(), 200);
 
-  EXPECT_GE(reg.counter("mh_batching_batches_total").value(), 1.0);
-  const double cpu_items =
-      reg.counter("mh_batching_items_total", "", {{"side", "cpu"}}).value();
-  const double gpu_items =
-      reg.counter("mh_batching_items_total", "", {{"side", "gpu"}}).value();
-  EXPECT_DOUBLE_EQ(cpu_items + gpu_items, 200.0);
-  const double flushes =
+  // The registry is the engine's one counter sink: it holds exactly what
+  // Stats holds, field by field.
+  const auto stats = engine.stats();
+  const auto as_double = [](std::size_t n) { return static_cast<double>(n); };
+  EXPECT_GE(stats.batches, 1u);
+  EXPECT_EQ(reg.counter("mh_batching_batches_total").value(),
+            as_double(stats.batches));
+  EXPECT_EQ(
       reg.counter("mh_batching_flushes_total", "", {{"reason", "timer"}})
-          .value() +
+          .value(),
+      as_double(stats.timer_flushes));
+  EXPECT_EQ(
       reg.counter("mh_batching_flushes_total", "", {{"reason", "size"}})
-          .value() +
+          .value(),
+      as_double(stats.size_flushes));
+  EXPECT_EQ(
       reg.counter("mh_batching_flushes_total", "", {{"reason", "explicit"}})
-          .value();
-  EXPECT_GE(flushes, 1.0);
+          .value(),
+      as_double(stats.explicit_flushes));
+  EXPECT_EQ(
+      reg.counter("mh_batching_items_total", "", {{"side", "cpu"}}).value(),
+      as_double(stats.cpu_items));
+  EXPECT_EQ(
+      reg.counter("mh_batching_items_total", "", {{"side", "gpu"}}).value(),
+      as_double(stats.gpu_items));
+  EXPECT_EQ(stats.cpu_items + stats.gpu_items, 200u);
   EXPECT_EQ(reg.histogram("mh_batching_batch_items").snapshot().count,
-            static_cast<std::uint64_t>(
-                reg.counter("mh_batching_batches_total").value()));
+            static_cast<std::uint64_t>(stats.batches));
 
   // Per-kind sampled levels exist after sample_metrics(): nothing pending
   // after wait(); the live split fraction is a valid fraction.
@@ -726,7 +716,9 @@ TEST(TraceExport, ControlCharactersInNamesAreEscaped) {
     ScopedSpan span(&session, "tick", Category::kOther);
   });
   t.join();
-  session.counter_add("ctr\nwith\rnewlines", 1.0);
+  {
+    ScopedSpan span(&session, "span\nwith\rnewlines", Category::kOther);
+  }
   std::ostringstream os;
   session.write_chrome_trace(os);
   const std::string json = os.str();

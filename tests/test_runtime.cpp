@@ -13,6 +13,7 @@
 
 #include "common/diagnostics.hpp"
 #include "runtime/batching.hpp"
+#include "runtime/deadline.hpp"
 #include "runtime/dispatch.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -405,81 +406,6 @@ TEST(Deadline, FlushAtIsTheLastResponsibleMoment) {
   EXPECT_TRUE(deadline_flush_due(9.0, 10.0, 2.0, 0.5));
   // A deadline already inside the service estimate is due immediately.
   EXPECT_TRUE(deadline_flush_due(0.0, 1.0, 2.0, 0.5));
-}
-
-TEST(BatchingEngine, DeadlineSubmitFlushesBeforeTheWindow) {
-  // Timer effectively off and the batch far below the size cap: only the
-  // deadline trigger can dispatch these items early.
-  auto cfg = quick_config(0.0);
-  cfg.max_batch = 1000000;
-  cfg.flush_interval = 10min;
-  cfg.deadline_margin = 1ms;
-  Engine engine(cfg);
-  std::atomic<int> done{0};
-  const KindId kind = engine.register_kind(
-      {nullptr,
-       [](std::span<const int> xs) {
-         return std::vector<int>(xs.begin(), xs.end());
-       },
-       [&](int&&) { ++done; },
-       61});
-  const auto slo = std::chrono::steady_clock::now() + 25ms;
-  for (int i = 0; i < 5; ++i) engine.submit(kind, i, slo);
-  const auto give_up = std::chrono::steady_clock::now() + 5s;
-  while (done.load() < 5 && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_EQ(done.load(), 5);
-  const auto stats = engine.stats();
-  EXPECT_GE(stats.deadline_flushes, 1u);
-  EXPECT_EQ(stats.timer_flushes, 0u);
-  EXPECT_EQ(stats.batches, stats.timer_flushes + stats.size_flushes +
-                               stats.deadline_flushes + stats.explicit_flushes);
-}
-
-TEST(BatchingEngine, EarlierDeadlineRewakesTheDispatcher) {
-  // Arm a lax deadline first, then a much tighter one: the dispatcher must
-  // re-derive its wake-up time instead of sleeping out the first deadline.
-  auto cfg = quick_config(0.0);
-  cfg.max_batch = 1000000;
-  cfg.flush_interval = 10min;
-  cfg.deadline_margin = 1ms;
-  Engine engine(cfg);
-  std::atomic<int> done{0};
-  const KindId kind = engine.register_kind(
-      {nullptr,
-       [](std::span<const int> xs) {
-         return std::vector<int>(xs.begin(), xs.end());
-       },
-       [&](int&&) { ++done; },
-       62});
-  const auto now = std::chrono::steady_clock::now();
-  engine.submit(kind, 1, now + 10s);
-  engine.submit(kind, 2, now + 20ms);
-  const auto give_up = now + 5s;
-  while (done.load() < 2 && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(1ms);
-  }
-  // Both items ship in the tight deadline's batch, well before 10 s.
-  EXPECT_EQ(done.load(), 2);
-  EXPECT_LT(std::chrono::steady_clock::now(), now + 5s);
-  EXPECT_GE(engine.stats().deadline_flushes, 1u);
-}
-
-TEST(BatchingEngine, NoDeadlinePathNeverDeadlineFlushes) {
-  Engine engine(quick_config(0.0));
-  std::atomic<int> done{0};
-  const KindId kind = engine.register_kind(
-      {nullptr,
-       [](std::span<const int> xs) {
-         return std::vector<int>(xs.begin(), xs.end());
-       },
-       [&](int&&) { ++done; },
-       63});
-  for (int i = 0; i < 100; ++i) engine.submit(kind, i);
-  engine.wait();
-  EXPECT_EQ(done.load(), 100);
-  EXPECT_EQ(engine.stats().deadline_flushes, 0u);
 }
 
 TEST(BatchingEngine, WaitRethrowsComputeError) {

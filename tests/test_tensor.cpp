@@ -7,6 +7,7 @@
 
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
+#include "linalg/batch_gemm.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/transform.hpp"
 
@@ -17,6 +18,23 @@ Tensor random_cube(std::size_t d, std::size_t k, Rng& rng) {
   Tensor t = Tensor::cube(d, k);
   for (auto& x : t.flat()) x = rng.uniform(-1.0, 1.0);
   return t;
+}
+
+// The rank-reduced chain on a cube: every contraction sums only over the
+// first kred values of the contracted index (the paper's §II-D screening).
+Tensor reduced_chain(const Tensor& t, std::span<const MatrixView> mats,
+                     std::size_t kred) {
+  std::array<std::size_t, kMaxTensorDim> shape{};
+  std::array<linalg::GemmMat, kMaxTensorDim> gm{};
+  for (std::size_t m = 0; m < t.ndim(); ++m) {
+    shape[m] = t.dim(m);
+    gm[m] = linalg::GemmMat{mats[m].ptr, mats[m].rows, mats[m].cols};
+  }
+  Tensor r = Tensor::cube(t.ndim(), mats[0].cols);
+  linalg::fused_transform_chain({shape.data(), t.ndim()}, t.data(),
+                                {gm.data(), t.ndim()}, kred, r.data(),
+                                linalg::thread_workspace());
+  return r;
 }
 
 std::vector<double> identity(std::size_t k) {
@@ -47,6 +65,10 @@ TEST(Tensor, RejectsBadShapes) {
   EXPECT_THROW(Tensor(std::span<const std::size_t>{zero}), Error);
   EXPECT_THROW(Tensor(std::span<const std::size_t>{toomany}), Error);
   EXPECT_THROW(Tensor::cube(0, 3), Error);
+  // Extent products that wrap around size_t (2^66 and 2^64 elements) must
+  // not construct an empty tensor that claims a k^d shape.
+  EXPECT_THROW(Tensor::cube(3, std::size_t{1} << 22), Error);
+  EXPECT_THROW(Tensor::cube(4, std::size_t{1} << 16), Error);
 }
 
 TEST(Tensor, MultiIndexIsRowMajor) {
@@ -232,7 +254,7 @@ TEST(Transform, ReducedEqualsFullAtFullRank) {
                                  MatrixView(cs[1].data(), k, k),
                                  MatrixView(cs[2].data(), k, k)};
   Tensor full = general_transform(t, mats);
-  Tensor red = general_transform_reduced(t, mats, k);
+  Tensor red = reduced_chain(t, mats, k);
   EXPECT_LT(max_abs_diff(full, red), 1e-12);
 }
 
@@ -255,7 +277,7 @@ TEST(Transform, ReducedIsExactWhenTailIsZero) {
   const MatrixView cv(c.data(), k, k);
   std::array<MatrixView, 2> mats{cv, cv};
   Tensor full = general_transform(t, mats);
-  Tensor red = general_transform_reduced(t, mats, kred);
+  Tensor red = reduced_chain(t, mats, kred);
   EXPECT_LT(max_abs_diff(full, red), 1e-13);
 }
 
