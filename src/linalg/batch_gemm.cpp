@@ -16,131 +16,149 @@ namespace mh::linalg {
 namespace detail {
 namespace {
 
-// Tile epilogues, as in batch_gemm_avx2.cpp: where a finished accumulator
-// element of block s (panel row r, column j) goes.
+// The contraction of one panel pass: `terms` segments of kc[mu] packed
+// rows each, in order. Slot s's segment mu is blocks[s * terms + mu].
+struct Segs {
+  std::size_t terms;
+  const std::size_t* kc;
+};
 
-// mtxm: one block, c += acc, c already offset to the panel's first row.
+// Tile epilogues, as in batch_gemm_avx2.cpp: where a finished accumulator
+// element of slot s (panel row r, column j) goes; at(i0) is the epilogue
+// of the panel whose first row is i0.
+
+// mtxm: one block, c += acc.
 struct AddInto {
   double* c;
   std::size_t ldc;
 
+  AddInto at(std::size_t i0) const { return {c + i0 * ldc, ldc}; }
   void operator()(std::size_t, std::size_t r, std::size_t j,
                   double x) const {
     c[r * ldc + j] += x;
   }
 };
 
-// Fan-out: result += coeff * (0.0 + acc) for every target of block s.
-struct ScaledAddInto {
+// Fan-out: result += 0.0 + acc for every target of slot s; `row0`
+// offsets each (dimi, k) result to the panel's first row.
+struct AddIntoTargets {
   const std::size_t* start;
-  const FanOutTarget* targets;
-  std::size_t row0;
+  double* const* targets;
   std::size_t k;
+  std::size_t row0 = 0;
 
+  AddIntoTargets at(std::size_t i0) const {
+    return {start, targets, k, i0 * k};
+  }
   void operator()(std::size_t s, std::size_t r, std::size_t j,
                   double x) const {
     const double z = 0.0 + x;
     const std::size_t off = row0 + r * k + j;
     for (std::size_t t = start[s]; t < start[s + 1]; ++t)
-      targets[t].result[off] += targets[t].coeff * z;
+      targets[t][off] += z;
   }
 };
 
-void pack_panel(std::size_t kc, const double* a, std::size_t dimi,
-                std::size_t i0, std::size_t rows, double* apack) {
-  for (std::size_t k = 0; k < kc; ++k) {
-    const double* ak = a + k * dimi + i0;
-    double* p = apack + 4 * k;
-    p[0] = ak[0];
-    p[1] = rows > 1 ? ak[1] : 0.0;
-    p[2] = rows > 2 ? ak[2] : 0.0;
-    p[3] = rows > 3 ? ak[3] : 0.0;
-  }
-}
+// Packers: fill one 4-row panel k-major, rows past `rows` zero.
 
-// Every tile of one packed panel across n (kc, width) blocks: each
-// block's 4x8 and 4x4 tiles, then the columns left in every block as one
-// run of column vectors.
-template <class Epi>
-void panel_tiles(std::size_t kc, const double* apack,
-                 const double* const* blocks, std::size_t n,
-                 std::size_t width, std::size_t rows, const Epi& epi) {
-  const std::size_t tiled = width - width % 4;
-  for (std::size_t s = 0; s < n; ++s) {
-    const double* b = blocks[s];
-    std::size_t j0 = 0;
-    for (; j0 + 8 <= tiled; j0 += 8) {
-      double acc[4][8] = {};
-      for (std::size_t k = 0; k < kc; ++k) {
-        const double* bk = b + k * width + j0;
-        const double* apk = apack + 4 * k;
-        for (std::size_t r = 0; r < 4; ++r) {
-          const double av = apk[r];
-          for (std::size_t t = 0; t < 8; ++t) acc[r][t] += av * bk[t];
-        }
-      }
-      for (std::size_t r = 0; r < rows; ++r)
-        for (std::size_t t = 0; t < 8; ++t) epi(s, r, j0 + t, acc[r][t]);
-    }
-    if (j0 < tiled) {
-      double acc[4][4] = {};
-      for (std::size_t k = 0; k < kc; ++k) {
-        const double* bk = b + k * width + j0;
-        const double* apk = apack + 4 * k;
-        for (std::size_t r = 0; r < 4; ++r) {
-          const double av = apk[r];
-          for (std::size_t t = 0; t < 4; ++t) acc[r][t] += av * bk[t];
-        }
-      }
-      for (std::size_t r = 0; r < rows; ++r)
-        for (std::size_t t = 0; t < 4; ++t) epi(s, r, j0 + t, acc[r][t]);
+// mtxm: rows i0..i0+rows of a (row stride dimi).
+struct PackPanel {
+  std::size_t kc;
+  const double* a;
+  std::size_t dimi;
+
+  void operator()(std::size_t i0, std::size_t rows, double* apack) const {
+    for (std::size_t k = 0; k < kc; ++k) {
+      const double* ak = a + k * dimi + i0;
+      double* p = apack + 4 * k;
+      p[0] = ak[0];
+      p[1] = rows > 1 ? ak[1] : 0.0;
+      p[2] = rows > 2 ? ak[2] : 0.0;
+      p[3] = rows > 3 ? ak[3] : 0.0;
     }
   }
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t j = tiled; j < width; ++j) {
-      double acc[4] = {};
-      for (std::size_t k = 0; k < kc; ++k) {
+};
+
+// Fan-out: every term's kc rows in turn, each element rounded once as
+// coeffs[mu] * a_mu.
+struct PackStacked {
+  const FanOut& f;
+
+  void operator()(std::size_t i0, std::size_t rows, double* apack) const {
+    for (std::size_t mu = 0; mu < f.terms; ++mu) {
+      const double c = f.coeffs[mu];
+      for (std::size_t k = 0; k < f.kc[mu]; ++k) {
+        const double* ak = f.a[mu] + k * f.dimi + i0;
         for (std::size_t r = 0; r < 4; ++r)
-          acc[r] += apack[4 * k + r] * blocks[s][k * width + j];
+          apack[r] = r < rows ? c * ak[r] : 0.0;
+        apack += 4;
       }
-      for (std::size_t r = 0; r < rows; ++r) epi(s, r, j, acc[r]);
     }
   }
+};
+
+// One W-column tile of slot s (segments b) at columns j0..j0+W over the
+// packed panel, accumulated in ascending stacked k.
+template <std::size_t W, class Epi>
+void tile(Segs sg, const double* ap, const double* const* b,
+          std::size_t width, std::size_t s, std::size_t j0, std::size_t rows,
+          const Epi& epi) {
+  double acc[4][W] = {};
+  for (std::size_t mu = 0; mu < sg.terms; ++mu) {
+    for (std::size_t k = 0; k < sg.kc[mu]; ++k) {
+      const double* bk = b[mu] + k * width + j0;
+      const double* apk = ap + 4 * k;
+      for (std::size_t r = 0; r < 4; ++r) {
+        const double av = apk[r];
+        for (std::size_t t = 0; t < W; ++t) acc[r][t] += av * bk[t];
+      }
+    }
+    ap += 4 * sg.kc[mu];
+  }
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t t = 0; t < W; ++t) epi(s, r, j0 + t, acc[r][t]);
 }
 
-// Packs each 4-row panel of a once and runs it over all n blocks;
-// epi_at(i0) is the epilogue of the panel whose first row is i0.
-template <class EpiAt>
-void panels(std::size_t dimi, std::size_t kc, const double* a,
+// Packs each 4-row panel once and runs it over every slot: 4x8 and 4x4
+// tiles, then the columns left one at a time.
+template <class Pack, class Epi>
+void panels(std::size_t dimi, Segs sg, const Pack& pack,
             const double* const* blocks, std::size_t n, std::size_t width,
-            double* apack, const EpiAt& epi_at) {
+            double* apack, const Epi& epi_rows) {
+  const std::size_t tiled = width - width % 4;
   for (std::size_t i0 = 0; i0 < dimi; i0 += 4) {
     const std::size_t rows = std::min<std::size_t>(4, dimi - i0);
-    pack_panel(kc, a, dimi, i0, rows, apack);
-    panel_tiles(kc, apack, blocks, n, width, rows, epi_at(i0));
+    pack(i0, rows, apack);
+    const Epi epi = epi_rows.at(i0);
+    for (std::size_t s = 0; s < n; ++s) {
+      const double* const* b = blocks + s * sg.terms;
+      std::size_t j0 = 0;
+      for (; j0 + 8 <= tiled; j0 += 8)
+        tile<8>(sg, apack, b, width, s, j0, rows, epi);
+      if (j0 < tiled) tile<4>(sg, apack, b, width, s, j0, rows, epi);
+      for (std::size_t j = tiled; j < width; ++j)
+        tile<1>(sg, apack, b, width, s, j, rows, epi);
+    }
   }
 }
 
 }  // namespace
 
-// Portable mirror of the AVX2 macro/micro structure in batch_gemm_avx2.cpp:
-// identical packing, identical 4x8 / 4x4 / column-vector tail tiling,
-// identical per-element operation order — only the vector ISA differs, so
-// the two kernels agree bitwise and either can serve as the dispatch target.
+// Portable twin of the AVX2 kernels in batch_gemm_avx2.cpp: identical
+// packing (the fan-out's weights folded in as it packs) and the identical
+// per-element operation order — zeroed accumulator, ascending stacked k,
+// one final add — so the two agree bitwise and either can serve as the
+// dispatch target.
 void mtxm_portable(std::size_t dimi, std::size_t dimj, std::size_t kc,
                    double* c, const double* a, const double* b,
                    double* apack) {
-  panels(dimi, kc, a, &b, 1, dimj, apack,
-         [&](std::size_t i0) { return AddInto{c + i0 * dimj, dimj}; });
+  panels(dimi, Segs{1, &kc}, PackPanel{kc, a, dimi}, &b, 1, dimj, apack,
+         AddInto{c, dimj});
 }
 
-void fan_out_portable(std::size_t dimi, std::size_t k, std::size_t kc,
-                      const double* a, const double* const* blocks,
-                      std::size_t n, const std::size_t* start,
-                      const FanOutTarget* targets, double* apack) {
-  panels(dimi, kc, a, blocks, n, k, apack, [&](std::size_t i0) {
-    return ScaledAddInto{start, targets, i0 * k, k};
-  });
+void fan_out_portable(const FanOut& f, double* apack) {
+  panels(f.dimi, Segs{f.terms, f.kc}, PackStacked{f}, f.blocks, f.n, f.k,
+         apack, AddIntoTargets{f.start, f.targets, f.k});
 }
 
 }  // namespace detail
@@ -174,14 +192,12 @@ void run_packed(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
   ws.stats().packed_gemms += 1;
 }
 
-// batch_fused_apply's last mode: one packed-GEMM call, counted like
-// run_packed's, over n blocks and their slot lists (see the kernel header).
-void run_fan_out(std::size_t dimi, std::size_t k, std::size_t kc,
-                 const double* a, const double* const* blocks, std::size_t n,
-                 const std::size_t* start, const FanOutTarget* targets,
+// batch_fused_apply's last mode: one packed-GEMM call over the group's
+// stacked contraction of `depth` rows, counted like run_packed's.
+void run_fan_out(const detail::FanOut& f, std::size_t depth,
                  GemmWorkspace& ws) {
-  double* apack = ws.pack_a(4 * std::max<std::size_t>(kc, 1));
-  g_fan_out(dimi, k, kc, a, blocks, n, start, targets, apack);
+  double* apack = ws.pack_a(4 * std::max<std::size_t>(depth, 1));
+  g_fan_out(f, apack);
   ws.stats().packed_gemms += 1;
 }
 
@@ -304,122 +320,155 @@ void batch_fused_apply(std::size_t d, std::size_t k,
   std::size_t size = 1;
   for (std::size_t m = 0; m < d; ++m) size *= k;
   const std::size_t rest = size / k;
-  // Most distinct last blocks one fan-out group can hold.
-  const std::size_t widest =
-      std::min(fan_out_limit(k), std::max<std::size_t>(items.size(), 1));
-  // All buffers are sized up front, so no ensure() moves data in use.
-  // stack + m*size holds the current mode-0..m intermediate, m < d - 1.
-  double* stack = ws.prefix((d - 1) * size);
-  // Sharing key of an item for the current term: (src, kc, d block
-  // pointers). Items sharing the first j + 2 words share the mode-0..j-1
-  // intermediate; the first d + 1 words name the fan-out group.
+  const std::size_t depth = d - 1;  // prefix modes per term
+  // All buffers are sized up front, so no ensure() moves data in use. Term
+  // mu's mode-m intermediate (m < d - 1) lives at node(mu, m).
+  double* stack = ws.prefix(terms * depth * size);
+  const auto node = [&](std::size_t mu, std::size_t m) {
+    return stack + (mu * depth + m) * size;
+  };
+  const auto kc_of = [&](const FusedApplyItem& item, std::size_t mu) {
+    return item.kreds.empty() ? k : std::min(item.kreds[mu], k);
+  };
+  const auto block = [&](const FusedApplyItem& item, std::size_t mu,
+                         std::size_t m) { return item.mats[mu * d + m].ptr; };
+  // Items of one group share every term's A segment: the same src, terms,
+  // weights, kc vector and blocks in modes 0..d-2.
+  const auto same_group = [&](const FusedApplyItem& a,
+                              const FusedApplyItem& b) {
+    const std::size_t t = a.coeffs.size();
+    if (a.src != b.src || b.coeffs.size() != t) return false;
+    if (a.coeffs.data() != b.coeffs.data() &&
+        std::memcmp(a.coeffs.data(), b.coeffs.data(), t * sizeof(double)))
+      return false;
+    for (std::size_t mu = 0; mu < t; ++mu) {
+      if (kc_of(a, mu) != kc_of(b, mu)) return false;
+      for (std::size_t m = 0; m < depth; ++m)
+        if (block(a, mu, m) != block(b, mu, m)) return false;
+    }
+    return true;
+  };
+  // Items of one slot (within a group) also share every term's last block.
+  const auto same_slot = [&](const FusedApplyItem& a,
+                             const FusedApplyItem& b) {
+    for (std::size_t mu = 0; mu < a.coeffs.size(); ++mu)
+      if (block(a, mu, depth) != block(b, mu, depth)) return false;
+    return true;
+  };
+  // One ordering per call: by (src, term-0 blocks 0..d-2, terms, kc
+  // vector, term-0 last block). A group's items end up adjacent when the
+  // later terms' blocks follow term 0's (see the header); otherwise a
+  // group only splits. The groups of one term-0 prefix differ only in kc,
+  // and a term's prefix is shared between adjacent groups only, so their
+  // order decides how often it is recomputed: kc vectors compare from the
+  // last term down, which on the rank-reduced coulomb_smoothing input
+  // runs 4% fewer prefix GEMMs than comparing from term 0 up
+  // (EXPERIMENTS.md).
   const std::size_t width = d + 2;
   GemmWorkspace::ShareScratch& sc = ws.share_scratch();
   sc.keys.resize(items.size() * width);
-  sc.fan_blocks.resize(widest);
+  sc.group_kc.resize(terms);
+  sc.group_a.resize(terms);
+  sc.slot_item.resize(items.size());
+  sc.fan_blocks.resize(items.size() * terms);
   sc.fan_slot.resize(items.size());
-  sc.fan_start.resize(widest + 2);
+  sc.fan_start.resize(items.size() + 2);
   sc.fan_targets.resize(items.size());
-  sc.kc_start.resize(k + 2);
   const auto row = [&](std::size_t i) { return sc.keys.data() + i * width; };
-  const auto fill_key = [&](std::size_t i, std::size_t mu) {
-    const FusedApplyItem& item = items[i];
-    std::uintptr_t* key = row(i);
-    key[0] = reinterpret_cast<std::uintptr_t>(item.src);
-    key[1] = item.kreds.empty() ? k : std::min(item.kreds[mu], k);
-    for (std::size_t m = 0; m < d; ++m)
-      key[2 + m] = reinterpret_cast<std::uintptr_t>(item.mats[mu * d + m].ptr);
-  };
-  // One ordering per call, by src and term-0 blocks but not kc, which may
-  // differ per term. It keeps every term's equal prefixes adjacent when
-  // the blocks are a function of per-mode identities (see the header).
   sc.order.clear();
   for (std::size_t i = 0; i < items.size(); ++i) {
-    if (items[i].coeffs.empty()) continue;
-    fill_key(i, 0);
+    const FusedApplyItem& item = items[i];
+    if (item.coeffs.empty()) continue;
+    std::uintptr_t* key = row(i);
+    key[0] = reinterpret_cast<std::uintptr_t>(item.src);
+    for (std::size_t m = 0; m < depth; ++m)
+      key[1 + m] = reinterpret_cast<std::uintptr_t>(block(item, 0, m));
+    key[d] = item.coeffs.size();
+    key[d + 1] = reinterpret_cast<std::uintptr_t>(block(item, 0, depth));
     sc.order.push_back(i);
   }
   std::sort(sc.order.begin(), sc.order.end(),
             [&](std::size_t a, std::size_t b) {
               const std::uintptr_t* ka = row(a);
               const std::uintptr_t* kb = row(b);
-              if (ka[0] != kb[0]) return ka[0] < kb[0];
-              return std::lexicographical_compare(ka + 2, ka + width, kb + 2,
-                                                  kb + width);
+              const auto diff =
+                  std::mismatch(ka, ka + d + 1, kb, kb + d + 1);
+              if (diff.first != ka + d + 1) return *diff.first < *diff.second;
+              if (!items[a].kreds.empty() || !items[b].kreds.empty()) {
+                for (std::size_t mu = ka[d]; mu-- > 0;) {
+                  const std::size_t x = kc_of(items[a], mu);
+                  const std::size_t y = kc_of(items[b], mu);
+                  if (x != y) return x < y;
+                }
+              }
+              return ka[d + 1] < kb[d + 1];
             });
-  sc.term_order.resize(sc.order.size());
   BatchGemmStats& st = ws.stats();
-  for (std::size_t mu = 0; mu < terms; ++mu) {
-    // Regroup the call's order by kc, stably (a counting pass), so items
-    // of equal kc stay in that order.
-    std::fill(sc.kc_start.begin(), sc.kc_start.end(), 0);
-    for (const std::size_t i : sc.order) {
-      if (mu >= items[i].coeffs.size()) continue;
-      fill_key(i, mu);
-      ++sc.kc_start[row(i)[1] + 1];
-    }
-    for (std::size_t c = 1; c <= k + 1; ++c)
-      sc.kc_start[c] += sc.kc_start[c - 1];
-    const std::size_t count = sc.kc_start[k + 1];
-    for (const std::size_t i : sc.order) {
-      if (mu < items[i].coeffs.size())
-        sc.term_order[sc.kc_start[row(i)[1]]++] = i;
-    }
-    const std::uintptr_t* prev = nullptr;
-    for (std::size_t pos = 0; pos < count;) {
-      const FusedApplyItem& lead = items[sc.term_order[pos]];
-      const std::uintptr_t* key = row(sc.term_order[pos]);
-      const std::size_t kc = key[1];
-      // Recompute modes 0..d-2 from the first whose prefix differs from the
-      // previous group's: w key words shared cover w - 2 modes.
-      std::size_t w = 0;
-      while (prev != nullptr && w + 1 < width && key[w] == prev[w]) ++w;
-      for (std::size_t m = w < 2 ? 0 : w - 2; m + 1 < d; ++m) {
-        const double* cur = m == 0 ? lead.src : stack + (m - 1) * size;
-        double* dst = stack + m * size;
+  const FusedApplyItem* prev = nullptr;
+  for (std::size_t pos = 0; pos < sc.order.size();) {
+    const FusedApplyItem& lead = items[sc.order[pos]];
+    const std::size_t t = lead.coeffs.size();
+    // Each term's prefix: recompute modes 0..d-2 from the first whose
+    // (src, kc, blocks) differs from the previous group's.
+    std::size_t stacked = 0;
+    for (std::size_t mu = 0; mu < t; ++mu) {
+      const std::size_t kc = kc_of(lead, mu);
+      std::size_t m = 0;
+      if (prev != nullptr && mu < prev->coeffs.size() &&
+          prev->src == lead.src && kc_of(*prev, mu) == kc) {
+        while (m < depth && block(*prev, mu, m) == block(lead, mu, m)) ++m;
+      }
+      for (; m < depth; ++m) {
+        double* dst = node(mu, m);
         std::memset(dst, 0, size * sizeof(double));
-        run_packed(rest, k, kc, dst, cur, lead.mats[mu * d + m].ptr, ws);
+        run_packed(rest, k, kc, dst, m == 0 ? lead.src : node(mu, m - 1),
+                   block(lead, mu, m), ws);
         ++st.prefix_nodes;
       }
-      // The fan-out group: the following items below the same mode-(d-2)
-      // node, up to `widest` distinct last blocks; duplicates share a
-      // slot.
-      std::size_t n = 0;
-      std::size_t end = pos;
-      for (; end < count; ++end) {
-        const std::size_t i = sc.term_order[end];
-        if (std::memcmp(row(i), key, (width - 1) * sizeof(std::uintptr_t)))
-          break;
-        const double* h = items[i].mats[mu * d + d - 1].ptr;
-        std::size_t slot = 0;
-        while (slot < n && sc.fan_blocks[slot] != h) ++slot;
-        if (slot == n) {
-          if (n == widest) break;
-          sc.fan_blocks[n++] = h;
-        }
-        sc.fan_slot[end - pos] = slot;
-      }
-      // Each block's slot list: the items that read it, grouped by slot
-      // with a counting pass that leaves fan_start[s] at slot s's start.
-      std::fill_n(sc.fan_start.begin(), n + 2, 0);
-      for (std::size_t q = pos; q < end; ++q)
-        ++sc.fan_start[sc.fan_slot[q - pos] + 2];
-      for (std::size_t s = 2; s < n + 2; ++s)
-        sc.fan_start[s] += sc.fan_start[s - 1];
-      for (std::size_t q = pos; q < end; ++q) {
-        const FusedApplyItem& item = items[sc.term_order[q]];
-        sc.fan_targets[sc.fan_start[sc.fan_slot[q - pos] + 1]++] = {
-            item.result, item.coeffs[mu]};
-      }
-      // Last mode: one packed pass over the n blocks in place, adding
-      // coeffs[mu] * chain into each result from the tile's registers.
-      const double* cur = d == 1 ? lead.src : stack + (d - 2) * size;
-      run_fan_out(rest, k, kc, cur, sc.fan_blocks.data(), n,
-                  sc.fan_start.data(), sc.fan_targets.data(), ws);
-      st.prefix_nodes += n;
-      prev = key;
-      pos = end;
+      sc.group_kc[mu] = kc;
+      sc.group_a[mu] = depth == 0 ? lead.src : node(mu, depth - 1);
+      stacked += kc;
     }
+    // The group's slots: its distinct last-block tuples, up to the
+    // shape's fan-out limit; duplicates share a slot.
+    const std::size_t cap = fan_out_limit(k, stacked);
+    std::size_t n = 0;
+    std::size_t end = pos;
+    for (; end < sc.order.size(); ++end) {
+      const FusedApplyItem& item = items[sc.order[end]];
+      if (end > pos && !same_group(lead, item)) break;
+      std::size_t slot = 0;
+      while (slot < n && !same_slot(items[sc.slot_item[slot]], item)) ++slot;
+      if (slot == n) {
+        if (n == cap) break;
+        sc.slot_item[n++] = sc.order[end];
+      }
+      sc.fan_slot[end - pos] = slot;
+    }
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t mu = 0; mu < t; ++mu)
+        sc.fan_blocks[s * t + mu] = block(items[sc.slot_item[s]], mu, depth);
+    }
+    // Each slot's targets: the items that read it, grouped by slot with a
+    // counting pass that leaves fan_start[s] at slot s's start.
+    std::fill_n(sc.fan_start.begin(), n + 2, 0);
+    for (std::size_t q = pos; q < end; ++q)
+      ++sc.fan_start[sc.fan_slot[q - pos] + 2];
+    for (std::size_t s = 2; s < n + 2; ++s)
+      sc.fan_start[s] += sc.fan_start[s - 1];
+    for (std::size_t q = pos; q < end; ++q) {
+      sc.fan_targets[sc.fan_start[sc.fan_slot[q - pos] + 1]++] =
+          items[sc.order[q]].result;
+    }
+    // Last mode: one packed pass over the stacked terms of the n slots,
+    // adding each product into its results from the tile's registers.
+    run_fan_out({rest, k, t, sc.group_kc.data(), sc.group_a.data(),
+                 lead.coeffs.data(), sc.fan_blocks.data(), n,
+                 sc.fan_start.data(), sc.fan_targets.data()},
+                stacked, ws);
+    st.prefix_nodes += n * t;
+    prev = &lead;
+    pos = end;
   }
   st.fused_chains += items.size();
 }

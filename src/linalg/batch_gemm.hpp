@@ -18,24 +18,32 @@
 //     contraction length and its leading j+1 blocks, so the tasks of one
 //     source leaf (whose displacements share leading components) run it
 //     once instead of once per task,
-//   - fans out the last mode: the tasks below one mode-(d-2) prefix node
-//     differ only in their last block, so their last mode is ONE fused
-//     kernel call over the n distinct last blocks, not n separate GEMMs:
-//     it packs each 4-row panel of the shared intermediate once, walks the
-//     blocks in place, and in each tile's epilogue adds coeff * product
-//     straight from registers into every task result that reads the block
-//     — no product buffer and no separate accumulation pass.
+//   - stacks the terms in the last mode: a task's result is a sum over
+//     terms, sum_mu c_mu * P_mu^T H_mu = [c_0 P_0; ...]^T x [H_0; ...],
+//     so its whole last mode is ONE product of contraction length
+//     K = sum_mu kc_mu instead of M products of kc_mu each,
+//   - fans out that last mode: the tasks of one fan-out group share every
+//     term's mode-(d-2) intermediate and differ only in their last blocks,
+//     so the group's last mode is ONE fused kernel call over its n slots
+//     (distinct tuples of last blocks): it packs each 4-row panel of the
+//     stacked, weighted intermediates once, walks every slot's blocks in
+//     place, and in each tile's epilogue adds the product straight from
+//     registers into every task result that reads the slot — no product
+//     buffer and no separate accumulation pass.
 //
 // Sharing is complete when, for every term, an item's block in mode m is a
 // function of one per-mode identity that term 0's block also determines —
-// as an operator's blocks are a function of the displacement component:
-// then the one item ordering per call (by source and term-0 blocks) keeps
-// every term's equal prefixes adjacent. Otherwise results are unchanged
-// and only some sharing is lost.
+// as an operator's blocks are a function of the displacement component —
+// and the items' kc vectors agree: then the one item ordering per call
+// (by source and term-0 blocks) keeps every group's items and every
+// term's equal prefixes adjacent. Otherwise results are unchanged and only
+// some sharing is lost.
 //
 // Numerical contract: every kernel here performs, per output element, the
 // exact same IEEE operation sequence as the scalar reference in gemm.cpp
-// (zeroed accumulator, ascending-k multiply-then-add, one final add into c).
+// (zeroed accumulator, ascending-k multiply-then-add, one final add into c)
+// on the operands it contracts — for the stacked last mode, the terms'
+// rows one after the other, each A element rounded once as c_mu * P_mu.
 // No FMA contraction is used on any path (the TUs compile with
 // -ffp-contract=off), so packed, portable, and reference results agree
 // BITWISE — tests assert equality, not tolerance.
@@ -64,21 +72,15 @@ struct GemmMat {
 /// Counters the engine accumulates per workspace (cheap, thread-local).
 struct BatchGemmStats {
   std::size_t packed_gemms = 0;  ///< microkernel GEMMs executed
-  /// batch_fused_apply's distinct (src, kc, h_0..h_j) prefix nodes
-  /// computed; a fan-out call computes n last-mode nodes in one call.
+  /// batch_fused_apply's (src, kc, h_0..h_j) prefix nodes computed, per
+  /// term; a fan-out call over n slots of M terms computes n * M
+  /// last-mode nodes in one call.
   std::size_t prefix_nodes = 0;
   std::size_t fused_chains = 0;  ///< whole-task fused passes
 };
 
-/// One result a fan-out kernel call adds a scaled product into: a task's
-/// (k^{d-1}, k) result and its term's coefficient (see batch_fused_apply).
-struct FanOutTarget {
-  double* result = nullptr;
-  double coeff = 0.0;
-};
-
 /// Grow-only aligned scratch arena for packed panels, fused-chain
-/// ping-pong buffers and the fused-apply prefix stack. Reused across calls;
+/// ping-pong buffers and the fused-apply prefix stacks. Reused across calls;
 /// never shrinks. One per thread — see thread_workspace().
 class GemmWorkspace {
  public:
@@ -90,23 +92,26 @@ class GemmWorkspace {
   double* pack_a(std::size_t n) { return pack_a_.ensure(n); }
   double* ping(std::size_t n) { return ping_.ensure(n); }
   double* pong(std::size_t n) { return pong_.ensure(n); }
-  /// batch_fused_apply's stack of d - 1 mode-prefix intermediates.
+  /// batch_fused_apply's prefix stacks: d - 1 mode-prefix intermediates
+  /// per term (8,750 doubles at d = 3, k = 5, M = 35).
   double* prefix(std::size_t n) { return prefix_.ensure(n); }
 
-  /// batch_fused_apply's grow-only bookkeeping: the items' sharing keys,
-  /// their one ordering per call, its per-term regrouping by contraction
-  /// length, and one fan-out group's distinct last blocks (its slots),
-  /// each item's slot, and the slot lists the kernel epilogue adds into:
-  /// slot s's targets are fan_targets[fan_start[s] .. fan_start[s + 1]).
+  /// batch_fused_apply's grow-only bookkeeping: the items' sort keys and
+  /// their one ordering per call; the current group's per-term kc and A
+  /// segments; its slots (distinct last-block tuples) by first item and
+  /// their blocks, slot-major; each item's slot; and the result lists the
+  /// kernel epilogue adds into: slot s's results are
+  /// fan_targets[fan_start[s] .. fan_start[s + 1]).
   struct ShareScratch {
     std::vector<std::uintptr_t> keys;
     std::vector<std::size_t> order;
-    std::vector<std::size_t> term_order;
-    std::vector<std::size_t> kc_start;
+    std::vector<std::size_t> group_kc;
+    std::vector<const double*> group_a;
+    std::vector<std::size_t> slot_item;
     std::vector<const double*> fan_blocks;
     std::vector<std::size_t> fan_slot;
     std::vector<std::size_t> fan_start;
-    std::vector<FanOutTarget> fan_targets;
+    std::vector<double*> fan_targets;
   };
   ShareScratch& share_scratch() noexcept { return share_; }
 
@@ -165,8 +170,8 @@ std::size_t chain_output_size(std::span<const std::size_t> shape,
 ///   result += sum_mu coeffs[mu] * (src x_0 h[mu*d+0] ... x_{d-1} h[mu*d+d-1])
 /// with all h square (k, k). `kreds` (optional, per-term) limits each
 /// contraction to the term's reduced rank (empty span = full rank).
-/// Bitwise-identical to the mode-by-mode composition through mTxm_ref plus
-/// gaxpy-style accumulation. This is batch_fused_apply on one item.
+/// Bitwise-identical to mTxm_ref on the stacked operands (see
+/// batch_fused_apply). This is batch_fused_apply on one item.
 void fused_apply_chain(std::size_t d, std::size_t k, const double* src,
                        std::span<const GemmMat> mats,
                        std::span<const double> coeffs,
@@ -184,13 +189,21 @@ struct FusedApplyItem {
   double* result = nullptr;         ///< k^d accumulation target
 };
 
-/// Most distinct last-mode blocks one fan-out call walks under a packed
-/// panel: n <= k keeps the group's blocks within k^3 doubles (8 KB at
-/// k = 10), so every 4-row panel re-reads them from L1 as it sweeps them.
-/// A longer run is split into several calls. An operator prefix node has
-/// one child per screened last displacement component, at most
-/// 2 * max_disp + 1.
-constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
+/// Most slots one fan-out call walks under a packed panel, for a group
+/// whose stacked contraction is `depth` = K rows: each slot's B is K * k
+/// doubles, and n <= 32768 / (K * k) keeps the group's n * K * k within
+/// 256 KB of L2 as every 4-row panel sweeps it. At most k: past that the
+/// panel's pack is amortized and a slot costs the same (EXPERIMENTS.md,
+/// "Term-stacked last mode"); at M = 1, K = k, this is the per-term limit
+/// n <= k of the unstacked kernel. A longer group is split into several
+/// calls. An operator prefix node has one child per screened last
+/// displacement component, at most 2 * max_disp + 1.
+constexpr std::size_t fan_out_limit(std::size_t k,
+                                    std::size_t depth) noexcept {
+  const std::size_t b = (depth == 0 ? 1 : depth) * k;  // one slot's B
+  const std::size_t n = 32768 / b < k ? 32768 / b : k;
+  return n == 0 ? 1 : n;
+}
 
 /// Batched entry point: every item's fused chain through one workspace,
 /// with mode-prefix intermediates shared between items. For term mu, two
@@ -198,27 +211,32 @@ constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
 /// same contraction length kc = min(kreds[mu], k) (k without kreds) and the
 /// same block pointers mats[mu*d+0..j]; it is then computed once.
 ///
-/// The items are ordered once per call, by src and term-0 block pointers;
-/// each term regroups that order by kc (a stable counting pass) and walks
-/// it with a stack of d - 1 intermediates (in the workspace), recomputed
-/// only from the first mode where an item's key differs from the one
-/// before. The run of items below one mode-(d-2) node then takes its last
-/// mode as one fused kernel call over its n distinct last blocks
-/// (n <= fan_out_limit(k)): each 4-row panel of the mode-(d-2)
-/// intermediate is packed once, the blocks are read in place, and each
-/// tile's epilogue adds coeffs[mu] * (0.0 + acc) into the result of every
-/// item that reads that block (duplicate blocks share a slot). So a batch
-/// of the tasks of one source leaf runs one GEMM per distinct
-/// (src, kc, h_0..h_j) node of modes 0..d-2 plus one per fan-out group,
-/// instead of d per item per term, and no product is ever stored.
+/// The items are ordered once per call, by src, term-0 blocks of modes
+/// 0..d-2, term count, kc vector and term-0 last block, and walked in
+/// fan-out groups: runs of items with the same src, term count, weights,
+/// kc vector and blocks of modes 0..d-2 in every term (all checked, none
+/// inferred from term 0). Each term keeps its own stack of d - 1
+/// intermediates (in the workspace), recomputed only from the first mode
+/// where the group's (src, kc, blocks) differ from the previous group's.
+/// The group's last mode is then ONE fused kernel call with contraction
+/// length K = sum_mu kc_mu over its n slots (n <= fan_out_limit(k, K)),
+/// the distinct tuples of last blocks (duplicates share a slot): A stacks
+/// each term's first kc_mu rows of its mode-(d-2) intermediate, weighted
+/// by coeffs[mu] as each 4-row panel is packed, once; each slot's B is
+/// its terms' last blocks, read in place one after the other; and each
+/// tile's epilogue adds 0.0 + acc into the result of every item that
+/// reads that slot. So a batch of the tasks of one source leaf runs one
+/// GEMM per distinct (src, kc, h_0..h_j) node of modes 0..d-2 plus one
+/// per fan-out group, instead of d per item per term, and no product is
+/// ever stored.
 ///
-/// Every output element sees the same packed-kernel operation sequence as
-/// in the item's own chain, `0.0 + acc` being the add into a zeroed
-/// product, and each result receives its terms in ascending mu, so every
-/// result is bitwise equal to that item's fused_apply_chain and to the
-/// mTxm_reduced_ref composition, whatever the grouping. Results must not
-/// overlap each other or any src. Warm calls allocate nothing: all scratch
-/// lives in `ws` and only grows.
+/// Every result is bitwise equal to mTxm_ref of its stacked operands —
+/// each term's chain of modes 0..d-2 through mTxm_reduced_ref into zeroed
+/// intermediates, A = [c_0 P_0[0..kc_0); ...], B = [H_0[0..kc_0); ...] —
+/// into a zeroed product, added into the result, whatever the grouping;
+/// so it is bitwise equal to that item's fused_apply_chain. Results must
+/// not overlap each other or any src. Warm calls allocate nothing: all
+/// scratch lives in `ws` and only grows.
 void batch_fused_apply(std::size_t d, std::size_t k,
                        std::span<const FusedApplyItem> items,
                        GemmWorkspace& ws);

@@ -8,14 +8,18 @@
 // columns a block leaves over run as column vectors on the same panel, the
 // leftovers of all blocks in one run: one 4-lane accumulator per column
 // (lane r = row r), up to eight columns per pass so their add chains
-// overlap. Each tile hands its finished accumulators to an epilogue: mtxm
-// (one block) adds them into c; the fan-out kernel (batch_fused_apply's
-// last mode) walks its n last blocks in place under one packed panel and
-// adds coeff * (0.0 + acc) into every result that reads the block. Only
+// overlap. The contraction is a list of segments: mtxm has one, the
+// fan-out kernel (batch_fused_apply's last mode) one per separated term.
+// Its packed panel stacks every term's rows, each scaled by the term's
+// weight as it is packed, and each slot's B is the terms' last blocks,
+// read in place one segment after the other; every tile runs the whole
+// stacked contraction in registers. Each tile hands its finished
+// accumulators to an epilogue: mtxm adds them into c; the fan-out kernel
+// adds 0.0 + acc into every result that reads the slot. Only
 // _mm256_mul_pd + _mm256_add_pd are used — never FMA — and each output
 // element sees exactly the reference operation order (zeroed accumulator,
-// ascending k, one final add into c), so results are bitwise-identical to
-// mTxm_ref.
+// ascending stacked k, one final add into c), so results are
+// bitwise-identical to mTxm_ref on the stacked operands.
 //
 // Every contraction loop is unrolled by exactly two: fully unrolled, GCC
 // hoists the loads of all iterations and spills the accumulators, while by
@@ -33,15 +37,25 @@
 namespace mh::linalg::detail {
 namespace {
 
-// Tile epilogues: where the finished accumulators of block s go.
+// The contraction of one panel pass: `terms` segments of kc[mu] packed
+// rows each, in order. Slot s's segment mu is blocks[s * terms + mu].
+struct Segs {
+  std::size_t terms;
+  const std::size_t* kc;
+};
+
+// Tile epilogues: where the finished accumulators of slot s go.
 // tile(s, j, rows, acc) takes acc[r][w] = columns j+4w..j+4w+3 of panel
 // row r; column(s, j, rows, acc) takes column j, lane r = row r. Rows
-// past `rows` are zero-padding and are never stored.
+// past `rows` are zero-padding and are never stored. at(i0) is the
+// epilogue of the panel whose first row is i0.
 
-// mtxm: one block, c += acc, c already offset to the panel's first row.
+// mtxm: one block, c += acc.
 struct AddInto {
   double* c;
   std::size_t ldc;
+
+  AddInto at(std::size_t i0) const { return {c + i0 * ldc, ldc}; }
 
   template <int W>
   void tile(std::size_t, std::size_t j, std::size_t rows,
@@ -63,13 +77,17 @@ struct AddInto {
   }
 };
 
-// Fan-out: result += coeff * (0.0 + acc) for every target of block s;
-// `row0` offsets each (dimi, k) result to the panel's first row.
-struct ScaledAddInto {
+// Fan-out: result += 0.0 + acc for every target of slot s; `row0`
+// offsets each (dimi, k) result to the panel's first row.
+struct AddIntoTargets {
   const std::size_t* start;
-  const FanOutTarget* targets;
-  std::size_t row0;
+  double* const* targets;
   std::size_t k;
+  std::size_t row0 = 0;
+
+  AddIntoTargets at(std::size_t i0) const {
+    return {start, targets, k, i0 * k};
+  }
 
   template <int W>
   void tile(std::size_t s, std::size_t j, std::size_t rows,
@@ -79,60 +97,60 @@ struct ScaledAddInto {
       for (int w = 0; w < W; ++w)
         z[r][w] = _mm256_add_pd(_mm256_setzero_pd(), acc[r][w]);
     }
-    for (const FanOutTarget* t = targets + start[s];
-         t != targets + start[s + 1]; ++t) {
-      const __m256d cf = _mm256_set1_pd(t->coeff);
-      double* p = t->result + row0 + j;
+    for (std::size_t t = start[s]; t < start[s + 1]; ++t) {
+      double* p = targets[t] + row0 + j;
       for (std::size_t r = 0; r < 4 && r < rows; ++r) {
         for (int w = 0; w < W; ++w) {
           double* q = p + r * k + 4 * w;
-          _mm256_storeu_pd(q, _mm256_add_pd(_mm256_loadu_pd(q),
-                                            _mm256_mul_pd(cf, z[r][w])));
+          _mm256_storeu_pd(q, _mm256_add_pd(_mm256_loadu_pd(q), z[r][w]));
         }
       }
     }
   }
   void column(std::size_t s, std::size_t j, std::size_t rows,
               __m256d acc) const {
-    const __m256d z = _mm256_add_pd(_mm256_setzero_pd(), acc);
-    for (const FanOutTarget* t = targets + start[s];
-         t != targets + start[s + 1]; ++t) {
-      alignas(32) double w[4];
-      _mm256_store_pd(w, _mm256_mul_pd(_mm256_set1_pd(t->coeff), z));
-      double* p = t->result + row0 + j;
-      for (std::size_t r = 0; r < rows; ++r) p[r * k] += w[r];
+    alignas(32) double lane[4];
+    _mm256_store_pd(lane, _mm256_add_pd(_mm256_setzero_pd(), acc));
+    for (std::size_t t = start[s]; t < start[s + 1]; ++t) {
+      double* p = targets[t] + row0 + j;
+      for (std::size_t r = 0; r < rows; ++r) p[r * k] += lane[r];
     }
   }
 };
 
-// One 4x8 tile: columns j..j+8 of block s over the panel's rows. `ap` is
-// the packed panel (4 doubles per k), `b` already offset to column j.
+// One 4x8 tile: columns j..j+8 of slot s over the panel's rows. `ap` is
+// the packed panel (4 doubles per stacked k), `b` the slot's segments.
 template <class Epi>
-inline void micro_4x8(std::size_t kc, const double* ap, const double* b,
+inline void micro_4x8(Segs sg, const double* ap, const double* const* b,
                       std::size_t ldb, std::size_t s, std::size_t j,
                       std::size_t rows, const Epi& epi) {
   __m256d acc0l = _mm256_setzero_pd(), acc0h = _mm256_setzero_pd();
   __m256d acc1l = _mm256_setzero_pd(), acc1h = _mm256_setzero_pd();
   __m256d acc2l = _mm256_setzero_pd(), acc2h = _mm256_setzero_pd();
   __m256d acc3l = _mm256_setzero_pd(), acc3h = _mm256_setzero_pd();
+  for (std::size_t mu = 0; mu < sg.terms; ++mu) {
+    const double* bm = b[mu] + j;
+    const std::size_t kc = sg.kc[mu];
 #pragma GCC unroll 2
-  for (std::size_t k = 0; k < kc; ++k) {
-    const double* bk = b + k * ldb;
-    const __m256d b0 = _mm256_loadu_pd(bk);
-    const __m256d b1 = _mm256_loadu_pd(bk + 4);
-    const double* apk = ap + 4 * k;
-    __m256d av = _mm256_broadcast_sd(apk);
-    acc0l = _mm256_add_pd(acc0l, _mm256_mul_pd(av, b0));
-    acc0h = _mm256_add_pd(acc0h, _mm256_mul_pd(av, b1));
-    av = _mm256_broadcast_sd(apk + 1);
-    acc1l = _mm256_add_pd(acc1l, _mm256_mul_pd(av, b0));
-    acc1h = _mm256_add_pd(acc1h, _mm256_mul_pd(av, b1));
-    av = _mm256_broadcast_sd(apk + 2);
-    acc2l = _mm256_add_pd(acc2l, _mm256_mul_pd(av, b0));
-    acc2h = _mm256_add_pd(acc2h, _mm256_mul_pd(av, b1));
-    av = _mm256_broadcast_sd(apk + 3);
-    acc3l = _mm256_add_pd(acc3l, _mm256_mul_pd(av, b0));
-    acc3h = _mm256_add_pd(acc3h, _mm256_mul_pd(av, b1));
+    for (std::size_t k = 0; k < kc; ++k) {
+      const double* bk = bm + k * ldb;
+      const __m256d b0 = _mm256_loadu_pd(bk);
+      const __m256d b1 = _mm256_loadu_pd(bk + 4);
+      const double* apk = ap + 4 * k;
+      __m256d av = _mm256_broadcast_sd(apk);
+      acc0l = _mm256_add_pd(acc0l, _mm256_mul_pd(av, b0));
+      acc0h = _mm256_add_pd(acc0h, _mm256_mul_pd(av, b1));
+      av = _mm256_broadcast_sd(apk + 1);
+      acc1l = _mm256_add_pd(acc1l, _mm256_mul_pd(av, b0));
+      acc1h = _mm256_add_pd(acc1h, _mm256_mul_pd(av, b1));
+      av = _mm256_broadcast_sd(apk + 2);
+      acc2l = _mm256_add_pd(acc2l, _mm256_mul_pd(av, b0));
+      acc2h = _mm256_add_pd(acc2h, _mm256_mul_pd(av, b1));
+      av = _mm256_broadcast_sd(apk + 3);
+      acc3l = _mm256_add_pd(acc3l, _mm256_mul_pd(av, b0));
+      acc3h = _mm256_add_pd(acc3h, _mm256_mul_pd(av, b1));
+    }
+    ap += 4 * kc;
   }
   const __m256d acc[4][2] = {
       {acc0l, acc0h}, {acc1l, acc1h}, {acc2l, acc2h}, {acc3l, acc3h}};
@@ -140,45 +158,49 @@ inline void micro_4x8(std::size_t kc, const double* ap, const double* b,
 }
 
 template <class Epi>
-inline void micro_4x4(std::size_t kc, const double* ap, const double* b,
+inline void micro_4x4(Segs sg, const double* ap, const double* const* b,
                       std::size_t ldb, std::size_t s, std::size_t j,
                       std::size_t rows, const Epi& epi) {
   __m256d acc0 = _mm256_setzero_pd();
   __m256d acc1 = _mm256_setzero_pd();
   __m256d acc2 = _mm256_setzero_pd();
   __m256d acc3 = _mm256_setzero_pd();
+  for (std::size_t mu = 0; mu < sg.terms; ++mu) {
+    const double* bm = b[mu] + j;
+    const std::size_t kc = sg.kc[mu];
 #pragma GCC unroll 2
-  for (std::size_t k = 0; k < kc; ++k) {
-    const __m256d b0 = _mm256_loadu_pd(b + k * ldb);
-    const double* apk = ap + 4 * k;
-    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_broadcast_sd(apk), b0));
-    acc1 =
-        _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_broadcast_sd(apk + 1), b0));
-    acc2 =
-        _mm256_add_pd(acc2, _mm256_mul_pd(_mm256_broadcast_sd(apk + 2), b0));
-    acc3 =
-        _mm256_add_pd(acc3, _mm256_mul_pd(_mm256_broadcast_sd(apk + 3), b0));
+    for (std::size_t k = 0; k < kc; ++k) {
+      const __m256d b0 = _mm256_loadu_pd(bm + k * ldb);
+      const double* apk = ap + 4 * k;
+      acc0 =
+          _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_broadcast_sd(apk), b0));
+      acc1 = _mm256_add_pd(acc1,
+                           _mm256_mul_pd(_mm256_broadcast_sd(apk + 1), b0));
+      acc2 = _mm256_add_pd(acc2,
+                           _mm256_mul_pd(_mm256_broadcast_sd(apk + 2), b0));
+      acc3 = _mm256_add_pd(acc3,
+                           _mm256_mul_pd(_mm256_broadcast_sd(apk + 3), b0));
+    }
+    ap += 4 * kc;
   }
   const __m256d acc[4][1] = {{acc0}, {acc1}, {acc2}, {acc3}};
   epi.tile(s, j, rows, acc);
 }
 
 // The columns past the blocks' 4-wide tiles, columns first..width-1 of
-// every block in one sequence. Runs the NC of them from the cursor
-// (block s, column j) and steps the cursor past them, as column vectors
+// every slot in one sequence. Runs the NC of them from the cursor
+// (slot s, column j) and steps the cursor past them, as column vectors
 // over the packed panel: acc_c += panel(k) * b(k, column c), one 4-lane
 // accumulator per column (lane r = row r).
 template <int NC, class Epi>
-inline void micro_cols(std::size_t kc, const double* ap,
+inline void micro_cols(Segs sg, const double* ap,
                        const double* const* blocks, std::size_t first,
                        std::size_t width, std::size_t& s, std::size_t& j,
                        std::size_t rows, const Epi& epi) {
   std::size_t cs[NC], cj[NC];
-  const double* col[NC];
   for (int c = 0; c < NC; ++c) {
     cs[c] = s;
     cj[c] = j;
-    col[c] = blocks[s] + j;
     if (++j == width) {
       j = first;
       ++s;
@@ -186,87 +208,132 @@ inline void micro_cols(std::size_t kc, const double* ap,
   }
   __m256d acc[NC];
   for (int c = 0; c < NC; ++c) acc[c] = _mm256_setzero_pd();
+  for (std::size_t mu = 0; mu < sg.terms; ++mu) {
+    const double* col[NC];
+    for (int c = 0; c < NC; ++c)
+      col[c] = blocks[cs[c] * sg.terms + mu] + cj[c];
+    const std::size_t kc = sg.kc[mu];
 #pragma GCC unroll 2
-  for (std::size_t k = 0; k < kc; ++k) {
-    const __m256d av = _mm256_loadu_pd(ap + 4 * k);
-    for (int c = 0; c < NC; ++c) {
-      const __m256d bv = _mm256_broadcast_sd(col[c] + k * width);
-      acc[c] = _mm256_add_pd(acc[c], _mm256_mul_pd(av, bv));
+    for (std::size_t k = 0; k < kc; ++k) {
+      const __m256d av = _mm256_loadu_pd(ap + 4 * k);
+      for (int c = 0; c < NC; ++c) {
+        const __m256d bv = _mm256_broadcast_sd(col[c] + k * width);
+        acc[c] = _mm256_add_pd(acc[c], _mm256_mul_pd(av, bv));
+      }
     }
+    ap += 4 * kc;
   }
   for (int c = 0; c < NC; ++c) epi.column(cs[c], cj[c], rows, acc[c]);
 }
 
-// Packs rows i0..i0+rows of a (row stride dimi) k-major into apack, the
-// tail panel zero-padded so the microkernel shape never changes.
-inline void pack_panel(std::size_t kc, const double* a, std::size_t dimi,
-                       std::size_t i0, std::size_t rows, double* apack) {
-  if (rows == 4) {
-    for (std::size_t k = 0; k < kc; ++k) {
-      const double* ak = a + k * dimi + i0;
-      double* p = apack + 4 * k;
-      p[0] = ak[0];
-      p[1] = ak[1];
-      p[2] = ak[2];
-      p[3] = ak[3];
-    }
-  } else {
-    for (std::size_t k = 0; k < kc; ++k) {
-      const double* ak = a + k * dimi + i0;
-      double* p = apack + 4 * k;
-      p[0] = ak[0];
-      p[1] = rows > 1 ? ak[1] : 0.0;
-      p[2] = rows > 2 ? ak[2] : 0.0;
-      p[3] = 0.0;
+// Packers: fill one 4-row panel k-major, rows past `rows` zero so the
+// microkernel shape never changes.
+
+// mtxm: rows i0..i0+rows of a (row stride dimi).
+struct PackPanel {
+  std::size_t kc;
+  const double* a;
+  std::size_t dimi;
+
+  void operator()(std::size_t i0, std::size_t rows, double* apack) const {
+    if (rows == 4) {
+      for (std::size_t k = 0; k < kc; ++k) {
+        const double* ak = a + k * dimi + i0;
+        double* p = apack + 4 * k;
+        p[0] = ak[0];
+        p[1] = ak[1];
+        p[2] = ak[2];
+        p[3] = ak[3];
+      }
+    } else {
+      for (std::size_t k = 0; k < kc; ++k) {
+        const double* ak = a + k * dimi + i0;
+        double* p = apack + 4 * k;
+        p[0] = ak[0];
+        p[1] = rows > 1 ? ak[1] : 0.0;
+        p[2] = rows > 2 ? ak[2] : 0.0;
+        p[3] = 0.0;
+      }
     }
   }
-}
+};
 
-// Every tile of one packed panel across n (kc, width) blocks: each
-// block's 4x8 and 4x4 tiles, then the 1..3 columns left in every block as
-// one run of column vectors, up to 8 per pass so their add chains overlap.
+// Fan-out: every term's kc rows in turn, each element rounded once as
+// coeffs[mu] * a_mu.
+struct PackStacked {
+  const FanOut& f;
+
+  void operator()(std::size_t i0, std::size_t rows, double* apack) const {
+    for (std::size_t mu = 0; mu < f.terms; ++mu) {
+      const double* a = f.a[mu] + i0;
+      const double c = f.coeffs[mu];
+      const std::size_t kc = f.kc[mu];
+      if (rows == 4) {
+        const __m256d cv = _mm256_set1_pd(c);
+        for (std::size_t k = 0; k < kc; ++k) {
+          const __m256d ak = _mm256_loadu_pd(a + k * f.dimi);
+          _mm256_storeu_pd(apack + 4 * k, _mm256_mul_pd(cv, ak));
+        }
+      } else {
+        for (std::size_t k = 0; k < kc; ++k) {
+          const double* ak = a + k * f.dimi;
+          double* p = apack + 4 * k;
+          p[0] = c * ak[0];
+          p[1] = rows > 1 ? c * ak[1] : 0.0;
+          p[2] = rows > 2 ? c * ak[2] : 0.0;
+          p[3] = 0.0;
+        }
+      }
+      apack += 4 * kc;
+    }
+  }
+};
+
+// Every tile of one packed panel across n slots of (K, width) segmented
+// blocks: each slot's 4x8 and 4x4 tiles, then the 1..3 columns left in
+// every slot as one run of column vectors, up to 8 per pass so their add
+// chains overlap.
 template <class Epi>
 [[gnu::always_inline]] inline void panel_tiles(
-    std::size_t kc, const double* apack, const double* const* blocks,
-    std::size_t n, std::size_t width, std::size_t rows, const Epi& epi) {
+    Segs sg, const double* apack, const double* const* blocks, std::size_t n,
+    std::size_t width, std::size_t rows, const Epi& epi) {
   const std::size_t tiled = width - width % 4;
   for (std::size_t s = 0; s < n; ++s) {
-    const double* b = blocks[s];
+    const double* const* b = blocks + s * sg.terms;
     std::size_t j0 = 0;
     for (; j0 + 8 <= tiled; j0 += 8)
-      micro_4x8(kc, apack, b + j0, width, s, j0, rows, epi);
-    if (j0 < tiled) micro_4x4(kc, apack, b + j0, width, s, j0, rows, epi);
+      micro_4x8(sg, apack, b, width, s, j0, rows, epi);
+    if (j0 < tiled) micro_4x4(sg, apack, b, width, s, j0, rows, epi);
   }
   std::size_t left = n * (width - tiled);
   std::size_t s = 0, j = tiled;
   for (; left >= 8; left -= 8)
-    micro_cols<8>(kc, apack, blocks, tiled, width, s, j, rows, epi);
+    micro_cols<8>(sg, apack, blocks, tiled, width, s, j, rows, epi);
   if (left >= 4) {
-    micro_cols<4>(kc, apack, blocks, tiled, width, s, j, rows, epi);
+    micro_cols<4>(sg, apack, blocks, tiled, width, s, j, rows, epi);
     left -= 4;
   }
   if (left >= 2) {
-    micro_cols<2>(kc, apack, blocks, tiled, width, s, j, rows, epi);
+    micro_cols<2>(sg, apack, blocks, tiled, width, s, j, rows, epi);
     left -= 2;
   }
   if (left == 1)
-    micro_cols<1>(kc, apack, blocks, tiled, width, s, j, rows, epi);
+    micro_cols<1>(sg, apack, blocks, tiled, width, s, j, rows, epi);
 }
 
-// Packs each 4-row panel of a once and runs it over all n blocks;
-// epi_at(i0) is the epilogue of the panel whose first row is i0.
-template <class EpiAt>
-void panels(std::size_t dimi, std::size_t kc, const double* a,
+// Packs each 4-row panel once and runs it over all n slots.
+template <class Pack, class Epi>
+void panels(std::size_t dimi, Segs sg, const Pack& pack,
             const double* const* blocks, std::size_t n, std::size_t width,
-            double* apack, const EpiAt& epi_at) {
+            double* apack, const Epi& epi_rows) {
   for (std::size_t i0 = 0; i0 < dimi; i0 += 4) {
     const std::size_t rows = std::min<std::size_t>(4, dimi - i0);
-    pack_panel(kc, a, dimi, i0, rows, apack);
-    const auto epi = epi_at(i0);
+    pack(i0, rows, apack);
+    const Epi epi = epi_rows.at(i0);
     if (rows == 4) {
-      panel_tiles(kc, apack, blocks, n, width, 4, epi);
+      panel_tiles(sg, apack, blocks, n, width, 4, epi);
     } else {
-      panel_tiles(kc, apack, blocks, n, width, rows, epi);
+      panel_tiles(sg, apack, blocks, n, width, rows, epi);
     }
   }
 }
@@ -275,17 +342,13 @@ void panels(std::size_t dimi, std::size_t kc, const double* a,
 
 void mtxm_avx2(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
                const double* a, const double* b, double* apack) {
-  panels(dimi, kc, a, &b, 1, dimj, apack,
-         [&](std::size_t i0) { return AddInto{c + i0 * dimj, dimj}; });
+  panels(dimi, Segs{1, &kc}, PackPanel{kc, a, dimi}, &b, 1, dimj, apack,
+         AddInto{c, dimj});
 }
 
-void fan_out_avx2(std::size_t dimi, std::size_t k, std::size_t kc,
-                  const double* a, const double* const* blocks, std::size_t n,
-                  const std::size_t* start, const FanOutTarget* targets,
-                  double* apack) {
-  panels(dimi, kc, a, blocks, n, k, apack, [&](std::size_t i0) {
-    return ScaledAddInto{start, targets, i0 * k, k};
-  });
+void fan_out_avx2(const FanOut& f, double* apack) {
+  panels(f.dimi, Segs{f.terms, f.kc}, PackStacked{f}, f.blocks, f.n, f.k,
+         apack, AddIntoTargets{f.start, f.targets, f.k});
 }
 
 }  // namespace mh::linalg::detail

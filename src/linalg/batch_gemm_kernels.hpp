@@ -10,14 +10,19 @@
 // zeroed, ascending-k multiply-then-add (no FMA), one final add into c —
 // bitwise-identical to mTxm_ref / mTxm_reduced_ref.
 //
-// Contract for every fan-out kernel (batch_fused_apply's last mode): with
-// a, dimi, kc and apack as above, for every block s < n and every target t
-// in targets[start[s] .. start[s + 1]),
-//   t.result(dimi, k) += t.coeff * (0.0 + a(*, dimi)^T * blocks[s](*, k)),
-// each (kc, k) block read in place (row stride k, columns 0..k-1 only).
-// The product is the mtxm sequence above; `0.0 + acc` is its one final add
-// into a zeroed c, so each element equals mTxm_ref into zeros followed by
-// the gaxpy `result + coeff * chain`, bit for bit, signed zeros included.
+// Contract for every fan-out kernel (batch_fused_apply's last mode): the
+// group's terms are stacked along the contraction, K = sum_mu kc[mu] rows,
+//   A = [c_0 * a_0[0..kc_0); ...; c_{M-1} * a_{M-1}[0..kc_{M-1})]  (K, dimi)
+//   B_s = [blocks[s*M + 0][0..kc_0); ...; blocks[s*M + M-1][...)]  (K, k)
+// where a_mu is read with row stride dimi and every block in place with
+// row stride k (columns 0..k-1 only), and c_mu * a_mu(r, i) is rounded as
+// A's element is packed. For every slot s < n and every target t in
+// targets[start[s] .. start[s + 1]),
+//   t(dimi, k) += 0.0 + A^T * B_s,
+// the product accumulated in ascending stacked row, as mtxm does. So each
+// element equals mTxm_ref(dimi, k, K) of the stacked operands into a zeroed
+// c followed by the add `t + c`, bit for bit, signed zeros included.
+// `apack` holds at least 4 * max(K, 1) doubles.
 #pragma once
 
 #include <cstddef>
@@ -26,23 +31,32 @@
 
 namespace mh::linalg::detail {
 
+/// One fan-out kernel call: a group's stacked A (per-term segments and
+/// weights), its n slots' stacked B (per-term blocks, slot-major) and the
+/// results each slot adds into.
+struct FanOut {
+  std::size_t dimi = 0;                   ///< rows of every result
+  std::size_t k = 0;                      ///< columns of every block, result
+  std::size_t terms = 0;                  ///< M: segments of the contraction
+  const std::size_t* kc = nullptr;        ///< [M] rows each term contracts
+  const double* const* a = nullptr;       ///< [M] (kc, dimi) A segments
+  const double* coeffs = nullptr;         ///< [M] weights folded into A
+  const double* const* blocks = nullptr;  ///< [n * M] (kc, k) B segments
+  std::size_t n = 0;                      ///< slots
+  const std::size_t* start = nullptr;     ///< [n + 1] target offsets
+  double* const* targets = nullptr;       ///< (dimi, k) results
+};
+
 using MTxmKernelFn = void (*)(std::size_t dimi, std::size_t dimj,
                               std::size_t kc, double* c, const double* a,
                               const double* b, double* apack);
 
-using FanOutKernelFn = void (*)(std::size_t dimi, std::size_t k,
-                                std::size_t kc, const double* a,
-                                const double* const* blocks, std::size_t n,
-                                const std::size_t* start,
-                                const FanOutTarget* targets, double* apack);
+using FanOutKernelFn = void (*)(const FanOut& f, double* apack);
 
 void mtxm_portable(std::size_t dimi, std::size_t dimj, std::size_t kc,
                    double* c, const double* a, const double* b,
                    double* apack);
-void fan_out_portable(std::size_t dimi, std::size_t k, std::size_t kc,
-                      const double* a, const double* const* blocks,
-                      std::size_t n, const std::size_t* start,
-                      const FanOutTarget* targets, double* apack);
+void fan_out_portable(const FanOut& f, double* apack);
 
 /// The fan-out kernel batch_fused_apply dispatches to on this CPU.
 FanOutKernelFn fan_out_kernel() noexcept;
@@ -50,10 +64,7 @@ FanOutKernelFn fan_out_kernel() noexcept;
 #if defined(MH_LINALG_HAVE_AVX2_TU)
 void mtxm_avx2(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
                const double* a, const double* b, double* apack);
-void fan_out_avx2(std::size_t dimi, std::size_t k, std::size_t kc,
-                  const double* a, const double* const* blocks, std::size_t n,
-                  const std::size_t* start, const FanOutTarget* targets,
-                  double* apack);
+void fan_out_avx2(const FanOut& f, double* apack);
 #endif
 
 }  // namespace mh::linalg::detail

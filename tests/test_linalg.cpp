@@ -299,10 +299,81 @@ TEST(BatchGemm, FusedChainBitwiseEqualsSequentialComposition) {
   for (std::size_t i = 0; i < size; ++i) ASSERT_EQ(fused[i], ref[i]);
 }
 
-TEST(BatchGemm, FusedApplyChainBitwiseEqualsTermByTermComposition) {
+// The reference of one fused-apply item, by the engine's contract: each
+// term's mode-0..d-2 chain through mTxm_reduced_ref with zeroed
+// temporaries; the terms stacked along the contraction (A = c_mu * the
+// chain's rows 0..kc_mu-1, B = the last block's rows 0..kc_mu-1); ONE
+// mTxm_ref over K = sum kc_mu into a zeroed product; then result += it.
+std::vector<double> stacked_reference(std::size_t d, std::size_t k,
+                                      const double* src,
+                                      std::span<const GemmMat> mats,
+                                      std::span<const double> coeffs,
+                                      std::span<const std::size_t> kreds,
+                                      std::vector<double> result) {
+  const std::size_t size = result.size(), rest = size / k;
+  std::vector<double> a_st, b_st;
+  for (std::size_t mu = 0; mu < coeffs.size(); ++mu) {
+    const std::size_t kc = kreds.empty() ? k : std::min(kreds[mu], k);
+    std::vector<double> cur(src, src + size);
+    for (std::size_t m = 0; m + 1 < d; ++m) {
+      std::vector<double> next(size, 0.0);
+      mTxm_reduced_ref(rest, k, k, kc, next.data(), cur.data(),
+                       mats[mu * d + m].ptr);
+      cur = std::move(next);
+    }
+    for (std::size_t e = 0; e < kc * rest; ++e)
+      a_st.push_back(coeffs[mu] * cur[e]);
+    const double* h = mats[mu * d + d - 1].ptr;
+    b_st.insert(b_st.end(), h, h + kc * k);
+  }
+  std::vector<double> product(size, 0.0);
+  mTxm_ref(rest, k, b_st.size() / k, product.data(), a_st.data(),
+           b_st.data());
+  for (std::size_t e = 0; e < size; ++e) result[e] += product[e];
+  return result;
+}
+
+// The per-term composition the engine matched bitwise before it stacked
+// the last mode: term by term, mode by mode through mTxm_reduced_ref, each
+// term added as result + coeff * chain.
+std::vector<double> term_by_term_reference(std::size_t d, std::size_t k,
+                                           const double* src,
+                                           std::span<const GemmMat> mats,
+                                           std::span<const double> coeffs,
+                                           std::span<const std::size_t> kreds,
+                                           std::vector<double> result) {
+  const std::size_t size = result.size(), rest = size / k;
+  for (std::size_t mu = 0; mu < coeffs.size(); ++mu) {
+    const std::size_t kc = kreds.empty() ? k : std::min(kreds[mu], k);
+    std::vector<double> cur(src, src + size);
+    for (std::size_t m = 0; m < d; ++m) {
+      std::vector<double> next(size, 0.0);
+      mTxm_reduced_ref(rest, k, k, kc, next.data(), cur.data(),
+                       mats[mu * d + m].ptr);
+      cur = std::move(next);
+    }
+    for (std::size_t e = 0; e < size; ++e)
+      result[e] = 1.0 * result[e] + coeffs[mu] * cur[e];
+  }
+  return result;
+}
+
+// Stated tolerance between the stacked and the per-term orders: they sum
+// the same products in a different order, so they agree to within 1e-12
+// of the result's largest magnitude.
+void expect_close_to_term_by_term(const std::vector<double>& got,
+                                  const std::vector<double>& ref) {
+  double scale = 0.0;
+  for (const double x : ref) scale = std::max(scale, std::abs(x));
+  for (std::size_t e = 0; e < ref.size(); ++e)
+    ASSERT_NEAR(got[e], ref[e], 1e-12 * scale) << "element " << e;
+}
+
+TEST(BatchGemm, FusedApplyChainBitwiseEqualsStackedProduct) {
   // Multi-term fusion: result += sum_mu coeff[mu] * chain_mu, with per-term
-  // reduced rank, against the composed scalar path (zeroed temporaries,
-  // mTxm_reduced_ref per mode, gaxpy-style epilogue).
+  // reduced rank, is bitwise the stacked product's (every term's rows in
+  // one contraction) and within the stated tolerance of the term-by-term
+  // composition.
   const std::size_t d = 3, k = 12, rest = k * k, size = k * k * k;
   const std::size_t terms = 4;
   Rng rng(4242);
@@ -313,29 +384,21 @@ TEST(BatchGemm, FusedApplyChainBitwiseEqualsTermByTermComposition) {
   const double coeffs[terms] = {1.5, -0.25, 3.0, 0.125};
   const std::size_t kreds[terms] = {k, 7, k, 1};
 
-  // Reference: term-by-term, mode-by-mode through the scalar kernels.
-  std::vector<double> ref(size, 0.0625);
-  for (std::size_t mu = 0; mu < terms; ++mu) {
-    std::vector<double> cur(src);
-    for (std::size_t m = 0; m < d; ++m) {
-      std::vector<double> next(size, 0.0);
-      mTxm_reduced_ref(rest, k, k, kreds[mu], next.data(), cur.data(),
-                       h[mu * d + m].data());
-      cur = std::move(next);
-    }
-    for (std::size_t i = 0; i < size; ++i)
-      ref[i] = 1.0 * ref[i] + coeffs[mu] * cur[i];
-  }
-
   std::vector<GemmMat> mats;
   for (std::size_t i = 0; i < terms * d; ++i)
     mats.push_back(GemmMat{h[i].data(), k, k});
-  std::vector<double> out(size, 0.0625);
+  const std::vector<double> init(size, 0.0625);
+  std::vector<double> out = init;
   GemmWorkspace ws;
-  fused_apply_chain(d, k, src.data(), {mats.data(), mats.size()},
-                    {coeffs, terms}, {kreds, terms}, out.data(), ws);
+  fused_apply_chain(d, k, src.data(), mats, {coeffs, terms}, {kreds, terms},
+                    out.data(), ws);
   EXPECT_EQ(ws.stats().fused_chains, 1u);
+  const std::vector<double> ref = stacked_reference(
+      d, k, src.data(), mats, {coeffs, terms}, {kreds, terms}, init);
   for (std::size_t i = 0; i < size; ++i) ASSERT_EQ(out[i], ref[i]);
+  expect_close_to_term_by_term(
+      out, term_by_term_reference(d, k, src.data(), mats, {coeffs, terms},
+                                  {kreds, terms}, init));
 }
 
 TEST(BatchGemm, BatchedFusedApplySharesOneWorkspace) {
@@ -382,6 +445,14 @@ TEST(BatchGemm, BatchedFusedApplySharesOneWorkspace) {
 // Shared-prefix batches: items over a few sources whose blocks come from a
 // per-term table indexed by a 1-D displacement, as an Apply operator's do.
 struct PrefixBatch {
+  struct Slot {
+    std::size_t src = 0;
+    std::vector<GemmMat> mats;
+    std::vector<std::size_t> kreds;
+    std::size_t nterms = 0;
+    std::vector<double> result;
+  };
+
   PrefixBatch(std::size_t d_, std::size_t k_, std::size_t terms_,
               std::size_t sources, std::int64_t reach_, std::uint64_t seed)
       : d(d_), k(k_), terms(terms_), reach(reach_), rng(seed) {
@@ -403,17 +474,26 @@ struct PrefixBatch {
   void add(std::size_t s, const std::vector<std::int64_t>& disp,
            std::vector<std::size_t> kreds = {}, std::size_t nterms = 0) {
     if (nterms == 0) nterms = terms;
+    add_per_term(s, std::vector<std::vector<std::int64_t>>(nterms, disp),
+                 std::move(kreds));
+  }
+
+  /// Item over source `s` whose term mu reads its blocks at displacement
+  /// disps[mu], so its terms' prefixes need not agree with each other's.
+  void add_per_term(std::size_t s,
+                    const std::vector<std::vector<std::int64_t>>& disps,
+                    std::vector<std::size_t> kreds = {}) {
     Slot slot;
     slot.src = s;
-    for (std::size_t mu = 0; mu < nterms; ++mu) {
+    for (std::size_t mu = 0; mu < disps.size(); ++mu) {
       for (std::size_t m = 0; m < d; ++m) {
-        const auto col = static_cast<std::size_t>(disp[m] + reach);
+        const auto col = static_cast<std::size_t>(disps[mu][m] + reach);
         slot.mats.push_back({table[mu * width() + col].data(), k, k});
       }
     }
     slot.kreds = std::move(kreds);
-    slot.nterms = nterms;
-    slot.result = random_matrix(1, srcs[s].size(), rng);
+    slot.nterms = disps.size();
+    slot.result = random_matrix(1, srcs[slot.src].size(), rng);
     slots.push_back(std::move(slot));
   }
 
@@ -455,54 +535,81 @@ struct PrefixBatch {
     return r;
   }
 
-  /// Distinct (term, src, kc, block prefix) nodes: the GEMMs a batch that
-  /// shares every common prefix must execute.
-  std::size_t distinct_nodes() const {
+  std::size_t kc_of(const Slot& slot, std::size_t mu) const {
+    return slot.kreds.empty() ? k : std::min(slot.kreds[mu], k);
+  }
+
+  /// Distinct (term, src, kc, blocks 0..m) nodes of modes 0..d-2: the
+  /// prefix GEMMs a batch that shares every common prefix executes.
+  std::set<std::vector<std::uintptr_t>> inner_nodes() const {
     std::set<std::vector<std::uintptr_t>> nodes;
     for (const Slot& slot : slots) {
       for (std::size_t mu = 0; mu < slot.nterms; ++mu) {
-        std::vector<std::uintptr_t> key{
-            mu, slot.src,
-            slot.kreds.empty() ? k : std::min(slot.kreds[mu], k)};
-        for (std::size_t m = 0; m < d; ++m) {
+        std::vector<std::uintptr_t> key{mu, slot.src, kc_of(slot, mu)};
+        for (std::size_t m = 0; m + 1 < d; ++m) {
           key.push_back(reinterpret_cast<std::uintptr_t>(
               slot.mats[mu * d + m].ptr));
           nodes.insert(key);
         }
       }
     }
-    return nodes.size();
+    return nodes;
   }
 
-  /// Microkernel calls of a batch that shares every common prefix and fans
-  /// out the last mode: the nodes of modes 0..d-2, plus per mode-(d-2)
-  /// node one call per fan_out_limit(k) distinct last blocks.
-  std::size_t fan_out_calls() const {
-    std::set<std::vector<std::uintptr_t>> inner;
-    std::map<std::vector<std::uintptr_t>, std::set<const double*>> children;
+  /// The fan-out groups: items with the same src, terms, kc vector and
+  /// blocks of modes 0..d-2 in every term (the weights are one table).
+  /// Each holds its stacked depth K and its slots, the distinct tuples of
+  /// last blocks.
+  struct Group {
+    std::size_t terms = 0;
+    std::size_t depth = 0;
+    std::set<std::vector<const double*>> slots;
+  };
+  std::map<std::vector<std::uintptr_t>, Group> groups() const {
+    std::map<std::vector<std::uintptr_t>, Group> out;
     for (const Slot& slot : slots) {
+      std::vector<std::uintptr_t> key{slot.src, slot.nterms};
+      std::vector<const double*> last;
+      std::size_t depth = 0;
       for (std::size_t mu = 0; mu < slot.nterms; ++mu) {
-        std::vector<std::uintptr_t> key{
-            mu, slot.src,
-            slot.kreds.empty() ? k : std::min(slot.kreds[mu], k)};
-        for (std::size_t m = 0; m + 1 < d; ++m) {
+        key.push_back(kc_of(slot, mu));
+        depth += kc_of(slot, mu);
+        for (std::size_t m = 0; m + 1 < d; ++m)
           key.push_back(reinterpret_cast<std::uintptr_t>(
               slot.mats[mu * d + m].ptr));
-          inner.insert(key);
-        }
-        children[key].insert(slot.mats[mu * d + d - 1].ptr);
+        last.push_back(slot.mats[mu * d + d - 1].ptr);
       }
+      Group& g = out[key];
+      g.terms = slot.nterms;
+      g.depth = depth;
+      g.slots.insert(last);
     }
-    const std::size_t cap = fan_out_limit(k);
-    std::size_t calls = inner.size();
-    for (const auto& [node, blocks] : children)
-      calls += (blocks.size() + cap - 1) / cap;
+    return out;
+  }
+
+  /// Nodes a batch that shares every common prefix counts: the prefix
+  /// nodes, plus one last-mode node per term of every slot of every group.
+  std::size_t distinct_nodes() const {
+    std::size_t n = inner_nodes().size();
+    for (const auto& [key, g] : groups()) n += g.slots.size() * g.terms;
+    return n;
+  }
+
+  /// Microkernel calls of such a batch: the prefix nodes, plus per group
+  /// one stacked fan-out call per fan_out_limit(k, K) slots.
+  std::size_t fan_out_calls() const {
+    std::size_t calls = inner_nodes().size();
+    for (const auto& [key, g] : groups()) {
+      const std::size_t cap = fan_out_limit(k, g.depth);
+      calls += (g.slots.size() + cap - 1) / cap;
+    }
     return calls;
   }
 
   /// Runs the whole batch through one workspace and checks every result
-  /// bitwise against the scalar composition and against the item's own
-  /// fused_apply_chain. Returns the batch's engine counters.
+  /// bitwise against the stacked reference and against the item's own
+  /// fused_apply_chain, and within the stated tolerance of the
+  /// term-by-term composition. Returns the batch's engine counters.
   BatchGemmStats run_and_check() const {
     std::vector<std::vector<double>> batched = initial_results();
     GemmWorkspace ws;
@@ -513,41 +620,25 @@ struct PrefixBatch {
     const std::vector<FusedApplyItem> alone = items(single);
     for (std::size_t i = 0; i < slots.size(); ++i) {
       const Slot& slot = slots[i];
-      const std::size_t size = slot.result.size();
-      const std::size_t rest = size / k;
       GemmWorkspace own;
       fused_apply_chain(d, k, alone[i].src, alone[i].mats, alone[i].coeffs,
                         alone[i].kreds, alone[i].result, own);
-      std::vector<double> ref = slot.result;
-      for (std::size_t mu = 0; mu < slot.nterms; ++mu) {
-        const std::size_t kred =
-            slot.kreds.empty() ? k : std::min(slot.kreds[mu], k);
-        std::vector<double> cur = srcs[slot.src];
-        for (std::size_t m = 0; m < d; ++m) {
-          std::vector<double> next(size, 0.0);
-          mTxm_reduced_ref(rest, k, k, kred, next.data(), cur.data(),
-                           slot.mats[mu * d + m].ptr);
-          cur = std::move(next);
-        }
-        for (std::size_t e = 0; e < size; ++e)
-          ref[e] = 1.0 * ref[e] + coeffs[mu] * cur[e];
-      }
-      for (std::size_t e = 0; e < size; ++e) {
+      const std::vector<double> ref =
+          stacked_reference(d, k, alone[i].src, alone[i].mats,
+                            alone[i].coeffs, alone[i].kreds, slot.result);
+      for (std::size_t e = 0; e < ref.size(); ++e) {
         EXPECT_EQ(batched[i][e], ref[e]) << "item " << i;
         EXPECT_EQ(single[i][e], ref[e]) << "item " << i;
         if (batched[i][e] != ref[e] || single[i][e] != ref[e]) break;
       }
+      expect_close_to_term_by_term(
+          batched[i],
+          term_by_term_reference(d, k, alone[i].src, alone[i].mats,
+                                 alone[i].coeffs, alone[i].kreds,
+                                 slot.result));
     }
     return ws.stats();
   }
-
-  struct Slot {
-    std::size_t src = 0;
-    std::vector<GemmMat> mats;
-    std::vector<std::size_t> kreds;
-    std::size_t nterms = 0;
-    std::vector<double> result;
-  };
 
   std::size_t d, k, terms;
   std::int64_t reach;
@@ -562,9 +653,9 @@ TEST(BatchGemm, LeafBatchSharesModePrefixesBitwise) {
   // One source through every displacement of a small lattice: term mu's
   // mode-0..j intermediate depends only on the leading j + 1 displacement
   // components, so the batch computes one node per distinct prefix —
-  // width + width^2 + ... + width^d per term — instead of d per item, and
-  // takes the width last-mode children of each mode-(d-2) node in one
-  // wide product.
+  // width + width^2 + ... + width^(d-1) per term — instead of d per item,
+  // and takes the width last-mode children of each mode-(d-2) node, every
+  // term stacked, in one fan-out call.
   for (const auto& [d, k, reach] :
        {std::tuple<std::size_t, std::size_t, std::int64_t>{1, 5, 2},
         {3, 5, 2},
@@ -576,10 +667,10 @@ TEST(BatchGemm, LeafBatchSharesModePrefixesBitwise) {
     EXPECT_EQ(b.distinct_nodes(), b.terms * per_term);
     const BatchGemmStats st = b.run_and_check();
     EXPECT_EQ(st.prefix_nodes, b.distinct_nodes()) << "d = " << d;
-    // width <= k, so every mode-(d-2) node is one fan-out call.
-    ASSERT_LE(b.width(), fan_out_limit(k));
-    const std::size_t calls = per_term - level + level / b.width();
-    EXPECT_EQ(b.fan_out_calls(), b.terms * calls);
+    // width <= fan_out_limit, so every group is one fan-out call.
+    ASSERT_LE(b.width(), fan_out_limit(k, b.terms * k));
+    const std::size_t groups = level / b.width();
+    EXPECT_EQ(b.fan_out_calls(), b.terms * (per_term - level) + groups);
     EXPECT_EQ(st.packed_gemms, b.fan_out_calls()) << "d = " << d;
     if (d > 1) {
       EXPECT_LT(b.distinct_nodes(), b.slots.size() * b.terms * d);
@@ -607,31 +698,58 @@ TEST(BatchGemm, MixedSourcesAndDuplicatesShareOnlyEqualPrefixes) {
 }
 
 TEST(BatchGemm, DifferentReducedRanksDoNotShare) {
-  // Same source, same blocks: items share a term's chain only when its
-  // contraction length matches. kreds >= k is full rank, like no kreds.
+  // Same source, same blocks: items share a term's prefix chain only when
+  // its contraction length matches, and a fan-out group only when every
+  // term's does. kreds >= k is full rank, like no kreds.
   const std::size_t k = 5;
   PrefixBatch b(3, k, /*terms=*/2, /*sources=*/1, /*reach=*/1, 7);
   b.add(0, {1, 0, 1}, {k, 3});
   b.add(0, {1, 0, 1}, {k, 4});
   b.add(0, {1, 0, 1});
   b.add(0, {1, 0, 1}, {k + 2, 3});
-  // Term 0: one full-rank chain. Term 1: contraction lengths 3, 4 and k.
-  EXPECT_EQ(b.distinct_nodes(), 3u + 3u * 3u);
+  // Prefix modes: one full-rank term-0 chain (2 nodes), term-1 chains at
+  // contraction lengths 3, 4 and k (2 nodes each). Groups: kc vectors
+  // (k, 3), (k, 4) and (k, k), one slot of two terms each.
+  EXPECT_EQ(b.groups().size(), 3u);
+  EXPECT_EQ(b.distinct_nodes(), 2u + 3u * 2u + 3u * 2u);
   const BatchGemmStats st = b.run_and_check();
   EXPECT_EQ(st.prefix_nodes, b.distinct_nodes());
-  // One fan-out call per (term, kc) chain: nothing to widen.
-  EXPECT_EQ(st.packed_gemms, b.distinct_nodes());
+  // One stacked fan-out call per group.
+  EXPECT_EQ(b.fan_out_calls(), 2u + 3u * 2u + 3u);
+  EXPECT_EQ(st.packed_gemms, b.fan_out_calls());
+}
+
+TEST(BatchGemm, GroupsCheckEveryTermsPrefixAndKc) {
+  // Items that share term 0's prefix but not term 1's, and items that
+  // differ only in term 1's contraction length, must not share a group:
+  // the group stacks every term's prefix of its first item, so a wrong
+  // grouping would give one of them another item's A.
+  const std::size_t k = 5;
+  PrefixBatch b(3, k, /*terms=*/3, /*sources=*/1, /*reach=*/1, 23);
+  b.add_per_term(0, {{0, 0, -1}, {0, 0, -1}, {0, 0, -1}});
+  b.add_per_term(0, {{0, 0, 1}, {1, 0, 1}, {0, 0, 1}});
+  b.add_per_term(0, {{0, 0, 0}, {-1, 0, 0}, {0, 0, 0}});
+  b.add(0, {1, 1, 0}, {k, 2, k});
+  b.add(0, {1, 1, 1}, {k, 3, k});
+  b.add(0, {1, 1, -1}, {k, 2, k});
+  // Groups: the three prefixes of term 1 over term-0 prefix (0, 0), and
+  // the kc vectors (k, 2, k) (two slots) and (k, 3, k) over (1, 1).
+  EXPECT_EQ(b.groups().size(), 5u);
+  const BatchGemmStats st = b.run_and_check();
+  EXPECT_EQ(st.prefix_nodes, b.distinct_nodes());
+  EXPECT_EQ(st.packed_gemms, b.fan_out_calls());
+  EXPECT_EQ(st.packed_gemms, b.inner_nodes().size() + 5u);
 }
 
 TEST(BatchGemm, FanOutLastModeBitwise) {
   // Runs of items below one mode-(d-2) node, with 1 up to more than
-  // fan_out_limit(k) distinct last blocks, plus duplicate last blocks,
-  // mixed kreds within one prefix group and items with fewer terms, over
-  // non-zero initial results. k = 7 leaves a 4-wide tile and a
-  // column-vector tail in every wide product.
+  // fan_out_limit(k, 3k) slots, plus duplicate last blocks, mixed kreds
+  // within one prefix run and items with fewer terms, over non-zero
+  // initial results. k = 7 leaves a 4-wide tile and a column-vector tail
+  // in every fan-out product.
   for (const std::size_t d : {1, 2, 3, 4}) {
     for (const std::size_t k : {5, 7, 10}) {
-      const std::size_t cap = fan_out_limit(k);
+      const std::size_t cap = fan_out_limit(k, 3 * k);
       const std::vector<std::size_t> fans{1, 2, cap - 1, cap, cap + 1,
                                           2 * cap + 1};
       const auto reach = static_cast<std::int64_t>(cap);  // width 2cap+1
@@ -668,21 +786,35 @@ TEST(BatchGemm, FanOutLastModeBitwise) {
       b.add(d == 1 ? 2 : 0, run_at(2, 0), {2, k, k});
       b.add(d == 1 ? 4 : 0, run_at(4, 0), {2, k, k});
 
+      // The groups of one term-0 prefix differ in their kc vectors, and a
+      // term's prefix is shared only between adjacent groups, so the
+      // prefix GEMMs are at least the distinct ones and at most all of
+      // every group's; the fan-out part of the counters is exact.
       const BatchGemmStats st = b.run_and_check();
-      EXPECT_EQ(st.prefix_nodes, b.distinct_nodes()) << d << " " << k;
-      EXPECT_EQ(st.packed_gemms, b.fan_out_calls()) << d << " " << k;
+      const std::size_t inner = b.inner_nodes().size();
+      std::size_t worst = 0;
+      for (const auto& [key, g] : b.groups()) {
+        const std::size_t chunk = fan_out_limit(k, g.depth);
+        worst += g.terms * (d - 1) * ((g.slots.size() + chunk - 1) / chunk);
+      }
+      EXPECT_GE(st.packed_gemms, b.fan_out_calls()) << d << " " << k;
+      EXPECT_LE(st.packed_gemms, b.fan_out_calls() - inner + worst)
+          << d << " " << k;
+      EXPECT_EQ(st.prefix_nodes - st.packed_gemms,
+                b.distinct_nodes() - b.fan_out_calls())
+          << d << " " << k;
       EXPECT_LT(st.packed_gemms, st.prefix_nodes) << d << " " << k;
     }
   }
 }
 
 TEST(BatchGemm, WarmCallsAllocateNothing) {
-  // The workspace buffers, the call's order and its per-term regrouping
-  // only grow: a warm call, and a smaller batch after it, move none of
-  // them.
+  // The workspace buffers (the packed panel and the per-term prefix
+  // stacks), the call's order and its group and slot scratch only grow: a
+  // warm call, and a smaller batch after it, move none of them.
   const std::size_t k = 5;
   PrefixBatch b(3, k, /*terms=*/3, /*sources=*/1, /*reach=*/3, 5);
-  b.add_leaf();  // 7 last-mode children per node: past fan_out_limit(5)
+  b.add_leaf();  // 7 slots per group: past fan_out_limit(5, 15)
   b.add(0, {0, 0, 0}, {k, 2, 4});
   std::vector<std::vector<double>> results = b.initial_results();
   const std::vector<FusedApplyItem> items = b.items(results);
@@ -690,9 +822,10 @@ TEST(BatchGemm, WarmCallsAllocateNothing) {
   const auto storage = [&ws] {
     const GemmWorkspace::ShareScratch& sc = ws.share_scratch();
     return std::vector<const void*>{
-        ws.pack_a(0), ws.prefix(0), sc.keys.data(), sc.order.data(),
-        sc.kc_start.data(), sc.term_order.data(), sc.fan_blocks.data(),
-        sc.fan_slot.data(), sc.fan_start.data(), sc.fan_targets.data()};
+        ws.pack_a(0),          ws.prefix(0),          sc.keys.data(),
+        sc.order.data(),       sc.group_kc.data(),    sc.group_a.data(),
+        sc.slot_item.data(),   sc.fan_blocks.data(),  sc.fan_slot.data(),
+        sc.fan_start.data(),   sc.fan_targets.data()};
   };
   batch_fused_apply(3, k, items, ws);
   const std::vector<const void*> warm = storage();
@@ -727,96 +860,162 @@ TEST(BatchGemm, WideLastModeShapesAgreeBitwise) {
   }
 }
 
+// One stacked fan-out call through `kernel` against mTxm_ref on the
+// stacked operands: per term an A segment (kc, dimi) scaled by its weight
+// and per slot a block per term, each its own allocation read in place, so
+// a tile that reads past a block's k columns or kc rows shows up under
+// ASan. Slot 0 has two targets, every other slot one, over random initial
+// results.
+void check_fan_out(detail::FanOutKernelFn kernel, std::size_t dimi,
+                   std::size_t k, const std::vector<std::size_t>& kc,
+                   std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t terms = kc.size();
+  std::vector<std::vector<double>> a, blocks;
+  std::vector<const double*> a_ptrs, block_ptrs;
+  std::vector<double> coeffs;
+  std::size_t depth = 0;
+  for (std::size_t mu = 0; mu < terms; ++mu) {
+    a.push_back(random_matrix(kc[mu], dimi, rng));
+    coeffs.push_back(rng.uniform(-2.0, 2.0));
+    depth += kc[mu];
+  }
+  for (const auto& x : a) a_ptrs.push_back(x.data());
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t mu = 0; mu < terms; ++mu)
+      blocks.push_back(random_matrix(kc[mu], k, rng));
+  }
+  for (const auto& x : blocks) block_ptrs.push_back(x.data());
+  std::vector<std::size_t> start{0, 2};
+  for (std::size_t s = 1; s < n; ++s) start.push_back(start.back() + 1);
+  const std::size_t count = start.back();
+  std::vector<std::vector<double>> init;
+  for (std::size_t t = 0; t < count; ++t)
+    init.push_back(random_matrix(dimi, k, rng));
+
+  // Reference: the stacked operands, one mTxm_ref into a zeroed product,
+  // then target += product.
+  std::vector<double> a_st;
+  for (std::size_t mu = 0; mu < terms; ++mu) {
+    for (const double x : a[mu]) a_st.push_back(coeffs[mu] * x);
+  }
+  std::vector<std::vector<double>> ref = init;
+  for (std::size_t s = 0; s < n; ++s) {
+    std::vector<double> b_st;
+    for (std::size_t mu = 0; mu < terms; ++mu) {
+      const auto& h = blocks[s * terms + mu];
+      b_st.insert(b_st.end(), h.begin(), h.end());
+    }
+    std::vector<double> product(dimi * k, 0.0);
+    mTxm_ref(dimi, k, depth, product.data(), a_st.data(), b_st.data());
+    for (std::size_t t = start[s]; t < start[s + 1]; ++t) {
+      for (std::size_t e = 0; e < product.size(); ++e)
+        ref[t][e] += product[e];
+    }
+  }
+
+  std::vector<std::vector<double>> got = init;
+  std::vector<double*> targets;
+  for (auto& g : got) targets.push_back(g.data());
+  std::vector<double> apack(4 * std::max<std::size_t>(depth, 1));
+  kernel({dimi, k, terms, kc.data(), a_ptrs.data(), coeffs.data(),
+          block_ptrs.data(), n, start.data(), targets.data()},
+         apack.data());
+  for (std::size_t t = 0; t < count; ++t) {
+    for (std::size_t e = 0; e < got[t].size(); ++e) {
+      ASSERT_EQ(got[t][e], ref[t][e])
+          << dimi << "x" << k << " K " << depth << " n " << n << " target "
+          << t << " element " << e;
+    }
+  }
+}
+
 TEST(BatchGemm, FanOutEpilogueKernelsAgreeBitwise) {
-  // The fused last-mode kernel, portable and dispatched, against mTxm_ref
-  // into a zeroed product followed by the gaxpy result + coeff * chain.
-  // Each block is its own allocation read in place, so a tile that reads
-  // past a block's k columns shows up under ASan. Slot 0 has two items
-  // with different coefficients; dimi = 25 leaves a row tail, and k = 20
-  // runs the kernels at an order above 10 (two 4x8 tiles and a 4x4 one).
-  for (const auto& [dimi, k] :
-       {std::pair<std::size_t, std::size_t>{25, 5}, {1000, 10}, {400, 20}}) {
-    Rng rng(dimi + k);
-    const auto a = random_matrix(k, dimi, rng);
-    for (std::size_t n = 1; n <= k; ++n) {
-      std::vector<std::vector<double>> blocks;
-      std::vector<const double*> block_ptrs;
-      for (std::size_t s = 0; s < n; ++s) {
-        blocks.push_back(random_matrix(k, k, rng));
-        block_ptrs.push_back(blocks.back().data());
-      }
-      // Targets grouped by slot: slot 0 has two, every other slot one.
-      std::vector<std::size_t> start{0, 2};
-      for (std::size_t s = 1; s < n; ++s) start.push_back(start.back() + 1);
-      const std::size_t count = start.back();
-      std::vector<double> coeffs;
-      for (std::size_t t = 0; t < count; ++t)
-        coeffs.push_back(rng.uniform(-2.0, 2.0));
-      std::vector<std::vector<double>> init;
-      for (std::size_t t = 0; t < count; ++t)
-        init.push_back(random_matrix(dimi, k, rng));
-      for (const std::size_t kc : {k, k - 2, std::size_t{1}}) {
-        std::vector<std::vector<double>> ref = init;
-        for (std::size_t s = 0; s < n; ++s) {
-          std::vector<double> chain(dimi * k, 0.0);
-          mTxm_reduced_ref(dimi, k, k, kc, chain.data(), a.data(),
-                           blocks[s].data());
-          for (std::size_t t = start[s]; t < start[s + 1]; ++t) {
-            for (std::size_t e = 0; e < chain.size(); ++e)
-              ref[t][e] = 1.0 * ref[t][e] + coeffs[t] * chain[e];
-          }
-        }
-        for (const detail::FanOutKernelFn kernel :
-             {detail::fan_out_portable, detail::fan_out_kernel()}) {
-          std::vector<std::vector<double>> got = init;
-          std::vector<FanOutTarget> targets;
-          for (std::size_t t = 0; t < count; ++t)
-            targets.push_back({got[t].data(), coeffs[t]});
-          std::vector<double> apack(4 * k);
-          kernel(dimi, k, kc, a.data(), block_ptrs.data(), n, start.data(),
-                 targets.data(), apack.data());
-          for (std::size_t t = 0; t < count; ++t) {
-            for (std::size_t e = 0; e < got[t].size(); ++e) {
-              ASSERT_EQ(got[t][e], ref[t][e])
-                  << dimi << "x" << k << " n " << n << " kc " << kc
-                  << " target " << t << " element " << e;
-            }
-          }
-        }
+  // The stacked last-mode kernel, portable and dispatched, against
+  // mTxm_ref on the stacked operands followed by the add into each
+  // target, for 1..k slots: dimi = 25 leaves a row tail, and k = 20 runs
+  // the kernels at an order above 10 (two 4x8 tiles and a 4x4 one).
+  struct Case {
+    std::size_t dimi, k;
+    std::vector<std::size_t> kc;
+  };
+  const std::vector<Case> cases{
+      {25, 5, {5, 5, 5}},
+      {25, 5, {5, 3, 5, 1}},
+      {1000, 10, {10, 10}},
+      {1000, 10, {10}},
+      {400, 20, {20, 13, 1}},
+  };
+  for (const Case& c : cases) {
+    for (std::size_t n = 1; n <= c.k; ++n) {
+      for (const detail::FanOutKernelFn kernel :
+           {detail::fan_out_portable, detail::fan_out_kernel()}) {
+        check_fan_out(kernel, c.dimi, c.k, c.kc, n, c.dimi + c.k + n);
       }
     }
   }
-  // Exact zeros: an all-zero A over results of -0.0. Each element becomes
-  // -0.0 + coeff * (+0.0), whose sign depends on the coefficient's;
-  // ASSERT_EQ cannot tell -0 from +0, so compare bytes.
+  // Exact zeros: an all-zero A over targets of -0.0. Each element becomes
+  // -0.0 + (0.0 + acc) = +0.0 whatever the weight's sign; ASSERT_EQ
+  // cannot tell -0 from +0, so compare bytes.
   const std::size_t dimi = 9, k = 5;
   const std::vector<double> zero_a(k * dimi, 0.0);
   Rng rng(3);
   const auto block = random_matrix(k, k, rng);
-  const double* block_ptr = block.data();
-  const std::size_t start[2] = {0, 2};
+  const double* a_ptrs[2] = {zero_a.data(), zero_a.data()};
+  const double* block_ptrs[2] = {block.data(), block.data()};
+  const std::size_t kc[2] = {k, k};
   const double coeffs[2] = {0.75, -0.75};
+  const std::size_t start[2] = {0, 2};
   for (const detail::FanOutKernelFn kernel :
        {detail::fan_out_portable, detail::fan_out_kernel()}) {
     std::vector<std::vector<double>> got(2,
                                          std::vector<double>(dimi * k, -0.0));
     std::vector<std::vector<double>> ref = got;
-    std::vector<double> chain(dimi * k, 0.0);
-    mTxm_ref(dimi, k, k, chain.data(), zero_a.data(), block.data());
-    for (std::size_t t = 0; t < 2; ++t) {
-      for (std::size_t e = 0; e < chain.size(); ++e)
-        ref[t][e] = 1.0 * ref[t][e] + coeffs[t] * chain[e];
+    std::vector<double> a_st, b_st;
+    for (std::size_t mu = 0; mu < 2; ++mu) {
+      for (const double x : zero_a) a_st.push_back(coeffs[mu] * x);
+      b_st.insert(b_st.end(), block.begin(), block.end());
     }
-    const FanOutTarget targets[2] = {{got[0].data(), coeffs[0]},
-                                     {got[1].data(), coeffs[1]}};
-    std::vector<double> apack(4 * k);
-    kernel(dimi, k, k, zero_a.data(), &block_ptr, 1, start, targets,
+    std::vector<double> product(dimi * k, 0.0);
+    mTxm_ref(dimi, k, 2 * k, product.data(), a_st.data(), b_st.data());
+    for (auto& r : ref) {
+      for (std::size_t e = 0; e < r.size(); ++e) r[e] += product[e];
+    }
+    double* targets[2] = {got[0].data(), got[1].data()};
+    std::vector<double> apack(4 * 2 * k);
+    kernel({dimi, k, 2, kc, a_ptrs, coeffs, block_ptrs, 1, start, targets},
            apack.data());
     for (std::size_t t = 0; t < 2; ++t) {
       EXPECT_EQ(std::memcmp(got[t].data(), ref[t].data(),
                             got[t].size() * sizeof(double)),
                 0)
           << "target " << t;
+    }
+  }
+}
+
+TEST(BatchGemm, StackedKernelParityCases) {
+  // The contraction shapes the stacked last mode adds, portable tile and
+  // dispatched kernel each bitwise against mTxm_ref on the stacked
+  // operands: an odd K (the unroll-by-two tail), mixed kc with kc = 1 in
+  // between, k = 7 (a 4-wide tile and a three-column tail) and the
+  // paper-sized K = 1000 (M = 100 terms at k = 10).
+  struct Case {
+    std::size_t dimi, k;
+    std::vector<std::size_t> kc;
+    std::size_t n;
+  };
+  const std::vector<Case> cases{
+      {25, 5, std::vector<std::size_t>(7, 5), 3},          // K = 35
+      {49, 7, {7, 1, 4, 1, 7, 2}, 4},                      // mixed, K = 22
+      {49, 7, std::vector<std::size_t>(5, 7), 7},          // K = 35
+      {100, 10, {1, 10, 3, 1}, 2},                         // K = 15
+      {100, 10, std::vector<std::size_t>(100, 10), 2},     // K = 1000
+  };
+  for (const Case& c : cases) {
+    for (const detail::FanOutKernelFn kernel :
+         {detail::fan_out_portable, detail::fan_out_kernel()}) {
+      check_fan_out(kernel, c.dimi, c.k, c.kc, c.n, 31 * c.dimi + c.kc.size());
     }
   }
 }
