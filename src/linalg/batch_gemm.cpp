@@ -391,8 +391,7 @@ void batch_fused_apply(std::size_t d, std::size_t k,
             [&](std::size_t a, std::size_t b) {
               const std::uintptr_t* ka = row(a);
               const std::uintptr_t* kb = row(b);
-              const auto diff =
-                  std::mismatch(ka, ka + d + 1, kb, kb + d + 1);
+              const auto diff = std::mismatch(ka, ka + d + 1, kb, kb + d + 1);
               if (diff.first != ka + d + 1) return *diff.first < *diff.second;
               if (!items[a].kreds.empty() || !items[b].kreds.empty()) {
                 for (std::size_t mu = ka[d]; mu-- > 0;) {

@@ -304,8 +304,8 @@ struct PackStacked {
 // chains overlap.
 template <class Contraction, class Epi>
 [[gnu::always_inline]] inline void panel_tiles(
-    Contraction sg, const double* apack, const double* const* blocks, std::size_t n,
-    std::size_t width, std::size_t rows, const Epi& epi) {
+    Contraction sg, const double* apack, const double* const* blocks,
+    std::size_t n, std::size_t width, std::size_t rows, const Epi& epi) {
   const std::size_t tiled = width - width % 4;
   for (std::size_t s = 0; s < n; ++s) {
     const double* const* b = blocks + s * sg.terms;
