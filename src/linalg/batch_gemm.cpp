@@ -430,7 +430,7 @@ void batch_fused_apply(std::size_t d, std::size_t k,
     }
     // The group's slots: its distinct last-block tuples, up to the
     // shape's fan-out limit; duplicates share a slot.
-    const std::size_t cap = fan_out_limit(k, stacked);
+    const std::size_t cap = fan_out_limit(k);
     std::size_t n = 0;
     std::size_t end = pos;
     for (; end < sc.order.size(); ++end) {

@@ -189,37 +189,34 @@ struct FusedApplyItem {
   double* result = nullptr;         ///< k^d accumulation target
 };
 
-/// Most slots one fan-out call walks under a packed panel, for a group
-/// whose stacked contraction is `depth` = K rows: each slot's B is K * k
-/// doubles, and n <= 32768 / (K * k) keeps the group's n * K * k within
-/// 256 KB of L2 as every 4-row panel sweeps it. At most k: past that the
-/// panel's pack is amortized and a slot costs the same (EXPERIMENTS.md,
-/// "Term-stacked last mode"); at M = 1, K = k, this is the per-term limit
-/// n <= k of the unstacked kernel. A longer group is split into several
+/// Most slots one fan-out call walks under a packed panel: past a few
+/// slots the panel's pack is amortized and a slot costs the same
+/// (EXPERIMENTS.md, "Term-stacked last mode"), and n <= k keeps a one-term
+/// group's blocks within k^3 doubles. A longer group is split into several
 /// calls. An operator prefix node has one child per screened last
 /// displacement component, at most 2 * max_disp + 1.
-constexpr std::size_t fan_out_limit(std::size_t k,
-                                    std::size_t depth) noexcept {
-  const std::size_t b = (depth == 0 ? 1 : depth) * k;  // one slot's B
-  const std::size_t n = 32768 / b < k ? 32768 / b : k;
-  return n == 0 ? 1 : n;
-}
+constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
 
 /// Batched entry point: every item's fused chain through one workspace,
-/// with mode-prefix intermediates shared between items. For term mu, two
-/// items share the mode-0..j intermediate when they have the same src, the
-/// same contraction length kc = min(kreds[mu], k) (k without kreds) and the
-/// same block pointers mats[mu*d+0..j]; it is then computed once.
+/// with mode-prefix intermediates shared between items. For term mu, the
+/// mode-0..j intermediate of an item is a function of its src, the term's
+/// contraction length kc = min(kreds[mu], k) (k without kreds) and the
+/// block pointers mats[mu*d+0..j].
 ///
 /// The items are ordered once per call, by src, term-0 blocks of modes
-/// 0..d-2, term count, kc vector and term-0 last block, and walked in
-/// fan-out groups: runs of items with the same src, term count, weights,
-/// kc vector and blocks of modes 0..d-2 in every term (all checked, none
-/// inferred from term 0). Each term keeps its own stack of d - 1
-/// intermediates (in the workspace), recomputed only from the first mode
-/// where the group's (src, kc, blocks) differ from the previous group's.
-/// The group's last mode is then ONE fused kernel call with contraction
-/// length K = sum_mu kc_mu over its n slots (n <= fan_out_limit(k, K)),
+/// 0..d-2, term count, kc vector (compared from the last term down) and
+/// term-0 last block, and walked in fan-out groups: runs of items with the
+/// same src, term count, weights, kc vector and blocks of modes 0..d-2 in
+/// every term (all checked, none inferred from term 0). Each term keeps
+/// its own stack of d - 1 intermediates (in the workspace), recomputed
+/// only from the first mode where the group's (src, kc, blocks) for that
+/// term differ from the previous group's. So an intermediate is computed
+/// once per run of adjacent groups that share it: once per call when the
+/// items' kc vectors agree (full rank, say) and the later terms' blocks
+/// follow term 0's, and again in every such run when mixed kc vectors
+/// interleave (EXPERIMENTS.md, "Term-stacked last mode"). The group's
+/// last mode is then ONE fused kernel call with contraction
+/// length K = sum_mu kc_mu over its n slots (n <= fan_out_limit(k)),
 /// the distinct tuples of last blocks (duplicates share a slot): A stacks
 /// each term's first kc_mu rows of its mode-(d-2) intermediate, weighted
 /// by coeffs[mu] as each 4-row panel is packed, once; each slot's B is
@@ -229,6 +226,10 @@ constexpr std::size_t fan_out_limit(std::size_t k,
 /// GEMM per distinct (src, kc, h_0..h_j) node of modes 0..d-2 plus one
 /// per fan-out group, instead of d per item per term, and no product is
 /// ever stored.
+///
+/// The workspace holds M * (d - 1) * k^d doubles of prefix stacks for a
+/// batch of M-term items, per thread: 70 KB at d = 3, k = 5, M = 35,
+/// 12.8 MB at d = 3, k = 20, M = 100 and 24 MB at d = 4, k = 10, M = 100.
 ///
 /// Every result is bitwise equal to mTxm_ref of its stacked operands —
 /// each term's chain of modes 0..d-2 through mTxm_reduced_ref into zeroed

@@ -37,20 +37,13 @@
 namespace mh::linalg::detail {
 namespace {
 
-// The contraction of one panel pass: `terms` segments of len(mu) packed
+// The contraction of one panel pass: `terms` segments of kc[mu] packed
 // rows each, in order; slot s's segment mu is blocks[s * terms + mu].
-// A single segment (mtxm, and a one-term fan-out) is a type of its own,
-// so its tiles compile without the segment loop, which costs a one-term
-// fan-out group about 5% (EXPERIMENTS.md, "Term-stacked last mode").
-struct Run {
-  static constexpr std::size_t terms = 1;
-  std::size_t kc;
-  std::size_t len(std::size_t) const { return kc; }
-};
+// mtxm is the one-segment case: its loop over segments measured no
+// slower than a plain kc loop (EXPERIMENTS.md, "Term-stacked last mode").
 struct Segs {
   std::size_t terms;
   const std::size_t* kc;
-  std::size_t len(std::size_t mu) const { return kc[mu]; }
 };
 
 // Tile epilogues: where the finished accumulators of slot s go.
@@ -129,8 +122,8 @@ struct AddIntoTargets {
 
 // One 4x8 tile: columns j..j+8 of slot s over the panel's rows. `ap` is
 // the packed panel (4 doubles per stacked k), `b` the slot's segments.
-template <class Contraction, class Epi>
-inline void micro_4x8(Contraction sg, const double* ap, const double* const* b,
+template <class Epi>
+inline void micro_4x8(Segs sg, const double* ap, const double* const* b,
                       std::size_t ldb, std::size_t s, std::size_t j,
                       std::size_t rows, const Epi& epi) {
   __m256d acc0l = _mm256_setzero_pd(), acc0h = _mm256_setzero_pd();
@@ -139,7 +132,7 @@ inline void micro_4x8(Contraction sg, const double* ap, const double* const* b,
   __m256d acc3l = _mm256_setzero_pd(), acc3h = _mm256_setzero_pd();
   for (std::size_t mu = 0; mu < sg.terms; ++mu) {
     const double* bm = b[mu] + j;
-    const std::size_t kc = sg.len(mu);
+    const std::size_t kc = sg.kc[mu];
 #pragma GCC unroll 2
     for (std::size_t k = 0; k < kc; ++k) {
       const double* bk = bm + k * ldb;
@@ -166,8 +159,8 @@ inline void micro_4x8(Contraction sg, const double* ap, const double* const* b,
   epi.tile(s, j, rows, acc);
 }
 
-template <class Contraction, class Epi>
-inline void micro_4x4(Contraction sg, const double* ap, const double* const* b,
+template <class Epi>
+inline void micro_4x4(Segs sg, const double* ap, const double* const* b,
                       std::size_t ldb, std::size_t s, std::size_t j,
                       std::size_t rows, const Epi& epi) {
   __m256d acc0 = _mm256_setzero_pd();
@@ -176,7 +169,7 @@ inline void micro_4x4(Contraction sg, const double* ap, const double* const* b,
   __m256d acc3 = _mm256_setzero_pd();
   for (std::size_t mu = 0; mu < sg.terms; ++mu) {
     const double* bm = b[mu] + j;
-    const std::size_t kc = sg.len(mu);
+    const std::size_t kc = sg.kc[mu];
 #pragma GCC unroll 2
     for (std::size_t k = 0; k < kc; ++k) {
       const __m256d b0 = _mm256_loadu_pd(bm + k * ldb);
@@ -201,8 +194,8 @@ inline void micro_4x4(Contraction sg, const double* ap, const double* const* b,
 // (slot s, column j) and steps the cursor past them, as column vectors
 // over the packed panel: acc_c += panel(k) * b(k, column c), one 4-lane
 // accumulator per column (lane r = row r).
-template <int NC, class Contraction, class Epi>
-inline void micro_cols(Contraction sg, const double* ap,
+template <int NC, class Epi>
+inline void micro_cols(Segs sg, const double* ap,
                        const double* const* blocks, std::size_t first,
                        std::size_t width, std::size_t& s, std::size_t& j,
                        std::size_t rows, const Epi& epi) {
@@ -221,7 +214,7 @@ inline void micro_cols(Contraction sg, const double* ap,
     const double* col[NC];
     for (int c = 0; c < NC; ++c)
       col[c] = blocks[cs[c] * sg.terms + mu] + cj[c];
-    const std::size_t kc = sg.len(mu);
+    const std::size_t kc = sg.kc[mu];
 #pragma GCC unroll 2
     for (std::size_t k = 0; k < kc; ++k) {
       const __m256d av = _mm256_loadu_pd(ap + 4 * k);
@@ -302,9 +295,9 @@ struct PackStacked {
 // blocks: each slot's 4x8 and 4x4 tiles, then the 1..3 columns left in
 // every slot as one run of column vectors, up to 8 per pass so their add
 // chains overlap.
-template <class Contraction, class Epi>
+template <class Epi>
 [[gnu::always_inline]] inline void panel_tiles(
-    Contraction sg, const double* apack, const double* const* blocks,
+    Segs sg, const double* apack, const double* const* blocks,
     std::size_t n, std::size_t width, std::size_t rows, const Epi& epi) {
   const std::size_t tiled = width - width % 4;
   for (std::size_t s = 0; s < n; ++s) {
@@ -331,8 +324,8 @@ template <class Contraction, class Epi>
 }
 
 // Packs each 4-row panel once and runs it over all n slots.
-template <class Contraction, class Pack, class Epi>
-void panels(std::size_t dimi, Contraction sg, const Pack& pack,
+template <class Pack, class Epi>
+void panels(std::size_t dimi, Segs sg, const Pack& pack,
             const double* const* blocks, std::size_t n, std::size_t width,
             double* apack, const Epi& epi_rows) {
   for (std::size_t i0 = 0; i0 < dimi; i0 += 4) {
@@ -351,19 +344,13 @@ void panels(std::size_t dimi, Contraction sg, const Pack& pack,
 
 void mtxm_avx2(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
                const double* a, const double* b, double* apack) {
-  panels(dimi, Run{kc}, PackPanel{kc, a, dimi}, &b, 1, dimj, apack,
+  panels(dimi, Segs{1, &kc}, PackPanel{kc, a, dimi}, &b, 1, dimj, apack,
          AddInto{c, dimj});
 }
 
 void fan_out_avx2(const FanOut& f, double* apack) {
-  const AddIntoTargets epi{f.start, f.targets, f.k};
-  if (f.terms == 1) {
-    panels(f.dimi, Run{f.kc[0]}, PackStacked{f}, f.blocks, f.n, f.k, apack,
-           epi);
-  } else {
-    panels(f.dimi, Segs{f.terms, f.kc}, PackStacked{f}, f.blocks, f.n, f.k,
-           apack, epi);
-  }
+  panels(f.dimi, Segs{f.terms, f.kc}, PackStacked{f}, f.blocks, f.n, f.k,
+         apack, AddIntoTargets{f.start, f.targets, f.k});
 }
 
 }  // namespace mh::linalg::detail
