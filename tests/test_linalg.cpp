@@ -559,11 +559,9 @@ struct PrefixBatch {
 
   /// The fan-out groups: items with the same src, terms, kc vector and
   /// blocks of modes 0..d-2 in every term (the weights are one table).
-  /// Each holds its stacked depth K and its slots, the distinct tuples of
-  /// last blocks.
+  /// Each holds its slots, the distinct tuples of last blocks.
   struct Group {
     std::size_t terms = 0;
-    std::size_t depth = 0;
     std::set<std::vector<const double*>> slots;
   };
   std::map<std::vector<std::uintptr_t>, Group> groups() const {
@@ -571,10 +569,8 @@ struct PrefixBatch {
     for (const Slot& slot : slots) {
       std::vector<std::uintptr_t> key{slot.src, slot.nterms};
       std::vector<const double*> last;
-      std::size_t depth = 0;
       for (std::size_t mu = 0; mu < slot.nterms; ++mu) {
         key.push_back(kc_of(slot, mu));
-        depth += kc_of(slot, mu);
         for (std::size_t m = 0; m + 1 < d; ++m)
           key.push_back(reinterpret_cast<std::uintptr_t>(
               slot.mats[mu * d + m].ptr));
@@ -582,7 +578,6 @@ struct PrefixBatch {
       }
       Group& g = out[key];
       g.terms = slot.nterms;
-      g.depth = depth;
       g.slots.insert(last);
     }
     return out;
@@ -597,14 +592,101 @@ struct PrefixBatch {
   }
 
   /// Microkernel calls of such a batch: the prefix nodes, plus per group
-  /// one stacked fan-out call per fan_out_limit(k, K) slots.
+  /// one stacked fan-out call per fan_out_limit(k) slots.
   std::size_t fan_out_calls() const {
+    const std::size_t cap = fan_out_limit(k);
     std::size_t calls = inner_nodes().size();
-    for (const auto& [key, g] : groups()) {
-      const std::size_t cap = fan_out_limit(k, g.depth);
+    for (const auto& [key, g] : groups())
       calls += (g.slots.size() + cap - 1) / cap;
-    }
     return calls;
+  }
+
+  const double* block(const Slot& slot, std::size_t mu, std::size_t m) const {
+    return slot.mats[mu * d + m].ptr;
+  }
+
+  bool same_group(const Slot& a, const Slot& b) const {
+    if (a.src != b.src || a.nterms != b.nterms) return false;
+    for (std::size_t mu = 0; mu < a.nterms; ++mu) {
+      if (kc_of(a, mu) != kc_of(b, mu)) return false;
+      for (std::size_t m = 0; m + 1 < d; ++m)
+        if (block(a, mu, m) != block(b, mu, m)) return false;
+    }
+    return true;
+  }
+
+  /// The counters batch_fused_apply's walk reaches, modelled from its
+  /// contract: the items in the call's one order (src, term-0 blocks of
+  /// modes 0..d-2, term count, kc vector from the last term down, term-0
+  /// last block) cut into groups and the groups into calls of at most
+  /// fan_out_limit(k) slots; each call first recomputes every term's
+  /// prefix from the first mode where its (src, kc, blocks) differ from
+  /// the previous call's, then counts one last-mode node per term of each
+  /// slot. Items with equal order keys must share a group, so the order
+  /// is unique up to ties that change nothing.
+  BatchGemmStats walk() const {
+    const auto key = [&](const Slot& slot) {
+      std::vector<std::uintptr_t> out{
+          reinterpret_cast<std::uintptr_t>(srcs[slot.src].data())};
+      for (std::size_t m = 0; m + 1 < d; ++m)
+        out.push_back(reinterpret_cast<std::uintptr_t>(block(slot, 0, m)));
+      out.push_back(slot.nterms);
+      for (std::size_t mu = slot.nterms; mu-- > 0;)
+        out.push_back(kc_of(slot, mu));
+      out.push_back(reinterpret_cast<std::uintptr_t>(block(slot, 0, d - 1)));
+      return out;
+    };
+    std::vector<std::size_t> order(slots.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return key(slots[a]) < key(slots[b]);
+    });
+    for (std::size_t q = 1; q < order.size(); ++q) {
+      const Slot& a = slots[order[q - 1]];
+      const Slot& b = slots[order[q]];
+      EXPECT_TRUE(key(a) != key(b) || same_group(a, b))
+          << "the model needs tied items to share a group";
+    }
+    BatchGemmStats st;
+    const Slot* prev = nullptr;
+    for (std::size_t pos = 0; pos < order.size();) {
+      const Slot& lead = slots[order[pos]];
+      for (std::size_t mu = 0; mu < lead.nterms; ++mu) {
+        std::size_t m = 0;
+        if (prev != nullptr && mu < prev->nterms && prev->src == lead.src &&
+            kc_of(*prev, mu) == kc_of(lead, mu)) {
+          while (m + 1 < d && block(*prev, mu, m) == block(lead, mu, m)) ++m;
+        }
+        st.packed_gemms += d - 1 - m;
+        st.prefix_nodes += d - 1 - m;
+      }
+      std::set<std::vector<const double*>> seen;
+      std::size_t end = pos;
+      for (; end < order.size(); ++end) {
+        const Slot& item = slots[order[end]];
+        if (!same_group(lead, item)) break;
+        std::vector<const double*> last;
+        for (std::size_t mu = 0; mu < item.nterms; ++mu)
+          last.push_back(block(item, mu, d - 1));
+        if (!seen.contains(last)) {
+          if (seen.size() == fan_out_limit(k)) break;
+          seen.insert(last);
+        }
+      }
+      st.packed_gemms += 1;
+      st.prefix_nodes += seen.size() * lead.nterms;
+      prev = &lead;
+      pos = end;
+    }
+    st.fused_chains = slots.size();
+    return st;
+  }
+
+  /// Asserts a batch's counters are the modelled walk's, exactly.
+  void expect_walk(const BatchGemmStats& st) const {
+    const BatchGemmStats w = walk();
+    EXPECT_EQ(st.prefix_nodes, w.prefix_nodes);
+    EXPECT_EQ(st.packed_gemms, w.packed_gemms);
   }
 
   /// Runs the whole batch through one workspace and checks every result
@@ -667,9 +749,10 @@ TEST(BatchGemm, LeafBatchSharesModePrefixesBitwise) {
     for (std::size_t m = 0; m < d; ++m) per_term += (level *= b.width());
     EXPECT_EQ(b.distinct_nodes(), b.terms * per_term);
     const BatchGemmStats st = b.run_and_check();
+    b.expect_walk(st);
     EXPECT_EQ(st.prefix_nodes, b.distinct_nodes()) << "d = " << d;
     // width <= fan_out_limit, so every group is one fan-out call.
-    ASSERT_LE(b.width(), fan_out_limit(k, b.terms * k));
+    ASSERT_LE(b.width(), fan_out_limit(k));
     const std::size_t groups = level / b.width();
     EXPECT_EQ(b.fan_out_calls(), b.terms * (per_term - level) + groups);
     EXPECT_EQ(st.packed_gemms, b.fan_out_calls()) << "d = " << d;
@@ -693,6 +776,7 @@ TEST(BatchGemm, MixedSourcesAndDuplicatesShareOnlyEqualPrefixes) {
   b.add(1, {0, 0, 0});  // duplicate of item 1
   b.add(0, {-1, 1, 1}, {}, /*nterms=*/1);
   const BatchGemmStats st = b.run_and_check();
+  b.expect_walk(st);
   EXPECT_EQ(st.prefix_nodes, b.distinct_nodes());
   EXPECT_EQ(st.packed_gemms, b.fan_out_calls());
   EXPECT_LT(b.distinct_nodes(), 8u * 4u * 3u);
@@ -714,6 +798,7 @@ TEST(BatchGemm, DifferentReducedRanksDoNotShare) {
   EXPECT_EQ(b.groups().size(), 3u);
   EXPECT_EQ(b.distinct_nodes(), 2u + 3u * 2u + 3u * 2u);
   const BatchGemmStats st = b.run_and_check();
+  b.expect_walk(st);
   EXPECT_EQ(st.prefix_nodes, b.distinct_nodes());
   // One stacked fan-out call per group.
   EXPECT_EQ(b.fan_out_calls(), 2u + 3u * 2u + 3u);
@@ -737,6 +822,7 @@ TEST(BatchGemm, GroupsCheckEveryTermsPrefixAndKc) {
   // the kc vectors (k, 2, k) (two slots) and (k, 3, k) over (1, 1).
   EXPECT_EQ(b.groups().size(), 5u);
   const BatchGemmStats st = b.run_and_check();
+  b.expect_walk(st);
   EXPECT_EQ(st.prefix_nodes, b.distinct_nodes());
   EXPECT_EQ(st.packed_gemms, b.fan_out_calls());
   EXPECT_EQ(st.packed_gemms, b.inner_nodes().size() + 5u);
@@ -744,13 +830,13 @@ TEST(BatchGemm, GroupsCheckEveryTermsPrefixAndKc) {
 
 TEST(BatchGemm, FanOutLastModeBitwise) {
   // Runs of items below one mode-(d-2) node, with 1 up to more than
-  // fan_out_limit(k, 3k) slots, plus duplicate last blocks, mixed kreds
+  // fan_out_limit(k) slots, plus duplicate last blocks, mixed kreds
   // within one prefix run and items with fewer terms, over non-zero
   // initial results. k = 7 leaves a 4-wide tile and a column-vector tail
   // in every fan-out product.
   for (const std::size_t d : {1, 2, 3, 4}) {
     for (const std::size_t k : {5, 7, 10}) {
-      const std::size_t cap = fan_out_limit(k, 3 * k);
+      const std::size_t cap = fan_out_limit(k);
       const std::vector<std::size_t> fans{1, 2, cap - 1, cap, cap + 1,
                                           2 * cap + 1};
       const auto reach = static_cast<std::int64_t>(cap);  // width 2cap+1
@@ -780,6 +866,7 @@ TEST(BatchGemm, FanOutLastModeBitwise) {
       b.add(big_src, run_at(big, -reach), {k, 3, k});
       b.add(big_src, run_at(big, 2 - reach), {k, 3, k + 1});
       b.add(big_src, run_at(big, 3 - reach), {2, k, 3});
+      b.add(big_src, run_at(big, 5 - reach), {k, k, 2});
       b.add(big_src, run_at(big, 4 - reach), {}, /*nterms=*/1);
       b.add(0, run_at(0, 0), {}, /*nterms=*/2);
       // Term 0 reduced in two runs of one source: the call's one ordering
@@ -788,22 +875,24 @@ TEST(BatchGemm, FanOutLastModeBitwise) {
       b.add(d == 1 ? 4 : 0, run_at(4, 0), {2, k, k});
 
       // The groups of one term-0 prefix differ in their kc vectors, and a
-      // term's prefix is shared only between adjacent groups, so the
-      // prefix GEMMs are at least the distinct ones and at most all of
-      // every group's; the fan-out part of the counters is exact.
+      // term's prefix is shared only between adjacent groups: in the
+      // widest run the one-term group, then kc vectors (k, k, 2),
+      // (2, k, 3), (k, 3, k) and (k, k, k), so terms 0 and 1 compute their
+      // full-rank prefixes twice there (and term 2 too, were kc vectors
+      // compared from term 0 up). The prefix GEMMs are exactly the
+      // modelled walk's, more than complete sharing needs; the fan-out
+      // part is the same either way: one call per group per
+      // fan_out_limit(k) slots.
       const BatchGemmStats st = b.run_and_check();
-      const std::size_t inner = b.inner_nodes().size();
-      std::size_t worst = 0;
-      for (const auto& [key, g] : b.groups()) {
-        const std::size_t chunk = fan_out_limit(k, g.depth);
-        worst += g.terms * (d - 1) * ((g.slots.size() + chunk - 1) / chunk);
-      }
-      EXPECT_GE(st.packed_gemms, b.fan_out_calls()) << d << " " << k;
-      EXPECT_LE(st.packed_gemms, b.fan_out_calls() - inner + worst)
-          << d << " " << k;
+      b.expect_walk(st);
       EXPECT_EQ(st.prefix_nodes - st.packed_gemms,
                 b.distinct_nodes() - b.fan_out_calls())
           << d << " " << k;
+      if (d > 1) {
+        EXPECT_GT(st.packed_gemms, b.fan_out_calls()) << d << " " << k;
+      } else {
+        EXPECT_EQ(st.packed_gemms, b.fan_out_calls()) << d << " " << k;
+      }
       EXPECT_LT(st.packed_gemms, st.prefix_nodes) << d << " " << k;
     }
   }
@@ -815,7 +904,7 @@ TEST(BatchGemm, WarmCallsAllocateNothing) {
   // warm call, and a smaller batch after it, move none of them.
   const std::size_t k = 5;
   PrefixBatch b(3, k, /*terms=*/3, /*sources=*/1, /*reach=*/3, 5);
-  b.add_leaf();  // 7 slots per group: past fan_out_limit(5, 15)
+  b.add_leaf();  // 7 slots per group: past fan_out_limit(5)
   b.add(0, {0, 0, 0}, {k, 2, 4});
   std::vector<std::vector<double>> results = b.initial_results();
   const std::vector<FusedApplyItem> items = b.items(results);
