@@ -126,9 +126,9 @@ void live_engine_pass(Harness& h, obs::TraceSession& session) {
   const auto compute = [&](int) {
     thread_local std::vector<double> result;
     result.assign(size, 0.0);
-    linalg::fused_apply_chain(d, k, src.data(), {mats.data(), mats.size()},
-                              {coeffs.data(), coeffs.size()}, {},
-                              result.data(), linalg::thread_workspace());
+    const linalg::FusedApplyItem item{src.data(), mats, coeffs, {},
+                                      result.data()};
+    linalg::batch_fused_apply(d, k, {&item, 1}, linalg::thread_workspace());
     double s = 0.0;
     for (const double x : result) s += x;
     return s;

@@ -1,8 +1,9 @@
 // Real wall-clock microbenchmarks of the host-side compute kernels: the
-// mTxm GEMM pattern, the mode-wise tensor transform of Formula 1, and a
-// full Apply compute task. These measure THIS machine, not the simulated
-// Titan node; they validate that the kernels behave sanely (e.g. flops
-// scale as expected) and give the repository an honest native baseline.
+// mTxm GEMM pattern, the mode-wise tensor transform of Formula 1, and
+// batches of whole Apply compute tasks through batch_fused_apply. These
+// measure THIS machine, not the simulated Titan node; they validate that
+// the kernels behave sanely (e.g. flops scale as expected) and give the
+// repository an honest native baseline.
 //
 // Results are recorded through the shared bench harness (warmup + repeats,
 // median/p95/CoV); GFLOPS scalars are derived from the median. Wall-clock
@@ -200,28 +201,6 @@ int run(int argc, char** argv) {
                (void)r;
              });
     }
-  }
-
-  // One full Apply compute task at reduced rank count (M = 16).
-  for (const std::size_t k : h.quick() ? std::vector<std::size_t>{10}
-                                       : std::vector<std::size_t>{10, 20}) {
-    const std::size_t d = 3, terms = 16;
-    Rng rng(h.seed_or(4));
-    Tensor source = Tensor::cube(d, k);
-    for (auto& x : source.flat()) x = rng.uniform(-1.0, 1.0);
-    std::vector<std::vector<double>> mats(terms * d,
-                                          std::vector<double>(k * k));
-    std::vector<MatrixView> views;
-    for (auto& m : mats) {
-      for (auto& x : m) x = rng.uniform(-1.0, 1.0);
-      views.emplace_back(m.data(), k, k);
-    }
-    std::vector<double> coeffs(terms, 1.0);
-    const gpu::ApplyTaskShape shape{d, k, terms};
-    record(h, t, "fused_task_k" + std::to_string(k), shape.flops(), [&] {
-      Tensor r = gpu::custom_fused_compute(source, views, coeffs);
-      (void)r;
-    });
   }
 
   // Flight-recorder overhead: the packed mTxm k=10 loop, bare vs with one

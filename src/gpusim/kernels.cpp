@@ -99,40 +99,4 @@ SimTime cublas_step_duration(const DeviceSpec& spec, std::size_t rows,
   return max(tuning.cublas_min_kernel, SimTime::seconds(flops / rate));
 }
 
-Tensor cublas_like_compute(const Tensor& source,
-                           std::span<const MatrixView> mats,
-                           std::span<const double> coeffs) {
-  const std::size_t d = source.ndim();
-  MH_CHECK(!coeffs.empty() && mats.size() == coeffs.size() * d,
-           "need d matrices per term");
-  Tensor result = source;
-  result.zero();
-  for (std::size_t mu = 0; mu < coeffs.size(); ++mu) {
-    // One inner_first per step, each allocating its own temporary — the
-    // global-memory round trip of a per-GEMM kernel sequence.
-    Tensor t = source;
-    for (std::size_t mode = 0; mode < d; ++mode) {
-      t = inner_first(t, mats[mu * d + mode]);
-    }
-    result.gaxpy(1.0, t, coeffs[mu]);
-  }
-  return result;
-}
-
-Tensor custom_fused_compute(const Tensor& source,
-                            std::span<const MatrixView> mats,
-                            std::span<const double> coeffs) {
-  const std::size_t d = source.ndim();
-  MH_CHECK(!coeffs.empty() && mats.size() == coeffs.size() * d,
-           "need d matrices per term");
-  // The whole M*d chain runs as one fused packed pass through linalg's
-  // batch-GEMM engine: workspace buffers reused across all terms
-  // (the "resident in shared memory" organization), per-term scaled
-  // accumulation as the kernel epilogue.
-  Tensor result = source;
-  result.zero();
-  fused_apply_accumulate(source, mats, coeffs, {}, result);
-  return result;
-}
-
 }  // namespace mh::gpu

@@ -1,5 +1,7 @@
-// The two GPU kernel implementations of the paper's Apply compute task,
-// with both a *cost model* (simulated time) and *real numerics*.
+// Cost models (simulated time) of the two GPU kernel implementations of
+// the paper's Apply compute task. The simulated GPU only charges time: the
+// numerics of every path, "GPU" side included, run through ops/linalg's
+// batch_fused_apply on the host.
 //
 //   CustomFused  — the paper's custom CUDA kernel (§II-C): one kernel per
 //                  task, 2-3 SMs reserved for its whole duration, all
@@ -12,20 +14,12 @@
 //                  launch overhead per step and loses inter-step locality,
 //                  but tiles large matrices well (the k = 20+ regime where
 //                  the paper switches to cuBLAS).
-//
-// Both numerics functions compute the same mathematical result (Formula 1)
-// with different loop organization/temporary reuse, mirroring the real
-// kernels; tests assert they agree to rounding error.
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 #include "common/sim_time.hpp"
 #include "gpusim/device.hpp"
-#include "tensor/tensor.hpp"
-#include "tensor/transform.hpp"
 
 namespace mh::gpu {
 
@@ -127,21 +121,5 @@ double custom_step_efficiency(const ApplyTaskShape& shape,
                               const KernelTuning& tuning);
 double cublas_gemm_efficiency(double flops_per_gemm,
                               const KernelTuning& tuning);
-
-// ---------------------------------------------------------------------------
-// Real numerics: Formula 1 with per-term coefficient weights.
-// `mats` holds terms * ndim matrix views, term-major (term mu's matrices are
-// mats[mu*ndim .. mu*ndim+ndim-1]); coeffs has one weight per term.
-// ---------------------------------------------------------------------------
-
-/// cuBLAS-like organization: every step is an independent GEMM into a fresh
-/// temporary (global-memory round trips between steps).
-Tensor cublas_like_compute(const Tensor& source, std::span<const MatrixView> mats,
-                           std::span<const double> coeffs);
-
-/// Custom fused organization: ping-pong between two preallocated buffers
-/// ("shared memory"), accumulating into the result in one pass.
-Tensor custom_fused_compute(const Tensor& source, std::span<const MatrixView> mats,
-                            std::span<const double> coeffs);
 
 }  // namespace mh::gpu

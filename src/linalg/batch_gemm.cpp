@@ -294,15 +294,6 @@ void fused_transform_chain(std::span<const std::size_t> shape,
   }
 }
 
-void fused_apply_chain(std::size_t d, std::size_t k, const double* src,
-                       std::span<const GemmMat> mats,
-                       std::span<const double> coeffs,
-                       std::span<const std::size_t> kreds, double* result,
-                       GemmWorkspace& ws) {
-  const FusedApplyItem item{src, mats, coeffs, kreds, result};
-  batch_fused_apply(d, k, {&item, 1}, ws);
-}
-
 void batch_fused_apply(std::size_t d, std::size_t k,
                        std::span<const FusedApplyItem> items,
                        GemmWorkspace& ws) {

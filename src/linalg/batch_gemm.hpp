@@ -165,21 +165,13 @@ void fused_transform_chain(std::span<const std::size_t> shape,
 std::size_t chain_output_size(std::span<const std::size_t> shape,
                               std::span<const GemmMat> mats);
 
-/// The paper's whole-task fusion: for a d-dimensional cube source of extent
-/// k, accumulate every separated term in one packed pass,
+/// One item of a batched fused-apply call, the paper's whole-task fusion:
+/// for a d-dimensional cube source of extent k,
 ///   result += sum_mu coeffs[mu] * (src x_0 h[mu*d+0] ... x_{d-1} h[mu*d+d-1])
-/// with all h square (k, k). `kreds` (optional, per-term) limits each
-/// contraction to the term's reduced rank (empty span = full rank).
-/// Bitwise-identical to mTxm_ref on the stacked operands (see
-/// batch_fused_apply). This is batch_fused_apply on one item.
-void fused_apply_chain(std::size_t d, std::size_t k, const double* src,
-                       std::span<const GemmMat> mats,
-                       std::span<const double> coeffs,
-                       std::span<const std::size_t> kreds, double* result,
-                       GemmWorkspace& ws);
-
-/// One item of a batched fused-apply call: an independent Apply task whose
-/// operand tensors share the d/k shape of the batch (the homogeneity the
+/// with all h square (k, k); `kreds` (optional, per-term) limits each
+/// contraction to the term's reduced rank (empty span = full rank). One
+/// Apply task, or one task at a time as a one-item call; the items of a
+/// call share the d/k shape of the batch (the homogeneity the
 /// BatchingEngine's kind hash guarantees).
 struct FusedApplyItem {
   const double* src = nullptr;      ///< k^d source coefficients
@@ -230,12 +222,14 @@ constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
 /// The workspace holds M * (d - 1) * k^d doubles of prefix stacks for a
 /// batch of M-term items, per thread: 70 KB at d = 3, k = 5, M = 35,
 /// 12.8 MB at d = 3, k = 20, M = 100 and 24 MB at d = 4, k = 10, M = 100.
+/// The nonstandard-form Apply's items carry 2M terms of extent 2k, so
+/// 2M * (d - 1) * (2k)^d doubles: 1.1 MB at d = 3, k = 5, M = 35.
 ///
 /// Every result is bitwise equal to mTxm_ref of its stacked operands —
 /// each term's chain of modes 0..d-2 through mTxm_reduced_ref into zeroed
 /// intermediates, A = [c_0 P_0[0..kc_0); ...], B = [H_0[0..kc_0); ...] —
 /// into a zeroed product, added into the result, whatever the grouping;
-/// so it is bitwise equal to that item's fused_apply_chain. Results must
+/// so it is bitwise equal to that item's one-item call. Results must
 /// not overlap each other or any src. Warm calls allocate nothing: all
 /// scratch lives in `ws` and only grows.
 void batch_fused_apply(std::size_t d, std::size_t k,

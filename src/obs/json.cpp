@@ -71,8 +71,16 @@ bool JsonParser::value(JsonValue& out) {
   skip_ws();
   if (pos_ >= in_.size()) return fail("unexpected end of input");
   switch (in_[pos_]) {
-    case '{': return object(out);
-    case '[': return array(out);
+    case '{':
+    case '[': {
+      if (depth_ == kMaxDepth) {
+        return fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth_;
+      const bool ok = in_[pos_] == '{' ? object(out) : array(out);
+      --depth_;
+      return ok;
+    }
     case '"':
       out.kind = JsonValue::Kind::kString;
       return string(out.str);

@@ -8,6 +8,7 @@
 // able to promise "every value in this file is finite".
 #pragma once
 
+#include <cstddef>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -33,9 +34,14 @@ struct JsonValue {
 };
 
 /// Strict single-document parser: rejects trailing data, unescaped control
-/// characters, and non-finite numbers.
+/// characters, non-finite numbers, and arrays/objects nested deeper than
+/// kMaxDepth (the parser recurses once per level, so an unbounded depth
+/// would overflow the stack).
 class JsonParser {
  public:
+  /// Far above the few levels our trace, dashboard and bench writers nest.
+  static constexpr std::size_t kMaxDepth = 512;
+
   explicit JsonParser(std::string_view input) : in_(input) {}
 
   bool parse(JsonValue* out, std::string* error);
@@ -53,6 +59,7 @@ class JsonParser {
 
   std::string_view in_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
   std::string error_;
 };
 

@@ -145,9 +145,9 @@ Tensor apply_task_compute(const SeparatedConvolution& op, const Tensor& source,
   const std::size_t d = op.params().ndim;
   const std::size_t k = op.params().k;
   Tensor result = Tensor::cube(d, k);
-  linalg::fused_apply_chain(d, k, source.data(), ops.mats, ops.coeffs,
-                            ops.kreds, result.data(),
-                            linalg::thread_workspace());
+  const linalg::FusedApplyItem item{source.data(), ops.mats, ops.coeffs,
+                                    ops.kreds, result.data()};
+  linalg::batch_fused_apply(d, k, {&item, 1}, linalg::thread_workspace());
   return result;
 }
 

@@ -1,8 +1,12 @@
 #include "ops/nonstandard.hpp"
 
+#include <span>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/diagnostics.hpp"
+#include "linalg/batch_gemm.hpp"
 #include "tensor/transform.hpp"
 
 namespace mh::ops {
@@ -89,65 +93,80 @@ void convert_rec(const NsForm::NodeMap& result,
 
 }  // namespace
 
+mra::Function from_nonstandard(const NsForm::NodeMap& result,
+                               const mra::FunctionParams& params) {
+  mra::Function out(params);
+  if (!result.empty()) {
+    const auto interior = interior_keys(result);
+    convert_rec(result, interior, mra::Key::root(params.ndim), Tensor{},
+                params, out);
+  }
+  out.sum_down();
+  return out;
+}
+
 mra::Function apply_nonstandard(const SeparatedConvolution& op,
                                 const mra::Function& f, ApplyStats* stats) {
   MH_CHECK(op.params().ndim == f.ndim() && op.params().k == f.k(),
            "operator/function parameter mismatch");
   const std::size_t d = f.ndim();
-  const std::size_t k = f.k();
+  const std::size_t k2 = 2 * f.k();
+  const std::size_t rank = op.rank();
 
   const NsForm ns = NsForm::from(f);
   NsForm::NodeMap result;
 
-  std::array<MatrixView, kMaxTensorDim> mats;
-  std::array<std::shared_ptr<const Tensor>, kMaxTensorDim> blocks;
-
+  // A task's telescoped increment sum_mu c_mu (prod_dim U - prod_dim ss) u
+  // is one batch item: the kFull terms weighted +c_mu and, for n > 0, the
+  // kSsOnly terms weighted -c_mu (at the coarsest level the ss part is kept:
+  // it IS P_1 T P_1). An ss block is zero outside its k x k corner, so its
+  // terms contract only k rows.
+  std::vector<double> coeffs(2 * rank);
+  std::vector<std::size_t> kreds(2 * rank, k2);
+  for (std::size_t mu = 0; mu < rank; ++mu) {
+    coeffs[mu] = op.term_coeff(mu);
+    coeffs[rank + mu] = -op.term_coeff(mu);
+    kreds[rank + mu] = f.k();
+  }
+  std::vector<linalg::GemmMat> mats;
+  std::vector<std::pair<mra::Key, Tensor>> tasks;
+  std::vector<linalg::FusedApplyItem> items;
   for (const auto& [key, u] : ns.nodes()) {
     const int n = key.level();
+    const std::size_t terms = n > 0 ? 2 * rank : rank;
+    mats.clear();
+    tasks.clear();
+    items.clear();
     for_each_task(op, key, [&](const mra::Key& to, const Displacement& disp) {
-      Tensor r = Tensor::cube(d, 2 * k);
-      for (std::size_t mu = 0; mu < op.rank(); ++mu) {
-        // Telescoped increment: (prod_dim U) - (prod_dim ss) for n > 0;
-        // at the coarsest level the ss part is kept (it IS P_1 T P_1).
-        for (std::size_t dim = 0; dim < d; ++dim) {
-          blocks[dim] = op.ns_block(mu, n, disp[dim],
-                                    SeparatedConvolution::NsPart::kFull);
-          mats[dim] = MatrixView(*blocks[dim]);
-        }
-        Tensor contrib = general_transform(u, {mats.data(), d});
-        r.gaxpy(1.0, contrib, op.term_coeff(mu));
-        if (stats != nullptr) {
-          stats->gemms += d;
-          stats->flops += transform_flops(d, 2 * k);
-        }
-        if (n > 0) {
-          for (std::size_t dim = 0; dim < d; ++dim) {
-            blocks[dim] = op.ns_block(mu, n, disp[dim],
-                                      SeparatedConvolution::NsPart::kSsOnly);
-            mats[dim] = MatrixView(*blocks[dim]);
-          }
-          Tensor ss = general_transform(u, {mats.data(), d});
-          r.gaxpy(1.0, ss, -op.term_coeff(mu));
-          if (stats != nullptr) {
-            stats->gemms += d;
-            stats->flops += transform_flops(d, 2 * k);
-          }
-        }
+      for (std::size_t t = 0; t < terms; ++t) {
+        const auto part = t < rank ? SeparatedConvolution::NsPart::kFull
+                                   : SeparatedConvolution::NsPart::kSsOnly;
+        for (std::size_t dim = 0; dim < d; ++dim)
+          mats.push_back(
+              {op.ns_block(t % rank, n, disp[dim], part)->data(), k2, k2});
       }
+      tasks.emplace_back(to, Tensor::cube(d, k2));
+    });
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      items.push_back({u.data(),
+                       std::span{mats}.subspan(i * terms * d, terms * d),
+                       std::span{coeffs}.first(terms),
+                       std::span{kreds}.first(terms), tasks[i].second.data()});
+    }
+    linalg::batch_fused_apply(d, k2, items, linalg::thread_workspace());
+    for (auto& [to, r] : tasks) {
       auto [it, inserted] = result.try_emplace(to, std::move(r));
       if (!inserted) it->second += r;
-      if (stats != nullptr) ++stats->tasks;
-    });
+    }
+    if (stats != nullptr) {
+      stats->tasks += tasks.size();
+      stats->gemms += tasks.size() * terms * d;
+      stats->flops += static_cast<double>(tasks.size() * terms) *
+                      transform_flops(d, k2);
+    }
   }
 
-  mra::Function out(f.params());
-  if (!result.empty()) {
-    const auto interior = interior_keys(result);
-    convert_rec(result, interior, mra::Key::root(d), Tensor{}, f.params(),
-                out);
-  }
-  out.sum_down();
-  return out;
+  return from_nonstandard(result, f.params());
 }
 
 }  // namespace mh::ops

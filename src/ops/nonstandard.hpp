@@ -52,8 +52,16 @@ class NsForm {
   NodeMap nodes_;
 };
 
-/// Apply op to f in nonstandard form. Accuracy: exact cross-level coupling
-/// (up to displacement screening) and one extra level of output detail.
+/// The standard leaf-only function of per-node NS-form contributions (each
+/// a (2k)^d supertensor): every contribution unfiltered down the tree,
+/// accumulated at the leaves, then sum_down.
+mra::Function from_nonstandard(const NsForm::NodeMap& result,
+                               const mra::FunctionParams& params);
+
+/// Apply op to f in nonstandard form: each NS node's tasks run as one
+/// linalg::batch_fused_apply call over items of 2M terms (M at level 0) and
+/// extent 2k. Accuracy: exact cross-level coupling (up to displacement
+/// screening) and one extra level of output detail.
 mra::Function apply_nonstandard(const SeparatedConvolution& op,
                                 const mra::Function& f,
                                 ApplyStats* stats = nullptr);

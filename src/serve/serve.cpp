@@ -576,11 +576,13 @@ void apply_env_overrides(ServeConfig& config) {
     if (slo_ms > 0.0) spec.slo = SimTime::millis(slo_ms);
     if (load > 0.0) spec.arrival_rps *= load;
   }
-  if (const char* policy = std::getenv("MH_SERVE_POLICY");
-      policy != nullptr && *policy != '\0') {
-    config.policy = std::string_view(policy) == "timer"
-                        ? FlushPolicy::kTimer
-                        : FlushPolicy::kDeadline;
+  if (const char* policy = std::getenv("MH_SERVE_POLICY")) {
+    const std::string_view s(policy);
+    if (s == "timer") {
+      config.policy = FlushPolicy::kTimer;
+    } else if (s == "deadline") {
+      config.policy = FlushPolicy::kDeadline;
+    }
   }
 }
 

@@ -81,9 +81,9 @@ void fused_apply_accumulate(const Tensor& t, std::span<const MatrixView> mats,
   gm.reserve(mats.size());
   for (const MatrixView& m : mats)
     gm.push_back(linalg::GemmMat{m.ptr, m.rows, m.cols});
-  linalg::fused_apply_chain(d, k, t.data(), {gm.data(), gm.size()}, coeffs,
-                            kreds, result.data(),
-                            linalg::thread_workspace());
+  const linalg::FusedApplyItem item{t.data(), gm, coeffs, kreds,
+                                    result.data()};
+  linalg::batch_fused_apply(d, k, {&item, 1}, linalg::thread_workspace());
 }
 
 double transform_flops(std::size_t d, std::size_t k) noexcept {

@@ -49,15 +49,15 @@ Tensor transform(const Tensor& t, MatrixView c);
 Tensor general_transform(const Tensor& t, std::span<const MatrixView> mats);
 
 /// Whole-task fusion of Formula 1 (the paper's custom-kernel organization,
-/// run on the CPU through linalg's batch-GEMM engine):
+/// run on the CPU as a one-item linalg::batch_fused_apply):
 ///   result += sum_mu coeffs[mu] * general_transform(t, mats[mu*d .. +d])
 /// in ONE packed pass — all intermediates live in the calling thread's
 /// GemmWorkspace, no per-mode allocations. t must be a cube and every
 /// operator block square (k, k). `kreds`, when non-empty, gives the per-term
 /// reduced rank: each of the term's contractions sums only over the first
 /// kred values of the contracted index (the paper's §II-D row/column
-/// screening, Figure 4). Bitwise-identical to the composed mode-by-mode
-/// path.
+/// screening, Figure 4). Bitwise-identical to mTxm_ref on the stacked
+/// operands (see batch_fused_apply).
 void fused_apply_accumulate(const Tensor& t, std::span<const MatrixView> mats,
                             std::span<const double> coeffs,
                             std::span<const std::size_t> kreds,

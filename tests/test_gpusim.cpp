@@ -7,13 +7,11 @@
 #include <vector>
 
 #include "common/diagnostics.hpp"
-#include "common/rng.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/device_cache.hpp"
 #include "gpusim/gpu_executor.hpp"
 #include "gpusim/kernels.hpp"
 #include "gpusim/pinned.hpp"
-#include "tensor/transform.hpp"
 
 namespace mh::gpu {
 namespace {
@@ -246,68 +244,6 @@ TEST(Kernels, DynamicParallelismLaunchCostBoundsTheGain) {
   EXPECT_THROW(custom_task_duration_reduced(spec, shape, tuning, 0.0, true),
                Error);
 }
-
-TEST(Kernels, NumericsAgreeAcrossImplementations) {
-  Rng rng(77);
-  const std::size_t d = 3, k = 6, terms = 5;
-  Tensor source = Tensor::cube(d, k);
-  for (auto& x : source.flat()) x = rng.uniform(-1.0, 1.0);
-  std::vector<std::vector<double>> mats(terms * d,
-                                        std::vector<double>(k * k));
-  std::vector<MatrixView> views;
-  for (auto& m : mats) {
-    for (auto& x : m) x = rng.uniform(-1.0, 1.0);
-    views.emplace_back(m.data(), k, k);
-  }
-  std::vector<double> coeffs(terms);
-  for (auto& c : coeffs) c = rng.uniform(-2.0, 2.0);
-
-  const Tensor a = cublas_like_compute(source, views, coeffs);
-  const Tensor b = custom_fused_compute(source, views, coeffs);
-  EXPECT_LT(max_abs_diff(a, b), 1e-12);
-
-  // Against an independent reference built from general_transform.
-  Tensor ref = Tensor::cube(d, k);
-  for (std::size_t mu = 0; mu < terms; ++mu) {
-    Tensor t = general_transform(
-        source, std::span<const MatrixView>{views.data() + mu * d, d});
-    ref.gaxpy(1.0, t, coeffs[mu]);
-  }
-  EXPECT_LT(max_abs_diff(a, ref), 1e-12);
-}
-
-class KernelNumericsSweep
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(KernelNumericsSweep, ImplementationsAgreeAcrossShapes) {
-  const auto [d, k, terms] = GetParam();
-  Rng rng(1000 + d * 100 + k * 10 + terms);
-  Tensor source = Tensor::cube(static_cast<std::size_t>(d),
-                               static_cast<std::size_t>(k));
-  for (auto& x : source.flat()) x = rng.uniform(-1.0, 1.0);
-  const std::size_t nd = static_cast<std::size_t>(d);
-  const std::size_t nk = static_cast<std::size_t>(k);
-  const std::size_t nt = static_cast<std::size_t>(terms);
-  std::vector<std::vector<double>> mats(nt * nd,
-                                        std::vector<double>(nk * nk));
-  std::vector<MatrixView> views;
-  for (auto& m : mats) {
-    for (auto& x : m) x = rng.uniform(-1.0, 1.0);
-    views.emplace_back(m.data(), nk, nk);
-  }
-  std::vector<double> coeffs(nt);
-  for (auto& c : coeffs) c = rng.uniform(-2.0, 2.0);
-  const Tensor a = cublas_like_compute(source, views, coeffs);
-  const Tensor b = custom_fused_compute(source, views, coeffs);
-  EXPECT_LT(max_abs_diff(a, b), 1e-10)
-      << "d=" << d << " k=" << k << " terms=" << terms;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, KernelNumericsSweep,
-    ::testing::Values(std::tuple{1, 4, 3}, std::tuple{2, 6, 8},
-                      std::tuple{3, 5, 10}, std::tuple{3, 10, 4},
-                      std::tuple{4, 4, 5}, std::tuple{4, 6, 2}));
 
 TEST(DeviceCache, HitsAndMissesAccounted) {
   DeviceCache cache(1e6);

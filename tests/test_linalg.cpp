@@ -370,41 +370,67 @@ void expect_close_to_term_by_term(const std::vector<double>& got,
     ASSERT_NEAR(got[e], ref[e], 1e-12 * scale) << "element " << e;
 }
 
-TEST(BatchGemm, FusedApplyChainBitwiseEqualsStackedProduct) {
-  // Multi-term fusion: result += sum_mu coeff[mu] * chain_mu, with per-term
-  // reduced rank, is bitwise the stacked product's (every term's rows in
-  // one contraction) and within the stated tolerance of the term-by-term
-  // composition.
-  const std::size_t d = 3, k = 12, rest = k * k, size = k * k * k;
-  const std::size_t terms = 4;
-  Rng rng(4242);
-  const auto src = random_matrix(k, rest, rng);
+// One item, its result += sum_mu coeffs[mu] * chain_mu with per-term
+// reduced rank, checked bitwise against the stacked product (every term's
+// rows in one contraction) and within the stated tolerance of the
+// term-by-term composition.
+void expect_one_item_matches_references(std::size_t d, std::size_t k,
+                                        std::span<const double> coeffs,
+                                        std::span<const std::size_t> kreds,
+                                        Rng& rng) {
+  std::size_t size = 1;
+  for (std::size_t m = 0; m < d; ++m) size *= k;
+  const std::size_t terms = coeffs.size();
+  const auto src = random_matrix(k, size / k, rng);
   std::vector<std::vector<double>> h;
   for (std::size_t i = 0; i < terms * d; ++i)
     h.push_back(random_matrix(k, k, rng));
-  const double coeffs[terms] = {1.5, -0.25, 3.0, 0.125};
-  const std::size_t kreds[terms] = {k, 7, k, 1};
-
   std::vector<GemmMat> mats;
   for (std::size_t i = 0; i < terms * d; ++i)
     mats.push_back(GemmMat{h[i].data(), k, k});
   const std::vector<double> init(size, 0.0625);
   std::vector<double> out = init;
   GemmWorkspace ws;
-  fused_apply_chain(d, k, src.data(), mats, {coeffs, terms}, {kreds, terms},
-                    out.data(), ws);
+  const FusedApplyItem item{src.data(), mats, coeffs, kreds, out.data()};
+  batch_fused_apply(d, k, {&item, 1}, ws);
   EXPECT_EQ(ws.stats().fused_chains, 1u);
-  const std::vector<double> ref = stacked_reference(
-      d, k, src.data(), mats, {coeffs, terms}, {kreds, terms}, init);
-  for (std::size_t i = 0; i < size; ++i) ASSERT_EQ(out[i], ref[i]);
+  const std::vector<double> ref =
+      stacked_reference(d, k, src.data(), mats, coeffs, kreds, init);
+  for (std::size_t i = 0; i < size; ++i)
+    ASSERT_EQ(out[i], ref[i]) << "d=" << d << " k=" << k << " terms=" << terms;
   expect_close_to_term_by_term(
-      out, term_by_term_reference(d, k, src.data(), mats, {coeffs, terms},
-                                  {kreds, terms}, init));
+      out, term_by_term_reference(d, k, src.data(), mats, coeffs, kreds,
+                                  init));
+}
+
+TEST(BatchGemm, FusedApplyChainBitwiseEqualsStackedProduct) {
+  const std::size_t k = 12, terms = 4;
+  Rng rng(4242);
+  const double coeffs[terms] = {1.5, -0.25, 3.0, 0.125};
+  const std::size_t kreds[terms] = {k, 7, k, 1};
+  expect_one_item_matches_references(3, k, coeffs, kreds, rng);
+  // The sweep of (d, k, terms) shapes the engine serves: d = 1..4, k = 4,
+  // 5, 6, 10, 2-10 terms; each at full rank and with every term reduced
+  // to a different rank.
+  for (const auto& [d, kk, nt] :
+       {std::tuple{1, 4, 3}, std::tuple{2, 6, 8}, std::tuple{3, 5, 10},
+        std::tuple{3, 6, 5}, std::tuple{3, 10, 4}, std::tuple{4, 4, 5},
+        std::tuple{4, 6, 2}}) {
+    const std::size_t dim = d, ext = kk, n = nt;
+    std::vector<double> c(n);
+    std::vector<std::size_t> kr(n);
+    for (std::size_t mu = 0; mu < n; ++mu) {
+      c[mu] = rng.uniform(-2.0, 2.0);
+      kr[mu] = ext - mu % ext;
+    }
+    expect_one_item_matches_references(dim, ext, c, {}, rng);
+    expect_one_item_matches_references(dim, ext, c, kr, rng);
+  }
 }
 
 TEST(BatchGemm, BatchedFusedApplySharesOneWorkspace) {
-  // batch_fused_apply must equal per-item fused_apply_chain calls (it IS
-  // that loop, with buffers reused), and the workspace must see every item.
+  // batch_fused_apply over several items must equal one-item calls, and
+  // the workspace must see every item.
   const std::size_t d = 2, k = 5, size = k * k;
   const std::size_t items = 3, terms = 2;
   Rng rng(9);
@@ -436,8 +462,9 @@ TEST(BatchGemm, BatchedFusedApplySharesOneWorkspace) {
 
   for (std::size_t i = 0; i < items; ++i) {
     GemmWorkspace ws;
-    fused_apply_chain(d, k, srcs[i].data(), {mats[i].data(), mats[i].size()},
-                      {coeffs, terms}, {}, expected[i].data(), ws);
+    FusedApplyItem alone = batch[i];
+    alone.result = expected[i].data();
+    batch_fused_apply(d, k, {&alone, 1}, ws);
     for (std::size_t e = 0; e < size; ++e)
       ASSERT_EQ(results[i][e], expected[i][e]);
   }
@@ -691,7 +718,7 @@ struct PrefixBatch {
 
   /// Runs the whole batch through one workspace and checks every result
   /// bitwise against the stacked reference and against the item's own
-  /// fused_apply_chain, and within the stated tolerance of the
+  /// one-item call, and within the stated tolerance of the
   /// term-by-term composition. Returns the batch's engine counters.
   BatchGemmStats run_and_check() const {
     std::vector<std::vector<double>> batched = initial_results();
@@ -704,8 +731,7 @@ struct PrefixBatch {
     for (std::size_t i = 0; i < slots.size(); ++i) {
       const Slot& slot = slots[i];
       GemmWorkspace own;
-      fused_apply_chain(d, k, alone[i].src, alone[i].mats, alone[i].coeffs,
-                        alone[i].kreds, alone[i].result, own);
+      batch_fused_apply(d, k, {&alone[i], 1}, own);
       const std::vector<double> ref =
           stacked_reference(d, k, alone[i].src, alone[i].mats,
                             alone[i].coeffs, alone[i].kreds, slot.result);

@@ -22,6 +22,7 @@
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -153,6 +154,41 @@ TEST(JsonChecker, SanityOnHandWrittenCases) {
   EXPECT_FALSE(JsonChecker(R"({"a":1,})").valid());
   EXPECT_FALSE(JsonChecker(R"([1,2)").valid());
   EXPECT_FALSE(JsonChecker(R"({"a":01x})").valid());
+}
+
+TEST(JsonParser, DeepNestingIsATypedErrorNotACrash) {
+  // The parser recurses once per level: a million '[' used to overflow the
+  // stack (SIGSEGV in mh_health --check). Past kMaxDepth it now fails.
+  constexpr std::size_t kDeep = 200000;
+  const auto parse = [](const std::string& text, std::string* error) {
+    json::JsonValue v;
+    return json::parse(text, &v, error);
+  };
+  const auto nest = [](std::size_t depth, std::string_view open,
+                       std::string_view close) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += open;
+    text += "1";
+    for (std::size_t i = 0; i < depth; ++i) text += close;
+    return text;
+  };
+  for (const auto& [open, close] :
+       {std::pair<std::string_view, std::string_view>{"[", "]"},
+        {"{\"a\":", "}"}}) {
+    std::string error;
+    EXPECT_FALSE(parse(nest(kDeep, open, close), &error)) << open;
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+    // Unterminated too: the cap fires before the end of input is reached.
+    error.clear();
+    const std::string deep = nest(kDeep, open, close);
+    EXPECT_FALSE(parse(deep.substr(0, kDeep * open.size()), &error)) << open;
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+    // Exactly at the cap still parses; one more level does not.
+    EXPECT_TRUE(parse(nest(json::JsonParser::kMaxDepth, open, close), &error))
+        << error;
+    EXPECT_FALSE(
+        parse(nest(json::JsonParser::kMaxDepth + 1, open, close), &error));
+  }
 }
 
 // ---------------------------------------------------------------------------

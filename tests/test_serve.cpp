@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "obs/health.hpp"
@@ -266,6 +267,29 @@ TEST(Serve, EnvOverridesParseClampAndDefault) {
     EXPECT_EQ(c.workers, defaults.workers) << h.name;
     EXPECT_EQ(c.seed, defaults.seed) << h.name;
   }
+
+  // The policy takes exactly "timer" or "deadline"; a typo or other case
+  // keeps the caller's choice instead of silently selecting kDeadline.
+  for (const serve::FlushPolicy caller :
+       {serve::FlushPolicy::kTimer, serve::FlushPolicy::kDeadline}) {
+    for (const char* bad : {"timr", "Timer", "deadline ", ""}) {
+      ::setenv("MH_SERVE_POLICY", bad, 1);
+      serve::ServeConfig c = serve::default_serve_config(0.5);
+      c.policy = caller;
+      serve::apply_env_overrides(c);
+      EXPECT_EQ(c.policy, caller) << '"' << bad << '"';
+    }
+    for (const auto& [value, want] :
+         {std::pair{"timer", serve::FlushPolicy::kTimer},
+          std::pair{"deadline", serve::FlushPolicy::kDeadline}}) {
+      ::setenv("MH_SERVE_POLICY", value, 1);
+      serve::ServeConfig c = serve::default_serve_config(0.5);
+      c.policy = caller;
+      serve::apply_env_overrides(c);
+      EXPECT_EQ(c.policy, want) << value;
+    }
+  }
+  ::unsetenv("MH_SERVE_POLICY");
 }
 
 // ---------------------------------------------------------------------------
