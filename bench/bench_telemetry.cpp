@@ -165,24 +165,35 @@ int run(int argc, char** argv) {
   // slow drift of a shared host (frequency scaling, cache state) straight
   // into the comparison, and at this cost scale that drift is the same
   // order as the gate. The per-pair ratio cancels it; the gate is the
-  // median pairwise overhead.
-  const int pairs = std::max(h.repeats(), 5);
-  std::vector<double> off_s, on_s, pair_pct;
-  for (int i = 0; i < pairs; ++i) {
+  // median pairwise overhead. Pairs alternate which side runs first, so a
+  // warm-up or cool-down inside a pair favours neither side.
+  const auto timed = [&](bool plane_on) {
     const auto t0 = std::chrono::steady_clock::now();
-    cluster::run_churn_apply(op, f, cc);
-    const auto t1 = std::chrono::steady_clock::now();
-    {
+    if (plane_on) {
       obs::HealthPlane::Config c;
       c.ranks = cc.ranks;
       obs::HealthPlane p(c);
       cluster::ChurnConfig on_cfg = cc;
       on_cfg.health = &p;
       cluster::run_churn_apply(op, f, on_cfg);
+    } else {
+      cluster::run_churn_apply(op, f, cc);
     }
-    const auto t2 = std::chrono::steady_clock::now();
-    const double off_sec = std::chrono::duration<double>(t1 - t0).count();
-    const double on_sec = std::chrono::duration<double>(t2 - t1).count();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(t1 - t0).count();
+  };
+  const int pairs = std::max(h.repeats(), 11);
+  std::vector<double> off_s, on_s, pair_pct;
+  for (int i = 0; i < pairs; ++i) {
+    double off_sec = 0.0;
+    double on_sec = 0.0;
+    if (i % 2 == 0) {
+      off_sec = timed(false);
+      on_sec = timed(true);
+    } else {
+      on_sec = timed(true);
+      off_sec = timed(false);
+    }
     off_s.push_back(off_sec);
     on_s.push_back(on_sec);
     pair_pct.push_back((on_sec / off_sec - 1.0) * 100.0);
@@ -212,7 +223,8 @@ int run(int argc, char** argv) {
       "off/on makespans are asserted identical on both scenarios: the\n"
       "plane rides the simulated clock as an observer. wall overhead is\n"
       "the median pairwise on/off ratio of interleaved churn drills\n"
-      "(real tensor tasks) on this host; the bench fails above 3%.");
+      "(real tensor tasks, alternating which side runs first) on this\n"
+      "host; the bench fails above 3%.");
   return h.finish();
 }
 

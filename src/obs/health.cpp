@@ -18,8 +18,6 @@ bool is_per_rank(AlertRule::Kind kind) {
   switch (kind) {
     case AlertRule::Kind::kStraggler:
     case AlertRule::Kind::kRankDead:
-    case AlertRule::Kind::kSendRetryStorm:
-    case AlertRule::Kind::kBreakerOpen:
     case AlertRule::Kind::kSloBurn:
       return true;
     case AlertRule::Kind::kReplicationLow:
@@ -36,9 +34,7 @@ const char* alert_span_name(AlertRule::Kind kind) {
   switch (kind) {
     case AlertRule::Kind::kStraggler: return "alert:straggler";
     case AlertRule::Kind::kRankDead: return "alert:rank_dead";
-    case AlertRule::Kind::kSendRetryStorm: return "alert:send_retry_storm";
     case AlertRule::Kind::kReplicationLow: return "alert:replication_low";
-    case AlertRule::Kind::kBreakerOpen: return "alert:breaker_open";
     case AlertRule::Kind::kStealThrash: return "alert:steal_thrash";
     case AlertRule::Kind::kSloBurn: return "alert:slo_burn";
   }
@@ -66,12 +62,8 @@ std::vector<AlertRule> default_rules(double replication) {
        4.0, 2, 2},
       {AlertRule::Kind::kRankDead, "rank_dead", "mh_rank_alive", "", 0.5, 1,
        1},
-      {AlertRule::Kind::kSendRetryStorm, "send_retry_storm",
-       "mh_rank_send_retries", "", 3.0, 1, 2},
       {AlertRule::Kind::kReplicationLow, "replication_low",
        "mh_replication_min_copies", "", replication, 1, 1},
-      {AlertRule::Kind::kBreakerOpen, "breaker_open", "mh_fault_breaker_state",
-       "", 0.75, 1, 2},
       {AlertRule::Kind::kStealThrash, "steal_thrash", "mh_steal_denials",
        "mh_steal_requests", 0.8, 2, 2},
   };
@@ -118,28 +110,14 @@ bool HealthMonitor::condition(const AlertRule& rule,
       *value = inst->lanes[rank];
       return *value < rule.threshold;
     }
-    case AlertRule::Kind::kSendRetryStorm: {
-      const TelemetryAggregator::Instrument* inst = agg.find(rule.instrument);
-      if (inst == nullptr || rank >= inst->seen.size() || !inst->seen[rank]) {
-        return false;
-      }
-      const auto it = prev_lanes_.find(rule.name);
-      const double prev = it != prev_lanes_.end() && rank < it->second.size()
-                              ? it->second[rank]
-                              : 0.0;
-      *value = inst->lanes[rank] - prev;  // retries this tick
-      return *value >= rule.threshold;
-    }
     case AlertRule::Kind::kReplicationLow: {
       const auto stats = agg.gauge_stats(rule.instrument);
       if (stats.lanes == 0) return false;
       *value = stats.min;
       return *value < rule.threshold;
     }
-    case AlertRule::Kind::kBreakerOpen:
     case AlertRule::Kind::kSloBurn: {
-      // Same shape: a per-rank (per-tenant, for SLO burn) gauge lane at or
-      // above the threshold.
+      // A per-tenant gauge lane at or above the threshold.
       const TelemetryAggregator::Instrument* inst = agg.find(rule.instrument);
       if (inst == nullptr || rank >= inst->seen.size() || !inst->seen[rank]) {
         return false;
@@ -148,12 +126,9 @@ bool HealthMonitor::condition(const AlertRule& rule,
       return *value >= rule.threshold;
     }
     case AlertRule::Kind::kStealThrash: {
-      const auto it = prev_lanes_.find(rule.name);
-      const double prev_denied =
-          it != prev_lanes_.end() && !it->second.empty() ? it->second[0] : 0.0;
-      const double prev_requested =
-          it != prev_lanes_.end() && it->second.size() > 1 ? it->second[1]
-                                                           : 0.0;
+      const auto it = prev_totals_.find(rule.name);
+      const auto [prev_denied, prev_requested] =
+          it != prev_totals_.end() ? it->second : std::pair{0.0, 0.0};
       const double denied = agg.counter_total(rule.instrument) - prev_denied;
       const double requested =
           agg.counter_total(rule.instrument_b) - prev_requested;
@@ -244,13 +219,10 @@ std::vector<AlertEvent> HealthMonitor::evaluate(const TelemetryAggregator& agg,
       }
     }
     // Rate rules diff against the previous tick: refresh the baseline
-    // after the whole rank scan so every cell saw the same window.
-    if (rule.kind == AlertRule::Kind::kSendRetryStorm) {
-      const TelemetryAggregator::Instrument* inst = agg.find(rule.instrument);
-      if (inst != nullptr) prev_lanes_[rule.name] = inst->lanes;
-    } else if (rule.kind == AlertRule::Kind::kStealThrash) {
-      prev_lanes_[rule.name] = {agg.counter_total(rule.instrument),
-                                agg.counter_total(rule.instrument_b)};
+    // after the evaluation so the cell saw the whole window.
+    if (rule.kind == AlertRule::Kind::kStealThrash) {
+      prev_totals_[rule.name] = {agg.counter_total(rule.instrument),
+                                 agg.counter_total(rule.instrument_b)};
     }
   }
 
@@ -601,18 +573,6 @@ DashboardCheck check_dashboard_text(const std::string& text) {
 
   out.ok = out.problems.empty();
   return out;
-}
-
-DashboardCheck check_dashboard_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    DashboardCheck out;
-    out.problems.push_back("cannot open " + path);
-    return out;
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return check_dashboard_text(buf.str());
 }
 
 }  // namespace mh::obs

@@ -22,8 +22,8 @@
 //
 // HealthPlane bundles aggregator + monitor + a periodically rewritten live
 // dashboard JSON (MH_DASHBOARD=path, rendered by tools/mh_health) behind
-// one mutex, so the World transport can drive it from the aggregator
-// rank's thread while readers poll from outside.
+// one mutex, so readers may poll it from outside the thread that drives
+// the simulated scenario.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +32,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -52,15 +53,9 @@ struct AlertRule {
     kStraggler,
     /// A rank's liveness lane dropped below 0.5. Instrument: gauge.
     kRankDead,
-    /// A rank's send-retry counter grew by >= `threshold` in one tick —
-    /// the imminent-rank-death smoke before the dead-rank declaration.
-    /// Instrument: per-rank counter lanes (rate per tick).
-    kSendRetryStorm,
     /// The minimum replica count across live entries fell below
     /// `threshold` (R): one more failure may lose data. Cluster-wide.
     kReplicationLow,
-    /// A GPU circuit breaker is open (gauge lane >= `threshold`).
-    kBreakerOpen,
     /// Steals are mostly denied: denied / requested >= `threshold` over a
     /// tick, with at least `kStealThrashMinRequests` requests.
     kStealThrash,
@@ -89,7 +84,7 @@ struct AlertRule {
 inline constexpr double kStealThrashMinRequests = 4.0;
 
 /// The standard rule set over the well-known instrument names published by
-/// World, the clustersim steal loop, and the churn scenario. `replication`
+/// the clustersim steal loop and the churn scenario. `replication`
 /// parameterises the replication-below-R threshold.
 std::vector<AlertRule> default_rules(double replication = 2.0);
 
@@ -168,15 +163,16 @@ class HealthMonitor {
   std::uint32_t alert_track_ = 0;
   // Cell key: (rule index, rank).
   std::map<std::pair<std::size_t, std::size_t>, Cell> cells_;
-  // kSendRetryStorm needs a per-tick rate: previous counter lane totals.
-  std::map<std::string, std::vector<double>> prev_lanes_;
+  // kStealThrash needs a per-tick rate: the previous cluster totals of its
+  // (denied, requested) counters, keyed by rule name.
+  std::map<std::string, std::pair<double, double>> prev_totals_;
   std::vector<AlertEvent> history_;
   std::uint64_t ticks_ = 0;
   std::uint64_t events_dropped_ = 0;
 };
 
 /// Aggregator + monitor + live dashboard behind one lock: the object a
-/// scenario or World installs as its health plane.
+/// scenario installs as its health plane.
 class HealthPlane {
  public:
   struct Config {
@@ -255,6 +251,5 @@ struct DashboardCheck {
 };
 
 DashboardCheck check_dashboard_text(const std::string& text);
-DashboardCheck check_dashboard_file(const std::string& path);
 
 }  // namespace mh::obs

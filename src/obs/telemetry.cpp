@@ -54,58 +54,6 @@ double TelemetryDelta::encoded_bytes() const {
   return bytes;
 }
 
-TelemetryDelta TelemetryPublisher::collect(double time_s) {
-  TelemetryDelta out;
-  out.rank = rank_;
-  out.time_s = time_s;
-  for (const MetricsRegistry::Sample& s : registry_->snapshot()) {
-    std::string key = s.name;
-    for (const auto& [k, v] : s.labels) {
-      key += '\x1f';
-      key += k;
-      key += '\x1e';
-      key += v;
-    }
-    Baseline& base = last_[key];
-    TelemetryUpdate u;
-    u.name = s.name;
-    u.labels = s.labels;
-    u.kind = s.kind;
-    switch (s.kind) {
-      case MetricKind::kCounter: {
-        const double inc = s.value - base.value;
-        if (inc == 0.0) continue;
-        u.delta = inc;
-        base.value = s.value;
-        break;
-      }
-      case MetricKind::kGauge: {
-        if (s.value == base.value) continue;
-        u.value = s.value;
-        base.value = s.value;
-        break;
-      }
-      case MetricKind::kHistogram: {
-        if (s.hist.count == base.hist.count) continue;
-        u.hist.count = s.hist.count - base.hist.count;
-        u.hist.sum = s.hist.sum - base.hist.sum;
-        u.hist.min = s.hist.min;  // cumulative extrema travel verbatim
-        u.hist.max = s.hist.max;
-        for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-          u.hist.buckets[i] = s.hist.buckets[i] - base.hist.buckets[i];
-        }
-        base.hist = s.hist;
-        break;
-      }
-    }
-    out.updates.push_back(std::move(u));
-  }
-  // Sequence numbers count shipped snapshots only, so an idle tick (empty
-  // delta, never sent) is not mistaken for a loss by the aggregator.
-  if (!out.updates.empty()) out.seq = ++seq_;
-  return out;
-}
-
 void ScenarioTelemetry::gauge(std::size_t rank, std::string_view name,
                               double value) {
   if (rank >= ranks_) return;

@@ -8,13 +8,11 @@
 // the transport + state half of the live health plane (health.hpp holds
 // the detector/alert half):
 //
-//   TelemetryPublisher  — per-rank: diffs successive MetricsRegistry
-//                         snapshots and emits only what changed (counters
-//                         as increments, gauges as levels, histograms as
-//                         bucket-wise increments).
-//   ScenarioTelemetry   — the same delta encoding for simulation scenarios
-//                         that publish hand-computed per-rank values on the
-//                         simulated clock instead of owning registries.
+//   ScenarioTelemetry   — per-rank delta encoder: scenarios set current
+//                         per-rank values on the simulated clock and it
+//                         emits only what changed (counters as increments,
+//                         gauges as levels, histograms as bucket-wise
+//                         increments).
 //   TelemetryAggregator — aggregator-rank state: an exact cluster rollup
 //                         (counters sum across ranks; gauges keep per-rank
 //                         lanes plus min/median/max; histograms merge
@@ -22,10 +20,9 @@
 //                         the log-bucket geometry) and a bounded
 //                         per-instrument time-series ring for dashboards.
 //
-// Deltas are plain structs: in clustersim they hop between ranks at
-// simulated time, in World they ride active messages (World::telemetry_tick
-// charges their encoded size to the interconnect and the send fault site,
-// so telemetry is as mortal as the data plane it watches).
+// Deltas are plain structs that hop between ranks at simulated time: the
+// churn, cluster and serve scenarios publish them and tick a HealthPlane
+// on the simulated clock.
 #pragma once
 
 #include <cstddef>
@@ -65,36 +62,15 @@ struct TelemetryDelta {
   double time_s = 0.0;
   std::vector<TelemetryUpdate> updates;
 
-  /// Deterministic wire-size model, charged to the interconnect by the
-  /// World transport and reported by bench_telemetry.
+  /// Deterministic wire-size model, reported by bench_telemetry.
   double encoded_bytes() const;
 };
 
-/// Per-rank publisher over a MetricsRegistry: collect() snapshots the
-/// registry and emits only instruments that changed since the previous
-/// collect (first collect ships everything non-zero).
-class TelemetryPublisher {
- public:
-  explicit TelemetryPublisher(std::size_t rank, const MetricsRegistry& registry)
-      : rank_(rank), registry_(&registry) {}
-
-  TelemetryDelta collect(double time_s);
-
- private:
-  struct Baseline {
-    double value = 0.0;
-    HistogramSnapshot hist;
-  };
-
-  std::size_t rank_ = 0;
-  const MetricsRegistry* registry_;
-  std::uint64_t seq_ = 0;
-  std::map<std::string, Baseline> last_;
-};
-
-/// Delta encoder for scenarios with no per-rank registry (the clustersim
-/// steal and churn loops): the scenario sets current per-rank levels /
-/// running totals, and collect() ships one delta per rank that changed.
+/// Delta encoder for the simulated scenarios (the clustersim steal and
+/// churn loops, the serving layer): the scenario sets current per-rank
+/// levels / running totals, and collect() ships one delta per rank that
+/// changed. Sequence numbers count shipped deltas only, so an idle rank
+/// (nothing changed, nothing shipped) is not mistaken for a loss.
 class ScenarioTelemetry {
  public:
   explicit ScenarioTelemetry(std::size_t ranks)

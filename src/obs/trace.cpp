@@ -491,14 +491,6 @@ void write_merged_chrome_trace(std::ostream& os,
   os << "\n]}\n";
 }
 
-bool write_merged_chrome_trace_file(const std::string& path,
-                                    const std::vector<RankedSession>& ranks) {
-  std::ofstream os(path);
-  if (!os) return false;
-  write_merged_chrome_trace(os, ranks);
-  return os.good();
-}
-
 bool TraceSession::write_chrome_trace_file(const std::string& path) const {
   std::ofstream os(path);
   if (!os) return false;

@@ -262,8 +262,6 @@ struct RankedSession {
 /// arrows survive rank hops.
 void write_merged_chrome_trace(std::ostream& os,
                                const std::vector<RankedSession>& ranks);
-bool write_merged_chrome_trace_file(const std::string& path,
-                                    const std::vector<RankedSession>& ranks);
 
 /// Label the calling thread for trace tracks (e.g. "cpu-pool/3"); applies
 /// to tracks auto-registered after the call.

@@ -26,11 +26,4 @@ inline double deadline_flush_at(double first_due, double service_estimate,
   return first_due - service_estimate - margin;
 }
 
-/// True once `now` has reached the last responsible moment.
-inline bool deadline_flush_due(double now, double first_due,
-                               double service_estimate,
-                               double margin) noexcept {
-  return now >= deadline_flush_at(first_due, service_estimate, margin);
-}
-
 }  // namespace mh::rt

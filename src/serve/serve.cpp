@@ -120,7 +120,7 @@ class Sim {
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
       schedule_next_arrival(t, 0.0);
     }
-    if (tel_) schedule(cfg_.telemetry_tick.sec(), Event::kTelemetryTick, 0);
+    if (tel_) schedule(cfg_.telemetry_period.sec(), Event::kTelemetryTick, 0);
 
     while (!events_.empty()) {
       const Event ev = events_.top();
@@ -438,10 +438,10 @@ class Sim {
     std::size_t queued = 0;
     for (const Tenant& ten : tenants_) queued += ten.queued;
     if (now < cfg_.duration.sec() || queued > 0 || busy_workers_ > 0) {
-      schedule(now + cfg_.telemetry_tick.sec(), Event::kTelemetryTick, 0);
+      schedule(now + cfg_.telemetry_period.sec(), Event::kTelemetryTick, 0);
     } else if (grace_ticks_ > 0) {
       --grace_ticks_;
-      schedule(now + cfg_.telemetry_tick.sec(), Event::kTelemetryTick, 0);
+      schedule(now + cfg_.telemetry_period.sec(), Event::kTelemetryTick, 0);
     }
   }
 

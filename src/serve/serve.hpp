@@ -39,7 +39,7 @@
 // Observability: per-tenant latency histograms land in the provided
 // MetricsRegistry (mh_serve_latency_ms{tenant=...}); when a HealthPlane is
 // attached, per-tenant SLO-burn / queue-depth lanes are published every
-// telemetry_tick and the kSloBurn AlertRule (serve_rules) fires and
+// telemetry_period and the kSloBurn AlertRule (serve_rules) fires and
 // resolves on the simulated clock — the dashboard CI validates with
 // mh_health --check is written by that plane.
 #pragma once
@@ -137,10 +137,10 @@ struct ServeConfig {
   /// means the process registry (obs::MetricsRegistry::global()).
   obs::MetricsRegistry* metrics = nullptr;
   /// Live health plane on the simulated clock: per-tenant SLO-burn and
-  /// queue-depth lanes published every telemetry_tick (tenant index is
+  /// queue-depth lanes published every telemetry_period (tenant index is
   /// the lane "rank"). Non-owning; nullptr disables telemetry.
   obs::HealthPlane* health = nullptr;
-  SimTime telemetry_tick = SimTime::millis(10.0);
+  SimTime telemetry_period = SimTime::millis(10.0);
 };
 
 struct TenantStats {

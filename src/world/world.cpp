@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/diagnostics.hpp"
-#include "obs/health.hpp"
 
 namespace mh::world {
 
@@ -20,23 +19,11 @@ World::World(std::size_t ranks, obs::MetricsRegistry* metrics)
       m_send_failures_(metrics_.counter(
           "mh_world_send_failures_total",
           "remote sends dropped after exhausting retries")),
-      m_steal_requests_(metrics_.counter("mh_world_steal_requests_total",
-                                         "steal requests issued")),
-      m_steal_grants_(metrics_.counter(
-          "mh_world_steal_grants_total",
-          "steal requests answered with migrated work")),
-      m_steal_denials_(metrics_.counter(
-          "mh_world_steal_denials_total",
-          "steal requests finding an empty deque")),
       m_dead_ranks_(metrics_.gauge("mh_world_dead_ranks",
                                    "ranks declared permanently dead")),
-      m_recovery_rehomed_(metrics_.counter(
-          "mh_recovery_orphans_rehomed_total",
-          "stealable items moved off dead ranks onto survivors")),
       faults_(&fault::FaultInjector::global()),
       send_rng_(SendPolicy{}.seed),
-      rank_dead_(ranks, false),
-      stealable_(ranks) {
+      rank_dead_(ranks, false) {
   MH_CHECK(ranks >= 1, "world needs at least one rank");
   pools_.reserve(ranks);
   m_rank_messages_.reserve(ranks);
@@ -164,35 +151,21 @@ void World::send(std::size_t from, std::size_t to, double bytes,
          ++attempt) {
       if (attempt >= policy.max_retries) {
         // Permanently dead: drop the handler, record the typed error for
-        // fence(), and report the rank through dead_ranks()/metrics. The
-        // death handler fires outside the lock, exactly once per rank, on
-        // this (declaring) thread — it may call back into the world.
-        bool first_transition = false;
-        std::function<void(std::size_t)> on_death;
-        {
-          std::scoped_lock lock(mu_);
-          if (!rank_dead_[to]) {
-            rank_dead_[to] = true;
-            first_transition = true;
-            on_death = death_handler_;
-            double dead = 0.0;
-            for (const bool d : rank_dead_) dead += d ? 1.0 : 0.0;
-            m_dead_ranks_.set(dead);
-          }
-          ++stats_.send_failures;
-          m_send_failures_.inc();
-          if (!first_error_) {
-            first_error_ = std::make_exception_ptr(fault::FaultError(
-                fault::ErrorCode::kRankDead,
-                "rank " + std::to_string(to) + " declared dead: send failed " +
-                    std::to_string(attempt + 1) + " time(s)"));
-          }
+        // fence(), and report the rank through dead_ranks()/metrics.
+        std::scoped_lock lock(mu_);
+        if (!rank_dead_[to]) {
+          rank_dead_[to] = true;
+          double dead = 0.0;
+          for (const bool d : rank_dead_) dead += d ? 1.0 : 0.0;
+          m_dead_ranks_.set(dead);
         }
-        if (first_transition && on_death) {
-          obs::ScopedSpan span(obs::TraceSession::current(), "rank_death",
-                               obs::Category::kRecovery,
-                               {{"rank", static_cast<double>(to)}});
-          on_death(to);
+        ++stats_.send_failures;
+        m_send_failures_.inc();
+        if (!first_error_) {
+          first_error_ = std::make_exception_ptr(fault::FaultError(
+              fault::ErrorCode::kRankDead,
+              "rank " + std::to_string(to) + " declared dead: send failed " +
+                  std::to_string(attempt + 1) + " time(s)"));
         }
         return;
       }
@@ -230,120 +203,6 @@ void World::send(std::size_t from, std::size_t to, double bytes,
   enqueue(to, std::move(handler), "task", obs::Category::kCpuCompute);
 }
 
-void World::set_death_handler(std::function<void(std::size_t)> handler) {
-  std::scoped_lock lock(mu_);
-  death_handler_ = std::move(handler);
-}
-
-std::size_t World::reassign_stealable(std::size_t dead_rank) {
-  MH_CHECK(dead_rank < pools_.size(), "rank out of range");
-  obs::ScopedSpan span(obs::TraceSession::current(), "reassign_stealable",
-                       obs::Category::kRecovery,
-                       {{"rank", static_cast<double>(dead_rank)}});
-  std::size_t moved = 0;
-  {
-    std::scoped_lock lock(mu_);
-    std::vector<std::size_t> live;
-    for (std::size_t r = 0; r < pools_.size(); ++r) {
-      if (r != dead_rank && !rank_dead_[r]) live.push_back(r);
-    }
-    if (live.empty()) return 0;
-    auto& orphans = stealable_[dead_rank];
-    // Front-first round-robin keeps each survivor's share in the original
-    // (hottest-first) order, like a sequence of granted steals would.
-    for (std::size_t i = 0; !orphans.empty(); ++i) {
-      stealable_[live[i % live.size()]].push_back(
-          std::move(orphans.front()));
-      orphans.pop_front();
-      ++moved;
-    }
-  }
-  m_recovery_rehomed_.inc(static_cast<double>(moved));
-  return moved;
-}
-
-void World::stealable_push(std::size_t rank, double bytes,
-                           std::function<void()> work) {
-  MH_CHECK(rank < pools_.size(), "rank out of range");
-  MH_CHECK(work != nullptr, "null stealable work");
-  MH_CHECK(bytes >= 0.0, "negative payload");
-  std::scoped_lock lock(mu_);
-  stealable_[rank].push_back({bytes, std::move(work)});
-}
-
-void World::run_stealable(std::size_t rank) {
-  submit(rank, [this, rank] {
-    std::function<void()> work;
-    {
-      std::scoped_lock lock(mu_);
-      auto& queue = stealable_[rank];
-      if (queue.empty()) return;
-      work = std::move(queue.front().work);
-      queue.pop_front();
-    }
-    work();
-    // Re-submit rather than loop: steal requests queued behind this task
-    // get their turn on the rank's thread between items.
-    run_stealable(rank);
-  });
-}
-
-std::size_t World::stealable_pending(std::size_t rank) const {
-  MH_CHECK(rank < pools_.size(), "rank out of range");
-  std::scoped_lock lock(mu_);
-  return stealable_[rank].size();
-}
-
-void World::steal(std::size_t thief, std::size_t victim,
-                  std::function<void(bool)> on_result) {
-  MH_CHECK(thief < pools_.size(), "thief rank out of range");
-  MH_CHECK(victim < pools_.size(), "victim rank out of range");
-  MH_CHECK(thief != victim, "a rank cannot steal from itself");
-  // Steal request and grant/denial are small control messages; the grant
-  // additionally carries the stolen item's migration payload.
-  constexpr double kControlBytes = 64.0;
-  {
-    std::scoped_lock lock(mu_);
-    ++stats_.steal_requests;
-  }
-  m_steal_requests_.inc();
-  // The request rides the normal send path, so a dead victim fails fast
-  // here: the handler is dropped and fence() sees the kRankDead error.
-  send(thief, victim, kControlBytes,
-       [this, thief, victim, on_result = std::move(on_result)]() mutable {
-         // Victim's thread: grant the back of the deque or deny.
-         StealItem item;
-         bool granted = false;
-         {
-           std::scoped_lock lock(mu_);
-           auto& queue = stealable_[victim];
-           if (!queue.empty()) {
-             item = std::move(queue.back());
-             queue.pop_back();
-             granted = true;
-             ++stats_.steal_grants;
-           } else {
-             ++stats_.steal_denials;
-           }
-         }
-         if (granted) {
-           m_steal_grants_.inc();
-           send(victim, thief, kControlBytes + item.bytes,
-                [work = std::move(item.work),
-                 on_result = std::move(on_result)] {
-                  work();
-                  if (on_result) on_result(true);
-                });
-         } else {
-           m_steal_denials_.inc();
-           send(victim, thief, kControlBytes,
-                [on_result = std::move(on_result)] {
-                  if (on_result) on_result(false);
-                });
-         }
-       });
-}
-
 void World::fence() {
   std::unique_lock lock(mu_);
   quiescent_.wait(lock, [this] { return outstanding_ == 0; });
@@ -361,62 +220,6 @@ World::Stats World::stats() const {
 
 void World::sample_metrics() const {
   for (const auto& pool : pools_) pool->sample_metrics(metrics_);
-}
-
-void World::enable_telemetry(obs::HealthPlane* plane,
-                             std::size_t aggregator_rank) {
-  MH_CHECK(aggregator_rank < pools_.size(), "aggregator rank out of range");
-  std::scoped_lock lock(mu_);
-  health_ = plane;
-  health_rank_ = aggregator_rank;
-  if (plane != nullptr && health_tel_ == nullptr) {
-    health_tel_ = std::make_unique<obs::ScenarioTelemetry>(pools_.size());
-  }
-}
-
-void World::telemetry_tick(double time_s) {
-  obs::HealthPlane* plane;
-  std::size_t agg;
-  Stats snap;
-  {
-    std::scoped_lock lock(mu_);
-    plane = health_;
-    agg = health_rank_;
-    snap = stats_;
-  }
-  if (plane == nullptr) return;
-  for (std::size_t r = 0; r < pools_.size(); ++r) {
-    if (!rank_alive(r)) continue;  // dead ranks cannot publish
-    health_tel_->gauge(r, "mh_rank_alive", 1.0);
-    health_tel_->gauge(r, "mh_rank_queue_depth",
-                       static_cast<double>(stealable_pending(r)));
-    health_tel_->counter(r, "mh_world_messages",
-                         m_rank_messages_[r]->value());
-    health_tel_->counter(r, "mh_world_bytes", m_rank_bytes_[r]->value());
-  }
-  if (rank_alive(0)) {
-    health_tel_->counter(0, "mh_rank_send_retries",
-                         static_cast<double>(snap.send_retries));
-    health_tel_->counter(0, "mh_steal_requests",
-                         static_cast<double>(snap.steal_requests));
-    health_tel_->counter(0, "mh_steal_grants",
-                         static_cast<double>(snap.steal_grants));
-    health_tel_->counter(0, "mh_steal_denials",
-                         static_cast<double>(snap.steal_denials));
-  }
-  // Ship the deltas in-band: each rides send() with its encoded payload,
-  // so injected send faults can drop one (a sequence gap at the
-  // aggregator), and FIFO delivery into the aggregator's pool guarantees
-  // every surviving ingest lands before the trailing evaluate message.
-  for (auto& delta : health_tel_->collect(time_s)) {
-    const std::size_t from = delta.rank;
-    if (!rank_alive(agg)) break;  // aggregator itself died: plane is blind
-    send(from, agg, delta.encoded_bytes(),
-         [plane, delta = std::move(delta)] { plane->ingest(delta); });
-  }
-  if (rank_alive(agg)) {
-    send(agg, agg, 0.0, [plane, time_s] { plane->evaluate(time_s); });
-  }
 }
 
 }  // namespace mh::world

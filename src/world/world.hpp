@@ -8,13 +8,19 @@
 // rank's thread, so per-rank data needs no locking — the same discipline a
 // real MPI+AM MADNESS run enforces. fence() is the global quiescence
 // barrier (cf. world.gop.fence()).
+//
+// World is a transport and nothing more: tasks, active messages with
+// retry/backoff and dead-rank declaration, and the fence. Load balance is
+// static (the process maps in dht/owner_map.hpp decide where work lives);
+// work stealing is modelled by clustersim's run_cluster_apply_stealing,
+// and live health telemetry is published by the simulated scenarios
+// (churn, cluster, serve), not by World.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -25,11 +31,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
-
-namespace mh::obs {
-class HealthPlane;
-class ScenarioTelemetry;
-}  // namespace mh::obs
 
 namespace mh::world {
 
@@ -62,37 +63,6 @@ class World {
   void send(std::size_t from, std::size_t to, double bytes,
             std::function<void()> handler);
 
-  /// Deposit stealable work on `rank`. The work runs on whichever rank
-  /// ends up executing it: the depositor once it pumps its deque with
-  /// run_stealable(), or a thief after a granted steal(). `bytes` is the
-  /// migration payload (coefficient blocks) a steal of this item pays.
-  void stealable_push(std::size_t rank, double bytes,
-                      std::function<void()> work);
-
-  /// Pump `rank`'s stealable deque on its own thread, front first. Each
-  /// item runs as its own task and the pump re-submits itself between
-  /// items, so steal-request active messages arriving mid-drain still find
-  /// queued work to grant.
-  void run_stealable(std::size_t rank);
-
-  /// Items still queued on `rank` (neither run nor stolen yet).
-  std::size_t stealable_pending(std::size_t rank) const;
-
-  /// Ask `victim` for one item of stealable work. The steal-request active
-  /// message runs on the victim's thread: if its deque has work, the back
-  /// item (the coldest — the victim itself drains from the front) comes
-  /// back in a steal-grant message carrying the item's payload bytes, and
-  /// the work executes on the thief's thread; otherwise a small denial
-  /// message comes back. `on_result(granted)` then runs on the thief's
-  /// thread (pass nullptr to ignore). Both legs ride the normal send()
-  /// path, so SendPolicy retries and fault injection apply, and a steal
-  /// from a dead victim fails fast: the handler is dropped, a typed
-  /// fault::FaultError (kRankDead) is recorded for the next fence(), and
-  /// on_result never runs. A granted item whose grant leg dies with the
-  /// thief is dropped with it, like a migration to a failing node.
-  void steal(std::size_t thief, std::size_t victim,
-             std::function<void(bool)> on_result = nullptr);
-
   /// Retry/backoff knobs for remote sends.
   struct SendPolicy {
     std::size_t max_retries = 3;  ///< re-attempts after the first failure
@@ -112,20 +82,6 @@ class World {
   std::vector<std::size_t> dead_ranks() const;
   bool rank_alive(std::size_t rank) const;
 
-  /// Install the recovery hook: `handler(rank)` runs exactly once per rank,
-  /// on the thread that declared it dead (send retries exhausted), outside
-  /// the world's lock — it may call back into the world (reassign the dead
-  /// rank's stealable work, promote DHT replicas, re-home groups). Install
-  /// before traffic starts.
-  void set_death_handler(std::function<void(std::size_t)> handler);
-
-  /// Move every stealable item still queued on `dead_rank` onto the live
-  /// ranks, round-robin — the orphaned work a dead node leaves behind is
-  /// absorbed by the survivors' deques (and from there by the stealing
-  /// scheduler). Returns the number of items re-homed; counted in
-  /// mh_recovery_orphans_rehomed_total.
-  std::size_t reassign_stealable(std::size_t dead_rank);
-
   /// Block until every task and active message (including ones spawned
   /// transitively) has executed. Rethrows the first task error.
   void fence();
@@ -136,36 +92,12 @@ class World {
     double bytes = 0.0;         ///< payload bytes of remote sends
     std::size_t send_retries = 0;   ///< backoff-delayed re-attempts
     std::size_t send_failures = 0;  ///< sends dropped permanently
-    std::size_t steal_requests = 0;  ///< steal() calls issued
-    std::size_t steal_grants = 0;    ///< requests answered with work
-    std::size_t steal_denials = 0;   ///< requests finding an empty deque
   };
   Stats stats() const;
 
   /// Publish per-rank pool gauges (queue depth, utilization) into the
   /// world's metrics registry; wire into an obs::Sampler probe.
   void sample_metrics() const;
-
-  /// Attach a live health plane: each telemetry_tick() ships one
-  /// delta-encoded snapshot per live rank to `aggregator_rank` as an
-  /// active message over the normal send() path — in-band, so snapshots
-  /// pay wire accounting, can be dropped by injected send faults (a drop
-  /// surfaces as a sequence gap in HealthPlane::snapshots_lost()), and
-  /// land on the aggregator rank's thread in publish order. Pass nullptr
-  /// to detach. Non-owning.
-  void enable_telemetry(obs::HealthPlane* plane,
-                        std::size_t aggregator_rank = 0);
-
-  /// Publish one telemetry round stamped `time_s` (wall-clock seconds of
-  /// the caller's choosing, monotone across calls): per-rank liveness,
-  /// stealable queue depth, and delivered message/byte counters, plus
-  /// world-level send-retry and steal counters on lane 0. Dead ranks do
-  /// not publish — their lanes go stale and deterioration shows up as a
-  /// send-retry storm instead. After the per-rank deltas a final message
-  /// runs one detector tick on the aggregator's thread, so every alert
-  /// decision happens in-band too. Call from one driver thread (like
-  /// fence()); a no-op when no plane is attached.
-  void telemetry_tick(double time_s);
 
  private:
   void enqueue(std::size_t rank, std::function<void()> fn,
@@ -176,11 +108,7 @@ class World {
   obs::Counter& m_tasks_;
   obs::Counter& m_send_retries_;
   obs::Counter& m_send_failures_;
-  obs::Counter& m_steal_requests_;
-  obs::Counter& m_steal_grants_;
-  obs::Counter& m_steal_denials_;
   obs::Gauge& m_dead_ranks_;
-  obs::Counter& m_recovery_rehomed_;
   /// Per-destination-rank active-message counters (label rank=<to>).
   std::vector<obs::Counter*> m_rank_messages_;
   std::vector<obs::Counter*> m_rank_bytes_;
@@ -196,20 +124,6 @@ class World {
   fault::FaultInjector* faults_;
   Rng send_rng_;
   std::vector<bool> rank_dead_;
-  std::function<void(std::size_t)> death_handler_;
-  // Stealable work deques, one per rank (under mu_: the owner pops the
-  // front on its thread, but any rank's steal-request handler pops the
-  // back and stealable_push may run anywhere).
-  struct StealItem {
-    double bytes = 0.0;
-    std::function<void()> work;
-  };
-  std::vector<std::deque<StealItem>> stealable_;
-  // Live health plane (telemetry_tick is single-driver-thread, so the
-  // publisher needs no lock; plane/rank are set before traffic starts).
-  obs::HealthPlane* health_ = nullptr;
-  std::size_t health_rank_ = 0;
-  std::unique_ptr<obs::ScenarioTelemetry> health_tel_;
 };
 
 }  // namespace mh::world

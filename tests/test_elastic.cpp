@@ -1,13 +1,10 @@
 // Tests for the elastic-recovery subsystem: rendezvous replica placement,
 // the R-way replicated store (kill / revive / repair), versioned
-// checkpoint/restart into resized worlds, the World death-handler
-// protocol, and the churn drill —
+// checkpoint/restart into resized worlds, and the churn drill —
 // a distributed Apply that completes bitwise-equal to the fault-free
 // reference while ranks die and rejoin mid-run.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -19,12 +16,9 @@
 #include "dht/elastic.hpp"
 #include "dht/owner_map.hpp"
 #include "obs/export.hpp"
-#include "world/world.hpp"
 
 namespace mh::dht {
 namespace {
-
-using namespace std::chrono_literals;
 
 // Honor MH_METRICS=path at teardown: the churn chaos CI tier runs this
 // binary with fault injection armed and uploads the mh_recovery_* /
@@ -324,59 +318,6 @@ TEST(Checkpoint, LostLeavesCannotBeCheckpointed) {
   ASSERT_GT(lost, 0u);
   std::ostringstream os;
   EXPECT_THROW(ef.checkpoint(os), fault::FaultError);
-}
-
-// ---------------------------------------------------------------------------
-// World recovery protocol
-// ---------------------------------------------------------------------------
-
-TEST(WorldRecovery, DeathHandlerFiresOnceAndRehomesOrphans) {
-  fault::FaultInjector fi(5);
-  fi.set_rule(fault::FaultSite::kSend, [] {
-    fault::SiteRule rule;
-    rule.probability = 1.0;
-    return rule;
-  }());
-  world::World w(3);
-  w.set_fault_injector(&fi);
-  world::World::SendPolicy policy;
-  policy.max_retries = 1;
-  policy.backoff = 1ms;
-  w.set_send_policy(policy);
-
-  // Rank 2 has queued stealable work that must not die with it.
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i) {
-    w.stealable_push(2, 64.0, [&] { ++ran; });
-  }
-  std::atomic<int> deaths{0};
-  std::atomic<std::size_t> rehomed{0};
-  w.set_death_handler([&](std::size_t rank) {
-    ++deaths;
-    rehomed += w.reassign_stealable(rank);
-  });
-
-  // Two failing sends: the first declares rank 2 dead and fires the
-  // handler; the second fails fast without firing it again.
-  w.send(0, 2, 32.0, [] {});
-  w.send(1, 2, 32.0, [] {});
-  EXPECT_THROW(w.fence(), fault::FaultError);
-  EXPECT_EQ(deaths.load(), 1);
-  EXPECT_EQ(rehomed.load(), 4u);
-  EXPECT_EQ(w.stealable_pending(2), 0u);
-  EXPECT_EQ(w.stealable_pending(0) + w.stealable_pending(1), 4u);
-  // The survivors absorb and run the orphaned work.
-  w.run_stealable(0);
-  w.run_stealable(1);
-  ASSERT_NO_THROW(w.fence());
-  EXPECT_EQ(ran.load(), 4);
-}
-
-TEST(WorldRecovery, ReassignWithNoSurvivorsLeavesQueueInPlace) {
-  world::World w(1);
-  w.stealable_push(0, 8.0, [] {});
-  EXPECT_EQ(w.reassign_stealable(0), 0u);
-  EXPECT_EQ(w.stealable_pending(0), 1u);
 }
 
 }  // namespace

@@ -583,46 +583,6 @@ TEST(WorldFaults, RankDeclaredDeadAfterExhaustedRetries) {
   EXPECT_EQ(local.load(), 1);
 }
 
-TEST(WorldFaults, StealFromDeadVictimFailsFast) {
-  FaultInjector fi(5);
-  fi.set_rule(FaultSite::kSend, prob_rule(1.0));
-  world::World w(2);
-  w.set_fault_injector(&fi);
-  world::World::SendPolicy policy;
-  policy.max_retries = 1;
-  policy.backoff = 1ms;
-  w.set_send_policy(policy);
-  w.stealable_push(0, 256.0, [] {});
-  std::atomic<int> results{0};
-  // First steal: the request send exhausts its retries and declares the
-  // victim dead; the callback never runs.
-  w.steal(1, 0, [&](bool) { ++results; });
-  try {
-    w.fence();
-    FAIL() << "expected FaultError";
-  } catch (const FaultError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kRankDead);
-  }
-  EXPECT_EQ(results.load(), 0);
-  EXPECT_FALSE(w.rank_alive(0));
-  const auto retries = w.stats().send_retries;
-  // Second steal fails fast: typed error again, no fresh retries, and the
-  // victim's work never migrates.
-  w.steal(1, 0, [&](bool) { ++results; });
-  EXPECT_THROW(w.fence(), FaultError);
-  EXPECT_EQ(results.load(), 0);
-  EXPECT_EQ(w.stats().send_retries, retries);
-  EXPECT_EQ(w.stealable_pending(0), 1u);
-  EXPECT_EQ(w.stats().steal_grants, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Flight recorder on the failure path: the first FaultError of the process
-// dumps the armed recorder's ring, so a crashed/degraded run leaves the
-// trace of what led up to it behind. (Each gtest case runs in its own
-// process under ctest, so arming the global recorder here is isolated.)
-// ---------------------------------------------------------------------------
-
 TEST(FlightRecorderFaultPath, FirstFaultErrorDumpsArmedRecorder) {
   const std::string path = ::testing::TempDir() + "/mh_fault_flight.json";
   std::remove(path.c_str());

@@ -2,9 +2,11 @@
 // asynchronous batching engine (real threads; semantics, not speed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <random>
 #include <set>
@@ -128,6 +130,46 @@ TEST(ThreadPool, RecursiveSpawnFanOutUnderStealing) {
   pool.wait_idle();
   EXPECT_EQ(leaves.load(), 64);
   EXPECT_EQ(pool.executed(), 1u + 4u + 16u + 64u);
+}
+
+TEST(ThreadPool, SelfResubmittingTaskDoesNotStarveLaterWork) {
+  // One worker; a task re-submits itself kResubmits times. A task
+  // submitted from outside while the first link runs queues ahead of the
+  // second link, so it runs before the chain ends — a pool that served
+  // spawned work first would starve it until the whole chain drained.
+  constexpr int kResubmits = 8;
+  constexpr int kOutside = -1;
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::vector<int> order;  // link index, or kOutside
+  std::atomic<bool> first_running{false}, outside_submitted{false};
+  std::function<void(int)> link = [&](int i) {
+    if (i == 0) {
+      first_running = true;
+      while (!outside_submitted) std::this_thread::sleep_for(100us);
+    }
+    {
+      std::scoped_lock lock(mu);
+      order.push_back(i);
+    }
+    if (i < kResubmits) pool.submit([&link, i] { link(i + 1); });
+  };
+  pool.submit([&link] { link(0); });
+  while (!first_running) std::this_thread::sleep_for(100us);
+  pool.submit([&] {
+    std::scoped_lock lock(mu);
+    order.push_back(kOutside);
+  });
+  outside_submitted = true;
+  pool.wait_idle();
+
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kResubmits + 2));
+  const auto pos = [&](int v) {
+    return std::find(order.begin(), order.end(), v) - order.begin();
+  };
+  EXPECT_LT(pos(kOutside), pos(kResubmits));
+  // Submission order exactly: first link, outside task, then the chain.
+  EXPECT_EQ(pos(kOutside), 1);
 }
 
 TEST(Dispatch, OptimalFractionFormula) {
@@ -401,11 +443,12 @@ TEST(BatchingEngine, TimerFlushesPartialBatch) {
 
 TEST(Deadline, FlushAtIsTheLastResponsibleMoment) {
   EXPECT_DOUBLE_EQ(deadline_flush_at(10.0, 2.0, 0.5), 7.5);
-  EXPECT_FALSE(deadline_flush_due(7.4, 10.0, 2.0, 0.5));
-  EXPECT_TRUE(deadline_flush_due(7.5, 10.0, 2.0, 0.5));
-  EXPECT_TRUE(deadline_flush_due(9.0, 10.0, 2.0, 0.5));
+  // Due once `now` reaches the flush time, not a moment before.
+  EXPECT_FALSE(7.4 >= deadline_flush_at(10.0, 2.0, 0.5));
+  EXPECT_TRUE(7.5 >= deadline_flush_at(10.0, 2.0, 0.5));
+  EXPECT_TRUE(9.0 >= deadline_flush_at(10.0, 2.0, 0.5));
   // A deadline already inside the service estimate is due immediately.
-  EXPECT_TRUE(deadline_flush_due(0.0, 1.0, 2.0, 0.5));
+  EXPECT_TRUE(0.0 >= deadline_flush_at(1.0, 2.0, 0.5));
 }
 
 TEST(BatchingEngine, WaitRethrowsComputeError) {

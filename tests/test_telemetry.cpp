@@ -1,8 +1,8 @@
 // Tests for the live cluster health plane: delta-encoded telemetry
 // (src/obs/telemetry), the online detector/alert engine (src/obs/health),
-// and the scenario integrations — the clustersim steal loop, the churn
-// drill, and the World active-message transport. The scenario tests run on
-// the simulated clock, so alert sequences are asserted exactly.
+// and the scenario integrations — the clustersim steal loop and the churn
+// drill. The scenario tests run on the simulated clock, so alert sequences
+// are asserted exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +27,6 @@
 #include "obs/trace.hpp"
 #include "obs/trace_reader.hpp"
 #include "serve/serve.hpp"
-#include "world/world.hpp"
 
 namespace mh::obs {
 namespace {
@@ -128,46 +127,6 @@ TEST(Telemetry, ScenarioDeltasShipOnlyChanges) {
   EXPECT_EQ(deltas[0].updates[0].kind, MetricKind::kCounter);
   EXPECT_DOUBLE_EQ(deltas[0].updates[0].delta, 15.0);
 }
-
-TEST(Telemetry, PublisherDiffsRegistrySnapshots) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("mh_items_total");
-  Gauge& g = reg.gauge("mh_depth");
-  Histogram& h = reg.histogram("mh_latency");
-  c.inc(4.0);
-  g.set(2.0);
-  h.observe(8.0);
-
-  TelemetryPublisher pub(1, reg);
-  TelemetryDelta first = pub.collect(1.0);
-  EXPECT_EQ(first.rank, 1u);
-  EXPECT_EQ(first.seq, 1u);
-  EXPECT_EQ(first.updates.size(), 3u);
-
-  // Unchanged registry: nothing ships — an empty delta carries no seq at
-  // all (it is never sent), so idle can't be mistaken for loss.
-  EXPECT_TRUE(pub.collect(2.0).updates.empty());
-  EXPECT_EQ(pub.collect(3.0).seq, 0u);
-
-  c.inc(6.0);
-  h.observe(32.0);
-  const TelemetryDelta next = pub.collect(4.0);
-  EXPECT_EQ(next.seq, 2u);
-  ASSERT_EQ(next.updates.size(), 2u);
-  for (const TelemetryUpdate& u : next.updates) {
-    if (u.kind == MetricKind::kCounter) {
-      EXPECT_DOUBLE_EQ(u.delta, 6.0);  // increment since the last publish
-    } else {
-      ASSERT_EQ(u.kind, MetricKind::kHistogram);
-      EXPECT_EQ(u.hist.count, 1u);  // only the new observation
-      EXPECT_DOUBLE_EQ(u.hist.min, 8.0);   // cumulative extrema travel
-      EXPECT_DOUBLE_EQ(u.hist.max, 32.0);  // verbatim (monotone, exact)
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rollup exactness
 
 TEST(Telemetry, RollupIsExactAcrossRanks) {
   ScenarioTelemetry tel(3);
@@ -389,6 +348,62 @@ TEST(Health, SloBurnRuleScopesToTheBurningTenant) {
   EXPECT_EQ(active[0].state, AlertState::kFiring);
   ASSERT_EQ(monitor.history().size(), 1u);
   EXPECT_EQ(monitor.history()[0].rank, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Steal thrash (the clustersim stealing run's rule; cluster-wide)
+
+TEST(Health, StealThrashFiresOnDeniedStealsAndResolves) {
+  // default_rules(): denied / requested >= 0.8 per tick with at least
+  // kStealThrashMinRequests requests, 2 ticks to fire, 2 to resolve. The
+  // stealing run publishes running totals on lane 0.
+  HealthMonitor monitor({default_rules(), nullptr, nullptr, 256});
+  TelemetryAggregator agg({4, 128});
+  ScenarioTelemetry tel(4);
+  double requests = 0.0;
+  double denials = 0.0;
+  const auto tick = [&](double t, double requested, double denied) {
+    requests += requested;
+    denials += denied;
+    tel.counter(0, "mh_steal_requests", requests);
+    tel.counter(0, "mh_steal_denials", denials);
+    for (const auto& d : tel.collect(t)) agg.ingest(d);
+    agg.commit(t);
+    return monitor.evaluate(agg, t);
+  };
+
+  // Below the request floor every steal may be denied without a signal:
+  // not even pending.
+  ASSERT_LT(3.0, kStealThrashMinRequests);
+  EXPECT_TRUE(tick(1.0, 3.0, 3.0).empty());
+  EXPECT_TRUE(tick(2.0, 3.0, 3.0).empty());
+  EXPECT_TRUE(tick(3.0, 3.0, 3.0).empty());
+  EXPECT_TRUE(monitor.active().empty());
+  // Two thrashing ticks: pending, then firing (exactly 0.8 counts).
+  EXPECT_TRUE(tick(4.0, 10.0, 9.0).empty());
+  EXPECT_EQ(monitor.active().size(), 1u);
+  EXPECT_EQ(tick(5.0, 10.0, 8.0).size(), 1u);
+  // Quiet tick one is below the request floor, quiet tick two has a low
+  // denial ratio; the second resolves.
+  EXPECT_TRUE(tick(6.0, 3.0, 3.0).empty());
+  EXPECT_EQ(tick(7.0, 10.0, 2.0).size(), 1u);
+  EXPECT_TRUE(monitor.active().empty());
+
+  const auto& history = monitor.history();
+  ASSERT_EQ(history.size(), 2u);
+  EXPECT_EQ(history[0].rule, "steal_thrash");
+  EXPECT_EQ(history[0].state, AlertState::kFiring);
+  EXPECT_EQ(history[0].rank, kClusterRank);
+  EXPECT_DOUBLE_EQ(history[0].value, 0.8);
+  EXPECT_DOUBLE_EQ(history[0].threshold, 0.8);
+  EXPECT_DOUBLE_EQ(history[0].time_s, 5.0);
+  EXPECT_EQ(history[0].tick, 5u);
+  EXPECT_EQ(history[1].rule, "steal_thrash");
+  EXPECT_EQ(history[1].state, AlertState::kResolved);
+  EXPECT_EQ(history[1].rank, kClusterRank);
+  EXPECT_DOUBLE_EQ(history[1].value, 0.2);
+  EXPECT_DOUBLE_EQ(history[1].time_s, 7.0);
+  EXPECT_EQ(history[1].tick, 7u);
 }
 
 // ---------------------------------------------------------------------------
@@ -629,62 +644,6 @@ TEST(Health, ChurnFiresTheExactKillRepairReaddSequence) {
     EXPECT_DOUBLE_EQ(again[i].time_s, history[i].time_s);
     EXPECT_EQ(again[i].tick, history[i].tick);
   }
-}
-
-// ---------------------------------------------------------------------------
-// World transport: deltas ride active messages
-
-TEST(Health, WorldShipsDeltasInBandToTheAggregatorRank) {
-  MetricsRegistry reg;
-  HealthPlane::Config pcfg;
-  pcfg.ranks = 4;
-  HealthPlane plane(pcfg);  // declared before the world: it must outlive it
-
-  world::World world(4, &reg);
-  world.enable_telemetry(&plane, 0);
-
-  // Generate some cross-rank traffic first.
-  for (std::size_t to = 1; to < 4; ++to) {
-    world.send(0, to, 128.0, [] {});
-  }
-  world.fence();
-
-  world.telemetry_tick(1.0);
-  world.fence();  // deltas and the evaluate message have all landed
-  EXPECT_EQ(plane.ticks(), 1u);
-  EXPECT_EQ(plane.deltas_ingested(), 4u);  // every live rank published
-  EXPECT_EQ(plane.snapshots_lost(), 0u);
-  EXPECT_GT(plane.bytes_ingested(), 0.0);
-  for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_DOUBLE_EQ(plane.lane("mh_rank_alive", r), 1.0) << "rank " << r;
-  }
-  // The per-rank delivered-message lanes roll up to the cluster total.
-  EXPECT_DOUBLE_EQ(plane.counter_total("mh_world_messages"), 3.0);
-  EXPECT_TRUE(plane.alert_history().empty());  // a healthy world is quiet
-
-  // Telemetry is itself traffic: the deltas crossed ranks as active
-  // messages and were charged to the wire like any other send.
-  const auto stats = world.stats();
-  EXPECT_GE(stats.messages, 6u);  // 3 payload sends + 3 remote deltas
-
-  // A second tick ships only what changed (the message counters moved
-  // because tick 1's own deltas were delivered to rank 0).
-  world.send(1, 2, 64.0, [] {});
-  world.fence();
-  world.telemetry_tick(2.0);
-  world.fence();
-  EXPECT_EQ(plane.ticks(), 2u);
-  // Counters were snapshotted before the tick's own delta sends, so the
-  // rollup trails the live total but has grown past the payload traffic
-  // (tick 1's delta messages were themselves counted).
-  const double total = plane.counter_total("mh_world_messages");
-  EXPECT_GT(total, 3.0);
-  EXPECT_LE(total, static_cast<double>(world.stats().messages));
-
-  const DashboardCheck check = check_dashboard_text(plane.dashboard_json());
-  EXPECT_TRUE(check.ok) << (check.problems.empty() ? std::string()
-                                                   : check.problems[0]);
-  world.enable_telemetry(nullptr);  // detach before the plane dies
 }
 
 }  // namespace

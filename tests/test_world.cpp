@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -142,132 +141,6 @@ TEST(World, StressManyCrossRankMessages) {
   // 1/6 of destinations are local on average; the rest are messages.
   EXPECT_GT(world.stats().messages, 2000u);
   EXPECT_LT(world.stats().messages, 3000u);
-}
-
-TEST(WorldSteal, GrantRunsStolenWorkOnThiefThread) {
-  World world(2);
-  std::mutex mu;
-  std::map<std::size_t, std::thread::id> rank_thread;
-  for (std::size_t r = 0; r < 2; ++r) {
-    world.submit(r, [&, r] {
-      std::scoped_lock lock(mu);
-      rank_thread[r] = std::this_thread::get_id();
-    });
-  }
-  world.fence();
-
-  std::vector<std::thread::id> ran_on(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    world.stealable_push(0, 1000.0, [&, i] {
-      std::scoped_lock lock(mu);
-      ran_on[i] = std::this_thread::get_id();
-    });
-  }
-  EXPECT_EQ(world.stealable_pending(0), 4u);
-
-  std::atomic<int> grants{0}, denials{0};
-  const auto tally = [&](bool granted) {
-    granted ? ++grants : ++denials;
-  };
-  world.steal(1, 0, tally);
-  world.steal(1, 0, tally);
-  world.fence();
-  EXPECT_EQ(grants.load(), 2);
-  EXPECT_EQ(denials.load(), 0);
-  EXPECT_EQ(world.stealable_pending(0), 2u);
-  // Steals take the back of the deque (items 3 and 2) and run on the
-  // thief's thread.
-  EXPECT_EQ(ran_on[3], rank_thread[1]);
-  EXPECT_EQ(ran_on[2], rank_thread[1]);
-
-  world.run_stealable(0);
-  world.fence();
-  EXPECT_EQ(world.stealable_pending(0), 0u);
-  EXPECT_EQ(ran_on[0], rank_thread[0]);
-  EXPECT_EQ(ran_on[1], rank_thread[0]);
-
-  const auto stats = world.stats();
-  EXPECT_EQ(stats.steal_requests, 2u);
-  EXPECT_EQ(stats.steal_grants, 2u);
-  EXPECT_EQ(stats.steal_denials, 0u);
-  // Two request messages and two grant messages carrying the payload.
-  EXPECT_EQ(stats.messages, 4u);
-  EXPECT_GE(stats.bytes, 2000.0);
-}
-
-TEST(WorldSteal, DenialWhenVictimHasNothingQueued) {
-  World world(2);
-  std::atomic<int> grants{0}, denials{0};
-  world.steal(1, 0, [&](bool granted) {
-    granted ? ++grants : ++denials;
-  });
-  world.fence();
-  EXPECT_EQ(grants.load(), 0);
-  EXPECT_EQ(denials.load(), 1);
-  EXPECT_EQ(world.stats().steal_denials, 1u);
-}
-
-TEST(WorldSteal, PumpAndThievesRunEveryItemExactlyOnce) {
-  World world(4);
-  constexpr int kItems = 64;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < kItems; ++i) {
-    world.stealable_push(0, 10.0, [&ran] { ++ran; });
-  }
-  world.run_stealable(0);
-  std::atomic<int> answered{0};
-  for (std::size_t thief = 1; thief < 4; ++thief) {
-    for (int k = 0; k < 10; ++k) {
-      world.steal(thief, 0, [&answered](bool) { ++answered; });
-    }
-  }
-  world.fence();
-  EXPECT_EQ(ran.load(), kItems);
-  EXPECT_EQ(answered.load(), 30);
-  EXPECT_EQ(world.stealable_pending(0), 0u);
-  const auto stats = world.stats();
-  EXPECT_EQ(stats.steal_requests, 30u);
-  EXPECT_EQ(stats.steal_grants + stats.steal_denials, 30u);
-}
-
-TEST(WorldSteal, StealRequestsInterleaveWithThePump) {
-  // The pump re-submits itself after each item, so steal requests queued
-  // on the victim's thread before that re-submit run ahead of the next
-  // item. A pump that jumped the queue would drain every item first and
-  // leave the thieves nothing to grant.
-  using namespace std::chrono_literals;
-  World world(2);
-  std::atomic<bool> gate_open{false}, gate_running{false};
-  world.submit(0, [&] {
-    gate_running = true;
-    while (!gate_open) std::this_thread::sleep_for(100us);
-  });
-  while (!gate_running) std::this_thread::sleep_for(100us);
-
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    world.stealable_push(0, 10.0, [&ran] { ++ran; });
-  }
-  world.run_stealable(0);
-  std::atomic<int> grants{0};
-  for (int k = 0; k < 3; ++k) {
-    world.steal(1, 0, [&grants](bool granted) {
-      if (granted) ++grants;
-    });
-  }
-  gate_open = true;
-  world.fence();
-  EXPECT_EQ(ran.load(), 8);
-  EXPECT_EQ(grants.load(), 3);
-  EXPECT_EQ(world.stats().steal_grants, 3u);
-}
-
-TEST(WorldSteal, RejectsSelfSteal) {
-  World world(2);
-  EXPECT_THROW(world.steal(1, 1), Error);
-  EXPECT_THROW(world.steal(0, 7), Error);
-  EXPECT_THROW(world.stealable_push(0, -1.0, [] {}), Error);
-  world.fence();
 }
 
 mra::Function make_test_function(double center = 0.5, double width = 0.12) {
