@@ -190,6 +190,7 @@ void run_packed(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
   double* apack = ws.pack_a(4 * std::max<std::size_t>(kc, 1));
   g_kernel(dimi, dimj, kc, c, a, b, apack);
   ws.stats().packed_gemms += 1;
+  ws.stats().flops += 2.0 * static_cast<double>(dimi * dimj * kc);
 }
 
 // batch_fused_apply's last mode: one packed-GEMM call over the group's
@@ -199,6 +200,7 @@ void run_fan_out(const detail::FanOut& f, std::size_t depth,
   double* apack = ws.pack_a(4 * std::max<std::size_t>(depth, 1));
   g_fan_out(f, apack);
   ws.stats().packed_gemms += 1;
+  ws.stats().flops += 2.0 * static_cast<double>(f.dimi * depth * f.n * f.k);
 }
 
 std::size_t span_product(std::span<const std::size_t> shape) {

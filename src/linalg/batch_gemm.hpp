@@ -77,6 +77,10 @@ struct BatchGemmStats {
   /// last-mode nodes in one call.
   std::size_t prefix_nodes = 0;
   std::size_t fused_chains = 0;  ///< whole-task fused passes
+  /// Flops the microkernel calls executed, 2 per multiply-add: a
+  /// (dimi, kc) x (kc, dimj) product adds 2 * dimi * dimj * kc, a fan-out
+  /// call over n slots with stacked depth K adds 2 * dimi * K * n * k.
+  double flops = 0.0;
 };
 
 /// Grow-only aligned scratch arena for packed panels, fused-chain

@@ -544,6 +544,14 @@ void Function::accumulate(const Key& key, Tensor&& delta) {
   accumulate_impl(key, std::move(delta));
 }
 
+Tensor& Function::accumulate_target(const Key& key) {
+  MH_CHECK(!compressed_, "accumulate requires reconstructed form");
+  FunctionNode& node = nodes_[key];
+  if (node.coeffs.empty()) node.coeffs = Tensor::cube(params_.ndim, params_.k);
+  ensure_ancestors(key);
+  return node.coeffs;
+}
+
 Tensor coeffs_on_box(const Function& f, const Key& box) {
   MH_CHECK(!f.compressed(), "coeffs_on_box requires reconstructed form");
   const std::size_t k = f.k();

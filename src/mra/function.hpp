@@ -115,6 +115,14 @@ class Function {
   void accumulate(const Key& key, const Tensor& delta);
   void accumulate(const Key& key, Tensor&& delta);
 
+  /// The k^d coefficients at `key` for a caller to add into in place (the
+  /// serial Apply's write-through target): creates the node and any
+  /// missing ancestors, and zero-fills the coefficients when they are
+  /// empty. Inserting other nodes keeps the reference valid; sum_down,
+  /// compress and truncate may move or erase the tensor. Requires
+  /// reconstructed form.
+  Tensor& accumulate_target(const Key& key);
+
   /// Push scaling coefficients held at interior nodes down to the leaves
   /// (via unfilter_scaling), restoring the leaf-only invariant after a
   /// sequence of accumulate() calls at mixed levels; all-zero interior

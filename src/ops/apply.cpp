@@ -1,6 +1,8 @@
 #include "ops/apply.hpp"
 
+#include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -28,12 +30,13 @@ void check_source(const SeparatedConvolution& op, const Tensor& source) {
 /// The operand sets of one or more tasks, appended by gather_operands: per
 /// task all rank*d operator blocks as raw table views (term-major) and, with
 /// rank reduction, the per-term reduced ranks; the term weights; and
-/// apply_leaf_tasks' batch items. Reused per thread: these only grow, so
-/// steady state allocates nothing.
+/// apply_leaf_tasks' per-task result pointers and batch items. Reused per
+/// thread: these only grow, so steady state allocates nothing.
 struct Operands {
   std::vector<linalg::GemmMat> mats;
   std::vector<std::size_t> kreds;  // empty: full rank
   std::vector<double> coeffs;
+  std::vector<double*> results;
   std::vector<linalg::FusedApplyItem> items;
 };
 
@@ -42,6 +45,7 @@ Operands& thread_operands(const SeparatedConvolution& op) {
   ops.mats.clear();
   ops.kreds.clear();
   ops.coeffs.clear();
+  ops.results.clear();
   ops.items.clear();
   for (std::size_t mu = 0; mu < op.rank(); ++mu)
     ops.coeffs.push_back(op.term_coeff(mu));
@@ -104,33 +108,42 @@ std::vector<ApplyTask> make_apply_tasks(const SeparatedConvolution& op,
 
 void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
                       const Tensor& coeffs, const ApplyOptions& opts,
-                      ApplyStats* stats, const ContributionSink& sink) {
+                      ApplyStats* stats, const ContributionTarget& target) {
   check_source(op, coeffs);
   const std::size_t d = op.params().ndim;
   const std::size_t k = op.params().k;
   // Gather every task of the leaf and run them as ONE batch: they share the
-  // source, so the engine shares their mode-prefix GEMMs. The operands are
-  // consumed before the sink runs; the results go to it in for_each_task
-  // order, so accumulation order is that of task-by-task compute.
+  // source, so the engine shares their mode-prefix GEMMs. Each task's result
+  // is its target's tensor, so the epilogue's 0.0 + acc lands in the output
+  // directly: target + (0.0 + acc) is bitwise what adding a zeroed result
+  // that received 0.0 + acc gives, and a zero-created target ends as that
+  // result itself. Results must not overlap, so a wrapped repeat of a target
+  // (periodic only: free-space displacements give distinct targets) gets a
+  // scratch result, added after the batch in for_each_task order.
   Operands& ops = thread_operands(op);
-  std::vector<std::pair<mra::Key, Tensor>> results;
-  results.reserve(op.displacements(leaf.level()).size());
+  std::vector<std::pair<Tensor*, Tensor>> repeats;
+  const bool periodic = op.params().periodic;
   for_each_task(op, leaf, [&](const mra::Key& to, const Displacement& m) {
     gather_operands(op, leaf.level(), m, opts, ops, stats);
-    results.emplace_back(to, Tensor::cube(d, k));
+    Tensor& sum = target(to);
+    MH_CHECK(sum.size() == coeffs.size(), "apply target must be a k^d cube");
+    double* r = sum.data();
+    if (periodic && std::ranges::find(ops.results, r) != ops.results.end())
+      r = repeats.emplace_back(&sum, Tensor::cube(d, k)).second.data();
+    ops.results.push_back(r);
   });
   const std::size_t terms = op.rank();
-  for (std::size_t t = 0; t < results.size(); ++t) {
+  for (std::size_t t = 0; t < ops.results.size(); ++t) {
     ops.items.push_back(
         {coeffs.data(),
          std::span{ops.mats}.subspan(t * terms * d, terms * d),
          ops.coeffs,
          ops.kreds.empty() ? std::span<const std::size_t>{}
                            : std::span{ops.kreds}.subspan(t * terms, terms),
-         results[t].second.data()});
+         ops.results[t]});
   }
   linalg::batch_fused_apply(d, k, ops.items, linalg::thread_workspace());
-  for (auto& [target, r] : results) sink(target, std::move(r));
+  for (auto& [sum, r] : repeats) *sum += r;
 }
 
 Tensor apply_task_compute(const SeparatedConvolution& op, const Tensor& source,
@@ -155,11 +168,11 @@ mra::Function apply(const SeparatedConvolution& op, const mra::Function& f,
                     const ApplyOptions& opts, ApplyStats* stats) {
   check_input(op, f);
   mra::Function out(f.params());
-  const ContributionSink add = [&out](const mra::Key& target, Tensor&& r) {
-    out.accumulate(target, std::move(r));
+  const ContributionTarget into = [&out](const mra::Key& key) -> Tensor& {
+    return out.accumulate_target(key);
   };
   for (const mra::Key& key : f.leaf_keys())
-    apply_leaf_tasks(op, key, f.leaf_coeffs(key), opts, stats, add);
+    apply_leaf_tasks(op, key, f.leaf_coeffs(key), opts, stats, into);
   out.sum_down();
   return out;
 }

@@ -1,8 +1,10 @@
 // The Apply operator (paper Algorithms 1-6): convolve an MRA function with a
 // separated kernel, one task per (source leaf, displacement).
 //
-// This header exposes both the one-call reference CPU implementation and the
-// task decomposition (enumerate -> compute -> accumulate) that the batching
+// This header exposes the one-call reference CPU implementation, the leaf
+// task loop it and the World Apply run (one batch per source leaf, adding
+// each task's product straight into its target's tensor), and the task
+// decomposition (enumerate -> compute -> accumulate) that the batching
 // runtime, the GPU simulator, and the cluster simulator schedule.
 #pragma once
 
@@ -31,10 +33,11 @@ struct ApplyTask {
 /// last mode of all the tasks below one mode-(d-2) prefix in one fan-out
 /// kernel call, every separated term stacked into one contraction of
 /// length sum_mu kc_mu, which adds each task's product straight into its
-/// result; so its kernel calls (BatchGemmStats::packed_gemms) are fewer
-/// still: one per prefix node of modes 0..d-2 plus one per fan-out group,
-/// not one per term. Both are counted in the workspace of each thread that
-/// ran tasks.
+/// target's tensor; so its kernel calls (BatchGemmStats::packed_gemms) are
+/// fewer still: one per prefix node of modes 0..d-2 plus one per fan-out
+/// group, not one per term. Both, and the flops they execute
+/// (BatchGemmStats::flops), are counted in the workspace of each thread
+/// that ran tasks.
 struct ApplyStats {
   std::size_t tasks = 0;       ///< (leaf, displacement) pairs executed
   std::size_t gemms = 0;       ///< logical small GEMMs (tasks * M * d)
@@ -59,17 +62,25 @@ void for_each_task(
 std::vector<ApplyTask> make_apply_tasks(const SeparatedConvolution& op,
                                         const mra::Function& f);
 
-/// Receives one task's (target, contribution).
-using ContributionSink = std::function<void(const mra::Key&, Tensor&&)>;
+/// The k^d tensor a contribution to `target` is added into in place. A
+/// tensor the call creates is zero-filled; the same key gives the same
+/// tensor within one leaf, and distinct keys distinct tensors.
+using ContributionTarget = std::function<Tensor&(const mra::Key&)>;
 
 /// The Apply task loop for one source leaf: every task of `leaf` gathered
 /// and computed by one linalg::batch_fused_apply call (which shares the
-/// tasks' mode-prefix GEMMs), then handed to `sink` on the calling thread in
-/// for_each_task order. Each contribution is bitwise equal to
-/// apply_task_compute's. `coeffs` must be a k^d cube (mh::Error otherwise).
+/// tasks' mode-prefix GEMMs). `target` is called once per task, in
+/// for_each_task order, and the engine adds each task's product straight
+/// into the tensor it returns: no per-task result is allocated. On a
+/// periodic operator several tasks of a leaf can wrap onto one target; the
+/// first writes through and each later one into a zeroed scratch tensor
+/// that is added into the target after the batch, in for_each_task order.
+/// So every target receives, bitwise, what task-by-task compute followed
+/// by Function::accumulate in that order gives it. `coeffs` must be a k^d
+/// cube (mh::Error otherwise).
 void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
                       const Tensor& coeffs, const ApplyOptions& opts,
-                      ApplyStats* stats, const ContributionSink& sink);
+                      ApplyStats* stats, const ContributionTarget& target);
 
 /// Compute one task's contribution tensor (Algorithm 5): the Formula 1 sum
 /// over the kernel's separated terms applied to the source coefficients.
@@ -81,9 +92,11 @@ Tensor apply_task_compute(const SeparatedConvolution& op, const Tensor& source,
                           const ApplyOptions& opts = {},
                           ApplyStats* stats = nullptr);
 
-/// Full reference Apply on the CPU (Algorithms 1-2): all tasks executed in
-/// sequence, contributions accumulated, and the result normalized to a
-/// leaf-only tree via sum_down. Requires f reconstructed.
+/// Full reference Apply on the CPU (Algorithms 1-2): the leaves' tasks
+/// executed in leaf order, each leaf's batch adding its contributions
+/// straight into the output nodes (Function::accumulate_target), and the
+/// result normalized to a leaf-only tree via sum_down. Requires f
+/// reconstructed.
 mra::Function apply(const SeparatedConvolution& op, const mra::Function& f,
                     const ApplyOptions& opts = {}, ApplyStats* stats = nullptr);
 

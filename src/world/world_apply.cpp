@@ -18,9 +18,9 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
            "operator/function parameter mismatch");
   const std::size_t d = f.params().ndim;
   const std::size_t k = op.params().k;
-  double payload_bytes = 8.0;
+  double tensor_bytes = 8.0;
   for (std::size_t m = 0; m < d; ++m)
-    payload_bytes *= static_cast<double>(k);
+    tensor_bytes *= static_cast<double>(k);
 
   // Per-rank result shards: each is touched only by its own rank's thread
   // (task or AM handler), so no locks are needed — the World discipline.
@@ -34,21 +34,35 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
   const auto& owners = f.owners();
   for (std::size_t rank = 0; rank < world.ranks(); ++rank) {
     world.submit(rank, [&, rank] {
-      const ops::ContributionSink ship = [&](const mra::Key& target,
-                                             Tensor&& r) {
-        const std::size_t owner = owners.owner(target);
-        // Ship the contribution to the owner; the handler runs on the
-        // owner's thread and mutates only the owner's shard.
-        world.send(rank, owner, payload_bytes,
-                   [&results, owner, target, r = std::move(r)]() mutable {
-                     auto [it, inserted] =
-                         results[owner].try_emplace(target, std::move(r));
-                     if (!inserted) it->second += r;
-                   });
+      // Contributions to this rank's own keys write through into its shard;
+      // the others go into one outbox per remote owner, shipped after each
+      // leaf as ONE message whose handler (on the owner's thread) adds every
+      // entry into the owner's shard.
+      std::vector<Shard> outbox(world.ranks());
+      const ops::ContributionTarget into = [&](const mra::Key& key) -> Tensor& {
+        const std::size_t owner = owners.owner(key);
+        Tensor& t = (owner == rank ? results[rank] : outbox[owner])[key];
+        if (t.empty()) t = Tensor::cube(d, k);
+        return t;
       };
       ops::ApplyStats local;
-      for (const auto& [key, coeffs] : f.shard(rank))
-        ops::apply_leaf_tasks(op, key, coeffs, opts, &local, ship);
+      for (const auto& [key, coeffs] : f.shard(rank)) {
+        ops::apply_leaf_tasks(op, key, coeffs, opts, &local, into);
+        for (std::size_t owner = 0; owner < outbox.size(); ++owner) {
+          if (outbox[owner].empty()) continue;
+          Shard box = std::move(outbox[owner]);
+          outbox[owner].clear();
+          const double bytes = static_cast<double>(box.size()) * tensor_bytes;
+          auto deliver = [&results, owner, box = std::move(box)]() mutable {
+            for (auto& [target, r] : box) {
+              auto [it, inserted] =
+                  results[owner].try_emplace(target, std::move(r));
+              if (!inserted) it->second += r;
+            }
+          };
+          world.send(rank, owner, bytes, std::move(deliver));
+        }
+      }
       std::scoped_lock lock(stats_mu);
       total_stats.tasks += local.tasks;
       total_stats.gemms += local.gemms;

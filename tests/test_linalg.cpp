@@ -650,8 +650,13 @@ struct PrefixBatch {
   /// prefix from the first mode where its (src, kc, blocks) differ from
   /// the previous call's, then counts one last-mode node per term of each
   /// slot. Items with equal order keys must share a group, so the order
-  /// is unique up to ties that change nothing.
+  /// is unique up to ties that change nothing. Flops: a prefix GEMM
+  /// contracts kc rows into a (k^{d-1}, k) node, 2 * k^d * kc; a fan-out
+  /// call contracts K = sum_mu kc_mu rows into each of its n slots,
+  /// 2 * k^d * K * n.
   BatchGemmStats walk() const {
+    std::size_t size = 1;
+    for (std::size_t m = 0; m < d; ++m) size *= k;
     const auto key = [&](const Slot& slot) {
       std::vector<std::uintptr_t> out{
           reinterpret_cast<std::uintptr_t>(srcs[slot.src].data())};
@@ -678,14 +683,18 @@ struct PrefixBatch {
     const Slot* prev = nullptr;
     for (std::size_t pos = 0; pos < order.size();) {
       const Slot& lead = slots[order[pos]];
+      std::size_t stacked = 0;
       for (std::size_t mu = 0; mu < lead.nterms; ++mu) {
         std::size_t m = 0;
         if (prev != nullptr && mu < prev->nterms && prev->src == lead.src &&
             kc_of(*prev, mu) == kc_of(lead, mu)) {
           while (m + 1 < d && block(*prev, mu, m) == block(lead, mu, m)) ++m;
         }
+        const std::size_t kc = kc_of(lead, mu);
         st.packed_gemms += d - 1 - m;
         st.prefix_nodes += d - 1 - m;
+        st.flops += 2.0 * static_cast<double>((d - 1 - m) * size * kc);
+        stacked += kc;
       }
       std::set<std::vector<const double*>> seen;
       std::size_t end = pos;
@@ -702,6 +711,7 @@ struct PrefixBatch {
       }
       st.packed_gemms += 1;
       st.prefix_nodes += seen.size() * lead.nterms;
+      st.flops += 2.0 * static_cast<double>(size * stacked * seen.size());
       prev = &lead;
       pos = end;
     }
@@ -714,6 +724,7 @@ struct PrefixBatch {
     const BatchGemmStats w = walk();
     EXPECT_EQ(st.prefix_nodes, w.prefix_nodes);
     EXPECT_EQ(st.packed_gemms, w.packed_gemms);
+    EXPECT_EQ(st.flops, w.flops);
   }
 
   /// Runs the whole batch through one workspace and checks every result

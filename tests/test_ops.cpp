@@ -614,6 +614,32 @@ TEST(Apply, PeriodicLeafTaskLoopKeepsWrappedSinkOrder) {
     expect_leaf_loop_matches_task_loop(op, f, opts);
 }
 
+TEST(Apply, WrappedRepeatsOfComparableSizeKeepTaskOrder) {
+  // On a 4-box-wide torus a broad kernel sends a leaf's images m and m +- 4
+  // onto one target with comparable weights, and for_each_task (by
+  // distance) and the engine (by block) order them differently. Repeats
+  // that shared the target's tensor inside the batch would be summed in
+  // the engine's order; the test above, whose far images are negligible,
+  // cannot see that.
+  mra::FunctionParams fp;
+  fp.ndim = 2;
+  fp.k = 5;
+  fp.thresh = 1e-3;
+  fp.initial_level = 1;
+  fp.max_level = 2;
+  auto f_fn = [](std::span<const double> x) {
+    return gaussian1d(x[0], 0.3, 0.2) * gaussian1d(x[1], 0.6, 0.3);
+  };
+  const mra::Function f = mra::Function::project(f_fn, fp);
+  const SeparatedConvolution op(periodic_params(2, 5, 1e-12, 2),
+                                single_gaussian(1.0));
+  ApplyOptions reduced;
+  reduced.rank_reduce = true;
+  reduced.rank_tol = 1e-4;
+  for (const ApplyOptions& opts : {ApplyOptions{}, reduced})
+    expect_leaf_loop_matches_task_loop(op, f, opts);
+}
+
 TEST(Apply, FourDimensionalLeafTaskLoopIsBitwiseEqual) {
   // The tdse shape: d = 4, k = 10, a single-Gaussian smoothing operator.
   mra::FunctionParams fp;
@@ -631,6 +657,49 @@ TEST(Apply, FourDimensionalLeafTaskLoopIsBitwiseEqual) {
                                 single_gaussian(0.1));
   EXPECT_GT(make_apply_tasks(op, f).size(), f.num_leaves());
   expect_leaf_loop_matches_task_loop(op, f, {});
+}
+
+TEST(Apply, WriteThroughKeepsSignedZerosAndInteriorTargets) {
+  // apply() adds each task's product straight into the output node. Pin
+  // that against the per-task loop on a mixed-level tree (levels 1-3), so
+  // that coarse tasks target boxes that are interior nodes, and with one
+  // leaf of all +0.0 and one of all -0.0, whose contributions are exact
+  // zeros: bitwise, signs of zeros included.
+  mra::FunctionParams fp;
+  fp.ndim = 2;
+  fp.k = 5;
+  Rng rng(29);
+  const auto random_cube = [&] {
+    Tensor t = Tensor::cube(2, 5);
+    for (double& x : t.flat()) x = 2.0 * rng.next_double() - 1.0;
+    return t;
+  };
+  const mra::Key root = mra::Key::root(2);
+  const mra::Key fine = root.child(3).child(0);
+  std::vector<std::pair<mra::Key, Tensor>> leaves;
+  for (std::size_t c = 0; c < 3; ++c)
+    leaves.emplace_back(root.child(c), random_cube());
+  for (std::size_t c = 1; c < 4; ++c)
+    leaves.emplace_back(root.child(3).child(c), random_cube());
+  for (std::size_t c = 0; c < 4; ++c)
+    leaves.emplace_back(fine.child(c), random_cube());
+  leaves[1].second = Tensor::cube(2, 5);
+  for (double& x : leaves[4].second.flat()) x = -0.0;
+  const mra::Function f = mra::Function::from_leaves(fp, leaves);
+
+  const SeparatedConvolution op(op_params(2, 5, 1e-6, 3),
+                                fit_coulomb(1e-3, 1e-3, std::sqrt(2.0)));
+  std::size_t interior = 0;
+  for (const ApplyTask& t : make_apply_tasks(op, f)) {
+    const auto it = f.nodes().find(t.target);
+    if (it != f.nodes().end() && it->second.has_children) ++interior;
+  }
+  EXPECT_GT(interior, 0u);
+  ApplyOptions reduced;
+  reduced.rank_reduce = true;
+  reduced.rank_tol = 1e-5;
+  for (const ApplyOptions& opts : {ApplyOptions{}, reduced})
+    expect_leaf_loop_matches_task_loop(op, f, opts);
 }
 
 TEST(Apply, SharesModePrefixGemmsAcrossALeafsTasks) {
@@ -657,11 +726,12 @@ TEST(Apply, SourceThatIsNotAKCubeIsATypedError) {
   const SeparatedConvolution op(op_params(3, 5, 1e-6, 2),
                                 single_gaussian(0.2));
   const mra::Key leaf = mra::Key::root(3);
-  const auto ignore = [](const mra::Key&, Tensor&&) {};
+  Tensor scratch = Tensor::cube(3, 5);
+  const auto into = [&scratch](const mra::Key&) -> Tensor& { return scratch; };
   for (const Tensor& bad : {Tensor({5, 5, 1}), Tensor({5, 5}),
                             Tensor({5, 5, 5, 1}), Tensor({5, 4, 5})}) {
     EXPECT_THROW(apply_task_compute(op, bad, 0, Displacement{}), Error);
-    EXPECT_THROW(apply_leaf_tasks(op, leaf, bad, {}, nullptr, ignore),
+    EXPECT_THROW(apply_leaf_tasks(op, leaf, bad, {}, nullptr, into),
                  Error);
   }
   EXPECT_NO_THROW(apply_task_compute(op, Tensor::cube(3, 5), 0, {}));

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "apps/coulomb.hpp"
@@ -252,28 +253,35 @@ TEST(WorldApply, PeriodicMatchesSerialApply) {
   }
 }
 
-TEST(WorldApply, MessagesAreTheCrossRankContributions) {
-  // Oracle independent of world_apply: every task whose target is owned by
-  // another rank than its source leaf ships one k^d tensor of doubles.
+TEST(WorldApply, MessagesAreOnePerLeafAndRemoteOwner) {
+  // Oracle independent of world_apply: each source leaf ships one message
+  // to every other rank that owns at least one of its targets, carrying
+  // one k^d tensor of doubles per such target.
   const mra::Function f = make_test_function();
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
   dht::SubtreeOwnerMap owners(6, 2, 5);
+  std::size_t pairs = 0;
   std::size_t remote = 0;
   for (const mra::Key& leaf : f.leaf_keys()) {
     const std::size_t home = owners.owner(leaf);
+    std::set<std::size_t> to;
     ops::for_each_task(op, leaf,
                        [&](const mra::Key& target, const ops::Displacement&) {
-                         if (owners.owner(target) != home) ++remote;
+                         if (owners.owner(target) == home) return;
+                         to.insert(owners.owner(target));
+                         ++remote;
                        });
+    pairs += to.size();
   }
-  ASSERT_GT(remote, 0u);
+  ASSERT_GT(pairs, 0u);
+  ASSERT_GT(remote, pairs);
 
   dht::DistributedFunction df(f, owners);
   World world(6);
   world_apply(world, op, df);
 
   const double tensor_bytes = 7.0 * 8.0;  // k^d doubles with k = 7, d = 1
-  EXPECT_EQ(world.stats().messages, remote);
+  EXPECT_EQ(world.stats().messages, pairs);
   EXPECT_DOUBLE_EQ(world.stats().bytes,
                    static_cast<double>(remote) * tensor_bytes);
 }
