@@ -75,7 +75,7 @@ int main() {
                 world.stats().messages, world.stats().bytes / 1024.0);
     mismatch = mismatch || !(max_err < 1e-10);
     std::printf("  max |distributed - serial| = %.2e %s\n", max_err,
-                max_err < 1e-10 ? "(exact)" : "(MISMATCH!)");
+                max_err < 1e-10 ? "(within 1e-10)" : "(MISMATCH!)");
   }
   std::printf(
       "\nthe subtree map trades balance for locality: fewer messages,\n"

@@ -124,8 +124,9 @@ ClusterResult run_cluster_apply(const Workload& workload,
                                 const NodeLoads& loads,
                                 const ClusterConfig& config);
 
-/// Time of one node processing `tasks` tasks under `config` (exposed for
-/// single-node benches: Tables I and II); returns the elapsed duration.
+/// Time of one node processing `tasks` tasks under `config` (the
+/// scheduler runs each node group through it; tests call it directly);
+/// returns the elapsed duration.
 /// `breakdown`, when non-null, receives the phase profile. `node_track`
 /// names the node's trace tracks when a trace session is attached.
 /// `last_span`, when non-null, receives the id of the node's final causal

@@ -274,25 +274,14 @@ void Function::reconstruct() {
   compressed_ = false;
 }
 
-bool Function::truncate_rec(const Key& key, double tol, TruncateMode mode) {
+bool Function::truncate_rec(const Key& key, double tol) {
   FunctionNode& node = nodes_.at(key);
   if (!node.has_children) return true;
   bool removable = true;
   for (std::size_t c = 0; c < key.num_children(); ++c) {
-    if (!truncate_rec(key.child(c), tol, mode)) removable = false;
+    if (!truncate_rec(key.child(c), tol)) removable = false;
   }
   if (!removable) return false;
-  switch (mode) {
-    case TruncateMode::kAbsolute:
-      break;
-    case TruncateMode::kLevelScaled:
-      tol *= std::pow(2.0, -key.level());
-      break;
-    case TruncateMode::kVolumeScaled:
-      tol *= std::pow(2.0, -0.5 * static_cast<double>(key.level()) *
-                                 static_cast<double>(params_.ndim));
-      break;
-  }
   // Wavelet norm of this node; the root's low corner carries s, so measure
   // only the complement for it (for other nodes the corner is zero anyway).
   Tensor wavelet = node.coeffs;
@@ -311,10 +300,10 @@ bool Function::truncate_rec(const Key& key, double tol, TruncateMode mode) {
   return true;
 }
 
-void Function::truncate(double tol, TruncateMode mode) {
+void Function::truncate(double tol) {
   MH_CHECK(compressed_, "truncate requires compressed form");
   if (tol < 0.0) tol = params_.thresh;
-  truncate_rec(Key::root(params_.ndim), tol, mode);
+  truncate_rec(Key::root(params_.ndim), tol);
 }
 
 double inner(const Function& f, const Function& g) {
@@ -408,26 +397,6 @@ double Function::integral() const {
                               static_cast<double>(params_.ndim));
   }
   return acc;
-}
-
-Function& Function::add(const Function& other) {
-  MH_CHECK(compressed_ && other.compressed_,
-           "add requires both functions compressed");
-  MH_CHECK(params_.ndim == other.params_.ndim && params_.k == other.params_.k,
-           "add requires matching function parameters");
-  for (const auto& [key, onode] : other.nodes_) {
-    auto [it, inserted] = nodes_.try_emplace(key, onode);
-    if (inserted) continue;
-    FunctionNode& node = it->second;
-    node.has_children = node.has_children || onode.has_children;
-    if (onode.coeffs.empty()) continue;
-    if (node.coeffs.empty()) {
-      node.coeffs = onode.coeffs;
-    } else {
-      node.coeffs += onode.coeffs;
-    }
-  }
-  return *this;
 }
 
 Function& Function::scale(double s) {
@@ -550,100 +519,6 @@ Tensor& Function::accumulate_target(const Key& key) {
   if (node.coeffs.empty()) node.coeffs = Tensor::cube(params_.ndim, params_.k);
   ensure_ancestors(key);
   return node.coeffs;
-}
-
-Tensor coeffs_on_box(const Function& f, const Key& box) {
-  MH_CHECK(!f.compressed(), "coeffs_on_box requires reconstructed form");
-  const std::size_t k = f.k();
-  // Find the covering leaf: walk up from `box` until a data-bearing node.
-  Key cover = box;
-  std::vector<std::size_t> path;  // child indices from cover down to box
-  const auto& nodes = f.nodes();
-  for (;;) {
-    const auto it = nodes.find(cover);
-    if (it != nodes.end() && !it->second.has_children) {
-      MH_CHECK(!it->second.coeffs.empty(), "leaf without coefficients");
-      break;
-    }
-    MH_CHECK(cover.level() > 0, "box is not under any leaf of f");
-    path.push_back(cover.child_index());
-    cover = cover.parent();
-  }
-  // Refine the covering leaf's coefficients down along the path: unfilter
-  // with zero wavelet part and take the child block (exact nesting).
-  Tensor s = nodes.at(cover).coeffs;
-  for (auto it = path.rbegin(); it != path.rend(); ++it)
-    s = extract_child_block(unfilter_scaling(s, k), *it, k);
-  return s;
-}
-
-Function multiply(const Function& f, const Function& g) {
-  MH_CHECK(!f.compressed() && !g.compressed(),
-           "multiply requires both functions reconstructed");
-  MH_CHECK(f.params().ndim == g.params().ndim && f.params().k == g.params().k,
-           "multiply requires matching function parameters");
-  const std::size_t d = f.ndim();
-  const std::size_t k = f.k();
-
-  // Union of leaf structures: keep a leaf of one tree unless the other tree
-  // refines past it there (then the finer leaves win).
-  std::vector<Key> union_leaves;
-  auto add_finer = [&](const Function& a, const Function& b) {
-    for (const Key& key : a.leaf_keys()) {
-      const auto it = b.nodes().find(key);
-      const bool b_refines_here =
-          it != b.nodes().end() && it->second.has_children;
-      if (!b_refines_here) union_leaves.push_back(key);
-    }
-  };
-  add_finer(f, g);
-  add_finer(g, f);
-  // Leaves present in both trees were added twice; dedupe.
-  std::sort(union_leaves.begin(), union_leaves.end(),
-            [](const Key& a, const Key& b) {
-              if (a.level() != b.level()) return a.level() < b.level();
-              for (std::size_t m = 0; m < a.ndim(); ++m) {
-                if (a.translation(m) != b.translation(m))
-                  return a.translation(m) < b.translation(m);
-              }
-              return false;
-            });
-  union_leaves.erase(std::unique(union_leaves.begin(), union_leaves.end()),
-                     union_leaves.end());
-
-  // Per-box basis/quadrature transforms: values v(q) = sum_i s_i phi_i(x_q)
-  // and back-projection s_i = sum_q w_q phi_i(x_q) v(q).
-  const std::size_t q = k;
-  const QuadratureRule& rule = gauss_legendre(q);
-  std::vector<double> to_vals(k * q), to_coeffs(q * k), phi(k);
-  for (std::size_t qq = 0; qq < q; ++qq) {
-    legendre_scaling(rule.x[qq], phi);
-    for (std::size_t i = 0; i < k; ++i) {
-      to_vals[i * q + qq] = phi[i];                 // (k x q): contract i
-      to_coeffs[qq * k + i] = rule.w[qq] * phi[i];  // (q x k): contract q
-    }
-  }
-  std::array<MatrixView, kMaxTensorDim> fwd, bwd;
-  for (std::size_t m = 0; m < d; ++m) {
-    fwd[m] = MatrixView(to_vals.data(), k, q);
-    bwd[m] = MatrixView(to_coeffs.data(), q, k);
-  }
-
-  std::vector<std::pair<Key, Tensor>> leaves;
-  leaves.reserve(union_leaves.size());
-  for (const Key& key : union_leaves) {
-    const Tensor sf = coeffs_on_box(f, key);
-    const Tensor sg = coeffs_on_box(g, key);
-    Tensor vf = general_transform(sf, {fwd.data(), d});
-    const Tensor vg = general_transform(sg, {fwd.data(), d});
-    // Coefficient products carry two 2^{nd/2} box factors while the result
-    // coefficients need one, so scale by 2^{+nd/2} once.
-    const double scale = std::pow(2.0, 0.5 * static_cast<double>(key.level()) *
-                                           static_cast<double>(d));
-    for (std::size_t i = 0; i < vf.size(); ++i) vf[i] *= vg[i] * scale;
-    leaves.emplace_back(key, general_transform(vf, {bwd.data(), d}));
-  }
-  return Function::from_leaves(f.params(), leaves);
 }
 
 Function Function::from_leaves(

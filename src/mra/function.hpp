@@ -41,14 +41,6 @@ struct FunctionNode {
   bool has_children = false;
 };
 
-/// Threshold scaling of truncate() (MADNESS truncate_mode):
-///   kAbsolute     — drop wavelet blocks with ||d|| < tol;
-///   kLevelScaled  — ||d|| < tol * 2^{-n}: finer levels truncate harder,
-///                   controlling the H1-like error;
-///   kVolumeScaled — ||d|| < tol * 2^{-n d / 2}: scales with the box volume
-///                   share, controlling the aggregate L2 error tightly.
-enum class TruncateMode { kAbsolute, kLevelScaled, kVolumeScaled };
-
 class Function {
  public:
   using NodeMap = std::unordered_map<Key, FunctionNode, KeyHash>;
@@ -69,11 +61,9 @@ class Function {
   void compress();
   /// Compressed -> reconstructed (no-op if already reconstructed).
   void reconstruct();
-  /// Discard interior wavelet blocks with norm below the (mode-scaled)
-  /// tolerance (default tol: the function's thresh). Requires compressed
-  /// form; keeps the form.
-  void truncate(double tol = -1.0,
-                TruncateMode mode = TruncateMode::kAbsolute);
+  /// Discard interior wavelet blocks with norm below tol (default: the
+  /// function's thresh). Requires compressed form; keeps the form.
+  void truncate(double tol = -1.0);
 
   /// Point evaluation; requires reconstructed form.
   double eval(std::span<const double> x) const;
@@ -88,10 +78,6 @@ class Function {
   /// parameters. Exact because the multiwavelet representation is
   /// orthonormal: nodes absent from one tree contribute zero.
   friend double inner(const Function& f, const Function& g);
-
-  /// In-place sum: this += other. Both functions must share params and be in
-  /// reconstructed form; trees are merged by refining coarser leaves.
-  Function& add(const Function& other);
 
   /// Scale all coefficients in place.
   Function& scale(double s);
@@ -140,7 +126,7 @@ class Function {
   void project_refine(const ScalarFn& f, const Key& key, int level_guard);
   Tensor compress_rec(const Key& key);
   void reconstruct_rec(const Key& key, Tensor s);
-  bool truncate_rec(const Key& key, double tol, TruncateMode mode);
+  bool truncate_rec(const Key& key, double tol);
   void sum_down_rec(const Key& key, Tensor inherited);
   void ensure_ancestors(const Key& key);
   template <typename T>
@@ -154,20 +140,6 @@ class Function {
 /// L2 inner product <f, g> of two compressed functions (see the friend
 /// declaration in Function for the contract).
 double inner(const Function& f, const Function& g);
-
-/// Pointwise product h(x) = f(x) g(x) of two reconstructed functions with
-/// matching parameters. Works on the union of the two leaf structures:
-/// where one tree is coarser, its coefficients are refined down (exact —
-/// the scaling spaces nest). On each box the product is formed in
-/// quadrature-point space and projected back; the projection keeps the
-/// degree < k part of the (degree <= 2k-2) product, the standard MRA
-/// multiply truncation. Exact when the product itself has degree < k.
-Function multiply(const Function& f, const Function& g);
-
-/// The scaling coefficients of f on `box`, which must be `box` itself or a
-/// descendant of one of f's leaves: coarser coefficients refine down
-/// exactly through the two-scale relation. Requires reconstructed form.
-Tensor coeffs_on_box(const Function& f, const Key& box);
 
 /// Unfilter scaling coefficients s (extent k per mode) into the children's
 /// basis: the (2k)^d supertensor whose child block c is child c's share.

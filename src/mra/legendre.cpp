@@ -2,9 +2,6 @@
 
 #include <cmath>
 
-#include "common/diagnostics.hpp"
-#include "mra/quadrature.hpp"
-
 namespace mh::mra {
 
 void legendre_scaling(double x, std::span<double> out) noexcept {
@@ -24,22 +21,6 @@ void legendre_scaling(double x, std::span<double> out) noexcept {
     p1 = p2;
     out[i] = std::sqrt(2.0 * static_cast<double>(i) + 1.0) * p2;
   }
-}
-
-double legendre_scaling_at(std::size_t i, double x) noexcept {
-  std::vector<double> buf(i + 1);
-  legendre_scaling(x, buf);
-  return buf[i];
-}
-
-std::vector<double> basis_at_quadrature(std::size_t order, std::size_t k) {
-  MH_CHECK(k >= 1, "basis size must be positive");
-  const QuadratureRule& rule = gauss_legendre(order);
-  std::vector<double> table(order * k);
-  for (std::size_t q = 0; q < order; ++q) {
-    legendre_scaling(rule.x[q], std::span<double>{table.data() + q * k, k});
-  }
-  return table;
 }
 
 }  // namespace mh::mra

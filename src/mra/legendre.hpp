@@ -8,20 +8,11 @@
 // of the function in the d-fold tensor product of this basis.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace mh::mra {
 
 /// Evaluate phi_0..phi_{k-1} at x in [0, 1]; out.size() must be k.
 void legendre_scaling(double x, std::span<double> out) noexcept;
-
-/// Value of the single basis function phi_i at x.
-double legendre_scaling_at(std::size_t i, double x) noexcept;
-
-/// Precomputed basis values at the Gauss-Legendre points of the given order:
-/// row-major (order x k) matrix, entry (q, i) = phi_i(x_q).
-std::vector<double> basis_at_quadrature(std::size_t order, std::size_t k);
 
 }  // namespace mh::mra

@@ -1,7 +1,5 @@
 #include "world/world_reconstruct.hpp"
 
-#include <cmath>
-
 #include "common/diagnostics.hpp"
 #include "mra/twoscale.hpp"
 #include "tensor/transform.hpp"
@@ -76,7 +74,6 @@ struct TruncateState {
   DistributedCompressed* compressed = nullptr;
   World* world = nullptr;
   double tol = 0.0;
-  mra::TruncateMode mode = mra::TruncateMode::kAbsolute;
   std::vector<std::size_t> removed_per_rank;
 
   struct NodeState {
@@ -85,21 +82,6 @@ struct TruncateState {
     bool all_true = true;
   };
   std::vector<std::unordered_map<mra::Key, NodeState, mra::KeyHash>> states;
-
-  double scaled_tol(const mra::Key& key) const {
-    switch (mode) {
-      case mra::TruncateMode::kAbsolute:
-        return tol;
-      case mra::TruncateMode::kLevelScaled:
-        return tol * std::pow(2.0, -key.level());
-      case mra::TruncateMode::kVolumeScaled:
-        return tol *
-               std::pow(2.0, -0.5 * static_cast<double>(key.level()) *
-                                  static_cast<double>(
-                                      compressed->params.ndim));
-    }
-    return tol;
-  }
 
   // Runs on `key`'s owner once all interior children reported.
   void decide(const mra::Key& key) {
@@ -110,7 +92,7 @@ struct TruncateState {
     if (st.all_true && key.level() > 0) {
       const auto it = shard.find(key);
       MH_CHECK(it != shard.end(), "decision on a non-interior node");
-      if (it->second.normf() < scaled_tol(key)) {
+      if (it->second.normf() < tol) {
         shard.erase(it);
         ++removed_per_rank[rank];
         truncated = true;
@@ -138,8 +120,7 @@ struct TruncateState {
 }  // namespace
 
 std::size_t world_truncate(World& world, const dht::OwnerMap& owners,
-                           DistributedCompressed& compressed, double tol,
-                           mra::TruncateMode mode) {
+                           DistributedCompressed& compressed, double tol) {
   MH_CHECK(world.ranks() == owners.ranks() &&
                compressed.shards.size() == owners.ranks(),
            "rank count mismatch");
@@ -150,7 +131,6 @@ std::size_t world_truncate(World& world, const dht::OwnerMap& owners,
   state.compressed = &compressed;
   state.world = &world;
   state.tol = tol;
-  state.mode = mode;
   state.states.resize(world.ranks());
   state.removed_per_rank.assign(world.ranks(), 0);
 

@@ -9,8 +9,8 @@
 // Truncate walks bottom-up in two message waves: first every interior node
 // tells its parent's owner "I am an interior child"; then decisions
 // propagate upward — a node whose interior children all truncated and
-// whose wavelet norm is below the (mode-scaled) tolerance erases its
-// supertensor and reports success.
+// whose wavelet norm is below the tolerance erases its supertensor and
+// reports success.
 #pragma once
 
 #include "dht/distributed_function.hpp"
@@ -29,7 +29,6 @@ dht::DistributedFunction world_reconstruct(
 /// whose subtree qualifies drop their wavelet supertensors. Returns the
 /// number of interior nodes removed. Fences internally.
 std::size_t world_truncate(World& world, const dht::OwnerMap& owners,
-                           DistributedCompressed& compressed, double tol,
-                           mra::TruncateMode mode = mra::TruncateMode::kAbsolute);
+                           DistributedCompressed& compressed, double tol);
 
 }  // namespace mh::world

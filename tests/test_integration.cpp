@@ -411,7 +411,7 @@ TEST(Pipeline, EndToEndFlowKeepsInvariants) {
   const double norm0 = f.norm2();
 
   f.compress();
-  f.truncate(1e-6, mra::TruncateMode::kVolumeScaled);
+  f.truncate(1e-6);
   const double self = mra::inner(f, f);
   EXPECT_NEAR(std::sqrt(self), norm0, 1e-4);
   f.reconstruct();

@@ -1,4 +1,4 @@
-// Unit tests for src/linalg: GEMM kernels, QR, SVD.
+// Unit tests for src/linalg: GEMM kernels and the batched GEMM engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,13 +13,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/diagnostics.hpp"
 #include "common/rng.hpp"
 #include "linalg/batch_gemm.hpp"
 #include "linalg/batch_gemm_kernels.hpp"
 #include "linalg/gemm.hpp"
-#include "linalg/qr.hpp"
-#include "linalg/svd.hpp"
 
 namespace mh::linalg {
 namespace {
@@ -1171,114 +1168,6 @@ TEST(BatchGemm, VectorAndDegenerateChains) {
   std::vector<double> copy(k, 0.0);
   fused_transform_chain({shape, 1}, v.data(), {}, k, copy.data(), ws);
   for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(copy[i], v[i]);
-}
-
-TEST(Qr, ReproducesMatrixAndOrthonormalQ) {
-  Rng rng(42);
-  const std::size_t m = 12, n = 5;
-  const auto a = random_matrix(m, n, rng);
-  const QrResult f = qr(a, m, n);
-  // a == q r
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < n; ++k)
-        acc += f.q[i * n + k] * f.r[k * n + j];
-      EXPECT_NEAR(acc, a[i * n + j], 1e-12);
-    }
-  }
-  // q^T q == I
-  for (std::size_t c1 = 0; c1 < n; ++c1) {
-    for (std::size_t c2 = 0; c2 < n; ++c2) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < m; ++i)
-        acc += f.q[i * n + c1] * f.q[i * n + c2];
-      EXPECT_NEAR(acc, c1 == c2 ? 1.0 : 0.0, 1e-12);
-    }
-  }
-  // r upper triangular
-  for (std::size_t i = 1; i < n; ++i)
-    for (std::size_t j = 0; j < i; ++j)
-      EXPECT_DOUBLE_EQ(f.r[i * n + j], 0.0);
-}
-
-TEST(Qr, SquareIdentity) {
-  std::vector<double> eye(9, 0.0);
-  eye[0] = eye[4] = eye[8] = 1.0;
-  const QrResult f = qr(eye, 3, 3);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j)
-      EXPECT_NEAR(std::abs(f.q[i * 3 + j]), i == j ? 1.0 : 0.0, 1e-14);
-}
-
-TEST(Qr, RejectsWideMatrix) {
-  EXPECT_THROW(qr(std::vector<double>(6, 1.0), 2, 3), Error);
-}
-
-TEST(Svd, ReconstructsMatrix) {
-  Rng rng(17);
-  const std::size_t m = 9, n = 6;
-  const auto a = random_matrix(m, n, rng);
-  const SvdResult f = svd(a, m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < n; ++k)
-        acc += f.u[i * n + k] * f.s[k] * f.v[j * n + k];
-      EXPECT_NEAR(acc, a[i * n + j], 1e-10);
-    }
-  }
-}
-
-TEST(Svd, SingularValuesDescendingNonNegative) {
-  Rng rng(18);
-  const auto a = random_matrix(8, 8, rng);
-  const SvdResult f = svd(a, 8, 8);
-  for (std::size_t i = 0; i + 1 < f.s.size(); ++i) {
-    EXPECT_GE(f.s[i], f.s[i + 1]);
-    EXPECT_GE(f.s[i + 1], 0.0);
-  }
-}
-
-TEST(Svd, DiagonalMatrixHasKnownSpectrum) {
-  std::vector<double> a(9, 0.0);
-  a[0] = 3.0;
-  a[4] = -2.0;  // sign goes into the vectors, not sigma
-  a[8] = 1.0;
-  const SvdResult f = svd(a, 3, 3);
-  EXPECT_NEAR(f.s[0], 3.0, 1e-12);
-  EXPECT_NEAR(f.s[1], 2.0, 1e-12);
-  EXPECT_NEAR(f.s[2], 1.0, 1e-12);
-}
-
-TEST(Svd, RankDetectsLowRank) {
-  // Outer product of two vectors: rank 1.
-  const std::size_t m = 7, n = 5;
-  std::vector<double> a(m * n);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      a[i * n + j] = (1.0 + static_cast<double>(i)) *
-                     (2.0 - 0.3 * static_cast<double>(j));
-  const SvdResult f = svd(a, m, n);
-  EXPECT_EQ(f.rank(1e-10), 1u);
-}
-
-TEST(Svd, OrthonormalFactors) {
-  Rng rng(23);
-  const std::size_t m = 10, n = 4;
-  const auto a = random_matrix(m, n, rng);
-  const SvdResult f = svd(a, m, n);
-  for (std::size_t c1 = 0; c1 < n; ++c1) {
-    for (std::size_t c2 = 0; c2 < n; ++c2) {
-      double uu = 0.0, vv = 0.0;
-      for (std::size_t i = 0; i < m; ++i)
-        uu += f.u[i * n + c1] * f.u[i * n + c2];
-      for (std::size_t i = 0; i < n; ++i)
-        vv += f.v[i * n + c1] * f.v[i * n + c2];
-      EXPECT_NEAR(uu, c1 == c2 ? 1.0 : 0.0, 1e-10);
-      EXPECT_NEAR(vv, c1 == c2 ? 1.0 : 0.0, 1e-10);
-    }
-  }
 }
 
 }  // namespace

@@ -97,23 +97,6 @@ TEST(Legendre, KnownLowOrderValues) {
   EXPECT_NEAR(phi[2], std::sqrt(5.0) * (6 * 0.0625 - 1.5 + 1.0), 1e-14);
 }
 
-TEST(Legendre, SingleValueMatchesBatch) {
-  std::vector<double> phi(6);
-  legendre_scaling(0.7, phi);
-  for (std::size_t i = 0; i < phi.size(); ++i)
-    EXPECT_DOUBLE_EQ(legendre_scaling_at(i, 0.7), phi[i]);
-}
-
-TEST(Legendre, BasisAtQuadratureTableShape) {
-  const auto table = basis_at_quadrature(12, 5);
-  EXPECT_EQ(table.size(), 60u);
-  const auto& rule = gauss_legendre(12);
-  std::vector<double> phi(5);
-  legendre_scaling(rule.x[3], phi);
-  for (std::size_t i = 0; i < 5; ++i)
-    EXPECT_DOUBLE_EQ(table[3 * 5 + i], phi[i]);
-}
-
 class TwoScaleK : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(TwoScaleK, FilterMatrixIsOrthogonal) {
@@ -354,30 +337,6 @@ TEST(Function, TruncateDropsNodesBoundsError) {
   }
 }
 
-TEST(Function, AddInCompressedForm) {
-  FunctionParams p;
-  p.ndim = 2;
-  p.k = 6;
-  p.thresh = 1e-7;
-  auto g1 = [](std::span<const double> x) {
-    return gaussian1d(x[0], 0.4, 0.2) * gaussian1d(x[1], 0.4, 0.2);
-  };
-  auto g2 = [](std::span<const double> x) {
-    return gaussian1d(x[0], 0.6, 0.15) * gaussian1d(x[1], 0.6, 0.15);
-  };
-  Function f1 = Function::project(g1, p);
-  Function f2 = Function::project(g2, p);
-  f1.compress();
-  f2.compress();
-  f1.add(f2);
-  f1.reconstruct();
-  Rng rng(15);
-  for (int trial = 0; trial < 30; ++trial) {
-    const double x[2] = {rng.next_double(), rng.next_double()};
-    EXPECT_NEAR(f1.eval(x), g1(x) + g2(x), 1e-5);
-  }
-}
-
 TEST(Function, ScaleScalesValuesAndNorm) {
   FunctionParams p;
   p.ndim = 1;
@@ -533,6 +492,36 @@ TEST(SumDown, RootlessFunctionEndsAsOneZeroLeaf) {
   EXPECT_EQ(s.normf(), 0.0);
 }
 
+TEST(SumDown, RefinesNonConstantContributionsExactly) {
+  // Level-2 scaling coefficients of a smooth function, accumulated at the
+  // interior level-2 nodes of a zero level-4 tree: sum_down refines them
+  // through two levels of the two-scale relation, which is exact because the
+  // scaling spaces nest, so the sum evaluates to the original everywhere.
+  FunctionParams p;
+  p.ndim = 1;
+  p.k = 6;
+  p.thresh = 1e-8;
+  p.initial_level = 2;
+  p.max_level = 2;  // uniform level-2 leaves
+  const Function f = Function::project(smooth_bump(1), p);
+  ASSERT_EQ(f.num_leaves(), 4u);
+
+  FunctionParams q = p;
+  q.initial_level = 4;
+  q.max_level = 4;  // uniform level-4 leaves
+  Function g =
+      Function::project([](std::span<const double>) { return 0.0; }, q);
+  ASSERT_EQ(g.num_leaves(), 16u);
+  for (const Key& key : f.leaf_keys()) g.accumulate(key, f.leaf_coeffs(key));
+  g.sum_down();
+  EXPECT_EQ(g.num_leaves(), 16u);
+  EXPECT_EQ(g.max_depth(), 4);
+  for (int i = 0; i < 64; ++i) {
+    const double x[1] = {(i + 0.37) / 64.0};
+    EXPECT_NEAR(g.eval(x), f.eval(x), 1e-12) << "x " << x[0];
+  }
+}
+
 TEST(Function, AccumulateMovesIntoEmptyNodeAndAddsOtherwise) {
   FunctionParams p;
   p.ndim = 2;
@@ -671,46 +660,6 @@ TEST(Function, InnerRejectsUncompressedOrMismatched) {
   EXPECT_THROW(inner(f, h), Error);
 }
 
-TEST(Function, TruncateModesOrderNodeCounts) {
-  FunctionParams p;
-  p.ndim = 2;
-  p.k = 6;
-  p.thresh = 1e-10;  // over-resolve
-  Function base = Function::project(smooth_bump(2), p);
-  const double tol = 1e-5;
-
-  auto count_after = [&](TruncateMode mode) {
-    Function f = base;
-    f.compress();
-    f.truncate(tol, mode);
-    return f.num_nodes();
-  };
-  const std::size_t absolute = count_after(TruncateMode::kAbsolute);
-  const std::size_t level = count_after(TruncateMode::kLevelScaled);
-  const std::size_t volume = count_after(TruncateMode::kVolumeScaled);
-  // Scaled modes shrink the tolerance with depth, so they keep at least as
-  // many nodes as the absolute mode.
-  EXPECT_LE(absolute, level);
-  EXPECT_LE(absolute, volume);
-  EXPECT_LT(absolute, base.num_nodes());
-}
-
-TEST(Function, LevelScaledTruncateStillBoundsError) {
-  FunctionParams p;
-  p.ndim = 1;
-  p.k = 7;
-  p.thresh = 1e-10;
-  Function f = Function::project(smooth_bump(1), p);
-  f.compress();
-  f.truncate(1e-5, TruncateMode::kLevelScaled);
-  f.reconstruct();
-  Rng rng(61);
-  for (int i = 0; i < 20; ++i) {
-    const double x[1] = {rng.next_double()};
-    EXPECT_NEAR(f.eval(x), smooth_bump(1)(x), 2e-4);
-  }
-}
-
 TEST(Function, EvalRejectsCompressedAndOutOfDomain) {
   FunctionParams p;
   p.ndim = 1;
@@ -786,161 +735,6 @@ TEST(Function, EvalIsContinuousAcrossBoxBoundaries) {
     const double hi[1] = {b + 1e-9};
     EXPECT_NEAR(f.eval(lo), f.eval(hi), 1e-6) << "boundary " << b;
   }
-}
-
-TEST(Function, AddHandlesDisjointlyRefinedTrees) {
-  // One tree deep on the left, the other deep on the right: compressed
-  // addition must merge the structures and evaluate to the sum.
-  FunctionParams p;
-  p.ndim = 1;
-  p.k = 6;
-  p.thresh = 1e-7;
-  auto left = [](std::span<const double> x) {
-    return gaussian1d(x[0], 0.15, 0.03);
-  };
-  auto right = [](std::span<const double> x) {
-    return gaussian1d(x[0], 0.85, 0.03);
-  };
-  Function fl = Function::project(left, p);
-  Function fr = Function::project(right, p);
-  fl.compress();
-  fr.compress();
-  fl.add(fr);
-  fl.reconstruct();
-  Rng rng(103);
-  for (int i = 0; i < 30; ++i) {
-    const double x[1] = {rng.next_double()};
-    EXPECT_NEAR(fl.eval(x), left(x) + right(x), 1e-5);
-  }
-}
-
-TEST(Function, CoeffsOnBoxRefinesExactly) {
-  FunctionParams p;
-  p.ndim = 1;
-  p.k = 6;
-  p.thresh = 1e-8;
-  p.initial_level = 2;
-  p.max_level = 2;  // uniform level-2 leaves
-  Function f = Function::project(smooth_bump(1), p);
-  // Coefficients on a level-4 sub-box must reproduce f exactly there.
-  const Key box = Key::root(1).child(0).child(1).child(0).child(1);
-  const Tensor s = coeffs_on_box(f, box);
-  std::vector<double> phi(p.k);
-  const double lo = static_cast<double>(box.translation(0)) / 16.0;
-  for (double u : {0.1, 0.5, 0.9}) {
-    legendre_scaling(u, phi);
-    double v = 0.0;
-    for (std::size_t i = 0; i < p.k; ++i) v += s[i] * phi[i];
-    v *= std::pow(2.0, 0.5 * box.level());
-    const double x[1] = {lo + u / 16.0};
-    EXPECT_NEAR(v, f.eval(x), 1e-12);
-  }
-  // A box strictly above the leaves is not supported (that direction is
-  // filtering, not refining) and must be rejected.
-  EXPECT_THROW(coeffs_on_box(f, Key::root(1).child(0)), Error);
-}
-
-TEST(Function, MultiplyPolynomialsExactly) {
-  // (1 + x)(1 - x) = 1 - x^2: product degree 2 < k = 6 — the
-  // quadrature-space multiply is exact.
-  FunctionParams p;
-  p.ndim = 1;
-  p.k = 6;
-  p.thresh = 1e-9;
-  p.initial_level = 2;
-  auto a_fn = [](std::span<const double> x) { return 1.0 + x[0]; };
-  auto b_fn = [](std::span<const double> x) { return 1.0 - x[0]; };
-  Function a = Function::project(a_fn, p);
-  Function b = Function::project(b_fn, p);
-  Function ab = multiply(a, b);
-  Rng rng(111);
-  for (int i = 0; i < 30; ++i) {
-    const double x[1] = {rng.next_double()};
-    EXPECT_NEAR(ab.eval(x), 1.0 - x[0] * x[0], 1e-12);
-  }
-  EXPECT_NEAR(ab.integral(), 1.0 - 1.0 / 3.0, 1e-13);
-}
-
-TEST(Function, MultiplyGaussiansMatchesClosedForm) {
-  FunctionParams p;
-  p.ndim = 1;
-  p.k = 10;
-  p.thresh = 1e-9;
-  p.initial_level = 3;
-  auto a_fn = [](std::span<const double> x) {
-    return gaussian1d(x[0], 0.45, 0.2);
-  };
-  auto b_fn = [](std::span<const double> x) {
-    return gaussian1d(x[0], 0.55, 0.25);
-  };
-  Function a = Function::project(a_fn, p);
-  Function b = Function::project(b_fn, p);
-  Function ab = multiply(a, b);
-  Rng rng(112);
-  for (int i = 0; i < 30; ++i) {
-    const double x[1] = {rng.next_double()};
-    EXPECT_NEAR(ab.eval(x), a_fn(x) * b_fn(x), 1e-6);
-  }
-}
-
-TEST(Function, MultiplyHandlesMismatchedTrees) {
-  // One deep adaptive tree times a shallow one: the union structure and
-  // exact downward refinement must cope.
-  FunctionParams p;
-  p.ndim = 1;
-  p.k = 8;
-  p.thresh = 1e-7;
-  auto sharp = [](std::span<const double> x) {
-    return gaussian1d(x[0], 0.3, 0.02);
-  };
-  auto broad = [](std::span<const double> x) {
-    return 0.5 + 0.3 * x[0];
-  };
-  Function a = Function::project(sharp, p);
-  Function b = Function::project(broad, p);
-  EXPECT_GT(a.max_depth(), b.max_depth());
-  Function ab = multiply(a, b);
-  Function ba = multiply(b, a);
-  Rng rng(113);
-  for (int i = 0; i < 30; ++i) {
-    const double x[1] = {rng.next_double()};
-    EXPECT_NEAR(ab.eval(x), sharp(x) * broad(x), 1e-5);
-    EXPECT_NEAR(ba.eval(x), ab.eval(x), 1e-12);  // commutative
-  }
-}
-
-TEST(Function, MultiplyInTwoDimensions) {
-  FunctionParams p;
-  p.ndim = 2;
-  p.k = 6;
-  p.thresh = 1e-6;
-  p.initial_level = 2;
-  auto a_fn = [](std::span<const double> x) { return x[0] + x[1]; };
-  auto b_fn = [](std::span<const double> x) { return 1.0 + x[0] * x[1]; };
-  Function a = Function::project(a_fn, p);
-  Function b = Function::project(b_fn, p);
-  Function ab = multiply(a, b);
-  Rng rng(114);
-  for (int i = 0; i < 20; ++i) {
-    const double x[2] = {rng.next_double(), rng.next_double()};
-    EXPECT_NEAR(ab.eval(x), a_fn(x) * b_fn(x), 1e-10);
-  }
-}
-
-TEST(Function, MultiplyRejectsBadInputs) {
-  FunctionParams p;
-  p.ndim = 1;
-  p.k = 5;
-  p.thresh = 1e-5;
-  Function a = Function::project(smooth_bump(1), p);
-  Function b = Function::project(smooth_bump(1), p);
-  b.compress();
-  EXPECT_THROW(multiply(a, b), Error);
-  b.reconstruct();
-  FunctionParams p2 = p;
-  p2.k = 6;
-  Function c = Function::project(smooth_bump(1), p2);
-  EXPECT_THROW(multiply(a, c), Error);
 }
 
 TEST(Function, ProjectionConvergesWithK) {

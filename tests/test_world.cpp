@@ -287,7 +287,7 @@ TEST(WorldApply, MessagesAreOnePerLeafAndRemoteOwner) {
 }
 
 // The distributed Apply over a scattered DistributedFunction.
-TEST(DistributedFunction, ApplyMatchesSerialBitForBit) {
+TEST(DistributedFunction, ApplyMatchesSerialToRounding) {
   const mra::Function f = make_test_function(0.45, 0.1);
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
   const mra::Function serial = ops::apply(op, f);
