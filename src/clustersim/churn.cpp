@@ -117,6 +117,9 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
   double health_time = 0.0;
   const auto publish_health = [&](SimTime at) {
     if (config.health == nullptr) return;
+    // Wall-clock cost of observing the run, attributed to the plane:
+    // bench_telemetry gates its share of the drill's wall time.
+    obs::ScopedSpan span(trace, "health_publish", obs::Category::kOther);
     for (std::size_t orig = 0; orig < config.ranks; ++orig) {
       const std::size_t cur = orig_to_cur[orig];
       const bool alive =

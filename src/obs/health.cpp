@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -41,15 +42,6 @@ const char* alert_span_name(AlertRule::Kind kind) {
   return "alert";
 }
 
-const char* kind_name(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
-  }
-  return "counter";
-}
-
 double rank_as_number(std::size_t rank) {
   return rank == kClusterRank ? -1.0 : static_cast<double>(rank);
 }
@@ -79,59 +71,122 @@ std::string_view alert_state_name(AlertState state) noexcept {
   return "inactive";
 }
 
-HealthMonitor::HealthMonitor(Config config)
-    : rules_(config.rules.empty() ? default_rules() : std::move(config.rules)),
-      registry_(config.registry),
-      trace_(config.trace),
-      history_capacity_(std::max<std::size_t>(config.history_capacity, 8)) {}
+HealthPlane::HealthPlane(Config config)
+    : config_(std::move(config)), last_seq_(config_.ranks, 0) {
+  if (config_.rules.empty()) config_.rules = default_rules();
+}
 
-bool HealthMonitor::condition(const AlertRule& rule,
-                              const TelemetryAggregator& agg, std::size_t rank,
-                              double* value, double* threshold) {
-  *threshold = rule.threshold;
-  *value = 0.0;
+const HealthPlane::Instrument* HealthPlane::find_locked(
+    std::string_view name) const {
+  const auto it = index_.find(name);
+  return it == index_.end() ? nullptr : &instruments_[it->second];
+}
+
+HealthPlane::GaugeStats HealthPlane::stats_of(const Instrument& inst) {
+  GaugeStats out;
+  std::vector<double> values;
+  for (std::size_t r = 0; r < inst.lanes.size(); ++r) {
+    if (inst.seen[r]) values.push_back(inst.lanes[r]);
+  }
+  if (values.empty()) return out;
+  std::sort(values.begin(), values.end());
+  out.lanes = values.size();
+  out.min = values.front();
+  out.max = values.back();
+  const std::size_t mid = values.size() / 2;
+  out.median = values.size() % 2 == 1
+                   ? values[mid]
+                   : 0.5 * (values[mid - 1] + values[mid]);
+  return out;
+}
+
+void HealthPlane::ingest_locked(const TelemetryDelta& delta) {
+  if (delta.rank >= config_.ranks) return;
+  if (delta.seq > 0) {
+    if (delta.seq > last_seq_[delta.rank] + 1) {
+      lost_ += delta.seq - last_seq_[delta.rank] - 1;
+    }
+    last_seq_[delta.rank] = std::max(last_seq_[delta.rank], delta.seq);
+  }
+  for (const TelemetryUpdate& u : delta.updates) {
+    auto it = index_.find(u.name);
+    if (it == index_.end()) {
+      Instrument inst;
+      inst.name = u.name;
+      inst.kind = u.kind;
+      inst.lanes.assign(config_.ranks, 0.0);
+      inst.seen.assign(config_.ranks, false);
+      it = index_.emplace(u.name, instruments_.size()).first;
+      instruments_.push_back(std::move(inst));
+    }
+    Instrument& inst = instruments_[it->second];
+    if (inst.kind != u.kind) continue;  // conflicting kinds never merge
+    if (u.kind == MetricKind::kCounter) {
+      inst.lanes[delta.rank] += u.delta;
+      inst.total += u.delta;
+    } else {
+      inst.lanes[delta.rank] = u.value;
+    }
+    inst.seen[delta.rank] = true;
+    inst.dirty = true;
+    ++updates_;
+  }
+  ++deltas_;
+  bytes_ += delta.encoded_bytes();
+  last_time_s_ = std::max(last_time_s_, delta.time_s);
+}
+
+void HealthPlane::commit_locked(double time_s) {
+  for (Instrument& inst : instruments_) {
+    if (!inst.dirty) continue;
+    inst.dirty = false;
+    const double value = inst.kind == MetricKind::kCounter
+                             ? inst.total
+                             : stats_of(inst).median;
+    inst.ring.push_back({time_s, value});
+    while (inst.ring.size() > kRingCapacity) {
+      inst.ring.pop_front();
+      ++inst.ring_evicted;
+    }
+  }
+  last_time_s_ = std::max(last_time_s_, time_s);
+}
+
+double HealthPlane::total_locked(std::string_view name) const {
+  const Instrument* inst = find_locked(name);
+  return inst != nullptr ? inst->total : 0.0;
+}
+
+bool HealthPlane::condition_locked(const AlertRule& rule, std::size_t rank,
+                                   double* value) const {
+  // Per-rank rules read the rank's lane of their instrument.
+  const Instrument* inst = find_locked(rule.instrument);
+  const bool has_lane =
+      inst != nullptr && rank < inst->seen.size() && inst->seen[rank];
+  *value = has_lane ? inst->lanes[rank] : 0.0;
   switch (rule.kind) {
-    case AlertRule::Kind::kStraggler: {
-      const TelemetryAggregator::Instrument* inst = agg.find(rule.instrument);
-      if (inst == nullptr || rank >= inst->seen.size() || !inst->seen[rank]) {
-        return false;
-      }
-      const auto stats = agg.gauge_stats(rule.instrument);
-      *value = inst->lanes[rank];
+    case AlertRule::Kind::kStraggler:
       // Depth relative to the cluster median; the max(median, 1) floor
       // keeps a fully drained cluster from flagging the last worker.
-      return *value >= rule.threshold * std::max(stats.median, 1.0);
-    }
-    case AlertRule::Kind::kRankDead: {
-      const TelemetryAggregator::Instrument* inst = agg.find(rule.instrument);
-      if (inst == nullptr || rank >= inst->seen.size() || !inst->seen[rank]) {
-        return false;
-      }
-      *value = inst->lanes[rank];
-      return *value < rule.threshold;
-    }
+      return has_lane &&
+             *value >= rule.threshold * std::max(stats_of(*inst).median, 1.0);
+    case AlertRule::Kind::kRankDead:
+      return has_lane && *value < rule.threshold;
     case AlertRule::Kind::kReplicationLow: {
-      const auto stats = agg.gauge_stats(rule.instrument);
+      const GaugeStats stats = inst != nullptr ? stats_of(*inst) : GaugeStats{};
       if (stats.lanes == 0) return false;
       *value = stats.min;
       return *value < rule.threshold;
     }
-    case AlertRule::Kind::kSloBurn: {
+    case AlertRule::Kind::kSloBurn:
       // A per-tenant gauge lane at or above the threshold.
-      const TelemetryAggregator::Instrument* inst = agg.find(rule.instrument);
-      if (inst == nullptr || rank >= inst->seen.size() || !inst->seen[rank]) {
-        return false;
-      }
-      *value = inst->lanes[rank];
-      return *value >= rule.threshold;
-    }
+      return has_lane && *value >= rule.threshold;
     case AlertRule::Kind::kStealThrash: {
       const auto it = prev_totals_.find(rule.name);
       const auto [prev_denied, prev_requested] =
           it != prev_totals_.end() ? it->second : std::pair{0.0, 0.0};
-      const double denied = agg.counter_total(rule.instrument) - prev_denied;
-      const double requested =
-          agg.counter_total(rule.instrument_b) - prev_requested;
+      const double denied = total_locked(rule.instrument) - prev_denied;
+      const double requested = total_locked(rule.instrument_b) - prev_requested;
       if (requested < kStealThrashMinRequests) return false;
       *value = denied / requested;
       return *value >= rule.threshold;
@@ -140,8 +195,7 @@ bool HealthMonitor::condition(const AlertRule& rule,
   return false;
 }
 
-std::vector<AlertEvent> HealthMonitor::evaluate(const TelemetryAggregator& agg,
-                                                double time_s) {
+std::vector<AlertEvent> HealthPlane::evaluate_locked(double time_s) {
   ++ticks_;
   std::vector<AlertEvent> out;
   const auto emit = [&](const AlertRule& rule, AlertState state,
@@ -155,13 +209,13 @@ std::vector<AlertEvent> HealthMonitor::evaluate(const TelemetryAggregator& agg,
     ev.time_s = time_s;
     ev.tick = ticks_;
     out.push_back(ev);
-    if (history_.size() >= history_capacity_) {
+    if (history_.size() >= kHistoryCapacity) {
       history_.erase(history_.begin());
       ++events_dropped_;
     }
     history_.push_back(out.back());
-    if (registry_ != nullptr) {
-      registry_
+    if (config_.registry != nullptr) {
+      config_.registry
           ->counter(state == AlertState::kFiring ? "mh_alert_fired_total"
                                                  : "mh_alert_resolved_total",
                     "health-plane alert transitions", {{"rule", rule.name}})
@@ -169,18 +223,15 @@ std::vector<AlertEvent> HealthMonitor::evaluate(const TelemetryAggregator& agg,
     }
   };
 
-  for (std::size_t ri = 0; ri < rules_.size(); ++ri) {
-    const AlertRule& rule = rules_[ri];
-    const std::size_t nranks = is_per_rank(rule.kind) ? agg.ranks() : 0;
-    for (std::size_t i = 0; i <= nranks; ++i) {
-      // Per-rank rules scan every rank; cluster rules run one cell.
-      const std::size_t rank = is_per_rank(rule.kind)
-                                   ? (i < nranks ? i : kClusterRank)
-                                   : kClusterRank;
-      if (is_per_rank(rule.kind) && rank == kClusterRank) continue;
+  for (std::size_t ri = 0; ri < config_.rules.size(); ++ri) {
+    const AlertRule& rule = config_.rules[ri];
+    // Per-rank rules scan every rank; cluster rules run one cell.
+    const bool per_rank = is_per_rank(rule.kind);
+    const std::size_t cells = per_rank ? config_.ranks : 1;
+    for (std::size_t i = 0; i < cells; ++i) {
+      const std::size_t rank = per_rank ? i : kClusterRank;
       double value = 0.0;
-      double threshold = rule.threshold;
-      const bool cond = condition(rule, agg, rank, &value, &threshold);
+      const bool cond = condition_locked(rule, rank, &value);
       Cell& cell = cells_[{ri, rank}];
       cell.value = value;
       if (cond) {
@@ -202,17 +253,15 @@ std::vector<AlertEvent> HealthMonitor::evaluate(const TelemetryAggregator& agg,
             cell.firing = false;
             cell.false_ticks = 0;
             emit(rule, AlertState::kResolved, rank, cell);
-            if (trace_ != nullptr) {
+            if (config_.trace != nullptr) {
               if (alert_track_ == 0) {
-                alert_track_ = trace_->track(ClockDomain::kSim,
-                                             "health/alerts");
+                alert_track_ = config_.trace->track(ClockDomain::kSim,
+                                                    "health/alerts");
               }
-              trace_->record_sim(alert_track_, alert_span_name(rule.kind),
-                                 Category::kOther,
-                                 SimTime::seconds(cell.fired_s),
-                                 SimTime::seconds(time_s),
-                                 {{"rank", rank_as_number(rank)},
-                                  {"value", value}});
+              config_.trace->record_sim(
+                  alert_track_, alert_span_name(rule.kind), Category::kOther,
+                  SimTime::seconds(cell.fired_s), SimTime::seconds(time_s),
+                  {{"rank", rank_as_number(rank)}, {"value", value}});
             }
           }
         }
@@ -221,138 +270,116 @@ std::vector<AlertEvent> HealthMonitor::evaluate(const TelemetryAggregator& agg,
     // Rate rules diff against the previous tick: refresh the baseline
     // after the evaluation so the cell saw the whole window.
     if (rule.kind == AlertRule::Kind::kStealThrash) {
-      prev_totals_[rule.name] = {agg.counter_total(rule.instrument),
-                                 agg.counter_total(rule.instrument_b)};
+      prev_totals_[rule.name] = {total_locked(rule.instrument),
+                                 total_locked(rule.instrument_b)};
     }
   }
 
-  if (registry_ != nullptr) {
+  if (config_.registry != nullptr) {
     double firing = 0.0;
     for (const auto& [key, cell] : cells_) {
       if (cell.firing) firing += 1.0;
     }
-    registry_->gauge("mh_alert_active", "alert cells currently firing")
+    config_.registry->gauge("mh_alert_active", "alert cells currently firing")
         .set(firing);
   }
   return out;
 }
 
-std::vector<HealthMonitor::ActiveAlert> HealthMonitor::active() const {
-  std::vector<ActiveAlert> out;
-  for (const auto& [key, cell] : cells_) {
-    if (!cell.firing && cell.true_ticks == 0) continue;
-    ActiveAlert a;
-    a.rule = rules_[key.first].name;
-    a.rank = key.second;
-    a.state = cell.firing ? AlertState::kFiring : AlertState::kPending;
-    a.value = cell.value;
-    a.threshold = rules_[key.first].threshold;
-    a.since_s = cell.since_s;
-    out.push_back(std::move(a));
-  }
-  return out;
-}
-
-HealthPlane::HealthPlane(Config config)
-    : config_(std::move(config)),
-      aggregator_(TelemetryAggregator::Config{config_.ranks,
-                                              config_.ring_capacity}),
-      monitor_(HealthMonitor::Config{
-          config_.rules, config_.registry, config_.trace, 256}) {}
-
-HealthPlane::~HealthPlane() {
-  if (!config_.dashboard_path.empty() && monitor_.ticks() > 0) {
-    write_dashboard(config_.dashboard_path);
-  }
-}
-
-void HealthPlane::ingest(const TelemetryDelta& delta) {
+std::vector<AlertEvent> HealthPlane::tick(
+    const std::vector<TelemetryDelta>& deltas, double time_s) {
   std::scoped_lock lock(mu_);
-  aggregator_.ingest(delta);
-}
-
-std::vector<AlertEvent> HealthPlane::evaluate(double time_s) {
-  std::scoped_lock lock(mu_);
-  aggregator_.commit(time_s);
-  auto events = monitor_.evaluate(aggregator_, time_s);
-  if (!config_.dashboard_path.empty() &&
-      ++ticks_since_write_ >= std::max<std::size_t>(config_.dashboard_every,
-                                                    1)) {
-    ticks_since_write_ = 0;
+  for (const TelemetryDelta& d : deltas) ingest_locked(d);
+  commit_locked(time_s);
+  auto events = evaluate_locked(time_s);
+  if (!config_.dashboard_path.empty()) {
     std::ofstream os(config_.dashboard_path);
     if (os) write_dashboard_locked(os);
   }
   return events;
 }
 
-std::vector<AlertEvent> HealthPlane::tick(
-    const std::vector<TelemetryDelta>& deltas, double time_s) {
-  for (const TelemetryDelta& d : deltas) ingest(d);
-  return evaluate(time_s);
-}
-
 std::vector<AlertEvent> HealthPlane::alert_history() const {
   std::scoped_lock lock(mu_);
-  return monitor_.history();
+  return history_;
 }
 
-std::vector<HealthMonitor::ActiveAlert> HealthPlane::active_alerts() const {
+std::vector<HealthPlane::ActiveAlert> HealthPlane::active_alerts() const {
   std::scoped_lock lock(mu_);
-  return monitor_.active();
+  return active_locked();
+}
+
+std::vector<HealthPlane::ActiveAlert> HealthPlane::active_locked() const {
+  std::vector<ActiveAlert> out;
+  for (const auto& [key, cell] : cells_) {
+    if (!cell.firing && cell.true_ticks == 0) continue;
+    ActiveAlert a;
+    a.rule = config_.rules[key.first].name;
+    a.rank = key.second;
+    a.state = cell.firing ? AlertState::kFiring : AlertState::kPending;
+    a.value = cell.value;
+    a.threshold = config_.rules[key.first].threshold;
+    a.since_s = cell.since_s;
+    out.push_back(std::move(a));
+  }
+  return out;
 }
 
 std::uint64_t HealthPlane::ticks() const {
   std::scoped_lock lock(mu_);
-  return monitor_.ticks();
+  return ticks_;
 }
 
 double HealthPlane::counter_total(std::string_view name) const {
   std::scoped_lock lock(mu_);
-  return aggregator_.counter_total(name);
+  return total_locked(name);
 }
 
 double HealthPlane::lane(std::string_view name, std::size_t rank,
                          double fallback) const {
   std::scoped_lock lock(mu_);
-  return aggregator_.lane(name, rank, fallback);
+  const Instrument* inst = find_locked(name);
+  if (inst == nullptr || rank >= inst->lanes.size() || !inst->seen[rank]) {
+    return fallback;
+  }
+  return inst->lanes[rank];
 }
 
-TelemetryAggregator::GaugeStats HealthPlane::gauge_stats(
-    std::string_view name) const {
+HealthPlane::GaugeStats HealthPlane::gauge_stats(std::string_view name) const {
   std::scoped_lock lock(mu_);
-  return aggregator_.gauge_stats(name);
+  const Instrument* inst = find_locked(name);
+  return inst != nullptr ? stats_of(*inst) : GaugeStats{};
 }
 
 std::uint64_t HealthPlane::deltas_ingested() const {
   std::scoped_lock lock(mu_);
-  return aggregator_.deltas_ingested();
+  return deltas_;
 }
 
 double HealthPlane::bytes_ingested() const {
   std::scoped_lock lock(mu_);
-  return aggregator_.bytes_ingested();
+  return bytes_;
 }
 
 std::uint64_t HealthPlane::snapshots_lost() const {
   std::scoped_lock lock(mu_);
-  return aggregator_.snapshots_lost();
+  return lost_;
 }
 
 void HealthPlane::write_dashboard_locked(std::ostream& os) const {
   os << "{\n  \"schema\": \"mh_dashboard_v1\",\n";
-  os << "  \"time_s\": " << aggregator_.last_time_s() << ",\n";
-  os << "  \"ticks\": " << monitor_.ticks() << ",\n";
-  os << "  \"ranks\": " << aggregator_.ranks() << ",\n";
-  os << "  \"ring_capacity\": " << aggregator_.config().ring_capacity
-     << ",\n";
-  os << "  \"deltas_ingested\": " << aggregator_.deltas_ingested() << ",\n";
-  os << "  \"updates_ingested\": " << aggregator_.updates_ingested() << ",\n";
-  os << "  \"bytes_ingested\": " << aggregator_.bytes_ingested() << ",\n";
-  os << "  \"snapshots_lost\": " << aggregator_.snapshots_lost() << ",\n";
+  os << "  \"time_s\": " << last_time_s_ << ",\n";
+  os << "  \"ticks\": " << ticks_ << ",\n";
+  os << "  \"ranks\": " << config_.ranks << ",\n";
+  os << "  \"ring_capacity\": " << kRingCapacity << ",\n";
+  os << "  \"deltas_ingested\": " << deltas_ << ",\n";
+  os << "  \"updates_ingested\": " << updates_ << ",\n";
+  os << "  \"bytes_ingested\": " << bytes_ << ",\n";
+  os << "  \"snapshots_lost\": " << lost_ << ",\n";
 
   os << "  \"alerts\": {\n    \"active\": [";
   bool first = true;
-  for (const auto& a : monitor_.active()) {
+  for (const auto& a : active_locked()) {
     os << (first ? "" : ", ") << "{\"rule\": ";
     json::write_escaped(os, a.rule);
     os << ", \"rank\": " << rank_as_number(a.rank) << ", \"state\": ";
@@ -363,7 +390,7 @@ void HealthPlane::write_dashboard_locked(std::ostream& os) const {
   }
   os << "],\n    \"history\": [";
   first = true;
-  for (const AlertEvent& ev : monitor_.history()) {
+  for (const AlertEvent& ev : history_) {
     os << (first ? "" : ", ") << "{\"rule\": ";
     json::write_escaped(os, ev.rule);
     os << ", \"state\": ";
@@ -373,76 +400,40 @@ void HealthPlane::write_dashboard_locked(std::ostream& os) const {
        << ", \"time_s\": " << ev.time_s << ", \"tick\": " << ev.tick << "}";
     first = false;
   }
-  os << "],\n    \"dropped\": " << monitor_.events_dropped() << "\n  },\n";
+  os << "],\n    \"dropped\": " << events_dropped_ << "\n  },\n";
 
   os << "  \"instruments\": [";
   first = true;
-  for (const TelemetryAggregator::Instrument* inst :
-       aggregator_.instruments()) {
+  for (const Instrument& inst : instruments_) {
+    const bool counter = inst.kind == MetricKind::kCounter;
     os << (first ? "\n    " : ",\n    ") << "{\"name\": ";
-    json::write_escaped(os, inst->name);
+    json::write_escaped(os, inst.name);
     os << ", \"kind\": ";
-    json::write_escaped(os, kind_name(inst->kind));
-    if (!inst->labels.empty()) {
-      os << ", \"labels\": {";
-      bool lfirst = true;
-      for (const auto& [k, v] : inst->labels) {
-        os << (lfirst ? "" : ", ");
-        json::write_escaped(os, k);
-        os << ": ";
-        json::write_escaped(os, v);
-        lfirst = false;
+    json::write_escaped(os, counter ? "counter" : "gauge");
+    if (counter) os << ", \"total\": " << inst.total;
+    os << ", \"lanes\": [";
+    for (std::size_t r = 0; r < inst.lanes.size(); ++r) {
+      os << (r == 0 ? "" : ", ");
+      if (inst.seen[r]) {
+        os << inst.lanes[r];
+      } else {
+        os << "null";
       }
-      os << "}";
     }
-    switch (inst->kind) {
-      case MetricKind::kCounter: {
-        os << ", \"total\": " << inst->total << ", \"lanes\": [";
-        for (std::size_t r = 0; r < inst->lanes.size(); ++r) {
-          os << (r == 0 ? "" : ", ");
-          if (inst->seen[r]) {
-            os << inst->lanes[r];
-          } else {
-            os << "null";
-          }
-        }
-        os << "]";
-        break;
-      }
-      case MetricKind::kGauge: {
-        os << ", \"lanes\": [";
-        for (std::size_t r = 0; r < inst->lanes.size(); ++r) {
-          os << (r == 0 ? "" : ", ");
-          if (inst->seen[r]) {
-            os << inst->lanes[r];
-          } else {
-            os << "null";
-          }
-        }
-        os << "]";
-        const auto stats = aggregator_.gauge_stats(inst->name);
-        os << ", \"min\": " << stats.min << ", \"median\": " << stats.median
-           << ", \"max\": " << stats.max;
-        break;
-      }
-      case MetricKind::kHistogram: {
-        const HistogramSnapshot merged = inst->merged();
-        os << ", \"hist\": {\"count\": " << merged.count
-           << ", \"sum\": " << merged.sum << ", \"min\": " << merged.min
-           << ", \"max\": " << merged.max
-           << ", \"p50\": " << merged.quantile(0.5)
-           << ", \"p999\": " << merged.p999() << "}";
-        break;
-      }
+    os << "]";
+    if (!counter) {
+      const GaugeStats stats = stats_of(inst);
+      os << ", \"min\": " << stats.min << ", \"median\": " << stats.median
+         << ", \"max\": " << stats.max;
     }
     os << ", \"ring\": [";
     bool rfirst = true;
-    for (const auto& point : inst->ring) {
+    for (const RingPoint& point : inst.ring) {
       os << (rfirst ? "" : ", ") << "[" << point.time_s << ", " << point.value
          << "]";
       rfirst = false;
     }
-    os << "], \"ring_evicted\": " << inst->ring_evicted << "}";
+    os << "], \"ring_evicted\": " << inst.ring_evicted << "}";
     first = false;
   }
   os << "\n  ]\n}\n";
@@ -453,14 +444,6 @@ std::string HealthPlane::dashboard_json() const {
   std::ostringstream os;
   write_dashboard_locked(os);
   return os.str();
-}
-
-bool HealthPlane::write_dashboard(const std::string& path) const {
-  std::scoped_lock lock(mu_);
-  std::ofstream os(path);
-  if (!os) return false;
-  write_dashboard_locked(os);
-  return static_cast<bool>(os);
 }
 
 std::string dashboard_path_from_env() {
@@ -491,10 +474,19 @@ DashboardCheck check_dashboard_text(const std::string& text) {
     out.problems.push_back("missing or unknown schema marker");
   }
   out.time_s = root.num("time_s");
-  out.ticks = static_cast<std::uint64_t>(root.num("ticks"));
-  out.ranks = static_cast<std::size_t>(root.num("ranks"));
-  const auto ring_capacity =
-      static_cast<std::size_t>(root.num("ring_capacity"));
+  const auto whole = [&](std::string_view key, std::uint64_t max) {
+    std::uint64_t v = 0;
+    if (!root.whole(key, max, &v)) {
+      out.problems.push_back(std::string(key) +
+                             ": not a whole number in [0, " +
+                             std::to_string(max) + "]");
+    }
+    return v;
+  };
+  out.ticks = whole("ticks", std::numeric_limits<std::uint64_t>::max());
+  out.ranks = whole("ranks", std::numeric_limits<std::size_t>::max());
+  const std::size_t ring_capacity =
+      whole("ring_capacity", std::numeric_limits<std::size_t>::max());
   if (out.ranks == 0) out.problems.push_back("ranks must be >= 1");
   if (ring_capacity == 0) {
     out.problems.push_back("ring_capacity must be >= 1");

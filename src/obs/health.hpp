@@ -1,9 +1,12 @@
 // Online anomaly detection and alerting over the telemetry rollup — the
-// detector half of the live health plane (telemetry.hpp is the transport
-// and state half).
+// consumer half of the live health plane (telemetry.hpp is the transport
+// half).
 //
-// A HealthMonitor evaluates typed rules against a TelemetryAggregator once
-// per tick. Every (rule, rank) cell runs the same hysteresis machine:
+// A HealthPlane folds the scenarios' deltas into an exact cluster rollup
+// (counters sum across ranks; gauges keep per-rank lanes plus
+// min/median/max, and every instrument keeps a bounded time-series ring)
+// and evaluates typed rules against it once per tick. Every (rule, rank)
+// cell runs the same hysteresis machine:
 //
 //   inactive --condition true for `for_ticks`--> firing
 //   firing --condition false for `resolve_ticks`--> resolved (inactive)
@@ -18,20 +21,19 @@
 // `mh_alert_fired_total` / `mh_alert_resolved_total` counters, and — when
 // a TraceSession is attached — one span per firing interval on a
 // "health/alerts" track, so an alert is visible in the same merged Chrome
-// trace as the work it flags.
-//
-// HealthPlane bundles aggregator + monitor + a periodically rewritten live
-// dashboard JSON (MH_DASHBOARD=path, rendered by tools/mh_health) behind
-// one mutex, so readers may poll it from outside the thread that drives
-// the simulated scenario.
+// trace as the work it flags. The live dashboard JSON (MH_DASHBOARD=path,
+// rendered by tools/mh_health) is rewritten after every tick.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -108,23 +110,37 @@ struct AlertEvent {
   std::uint64_t tick = 0;
 };
 
-class HealthMonitor {
+/// The health plane: exact cluster rollup of the scenarios' telemetry,
+/// the alert detector over it, and the live dashboard, behind one lock so
+/// readers may poll it from outside the thread that drives the simulated
+/// scenario.
+class HealthPlane {
  public:
   struct Config {
+    std::size_t ranks = 1;
     std::vector<AlertRule> rules;  ///< empty -> default_rules()
+    /// Rewrite this file after every tick when non-empty. MH_DASHBOARD
+    /// wires it from the env.
+    std::string dashboard_path;
     /// Alert counters land here when set.
     MetricsRegistry* registry = nullptr;
     /// Firing intervals land here as kOther spans when set.
     TraceSession* trace = nullptr;
-    /// Events kept in history() (bounded like the telemetry rings).
-    std::size_t history_capacity = 256;
   };
 
-  explicit HealthMonitor(Config config);
+  /// Points kept per instrument ring; older points are evicted (and
+  /// counted) so memory is bounded regardless of run length.
+  static constexpr std::size_t kRingCapacity = 128;
+  /// Transitions kept in alert_history(); older ones are dropped (and
+  /// counted).
+  static constexpr std::size_t kHistoryCapacity = 256;
 
-  /// Run one detector tick against the rollup; returns the transitions.
-  std::vector<AlertEvent> evaluate(const TelemetryAggregator& agg,
-                                   double time_s);
+  struct GaugeStats {
+    double min = 0.0;
+    double median = 0.0;
+    double max = 0.0;
+    std::size_t lanes = 0;  ///< ranks heard from
+  };
 
   /// A currently pending or firing (rule, rank) cell.
   struct ActiveAlert {
@@ -136,13 +152,60 @@ class HealthMonitor {
     double since_s = 0.0;  ///< first tick time of the current episode
   };
 
-  std::vector<ActiveAlert> active() const;
-  const std::vector<AlertEvent>& history() const { return history_; }
-  std::uint64_t ticks() const { return ticks_; }
-  std::uint64_t events_dropped() const { return events_dropped_; }
-  const std::vector<AlertRule>& rules() const { return rules_; }
+  explicit HealthPlane(Config config);
+
+  HealthPlane(const HealthPlane&) = delete;
+  HealthPlane& operator=(const HealthPlane&) = delete;
+
+  /// Fold every delta into the rollup, append one ring point per touched
+  /// instrument, run one detector tick and rewrite the dashboard. Returns
+  /// the alert transitions of this tick.
+  std::vector<AlertEvent> tick(const std::vector<TelemetryDelta>& deltas,
+                               double time_s);
+
+  /// Every transition observed so far (bounded copy).
+  std::vector<AlertEvent> alert_history() const;
+  std::vector<ActiveAlert> active_alerts() const;
+  std::uint64_t ticks() const;
+  /// Cluster total of a counter (0 when unseen).
+  double counter_total(std::string_view name) const;
+  /// One rank's lane of a gauge/counter, or `fallback` when unseen.
+  double lane(std::string_view name, std::size_t rank,
+              double fallback = 0.0) const;
+  /// min / median / max over the ranks heard from for a gauge.
+  GaugeStats gauge_stats(std::string_view name) const;
+  std::uint64_t deltas_ingested() const;
+  double bytes_ingested() const;
+  /// Snapshots lost in flight, detected from per-rank sequence gaps.
+  std::uint64_t snapshots_lost() const;
+
+  /// The dashboard document (what each tick writes to dashboard_path).
+  std::string dashboard_json() const;
 
  private:
+  struct RingPoint {
+    double time_s = 0.0;
+    double value = 0.0;
+  };
+
+  /// One rolled-up instrument (same name across all ranks).
+  struct Instrument {
+    std::string name;
+    MetricKind kind = MetricKind::kGauge;
+    /// Counters: cluster total (sum of per-rank totals).
+    double total = 0.0;
+    /// Per-rank lanes: counters hold the rank's running total, gauges the
+    /// rank's last level. Indexed by rank; `seen` gates validity.
+    std::vector<double> lanes;
+    std::vector<bool> seen;
+    /// Bounded rollup history: counters ring the cluster total, gauges the
+    /// cluster median.
+    std::deque<RingPoint> ring;
+    std::uint64_t ring_evicted = 0;
+    bool dirty = false;
+  };
+
+  /// Hysteresis state of one (rule, rank) cell.
   struct Cell {
     std::size_t true_ticks = 0;
     std::size_t false_ticks = 0;
@@ -152,14 +215,34 @@ class HealthMonitor {
     double fired_s = 0.0;
   };
 
+  // All *_locked members run under mu_.
+  void ingest_locked(const TelemetryDelta& delta);
+  void commit_locked(double time_s);
+  std::vector<AlertEvent> evaluate_locked(double time_s);
   // The per-rank condition, or the cluster-wide one under kClusterRank.
-  bool condition(const AlertRule& rule, const TelemetryAggregator& agg,
-                 std::size_t rank, double* value, double* threshold);
+  bool condition_locked(const AlertRule& rule, std::size_t rank,
+                        double* value) const;
+  const Instrument* find_locked(std::string_view name) const;
+  /// Cluster total of a counter (0 when unseen).
+  double total_locked(std::string_view name) const;
+  static GaugeStats stats_of(const Instrument& inst);
+  std::vector<ActiveAlert> active_locked() const;
+  void write_dashboard_locked(std::ostream& os) const;
 
-  std::vector<AlertRule> rules_;
-  MetricsRegistry* registry_;
-  TraceSession* trace_;
-  std::size_t history_capacity_;
+  Config config_;
+  mutable std::mutex mu_;
+
+  // Rollup.
+  std::vector<Instrument> instruments_;
+  std::map<std::string, std::size_t, std::less<>> index_;
+  std::vector<std::uint64_t> last_seq_;
+  std::uint64_t deltas_ = 0;
+  std::uint64_t updates_ = 0;
+  std::uint64_t lost_ = 0;
+  double bytes_ = 0.0;
+  double last_time_s_ = 0.0;
+
+  // Detector.
   std::uint32_t alert_track_ = 0;
   // Cell key: (rule index, rank).
   std::map<std::pair<std::size_t, std::size_t>, Cell> cells_;
@@ -169,63 +252,6 @@ class HealthMonitor {
   std::vector<AlertEvent> history_;
   std::uint64_t ticks_ = 0;
   std::uint64_t events_dropped_ = 0;
-};
-
-/// Aggregator + monitor + live dashboard behind one lock: the object a
-/// scenario installs as its health plane.
-class HealthPlane {
- public:
-  struct Config {
-    std::size_t ranks = 1;
-    std::size_t ring_capacity = 128;
-    std::vector<AlertRule> rules;  ///< empty -> default_rules()
-    /// Rewrite this file after every `dashboard_every`-th tick (and on
-    /// destruction) when non-empty. MH_DASHBOARD wires it from the env.
-    std::string dashboard_path;
-    std::size_t dashboard_every = 1;
-    MetricsRegistry* registry = nullptr;
-    TraceSession* trace = nullptr;
-  };
-
-  explicit HealthPlane(Config config);
-  ~HealthPlane();
-
-  HealthPlane(const HealthPlane&) = delete;
-  HealthPlane& operator=(const HealthPlane&) = delete;
-
-  /// Fold one rank's delta into the rollup (transport side).
-  void ingest(const TelemetryDelta& delta);
-  /// Commit rings, run one detector tick, maybe rewrite the dashboard.
-  std::vector<AlertEvent> evaluate(double time_s);
-  /// ingest() every delta, then evaluate() — the simulated-clock path.
-  std::vector<AlertEvent> tick(const std::vector<TelemetryDelta>& deltas,
-                               double time_s);
-
-  /// Every transition observed so far (bounded copy).
-  std::vector<AlertEvent> alert_history() const;
-  std::vector<HealthMonitor::ActiveAlert> active_alerts() const;
-  std::uint64_t ticks() const;
-  /// Locked accessors for rollup scalars (avoid holding references).
-  double counter_total(std::string_view name) const;
-  double lane(std::string_view name, std::size_t rank,
-              double fallback = 0.0) const;
-  TelemetryAggregator::GaugeStats gauge_stats(std::string_view name) const;
-  std::uint64_t deltas_ingested() const;
-  double bytes_ingested() const;
-  std::uint64_t snapshots_lost() const;
-
-  /// The dashboard document (also what write_dashboard puts on disk).
-  std::string dashboard_json() const;
-  bool write_dashboard(const std::string& path) const;
-
- private:
-  void write_dashboard_locked(std::ostream& os) const;
-
-  Config config_;
-  mutable std::mutex mu_;
-  TelemetryAggregator aggregator_;
-  HealthMonitor monitor_;
-  std::uint64_t ticks_since_write_ = 0;
 };
 
 /// MH_DASHBOARD=path, or empty when unset.

@@ -19,6 +19,24 @@ double JsonValue::num(std::string_view key, double fallback) const {
   return v != nullptr && v->kind == Kind::kNumber ? v->number : fallback;
 }
 
+bool JsonValue::whole(std::string_view key, std::uint64_t max,
+                      std::uint64_t* out) const {
+  const JsonValue* v = find(key);
+  if (v == nullptr) {
+    *out = 0;
+    return true;
+  }
+  if (v->kind != Kind::kNumber) return false;
+  const double x = v->number;
+  // 0x1p64 bounds the cast itself; `max` is then compared as an integer,
+  // since a max near 2^64 has no exact double.
+  if (!(x >= 0.0 && x < 0x1p64 && std::floor(x) == x)) return false;
+  const auto n = static_cast<std::uint64_t>(x);
+  if (n > max) return false;
+  *out = n;
+  return true;
+}
+
 std::string_view JsonValue::text(std::string_view key) const {
   const JsonValue* v = find(key);
   return v != nullptr && v->kind == Kind::kString ? std::string_view(v->str)

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -29,6 +30,13 @@ struct JsonValue {
   const JsonValue* find(std::string_view key) const;
   /// Value of a numeric member, or `fallback` when absent / not a number.
   double num(std::string_view key, double fallback = 0.0) const;
+  /// A numeric member as a whole number in [0, max], for readers that
+  /// count or index with it: `*out` is 0 when the member is absent.
+  /// Returns false, leaving `*out` alone, when it is present but not a
+  /// number, fractional, negative or above `max` — casting such a double
+  /// to an integer type is undefined behaviour.
+  bool whole(std::string_view key, std::uint64_t max,
+             std::uint64_t* out) const;
   /// Value of a string member, or empty when absent / not a string.
   std::string_view text(std::string_view key) const;
 };

@@ -1,6 +1,7 @@
 #include "obs/trace_reader.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -21,9 +22,18 @@ Category parse_category(std::string_view cat) {
   return Category::kOther;
 }
 
-std::uint64_t id_arg(const JsonValue& args, std::string_view key) {
-  const double v = args.num(key, 0.0);
-  return v > 0.0 ? static_cast<std::uint64_t>(v) : 0;
+// A whole-number member of `obj` in [0, max] (0 when absent). Any other
+// value fails the read with an error naming the field and its event.
+bool whole_field(const JsonValue& obj, std::string_view key,
+                 std::uint64_t max, std::size_t event, std::uint64_t* out,
+                 std::string* error) {
+  if (obj.whole(key, max, out)) return true;
+  if (error != nullptr) {
+    *error = "traceEvents[" + std::to_string(event) + "]: field '" +
+             std::string(key) + "' is not a whole number in [0, " +
+             std::to_string(max) + "]";
+  }
+  return false;
 }
 
 }  // namespace
@@ -73,16 +83,28 @@ bool read_chrome_trace(std::istream& is, ReadTrace* out, std::string* error) {
     return false;
   }
 
-  for (const JsonValue& ev : events->array) {
+  constexpr std::uint64_t kMaxId = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kMaxPid = std::numeric_limits<int>::max();
+  for (std::size_t i = 0; i < events->array.size(); ++i) {
+    const JsonValue& ev = events->array[i];
     if (ev.kind != JsonValue::Kind::kObject) continue;
     const std::string_view ph = ev.text("ph");
-    const int pid = static_cast<int>(ev.num("pid"));
-    const int tid = static_cast<int>(ev.num("tid"));
+    std::uint64_t pid_field = 0;
+    std::uint64_t tid_field = 0;
+    if (!whole_field(ev, "pid", kMaxPid, i, &pid_field, error) ||
+        !whole_field(ev, "tid", kMaxPid, i, &tid_field, error)) {
+      return false;
+    }
+    const int pid = static_cast<int>(pid_field);
+    const int tid = static_cast<int>(tid_field);
     const JsonValue* args = ev.find("args");
     static const JsonValue kEmpty;
     const JsonValue& a =
         args != nullptr && args->kind == JsonValue::Kind::kObject ? *args
                                                                   : kEmpty;
+    const auto id = [&](std::string_view key, std::uint64_t* value) {
+      return whole_field(a, key, kMaxId, i, value, error);
+    };
     if (ph == "X") {
       ReadSpan s;
       s.name = std::string(ev.text("name"));
@@ -92,9 +114,10 @@ bool read_chrome_trace(std::istream& is, ReadTrace* out, std::string* error) {
       s.tid = tid;
       s.start_us = ev.num("ts");
       s.dur_us = ev.num("dur");
-      s.id = id_arg(a, "mh_id");
-      s.parent = id_arg(a, "mh_parent");
-      s.task = id_arg(a, "mh_task");
+      if (!id("mh_id", &s.id) || !id("mh_parent", &s.parent) ||
+          !id("mh_task", &s.task)) {
+        return false;
+      }
       for (const auto& [k, v] : a.object) {
         if (v.kind == JsonValue::Kind::kNumber && k != "mh_id" &&
             k != "mh_parent" && k != "mh_task") {
@@ -105,9 +128,10 @@ bool read_chrome_trace(std::istream& is, ReadTrace* out, std::string* error) {
     } else if (ph == "s" || ph == "f") {
       ReadFlow f;
       f.start = ph == "s";
-      f.flow_id = static_cast<std::uint64_t>(ev.num("id"));
-      f.from = id_arg(a, "mh_from");
-      f.to = id_arg(a, "mh_to");
+      if (!whole_field(ev, "id", kMaxId, i, &f.flow_id, error) ||
+          !id("mh_from", &f.from) || !id("mh_to", &f.to)) {
+        return false;
+      }
       f.pid = pid;
       f.tid = tid;
       f.ts_us = ev.num("ts");
@@ -120,7 +144,9 @@ bool read_chrome_trace(std::istream& is, ReadTrace* out, std::string* error) {
       } else if (kind == "thread_name") {
         out->thread_names[{pid, tid}] = std::string(name);
       } else if (kind == "mh_dropped_spans") {
-        out->dropped_spans += static_cast<std::uint64_t>(a.num("value"));
+        std::uint64_t dropped = 0;
+        if (!id("value", &dropped)) return false;
+        out->dropped_spans += dropped;
       }
     }
   }

@@ -71,7 +71,8 @@ struct ReadTrace {
 };
 
 /// Parse a Chrome trace. Returns false and fills `error` (if non-null) on
-/// malformed JSON or a missing traceEvents array.
+/// malformed JSON, a missing traceEvents array, or a pid/tid, id or
+/// dropped-span count that is not a whole number in range.
 bool read_chrome_trace(std::istream& is, ReadTrace* out,
                        std::string* error = nullptr);
 bool read_chrome_trace_file(const std::string& path, ReadTrace* out,

@@ -12,7 +12,7 @@
 // aggregating (amortizing dispatch overhead over more items) right up
 // until service could no longer finish by it, with `margin` absorbing
 // estimate error. Expressed over plain
-// double timestamps (seconds on an arbitrary epoch); serve::ServeFrontEnd
+// double timestamps (seconds on an arbitrary epoch); run_serve's simulator
 // evaluates it on the simulated clock, and the tail-latency claims CI
 // gates are made about this exact arithmetic.
 #pragma once

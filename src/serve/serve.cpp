@@ -255,9 +255,9 @@ class Sim {
     if (cfg_.policy == FlushPolicy::kTimer) {
       return oldest_arrival(c) + cfg_.flush_window.sec();
     }
-    // The serving discipline: the same last-responsible-moment arithmetic
-    // the BatchingEngine's deadline hook runs on the wall clock, with the
-    // known-cost service estimate of the class's next batch.
+    // The serving discipline: the last-responsible-moment arithmetic of
+    // rt::deadline_flush_at, with the known-cost service estimate of the
+    // class's next batch.
     return rt::deadline_flush_at(
         earliest_deadline(c),
         service_time(c, std::min(pending_[c], cfg_.max_batch)),

@@ -11,6 +11,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,14 +25,20 @@
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/health.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_diff.hpp"
 #include "obs/trace_reader.hpp"
 #include "runtime/batching.hpp"
 #include "runtime/thread_pool.hpp"
+
+// Provided by the sanitizer runtimes; null in a build without them.
+extern "C" void __sanitizer_set_death_callback(void (*callback)())
+    __attribute__((weak));
 
 namespace mh::obs {
 namespace {
@@ -189,6 +198,213 @@ TEST(JsonParser, DeepNestingIsATypedErrorNotACrash) {
     EXPECT_FALSE(
         parse(nest(json::JsonParser::kMaxDepth + 1, open, close), &error));
   }
+}
+
+TEST(JsonValue, WholeAcceptsOnlyInRangeWholeNumbers) {
+  json::JsonValue v;
+  std::string error;
+  ASSERT_TRUE(json::parse(
+      R"({"n": 42, "frac": 1.5, "neg": -3, "huge": 1e300,)"
+      R"( "two64": 18446744073709551616, "top": 9007199254740992,)"
+      R"( "s": "7"})",
+      &v, &error))
+      << error;
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t out = 99;
+  EXPECT_TRUE(v.whole("absent", kAny, &out));
+  EXPECT_EQ(out, 0u);
+  EXPECT_TRUE(v.whole("n", kAny, &out));
+  EXPECT_EQ(out, 42u);
+  EXPECT_TRUE(v.whole("n", 42, &out));
+  EXPECT_FALSE(v.whole("n", 41, &out));
+  EXPECT_TRUE(v.whole("top", kAny, &out));
+  EXPECT_EQ(out, 9007199254740992u);
+  out = 99;
+  for (const char* key : {"frac", "neg", "huge", "two64", "s"}) {
+    EXPECT_FALSE(v.whole(key, kAny, &out)) << key;
+    EXPECT_EQ(out, 99u) << key;  // left alone on failure
+  }
+}
+
+TEST(TraceReader, OutOfRangeNumbersAreTypedErrorsNamingTheField) {
+  const auto read = [](const std::string& event, std::string* error) {
+    std::istringstream is("{\"traceEvents\":[" + event + "]}");
+    ReadTrace trace;
+    return read_chrome_trace(is, &trace, error);
+  };
+  const std::string span = R"("ph":"X","name":"a","ts":0,"dur":1)";
+  std::string error;
+  ASSERT_TRUE(read("{" + span + R"(,"pid":2147483647,"tid":0})", &error))
+      << error;
+  for (const auto& [event, field] :
+       {std::pair<std::string, std::string>{
+            "{" + span + R"(,"pid":1e300,"tid":0})", "pid"},
+        {"{" + span + R"(,"pid":2147483648,"tid":0})", "pid"},
+        {"{" + span + R"(,"pid":1,"tid":-1})", "tid"},
+        {"{" + span + R"(,"pid":1.5,"tid":0})", "pid"},
+        {"{" + span + R"(,"pid":1,"tid":0,"args":{"mh_id":1e300}})", "mh_id"},
+        {"{" + span + R"(,"pid":1,"tid":0,"args":{"mh_parent":-2}})",
+         "mh_parent"},
+        {R"({"ph":"s","id":1e300,"pid":1,"tid":0,"ts":0})", "id"},
+        {R"({"ph":"f","id":1,"pid":1,"tid":0,"ts":0,"args":{"mh_to":0.5}})",
+         "mh_to"},
+        {R"({"ph":"M","name":"mh_dropped_spans","pid":1,"args":{"value":-3}})",
+         "value"}}) {
+    error.clear();
+    EXPECT_FALSE(read(event, &error)) << event;
+    EXPECT_NE(error.find("'" + field + "'"), std::string::npos)
+        << event << " -> " << error;
+  }
+}
+
+// Seeded mutation of the two readers that take outside bytes: a dashboard
+// and a Chrome trace, each built in memory, are truncated, bit-flipped,
+// spliced and given exponents, and each reader must answer with a result
+// or a typed error — never throw, crash or trip a sanitizer. A failure
+// names the case's seed; the sanitizer death callback below names the seed
+// in flight when a report ends the process.
+std::atomic<std::uint64_t> g_mutation_seed{0};
+
+std::string mutate(const std::string& doc, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](std::size_t n) {
+    return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
+  };
+  std::string out = doc;
+  const std::size_t edits = 1 + pick(3);
+  for (std::size_t e = 0; e < edits && !out.empty(); ++e) {
+    switch (pick(4)) {
+      case 0:  // truncation
+        out.resize(pick(out.size()));
+        break;
+      case 1:  // byte flip
+        out[pick(out.size())] ^= static_cast<char>(1u << pick(8));
+        break;
+      case 2: {  // splice: a slice of the document pasted elsewhere
+        const std::size_t from = pick(out.size());
+        const std::string slice = out.substr(from, 1 + pick(64));
+        out.insert(pick(out.size() + 1), slice);
+        break;
+      }
+      default: {  // an exponent after a number: huge, tiny or negative
+        std::vector<std::size_t> ends;
+        for (std::size_t i = 0; i + 1 < out.size(); ++i) {
+          if (std::isdigit(static_cast<unsigned char>(out[i])) != 0 &&
+              std::isdigit(static_cast<unsigned char>(out[i + 1])) == 0) {
+            ends.push_back(i + 1);
+          }
+        }
+        if (ends.empty()) break;
+        static const char* const kExponents[] = {"e300", "e19", "e-400",
+                                                  "e400", "e9"};
+        std::size_t at = ends[pick(ends.size())];
+        if (pick(4) == 0) {
+          // Make the number negative too.
+          std::size_t start = at;
+          while (start > 0 && (std::isdigit(static_cast<unsigned char>(
+                                   out[start - 1])) != 0 ||
+                               out[start - 1] == '.')) {
+            --start;
+          }
+          out.insert(start, "-");
+          ++at;
+        }
+        out.insert(at, kExponents[pick(std::size(kExponents))]);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ReaderMutation, DashboardAndTraceReadersNeverCrashOrThrow) {
+  if (__sanitizer_set_death_callback != nullptr) {
+    __sanitizer_set_death_callback([] {
+      std::fprintf(stderr, "ReaderMutation: case seed %llu in flight\n",
+                   static_cast<unsigned long long>(g_mutation_seed.load()));
+    });
+  }
+
+  HealthPlane::Config config;
+  config.ranks = 3;
+  HealthPlane plane(config);
+  ScenarioTelemetry tel(3);
+  for (int t = 1; t <= 4; ++t) {
+    for (std::size_t r = 0; r < 3; ++r) {
+      tel.gauge(r, "mh_rank_alive", r == 1 && t >= 2 ? 0.0 : 1.0);
+      tel.gauge(r, "mh_rank_queue_depth", static_cast<double>(r + t));
+    }
+    tel.counter(0, "mh_tasks", 10.0 * t);
+    plane.tick(tel.collect(t), t);
+  }
+  const std::string dashboard = plane.dashboard_json();
+  ASSERT_TRUE(check_dashboard_text(dashboard).ok);
+
+  TraceSession session;
+  {
+    ScopedSpan outer(&session, "outer", Category::kPreprocess, {{"n", 3.0}});
+    ScopedSpan inner(&session, "inner", Category::kCpuCompute);
+    session.add_edge(outer.id(), inner.id());
+  }
+  const auto track = session.track(ClockDomain::kSim, "node0/phases");
+  const std::uint64_t pre = session.record_sim_linked(
+      track, "pre", Category::kPreprocess, SimTime::micros(0.0),
+      SimTime::micros(2.0), {});
+  session.record_sim_linked(track, "gpu", Category::kGpuKernel,
+                            SimTime::micros(2.0), SimTime::micros(5.0),
+                            {pre, 7});
+  std::ostringstream os;
+  session.write_chrome_trace(os);
+  const std::string trace_text = os.str();
+  {
+    std::istringstream is(trace_text);
+    ReadTrace trace;
+    std::string error;
+    ASSERT_TRUE(read_chrome_trace(is, &trace, &error)) << error;
+  }
+
+  // A fixed budget: 2000 cases per reader, seeds 1..2000 for the
+  // dashboard and 10001..12000 for the trace.
+  constexpr std::uint64_t kCases = 2000;
+  std::size_t dashboard_range_errors = 0;
+  std::size_t trace_range_errors = 0;
+  for (std::uint64_t i = 1; i <= kCases; ++i) {
+    const std::uint64_t seed = i;
+    g_mutation_seed = seed;
+    const std::string doc = mutate(dashboard, seed);
+    try {
+      const DashboardCheck check = check_dashboard_text(doc);
+      EXPECT_TRUE(check.ok || !check.problems.empty())
+          << "dashboard seed " << seed << ": rejected without a problem";
+      for (const std::string& p : check.problems) {
+        if (p.find("not a whole number") != std::string::npos) {
+          ++dashboard_range_errors;
+        }
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "dashboard seed " << seed << " threw: " << e.what();
+    }
+  }
+  for (std::uint64_t i = 1; i <= kCases; ++i) {
+    const std::uint64_t seed = 10000 + i;
+    g_mutation_seed = seed;
+    std::istringstream is(mutate(trace_text, seed));
+    ReadTrace trace;
+    std::string error;
+    try {
+      const bool ok = read_chrome_trace(is, &trace, &error);
+      EXPECT_TRUE(ok || !error.empty())
+          << "trace seed " << seed << ": rejected without an error";
+      if (!ok && error.find("not a whole number") != std::string::npos) {
+        ++trace_range_errors;
+      }
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "trace seed " << seed << " threw: " << e.what();
+    }
+  }
+  // The exponent mutations reach the integer fields of both readers.
+  EXPECT_GT(dashboard_range_errors, 0u);
+  EXPECT_GT(trace_range_errors, 0u);
 }
 
 // ---------------------------------------------------------------------------

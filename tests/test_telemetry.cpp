@@ -1,8 +1,8 @@
 // Tests for the live cluster health plane: delta-encoded telemetry
-// (src/obs/telemetry), the online detector/alert engine (src/obs/health),
-// and the scenario integrations — the clustersim steal loop and the churn
-// drill. The scenario tests run on the simulated clock, so alert sequences
-// are asserted exactly.
+// (src/obs/telemetry), the rollup, detector/alert engine and dashboard
+// (src/obs/health), and the scenario integrations — the clustersim steal
+// loop and the churn drill. The scenario tests run on the simulated clock,
+// so alert sequences are asserted exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/coulomb.hpp"
@@ -22,6 +23,7 @@
 #include "mra/function.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/health.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -31,8 +33,17 @@
 namespace mh::obs {
 namespace {
 
+HealthPlane::Config plane_config(std::size_t ranks,
+                                 std::vector<AlertRule> rules = {}) {
+  HealthPlane::Config config;
+  config.ranks = ranks;
+  config.rules = std::move(rules);
+  return config;
+}
+
 // ---------------------------------------------------------------------------
-// Histogram merge: the lossless-rollup property
+// Histogram merge: the lossless property serve's all-tenant latency
+// rollup relies on
 
 // merge(a, b) must be indistinguishable from one histogram that observed
 // both sample streams: same count, sum, min, max, and every bucket. Sample
@@ -130,7 +141,7 @@ TEST(Telemetry, ScenarioDeltasShipOnlyChanges) {
 
 TEST(Telemetry, RollupIsExactAcrossRanks) {
   ScenarioTelemetry tel(3);
-  TelemetryAggregator agg({3, 128});
+  HealthPlane plane(plane_config(3));
 
   tel.counter(0, "done", 10.0);
   tel.counter(1, "done", 20.0);
@@ -138,12 +149,11 @@ TEST(Telemetry, RollupIsExactAcrossRanks) {
   tel.gauge(0, "depth", 3.0);
   tel.gauge(1, "depth", 9.0);
   tel.gauge(2, "depth", 5.0);
-  for (const auto& d : tel.collect(1.0)) agg.ingest(d);
-  agg.commit(1.0);
+  plane.tick(tel.collect(1.0), 1.0);
 
-  EXPECT_DOUBLE_EQ(agg.counter_total("done"), 35.0);
-  EXPECT_DOUBLE_EQ(agg.lane("done", 1), 20.0);
-  const auto stats = agg.gauge_stats("depth");
+  EXPECT_DOUBLE_EQ(plane.counter_total("done"), 35.0);
+  EXPECT_DOUBLE_EQ(plane.lane("done", 1), 20.0);
+  const auto stats = plane.gauge_stats("depth");
   EXPECT_EQ(stats.lanes, 3u);
   EXPECT_DOUBLE_EQ(stats.min, 3.0);
   EXPECT_DOUBLE_EQ(stats.median, 5.0);
@@ -152,49 +162,18 @@ TEST(Telemetry, RollupIsExactAcrossRanks) {
   // Second round: counters accumulate increments into exact totals.
   tel.counter(0, "done", 14.0);
   tel.gauge(1, "depth", 1.0);
-  for (const auto& d : tel.collect(2.0)) agg.ingest(d);
-  agg.commit(2.0);
-  EXPECT_DOUBLE_EQ(agg.counter_total("done"), 39.0);
-  EXPECT_DOUBLE_EQ(agg.lane("depth", 1), 1.0);
-
-  // Histogram lanes merge losslessly: the merged rollup equals one
-  // histogram that observed every rank's samples.
-  MetricsRegistry reg;
-  Histogram& h0 = reg.histogram("h0");
-  Histogram& h1 = reg.histogram("h1");
-  Histogram& hall = reg.histogram("hall");
-  for (const double v : {1.0, 4.0, 256.0}) {
-    h0.observe(v);
-    hall.observe(v);
-  }
-  for (const double v : {2.0, 2.0, 65536.0}) {
-    h1.observe(v);
-    hall.observe(v);
-  }
-  tel.histogram(0, "lat", h0.snapshot());
-  tel.histogram(1, "lat", h1.snapshot());
-  for (const auto& d : tel.collect(3.0)) agg.ingest(d);
-  agg.commit(3.0);
-  const TelemetryAggregator::Instrument* inst = agg.find("lat");
-  ASSERT_NE(inst, nullptr);
-  const HistogramSnapshot merged = inst->merged();
-  const HistogramSnapshot expect = hall.snapshot();
-  EXPECT_EQ(merged.count, expect.count);
-  EXPECT_DOUBLE_EQ(merged.sum, expect.sum);
-  EXPECT_DOUBLE_EQ(merged.min, expect.min);
-  EXPECT_DOUBLE_EQ(merged.max, expect.max);
-  for (std::size_t i = 0; i < kHistogramBuckets; ++i) {
-    EXPECT_EQ(merged.buckets[i], expect.buckets[i]);
-  }
+  plane.tick(tel.collect(2.0), 2.0);
+  EXPECT_DOUBLE_EQ(plane.counter_total("done"), 39.0);
+  EXPECT_DOUBLE_EQ(plane.lane("depth", 1), 1.0);
 }
 
 TEST(Telemetry, SequenceGapsCountLostSnapshotsButIdleDoesNot) {
   ScenarioTelemetry tel(2);
-  TelemetryAggregator agg({2, 128});
+  HealthPlane plane(plane_config(2));
 
   tel.gauge(0, "depth", 1.0);
-  for (const auto& d : tel.collect(1.0)) agg.ingest(d);
-  EXPECT_EQ(agg.snapshots_lost(), 0u);
+  plane.tick(tel.collect(1.0), 1.0);
+  EXPECT_EQ(plane.snapshots_lost(), 0u);
 
   // An idle stretch ships nothing — and must not read as loss later.
   EXPECT_TRUE(tel.collect(2.0).empty());
@@ -209,27 +188,38 @@ TEST(Telemetry, SequenceGapsCountLostSnapshotsButIdleDoesNot) {
   auto delivered = tel.collect(4.0);
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].seq, 3u);
-  agg.ingest(delivered[0]);
-  EXPECT_EQ(agg.snapshots_lost(), 1u);
-  EXPECT_DOUBLE_EQ(agg.lane("depth", 0), 3.0);  // gauges self-heal: levels
+  plane.tick(delivered, 4.0);
+  EXPECT_EQ(plane.snapshots_lost(), 1u);
+  EXPECT_DOUBLE_EQ(plane.lane("depth", 0), 3.0);  // gauges self-heal: levels
 }
 
 TEST(Telemetry, RingIsBoundedAndCountsEvictions) {
   ScenarioTelemetry tel(1);
-  TelemetryAggregator agg({1, 4});
-  for (int t = 1; t <= 10; ++t) {
+  HealthPlane plane(plane_config(1));
+  const std::size_t ticks = HealthPlane::kRingCapacity + 6;
+  for (std::size_t t = 1; t <= ticks; ++t) {
     tel.gauge(0, "depth", static_cast<double>(t));
-    for (const auto& d : tel.collect(t)) agg.ingest(d);
-    agg.commit(t);
+    plane.tick(tel.collect(t), t);
   }
-  const TelemetryAggregator::Instrument* inst = agg.find("depth");
-  ASSERT_NE(inst, nullptr);
-  EXPECT_EQ(inst->ring.size(), 4u);
-  EXPECT_EQ(inst->ring_evicted, 6u);
+  // The ring is what the dashboard shows: read it back from there.
+  json::JsonValue root;
+  std::string error;
+  ASSERT_TRUE(json::parse(plane.dashboard_json(), &root, &error)) << error;
+  const json::JsonValue* instruments = root.find("instruments");
+  ASSERT_NE(instruments, nullptr);
+  ASSERT_EQ(instruments->array.size(), 1u);
+  const json::JsonValue& depth = instruments->array[0];
+  EXPECT_EQ(depth.text("name"), "depth");
+  const json::JsonValue* ring = depth.find("ring");
+  ASSERT_NE(ring, nullptr);
+  ASSERT_EQ(ring->array.size(), HealthPlane::kRingCapacity);
+  EXPECT_DOUBLE_EQ(depth.num("ring_evicted"), 6.0);
   // The survivors are the newest points, in order.
-  EXPECT_DOUBLE_EQ(inst->ring.front().time_s, 7.0);
-  EXPECT_DOUBLE_EQ(inst->ring.back().time_s, 10.0);
-  EXPECT_DOUBLE_EQ(inst->ring.back().value, 10.0);
+  EXPECT_DOUBLE_EQ(ring->array.front().array[0].number, 7.0);
+  EXPECT_DOUBLE_EQ(ring->array.back().array[0].number,
+                   static_cast<double>(ticks));
+  EXPECT_DOUBLE_EQ(ring->array.back().array[1].number,
+                   static_cast<double>(ticks));
 }
 
 // ---------------------------------------------------------------------------
@@ -240,8 +230,7 @@ TEST(Health, HysteresisDebouncesFireAndResolve) {
       {AlertRule::Kind::kStraggler, "straggler", "mh_rank_queue_depth", "",
        4.0, /*for_ticks=*/2, /*resolve_ticks=*/2},
   };
-  HealthMonitor monitor({rules, nullptr, nullptr, 256});
-  TelemetryAggregator agg({4, 128});
+  HealthPlane plane(plane_config(4, rules));
   ScenarioTelemetry tel(4);
 
   const auto tick = [&](double t, double straggler_depth) {
@@ -249,15 +238,13 @@ TEST(Health, HysteresisDebouncesFireAndResolve) {
     for (std::size_t r = 1; r < 4; ++r) {
       tel.gauge(r, "mh_rank_queue_depth", 1.0);
     }
-    for (const auto& d : tel.collect(t)) agg.ingest(d);
-    agg.commit(t);
-    return monitor.evaluate(agg, t);
+    return plane.tick(tel.collect(t), t);
   };
 
   // Tick 1: condition true, debounce not elapsed — pending, no event.
   EXPECT_TRUE(tick(1.0, 20.0).empty());
   {
-    const auto active = monitor.active();
+    const auto active = plane.active_alerts();
     ASSERT_EQ(active.size(), 1u);
     EXPECT_EQ(active[0].state, AlertState::kPending);
     EXPECT_EQ(active[0].rank, 0u);
@@ -278,11 +265,11 @@ TEST(Health, HysteresisDebouncesFireAndResolve) {
   events = tick(6.0, 1.0);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].state, AlertState::kResolved);
-  EXPECT_TRUE(monitor.active().empty());
+  EXPECT_TRUE(plane.active_alerts().empty());
   // History kept the two transitions, in order.
-  ASSERT_EQ(monitor.history().size(), 2u);
-  EXPECT_EQ(monitor.history()[0].state, AlertState::kFiring);
-  EXPECT_EQ(monitor.history()[1].state, AlertState::kResolved);
+  ASSERT_EQ(plane.alert_history().size(), 2u);
+  EXPECT_EQ(plane.alert_history()[0].state, AlertState::kFiring);
+  EXPECT_EQ(plane.alert_history()[1].state, AlertState::kResolved);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,8 +278,7 @@ TEST(Health, HysteresisDebouncesFireAndResolve) {
 TEST(Health, SloBurnRuleFiresAndResolvesWithHysteresis) {
   // serve_rules(): mh_serve_slo_burn >= 0.5, 2 ticks to fire, 3 clean
   // ticks to resolve.
-  HealthMonitor monitor({serve::serve_rules(), nullptr, nullptr, 256});
-  TelemetryAggregator agg({4, 128});
+  HealthPlane plane(plane_config(4, serve::serve_rules()));
   ScenarioTelemetry tel(4);
 
   const auto tick = [&](double t, double burn_b) {
@@ -300,9 +286,7 @@ TEST(Health, SloBurnRuleFiresAndResolvesWithHysteresis) {
     for (const std::size_t lane : {0u, 2u, 3u}) {
       tel.gauge(lane, "mh_serve_slo_burn", 0.0);
     }
-    for (const auto& d : tel.collect(t)) agg.ingest(d);
-    agg.commit(t);
-    return monitor.evaluate(agg, t);
+    return plane.tick(tel.collect(t), t);
   };
 
   // One bad tick is pending, not firing (a single window with a miss burst
@@ -323,31 +307,28 @@ TEST(Health, SloBurnRuleFiresAndResolvesWithHysteresis) {
   events = tick(6.0, 0.0);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].state, AlertState::kResolved);
-  EXPECT_TRUE(monitor.active().empty());
+  EXPECT_TRUE(plane.active_alerts().empty());
 }
 
 TEST(Health, SloBurnRuleScopesToTheBurningTenant) {
   // Tenant lanes are independent alerts: one tenant burning its SLO
   // budget must not page the others.
-  HealthMonitor monitor({serve::serve_rules(), nullptr, nullptr, 256});
-  TelemetryAggregator agg({4, 128});
+  HealthPlane plane(plane_config(4, serve::serve_rules()));
   ScenarioTelemetry tel(4);
 
   for (int t = 1; t <= 3; ++t) {
     for (std::size_t lane = 0; lane < 4; ++lane) {
       tel.gauge(lane, "mh_serve_slo_burn", lane == 2 ? 1.0 : 0.1);
     }
-    for (const auto& d : tel.collect(t)) agg.ingest(d);
-    agg.commit(t);
-    monitor.evaluate(agg, t);
+    plane.tick(tel.collect(t), t);
   }
-  const auto active = monitor.active();
+  const auto active = plane.active_alerts();
   ASSERT_EQ(active.size(), 1u);
   EXPECT_EQ(active[0].rule, "slo_burn");
   EXPECT_EQ(active[0].rank, 2u);
   EXPECT_EQ(active[0].state, AlertState::kFiring);
-  ASSERT_EQ(monitor.history().size(), 1u);
-  EXPECT_EQ(monitor.history()[0].rank, 2u);
+  ASSERT_EQ(plane.alert_history().size(), 1u);
+  EXPECT_EQ(plane.alert_history()[0].rank, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,8 +338,7 @@ TEST(Health, StealThrashFiresOnDeniedStealsAndResolves) {
   // default_rules(): denied / requested >= 0.8 per tick with at least
   // kStealThrashMinRequests requests, 2 ticks to fire, 2 to resolve. The
   // stealing run publishes running totals on lane 0.
-  HealthMonitor monitor({default_rules(), nullptr, nullptr, 256});
-  TelemetryAggregator agg({4, 128});
+  HealthPlane plane(plane_config(4, default_rules()));
   ScenarioTelemetry tel(4);
   double requests = 0.0;
   double denials = 0.0;
@@ -367,9 +347,7 @@ TEST(Health, StealThrashFiresOnDeniedStealsAndResolves) {
     denials += denied;
     tel.counter(0, "mh_steal_requests", requests);
     tel.counter(0, "mh_steal_denials", denials);
-    for (const auto& d : tel.collect(t)) agg.ingest(d);
-    agg.commit(t);
-    return monitor.evaluate(agg, t);
+    return plane.tick(tel.collect(t), t);
   };
 
   // Below the request floor every steal may be denied without a signal:
@@ -378,18 +356,18 @@ TEST(Health, StealThrashFiresOnDeniedStealsAndResolves) {
   EXPECT_TRUE(tick(1.0, 3.0, 3.0).empty());
   EXPECT_TRUE(tick(2.0, 3.0, 3.0).empty());
   EXPECT_TRUE(tick(3.0, 3.0, 3.0).empty());
-  EXPECT_TRUE(monitor.active().empty());
+  EXPECT_TRUE(plane.active_alerts().empty());
   // Two thrashing ticks: pending, then firing (exactly 0.8 counts).
   EXPECT_TRUE(tick(4.0, 10.0, 9.0).empty());
-  EXPECT_EQ(monitor.active().size(), 1u);
+  EXPECT_EQ(plane.active_alerts().size(), 1u);
   EXPECT_EQ(tick(5.0, 10.0, 8.0).size(), 1u);
   // Quiet tick one is below the request floor, quiet tick two has a low
   // denial ratio; the second resolves.
   EXPECT_TRUE(tick(6.0, 3.0, 3.0).empty());
   EXPECT_EQ(tick(7.0, 10.0, 2.0).size(), 1u);
-  EXPECT_TRUE(monitor.active().empty());
+  EXPECT_TRUE(plane.active_alerts().empty());
 
-  const auto& history = monitor.history();
+  const auto history = plane.alert_history();
   ASSERT_EQ(history.size(), 2u);
   EXPECT_EQ(history[0].rule, "steal_thrash");
   EXPECT_EQ(history[0].state, AlertState::kFiring);
@@ -412,7 +390,6 @@ TEST(Health, StealThrashFiresOnDeniedStealsAndResolves) {
 TEST(Health, DashboardRoundTripsThroughTheChecker) {
   HealthPlane::Config cfg;
   cfg.ranks = 3;
-  cfg.ring_capacity = 8;
   HealthPlane plane(cfg);
 
   ScenarioTelemetry tel(3);
@@ -448,6 +425,41 @@ TEST(Health, DashboardRoundTripsThroughTheChecker) {
   ASSERT_NE(at, std::string::npos);
   wrong_schema.replace(at, 15, "mh_dashboard_v9");
   EXPECT_FALSE(check_dashboard_text(wrong_schema).ok);
+}
+
+TEST(Health, DashboardCheckerNamesOutOfRangeCounts) {
+  // Counts the checker turns into integers must be whole numbers in range:
+  // casting 1e300 or -3 to an integer type is undefined behaviour.
+  HealthPlane plane(plane_config(3));
+  ScenarioTelemetry tel(3);
+  for (std::size_t r = 0; r < 3; ++r) tel.gauge(r, "mh_rank_alive", 1.0);
+  plane.tick(tel.collect(1.0), 1.0);
+  const std::string doc = plane.dashboard_json();
+  ASSERT_TRUE(check_dashboard_text(doc).ok);
+
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string out = doc;
+    const auto at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return check_dashboard_text(out);
+  };
+  const auto names = [](const DashboardCheck& check, const std::string& key) {
+    for (const std::string& p : check.problems) {
+      if (p.rfind(key + ":", 0) == 0) return true;
+    }
+    return false;
+  };
+  for (const auto& [from, to, key] :
+       {std::tuple<std::string, std::string, std::string>{
+            "\"ticks\": 1,", "\"ticks\": 1e300,", "ticks"},
+        {"\"ranks\": 3,", "\"ranks\": -3,", "ranks"},
+        {"\"ring_capacity\": 128,", "\"ring_capacity\": 1.5,",
+         "ring_capacity"}}) {
+    const DashboardCheck check = with(from, to);
+    EXPECT_FALSE(check.ok) << to;
+    EXPECT_TRUE(names(check, key)) << to;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -72,12 +72,6 @@ void render(const JsonValue& root) {
       } else if (kind == "gauge") {
         std::cout << "  min/median/max " << inst.num("min") << " / "
                   << inst.num("median") << " / " << inst.num("max");
-      } else if (kind == "histogram") {
-        const JsonValue* hist = inst.find("hist");
-        if (hist != nullptr) {
-          std::cout << "  count " << hist->num("count") << "  p50 "
-                    << hist->num("p50") << "  p999 " << hist->num("p999");
-        }
       }
       const JsonValue* ring = inst.find("ring");
       if (ring != nullptr) {
