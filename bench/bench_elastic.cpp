@@ -13,10 +13,15 @@
 //   recovery time vs R       — one mid-run kill at R = 1 (checkpoint
 //       restart into a resized world), R = 2 and R = 3 (replica
 //       promotion): the redundancy-vs-recovery-cost tradeoff.
+//
+// MH_DASHBOARD=path arms a health plane on every churn run; it rewrites
+// the live dashboard there each detector tick (render or validate it with
+// tools/mh_health).
 #include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_harness.hpp"
@@ -25,6 +30,7 @@
 #include "common/diagnostics.hpp"
 #include "common/table.hpp"
 #include "mra/function.hpp"
+#include "obs/health.hpp"
 
 namespace {
 
@@ -53,6 +59,21 @@ cluster::ChurnConfig make_config(std::uint64_t seed) {
   config.replication = 2;
   config.seed = seed;
   return config;
+}
+
+// One churn run, with a health plane armed when MH_DASHBOARD is set. The
+// plane observes the simulated clock, so it cannot change any result.
+cluster::ChurnResult run_churn(const ops::SeparatedConvolution& op,
+                               const mra::Function& f,
+                               cluster::ChurnConfig config) {
+  const std::string dashboard = obs::dashboard_path_from_env();
+  if (dashboard.empty()) return cluster::run_churn_apply(op, f, config);
+  obs::HealthPlane::Config pc;
+  pc.ranks = config.ranks;
+  pc.dashboard_path = dashboard;
+  obs::HealthPlane plane(std::move(pc));
+  config.health = &plane;
+  return cluster::run_churn_apply(op, f, config);
 }
 
 void check_bitwise(const mra::Function& got, const mra::Function& want) {
@@ -116,7 +137,7 @@ int run(int argc, char** argv) {
 
   // Fault-free reference: the bitwise target and the churn-script clock.
   const cluster::ChurnResult ref =
-      cluster::run_churn_apply(op, f, make_config(seed));
+      run_churn(op, f, make_config(seed));
   MH_CHECK(ref.stats.tasks > 0, "empty apply schedule");
 
   std::cout << "Throughput vs churn rate (R=2, " << ref.stats.tasks
@@ -131,7 +152,7 @@ int run(int argc, char** argv) {
   for (const std::size_t kills : churn_levels) {
     cluster::ChurnConfig config = make_config(seed);
     config.events = make_churn_script(kills, ref.stats.makespan, victims);
-    const cluster::ChurnResult r = cluster::run_churn_apply(op, f, config);
+    const cluster::ChurnResult r = run_churn(op, f, config);
     check_bitwise(r.result, ref.result);
     const double throughput =
         static_cast<double>(r.stats.tasks) / r.stats.makespan.sec() / 1e3;
@@ -160,13 +181,12 @@ int run(int argc, char** argv) {
     // R=1 cannot promote replicas; checkpoints make the kill survivable
     // through a restart into the surviving ranks.
     if (replication == 1) config.checkpoint_every = 32;
-    const cluster::ChurnResult plain = cluster::run_churn_apply(op, f,
-                                                                config);
+    const cluster::ChurnResult plain = run_churn(op, f, config);
     // Kill a rank that holds leaves (guaranteed data loss at R=1).
     const std::size_t victim = loaded_ranks(f, config).front();
     config.events = {{cluster::ChurnEvent::Kind::kKill,
                       plain.stats.makespan * 0.5, victim}};
-    const cluster::ChurnResult r = cluster::run_churn_apply(op, f, config);
+    const cluster::ChurnResult r = run_churn(op, f, config);
     check_bitwise(r.result, plain.result);
     check_bitwise(r.result, ref.result);
     r_table.add_row({std::to_string(replication),

@@ -20,8 +20,8 @@
 //     90% of offered) and the overload point's goodput + shed%.
 //
 // MH_SERVE_* environment overrides (see README "Serving") apply to every
-// sweep point; MH_DASHBOARD / MH_TELEMETRY attach a health plane with the
-// SLO-burn rule to the 0.8-load deadline run and export its dashboard.
+// sweep point; MH_DASHBOARD=path attaches a health plane with the SLO-burn
+// rule to the 0.8-load deadline run and exports its dashboard there.
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -86,11 +86,11 @@ int main(int argc, char** argv) {
                 : std::vector<double>{0.2, 0.4, 0.6, 0.8, 0.9,
                                       1.0, 1.1, 1.2, 1.4};
 
-  // MH_DASHBOARD / MH_TELEMETRY arm a health plane (SLO-burn rule) on the
-  // 0.8-load deadline run; its dashboard passes `mh_health --check` in CI.
+  // MH_DASHBOARD arms a health plane (SLO-burn rule) on the 0.8-load
+  // deadline run; its dashboard passes `mh_health --check` in CI.
   const std::string dashboard = obs::dashboard_path_from_env();
   std::optional<obs::HealthPlane> plane;
-  if (!dashboard.empty() || obs::telemetry_enabled_from_env()) {
+  if (!dashboard.empty()) {
     obs::HealthPlane::Config pc;
     pc.ranks = 4;  // tenant lanes
     pc.rules = serve::serve_rules();

@@ -43,20 +43,7 @@ double tensor_bytes(const Tensor& t) {
 
 ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
                             const mra::Function& f,
-                            const ChurnConfig& config_in) {
-  ChurnConfig config = config_in;
-  // MH_TELEMETRY=1 arms an ambient plane on any churn run that didn't
-  // install one explicitly; MH_DASHBOARD=path adds the live dashboard
-  // file. The plane is an observer on the simulated clock, so arming it
-  // from the environment cannot change the run's results.
-  std::unique_ptr<obs::HealthPlane> env_plane;
-  if (config.health == nullptr && obs::telemetry_enabled_from_env()) {
-    obs::HealthPlane::Config env_cfg;
-    env_cfg.ranks = config.ranks;
-    env_cfg.dashboard_path = obs::dashboard_path_from_env();
-    env_plane = std::make_unique<obs::HealthPlane>(env_cfg);
-    config.health = env_plane.get();
-  }
+                            const ChurnConfig& config) {
   MH_CHECK(config.ranks >= 1, "churn run needs at least one rank");
   MH_CHECK(op.params().ndim == f.params().ndim &&
                op.params().k == f.params().k,

@@ -84,9 +84,9 @@ struct HistogramSnapshot {
 
 /// Bucket-wise lossless merge: the result is indistinguishable from one
 /// histogram that observed both sample streams (count, sum, min, max, and
-/// every bucket — the shared log-bucket geometry is what makes cross-rank
-/// aggregation exact). This is the correctness bedrock of the telemetry
-/// rollup in obs/telemetry.hpp.
+/// every bucket — the shared log-bucket geometry is what makes the merge
+/// exact). serve uses it to fold per-tenant latency histograms into the
+/// all-tenant one.
 HistogramSnapshot merge(const HistogramSnapshot& a,
                         const HistogramSnapshot& b) noexcept;
 

@@ -1,6 +1,7 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/hash.hpp"
@@ -18,7 +19,7 @@ FaultError::FaultError(ErrorCode code, const std::string& what)
 namespace {
 
 constexpr std::array<const char*, kFaultSiteCount> kSiteNames = {
-    "gpu_kernel", "h2d", "d2h", "pinned", "worker_slow", "send"};
+    "gpu_kernel", "h2d", "d2h", "worker_slow", "send"};
 
 [[noreturn]] void bad_spec(const std::string& token, const char* why) {
   throw std::invalid_argument("MH_FAULTS: " + std::string(why) + " in '" +
@@ -30,7 +31,11 @@ std::uint64_t parse_uint(const std::string& token, const std::string& value) {
       value.find_first_not_of("0123456789") != std::string::npos) {
     bad_spec(token, "expected an unsigned integer");
   }
-  return std::stoull(value);
+  try {
+    return std::stoull(value);
+  } catch (const std::out_of_range&) {
+    bad_spec(token, "unsigned integer out of range");
+  }
 }
 
 double parse_prob(const std::string& token, const std::string& value) {
@@ -41,7 +46,7 @@ double parse_prob(const std::string& token, const std::string& value) {
   } catch (const std::exception&) {
     bad_spec(token, "expected a probability");
   }
-  if (used != value.size() || p < 0.0 || p > 1.0) {
+  if (used != value.size() || !(p >= 0.0 && p <= 1.0)) {
     bad_spec(token, "probability must be in [0, 1]");
   }
   return p;
@@ -67,9 +72,14 @@ std::chrono::microseconds parse_delay(const std::string& token,
   } else {
     bad_spec(token, "duration needs a unit (us|ms|s)");
   }
-  if (magnitude < 0.0) bad_spec(token, "duration must be non-negative");
+  // Bounded so the conversion to whole microseconds is defined (this also
+  // rejects nan and inf): a stall longer than a day is a typo.
+  const double us = magnitude * to_us;
+  if (!(us >= 0.0 && us <= 86400e6)) {
+    bad_spec(token, "duration must be in [0, 1 day]");
+  }
   return std::chrono::microseconds(
-      static_cast<std::chrono::microseconds::rep>(magnitude * to_us));
+      static_cast<std::chrono::microseconds::rep>(us));
 }
 
 }  // namespace
@@ -82,15 +92,18 @@ const char* error_code_name(ErrorCode code) noexcept {
   switch (code) {
     case ErrorCode::kGpuKernelFailed: return "gpu_kernel_failed";
     case ErrorCode::kTransferTimeout: return "transfer_timeout";
-    case ErrorCode::kPinnedAllocFailed: return "pinned_alloc_failed";
-    case ErrorCode::kWorkerStalled: return "worker_stalled";
-    case ErrorCode::kSendFailed: return "send_failed";
-    case ErrorCode::kBatchTimeout: return "batch_timeout";
     case ErrorCode::kGpuRetriesExhausted: return "gpu_retries_exhausted";
     case ErrorCode::kRankDead: return "rank_dead";
     case ErrorCode::kDataLost: return "data_lost";
   }
   return "unknown";
+}
+
+double backoff_ms(double first_ms, double cap_ms, std::size_t attempt,
+                  Rng& rng) noexcept {
+  const double base =
+      std::min(first_ms * std::pow(2.0, static_cast<double>(attempt)), cap_ms);
+  return base * (1.0 + 0.25 * rng.next_double());
 }
 
 FaultInjector::FaultInjector(std::uint64_t seed) : seed_(seed) {

@@ -2,12 +2,14 @@
 //
 // On Titan-scale machines the failures the paper's dispatcher quietly
 // assumes away — a kernel launch that errors, a PCIe transfer that stalls,
-// cudaHostAlloc returning out-of-memory, a worker thread descheduled for
-// tens of milliseconds, a dropped message to a remote rank — are routine.
-// This module injects exactly those events, reproducibly, so the
-// resilience machinery above it (BatchingEngine retries + circuit breaker,
-// World send retries, typed device errors) can be regression-tested like
-// any other code path.
+// a worker thread descheduled for tens of milliseconds, a dropped message
+// to a remote rank — are routine. This module injects exactly those
+// events, reproducibly, at the places the running system consults it: the
+// BatchingEngine's GPU attempt (kernel and transfer sites), the CPU pool's
+// workers (worker_slow), and remote sends in World, the replicated DHT,
+// churn and serve (send). The resilience machinery above it (BatchingEngine
+// retries + circuit breaker, World send retries) can then be
+// regression-tested like any other code path.
 //
 // A FaultInjector holds one rule per *site* (the place in the runtime an
 // event can fail). Each site keeps its own event counter and its own
@@ -25,7 +27,7 @@
 //
 // spec     := entry (';' entry)*
 // entry    := 'seed=' uint | site ':' field (',' field)*
-// site     := 'gpu_kernel' | 'h2d' | 'd2h' | 'pinned' | 'worker_slow' | 'send'
+// site     := 'gpu_kernel' | 'h2d' | 'd2h' | 'worker_slow' | 'send'
 // field    := 'p=' float in [0,1] | 'at=' uint (repeatable, 1-based)
 //           | 'every=' uint | 'delay=' duration ('us'|'ms'|'s')
 //
@@ -38,6 +40,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
@@ -54,26 +57,24 @@ enum class FaultSite : std::uint8_t {
   kGpuKernel = 0,  ///< a GPU kernel launch/execution
   kTransferH2D,    ///< a host-to-device transfer
   kTransferD2H,    ///< a device-to-host transfer
-  kPinnedAlloc,    ///< a pinned (page-locked) host allocation
   kWorkerSlow,     ///< a worker task runs slow/stalled (injected delay)
   kSend,           ///< a remote active-message send
 };
-inline constexpr std::size_t kFaultSiteCount = 6;
+inline constexpr std::size_t kFaultSiteCount = 5;
 
 /// Spec name of a site ("gpu_kernel", "h2d", ...).
 const char* site_name(FaultSite site) noexcept;
 
-/// Typed error codes for fault-induced failures. The first five mirror the
-/// injection sites; the rest are produced by the resilience layer when it
-/// gives up (retries exhausted, rank declared dead, every replica of a DHT
-/// entry lost with the ranks that held it).
+/// Typed error codes for fault-induced failures. The first two are raised
+/// when the BatchingEngine's GPU attempt draws an injected fault (site
+/// gpu_kernel, sites h2d/d2h); the rest are produced by the resilience
+/// layer when it gives up (retries exhausted, rank declared dead, every
+/// replica of a DHT entry lost with the ranks that held it). A worker
+/// stall only delays its task, and a failed send is retried or ends in
+/// kRankDead, so neither has a code of its own.
 enum class ErrorCode : std::uint8_t {
   kGpuKernelFailed = 0,
   kTransferTimeout,
-  kPinnedAllocFailed,
-  kWorkerStalled,
-  kSendFailed,
-  kBatchTimeout,         ///< a GPU batch exceeded its per-batch deadline
   kGpuRetriesExhausted,  ///< GPU batch failed every attempt, no CPU fallback
   kRankDead,             ///< remote sends to the rank failed permanently
   kDataLost,             ///< every replica of a DHT entry is on a dead rank
@@ -103,6 +104,14 @@ struct SiteRule {
   std::uint64_t every = 0;         ///< every Nth event fails (0 = off)
   std::chrono::microseconds delay{0};  ///< stall length for kWorkerSlow
 };
+
+/// Retry delay in milliseconds before re-attempt `attempt` (0-based):
+/// min(first_ms * 2^attempt, cap_ms) * (1 + 0.25 u), u in [0, 1) drawn from
+/// the caller-owned `rng`. The jitter decorrelates retries while staying
+/// reproducible under the rng's seed. The BatchingEngine's GPU retries and
+/// World's remote sends both back off through this one formula.
+double backoff_ms(double first_ms, double cap_ms, std::size_t attempt,
+                  Rng& rng) noexcept;
 
 class FaultInjector {
  public:

@@ -29,11 +29,6 @@ obs::Counter& bytes_counter(bool to_device) {
       {{"direction", "d2h"}});
   return to_device ? h2d : d2h;
 }
-obs::Counter& page_locks_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "mh_gpusim_page_locks_total", "host page-lock calls charged");
-  return c;
-}
 }  // namespace
 
 DeviceSpec DeviceSpec::tesla_m2090() {
@@ -74,15 +69,6 @@ SimTime GpuDevice::enqueue_transfer(std::size_t stream, double bytes,
                                     bool to_device) {
   MH_CHECK(stream < stream_ready_.size(), "stream out of range");
   MH_CHECK(bytes >= 0.0, "negative transfer size");
-  if (faults_ != nullptr &&
-      faults_->should_fail(to_device ? fault::FaultSite::kTransferH2D
-                                     : fault::FaultSite::kTransferD2H)) {
-    ++stats_.faults_injected;
-    throw fault::FaultError(
-        fault::ErrorCode::kTransferTimeout,
-        std::string("injected ") + (to_device ? "H2D" : "D2H") +
-            " transfer timeout on stream " + std::to_string(stream));
-  }
   const double bw = pinned ? spec_.pinned_bandwidth : spec_.pageable_bandwidth;
   const SimTime start =
       max(max(ready, stream_ready_[stream]), copy_engine_free_);
@@ -110,13 +96,6 @@ SimTime GpuDevice::enqueue_kernel(std::size_t stream, std::size_t sms,
   MH_CHECK(stream < stream_ready_.size(), "stream out of range");
   MH_CHECK(sms >= 1 && sms <= spec_.num_sms, "SM request out of range");
   MH_CHECK(duration >= SimTime::zero(), "negative kernel duration");
-  if (faults_ != nullptr &&
-      faults_->should_fail(fault::FaultSite::kGpuKernel)) {
-    ++stats_.faults_injected;
-    throw fault::FaultError(
-        fault::ErrorCode::kGpuKernelFailed,
-        "injected GPU kernel failure on stream " + std::to_string(stream));
-  }
 
   // Launches serialize per stream (each stream has a feeding host thread —
   // the paper's "CPU threads for data access"); the kernel cannot start
@@ -150,29 +129,6 @@ SimTime GpuDevice::enqueue_kernel(std::size_t stream, std::size_t sms,
   return done;
 }
 
-SimTime GpuDevice::page_lock(SimTime ready) {
-  ++stats_.page_locks;
-  page_locks_counter().inc();
-  const SimTime done = ready + spec_.page_lock_cost;
-  if (trace_ != nullptr) {
-    trace_->record_sim_linked(host_track_, "page-lock",
-                              obs::Category::kPageLock, ready, done,
-                              trace_link_);
-  }
-  return done;
-}
-
-SimTime GpuDevice::page_unlock(SimTime ready) {
-  ++stats_.page_unlocks;
-  const SimTime done = ready + spec_.page_unlock_cost;
-  if (trace_ != nullptr) {
-    trace_->record_sim_linked(host_track_, "page-unlock",
-                              obs::Category::kPageLock, ready, done,
-                              trace_link_);
-  }
-  return done;
-}
-
 void GpuDevice::set_trace(obs::TraceSession* session,
                           const std::string& prefix) {
   trace_ = session;
@@ -183,7 +139,6 @@ void GpuDevice::set_trace(obs::TraceSession* session,
         obs::ClockDomain::kSim, prefix + "stream" + std::to_string(i)));
   }
   copy_track_ = trace_->track(obs::ClockDomain::kSim, prefix + "copy-engine");
-  host_track_ = trace_->track(obs::ClockDomain::kSim, prefix + "host");
 }
 
 SimTime GpuDevice::stream_ready(std::size_t stream) const {

@@ -14,12 +14,12 @@
 // completion time given its dependency. Numerics, when needed, are executed
 // on the host by the kernel implementations in kernels.hpp.
 //
-// Fault behavior: with a fault::FaultInjector attached
-// (set_fault_injector), enqueue_kernel and enqueue_transfer surface
-// injected faults as typed fault::FaultError exceptions
-// (kGpuKernelFailed / kTransferTimeout) instead of aborting the run —
-// callers decide whether to retry, degrade to the CPU path, or fail the
-// batch. Injected faults are counted in DeviceStats::faults_injected.
+// The device is a pure cost model: it never fails. Fault injection lives
+// where a scenario drives it (the BatchingEngine's GPU attempt, see
+// runtime/batching.hpp). Page-locking is not charged here either: per
+// paper §II-A the runtime locks its staging buffers once at start-up,
+// outside every timed batch, and the per-transfer effect of pinned memory
+// is the bandwidth choice in enqueue_transfer.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/sim_time.hpp"
-#include "fault/fault.hpp"
 #include "obs/trace.hpp"
 
 namespace mh::gpu {
@@ -44,8 +43,6 @@ struct DeviceSpec {
   double pinned_bandwidth = 8e9;    ///< bytes/s with page-locked host memory
   double pageable_bandwidth = 3e9;  ///< bytes/s without
   SimTime transfer_latency = SimTime::micros(10.0);
-  SimTime page_lock_cost = SimTime::millis(0.5);   ///< per page-lock call
-  SimTime page_unlock_cost = SimTime::millis(2.0); ///< per unlock call
 
   SimTime kernel_launch_overhead = SimTime::micros(7.0);
   std::size_t max_streams = 16;
@@ -63,10 +60,7 @@ struct DeviceStats {
   std::size_t transfers = 0;
   double bytes_to_device = 0.0;
   double bytes_to_host = 0.0;
-  std::size_t page_locks = 0;
-  std::size_t page_unlocks = 0;
   double sm_busy_seconds = 0.0;  ///< sum over SMs of busy time
-  std::size_t faults_injected = 0;  ///< operations failed by the injector
 };
 
 class GpuDevice {
@@ -89,10 +83,6 @@ class GpuDevice {
   SimTime enqueue_kernel(std::size_t stream, std::size_t sms,
                          SimTime duration, SimTime ready);
 
-  /// Charge a host-side page-lock / unlock (counted; host-serial).
-  SimTime page_lock(SimTime ready);
-  SimTime page_unlock(SimTime ready);
-
   SimTime stream_ready(std::size_t stream) const;
   /// Time when every stream has drained.
   SimTime idle_time() const;
@@ -102,9 +92,9 @@ class GpuDevice {
   /// Fraction of SM-time busy between time 0 and idle_time().
   double occupancy() const;
 
-  /// Attach a trace session: every kernel, transfer, and page-lock becomes
-  /// a simulated-time span on "<prefix>stream<i>", "<prefix>copy-engine",
-  /// and "<prefix>host" tracks. Pass nullptr to detach.
+  /// Attach a trace session: every kernel and transfer becomes a
+  /// simulated-time span on "<prefix>stream<i>" and "<prefix>copy-engine"
+  /// tracks. Pass nullptr to detach.
   void set_trace(obs::TraceSession* session, const std::string& prefix = {});
 
   /// Causal link stamped on subsequently recorded device spans: the batch
@@ -114,27 +104,17 @@ class GpuDevice {
     trace_link_ = link;
   }
 
-  /// Attach a fault injector: kernel launches and transfers consult it and
-  /// throw typed fault::FaultError on injected faults. nullptr (the
-  /// default) disables injection for this device.
-  void set_fault_injector(fault::FaultInjector* injector) noexcept {
-    faults_ = injector;
-  }
-  fault::FaultInjector* fault_injector() const noexcept { return faults_; }
-
  private:
   DeviceSpec spec_;
   std::vector<SimTime> stream_ready_;
   std::vector<SimTime> sm_free_;
   SimTime copy_engine_free_;
   DeviceStats stats_;
-  fault::FaultInjector* faults_ = nullptr;
 
   obs::TraceSession* trace_ = nullptr;
   obs::TraceSession::SimLink trace_link_;
   std::vector<std::uint32_t> stream_tracks_;
   std::uint32_t copy_track_ = 0;
-  std::uint32_t host_track_ = 0;
 };
 
 }  // namespace mh::gpu

@@ -89,13 +89,9 @@ struct BatchTiming {
 };
 
 /// Execute one batch starting at `start`; returns its timing breakdown.
-/// `cache` may be null when config.device_cache is false.
-///
-/// When a fault::FaultInjector is attached to `device`, injected kernel /
-/// transfer / pinned-allocation faults propagate out of this call as typed
-/// fault::FaultError exceptions with the batch left partially enqueued —
-/// the caller (e.g. the BatchingEngine's retry loop) owns the
-/// retry-or-degrade decision; this function never retries on its own.
+/// `cache` may be null when config.device_cache is false. A pure cost
+/// model: it never fails (faults are injected at the BatchingEngine's GPU
+/// attempt, not here).
 BatchTiming run_apply_batch(GpuDevice& device, DeviceCache* cache,
                             std::span<const GpuTaskDesc> tasks,
                             const BatchConfig& config, SimTime start);

@@ -237,8 +237,7 @@ TraceAnalysis analyze_trace(const ReadTrace& trace) {
       if (!any || s.end_us() > hi) hi = s.end_us();
       any = true;
       const bool gpu_compute = s.category == Category::kTransfer ||
-                               s.category == Category::kGpuKernel ||
-                               s.category == Category::kPageLock;
+                               s.category == Category::kGpuKernel;
       if (s.category == Category::kCpuCompute) {
         cpu_us += s.dur_us;
         if (cpu == nullptr || s.has_arg("items")) cpu = &s;

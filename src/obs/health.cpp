@@ -451,13 +451,6 @@ std::string dashboard_path_from_env() {
   return path != nullptr ? std::string(path) : std::string();
 }
 
-bool telemetry_enabled_from_env() {
-  const char* v = std::getenv("MH_TELEMETRY");
-  if (v == nullptr) return false;
-  const std::string_view s(v);
-  return !s.empty() && s != "0" && s != "off" && s != "false";
-}
-
 DashboardCheck check_dashboard_text(const std::string& text) {
   DashboardCheck out;
   json::JsonValue root;

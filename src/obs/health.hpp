@@ -254,11 +254,9 @@ class HealthPlane {
   std::uint64_t events_dropped_ = 0;
 };
 
-/// MH_DASHBOARD=path, or empty when unset.
+/// MH_DASHBOARD=path, or empty when unset: the one switch with which
+/// bench_elastic and bench_serve arm a health plane.
 std::string dashboard_path_from_env();
-/// MH_TELEMETRY truthy (anything but empty/"0"/"off") arms the plane in
-/// benches and long-running drivers.
-bool telemetry_enabled_from_env();
 
 /// Structural validation of a dashboard file (tools/mh_health --check and
 /// the CI artifact check): parses, verifies the schema marker, finite

@@ -2,8 +2,8 @@
 // tracing in trace.hpp.
 //
 // Spans answer "where did this interval go"; the paper's headline claims
-// (the k* = n/(m+n) hybrid split, batch-aggregation efficiency, page-lock
-// amortisation, §II-A / Fig. 3) are *rates and levels*: pending batch
+// (the k* = n/(m+n) hybrid split, batch-aggregation efficiency, §II-A /
+// Fig. 3) are *rates and levels*: pending batch
 // depth, flushes per reason, live split fraction, stream occupancy, cache
 // hit rate. Those live here as three instrument kinds:
 //
@@ -41,13 +41,12 @@ namespace mh::obs {
 // The log-bucketed histogram geometry (bucket index = frexp exponent + 31,
 // range 2^-31 .. 2^32) lives in common/stats.hpp so benches and the serving
 // layer can summarize open-loop latency streams without this registry; the
-// names are re-exported here because every obs consumer spells them
-// obs::HistogramSnapshot / obs::merge.
+// names are re-exported here because obs consumers spell them
+// obs::HistogramSnapshot.
 using mh::kHistogramBuckets;
 using mh::log_bucket_index;
 using mh::log_bucket_upper;
 using mh::HistogramSnapshot;
-using mh::merge;
 
 /// Relaxed add for atomic<double> (fetch_add on double is C++20-optional).
 inline void atomic_add(std::atomic<double>& a, double delta) noexcept {

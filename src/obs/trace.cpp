@@ -66,7 +66,6 @@ const char* category_name(Category cat) noexcept {
     case Category::kCpuCompute: return "cpu-compute";
     case Category::kGpuKernel: return "gpu-kernel";
     case Category::kTransfer: return "transfer";
-    case Category::kPageLock: return "page-lock";
     case Category::kPostprocess: return "postprocess";
     case Category::kComm: return "comm";
     case Category::kRecovery: return "recovery";

@@ -61,13 +61,12 @@ enum class Category : std::uint8_t {
   kCpuCompute,   ///< CPU-side compute share of a batch
   kGpuKernel,    ///< device kernel execution
   kTransfer,     ///< PCIe H2D/D2H
-  kPageLock,     ///< host page-lock/unlock calls
   kPostprocess,  ///< CPU data threads accumulating results
   kComm,         ///< inter-node / inter-rank messaging
   kRecovery,     ///< replica promotion / checkpoint / restart after a fault
   kOther,
 };
-inline constexpr std::size_t kCategoryCount = 10;
+inline constexpr std::size_t kCategoryCount = 9;
 const char* category_name(Category cat) noexcept;
 
 /// Which clock a span's timestamps live on.

@@ -30,22 +30,22 @@
 // the other kinds keep aggregating until their own trigger, timer, or an
 // explicit flush (this is what preserves batch amortisation — ablation #1).
 //
-// Resilience: the GPU side of a batch can fail (injected via src/fault, a
-// thrown compute_gpu, or a per-batch deadline). A failed GPU batch is
-// retried with exponential backoff + deterministic jitter up to
-// gpu_max_retries; a run of breaker_threshold consecutive failures opens a
-// GPU-health circuit breaker that re-routes whole batches to the CPU side
-// (the live split degrades from k* to 1.0). After breaker_cooldown the
-// breaker goes half-open and sends a single probe item to the GPU: success
-// closes it (the auto-tuned split is restored from the surviving rate
-// estimators), failure re-opens it. When retries are exhausted — or the
-// breaker is open — a hybrid kind falls back to per-item CPU execution, so
-// every submitted item still completes; a GPU-only kind surfaces a typed
-// fault::FaultError from wait() instead of hanging.
+// Resilience: the GPU side of a batch can fail (injected via src/fault at
+// the kernel and transfer sites, or a thrown compute_gpu). A failed GPU
+// batch is retried with exponential backoff + deterministic jitter
+// (fault::backoff_ms) up to gpu_max_retries; a run of breaker_threshold
+// consecutive failures opens a GPU-health circuit breaker that re-routes
+// whole batches to the CPU side (the live split degrades from k* to 1.0).
+// After breaker_cooldown the breaker goes half-open and sends a single
+// probe item to the GPU: success closes it (the auto-tuned split is
+// restored from the surviving rate estimators), failure re-opens it. When
+// retries are exhausted — or the breaker is open — a hybrid kind falls
+// back to per-item CPU execution, so every submitted item still completes;
+// a GPU-only kind surfaces a typed fault::FaultError from wait() instead
+// of hanging.
 #pragma once
 
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -99,20 +99,14 @@ class BatchingEngine {
     /// workers; nullptr means the process injector configured from
     /// MH_FAULTS (fault::FaultInjector::global(), unarmed by default).
     fault::FaultInjector* faults = nullptr;
-    /// Deadline for one GPU batch attempt; exceeding it counts as a
-    /// failure (ErrorCode::kBatchTimeout). Zero disables the deadline.
-    std::chrono::milliseconds gpu_batch_timeout{0};
     /// Retries after the first failed GPU attempt, while the breaker stays
     /// closed.
     std::size_t gpu_max_retries = 2;
-    /// First retry backoff; doubles per attempt up to retry_backoff_max.
+    /// First retry backoff; doubles per attempt up to retry_backoff_max,
+    /// then scaled by (1 + 0.25 u) with u from the engine's own xoshiro
+    /// stream (fault::backoff_ms, seeded with kRetrySeed).
     std::chrono::milliseconds retry_backoff{1};
     std::chrono::milliseconds retry_backoff_max{50};
-    /// Backoff is scaled by (1 + retry_jitter * u), u drawn from a
-    /// dedicated xoshiro stream seeded with retry_seed — deterministic
-    /// decorrelation, reproducible under a fixed seed.
-    double retry_jitter = 0.25;
-    std::uint64_t retry_seed = 0x5eedULL;
     /// Consecutive GPU-batch failures that open the circuit breaker.
     std::size_t breaker_threshold = 3;
     /// Open -> half-open delay before the next single-item GPU probe.
@@ -148,7 +142,8 @@ class BatchingEngine {
     std::size_t breaker_opens = 0;
     std::size_t breaker_closes = 0;
     /// Backoff delays applied so far, in order (ms; capped at 4096
-    /// entries). Byte-for-byte reproducible under a fixed retry_seed.
+    /// entries). Byte-for-byte reproducible: the jitter stream's seed is
+    /// the constant kRetrySeed.
     std::vector<double> retry_backoffs_ms;
   };
 
@@ -197,12 +192,11 @@ class BatchingEngine {
             "cumulative wall time the breaker spent away from closed")),
         faults_(config.faults != nullptr ? config.faults
                                          : &fault::FaultInjector::global()),
-        retry_rng_(config.retry_seed),
+        retry_rng_(kRetrySeed),
         cpu_pool_(std::max<std::size_t>(1, config.cpu_threads), "cpu-pool"),
         gpu_driver_(1, "gpu-driver") {
     MH_CHECK(config_.max_batch >= 1, "batch cap must be positive");
-    // Worker-stall injection (site worker_slow) applies to the CPU workers;
-    // the GPU driver's stalls are modeled by the batch deadline instead.
+    // Worker-stall injection (site worker_slow) applies to the CPU workers.
     cpu_pool_.set_fault_injector(faults_);
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
   }
@@ -653,9 +647,9 @@ class BatchingEngine {
 
   // --- GPU-side resilience --------------------------------------------
 
-  /// One GPU attempt: injected transfer/kernel faults, the aggregated
-  /// compute_gpu call, the per-batch deadline. Throws on any failure; on
-  /// success records the rate sample and submits postprocess tasks.
+  /// One GPU attempt: injected transfer/kernel faults and the aggregated
+  /// compute_gpu call. Throws on any failure; on success records the rate
+  /// sample and submits postprocess tasks.
   void gpu_attempt(Kind* kptr, double kind_id,
                    const std::shared_ptr<GpuWork>& work) {
     std::vector<Output> outs;
@@ -684,11 +678,6 @@ class BatchingEngine {
           faults_->should_fail(fault::FaultSite::kTransferD2H)) {
         throw fault::FaultError(fault::ErrorCode::kTransferTimeout,
                                 "injected D2H transfer timeout");
-      }
-      if (config_.gpu_batch_timeout.count() > 0 &&
-          dt > config_.gpu_batch_timeout) {
-        throw fault::FaultError(fault::ErrorCode::kBatchTimeout,
-                                "GPU batch exceeded its deadline");
       }
       MH_CHECK(outs.size() == work->items.size(),
                "GPU batch must return one output per input");
@@ -748,11 +737,10 @@ class BatchingEngine {
     double delay_ms = 0.0;
     {
       std::scoped_lock lock(mu_);
-      const double base = std::min(
-          static_cast<double>(config_.retry_backoff.count()) *
-              std::pow(2.0, static_cast<double>(attempt)),
-          static_cast<double>(config_.retry_backoff_max.count()));
-      delay_ms = base * (1.0 + config_.retry_jitter * retry_rng_.next_double());
+      delay_ms = fault::backoff_ms(
+          static_cast<double>(config_.retry_backoff.count()),
+          static_cast<double>(config_.retry_backoff_max.count()), attempt,
+          retry_rng_);
       ++stats_.gpu_retries;
       if (stats_.retry_backoffs_ms.size() < 4096) {
         stats_.retry_backoffs_ms.push_back(delay_ms);
@@ -900,6 +888,7 @@ class BatchingEngine {
   bool flush_requested_ = false;
   bool stop_ = false;
   // Resilience state (all under mu_ except the metric handles above).
+  static constexpr std::uint64_t kRetrySeed = 0x5eedULL;
   Rng retry_rng_;
   BreakerState breaker_ = BreakerState::kClosed;
   std::size_t consecutive_gpu_failures_ = 0;

@@ -1,6 +1,6 @@
 #include "world/world.hpp"
 
-#include <cmath>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <utility>
@@ -8,6 +8,14 @@
 #include "common/diagnostics.hpp"
 
 namespace mh::world {
+namespace {
+// Remote-send resilience: re-attempts after the first failure, and their
+// backoff (1 ms doubling to a 20 ms cap, jitter from a fixed seed).
+constexpr std::size_t kSendMaxRetries = 3;
+constexpr double kSendBackoffMs = 1.0;
+constexpr double kSendBackoffMaxMs = 20.0;
+constexpr std::uint64_t kSendSeed = 0x5eedULL;
+}  // namespace
 
 World::World(std::size_t ranks, obs::MetricsRegistry* metrics)
     : metrics_(metrics ? *metrics : obs::MetricsRegistry::global()),
@@ -22,7 +30,7 @@ World::World(std::size_t ranks, obs::MetricsRegistry* metrics)
       m_dead_ranks_(metrics_.gauge("mh_world_dead_ranks",
                                    "ranks declared permanently dead")),
       faults_(&fault::FaultInjector::global()),
-      send_rng_(SendPolicy{}.seed),
+      send_rng_(kSendSeed),
       rank_dead_(ranks, false) {
   MH_CHECK(ranks >= 1, "world needs at least one rank");
   pools_.reserve(ranks);
@@ -93,12 +101,6 @@ void World::submit(std::size_t rank, std::function<void()> task) {
   enqueue(rank, std::move(task), "task", obs::Category::kCpuCompute);
 }
 
-void World::set_send_policy(const SendPolicy& policy) {
-  std::scoped_lock lock(mu_);
-  send_policy_ = policy;
-  send_rng_ = Rng(policy.seed);
-}
-
 void World::set_fault_injector(fault::FaultInjector* injector) {
   std::scoped_lock lock(mu_);
   faults_ = injector != nullptr ? injector : &fault::FaultInjector::global();
@@ -129,11 +131,9 @@ void World::send(std::size_t from, std::size_t to, double bytes,
     // sending thread (a blocked sender is how a real AM layer behaves);
     // exhausting the retries declares the destination dead.
     fault::FaultInjector* injector;
-    SendPolicy policy;
     {
       std::scoped_lock lock(mu_);
       injector = faults_;
-      policy = send_policy_;
       if (rank_dead_[to]) {
         ++stats_.send_failures;
         m_send_failures_.inc();
@@ -149,7 +149,7 @@ void World::send(std::size_t from, std::size_t to, double bytes,
          injector->armed(fault::FaultSite::kSend) &&
          injector->should_fail(fault::FaultSite::kSend);
          ++attempt) {
-      if (attempt >= policy.max_retries) {
+      if (attempt >= kSendMaxRetries) {
         // Permanently dead: drop the handler, record the typed error for
         // fence(), and report the rank through dead_ranks()/metrics.
         std::scoped_lock lock(mu_);
@@ -173,11 +173,8 @@ void World::send(std::size_t from, std::size_t to, double bytes,
       {
         std::scoped_lock lock(mu_);
         ++stats_.send_retries;
-        const double base = std::min(
-            static_cast<double>(policy.backoff.count()) *
-                std::pow(2.0, static_cast<double>(attempt)),
-            static_cast<double>(policy.backoff_max.count()));
-        delay_ms = base * (1.0 + policy.jitter * send_rng_.next_double());
+        delay_ms = fault::backoff_ms(kSendBackoffMs, kSendBackoffMaxMs,
+                                     attempt, send_rng_);
       }
       m_send_retries_.inc();
       std::this_thread::sleep_for(
@@ -216,10 +213,6 @@ void World::fence() {
 World::Stats World::stats() const {
   std::scoped_lock lock(mu_);
   return stats_;
-}
-
-void World::sample_metrics() const {
-  for (const auto& pool : pools_) pool->sample_metrics(metrics_);
 }
 
 }  // namespace mh::world

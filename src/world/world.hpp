@@ -17,7 +17,6 @@
 // (churn, cluster, serve), not by World.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -55,24 +54,15 @@ class World {
   /// payload from rank `from`. Local sends (from == to) are free.
   ///
   /// Remote sends can fail (site `send` of the world's fault injector).
-  /// A failed send is retried with exponential backoff + deterministic
-  /// jitter up to SendPolicy::max_retries; when every attempt fails the
-  /// destination rank is declared permanently dead, the handler is
-  /// dropped, and a typed fault::FaultError (kRankDead) is recorded for
-  /// the next fence(). Sends to an already-dead rank fail fast.
+  /// A failed send is retried up to three times, backing off by
+  /// fault::backoff_ms (1 ms doubling to a 20 ms cap, jitter from a
+  /// fixed-seed stream); when every attempt fails the destination rank is
+  /// declared permanently dead, the handler is dropped, and a typed
+  /// fault::FaultError (kRankDead) is recorded for the next fence(). Sends
+  /// to an already-dead rank fail fast.
   void send(std::size_t from, std::size_t to, double bytes,
             std::function<void()> handler);
 
-  /// Retry/backoff knobs for remote sends.
-  struct SendPolicy {
-    std::size_t max_retries = 3;  ///< re-attempts after the first failure
-    std::chrono::milliseconds backoff{1};  ///< doubles per attempt
-    std::chrono::milliseconds backoff_max{20};
-    double jitter = 0.25;  ///< backoff *= (1 + jitter * u), u in [0,1)
-    std::uint64_t seed = 0x5eedULL;  ///< jitter stream seed
-  };
-  /// Replace the send policy (call before traffic starts).
-  void set_send_policy(const SendPolicy& policy);
 
   /// Fault injector consulted on every remote send; nullptr (the default)
   /// means the process injector configured from MH_FAULTS.
@@ -95,10 +85,6 @@ class World {
   };
   Stats stats() const;
 
-  /// Publish per-rank pool gauges (queue depth, utilization) into the
-  /// world's metrics registry; wire into an obs::Sampler probe.
-  void sample_metrics() const;
-
  private:
   void enqueue(std::size_t rank, std::function<void()> fn,
                const char* span_name, obs::Category cat);
@@ -118,9 +104,8 @@ class World {
   std::size_t outstanding_ = 0;
   Stats stats_;
   std::exception_ptr first_error_;
-  // Send resilience (policy/injector fixed before traffic; rng + dead set
-  // under mu_).
-  SendPolicy send_policy_;
+  // Send resilience (injector fixed before traffic; rng + dead set under
+  // mu_).
   fault::FaultInjector* faults_;
   Rng send_rng_;
   std::vector<bool> rank_dead_;

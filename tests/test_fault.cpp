@@ -1,25 +1,27 @@
 // Chaos tests for src/fault and the resilience layer it drives: the
-// injector's deterministic decision streams and MH_FAULTS grammar, typed
-// device errors in gpusim, the BatchingEngine's retry/backoff + circuit
-// breaker + CPU fallback, World send retries and dead-rank reporting, and
-// the end-to-end Apply acceptance run under a 100% GPU-kernel fault rate.
+// injector's deterministic decision streams and MH_FAULTS grammar (with a
+// seeded mutation sweep over it), the shared retry backoff, the
+// BatchingEngine's retry + circuit breaker + CPU fallback, World send
+// retries and dead-rank reporting, and the end-to-end Apply acceptance run
+// under a 100% GPU-kernel fault rate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/coulomb.hpp"
+#include "common/rng.hpp"
 #include "fault/fault.hpp"
-#include "gpusim/device.hpp"
-#include "gpusim/pinned.hpp"
 #include "mra/function.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -29,6 +31,10 @@
 #include "runtime/batching.hpp"
 #include "runtime/thread_pool.hpp"
 #include "world/world.hpp"
+
+// Provided by the sanitizer runtimes; null in a build without them.
+extern "C" void __sanitizer_set_death_callback(void (*callback)())
+    __attribute__((weak));
 
 namespace mh {
 namespace {
@@ -149,7 +155,6 @@ TEST(FaultInjector, SpecGrammarRoundTrips) {
   EXPECT_TRUE(fi.armed(FaultSite::kGpuKernel));
   EXPECT_TRUE(fi.armed(FaultSite::kTransferH2D));
   EXPECT_FALSE(fi.armed(FaultSite::kTransferD2H));
-  EXPECT_FALSE(fi.armed(FaultSite::kPinnedAlloc));
   std::vector<int> h2d_failed;
   for (int event = 1; event <= 8; ++event) {
     if (fi.should_fail(FaultSite::kTransferH2D)) h2d_failed.push_back(event);
@@ -172,8 +177,102 @@ TEST(FaultInjector, SpecGrammarRejectsBadInput) {
   EXPECT_THROW(fi.configure("send:every=0"), std::invalid_argument);
   EXPECT_THROW(fi.configure("send:at=x"), std::invalid_argument);
   EXPECT_THROW(fi.configure("no_colon_here"), std::invalid_argument);
+  EXPECT_THROW(fi.configure("seed=99999999999999999999999"),
+               std::invalid_argument);
+  EXPECT_THROW(fi.configure("gpu_kernel:p=nan"), std::invalid_argument);
+  EXPECT_THROW(fi.configure("worker_slow:delay=1e300s"),
+               std::invalid_argument);
+  EXPECT_THROW(fi.configure("worker_slow:delay=infms"),
+               std::invalid_argument);
+  // Page-locked allocation is not an injection site: the token is named.
+  try {
+    fi.configure("pinned:p=1");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'pinned:p=1'"), std::string::npos)
+        << e.what();
+  }
   // A failed configure leaves the injector unchanged (still unarmed).
   EXPECT_FALSE(fi.armed());
+}
+
+// Seeded mutation of the MH_FAULTS grammar: valid specs are truncated,
+// bit-flipped and spliced into each other, and configure must either
+// accept the result or throw std::invalid_argument — never another
+// exception, a crash or a sanitizer report. A failure names the case's
+// seed; the sanitizer death callback names the seed in flight.
+std::atomic<std::uint64_t> g_spec_seed{0};
+
+std::string mutate_spec(const std::vector<std::string>& corpus,
+                        std::uint64_t seed) {
+  Rng rng(seed);
+  const auto pick = [&rng](std::size_t n) {
+    return n == 0 ? 0 : static_cast<std::size_t>(rng.below(n));
+  };
+  std::string out = corpus[pick(corpus.size())];
+  const std::size_t edits = 1 + pick(3);
+  for (std::size_t e = 0; e < edits && !out.empty(); ++e) {
+    switch (pick(3)) {
+      case 0:  // truncation
+        out.resize(pick(out.size()));
+        break;
+      case 1:  // bit flip
+        out[pick(out.size())] ^= static_cast<char>(1u << pick(8));
+        break;
+      default: {  // splice: a slice of any valid spec pasted anywhere
+        const std::string& donor = corpus[pick(corpus.size())];
+        const std::string slice =
+            donor.substr(pick(donor.size()), 1 + pick(24));
+        out.insert(pick(out.size() + 1), slice);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(FaultInjector, SpecGrammarMutationsConfigureOrThrowInvalidArgument) {
+  if (__sanitizer_set_death_callback != nullptr) {
+    __sanitizer_set_death_callback([] {
+      std::fprintf(stderr, "SpecMutation: case seed %llu in flight\n",
+                   static_cast<unsigned long long>(g_spec_seed.load()));
+    });
+  }
+  const std::vector<std::string> corpus = {
+      "gpu_kernel:p=0.5; h2d:at=3,at=7 ;send:every=4;"
+      "worker_slow:p=1,delay=2ms;seed=99",
+      "send:every=7;seed=20260808",
+      "d2h:p=0.01;worker_slow:every=3,delay=1.5us;gpu_kernel:at=1,at=2",
+      "h2d:p=1e-3,delay=4s;seed=18446744073709551615",
+  };
+  FaultInjector fi(1);
+  for (const std::string& spec : corpus) {
+    ASSERT_NO_THROW(fi.configure(spec)) << spec;
+  }
+  // `pinned` is no site, even inside an otherwise valid spec.
+  EXPECT_THROW(fi.configure("send:every=7;pinned:p=1"), std::invalid_argument);
+
+  constexpr std::uint64_t kCases = 3000;
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+    g_spec_seed = seed;
+    const std::string spec = mutate_spec(corpus, seed);
+    try {
+      fi.configure(spec);
+      ++accepted;
+    } catch (const std::invalid_argument&) {
+      // The typed rejection the grammar promises.
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "spec seed " << seed << " ('" << spec
+                    << "') threw a non-invalid_argument: " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "spec seed " << seed << " ('" << spec
+                    << "') threw a non-exception";
+    }
+  }
+  // The sweep exercises both outcomes, not just one.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, kCases);
 }
 
 TEST(FaultInjector, InjectionIsCountedInGlobalMetrics) {
@@ -185,61 +284,6 @@ TEST(FaultInjector, InjectionIsCountedInGlobalMetrics) {
   fi.should_fail(FaultSite::kTransferD2H);
   fi.should_fail(FaultSite::kTransferD2H);
   EXPECT_DOUBLE_EQ(counter.value(), before + 2.0);
-}
-
-// ---------------------------------------------------------------------------
-// gpusim: typed device errors.
-// ---------------------------------------------------------------------------
-
-TEST(GpusimFaults, KernelFaultSurfacesTyped) {
-  gpu::GpuDevice device(gpu::DeviceSpec::tesla_m2090(), 4);
-  FaultInjector fi(7);
-  fi.set_rule(FaultSite::kGpuKernel, at_rule({1}));
-  device.set_fault_injector(&fi);
-  try {
-    device.enqueue_kernel(0, 1, SimTime::micros(10.0), SimTime::zero());
-    FAIL() << "expected FaultError";
-  } catch (const FaultError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kGpuKernelFailed);
-  }
-  EXPECT_EQ(device.stats().faults_injected, 1u);
-  EXPECT_EQ(device.stats().kernels_launched, 0u);
-  // The next kernel (event 2) goes through.
-  EXPECT_NO_THROW(
-      device.enqueue_kernel(0, 1, SimTime::micros(10.0), SimTime::zero()));
-  EXPECT_EQ(device.stats().kernels_launched, 1u);
-}
-
-TEST(GpusimFaults, TransferDirectionsAreSeparateSites) {
-  gpu::GpuDevice device(gpu::DeviceSpec::tesla_m2090(), 4);
-  FaultInjector fi(7);
-  fi.set_rule(FaultSite::kTransferH2D, at_rule({1}));
-  device.set_fault_injector(&fi);
-  try {
-    device.enqueue_transfer(0, 1e6, true, SimTime::zero());
-    FAIL() << "expected FaultError";
-  } catch (const FaultError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kTransferTimeout);
-  }
-  // D2H is a different site: unaffected by the H2D rule.
-  EXPECT_NO_THROW(device.enqueue_transfer(0, 1e6, true, SimTime::zero(),
-                                          /*to_device=*/false));
-  EXPECT_EQ(device.stats().faults_injected, 1u);
-}
-
-TEST(GpusimFaults, PinnedAllocFailureIsTyped) {
-  gpu::GpuDevice device(gpu::DeviceSpec::tesla_m2090(), 4);
-  FaultInjector fi(7);
-  fi.set_rule(FaultSite::kPinnedAlloc, at_rule({2}));
-  device.set_fault_injector(&fi);
-  try {
-    gpu::PinnedBufferPool pool(device, 3, 64e6, SimTime::zero());
-    FAIL() << "expected FaultError";
-  } catch (const FaultError& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kPinnedAllocFailed);
-  }
-  // Only the first slab got page-locked before the injected failure.
-  EXPECT_EQ(device.stats().page_locks, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,15 +463,33 @@ TEST(EngineResilience, WaitPropagatesTypedErrorWithoutCpuFallback) {
 }
 
 TEST(EngineResilience, RetryBackoffIsDeterministicUnderFixedSeed) {
-  const auto backoffs = [](std::uint64_t seed) {
+  // The shared formula: min(first * 2^attempt, cap) * (1 + 0.25 u), with u
+  // from the caller's stream — reproducible per seed, and seed-dependent.
+  const auto delays = [](std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<double> out;
+    for (std::size_t attempt = 0; attempt < 6; ++attempt) {
+      out.push_back(fault::backoff_ms(2.0, 16.0, attempt, rng));
+    }
+    return out;
+  };
+  const auto seeded = delays(77);
+  EXPECT_EQ(seeded, delays(77));
+  EXPECT_NE(seeded, delays(78));
+  for (std::size_t attempt = 0; attempt < seeded.size(); ++attempt) {
+    const double base = std::min(2.0 * static_cast<double>(1u << attempt),
+                                 16.0);
+    EXPECT_GE(seeded[attempt], base) << attempt;
+    EXPECT_LT(seeded[attempt], 1.25 * base) << attempt;
+  }
+
+  const auto backoffs = [] {
     FaultInjector fi(5);
     fi.set_rule(FaultSite::kGpuKernel, at_rule({1, 2, 3}));
     auto cfg = chaos_config(&fi, nullptr);
     cfg.gpu_max_retries = 2;
     cfg.retry_backoff = 2ms;
     cfg.retry_backoff_max = 16ms;
-    cfg.retry_jitter = 0.5;
-    cfg.retry_seed = seed;
     cfg.breaker_threshold = 1000;
     Engine engine(cfg);
     const rt::KindId kind = engine.register_kind(
@@ -440,32 +502,26 @@ TEST(EngineResilience, RetryBackoffIsDeterministicUnderFixedSeed) {
     engine.wait();  // attempts 1,2,3 fail -> 2 backoffs -> CPU fallback
     return engine.stats().retry_backoffs_ms;
   };
-  const auto a = backoffs(77);
-  const auto b = backoffs(77);
-  const auto c = backoffs(78);
+  const auto a = backoffs();
   ASSERT_EQ(a.size(), 2u);
-  EXPECT_EQ(a, b);  // byte-for-byte reproducible
-  EXPECT_NE(a, c);  // and actually seed-dependent
-  // Exponential shape with bounded jitter: base 2ms then 4ms.
-  EXPECT_GE(a[0], 2.0);
-  EXPECT_LE(a[0], 3.0);
-  EXPECT_GE(a[1], 4.0);
-  EXPECT_LE(a[1], 6.0);
+  EXPECT_EQ(a, backoffs());  // byte-for-byte reproducible
+  // The engine's delays are the shared formula on its fixed-seed stream.
+  Rng engine_stream(0x5eedULL);
+  EXPECT_EQ(a[0], fault::backoff_ms(2.0, 16.0, 0, engine_stream));
+  EXPECT_EQ(a[1], fault::backoff_ms(2.0, 16.0, 1, engine_stream));
 }
 
-TEST(EngineResilience, BatchDeadlineCountsAsFailureAndRetrySucceeds) {
-  FaultInjector fi(5);  // unarmed: the deadline itself is the fault
+TEST(EngineResilience, FailedAttemptIsRetriedAndRetrySucceeds) {
+  FaultInjector fi(5);
+  fi.set_rule(FaultSite::kGpuKernel, at_rule({1}));  // first attempt only
   auto cfg = chaos_config(&fi, nullptr);
-  cfg.gpu_batch_timeout = 5ms;
   cfg.gpu_max_retries = 2;
   cfg.breaker_threshold = 1000;
   Engine engine(cfg);
   std::atomic<int> post{0};
-  std::atomic<bool> first{true};
   const rt::KindId kind = engine.register_kind(
       {[](const int& x) { return x; },
-       [&](std::span<const int> xs) {
-         if (first.exchange(false)) std::this_thread::sleep_for(25ms);
+       [](std::span<const int> xs) {
          return std::vector<int>(xs.begin(), xs.end());
        },
        [&](int&&) { ++post; },
@@ -474,8 +530,8 @@ TEST(EngineResilience, BatchDeadlineCountsAsFailureAndRetrySucceeds) {
   ASSERT_NO_THROW(engine.wait());
   EXPECT_EQ(post.load(), 16);
   const auto stats = engine.stats();
-  EXPECT_GE(stats.gpu_failures, 1u);
-  EXPECT_GE(stats.gpu_retries, 1u);
+  EXPECT_EQ(stats.gpu_failures, 1u);
+  EXPECT_EQ(stats.gpu_retries, 1u);
   EXPECT_EQ(stats.gpu_fallback_items, 0u);  // the retry succeeded
 }
 
@@ -532,10 +588,6 @@ TEST(WorldFaults, FailedSendIsRetriedAndDelivered) {
   fi.set_rule(FaultSite::kSend, at_rule({1}));  // first attempt fails
   world::World w(3);
   w.set_fault_injector(&fi);
-  world::World::SendPolicy policy;
-  policy.max_retries = 3;
-  policy.backoff = 1ms;
-  w.set_send_policy(policy);
   std::atomic<int> ran{0};
   w.send(0, 1, 128.0, [&] { ++ran; });
   ASSERT_NO_THROW(w.fence());
@@ -552,12 +604,8 @@ TEST(WorldFaults, RankDeclaredDeadAfterExhaustedRetries) {
   fi.set_rule(FaultSite::kSend, prob_rule(1.0));
   world::World w(3);
   w.set_fault_injector(&fi);
-  world::World::SendPolicy policy;
-  policy.max_retries = 2;
-  policy.backoff = 1ms;
-  w.set_send_policy(policy);
   std::atomic<int> ran{0};
-  w.send(0, 2, 64.0, [&] { ++ran; });
+  w.send(0, 2, 64.0, [&] { ++ran; });  // 1 attempt + 3 retries, all fail
   try {
     w.fence();
     FAIL() << "expected FaultError";
@@ -568,13 +616,13 @@ TEST(WorldFaults, RankDeclaredDeadAfterExhaustedRetries) {
   EXPECT_EQ(w.dead_ranks(), (std::vector<std::size_t>{2}));
   EXPECT_FALSE(w.rank_alive(2));
   EXPECT_TRUE(w.rank_alive(1));
-  EXPECT_EQ(w.stats().send_retries, 2u);
+  EXPECT_EQ(w.stats().send_retries, 3u);
   EXPECT_EQ(w.stats().send_failures, 1u);
   // Sends to a dead rank fail fast (no fresh retries), typed again.
   w.send(0, 2, 64.0, [&] { ++ran; });
   EXPECT_THROW(w.fence(), FaultError);
   EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(w.stats().send_retries, 2u);
+  EXPECT_EQ(w.stats().send_retries, 3u);
   EXPECT_EQ(w.stats().send_failures, 2u);
   // Local work and other ranks are unaffected.
   std::atomic<int> local{0};

@@ -1,6 +1,6 @@
 // Tests for src/gpusim: the simulated device's mechanisms (streams, SM gang
-// scheduling, copy engine, page-locking), the kernel cost models, the
-// write-once device cache, pinned buffer pool, and the batch executor.
+// scheduling, copy engine with pinned vs pageable bandwidth), the kernel
+// cost models, the write-once device cache, and the batch executor.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include "gpusim/device_cache.hpp"
 #include "gpusim/gpu_executor.hpp"
 #include "gpusim/kernels.hpp"
-#include "gpusim/pinned.hpp"
 
 namespace mh::gpu {
 namespace {
@@ -103,13 +102,9 @@ TEST(GpuDevice, StatsAndOccupancyAccounting) {
   GpuDevice dev(DeviceSpec::tesla_m2090(), 2);
   dev.enqueue_kernel(0, 8, SimTime::millis(2.0), SimTime::zero());
   dev.enqueue_transfer(1, 1e6, true, SimTime::zero());
-  dev.page_lock(SimTime::zero());
-  dev.page_unlock(SimTime::zero());
   const DeviceStats& stats = dev.stats();
   EXPECT_EQ(stats.kernels_launched, 1u);
   EXPECT_EQ(stats.transfers, 1u);
-  EXPECT_EQ(stats.page_locks, 1u);
-  EXPECT_EQ(stats.page_unlocks, 1u);
   EXPECT_NEAR(stats.sm_busy_seconds, 8 * 2e-3, 1e-12);
   EXPECT_GT(dev.occupancy(), 0.0);
   EXPECT_LE(dev.occupancy(), 1.0);
@@ -266,27 +261,6 @@ TEST(DeviceCache, WriteOnceCapacityIsHard) {
   EXPECT_THROW(cache.lookup_or_insert(3, 100.0), Error);
   // Hits on resident entries still work.
   EXPECT_TRUE(cache.lookup_or_insert(1, 100.0));
-}
-
-TEST(PinnedPool, SetupChargesOneLockPerSlab) {
-  GpuDevice dev(DeviceSpec::tesla_m2090(), 1);
-  PinnedBufferPool pool(dev, 4, 16e6, SimTime::zero());
-  EXPECT_NEAR(pool.setup_done().sec(), 4 * dev.spec().page_lock_cost.sec(),
-              1e-12);
-  EXPECT_EQ(dev.stats().page_locks, 4u);
-  const SimTime released = pool.release(pool.setup_done());
-  EXPECT_NEAR((released - pool.setup_done()).sec(),
-              4 * dev.spec().page_unlock_cost.sec(), 1e-12);
-}
-
-TEST(PinnedPool, StagingChunksAndFit) {
-  GpuDevice dev(DeviceSpec::tesla_m2090(), 1);
-  PinnedBufferPool pool(dev, 2, 1e6, SimTime::zero());
-  EXPECT_TRUE(pool.fits(1e6));
-  EXPECT_FALSE(pool.fits(2e6));
-  EXPECT_EQ(pool.stage(0.5e6), 1u);
-  EXPECT_EQ(pool.stage(2.5e6), 3u);
-  EXPECT_EQ(pool.batches_staged(), 2u);
 }
 
 std::vector<GpuTaskDesc> make_batch(std::size_t n, std::size_t k,

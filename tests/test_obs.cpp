@@ -570,25 +570,22 @@ TEST(TraceSession, GpuDeviceEmitsSimSpans) {
   TraceSession session;
   gpu::GpuDevice device(gpu::DeviceSpec::tesla_m2090(), 2);
   device.set_trace(&session, "gpu/");
-  SimTime t = device.page_lock(SimTime::zero());
-  t = device.enqueue_transfer(0, 1 << 20, /*pinned=*/true, t);
+  SimTime t = device.enqueue_transfer(0, 1 << 20, /*pinned=*/true,
+                                      SimTime::zero());
   t = device.enqueue_kernel(0, 8, SimTime::micros(100), t);
   device.enqueue_transfer(0, 1 << 20, /*pinned=*/true, t, /*to_device=*/false);
 
   const auto totals = session.category_totals(ClockDomain::kSim, "gpu/");
-  EXPECT_GT(totals[Category::kPageLock], 0.0);
   EXPECT_GT(totals[Category::kTransfer], 0.0);
   EXPECT_GT(totals[Category::kGpuKernel], 0.0);
 
-  bool have_stream0 = false, have_copy = false, have_host = false;
+  bool have_stream0 = false, have_copy = false;
   for (const auto& info : session.tracks()) {
     if (info.name == "gpu/stream0") have_stream0 = true;
     if (info.name == "gpu/copy-engine") have_copy = true;
-    if (info.name == "gpu/host") have_host = true;
   }
   EXPECT_TRUE(have_stream0);
   EXPECT_TRUE(have_copy);
-  EXPECT_TRUE(have_host);
 }
 
 // ---------------------------------------------------------------------------
