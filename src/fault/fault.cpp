@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "common/hash.hpp"
 #include "obs/flight_recorder.hpp"
@@ -114,19 +116,30 @@ FaultInjector::FaultInjector(std::uint64_t seed) : seed_(seed) {
 }
 
 FaultInjector& FaultInjector::global() {
-  static FaultInjector* instance = [] {
-    auto* injector = new FaultInjector();
-    if (const char* spec = std::getenv("MH_FAULTS"); spec != nullptr) {
-      injector->configure(spec);
-    }
-    // Arm the flight recorder alongside the injector: any binary that
-    // honors MH_FAULTS (benches, examples, embedders) then also honors
-    // MH_FLIGHT_RECORDER, and the recorder is armed before the first
-    // injected FaultError can fire. No-op when the env var is unset.
-    obs::FlightRecorder::arm_from_env();
-    return injector;
-  }();
-  return *instance;
+  try {
+    static FaultInjector* instance = [] {
+      auto injector = std::make_unique<FaultInjector>();
+      if (const char* spec = std::getenv("MH_FAULTS"); spec != nullptr) {
+        injector->configure(spec);
+      }
+      // Arm the flight recorder alongside the injector: any binary that
+      // honors MH_FAULTS (benches, examples, embedders) then also honors
+      // MH_FLIGHT_RECORDER, and the recorder is armed before the first
+      // injected FaultError can fire. No-op when the env var is unset.
+      obs::FlightRecorder::arm_from_env();
+      return injector.release();
+    }();
+    return *instance;
+  } catch (const std::invalid_argument& e) {
+    // A malformed MH_FAULTS is a usage error of whichever binary reads it
+    // first: one line naming the spec, then the usage exit status. Caught
+    // outside the static's initializer, which the exception abandons, so
+    // no exit handler meets an initialization still in progress.
+    const char* spec = std::getenv("MH_FAULTS");
+    std::fprintf(stderr, "%s (MH_FAULTS=\"%s\")\n", e.what(),
+                 spec != nullptr ? spec : "");
+    std::exit(2);
+  }
 }
 
 void FaultInjector::reseed_locked(SiteState& state, FaultSite site) {

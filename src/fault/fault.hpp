@@ -121,7 +121,9 @@ class FaultInjector {
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   /// The process injector, configured once from MH_FAULTS (unarmed when
-  /// the variable is unset). Runtime objects default to this instance.
+  /// the variable is unset). Runtime objects default to this instance. A
+  /// malformed MH_FAULTS prints one stderr line naming the spec and exits
+  /// the process with status 2.
   static FaultInjector& global();
 
   /// Parse a spec string (grammar above) into this injector; replaces any

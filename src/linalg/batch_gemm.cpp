@@ -296,20 +296,20 @@ void fused_transform_chain(std::span<const std::size_t> shape,
   }
 }
 
-void batch_fused_apply(std::size_t d, std::size_t k,
-                       std::span<const FusedApplyItem> items,
-                       GemmWorkspace& ws) {
-  MH_CHECK(d >= 1 && k >= 1, "fused apply needs d, k >= 1");
+namespace {
+
+// The grouping walk both entry points run. The call's items are
+// sc.entries, their columns sc.cols ([item * d + mode]) and, with per-item
+// ranks, their kc vectors sc.kc ([item * stride + term]); without, term mu
+// contracts sc.term_kc[mu] rows. Item i's block of term mu in mode m is
+// block(i, mu, m), the same for every item in one column.
+template <class BlockOf>
+void walk(std::size_t d, std::size_t k, const BlockOf& block,
+          bool per_item_kc, std::size_t stride, GemmWorkspace& ws) {
+  GemmWorkspace::ShareScratch& sc = ws.share_scratch();
+  const std::size_t count = sc.entries.size();
   std::size_t terms = 0;
-  for (const FusedApplyItem& item : items) {
-    const std::size_t t = item.coeffs.size();
-    MH_CHECK(item.mats.size() == t * d, "need terms*d operator blocks");
-    MH_CHECK(item.kreds.empty() || item.kreds.size() == t,
-             "kreds must be empty or one per term");
-    for (const GemmMat& h : item.mats)
-      MH_CHECK(h.rows == k && h.cols == k, "apply blocks must be (k, k)");
-    terms = std::max(terms, t);
-  }
+  for (const auto& e : sc.entries) terms = std::max(terms, e.terms);
   std::size_t size = 1;
   for (std::size_t m = 0; m < d; ++m) size *= k;
   const std::size_t rest = size / k;
@@ -320,32 +320,34 @@ void batch_fused_apply(std::size_t d, std::size_t k,
   const auto node = [&](std::size_t mu, std::size_t m) {
     return stack + (mu * depth + m) * size;
   };
-  const auto kc_of = [&](const FusedApplyItem& item, std::size_t mu) {
-    return item.kreds.empty() ? k : std::min(item.kreds[mu], k);
+  const auto kc_of = [&](std::size_t i, std::size_t mu) {
+    return per_item_kc ? sc.kc[i * stride + mu] : sc.term_kc[mu];
   };
-  const auto block = [&](const FusedApplyItem& item, std::size_t mu,
-                         std::size_t m) { return item.mats[mu * d + m].ptr; };
-  // Items of one group share every term's A segment: the same src, terms,
-  // weights, kc vector and blocks in modes 0..d-2.
-  const auto same_group = [&](const FusedApplyItem& a,
-                              const FusedApplyItem& b) {
-    const std::size_t t = a.coeffs.size();
-    if (a.src != b.src || b.coeffs.size() != t) return false;
-    if (a.coeffs.data() != b.coeffs.data() &&
-        std::memcmp(a.coeffs.data(), b.coeffs.data(), t * sizeof(double)))
-      return false;
-    for (std::size_t mu = 0; mu < t; ++mu) {
-      if (kc_of(a, mu) != kc_of(b, mu)) return false;
-      for (std::size_t m = 0; m < depth; ++m)
-        if (block(a, mu, m) != block(b, mu, m)) return false;
-    }
+  const auto col = [&](std::size_t i, std::size_t m) {
+    return sc.cols[i * d + m];
+  };
+  // Items a and b (with as many terms) read the same blocks in mode m: the
+  // same column or, across columns, the same block in every term.
+  const auto same_blocks = [&](std::size_t a, std::size_t b, std::size_t m) {
+    if (col(a, m) == col(b, m)) return true;
+    for (std::size_t mu = 0; mu < sc.entries[a].terms; ++mu)
+      if (block(a, mu, m) != block(b, mu, m)) return false;
     return true;
   };
-  // Items of one slot (within a group) also share every term's last block.
-  const auto same_slot = [&](const FusedApplyItem& a,
-                             const FusedApplyItem& b) {
-    for (std::size_t mu = 0; mu < a.coeffs.size(); ++mu)
-      if (block(a, mu, depth) != block(b, mu, depth)) return false;
+  // Items of one group share every term's A segment: the same src, terms,
+  // weights, kc vector and blocks in modes 0..d-2.
+  const auto same_group = [&](std::size_t a, std::size_t b) {
+    const auto& ea = sc.entries[a];
+    const auto& eb = sc.entries[b];
+    const std::size_t t = ea.terms;
+    if (ea.src != eb.src || eb.terms != t) return false;
+    if (ea.coeffs != eb.coeffs &&
+        std::memcmp(ea.coeffs, eb.coeffs, t * sizeof(double)))
+      return false;
+    for (std::size_t m = 0; m < depth; ++m)
+      if (!same_blocks(a, b, m)) return false;
+    for (std::size_t mu = 0; per_item_kc && mu < t; ++mu)
+      if (kc_of(a, mu) != kc_of(b, mu)) return false;
     return true;
   };
   // One ordering per call: by (src, term-0 blocks 0..d-2, terms, kc
@@ -354,30 +356,29 @@ void batch_fused_apply(std::size_t d, std::size_t k,
   // group only splits. The groups of one term-0 prefix differ only in kc,
   // and a term's prefix is shared between adjacent groups only, so their
   // order decides how often it is recomputed: kc vectors compare from the
-  // last term down, which on the rank-reduced coulomb_smoothing input
-  // runs 4% fewer prefix GEMMs than comparing from term 0 up
-  // (EXPERIMENTS.md).
-  const std::size_t width = d + 2;
-  GemmWorkspace::ShareScratch& sc = ws.share_scratch();
-  sc.keys.resize(items.size() * width);
+  // last term down, which on the rank-reduced coulomb_smoothing input runs
+  // 4% fewer prefix GEMMs than comparing from term 0 up (EXPERIMENTS.md).
+  const std::size_t key_width = d + 2;
+  sc.keys.resize(count * key_width);
   sc.group_kc.resize(terms);
   sc.group_a.resize(terms);
-  sc.slot_item.resize(items.size());
-  sc.fan_blocks.resize(items.size() * terms);
-  sc.fan_slot.resize(items.size());
-  sc.fan_start.resize(items.size() + 2);
-  sc.fan_targets.resize(items.size());
-  const auto row = [&](std::size_t i) { return sc.keys.data() + i * width; };
+  sc.slot_item.resize(count);
+  sc.fan_blocks.resize(count * terms);
+  sc.fan_slot.resize(count);
+  sc.fan_start.resize(count + 2);
+  sc.fan_targets.resize(count);
+  const auto row = [&](std::size_t i) {
+    return sc.keys.data() + i * key_width;
+  };
   sc.order.clear();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const FusedApplyItem& item = items[i];
-    if (item.coeffs.empty()) continue;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (sc.entries[i].terms == 0) continue;
     std::uintptr_t* key = row(i);
-    key[0] = reinterpret_cast<std::uintptr_t>(item.src);
+    key[0] = reinterpret_cast<std::uintptr_t>(sc.entries[i].src);
     for (std::size_t m = 0; m < depth; ++m)
-      key[1 + m] = reinterpret_cast<std::uintptr_t>(block(item, 0, m));
-    key[d] = item.coeffs.size();
-    key[d + 1] = reinterpret_cast<std::uintptr_t>(block(item, 0, depth));
+      key[1 + m] = reinterpret_cast<std::uintptr_t>(block(i, 0, m));
+    key[d] = sc.entries[i].terms;
+    key[d + 1] = reinterpret_cast<std::uintptr_t>(block(i, 0, depth));
     sc.order.push_back(i);
   }
   std::sort(sc.order.begin(), sc.order.end(),
@@ -386,60 +387,61 @@ void batch_fused_apply(std::size_t d, std::size_t k,
               const std::uintptr_t* kb = row(b);
               const auto diff = std::mismatch(ka, ka + d + 1, kb, kb + d + 1);
               if (diff.first != ka + d + 1) return *diff.first < *diff.second;
-              if (!items[a].kreds.empty() || !items[b].kreds.empty()) {
-                for (std::size_t mu = ka[d]; mu-- > 0;) {
-                  const std::size_t x = kc_of(items[a], mu);
-                  const std::size_t y = kc_of(items[b], mu);
-                  if (x != y) return x < y;
-                }
+              for (std::size_t mu = ka[d]; per_item_kc && mu-- > 0;) {
+                const std::size_t x = kc_of(a, mu);
+                const std::size_t y = kc_of(b, mu);
+                if (x != y) return x < y;
               }
               return ka[d + 1] < kb[d + 1];
             });
   BatchGemmStats& st = ws.stats();
-  const FusedApplyItem* prev = nullptr;
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t prev = kNone;  // the previous group's lead
   for (std::size_t pos = 0; pos < sc.order.size();) {
-    const FusedApplyItem& lead = items[sc.order[pos]];
-    const std::size_t t = lead.coeffs.size();
+    const std::size_t li = sc.order[pos];
+    const auto& lead = sc.entries[li];
+    const std::size_t t = lead.terms;
     // Each term's prefix: recompute modes 0..d-2 from the first whose
-    // (src, kc, blocks) differs from the previous group's.
+    // (src, kc, block) differs from the previous group's.
     std::size_t stacked = 0;
     for (std::size_t mu = 0; mu < t; ++mu) {
-      const std::size_t kc = kc_of(lead, mu);
+      const std::size_t kc = kc_of(li, mu);
       std::size_t m = 0;
-      if (prev != nullptr && mu < prev->coeffs.size() &&
-          prev->src == lead.src && kc_of(*prev, mu) == kc) {
-        while (m < depth && block(*prev, mu, m) == block(lead, mu, m)) ++m;
+      if (prev != kNone && mu < sc.entries[prev].terms &&
+          sc.entries[prev].src == lead.src && kc_of(prev, mu) == kc) {
+        while (m < depth && block(prev, mu, m) == block(li, mu, m)) ++m;
       }
       for (; m < depth; ++m) {
         double* dst = node(mu, m);
         std::memset(dst, 0, size * sizeof(double));
         run_packed(rest, k, kc, dst, m == 0 ? lead.src : node(mu, m - 1),
-                   block(lead, mu, m), ws);
+                   block(li, mu, m), ws);
         ++st.prefix_nodes;
       }
       sc.group_kc[mu] = kc;
       sc.group_a[mu] = depth == 0 ? lead.src : node(mu, depth - 1);
       stacked += kc;
     }
-    // The group's slots: its distinct last-block tuples, up to the
+    // The group's slots: its distinct tuples of last blocks, up to the
     // shape's fan-out limit; duplicates share a slot.
     const std::size_t cap = fan_out_limit(k);
     std::size_t n = 0;
     std::size_t end = pos;
     for (; end < sc.order.size(); ++end) {
-      const FusedApplyItem& item = items[sc.order[end]];
-      if (end > pos && !same_group(lead, item)) break;
+      const std::size_t item = sc.order[end];
+      if (end > pos && !same_group(li, item)) break;
       std::size_t slot = 0;
-      while (slot < n && !same_slot(items[sc.slot_item[slot]], item)) ++slot;
+      while (slot < n && !same_blocks(sc.slot_item[slot], item, depth))
+        ++slot;
       if (slot == n) {
         if (n == cap) break;
-        sc.slot_item[n++] = sc.order[end];
+        sc.slot_item[n++] = item;
       }
       sc.fan_slot[end - pos] = slot;
     }
     for (std::size_t s = 0; s < n; ++s) {
       for (std::size_t mu = 0; mu < t; ++mu)
-        sc.fan_blocks[s * t + mu] = block(items[sc.slot_item[s]], mu, depth);
+        sc.fan_blocks[s * t + mu] = block(sc.slot_item[s], mu, depth);
     }
     // Each slot's targets: the items that read it, grouped by slot with a
     // counting pass that leaves fan_start[s] at slot s's start.
@@ -450,19 +452,104 @@ void batch_fused_apply(std::size_t d, std::size_t k,
       sc.fan_start[s] += sc.fan_start[s - 1];
     for (std::size_t q = pos; q < end; ++q) {
       sc.fan_targets[sc.fan_start[sc.fan_slot[q - pos] + 1]++] =
-          items[sc.order[q]].result;
+          sc.entries[sc.order[q]].result;
     }
     // Last mode: one packed pass over the stacked terms of the n slots,
     // adding each product into its results from the tile's registers.
     run_fan_out({rest, k, t, sc.group_kc.data(), sc.group_a.data(),
-                 lead.coeffs.data(), sc.fan_blocks.data(), n,
-                 sc.fan_start.data(), sc.fan_targets.data()},
+                 lead.coeffs, sc.fan_blocks.data(), n, sc.fan_start.data(),
+                 sc.fan_targets.data()},
                 stacked, ws);
     st.prefix_nodes += n * t;
-    prev = &lead;
+    prev = li;
     pos = end;
   }
-  st.fused_chains += items.size();
+  st.fused_chains += count;
+}
+
+}  // namespace
+
+void batch_fused_apply(std::size_t d, std::size_t k, const BlockTable& table,
+                       std::span<const double> coeffs,
+                       std::span<const std::size_t> kcap,
+                       std::span<const DisplacementItem> items,
+                       GemmWorkspace& ws) {
+  MH_CHECK(d >= 1 && k >= 1, "fused apply needs d, k >= 1");
+  const std::size_t terms = coeffs.size();
+  MH_CHECK(kcap.empty() || kcap.size() == terms,
+           "kcap must be empty or one per term");
+  GemmWorkspace::ShareScratch& sc = ws.share_scratch();
+  sc.term_kc.resize(terms);
+  for (std::size_t mu = 0; mu < terms; ++mu)
+    sc.term_kc[mu] = kcap.empty() ? k : std::min(kcap[mu], k);
+  const bool ranked = table.ranks != nullptr;
+  sc.entries.resize(items.size());
+  sc.cols.resize(items.size() * d);
+  if (ranked) sc.kc.resize(items.size() * terms);
+  const auto width = static_cast<std::int64_t>(table.width);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const DisplacementItem& item = items[i];
+    sc.entries[i] = {item.src, item.result, coeffs.data(), terms};
+    std::size_t* cols = sc.cols.data() + i * d;
+    for (std::size_t m = 0; m < d; ++m) {
+      const std::int64_t c = table.origin + item.disp[m];
+      MH_CHECK(c >= 0 && c < width, "displacement outside the block table");
+      cols[m] = static_cast<std::size_t>(c);
+    }
+    // Each term contracts its least rank over the item's d blocks.
+    for (std::size_t mu = 0; ranked && mu < terms; ++mu) {
+      const std::size_t* ranks = table.ranks + mu * table.width;
+      std::size_t kc = sc.term_kc[mu];
+      for (std::size_t m = 0; m < d; ++m) kc = std::min(kc, ranks[cols[m]]);
+      sc.kc[i * terms + mu] = kc;
+    }
+  }
+  walk(
+      d, k,
+      [&](std::size_t i, std::size_t mu, std::size_t m) {
+        return table.blocks[mu * table.width + sc.cols[i * d + m]];
+      },
+      ranked, terms, ws);
+}
+
+void batch_fused_apply(std::size_t d, std::size_t k,
+                       std::span<const FusedApplyItem> items,
+                       GemmWorkspace& ws) {
+  MH_CHECK(d >= 1 && k >= 1, "fused apply needs d, k >= 1");
+  std::size_t terms = 0;
+  bool ranked = false;
+  for (const FusedApplyItem& item : items) {
+    const std::size_t t = item.coeffs.size();
+    MH_CHECK(item.mats.size() == t * d, "need terms*d operator blocks");
+    MH_CHECK(item.kreds.empty() || item.kreds.size() == t,
+             "kreds must be empty or one per term");
+    for (const GemmMat& h : item.mats)
+      MH_CHECK(h.rows == k && h.cols == k, "apply blocks must be (k, k)");
+    terms = std::max(terms, t);
+    ranked = ranked || !item.kreds.empty();
+  }
+  GemmWorkspace::ShareScratch& sc = ws.share_scratch();
+  sc.entries.resize(items.size());
+  sc.term_kc.assign(terms, k);
+  if (ranked) sc.kc.resize(items.size() * terms);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const FusedApplyItem& item = items[i];
+    const std::size_t t = item.coeffs.size();
+    sc.entries[i] = {item.src, item.result, item.coeffs.data(), t};
+    for (std::size_t mu = 0; ranked && mu < t; ++mu) {
+      sc.kc[i * terms + mu] =
+          item.kreds.empty() ? k : std::min(item.kreds[mu], k);
+    }
+  }
+  // One column per item and mode: its blocks are the item's own.
+  sc.cols.resize(items.size() * d);
+  for (std::size_t c = 0; c < sc.cols.size(); ++c) sc.cols[c] = c;
+  walk(
+      d, k,
+      [&](std::size_t i, std::size_t mu, std::size_t m) {
+        return items[i].mats[mu * d + m].ptr;
+      },
+      ranked, terms, ws);
 }
 
 }  // namespace mh::linalg

@@ -31,13 +31,19 @@
 //     registers into every task result that reads the slot — no product
 //     buffer and no separate accumulation pass.
 //
-// Sharing is complete when, for every term, an item's block in mode m is a
-// function of one per-mode identity that term 0's block also determines —
-// as an operator's blocks are a function of the displacement component —
-// and the items' kc vectors agree: then the one item ordering per call
-// (by source and term-0 blocks) keeps every group's items and every
-// term's equal prefixes adjacent. Otherwise results are unchanged and only
-// some sharing is lost.
+// Items name their blocks through a table, as MADNESS stores its operator:
+// term mu's 1-D block for displacement component m is the table's entry
+// (mu, m), so an Apply item is (src, displacement, result) and its block of
+// term mu in mode j is entry (mu, disp[j]). Items that read one column read
+// the same blocks in every term, so the engine groups them on integers:
+// columns and kc vectors, ordered by the term-0 block of each column.
+// Pointer items (FusedApplyItem, M * d blocks each) get one column per
+// item and mode, and two columns count as one when every term's blocks in
+// them are the same. Sharing is complete when the items' kc vectors agree
+// (full rank, say) and, for pointer items, the later terms' blocks follow
+// term 0's, as an operator's follow the displacement: then the one
+// ordering keeps every group's items and every term's equal prefixes
+// adjacent. Otherwise results are unchanged and only some sharing is lost.
 //
 // Numerical contract: every kernel here performs, per output element, the
 // exact same IEEE operation sequence as the scalar reference in gemm.cpp
@@ -100,13 +106,25 @@ class GemmWorkspace {
   /// per term (8,750 doubles at d = 3, k = 5, M = 35).
   double* prefix(std::size_t n) { return prefix_.ensure(n); }
 
-  /// batch_fused_apply's grow-only bookkeeping: the items' sort keys and
-  /// their one ordering per call; the current group's per-term kc and A
-  /// segments; its slots (distinct last-block tuples) by first item and
-  /// their blocks, slot-major; each item's slot; and the result lists the
-  /// kernel epilogue adds into: slot s's results are
+  /// batch_fused_apply's grow-only bookkeeping: each item as the walk sees
+  /// it (entries) with its table column per mode (cols) and, with per-item
+  /// ranks, its kc per term (kc); the per-term kc of calls without them;
+  /// the items' sort keys and their one ordering per call; the current group's per-term kc and A
+  /// segments; its slots (distinct last columns) by first item and their
+  /// blocks, slot-major; each item's slot; and the result lists the kernel
+  /// epilogue adds into: slot s's results are
   /// fan_targets[fan_start[s] .. fan_start[s + 1]).
   struct ShareScratch {
+    struct Entry {
+      const double* src;
+      double* result;
+      const double* coeffs;
+      std::size_t terms;
+    };
+    std::vector<Entry> entries;
+    std::vector<std::size_t> cols;
+    std::vector<std::size_t> kc;
+    std::vector<std::size_t> term_kc;
     std::vector<std::uintptr_t> keys;
     std::vector<std::size_t> order;
     std::vector<std::size_t> group_kc;
@@ -169,13 +187,12 @@ void fused_transform_chain(std::span<const std::size_t> shape,
 std::size_t chain_output_size(std::span<const std::size_t> shape,
                               std::span<const GemmMat> mats);
 
-/// One item of a batched fused-apply call, the paper's whole-task fusion:
-/// for a d-dimensional cube source of extent k,
+/// One item of a pointer-keyed fused-apply call, the paper's whole-task
+/// fusion: for a d-dimensional cube source of extent k,
 ///   result += sum_mu coeffs[mu] * (src x_0 h[mu*d+0] ... x_{d-1} h[mu*d+d-1])
 /// with all h square (k, k); `kreds` (optional, per-term) limits each
-/// contraction to the term's reduced rank (empty span = full rank). One
-/// Apply task, or one task at a time as a one-item call; the items of a
-/// call share the d/k shape of the batch (the homogeneity the
+/// contraction to the term's reduced rank (empty span = full rank). The
+/// items of a call share the d/k shape of the batch (the homogeneity the
 /// BatchingEngine's kind hash guarantees).
 struct FusedApplyItem {
   const double* src = nullptr;      ///< k^d source coefficients
@@ -183,6 +200,30 @@ struct FusedApplyItem {
   std::span<const double> coeffs;   ///< one weight per term
   std::span<const std::size_t> kreds;  ///< per-term reduced rank (optional)
   double* result = nullptr;         ///< k^d accumulation target
+};
+
+/// The operator a displacement-keyed call reads, indexed [mu][m]: term
+/// mu's (k, k) block at 1-D displacement component m is
+/// blocks[mu * width + origin + m], and, when `ranks` is set, the rank it
+/// contracts at the call's tolerance is ranks[mu * width + origin + m].
+/// Non-owning; every entry an item reads must be valid for the call.
+struct BlockTable {
+  const double* const* blocks = nullptr;
+  std::size_t width = 0;        ///< entries per term
+  std::int64_t origin = 0;      ///< column of component 0
+  const std::size_t* ranks = nullptr;  ///< optional: per-block ranks
+};
+
+/// One item of a displacement-keyed call: one Apply task,
+///   result += sum_mu coeffs[mu] * (src x_0 h(mu, disp[0]) ...
+///                                      x_{d-1} h(mu, disp[d-1]))
+/// with h(mu, m) the table's block, each term contracting kc_mu rows:
+/// k, or the call's kcap[mu], or with ranks the least rank over the
+/// item's d blocks of that term, whichever is smallest.
+struct DisplacementItem {
+  const double* src = nullptr;          ///< k^d source coefficients
+  const std::int64_t* disp = nullptr;   ///< d displacement components
+  double* result = nullptr;             ///< k^d accumulation target
 };
 
 /// Most slots one fan-out call walks under a packed panel: past a few
@@ -194,34 +235,34 @@ struct FusedApplyItem {
 constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
 
 /// Batched entry point: every item's fused chain through one workspace,
-/// with mode-prefix intermediates shared between items. For term mu, the
-/// mode-0..j intermediate of an item is a function of its src, the term's
-/// contraction length kc = min(kreds[mu], k) (k without kreds) and the
-/// block pointers mats[mu*d+0..j].
+/// with mode-prefix intermediates shared between items. `coeffs` holds one
+/// weight per term (M = coeffs.size()); `kcap` is empty or caps each
+/// term's contraction. For term mu, the mode-0..j intermediate of an item
+/// is a function of its src, the term's contraction length kc_mu and its
+/// blocks in modes 0..j, that is, of its displacement components
+/// m_0..m_j.
 ///
-/// The items are ordered once per call, by src, term-0 blocks of modes
-/// 0..d-2, term count, kc vector (compared from the last term down) and
-/// term-0 last block, and walked in fan-out groups: runs of items with the
-/// same src, term count, weights, kc vector and blocks of modes 0..d-2 in
-/// every term (all checked, none inferred from term 0). Each term keeps
-/// its own stack of d - 1 intermediates (in the workspace), recomputed
-/// only from the first mode where the group's (src, kc, blocks) for that
-/// term differ from the previous group's. So an intermediate is computed
-/// once per run of adjacent groups that share it: once per call when the
-/// items' kc vectors agree (full rank, say) and the later terms' blocks
-/// follow term 0's, and again in every such run when mixed kc vectors
-/// interleave (EXPERIMENTS.md, "Term-stacked last mode"). The group's
-/// last mode is then ONE fused kernel call with contraction
-/// length K = sum_mu kc_mu over its n slots (n <= fan_out_limit(k)),
-/// the distinct tuples of last blocks (duplicates share a slot): A stacks
-/// each term's first kc_mu rows of its mode-(d-2) intermediate, weighted
-/// by coeffs[mu] as each 4-row panel is packed, once; each slot's B is
-/// its terms' last blocks, read in place one after the other; and each
-/// tile's epilogue adds 0.0 + acc into the result of every item that
-/// reads that slot. So a batch of the tasks of one source leaf runs one
-/// GEMM per distinct (src, kc, h_0..h_j) node of modes 0..d-2 plus one
-/// per fan-out group, instead of d per item per term, and no product is
-/// ever stored.
+/// The items are ordered once per call, by src, the term-0 blocks of modes
+/// 0..d-2, kc vector (compared from the last term down) and the term-0
+/// last block, and walked in fan-out groups: runs of items with the same
+/// src, kc vector and components m_0..m_{d-2} (for pointer items: term
+/// count, weights and blocks of modes 0..d-2 in every term). Each term
+/// keeps its own stack of d - 1 intermediates (in the workspace),
+/// recomputed only from the first mode where the group's (src, kc, block)
+/// for that term differ from the previous group's. So an intermediate is computed once per run
+/// of adjacent groups that share it: once per call when the items' kc
+/// vectors agree (full rank, say), and again in every such run when mixed
+/// kc vectors interleave (EXPERIMENTS.md, "Term-stacked last mode"). The
+/// group's last mode is then ONE fused kernel call with contraction length
+/// K = sum_mu kc_mu over its n slots (n <= fan_out_limit(k)), the distinct
+/// last-mode blocks (duplicates share a slot): A stacks each term's first
+/// kc_mu rows of its mode-(d-2) intermediate, weighted by coeffs[mu] as
+/// each 4-row panel is packed, once; each slot's B is its terms' last
+/// blocks, read in place one after the other; and each tile's epilogue
+/// adds 0.0 + acc into the result of every item that reads that slot. So
+/// a batch of the tasks of one source leaf runs one GEMM per distinct
+/// (src, kc, m_0..m_j) node of modes 0..d-2 plus one per fan-out group,
+/// instead of d per item per term, and no product is ever stored.
 ///
 /// The workspace holds M * (d - 1) * k^d doubles of prefix stacks for a
 /// batch of M-term items, per thread: 70 KB at d = 3, k = 5, M = 35,
@@ -236,6 +277,16 @@ constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
 /// so it is bitwise equal to that item's one-item call. Results must
 /// not overlap each other or any src. Warm calls allocate nothing: all
 /// scratch lives in `ws` and only grows.
+void batch_fused_apply(std::size_t d, std::size_t k, const BlockTable& table,
+                       std::span<const double> coeffs,
+                       std::span<const std::size_t> kcap,
+                       std::span<const DisplacementItem> items,
+                       GemmWorkspace& ws);
+
+/// The pointer-keyed entry point: the same walk over items that carry
+/// their blocks, each its own term count, weights and kreds; a group also
+/// needs equal term counts and weights. The same tasks as displacement
+/// items give bitwise equal results and equal BatchGemmStats.
 void batch_fused_apply(std::size_t d, std::size_t k,
                        std::span<const FusedApplyItem> items,
                        GemmWorkspace& ws);

@@ -27,52 +27,40 @@ void check_source(const SeparatedConvolution& op, const Tensor& source) {
   MH_CHECK(cube, "apply source must be a k^d cube");
 }
 
-/// The operand sets of one or more tasks, appended by gather_operands: per
-/// task all rank*d operator blocks as raw table views (term-major) and, with
-/// rank reduction, the per-term reduced ranks; the term weights; and
-/// apply_leaf_tasks' per-task result pointers and batch items. Reused per
-/// thread: these only grow, so steady state allocates nothing.
-struct Operands {
-  std::vector<linalg::GemmMat> mats;
-  std::vector<std::size_t> kreds;  // empty: full rank
-  std::vector<double> coeffs;
-  std::vector<double*> results;
-  std::vector<linalg::FusedApplyItem> items;
-};
-
-Operands& thread_operands(const SeparatedConvolution& op) {
-  thread_local Operands ops;
-  ops.mats.clear();
-  ops.kreds.clear();
-  ops.coeffs.clear();
-  ops.results.clear();
-  ops.items.clear();
-  for (std::size_t mu = 0; mu < op.rank(); ++mu)
-    ops.coeffs.push_back(op.term_coeff(mu));
-  return ops;
+/// The rank tolerance of `opts` (0: full rank).
+double rank_tol_of(const SeparatedConvolution& op, const ApplyOptions& opts) {
+  if (!opts.rank_reduce) return 0.0;
+  return opts.rank_tol > 0.0 ? opts.rank_tol : op.params().thresh;
 }
 
-/// Append one task's operands (its kreds end at the back of ops.kreds) and
-/// count its logical work into `stats`.
-void gather_operands(const SeparatedConvolution& op, int level,
-                     const Displacement& disp, const ApplyOptions& opts,
-                     Operands& ops, ApplyStats* stats) {
-  double rank_tol = 0.0;  // 0: full rank
-  if (opts.rank_reduce)
-    rank_tol = opts.rank_tol > 0.0 ? opts.rank_tol : op.params().thresh;
-  op.gather_task(level, disp, rank_tol, ops.mats, ops.kreds);
-  if (stats == nullptr) return;
+/// Run `items` (tasks at `level` over op's blocks) as one batch and count
+/// their logical work into `stats`.
+void run_tasks(const SeparatedConvolution& op, int level,
+               std::span<const linalg::DisplacementItem> items,
+               const ApplyOptions& opts, ApplyStats* stats) {
+  const linalg::BlockTable table =
+      op.h_table(level, items, rank_tol_of(op, opts));
   const std::size_t d = op.params().ndim;
   const std::size_t k = op.params().k;
-  const std::span<const std::size_t> kreds =
-      ops.kreds.empty() ? std::span<const std::size_t>{}
-                        : std::span{ops.kreds}.last(op.rank());
-  for (std::size_t mu = 0; mu < op.rank(); ++mu) {
-    stats->gemms += d;
-    stats->flops += transform_flops(d, k);
-    if (!kreds.empty() && kreds[mu] < k) stats->rank_reduced_gemms += d;
+  linalg::batch_fused_apply(d, k, table, op.term_coeffs(), {}, items,
+                            linalg::thread_workspace());
+  if (stats == nullptr) return;
+  const std::size_t terms = items.size() * op.rank();
+  stats->tasks += items.size();
+  stats->gemms += terms * d;
+  stats->flops += static_cast<double>(terms) * transform_flops(d, k);
+  // A term is rank-reduced when one of its d blocks is.
+  for (std::size_t mu = 0; table.ranks != nullptr && mu < op.rank(); ++mu) {
+    const std::size_t* ranks = table.ranks + mu * table.width;
+    for (const linalg::DisplacementItem& item : items) {
+      for (std::size_t m = 0; m < d; ++m) {
+        if (ranks[table.origin + item.disp[m]] < k) {
+          stats->rank_reduced_gemms += d;
+          break;
+        }
+      }
+    }
   }
-  ++stats->tasks;
 }
 
 }  // namespace
@@ -112,37 +100,31 @@ void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
   check_source(op, coeffs);
   const std::size_t d = op.params().ndim;
   const std::size_t k = op.params().k;
-  // Gather every task of the leaf and run them as ONE batch: they share the
-  // source, so the engine shares their mode-prefix GEMMs. Each task's result
-  // is its target's tensor, so the epilogue's 0.0 + acc lands in the output
-  // directly: target + (0.0 + acc) is bitwise what adding a zeroed result
-  // that received 0.0 + acc gives, and a zero-created target ends as that
-  // result itself. Results must not overlap, so a wrapped repeat of a target
-  // (periodic only: free-space displacements give distinct targets) gets a
-  // scratch result, added after the batch in for_each_task order.
-  Operands& ops = thread_operands(op);
+  // Every task of the leaf names its displacement, and they run as ONE
+  // batch: they share the source, so the engine shares their mode-prefix
+  // GEMMs. Each task's result is its target's tensor, so the epilogue's
+  // 0.0 + acc lands in the output directly: target + (0.0 + acc) is
+  // bitwise what adding a zeroed result that received 0.0 + acc gives, and
+  // a zero-created target ends as that result itself. Results must not
+  // overlap, so a wrapped repeat of a target (periodic only: free-space
+  // displacements give distinct targets) gets a scratch result, added
+  // after the batch in for_each_task order. The items are reused per
+  // thread: steady state allocates nothing.
+  thread_local std::vector<linalg::DisplacementItem> items;
+  items.clear();
   std::vector<std::pair<Tensor*, Tensor>> repeats;
   const bool periodic = op.params().periodic;
   for_each_task(op, leaf, [&](const mra::Key& to, const Displacement& m) {
-    gather_operands(op, leaf.level(), m, opts, ops, stats);
     Tensor& sum = target(to);
     MH_CHECK(sum.size() == coeffs.size(), "apply target must be a k^d cube");
     double* r = sum.data();
-    if (periodic && std::ranges::find(ops.results, r) != ops.results.end())
+    if (periodic && std::ranges::any_of(items, [r](const auto& item) {
+          return item.result == r;
+        }))
       r = repeats.emplace_back(&sum, Tensor::cube(d, k)).second.data();
-    ops.results.push_back(r);
+    items.push_back({coeffs.data(), m.data(), r});
   });
-  const std::size_t terms = op.rank();
-  for (std::size_t t = 0; t < ops.results.size(); ++t) {
-    ops.items.push_back(
-        {coeffs.data(),
-         std::span{ops.mats}.subspan(t * terms * d, terms * d),
-         ops.coeffs,
-         ops.kreds.empty() ? std::span<const std::size_t>{}
-                           : std::span{ops.kreds}.subspan(t * terms, terms),
-         ops.results[t]});
-  }
-  linalg::batch_fused_apply(d, k, ops.items, linalg::thread_workspace());
+  run_tasks(op, leaf.level(), items, opts, stats);
   for (auto& [sum, r] : repeats) *sum += r;
 }
 
@@ -150,17 +132,13 @@ Tensor apply_task_compute(const SeparatedConvolution& op, const Tensor& source,
                           int level, const Displacement& disp,
                           const ApplyOptions& opts, ApplyStats* stats) {
   check_source(op, source);
-  // The whole task's operand set runs as ONE fused packed pass through the
-  // batch-GEMM engine instead of rank separate general_transform calls with
-  // fresh temporaries (the paper's custom-kernel organization, on the CPU).
-  Operands& ops = thread_operands(op);
-  gather_operands(op, level, disp, opts, ops, stats);
-  const std::size_t d = op.params().ndim;
-  const std::size_t k = op.params().k;
-  Tensor result = Tensor::cube(d, k);
-  const linalg::FusedApplyItem item{source.data(), ops.mats, ops.coeffs,
-                                    ops.kreds, result.data()};
-  linalg::batch_fused_apply(d, k, {&item, 1}, linalg::thread_workspace());
+  // The whole task runs as ONE fused packed pass through the batch-GEMM
+  // engine instead of rank separate general_transform calls with fresh
+  // temporaries (the paper's custom-kernel organization, on the CPU).
+  Tensor result = Tensor::cube(op.params().ndim, op.params().k);
+  const linalg::DisplacementItem item{source.data(), disp.data(),
+                                      result.data()};
+  run_tasks(op, level, {&item, 1}, opts, stats);
   return result;
 }
 

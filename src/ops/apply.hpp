@@ -67,9 +67,10 @@ std::vector<ApplyTask> make_apply_tasks(const SeparatedConvolution& op,
 /// tensor within one leaf, and distinct keys distinct tensors.
 using ContributionTarget = std::function<Tensor&(const mra::Key&)>;
 
-/// The Apply task loop for one source leaf: every task of `leaf` gathered
-/// and computed by one linalg::batch_fused_apply call (which shares the
-/// tasks' mode-prefix GEMMs). `target` is called once per task, in
+/// The Apply task loop for one source leaf: every task of `leaf` as one
+/// (source, displacement, result) item of one linalg::batch_fused_apply
+/// call over the level's block table (SeparatedConvolution::h_table), which
+/// shares the tasks' mode-prefix GEMMs. `target` is called once per task, in
 /// for_each_task order, and the engine adds each task's product straight
 /// into the tensor it returns: no per-task result is allocated. On a
 /// periodic operator several tasks of a leaf can wrap onto one target; the
@@ -83,10 +84,9 @@ void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
                       ApplyStats* stats, const ContributionTarget& target);
 
 /// Compute one task's contribution tensor (Algorithm 5): the Formula 1 sum
-/// over the kernel's separated terms applied to the source coefficients.
-/// Operands are gathered as raw operator-table views (gather_task) and run
-/// as a one-item linalg::batch_fused_apply. `source` must be a k^d cube
-/// (mh::Error otherwise).
+/// over the kernel's separated terms applied to the source coefficients,
+/// run as a one-item linalg::batch_fused_apply over the level's block
+/// table. `source` must be a k^d cube (mh::Error otherwise).
 Tensor apply_task_compute(const SeparatedConvolution& op, const Tensor& source,
                           int level, const Displacement& disp,
                           const ApplyOptions& opts = {},

@@ -24,6 +24,30 @@ std::shared_ptr<const Tensor> borrowed(const Tensor& t) {
   return {std::shared_ptr<const Tensor>(), &t};
 }
 
+/// The distinct displacement components `items` read in their `d` modes,
+/// each within the table's `width` columns around 0; a per-thread list
+/// valid until the calling thread's next call.
+const std::vector<std::int64_t>& components(
+    std::span<const linalg::DisplacementItem> items, std::size_t d,
+    std::size_t width) {
+  thread_local std::vector<unsigned char> seen;
+  thread_local std::vector<std::int64_t> out;
+  const auto reach = static_cast<std::int64_t>(width / 2);
+  seen.assign(width, 0);
+  out.clear();
+  for (const linalg::DisplacementItem& item : items) {
+    for (std::size_t dim = 0; dim < d; ++dim) {
+      const std::int64_t m = item.disp[dim];
+      MH_CHECK(m >= -reach && m <= reach,
+               "displacement outside the operator table");
+      unsigned char& s = seen[static_cast<std::size_t>(m + reach)];
+      if (s == 0) out.push_back(m);
+      s = 1;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 Tensor gaussian_block(std::size_t k, double beta, std::int64_t m) {
@@ -103,6 +127,7 @@ SeparatedConvolution::SeparatedConvolution(Params params,
   MH_CHECK(params_.max_disp >= 1, "displacement cap must be positive");
   reach_ = 2 * params_.max_disp + 1;
   width_ = static_cast<std::size_t>(2 * reach_ + 1);
+  for (const auto& term : kernel_.terms) coeffs_.push_back(term.coeff);
 }
 
 std::size_t SeparatedConvolution::Block::rank_for(double tol) const {
@@ -120,13 +145,17 @@ SeparatedConvolution::Level& SeparatedConvolution::level(int n) const {
   return entry.publish(std::make_unique<Level>(rank() * width_));
 }
 
-SeparatedConvolution::Slot& SeparatedConvolution::slot(const Level& level,
-                                                       std::size_t mu,
-                                                       std::int64_t m) const {
+std::size_t SeparatedConvolution::index(std::size_t mu, std::int64_t m) const {
   MH_CHECK(mu < rank(), "term index out of range");
   MH_CHECK(m >= -reach_ && m <= reach_,
            "displacement outside the operator table");
-  return level.slot[mu * width_ + static_cast<std::size_t>(m + reach_)];
+  return mu * width_ + static_cast<std::size_t>(m + reach_);
+}
+
+SeparatedConvolution::Slot& SeparatedConvolution::slot(const Level& level,
+                                                       std::size_t mu,
+                                                       std::int64_t m) const {
+  return level.slot[index(mu, m)];
 }
 
 const SeparatedConvolution::Block& SeparatedConvolution::block(
@@ -159,6 +188,7 @@ const SeparatedConvolution::Block& SeparatedConvolution::block(
     b->tail[r - 1] = std::sqrt(outside2 + add2);
     outside2 += add2;
   }
+  level.h[index(mu, m)] = b->h.data();
   return entry.publish(std::move(b));
 }
 
@@ -182,7 +212,9 @@ double SeparatedConvolution::h_block_norm(std::size_t mu, int n,
 
 std::shared_ptr<const Tensor> SeparatedConvolution::ns_block(
     std::size_t mu, int n, std::int64_t m, NsPart part) const {
-  auto& entry = slot(level(n), mu, m).ns[part == NsPart::kFull ? 0 : 1];
+  const Level& lvl = level(n);
+  const std::size_t p = part == NsPart::kFull ? 0 : 1;
+  auto& entry = slot(lvl, mu, m).ns[p];
   if (const Tensor* t = entry.get()) return borrowed(*t);
   std::scoped_lock lock(mu_);
   if (const Tensor* t = entry.get()) return borrowed(*t);
@@ -225,7 +257,9 @@ std::shared_ptr<const Tensor> SeparatedConvolution::ns_block(
       }
     }
   }
-  return borrowed(entry.publish(std::make_unique<const Tensor>(std::move(u))));
+  auto t = std::make_unique<const Tensor>(std::move(u));
+  lvl.ns[p * rank() * width_ + index(mu, m)] = t->data();
+  return borrowed(entry.publish(std::move(t)));
 }
 
 std::size_t SeparatedConvolution::reduced_rank(std::size_t mu, int n,
@@ -235,26 +269,42 @@ std::size_t SeparatedConvolution::reduced_rank(std::size_t mu, int n,
   return lookup(mu, n, m).rank_for(tol);
 }
 
-void SeparatedConvolution::gather_task(int n, const Displacement& disp,
-                                       double rank_tol,
-                                       std::vector<linalg::GemmMat>& mats,
-                                       std::vector<std::size_t>& kreds) const {
-  const std::size_t d = params_.ndim;
-  const std::size_t k = params_.k;
+linalg::BlockTable SeparatedConvolution::h_table(
+    int n, std::span<const linalg::DisplacementItem> items,
+    double rank_tol) const {
   const Level& lvl = level(n);
+  thread_local std::vector<std::size_t> ranks;
+  if (rank_tol > 0.0) ranks.resize(rank() * width_);
+  const std::vector<std::int64_t>& read =
+      components(items, params_.ndim, width_);
   std::size_t hits = 0;
   for (std::size_t mu = 0; mu < rank(); ++mu) {
-    std::size_t kred = k;
-    for (std::size_t dim = 0; dim < d; ++dim) {
-      const std::int64_t m = disp[dim];
+    for (const std::int64_t m : read) {
       const Block& b = block(lvl, mu, n, m, hits);
-      mats.push_back({b.h.data(), k, k});
-      if (rank_tol > 0.0) kred = std::min(kred, b.rank_for(rank_tol));
+      if (rank_tol > 0.0) ranks[index(mu, m)] = b.rank_for(rank_tol);
     }
-    if (rank_tol > 0.0) kreds.push_back(kred);
   }
-  if (rank_tol > 0.0) hits += rank() * d;  // the reduced_rank lookups
-  hits_.fetch_add(hits, std::memory_order_relaxed);
+  // Each item reads rank() * ndim blocks (and as many ranks): every read
+  // but the first fills (the misses above) is a hit.
+  const std::size_t reads = items.size() * rank() * params_.ndim;
+  const std::size_t misses = rank() * read.size() - hits;
+  hits_.fetch_add(reads - misses + (rank_tol > 0.0 ? reads : 0),
+                  std::memory_order_relaxed);
+  return {lvl.h.get(), width_, reach_,
+          rank_tol > 0.0 ? ranks.data() : nullptr};
+}
+
+linalg::BlockTable SeparatedConvolution::ns_table(
+    int n, std::span<const linalg::DisplacementItem> items) const {
+  const std::vector<std::int64_t>& read =
+      components(items, params_.ndim, width_);
+  for (std::size_t mu = 0; mu < rank(); ++mu) {
+    for (const std::int64_t m : read) {
+      ns_block(mu, n, m, NsPart::kFull);
+      if (n > 0) ns_block(mu, n, m, NsPart::kSsOnly);
+    }
+  }
+  return {level(n).ns.get(), width_, reach_, nullptr};
 }
 
 const std::vector<Displacement>& SeparatedConvolution::displacements(

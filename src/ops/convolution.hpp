@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "linalg/batch_gemm.hpp"
@@ -61,6 +62,8 @@ class SeparatedConvolution {
   /// Number of separated terms (the paper's M, typically ~100).
   std::size_t rank() const noexcept { return kernel_.rank(); }
   double term_coeff(std::size_t mu) const { return kernel_.terms.at(mu).coeff; }
+  /// Every term's weight c_mu, in term order.
+  std::span<const double> term_coeffs() const noexcept { return coeffs_; }
   const SeparatedKernel& kernel() const noexcept { return kernel_; }
 
   /// Levels the operator table covers (mra keys stop below level 62).
@@ -102,12 +105,26 @@ class SeparatedConvolution {
   /// sorted by distance (m = 0 first). Cached per level.
   const std::vector<Displacement>& displacements(int n) const;
 
-  /// One Apply task's operands: append its rank() * ndim blocks (term-major,
-  /// raw views) to `mats` and, if rank_tol > 0, each term's reduced rank to
-  /// `kreds`. Counts its lookups as h_block (+ reduced_rank) calls would.
-  void gather_task(int n, const Displacement& disp, double rank_tol,
-                   std::vector<linalg::GemmMat>& mats,
-                   std::vector<std::size_t>& kreds) const;
+  /// Level n's operator table as linalg::batch_fused_apply reads it:
+  /// rank() rows of 2 * reach + 1 entries, block (mu, m) at [mu][m + reach]
+  /// with reach = 2 max_disp + 1. It is the level's own table (no copy):
+  /// every term's blocks at the items' displacement components are looked
+  /// up first, counted as the items' rank() * ndim block reads each
+  /// (h_block calls would count them so), and each of those entries is
+  /// valid from then on. With rank_tol > 0 the view also carries those
+  /// blocks' reduced ranks (reduced_rank(mu, n, m, rank_tol)), counted as
+  /// as many more reads, in a per-thread table valid until the calling
+  /// thread's next call.
+  linalg::BlockTable h_table(int n,
+                             std::span<const linalg::DisplacementItem> items,
+                             double rank_tol) const;
+
+  /// Level n's nonstandard blocks as a table, like h_table: row mu holds
+  /// term mu's kFull blocks and, at n > 0 (where the telescoping subtracts
+  /// them), row rank() + mu its kSsOnly blocks, each looked up (ns_block)
+  /// at the items' displacement components.
+  linalg::BlockTable ns_table(
+      int n, std::span<const linalg::DisplacementItem> items) const;
 
   /// Each block lookup is one hit or one miss (the first fill of a block).
   CacheStats cache_stats() const;
@@ -143,13 +160,23 @@ class SeparatedConvolution {
     std::array<WriteOnce<const Tensor>, 2> ns;  ///< kFull, kSsOnly
   };
   /// Slots [mu][m + reach_] of one level, plus its screened displacements.
+  /// h and ns are the table views h_table and ns_table hand out: each
+  /// published block's data, [mu][m + reach_] and [part][mu][m + reach_],
+  /// written before the block is published.
   struct Level {
-    explicit Level(std::size_t slots) : slot(new Slot[slots]) {}
+    explicit Level(std::size_t slots)
+        : slot(new Slot[slots]),
+          h(new const double*[slots]()),
+          ns(new const double*[2 * slots]()) {}
     std::unique_ptr<Slot[]> slot;
+    std::unique_ptr<const double*[]> h;
+    std::unique_ptr<const double*[]> ns;
     WriteOnce<const std::vector<Displacement>> displacements;
   };
 
   Level& level(int n) const;
+  /// Index of (mu, m) in a level's slots and its h table.
+  std::size_t index(std::size_t mu, std::int64_t m) const;
   Slot& slot(const Level& level, std::size_t mu, std::int64_t m) const;
   /// Block (mu, n, m) of `level`: read lock-free once published, else
   /// computed under mu_ (a miss). A published block counts into `hits`.
@@ -159,6 +186,7 @@ class SeparatedConvolution {
 
   Params params_;
   SeparatedKernel kernel_;
+  std::vector<double> coeffs_;  ///< term_coeffs()
   // Largest |m| the table holds (2 max_disp + 1, for ns_block's children)
   // and the slots per term (2 reach_ + 1).
   std::int64_t reach_ = 0;

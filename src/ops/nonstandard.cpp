@@ -117,43 +117,34 @@ mra::Function apply_nonstandard(const SeparatedConvolution& op,
   NsForm::NodeMap result;
 
   // A task's telescoped increment sum_mu c_mu (prod_dim U - prod_dim ss) u
-  // is one batch item: the kFull terms weighted +c_mu and, for n > 0, the
-  // kSsOnly terms weighted -c_mu (at the coarsest level the ss part is kept:
-  // it IS P_1 T P_1). An ss block is zero outside its k x k corner, so its
-  // terms contract only k rows.
+  // is one batch item over ns_table's rows: the kFull terms weighted +c_mu
+  // and, for n > 0, the kSsOnly terms weighted -c_mu (at the coarsest
+  // level the ss part is kept: it IS P_1 T P_1). An ss block is zero
+  // outside its k x k corner, so its terms contract only k rows.
   std::vector<double> coeffs(2 * rank);
-  std::vector<std::size_t> kreds(2 * rank, k2);
+  std::vector<std::size_t> kcap(2 * rank, k2);
   for (std::size_t mu = 0; mu < rank; ++mu) {
     coeffs[mu] = op.term_coeff(mu);
     coeffs[rank + mu] = -op.term_coeff(mu);
-    kreds[rank + mu] = f.k();
+    kcap[rank + mu] = f.k();
   }
-  std::vector<linalg::GemmMat> mats;
   std::vector<std::pair<mra::Key, Tensor>> tasks;
-  std::vector<linalg::FusedApplyItem> items;
+  std::vector<linalg::DisplacementItem> items;
   for (const auto& [key, u] : ns.nodes()) {
     const int n = key.level();
     const std::size_t terms = n > 0 ? 2 * rank : rank;
-    mats.clear();
     tasks.clear();
     items.clear();
     for_each_task(op, key, [&](const mra::Key& to, const Displacement& disp) {
-      for (std::size_t t = 0; t < terms; ++t) {
-        const auto part = t < rank ? SeparatedConvolution::NsPart::kFull
-                                   : SeparatedConvolution::NsPart::kSsOnly;
-        for (std::size_t dim = 0; dim < d; ++dim)
-          mats.push_back(
-              {op.ns_block(t % rank, n, disp[dim], part)->data(), k2, k2});
-      }
       tasks.emplace_back(to, Tensor::cube(d, k2));
+      items.push_back({u.data(), disp.data(), nullptr});
     });
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      items.push_back({u.data(),
-                       std::span{mats}.subspan(i * terms * d, terms * d),
-                       std::span{coeffs}.first(terms),
-                       std::span{kreds}.first(terms), tasks[i].second.data()});
-    }
-    linalg::batch_fused_apply(d, k2, items, linalg::thread_workspace());
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+      items[i].result = tasks[i].second.data();
+    linalg::batch_fused_apply(d, k2, op.ns_table(n, items),
+                              std::span{coeffs}.first(terms),
+                              std::span{kcap}.first(terms), items,
+                              linalg::thread_workspace());
     for (auto& [to, r] : tasks) {
       auto [it, inserted] = result.try_emplace(to, std::move(r));
       if (!inserted) it->second += r;

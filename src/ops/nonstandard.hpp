@@ -59,8 +59,8 @@ mra::Function from_nonstandard(const NsForm::NodeMap& result,
                                const mra::FunctionParams& params);
 
 /// Apply op to f in nonstandard form: each NS node's tasks run as one
-/// linalg::batch_fused_apply call over items of 2M terms (M at level 0) and
-/// extent 2k. Accuracy: exact cross-level coupling (up to displacement
+/// linalg::batch_fused_apply call over the level's nonstandard block table
+/// (SeparatedConvolution::ns_table), 2M terms (M at level 0) of extent 2k. Accuracy: exact cross-level coupling (up to displacement
 /// screening) and one extra level of output detail.
 mra::Function apply_nonstandard(const SeparatedConvolution& op,
                                 const mra::Function& f,

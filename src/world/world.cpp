@@ -29,7 +29,7 @@ World::World(std::size_t ranks, obs::MetricsRegistry* metrics)
           "remote sends dropped after exhausting retries")),
       m_dead_ranks_(metrics_.gauge("mh_world_dead_ranks",
                                    "ranks declared permanently dead")),
-      faults_(&fault::FaultInjector::global()),
+      faults_(fault::FaultInjector::global()),
       send_rng_(kSendSeed),
       rank_dead_(ranks, false) {
   MH_CHECK(ranks >= 1, "world needs at least one rank");
@@ -101,11 +101,6 @@ void World::submit(std::size_t rank, std::function<void()> task) {
   enqueue(rank, std::move(task), "task", obs::Category::kCpuCompute);
 }
 
-void World::set_fault_injector(fault::FaultInjector* injector) {
-  std::scoped_lock lock(mu_);
-  faults_ = injector != nullptr ? injector : &fault::FaultInjector::global();
-}
-
 std::vector<std::size_t> World::dead_ranks() const {
   std::scoped_lock lock(mu_);
   std::vector<std::size_t> dead;
@@ -130,10 +125,8 @@ void World::send(std::size_t from, std::size_t to, double bytes,
     // Remote path: the send itself can fail. Retry with backoff on the
     // sending thread (a blocked sender is how a real AM layer behaves);
     // exhausting the retries declares the destination dead.
-    fault::FaultInjector* injector;
     {
       std::scoped_lock lock(mu_);
-      injector = faults_;
       if (rank_dead_[to]) {
         ++stats_.send_failures;
         m_send_failures_.inc();
@@ -146,8 +139,8 @@ void World::send(std::size_t from, std::size_t to, double bytes,
       }
     }
     for (std::size_t attempt = 0;
-         injector->armed(fault::FaultSite::kSend) &&
-         injector->should_fail(fault::FaultSite::kSend);
+         faults_.armed(fault::FaultSite::kSend) &&
+         faults_.should_fail(fault::FaultSite::kSend);
          ++attempt) {
       if (attempt >= kSendMaxRetries) {
         // Permanently dead: drop the handler, record the typed error for

@@ -53,7 +53,8 @@ class World {
   /// Active message: run `handler` on rank `to`, accounting `bytes` of
   /// payload from rank `from`. Local sends (from == to) are free.
   ///
-  /// Remote sends can fail (site `send` of the world's fault injector).
+  /// Remote sends can fail (site `send` of FaultInjector::global(), the
+  /// process injector configured from MH_FAULTS).
   /// A failed send is retried up to three times, backing off by
   /// fault::backoff_ms (1 ms doubling to a 20 ms cap, jitter from a
   /// fixed-seed stream); when every attempt fails the destination rank is
@@ -62,11 +63,6 @@ class World {
   /// to an already-dead rank fail fast.
   void send(std::size_t from, std::size_t to, double bytes,
             std::function<void()> handler);
-
-
-  /// Fault injector consulted on every remote send; nullptr (the default)
-  /// means the process injector configured from MH_FAULTS.
-  void set_fault_injector(fault::FaultInjector* injector);
 
   /// Ranks declared permanently dead by exhausted send retries, ascending.
   std::vector<std::size_t> dead_ranks() const;
@@ -104,9 +100,8 @@ class World {
   std::size_t outstanding_ = 0;
   Stats stats_;
   std::exception_ptr first_error_;
-  // Send resilience (injector fixed before traffic; rng + dead set under
-  // mu_).
-  fault::FaultInjector* faults_;
+  // Send resilience: the process injector; rng + dead set under mu_.
+  fault::FaultInjector& faults_;
   Rng send_rng_;
   std::vector<bool> rank_dead_;
 };

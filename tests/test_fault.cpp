@@ -196,6 +196,21 @@ TEST(FaultInjector, SpecGrammarRejectsBadInput) {
   EXPECT_FALSE(fi.armed());
 }
 
+TEST(FaultInjectorDeathTest, MalformedEnvSpecExitsWithStatusTwo) {
+  // The process injector reads MH_FAULTS on first use: a spec it cannot
+  // parse ends the process with one stderr line naming the spec and the
+  // usage status 2, not an uncaught exception. The threadsafe style
+  // re-runs the test binary, so the child's global() is not yet built.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("MH_FAULTS", "pinned:p=1", 1);
+        FaultInjector::global();
+      },
+      ::testing::ExitedWithCode(2),
+      "unknown fault site in 'pinned:p=1' \\(MH_FAULTS=\"pinned:p=1\"\\)");
+}
+
 // Seeded mutation of the MH_FAULTS grammar: valid specs are truncated,
 // bit-flipped and spliced into each other, and configure must either
 // accept the result or throw std::invalid_argument — never another
@@ -583,11 +598,26 @@ TEST(EngineResilience, BreakerProbesHalfOpenAndRecovers) {
 // World: send retries and dead ranks.
 // ---------------------------------------------------------------------------
 
-TEST(WorldFaults, FailedSendIsRetriedAndDelivered) {
-  FaultInjector fi(5);
-  fi.set_rule(FaultSite::kSend, at_rule({1}));  // first attempt fails
+// World sends consult the process injector: each test configures
+// FaultInjector::global() on a fixed seed, and the fixture clears its rules
+// again (re-applying MH_FAULTS, if set).
+class WorldFaults : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    FaultInjector::global().clear();
+    FaultInjector::global().reset(5);
+  }
+  void TearDown() override {
+    FaultInjector::global().clear();
+    if (const char* spec = std::getenv("MH_FAULTS"); spec != nullptr)
+      FaultInjector::global().configure(spec);
+  }
+};
+
+TEST_F(WorldFaults, FailedSendIsRetriedAndDelivered) {
+  FaultInjector::global().set_rule(FaultSite::kSend,
+                                   at_rule({1}));  // first attempt fails
   world::World w(3);
-  w.set_fault_injector(&fi);
   std::atomic<int> ran{0};
   w.send(0, 1, 128.0, [&] { ++ran; });
   ASSERT_NO_THROW(w.fence());
@@ -599,11 +629,9 @@ TEST(WorldFaults, FailedSendIsRetriedAndDelivered) {
   EXPECT_TRUE(w.dead_ranks().empty());
 }
 
-TEST(WorldFaults, RankDeclaredDeadAfterExhaustedRetries) {
-  FaultInjector fi(5);
-  fi.set_rule(FaultSite::kSend, prob_rule(1.0));
+TEST_F(WorldFaults, RankDeclaredDeadAfterExhaustedRetries) {
+  FaultInjector::global().set_rule(FaultSite::kSend, prob_rule(1.0));
   world::World w(3);
-  w.set_fault_injector(&fi);
   std::atomic<int> ran{0};
   w.send(0, 2, 64.0, [&] { ++ran; });  // 1 attempt + 3 retries, all fail
   try {

@@ -16,6 +16,7 @@
 #include "clustersim/process_map.hpp"
 #include "common/rng.hpp"
 #include "gpusim/kernels.hpp"
+#include "linalg/batch_gemm.hpp"
 #include "ops/apply.hpp"
 #include "ops/separated.hpp"
 #include "runtime/batching.hpp"
@@ -134,12 +135,9 @@ TEST(CoulombAccuracy, GaussianPotentialMatchesErfOverR) {
   EXPECT_LT(err, 2.15e-5);
 }
 
-TEST(CoulombAccuracy, RankReductionDeviationOnSmoothingInput) {
-  // The coulomb_smoothing example's input and operator: two Gaussian
-  // sites, k = 5, adaptive to level 5; Coulomb fit eps = 1e-3, M = 35.
-  // Deviation of the rank-reduced (tol 1e-5) Apply from the full-rank one:
-  // the norm of their nodewise difference over the shared leaf keys,
-  // relative to the full-rank norm.
+/// The coulomb_smoothing example's input (the benchmark's coulomb_d3): two
+/// Gaussian sites, k = 5, adaptive to level 5.
+mra::Function smoothing_density() {
   std::vector<apps::GaussianSite> sites;
   sites.push_back({{0.42, 0.5, 0.5}, 0.12, 1.0});
   sites.push_back({{0.62, 0.5, 0.5}, 0.08, 0.7});
@@ -149,9 +147,17 @@ TEST(CoulombAccuracy, RankReductionDeviationOnSmoothingInput) {
   fp.thresh = 5e-4;
   fp.initial_level = 1;
   fp.max_level = 5;
-  const mra::Function rho =
-      mra::Function::project(apps::gaussian_mixture(sites), fp);
-  const auto op = apps::make_coulomb_operator(3, fp.k, 1e-3, 2, 1e-3);
+  return mra::Function::project(apps::gaussian_mixture(sites), fp);
+}
+
+TEST(CoulombAccuracy, RankReductionDeviationOnSmoothingInput) {
+  // The coulomb_smoothing example's input and operator: Coulomb fit
+  // eps = 1e-3, M = 35.
+  // Deviation of the rank-reduced (tol 1e-5) Apply from the full-rank one:
+  // the norm of their nodewise difference over the shared leaf keys,
+  // relative to the full-rank norm.
+  const mra::Function rho = smoothing_density();
+  const auto op = apps::make_coulomb_operator(3, 5, 1e-3, 2, 1e-3);
   const mra::Function v = ops::apply(op, rho);
   ops::ApplyOptions rr;
   rr.rank_reduce = true;
@@ -175,6 +181,21 @@ TEST(CoulombAccuracy, RankReductionDeviationOnSmoothingInput) {
   const double dev = std::sqrt(diff2) / v.norm2();
   // Measured 7.414e-7; pinned at 2x.
   EXPECT_LT(dev, 1.48e-6);
+}
+
+TEST(CoulombAccuracy, SmoothingApplyRunsCompleteSharing) {
+  // The engine's executed work on the coulomb_smoothing input at full
+  // rank: every leaf's tasks share each (src, m_0..m_j) prefix once, so
+  // the counters are the complete-sharing counts, whatever the grouping's
+  // order. They include sum_down's slab transforms.
+  const mra::Function rho = smoothing_density();
+  const auto op = apps::make_coulomb_operator(3, 5, 1e-3, 2, 1e-3);
+  const linalg::BatchGemmStats& ws = linalg::thread_workspace().stats();
+  const linalg::BatchGemmStats before = ws;
+  ops::apply(op, rho);
+  EXPECT_EQ(ws.prefix_nodes - before.prefix_nodes, 2990680u);
+  EXPECT_EQ(ws.packed_gemms - before.packed_gemms, 650320u);
+  EXPECT_EQ(ws.flops - before.flops, 3740870000.0);
 }
 
 // ---------------------------------------------------------------------------

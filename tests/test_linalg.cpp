@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/diagnostics.hpp"
 #include "common/rng.hpp"
 #include "linalg/batch_gemm.hpp"
 #include "linalg/batch_gemm_kernels.hpp"
@@ -930,6 +931,130 @@ TEST(BatchGemm, FanOutLastModeBitwise) {
       EXPECT_LT(st.packed_gemms, st.prefix_nodes) << d << " " << k;
     }
   }
+}
+
+// The same tasks through both entry points: displacement items over
+// PrefixBatch's table (with a per-block rank table when `ranked`) and
+// pointer items carrying that table's blocks, their kreds each term's least
+// rank over its d blocks, as the displacement path derives kc. The pointer
+// path interns each mode's tuple of blocks into a column, so both run one
+// walk in one order: results memcmp-equal, counters equal, and each result
+// equal to its own one-item displacement call.
+void expect_entry_points_agree(std::size_t d, std::size_t k,
+                               std::int64_t reach, bool ranked,
+                               std::uint64_t seed) {
+  PrefixBatch b(d, k, /*terms=*/3, /*sources=*/2, reach, seed);
+  Rng rng(seed + 1);
+  std::vector<std::size_t> ranks;  // [mu * width + m + reach]
+  for (std::size_t i = 0; ranked && i < b.terms * b.width(); ++i)
+    ranks.push_back(1 + rng.next_u64() % k);
+  // Every displacement of [-reach, reach]^d over both sources, shuffled,
+  // then a few again (duplicates with their own results).
+  std::vector<std::vector<std::int64_t>> lattice(1);
+  for (std::size_t m = 0; m < d; ++m) {
+    std::vector<std::vector<std::int64_t>> next;
+    for (const auto& v : lattice) {
+      for (std::int64_t x = -reach; x <= reach; ++x) {
+        next.push_back(v);
+        next.back().push_back(x);
+      }
+    }
+    lattice = std::move(next);
+  }
+  std::vector<std::pair<std::size_t, std::vector<std::int64_t>>> tasks;
+  for (std::size_t s = 0; s < 2; ++s)
+    for (const auto& disp : lattice) tasks.emplace_back(s, disp);
+  for (std::size_t i = tasks.size(); i > 1; --i)
+    std::swap(tasks[i - 1], tasks[rng.next_u64() % i]);
+  for (std::size_t i = 0; i < 5; ++i) tasks.push_back(tasks[i * 3]);
+  for (const auto& [s, disp] : tasks) {
+    std::vector<std::size_t> kreds;
+    for (std::size_t mu = 0; ranked && mu < b.terms; ++mu) {
+      std::size_t kc = k;
+      for (const std::int64_t x : disp) {
+        kc = std::min(kc, ranks[mu * b.width() +
+                                static_cast<std::size_t>(x + reach)]);
+      }
+      kreds.push_back(kc);
+    }
+    b.add(s, disp, kreds);
+  }
+
+  std::vector<std::vector<double>> by_pointer = b.initial_results();
+  GemmWorkspace pointer_ws;
+  batch_fused_apply(d, k, b.items(by_pointer), pointer_ws);
+
+  std::vector<const double*> blocks;
+  for (const auto& h : b.table) blocks.push_back(h.data());
+  const BlockTable table{blocks.data(), b.width(), reach,
+                         ranked ? ranks.data() : nullptr};
+  std::vector<std::vector<double>> by_disp = b.initial_results();
+  std::vector<DisplacementItem> items;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    items.push_back({b.srcs[tasks[i].first].data(), tasks[i].second.data(),
+                     by_disp[i].data()});
+  }
+  GemmWorkspace disp_ws;
+  batch_fused_apply(d, k, table, b.coeffs, {}, items, disp_ws);
+
+  const std::size_t bytes = by_disp[0].size() * sizeof(double);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    ASSERT_EQ(std::memcmp(by_disp[i].data(), by_pointer[i].data(), bytes), 0)
+        << "d " << d << " ranked " << ranked << " item " << i;
+    std::vector<double> alone = b.slots[i].result;
+    DisplacementItem one = items[i];
+    one.result = alone.data();
+    GemmWorkspace own;
+    batch_fused_apply(d, k, table, b.coeffs, {}, {&one, 1}, own);
+    ASSERT_EQ(std::memcmp(by_disp[i].data(), alone.data(), bytes), 0)
+        << "d " << d << " ranked " << ranked << " item " << i;
+  }
+  const BatchGemmStats& p = pointer_ws.stats();
+  const BatchGemmStats& q = disp_ws.stats();
+  EXPECT_EQ(q.packed_gemms, p.packed_gemms) << d << " " << ranked;
+  EXPECT_EQ(q.prefix_nodes, p.prefix_nodes) << d << " " << ranked;
+  EXPECT_EQ(q.flops, p.flops) << d << " " << ranked;
+  EXPECT_EQ(q.fused_chains, p.fused_chains) << d << " " << ranked;
+  b.expect_walk(p);
+  if (!ranked) {
+    EXPECT_EQ(q.prefix_nodes, b.distinct_nodes()) << d;
+  }
+}
+
+TEST(BatchGemm, DisplacementAndPointerItemsAgreeBitwise) {
+  // d = 1..4 at full rank and with a random rank per block, so the items'
+  // kc vectors mix within every prefix run; width 7 > fan_out_limit(5)
+  // splits groups into several fan-out calls.
+  for (const auto& [d, k, reach] :
+       {std::tuple<std::size_t, std::size_t, std::int64_t>{1, 5, 2},
+        {2, 5, 3},
+        {3, 5, 2},
+        {4, 4, 1}}) {
+    for (const bool ranked : {false, true})
+      expect_entry_points_agree(d, k, reach, ranked, 31 * d + k);
+  }
+}
+
+TEST(BatchGemm, DisplacementItemsCheckTheirTable) {
+  // A component outside the table, or kcap of the wrong length, is a
+  // typed error, not a read past the table.
+  const std::size_t k = 4;
+  PrefixBatch b(2, k, /*terms=*/2, /*sources=*/1, /*reach=*/1, 3);
+  std::vector<const double*> blocks;
+  for (const auto& h : b.table) blocks.push_back(h.data());
+  const BlockTable table{blocks.data(), b.width(), 1, nullptr};
+  std::vector<double> result(k * k, 0.0);
+  const std::int64_t inside[2] = {1, -1};
+  const std::int64_t outside[2] = {0, 2};
+  const DisplacementItem ok{b.srcs[0].data(), inside, result.data()};
+  const DisplacementItem bad{b.srcs[0].data(), outside, result.data()};
+  GemmWorkspace ws;
+  EXPECT_NO_THROW(batch_fused_apply(2, k, table, b.coeffs, {}, {&ok, 1}, ws));
+  EXPECT_THROW(batch_fused_apply(2, k, table, b.coeffs, {}, {&bad, 1}, ws),
+               Error);
+  const std::size_t kcap[1] = {2};
+  EXPECT_THROW(batch_fused_apply(2, k, table, b.coeffs, kcap, {&ok, 1}, ws),
+               Error);
 }
 
 TEST(BatchGemm, WarmCallsAllocateNothing) {

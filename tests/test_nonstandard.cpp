@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <span>
 #include <vector>
 
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
+#include "linalg/batch_gemm.hpp"
 #include "mra/twoscale.hpp"
 #include "ops/apply.hpp"
 #include "ops/nonstandard.hpp"
@@ -307,6 +309,117 @@ NsForm::NodeMap composed_nonstandard(const SeparatedConvolution& op,
     });
   }
   return result;
+}
+
+// apply_nonstandard with each node's tasks fed as pointer items, the way it
+// ran before its items named displacements: per task the kFull blocks of
+// every term and, at n > 0, the kSsOnly ones (ns_block), with the ss terms
+// contracting k rows.
+mra::Function nonstandard_by_pointer_items(const SeparatedConvolution& op,
+                                           const mra::Function& f) {
+  using NsPart = SeparatedConvolution::NsPart;
+  const std::size_t d = f.ndim();
+  const std::size_t k2 = 2 * f.k();
+  const std::size_t rank = op.rank();
+  std::vector<double> coeffs(2 * rank);
+  std::vector<std::size_t> kreds(2 * rank, k2);
+  for (std::size_t mu = 0; mu < rank; ++mu) {
+    coeffs[mu] = op.term_coeff(mu);
+    coeffs[rank + mu] = -op.term_coeff(mu);
+    kreds[rank + mu] = f.k();
+  }
+  const NsForm ns = NsForm::from(f);
+  NsForm::NodeMap result;
+  for (const auto& [key, u] : ns.nodes()) {
+    const int n = key.level();
+    const std::size_t terms = n > 0 ? 2 * rank : rank;
+    std::vector<linalg::GemmMat> mats;
+    std::vector<std::pair<mra::Key, Tensor>> tasks;
+    for_each_task(op, key, [&](const mra::Key& to, const Displacement& disp) {
+      for (std::size_t t = 0; t < terms; ++t) {
+        const NsPart part = t < rank ? NsPart::kFull : NsPart::kSsOnly;
+        for (std::size_t dim = 0; dim < d; ++dim)
+          mats.push_back(
+              {op.ns_block(t % rank, n, disp[dim], part)->data(), k2, k2});
+      }
+      tasks.emplace_back(to, Tensor::cube(d, k2));
+    });
+    std::vector<linalg::FusedApplyItem> items;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      items.push_back({u.data(),
+                       std::span{mats}.subspan(i * terms * d, terms * d),
+                       std::span{coeffs}.first(terms),
+                       std::span{kreds}.first(terms), tasks[i].second.data()});
+    }
+    linalg::batch_fused_apply(d, k2, items, linalg::thread_workspace());
+    for (auto& [to, r] : tasks) {
+      auto [it, inserted] = result.try_emplace(to, std::move(r));
+      if (!inserted) it->second += r;
+    }
+  }
+  return from_nonstandard(result, f.params());
+}
+
+TEST(NsApply, DisplacementItemsMatchPointerItemsBitwise) {
+  // apply_nonstandard's items name their displacements over the level's
+  // nonstandard table (kFull rows, then kSsOnly rows); the same tasks as
+  // pointer items must give the same bits and run the same engine work,
+  // on an adaptive d = 2 tree and on a d = 1 torus.
+  mra::FunctionParams fp;
+  fp.ndim = 2;
+  fp.k = 4;
+  fp.thresh = 1e-4;
+  fp.initial_level = 1;
+  fp.max_level = 4;
+  const mra::Function f2 = mra::Function::project(
+      [](std::span<const double> x) {
+        return gauss(x[0], 0.3, 0.05) * gauss(x[1], 0.6, 0.08);
+      },
+      fp);
+  SeparatedKernel kernel;
+  kernel.terms = {{1.0, 100.0}, {-0.4, 1000.0}, {0.3, 10.0}};
+  SeparatedConvolution::Params p;
+  p.ndim = 2;
+  p.k = 4;
+  p.thresh = 1e-8;
+  p.max_disp = 3;
+  const SeparatedConvolution op2(p, kernel);
+  const mra::Function f1 = mra::Function::project(
+      [](std::span<const double> x) { return gauss(x[0], 0.1, 0.05); },
+      [] {
+        mra::FunctionParams q;
+        q.ndim = 1;
+        q.k = 6;
+        q.thresh = 1e-8;
+        q.initial_level = 2;
+        return q;
+      }());
+  auto p1 = params1d(6, 1e-10, 8);
+  p1.periodic = true;
+  const SeparatedConvolution op1(p1, single_gaussian(0.05));
+  for (const auto& [op, f] :
+       {std::pair<const SeparatedConvolution&, const mra::Function&>{op2, f2},
+        {op1, f1}}) {
+    const linalg::BatchGemmStats& ws = linalg::thread_workspace().stats();
+    const linalg::BatchGemmStats before = ws;
+    const mra::Function by_disp = apply_nonstandard(op, f);
+    const linalg::BatchGemmStats mid = ws;
+    const mra::Function by_pointer = nonstandard_by_pointer_items(op, f);
+    ASSERT_EQ(by_disp.num_nodes(), by_pointer.num_nodes());
+    for (const auto& [key, node] : by_disp.nodes()) {
+      const Tensor& x = node.coeffs;
+      const Tensor& y = by_pointer.nodes().at(key).coeffs;
+      ASSERT_EQ(x.size(), y.size());
+      if (x.size() == 0) continue;  // interior node
+      EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(double)),
+                0);
+    }
+    EXPECT_EQ(mid.packed_gemms - before.packed_gemms,
+              ws.packed_gemms - mid.packed_gemms);
+    EXPECT_EQ(mid.prefix_nodes - before.prefix_nodes,
+              ws.prefix_nodes - mid.prefix_nodes);
+    EXPECT_EQ(mid.flops - before.flops, ws.flops - mid.flops);
+  }
 }
 
 TEST(NsApply, BatchedEngineMatchesPerTermComposition) {

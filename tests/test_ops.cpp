@@ -702,6 +702,114 @@ TEST(Apply, WriteThroughKeepsSignedZerosAndInteriorTargets) {
     expect_leaf_loop_matches_task_loop(op, f, opts);
 }
 
+// ops::apply with every leaf's tasks fed as pointer items, the way
+// apply_leaf_tasks gathered them before its items named displacements: per
+// task the M * d blocks (h_block) and, with rank reduction, each term's
+// least reduced_rank over its modes; a wrapped repeat of a target gets a
+// scratch result added after the batch, in task order.
+mra::Function apply_by_pointer_items(const SeparatedConvolution& op,
+                                     const mra::Function& f,
+                                     const ApplyOptions& opts) {
+  const std::size_t d = f.ndim();
+  const std::size_t k = f.k();
+  const std::size_t rank = op.rank();
+  const double tol = opts.rank_tol > 0.0 ? opts.rank_tol : op.params().thresh;
+  mra::Function out(f.params());
+  for (const mra::Key& leaf : f.leaf_keys()) {
+    const int n = leaf.level();
+    std::vector<linalg::GemmMat> mats;
+    std::vector<std::size_t> kreds;
+    std::vector<double*> results;
+    std::vector<std::pair<Tensor*, Tensor>> repeats;
+    for_each_task(op, leaf, [&](const mra::Key& to, const Displacement& m) {
+      for (std::size_t mu = 0; mu < rank; ++mu) {
+        std::size_t kred = k;
+        for (std::size_t dim = 0; dim < d; ++dim) {
+          mats.push_back({op.h_block(mu, n, m[dim])->data(), k, k});
+          kred = std::min(kred, op.reduced_rank(mu, n, m[dim], tol));
+        }
+        if (opts.rank_reduce) kreds.push_back(kred);
+      }
+      Tensor& sum = out.accumulate_target(to);
+      double* r = sum.data();
+      if (std::ranges::find(results, r) != results.end())
+        r = repeats.emplace_back(&sum, Tensor::cube(d, k)).second.data();
+      results.push_back(r);
+    });
+    std::vector<linalg::FusedApplyItem> items;
+    for (std::size_t t = 0; t < results.size(); ++t) {
+      items.push_back(
+          {f.leaf_coeffs(leaf).data(),
+           std::span{mats}.subspan(t * rank * d, rank * d), op.term_coeffs(),
+           opts.rank_reduce ? std::span{kreds}.subspan(t * rank, rank)
+                            : std::span<const std::size_t>{},
+           results[t]});
+    }
+    linalg::batch_fused_apply(d, k, items, linalg::thread_workspace());
+    for (auto& [sum, r] : repeats) *sum += r;
+  }
+  out.sum_down();
+  return out;
+}
+
+TEST(Apply, DisplacementItemsMatchPointerItemsBitwise) {
+  // apply's items name their displacements over the level's block table;
+  // the same tasks as pointer items carrying their M * d blocks must give
+  // the same bits and run the same engine work: on a free Coulomb operator
+  // and on a torus whose leaves send wrapped repeats to one target, at
+  // full rank and rank-reduced.
+  mra::FunctionParams fp;
+  fp.ndim = 2;
+  fp.k = 5;
+  fp.thresh = 1e-3;
+  fp.initial_level = 1;
+  fp.max_level = 2;
+  const mra::Function broad = mra::Function::project(
+      [](std::span<const double> x) {
+        return gaussian1d(x[0], 0.3, 0.2) * gaussian1d(x[1], 0.6, 0.3);
+      },
+      fp);
+  const SeparatedConvolution free_op(op_params(2, 5, 1e-6, 3),
+                                     fit_coulomb(1e-3, 1e-3, std::sqrt(2.0)));
+  const SeparatedConvolution torus(periodic_params(2, 5, 1e-12, 2),
+                                   single_gaussian(1.0));
+  const mra::Function narrow = coulomb_input_2d();
+  std::size_t repeats = 0;
+  for (const mra::Key& leaf : broad.leaf_keys()) {
+    std::vector<mra::Key> targets;
+    for_each_task(torus, leaf, [&](const mra::Key& to, const Displacement&) {
+      repeats += std::count(targets.begin(), targets.end(), to);
+      targets.push_back(to);
+    });
+  }
+  ASSERT_GT(repeats, 0u);
+  struct Case {
+    const SeparatedConvolution& op;
+    const mra::Function& f;
+    double rank_tol;
+  };
+  for (const Case& c : {Case{free_op, narrow, 1e-5}, Case{torus, broad, 1e-4}}) {
+    ApplyOptions reduced;
+    reduced.rank_reduce = true;
+    reduced.rank_tol = c.rank_tol;
+    for (const ApplyOptions& opts : {ApplyOptions{}, reduced}) {
+      const linalg::BatchGemmStats& ws = linalg::thread_workspace().stats();
+      const linalg::BatchGemmStats before = ws;
+      ApplyStats stats;
+      const mra::Function by_disp = apply(c.op, c.f, opts, &stats);
+      const linalg::BatchGemmStats mid = ws;
+      const mra::Function by_pointer = apply_by_pointer_items(c.op, c.f, opts);
+      EXPECT_TRUE(bitwise_equal(by_disp, by_pointer)) << opts.rank_reduce;
+      EXPECT_EQ(mid.packed_gemms - before.packed_gemms,
+                ws.packed_gemms - mid.packed_gemms);
+      EXPECT_EQ(mid.prefix_nodes - before.prefix_nodes,
+                ws.prefix_nodes - mid.prefix_nodes);
+      EXPECT_EQ(mid.flops - before.flops, ws.flops - mid.flops);
+      EXPECT_EQ(stats.rank_reduced_gemms > 0, opts.rank_reduce);
+    }
+  }
+}
+
 TEST(Apply, SharesModePrefixGemmsAcrossALeafsTasks) {
   // ApplyStats::gemms stays the logical tasks * M * d count; the packed
   // GEMMs the engine executes are fewer, because a leaf's tasks share
