@@ -36,16 +36,25 @@ DistributedFunction::Shard& DistributedFunction::shard(std::size_t rank) {
   return shards_[rank];
 }
 
+std::vector<mra::Key> DistributedFunction::leaf_keys() const {
+  std::vector<mra::Key> keys;
+  keys.reserve(num_leaves());
+  for (const Shard& shard : shards_) {
+    for (const auto& [key, coeffs] : shard) keys.push_back(key);
+  }
+  return keys;
+}
+
 std::vector<std::size_t> DistributedFunction::apply_loads(
     const ops::SeparatedConvolution& op) const {
+  const std::vector<mra::Key> keys = leaf_keys();
+  const SlabOwnerMap slabs(op, keys, ranks());
   std::vector<std::size_t> loads(ranks(), 0);
-  for (std::size_t rank = 0; rank < ranks(); ++rank) {
-    const auto count = [&](const mra::Key&, const ops::Displacement&) {
-      ++loads[rank];
-    };
-    for (const auto& [key, coeffs] : shards_[rank]) {
-      ops::for_each_task(op, key, count);
-    }
+  for (const mra::Key& key : keys) {
+    ops::for_each_task(op, key,
+                       [&](const mra::Key& target, const ops::Displacement&) {
+                         ++loads[slabs.owner(target)];
+                       });
   }
   return loads;
 }

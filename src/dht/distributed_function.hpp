@@ -3,11 +3,11 @@
 // This is the data layout of the paper's runs: tree nodes live in a
 // distributed hash table under a process map, one shard per rank. The
 // World operators (world_apply, world_compress, world_reconstruct) run
-// over it: every Apply task executes on the rank that owns its *source*
-// leaf, and its result is accumulated into the owner of the *target* key —
-// a remote active message when the displacement crosses a subtree
-// boundary. Replication and shard recovery live in ElasticFunction
-// (elastic.hpp).
+// over it. The process map places the *source* leaves; an Apply task
+// executes on the rank that computes its *target*, the target's
+// SlabOwnerMap owner, which receives each source leaf it needs from the
+// leaf's home rank as one active message. Replication and shard recovery
+// live in ElasticFunction (elastic.hpp).
 #pragma once
 
 #include <cstddef>
@@ -44,8 +44,12 @@ class DistributedFunction {
   const Shard& shard(std::size_t rank) const;
   Shard& shard(std::size_t rank);
 
-  /// Task-count load of every rank for one Apply of `op` (what the process
-  /// map hands each compute node).
+  /// Every rank's leaf keys, shard by shard.
+  std::vector<mra::Key> leaf_keys() const;
+
+  /// Task-count load of every rank for one Apply of `op`: each task counts
+  /// on the rank that computes it in world_apply, its target's owner under
+  /// SlabOwnerMap(op, leaf_keys(), ranks()).
   std::vector<std::size_t> apply_loads(
       const ops::SeparatedConvolution& op) const;
 

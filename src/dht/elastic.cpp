@@ -9,15 +9,6 @@ namespace mh::dht {
 
 namespace {
 
-bool key_less(const mra::Key& a, const mra::Key& b) {
-  if (a.level() != b.level()) return a.level() < b.level();
-  for (std::size_t m = 0; m < a.ndim(); ++m) {
-    if (a.translation(m) != b.translation(m))
-      return a.translation(m) < b.translation(m);
-  }
-  return false;
-}
-
 // Checkpoint framing. Bump kCheckpointVersion on any layout change; restore
 // rejects mismatches with a typed error instead of misreading the stream.
 constexpr std::uint32_t kCheckpointMagic = 0x4d48434bu;  // "MHCK"
@@ -94,7 +85,7 @@ mra::Function ElasticFunction::gather() const {
             " leaves have no surviving replica; restore from a checkpoint");
   }
   std::vector<mra::Key> keys = store_.keys();
-  std::sort(keys.begin(), keys.end(), key_less);
+  std::sort(keys.begin(), keys.end(), mra::KeyLess{});
   std::vector<std::pair<mra::Key, Tensor>> leaves;
   leaves.reserve(keys.size());
   for (const mra::Key& key : keys) {
@@ -121,7 +112,7 @@ void ElasticFunction::checkpoint(std::ostream& os) const {
   write_pod(os, static_cast<std::int32_t>(params_.max_level));
 
   std::vector<mra::Key> keys = store_.keys();
-  std::sort(keys.begin(), keys.end(), key_less);
+  std::sort(keys.begin(), keys.end(), mra::KeyLess{});
   write_pod(os, static_cast<std::uint64_t>(keys.size()));
   for (const mra::Key& key : keys) {
     write_pod(os, static_cast<std::int32_t>(key.level()));

@@ -425,14 +425,7 @@ std::vector<Key> Function::leaf_keys() const {
   for (const auto& [key, node] : nodes_) {
     if (!node.has_children) keys.push_back(key);
   }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.level() != b.level()) return a.level() < b.level();
-    for (std::size_t m = 0; m < a.ndim(); ++m) {
-      if (a.translation(m) != b.translation(m))
-        return a.translation(m) < b.translation(m);
-    }
-    return false;
-  });
+  std::sort(keys.begin(), keys.end(), KeyLess{});
   return keys;
 }
 

@@ -88,7 +88,7 @@ class Function {
 
   const NodeMap& nodes() const noexcept { return nodes_; }
 
-  /// Keys of all leaves (nodes without children), sorted for determinism.
+  /// Keys of all leaves (nodes without children), sorted by KeyLess.
   std::vector<Key> leaf_keys() const;
 
   /// Leaf coefficient access; throws if the key is not a data-bearing leaf.

@@ -7,6 +7,7 @@
 // clustersim) relies on.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <ostream>
@@ -134,6 +135,17 @@ class Key {
 struct KeyHash {
   std::size_t operator()(const Key& k) const noexcept {
     return static_cast<std::size_t>(k.hash());
+  }
+};
+
+/// Leaf order: by level, then translation lexicographically. It is the
+/// order Function::leaf_keys() lists leaves in, so every Apply that walks
+/// leaves this way adds into each target in the serial Apply's order.
+struct KeyLess {
+  bool operator()(const Key& a, const Key& b) const noexcept {
+    if (a.level() != b.level()) return a.level() < b.level();
+    return std::ranges::lexicographical_compare(a.translations(),
+                                                b.translations());
   }
 };
 

@@ -115,13 +115,14 @@ void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
   std::vector<std::pair<Tensor*, Tensor>> repeats;
   const bool periodic = op.params().periodic;
   for_each_task(op, leaf, [&](const mra::Key& to, const Displacement& m) {
-    Tensor& sum = target(to);
-    MH_CHECK(sum.size() == coeffs.size(), "apply target must be a k^d cube");
-    double* r = sum.data();
+    Tensor* sum = target(to);
+    if (sum == nullptr) return;  // computed by another partition
+    MH_CHECK(sum->size() == coeffs.size(), "apply target must be a k^d cube");
+    double* r = sum->data();
     if (periodic && std::ranges::any_of(items, [r](const auto& item) {
           return item.result == r;
         }))
-      r = repeats.emplace_back(&sum, Tensor::cube(d, k)).second.data();
+      r = repeats.emplace_back(sum, Tensor::cube(d, k)).second.data();
     items.push_back({coeffs.data(), m.data(), r});
   });
   run_tasks(op, leaf.level(), items, opts, stats);
@@ -146,8 +147,8 @@ mra::Function apply(const SeparatedConvolution& op, const mra::Function& f,
                     const ApplyOptions& opts, ApplyStats* stats) {
   check_input(op, f);
   mra::Function out(f.params());
-  const ContributionTarget into = [&out](const mra::Key& key) -> Tensor& {
-    return out.accumulate_target(key);
+  const ContributionTarget into = [&out](const mra::Key& key) {
+    return &out.accumulate_target(key);
   };
   for (const mra::Key& key : f.leaf_keys())
     apply_leaf_tasks(op, key, f.leaf_coeffs(key), opts, stats, into);

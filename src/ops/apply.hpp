@@ -62,20 +62,24 @@ void for_each_task(
 std::vector<ApplyTask> make_apply_tasks(const SeparatedConvolution& op,
                                         const mra::Function& f);
 
-/// The k^d tensor a contribution to `target` is added into in place. A
-/// tensor the call creates is zero-filled; the same key gives the same
-/// tensor within one leaf, and distinct keys distinct tensors.
-using ContributionTarget = std::function<Tensor&(const mra::Key&)>;
+/// The k^d tensor a contribution to `target` is added into in place, or
+/// nullptr when the caller does not compute that target (the World Apply
+/// declines targets another rank owns). A tensor the call creates is
+/// zero-filled; the same key gives the same tensor within one leaf, and
+/// distinct keys distinct tensors.
+using ContributionTarget = std::function<Tensor*(const mra::Key&)>;
 
 /// The Apply task loop for one source leaf: every task of `leaf` as one
 /// (source, displacement, result) item of one linalg::batch_fused_apply
 /// call over the level's block table (SeparatedConvolution::h_table), which
 /// shares the tasks' mode-prefix GEMMs. `target` is called once per task, in
 /// for_each_task order, and the engine adds each task's product straight
-/// into the tensor it returns: no per-task result is allocated. On a
-/// periodic operator several tasks of a leaf can wrap onto one target; the
-/// first writes through and each later one into a zeroed scratch tensor
-/// that is added into the target after the batch, in for_each_task order.
+/// into the tensor it returns: no per-task result is allocated. A task
+/// whose target is declined is skipped: it is neither computed nor counted
+/// in `stats`. On a periodic operator several tasks of a leaf can wrap
+/// onto one target; the first writes through and each later one into a
+/// zeroed scratch tensor that is added into the target after the batch,
+/// in for_each_task order.
 /// So every target receives, bitwise, what task-by-task compute followed
 /// by Function::accumulate in that order gives it. `coeffs` must be a k^d
 /// cube (mh::Error otherwise).

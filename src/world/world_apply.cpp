@@ -1,7 +1,9 @@
 #include "world/world_apply.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "common/diagnostics.hpp"
 
@@ -16,53 +18,75 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
   MH_CHECK(op.params().ndim == f.params().ndim &&
                op.params().k == f.params().k,
            "operator/function parameter mismatch");
+  const std::size_t ranks = world.ranks();
   const std::size_t d = f.params().ndim;
   const std::size_t k = op.params().k;
-  double tensor_bytes = 8.0;
-  for (std::size_t m = 0; m < d; ++m)
-    tensor_bytes *= static_cast<double>(k);
+  double leaf_bytes = 8.0;
+  for (std::size_t m = 0; m < d; ++m) leaf_bytes *= static_cast<double>(k);
 
-  // Per-rank result shards: each is touched only by its own rank's thread
-  // (task or AM handler), so no locks are needed — the World discipline.
-  using Shard = std::unordered_map<mra::Key, Tensor, mra::KeyHash>;
-  std::vector<Shard> results(world.ranks());
+  // Partition: the rank that computes each target.
+  const dht::SlabOwnerMap slabs(op, f.leaf_keys(), ranks);
 
-  // Stats are shared across ranks; guard them.
-  std::mutex stats_mu;
-  ops::ApplyStats total_stats;
+  // Per rank: the source leaves it computes from (its own, and the halo it
+  // receives) and its result shard. Each is touched only by its own rank's
+  // thread (task or AM handler), so no locks are needed — the World
+  // discipline.
+  using Source = std::pair<mra::Key, const Tensor*>;
+  std::vector<std::vector<Source>> own(ranks);
+  std::vector<std::vector<std::pair<mra::Key, Tensor>>> halo(ranks);
 
-  const auto& owners = f.owners();
-  for (std::size_t rank = 0; rank < world.ranks(); ++rank) {
+  // Halo: every leaf goes once to each other rank that computes one of its
+  // targets.
+  for (std::size_t rank = 0; rank < ranks; ++rank) {
     world.submit(rank, [&, rank] {
-      // Contributions to this rank's own keys write through into its shard;
-      // the others go into one outbox per remote owner, shipped after each
-      // leaf as ONE message whose handler (on the owner's thread) adds every
-      // entry into the owner's shard.
-      std::vector<Shard> outbox(world.ranks());
-      const ops::ContributionTarget into = [&](const mra::Key& key) -> Tensor& {
-        const std::size_t owner = owners.owner(key);
-        Tensor& t = (owner == rank ? results[rank] : outbox[owner])[key];
-        if (t.empty()) t = Tensor::cube(d, k);
-        return t;
-      };
-      ops::ApplyStats local;
+      std::vector<bool> computes(ranks);
       for (const auto& [key, coeffs] : f.shard(rank)) {
-        ops::apply_leaf_tasks(op, key, coeffs, opts, &local, into);
-        for (std::size_t owner = 0; owner < outbox.size(); ++owner) {
-          if (outbox[owner].empty()) continue;
-          Shard box = std::move(outbox[owner]);
-          outbox[owner].clear();
-          const double bytes = static_cast<double>(box.size()) * tensor_bytes;
-          auto deliver = [&results, owner, box = std::move(box)]() mutable {
-            for (auto& [target, r] : box) {
-              auto [it, inserted] =
-                  results[owner].try_emplace(target, std::move(r));
-              if (!inserted) it->second += r;
-            }
-          };
-          world.send(rank, owner, bytes, std::move(deliver));
+        std::fill(computes.begin(), computes.end(), false);
+        ops::for_each_task(
+            op, key, [&](const mra::Key& target, const ops::Displacement&) {
+              computes[slabs.owner(target)] = true;
+            });
+        for (std::size_t to = 0; to < ranks; ++to) {
+          if (!computes[to]) continue;
+          if (to == rank) {
+            own[rank].emplace_back(key, &coeffs);
+            continue;
+          }
+          world.send(rank, to, leaf_bytes,
+                     [&halo, to, key = key, leaf = coeffs]() mutable {
+                       halo[to].emplace_back(key, std::move(leaf));
+                     });
         }
       }
+    });
+  }
+  world.fence();
+
+  // Compute: each rank writes its own targets through, leaf by leaf in the
+  // serial Apply's leaf order.
+  using Shard = std::unordered_map<mra::Key, Tensor, mra::KeyHash>;
+  std::vector<Shard> results(ranks);
+  std::mutex stats_mu;  // stats are shared across ranks
+  ops::ApplyStats total_stats;
+  for (std::size_t rank = 0; rank < ranks; ++rank) {
+    world.submit(rank, [&, rank] {
+      std::vector<Source> sources = std::move(own[rank]);
+      for (const auto& [key, coeffs] : halo[rank])
+        sources.emplace_back(key, &coeffs);
+      std::sort(sources.begin(), sources.end(),
+                [](const Source& a, const Source& b) {
+                  return mra::KeyLess{}(a.first, b.first);
+                });
+      Shard& shard = results[rank];
+      const ops::ContributionTarget into = [&](const mra::Key& key) -> Tensor* {
+        if (slabs.owner(key) != rank) return nullptr;
+        Tensor& t = shard[key];
+        if (t.empty()) t = Tensor::cube(d, k);
+        return &t;
+      };
+      ops::ApplyStats local;
+      for (const auto& [key, coeffs] : sources)
+        ops::apply_leaf_tasks(op, key, *coeffs, opts, &local, into);
       std::scoped_lock lock(stats_mu);
       total_stats.tasks += local.tasks;
       total_stats.gemms += local.gemms;
@@ -72,6 +96,8 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
   }
   world.fence();
 
+  // Every target lives in exactly one shard, so the gather moves each
+  // tensor into its node without an add.
   mra::Function out(f.params());
   for (Shard& shard : results) {
     for (auto& [key, r] : shard) out.accumulate(key, std::move(r));

@@ -1,17 +1,24 @@
-// The distributed Apply on real threads: every rank computes its own
-// leaves' tasks on its own thread; results accumulate at the target's owner
-// (paper Algorithms 3-6 in distributed-memory form). A contribution to a key
-// the rank owns is added straight into its own result shard; the ones to
-// each remote owner are collected per source leaf and shipped as one active
-// message.
+// The distributed Apply on real threads, owner-computes: every target is
+// computed on one rank, the rank that owns it under a dht::SlabOwnerMap
+// built for the call, from the source leaves that rank holds or receives.
 //
 // This combines the three substrates the paper builds on — the distributed
-// tree (dht), the task runtime (world), and the operator math (ops). The
-// contributions are computed as in the serial ops::apply, but a target's
-// sum is formed in another order (own contributions as they are computed,
-// remote ones as their messages arrive), so the result agrees with the
-// serial Apply to rounding, not bitwise: tests and the benchmark allow
-// 1e-12.
+// tree (dht), the task runtime (world), and the operator math (ops) — and
+// moves the small inputs instead of partial results, the data flow of
+// block-sparse distributed multiplies that broadcast input tiles. It runs
+// in three phases:
+//   1. Partition: SlabOwnerMap(op, leaves, ranks) assigns each target by
+//      its mode-0 box centre, cut at task-count quantiles. The function's
+//      own process map decides only where source leaves live.
+//   2. Halo: each rank sends each of its leaves once, as one k^d message,
+//      to every other rank that computes one of that leaf's targets; fence.
+//   3. Compute: each rank walks the leaves it holds or received in
+//      Function::leaf_keys() order (mra::KeyLess) and runs
+//      ops::apply_leaf_tasks on the tasks whose target it computes,
+//      writing through into its own result shard; fence.
+// Each target is written by one thread in the serial leaf order, and the
+// engine makes a task's result independent of its batch, so the gathered
+// result is bitwise the serial ops::apply at any rank count and placement.
 #pragma once
 
 #include "dht/distributed_function.hpp"
@@ -21,10 +28,11 @@
 namespace mh::world {
 
 /// Apply `op` to the scattered function `f` using one thread per rank, each
-/// running its shard's leaves through ops::apply_leaf_tasks with `opts`.
-/// Sends one message per (source leaf, remote owner of at least one of its
-/// targets), carrying k^d doubles per distinct target. Returns the
-/// gathered, leaf-consistent result. Fences internally.
+/// computing its slab's targets through ops::apply_leaf_tasks with `opts`.
+/// Sends one message of k^d doubles per (source leaf, other rank that
+/// computes one of its targets). Returns the gathered, leaf-consistent
+/// result, memcmp-equal to ops::apply(op, f.gather(), opts). Fences
+/// internally.
 mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
                           const dht::DistributedFunction& f,
                           ops::ApplyStats* stats = nullptr,

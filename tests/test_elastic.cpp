@@ -11,6 +11,7 @@
 #include <string>
 
 #include "apps/coulomb.hpp"
+#include "bitwise.hpp"
 #include "clustersim/churn.hpp"
 #include "common/diagnostics.hpp"
 #include "dht/elastic.hpp"
@@ -52,18 +53,6 @@ mra::Function make_test_function() {
 
 ops::SeparatedConvolution make_test_operator() {
   return apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
-}
-
-// Bitwise function equality: same leaf set, identical coefficient bits.
-void expect_bitwise_equal(const mra::Function& a, const mra::Function& b) {
-  const auto keys_a = a.leaf_keys();
-  const auto keys_b = b.leaf_keys();
-  ASSERT_EQ(keys_a.size(), keys_b.size());
-  for (std::size_t i = 0; i < keys_a.size(); ++i) {
-    ASSERT_EQ(keys_a[i], keys_b[i]);
-    EXPECT_TRUE(a.leaf_coeffs(keys_a[i]) == b.leaf_coeffs(keys_b[i]))
-        << "coefficients differ at leaf " << keys_a[i];
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -130,7 +119,7 @@ TEST(ReplicaPlacement, ReplicationAboveLiveRankCountClamps) {
     ASSERT_EQ(ef.holders(key).size(), 1u);
     EXPECT_EQ(ef.holders(key)[0], 1u);
   }
-  expect_bitwise_equal(ef.gather(), make_test_function());
+  EXPECT_TRUE(bitwise_equal(ef.gather(), make_test_function()));
 }
 
 // ---------------------------------------------------------------------------
@@ -143,11 +132,11 @@ TEST(ElasticStore, SurvivesAnySingleKillAtR2) {
     ElasticFunction ef(f, 6, 2, /*replication=*/2, 9);
     const std::size_t held = ef.store().shard_size(victim);
     EXPECT_EQ(ef.kill(victim), 0u) << "leaf lost at victim " << victim;
-    expect_bitwise_equal(ef.gather(), f);
+    EXPECT_TRUE(bitwise_equal(ef.gather(), f));
     const RecoveryStats rep = ef.repair();
     EXPECT_TRUE(ef.store().invariant_ok());
     EXPECT_EQ(rep.copied, held);  // every copy the victim held is remade
-    expect_bitwise_equal(ef.gather(), f);
+    EXPECT_TRUE(bitwise_equal(ef.gather(), f));
   }
 }
 
@@ -203,7 +192,7 @@ TEST(ElasticStore, RejoinedRankNeverDoubleOwns) {
     copies += ef.store().shard_size(r);
   }
   EXPECT_EQ(copies, ef.num_leaves() * 2);
-  expect_bitwise_equal(ef.gather(), f);
+  EXPECT_TRUE(bitwise_equal(ef.gather(), f));
 }
 
 TEST(ElasticStore, GrowAbsorbsEntries) {
@@ -214,7 +203,7 @@ TEST(ElasticStore, GrowAbsorbsEntries) {
   ef.repair();
   EXPECT_TRUE(ef.store().invariant_ok());
   EXPECT_GT(ef.store().shard_size(fresh), 0u);
-  expect_bitwise_equal(ef.gather(), f);
+  EXPECT_TRUE(bitwise_equal(ef.gather(), f));
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +223,7 @@ TEST(Checkpoint, RestoreIntoResizedWorldIsBitwise) {
     EXPECT_EQ(restored.ranks(), new_ranks);
     EXPECT_EQ(restored.num_leaves(), ef.num_leaves());
     EXPECT_TRUE(restored.store().invariant_ok());
-    expect_bitwise_equal(restored.gather(), f);
+    EXPECT_TRUE(bitwise_equal(restored.gather(), f));
   }
 }
 
@@ -385,7 +374,7 @@ TEST(ChurnDrill, KillAndReaddMidApplyIsBitwise) {
   EXPECT_EQ(churned.stats.lost_leaves, 0u);  // R=2 covered every kill
   EXPECT_GT(churned.stats.promoted, 0u);
   EXPECT_GT(churned.stats.recovery_bytes, 0.0);
-  expect_bitwise_equal(churned.result, ref.result);
+  EXPECT_TRUE(bitwise_equal(churned.result, ref.result));
 }
 
 TEST(ChurnDrill, CheckpointRestartIntoResizedWorldIsBitwise) {
@@ -405,7 +394,7 @@ TEST(ChurnDrill, CheckpointRestartIntoResizedWorldIsBitwise) {
   EXPECT_EQ(churned.stats.restarts, 1u);
   EXPECT_GT(churned.stats.lost_leaves, 0u);  // R=1: the kill lost data
   EXPECT_GT(churned.stats.checkpoints, 0u);
-  expect_bitwise_equal(churned.result, ref.result);
+  EXPECT_TRUE(bitwise_equal(churned.result, ref.result));
 }
 
 TEST(ChurnDrill, UnrecoverableLossIsATypedError) {
@@ -444,7 +433,7 @@ TEST(ChurnDrill, InjectedSendDropsSelfHeal) {
   };
   const cluster::ChurnResult churned = cluster::run_churn_apply(op, f, churn);
   EXPECT_GT(fi.stats(fault::FaultSite::kSend).injected, 0u);
-  expect_bitwise_equal(churned.result, ref.result);
+  EXPECT_TRUE(bitwise_equal(churned.result, ref.result));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <numbers>
 #include <thread>
 
+#include "bitwise.hpp"
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
 #include "linalg/batch_gemm.hpp"
@@ -530,23 +531,6 @@ mra::Function coulomb_input_2d() {
   return mra::Function::project(f_fn, fp);
 }
 
-bool bitwise_equal(const mra::Function& a, const mra::Function& b) {
-  if (a.num_nodes() != b.num_nodes()) return false;
-  for (const auto& [key, node] : a.nodes()) {
-    const auto it = b.nodes().find(key);
-    if (it == b.nodes().end()) return false;
-    const Tensor& x = node.coeffs;
-    const Tensor& y = it->second.coeffs;
-    if (node.has_children != it->second.has_children ||
-        x.size() != y.size() ||
-        (x.size() != 0 &&
-         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) != 0)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 SeparatedConvolution::Params periodic_params(std::size_t d, std::size_t k,
                                              double thresh,
                                              std::int64_t cap) {
@@ -835,7 +819,7 @@ TEST(Apply, SourceThatIsNotAKCubeIsATypedError) {
                                 single_gaussian(0.2));
   const mra::Key leaf = mra::Key::root(3);
   Tensor scratch = Tensor::cube(3, 5);
-  const auto into = [&scratch](const mra::Key&) -> Tensor& { return scratch; };
+  const auto into = [&scratch](const mra::Key&) { return &scratch; };
   for (const Tensor& bad : {Tensor({5, 5, 1}), Tensor({5, 5}),
                             Tensor({5, 5, 5, 1}), Tensor({5, 4, 5})}) {
     EXPECT_THROW(apply_task_compute(op, bad, 0, Displacement{}), Error);

@@ -5,12 +5,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 
 #include "apps/coulomb.hpp"
+#include "bitwise.hpp"
 #include "common/diagnostics.hpp"
 #include "common/rng.hpp"
 #include "dht/distributed_function.hpp"
@@ -157,67 +163,80 @@ mra::Function make_test_function(double center = 0.5, double width = 0.12) {
   return mra::Function::project(f_fn, p);
 }
 
-TEST(WorldApply, MatchesSerialApply) {
-  const mra::Function f = make_test_function();
-  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
-  const mra::Function serial = ops::apply(op, f);
+std::unique_ptr<dht::OwnerMap> make_placement(bool subtree, std::size_t ranks,
+                                              std::uint64_t seed) {
+  if (subtree) return std::make_unique<dht::SubtreeOwnerMap>(ranks, 2, seed);
+  return std::make_unique<dht::HashOwnerMap>(ranks, seed);
+}
 
-  dht::HashOwnerMap owners(4, 99);
-  dht::DistributedFunction df(f, owners);
-  World world(4);
-  ops::ApplyStats stats;
-  const mra::Function threaded = world_apply(world, op, df, &stats);
-
-  EXPECT_GT(stats.tasks, 0u);
-  EXPECT_EQ(stats.tasks, ops::make_apply_tasks(op, f).size());
-  Rng rng(81);
-  for (int i = 0; i < 25; ++i) {
-    const double x[1] = {rng.next_double()};
-    EXPECT_NEAR(threaded.eval(x), serial.eval(x), 1e-12);
+// world_apply on 1, 2 and 3 ranks under hash and subtree placement is
+// memcmp-equal to ops::apply, and executes the same logical work.
+void expect_world_apply_bitwise(const ops::SeparatedConvolution& op,
+                                const mra::Function& f,
+                                const ops::ApplyOptions& opts = {}) {
+  ops::ApplyStats serial_stats;
+  const mra::Function serial = ops::apply(op, f, opts, &serial_stats);
+  for (const bool subtree : {false, true}) {
+    for (const std::size_t ranks : {1, 2, 3}) {
+      SCOPED_TRACE(::testing::Message() << ranks << " ranks");
+      SCOPED_TRACE(subtree ? "subtree placement" : "hash placement");
+      const auto owners = make_placement(subtree, ranks, 17);
+      dht::DistributedFunction df(f, *owners);
+      World world(ranks);
+      ops::ApplyStats stats;
+      const mra::Function threaded = world_apply(world, op, df, &stats, opts);
+      EXPECT_TRUE(bitwise_equal(threaded, serial));
+      EXPECT_EQ(stats.tasks, serial_stats.tasks);
+      const auto loads = df.apply_loads(op);
+      EXPECT_EQ(std::accumulate(loads.begin(), loads.end(), std::size_t{0}),
+                serial_stats.tasks);
+      EXPECT_EQ(stats.gemms, serial_stats.gemms);
+      EXPECT_EQ(stats.flops, serial_stats.flops);
+      EXPECT_EQ(stats.rank_reduced_gemms, serial_stats.rank_reduced_gemms);
+    }
   }
 }
 
+TEST(WorldApply, MatchesSerialApply) {
+  const mra::Function f = make_test_function();
+  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
+  expect_world_apply_bitwise(op, f);
+
+  // A 2-D input: tasks that share a leaf's mode-0 prefix stay on one rank.
+  mra::FunctionParams p;
+  p.ndim = 2;
+  p.k = 5;
+  p.thresh = 1e-4;
+  p.initial_level = 2;
+  const mra::Function f2 = mra::Function::project(
+      [](std::span<const double> x) {
+        const double u = (x[0] - 0.4) / 0.15, v = (x[1] - 0.55) / 0.2;
+        return std::exp(-u * u - v * v);
+      },
+      p);
+  expect_world_apply_bitwise(
+      apps::make_smoothing_operator(2, 5, 0.1, 3, 1e-6), f2);
+}
+
 TEST(WorldApply, RankReductionMatchesSerialApply) {
-  // ApplyOptions reach the distributed path: rank-reduced world_apply on 2
-  // ranks equals the serial rank-reduced Apply, stats included.
+  // ApplyOptions reach the distributed path: rank-reduced world_apply
+  // equals the serial rank-reduced Apply, stats included.
   const mra::Function f = make_test_function();
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
   ops::ApplyOptions opts;
   opts.rank_reduce = true;
   opts.rank_tol = 1e-6;
   ops::ApplyStats serial_stats;
-  const mra::Function serial = ops::apply(op, f, opts, &serial_stats);
-
-  dht::HashOwnerMap owners(2, 7);
-  dht::DistributedFunction df(f, owners);
-  World world(2);
-  ops::ApplyStats stats;
-  const mra::Function threaded = world_apply(world, op, df, &stats, opts);
-
+  ops::apply(op, f, opts, &serial_stats);
   EXPECT_GT(serial_stats.rank_reduced_gemms, 0u);
-  EXPECT_EQ(stats.tasks, serial_stats.tasks);
-  EXPECT_EQ(stats.gemms, serial_stats.gemms);
-  EXPECT_EQ(stats.flops, serial_stats.flops);
-  EXPECT_EQ(stats.rank_reduced_gemms, serial_stats.rank_reduced_gemms);
-  // Relative to the result's peak on the probe grid.
-  std::vector<double> xs, want;
-  double scale = 0.0;
-  for (int i = 0; i <= 40; ++i) {
-    xs.push_back(i / 40.0);
-    const double x[1] = {xs.back()};
-    want.push_back(serial.eval(x));
-    scale = std::max(scale, std::abs(want.back()));
-  }
-  ASSERT_GT(scale, 0.0);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double x[1] = {xs[i]};
-    EXPECT_NEAR(threaded.eval(x), want[i], 1e-12 * scale) << "x=" << xs[i];
-  }
+  expect_world_apply_bitwise(op, f, opts);
 }
 
 TEST(WorldApply, PeriodicMatchesSerialApply) {
   // The distributed drivers enumerate tasks like ops::apply, so on a torus
-  // they keep the wrapped displacements too.
+  // they keep the wrapped displacements too. The broad kernel's images
+  // m and m +- 2^n of one leaf (displacements up to 8, levels 3 and up)
+  // land on one target with comparable weights.
   mra::FunctionParams p;
   p.ndim = 1;
   p.k = 7;
@@ -234,60 +253,64 @@ TEST(WorldApply, PeriodicMatchesSerialApply) {
   op_params.thresh = 1e-7;
   op_params.max_disp = 8;
   op_params.periodic = true;
-  const ops::SeparatedConvolution op(op_params, ops::single_gaussian(0.08));
-  ops::ApplyStats serial_stats;
-  const mra::Function serial = ops::apply(op, f, {}, &serial_stats);
-
-  dht::HashOwnerMap owners(2, 5);
-  dht::DistributedFunction df(f, owners);
-  World world(2);
-  ops::ApplyStats world_stats;
-  const mra::Function threaded = world_apply(world, op, df, &world_stats);
-  EXPECT_EQ(world_stats.tasks, serial_stats.tasks);
-  const auto loads = df.apply_loads(op);
-  EXPECT_EQ(loads[0] + loads[1], serial_stats.tasks);
-  for (int i = 0; i <= 40; ++i) {
-    const double x[1] = {i / 40.0};
-    const double want = serial.eval(x);
-    EXPECT_NEAR(threaded.eval(x), want, 1e-12) << "x=" << x[0];
+  const ops::SeparatedConvolution narrow(op_params,
+                                        ops::single_gaussian(0.08));
+  op_params.thresh = 1e-12;
+  const ops::SeparatedConvolution broad(op_params, ops::single_gaussian(1.0));
+  std::size_t repeats = 0;
+  for (const mra::Key& leaf : f.leaf_keys()) {
+    std::set<std::int64_t> targets;
+    ops::for_each_task(broad, leaf,
+                       [&](const mra::Key& to, const ops::Displacement&) {
+                         if (!targets.insert(to.translation(0)).second)
+                           ++repeats;
+                       });
+  }
+  ASSERT_GT(repeats, 0u);
+  ops::ApplyOptions reduced;
+  reduced.rank_reduce = true;
+  reduced.rank_tol = 1e-6;
+  for (const ops::ApplyOptions& opts : {ops::ApplyOptions{}, reduced}) {
+    expect_world_apply_bitwise(narrow, f, opts);
+    expect_world_apply_bitwise(broad, f, opts);
   }
 }
 
-TEST(WorldApply, MessagesAreOnePerLeafAndRemoteOwner) {
-  // Oracle independent of world_apply: each source leaf ships one message
-  // to every other rank that owns at least one of its targets, carrying
-  // one k^d tensor of doubles per such target.
+TEST(WorldApply, HaloSendsEachLeafOnceToEveryOtherComputingRank) {
+  // Oracle from for_each_task and SlabOwnerMap alone: a leaf travels, as
+  // one message of k^d doubles, to every rank other than its home that
+  // computes at least one of its targets.
   const mra::Function f = make_test_function();
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
-  dht::SubtreeOwnerMap owners(6, 2, 5);
-  std::size_t pairs = 0;
-  std::size_t remote = 0;
-  for (const mra::Key& leaf : f.leaf_keys()) {
-    const std::size_t home = owners.owner(leaf);
-    std::set<std::size_t> to;
-    ops::for_each_task(op, leaf,
-                       [&](const mra::Key& target, const ops::Displacement&) {
-                         if (owners.owner(target) == home) return;
-                         to.insert(owners.owner(target));
-                         ++remote;
-                       });
-    pairs += to.size();
+  const std::vector<mra::Key> leaves = f.leaf_keys();
+  const dht::SlabOwnerMap slabs(op, leaves, 6);
+  for (const bool subtree : {false, true}) {
+    SCOPED_TRACE(subtree ? "subtree" : "hash");
+    const auto owners = make_placement(subtree, 6, 5);
+    std::size_t messages = 0;
+    for (const mra::Key& leaf : leaves) {
+      std::set<std::size_t> to;
+      ops::for_each_task(
+          op, leaf, [&](const mra::Key& target, const ops::Displacement&) {
+            to.insert(slabs.owner(target));
+          });
+      to.erase(owners->owner(leaf));
+      messages += to.size();
+    }
+    ASSERT_GT(messages, 0u);
+
+    dht::DistributedFunction df(f, *owners);
+    World world(6);
+    world_apply(world, op, df);
+    const double leaf_bytes = 7.0 * 8.0;  // k^d doubles with k = 7, d = 1
+    EXPECT_EQ(world.stats().messages, messages);
+    EXPECT_DOUBLE_EQ(world.stats().bytes,
+                     static_cast<double>(messages) * leaf_bytes);
   }
-  ASSERT_GT(pairs, 0u);
-  ASSERT_GT(remote, pairs);
-
-  dht::DistributedFunction df(f, owners);
-  World world(6);
-  world_apply(world, op, df);
-
-  const double tensor_bytes = 7.0 * 8.0;  // k^d doubles with k = 7, d = 1
-  EXPECT_EQ(world.stats().messages, pairs);
-  EXPECT_DOUBLE_EQ(world.stats().bytes,
-                   static_cast<double>(remote) * tensor_bytes);
 }
 
 // The distributed Apply over a scattered DistributedFunction.
-TEST(DistributedFunction, ApplyMatchesSerialToRounding) {
+TEST(DistributedFunction, ApplyMatchesSerialBitwise) {
   const mra::Function f = make_test_function(0.45, 0.1);
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
   const mra::Function serial = ops::apply(op, f);
@@ -299,14 +322,15 @@ TEST(DistributedFunction, ApplyMatchesSerialToRounding) {
   const mra::Function dist = world_apply(world, op, df, &stats);
 
   EXPECT_GT(stats.tasks, 0u);
-  Rng rng(10);
-  for (int i = 0; i < 25; ++i) {
-    const double x[1] = {rng.next_double()};
-    EXPECT_NEAR(dist.eval(x), serial.eval(x), 1e-12);
-  }
+  EXPECT_TRUE(bitwise_equal(dist, serial));
 }
 
 TEST(DistributedFunction, SubtreeMapSendsFewerMessagesThanHashMap) {
+  // Placement decides only where the source leaves start, and so only the
+  // halo: a leaf is sent to each rank computing one of its targets except
+  // its home. On this input and these 8 ranks, co-located subtrees leave
+  // more leaves at home on a rank that computes some of their targets than
+  // hashing does; that is a property of the input, not a rule.
   const mra::Function f = make_test_function(0.45, 0.1);
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
 
@@ -320,7 +344,6 @@ TEST(DistributedFunction, SubtreeMapSendsFewerMessagesThanHashMap) {
   World w_tree(8);
   world_apply(w_tree, op, df_tree);
 
-  // Locality co-location keeps most accumulations on-rank.
   EXPECT_LT(w_tree.stats().messages, w_hash.stats().messages);
   EXPECT_LT(w_tree.stats().bytes, w_hash.stats().bytes);
 }
@@ -442,8 +465,8 @@ TEST(WorldReconstruct, RoundTripsCompressExactly) {
 
 TEST(WorldReconstruct, ReconstructedFunctionFeedsWorldApply) {
   // compress -> reconstruct -> Apply, all on World ranks: the reconstructed
-  // DistributedFunction is a valid Apply input. Cross-rank accumulation
-  // order varies, so the check is pointwise, not bitwise.
+  // DistributedFunction is a valid Apply input, and its Apply is bitwise
+  // the serial Apply of the same leaves.
   const mra::Function f = make_test_function();
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
   dht::SubtreeOwnerMap owners(4, 2, 19);
@@ -456,10 +479,7 @@ TEST(WorldReconstruct, ReconstructedFunctionFeedsWorldApply) {
   const mra::Function threaded = world_apply(world, op, back);
 
   const mra::Function serial = ops::apply(op, back.gather());
-  for (int i = 0; i <= 40; ++i) {
-    const double x[1] = {i / 40.0};
-    EXPECT_NEAR(threaded.eval(x), serial.eval(x), 1e-12) << "x=" << x[0];
-  }
+  EXPECT_TRUE(bitwise_equal(threaded, serial));
 }
 
 TEST(WorldTruncate, MatchesSerialTruncate) {
@@ -532,6 +552,100 @@ TEST(WorldApply, RejectsRankMismatch) {
   dht::DistributedFunction df(f, owners);
   World world(3);
   EXPECT_THROW(world_apply(world, op, df), Error);
+}
+
+// The differential tier: world_apply against ops::apply, memcmp, on small
+// random inputs. Every case is drawn from its own seed, which a failure
+// prints: the case re-runs alone from that seed.
+struct DifferentialCase {
+  mra::Function f;
+  ops::SeparatedConvolution::Params params;
+  ops::SeparatedKernel kernel;
+  ops::ApplyOptions opts;
+  std::size_t ranks = 1;
+  bool subtree = false;
+};
+
+// An adaptive tree tiling [0,1]^d: every box below the root refines with
+// probability `refine` down to `max_level`. Leaves are random, all zero or
+// signed zeros.
+mra::Function random_tree(Rng& rng, std::size_t d, std::size_t k,
+                          int max_level, double refine) {
+  mra::FunctionParams p;
+  p.ndim = d;
+  p.k = k;
+  std::vector<std::pair<mra::Key, Tensor>> leaves;
+  std::function<void(const mra::Key&)> grow = [&](const mra::Key& key) {
+    if (key.level() < max_level &&
+        (key.level() == 0 || rng.next_double() < refine)) {
+      for (std::size_t c = 0; c < key.num_children(); ++c) grow(key.child(c));
+      return;
+    }
+    Tensor t = Tensor::cube(d, k);
+    const std::uint64_t kind = rng.below(8);
+    for (double& x : t.flat()) {
+      x = kind == 0 ? 0.0 : kind == 1 ? -0.0 : rng.uniform(-1.0, 1.0);
+    }
+    leaves.emplace_back(key, std::move(t));
+  };
+  grow(mra::Key::root(d));
+  return mra::Function::from_leaves(p, leaves);
+}
+
+std::string describe(std::uint64_t seed, const DifferentialCase& c) {
+  std::ostringstream os;
+  os << "seed " << seed << ": d=" << c.params.ndim << " k=" << c.params.k;
+  os << " leaves=" << c.f.num_leaves() << " terms=" << c.kernel.rank();
+  os << " max_disp=" << c.params.max_disp;
+  os << (c.params.periodic ? " periodic" : " free");
+  os << " rank_tol=" << (c.opts.rank_reduce ? c.opts.rank_tol : 0.0);
+  os << " ranks=" << c.ranks << (c.subtree ? " subtree" : " hash");
+  return os.str();
+}
+
+DifferentialCase draw_case(std::uint64_t seed) {
+  Rng rng(seed);
+  DifferentialCase c;
+  const std::size_t d = 1 + rng.below(3);
+  const std::size_t k = 3 + rng.below(4);
+  // Deep enough for mixed leaf levels, shallow enough for a fast d = 3.
+  const int max_level = d == 1 ? 6 : d == 2 ? 3 : 2;
+  c.f = random_tree(rng, d, k, max_level, d == 1 ? 0.7 : 0.5);
+  c.params.ndim = d;
+  c.params.k = k;
+  c.params.thresh = 1e-8;
+  c.params.max_disp = 1 + static_cast<std::int64_t>(rng.below(4));
+  c.params.periodic = rng.below(2) == 1;
+  const std::size_t terms = 1 + rng.below(4);
+  for (std::size_t mu = 0; mu < terms; ++mu) {
+    const double width = rng.uniform(0.03, 0.4);
+    c.kernel.terms.push_back({rng.uniform(0.1, 2.0), 1.0 / (width * width)});
+  }
+  c.opts.rank_reduce = rng.below(2) == 1;
+  if (c.opts.rank_reduce) c.opts.rank_tol = std::pow(10.0, rng.uniform(-8, -3));
+  c.ranks = 1 + rng.below(3);
+  c.subtree = rng.below(2) == 1;
+  return c;
+}
+
+TEST(WorldApplyDifferential, RandomInputsMatchSerialBitwise) {
+  constexpr std::uint64_t kFirstSeed = 20261019;
+  constexpr std::uint64_t kCases = 96;
+  for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kCases; ++seed) {
+    const DifferentialCase c = draw_case(seed);
+    SCOPED_TRACE(describe(seed, c));
+    const ops::SeparatedConvolution op(c.params, c.kernel);
+    ops::ApplyStats serial_stats;
+    const mra::Function serial = ops::apply(op, c.f, c.opts, &serial_stats);
+    const auto owners = make_placement(c.subtree, c.ranks, seed);
+    dht::DistributedFunction df(c.f, *owners);
+    World world(c.ranks);
+    ops::ApplyStats stats;
+    const mra::Function threaded = world_apply(world, op, df, &stats, c.opts);
+    ASSERT_TRUE(bitwise_equal(threaded, serial));
+    ASSERT_EQ(stats.tasks, serial_stats.tasks);
+    ASSERT_EQ(stats.rank_reduced_gemms, serial_stats.rank_reduced_gemms);
+  }
 }
 
 }  // namespace
