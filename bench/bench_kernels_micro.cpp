@@ -1,6 +1,7 @@
 // Real wall-clock microbenchmarks of the host-side compute kernels: the
 // mTxm GEMM pattern, the mode-wise tensor transform of Formula 1, and
-// batches of whole Apply compute tasks through batch_fused_apply. These
+// batches of whole Apply compute tasks through batch_fused_apply, and one
+// leaf's tasks as consecutive one-task apply_task_compute calls. These
 // measure THIS machine, not the simulated Titan node; they validate that
 // the kernels behave sanely (e.g. flops scale as expected) and give the
 // repository an honest native baseline.
@@ -17,12 +18,14 @@
 
 #include "bench_common.hpp"
 #include "bench_harness.hpp"
+#include "apps/coulomb.hpp"
 #include "common/rng.hpp"
 #include "gpusim/kernels.hpp"
 #include "linalg/batch_gemm.hpp"
 #include "linalg/gemm.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
+#include "ops/apply.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/transform.hpp"
 
@@ -177,6 +180,32 @@ int run(int argc, char** argv) {
     linalg::GemmWorkspace ws;
     record(h, t, name, flops, [&] {
       linalg::batch_fused_apply(d, k, items, ws);
+    });
+  }
+
+  // One Coulomb-shaped leaf's tasks (d = 3, k = 5 and the M = 35 fit of
+  // the coulomb_* inputs, rank tolerance 1e-5) as consecutive one-item
+  // apply_task_compute calls, as the hybrid Apply's CPU side runs them: in
+  // the operator's task order, each call reuses the mode-prefix
+  // intermediates the call before left on the thread's workspace.
+  {
+    const ops::SeparatedConvolution op =
+        apps::make_coulomb_operator(3, 5, 1e-3, 2, 1e-3);
+    const int level = 3;
+    Rng rng(h.seed_or(7));
+    Tensor src = Tensor::cube(3, 5);
+    for (auto& x : src.flat()) x = rng.uniform(-1.0, 1.0);
+    ops::ApplyOptions opts;
+    opts.rank_reduce = true;
+    opts.rank_tol = 1e-5;
+    const auto& disps = op.displacements(level);
+    const double flops = static_cast<double>(disps.size()) *
+                         gpu::ApplyTaskShape{3, 5, op.rank()}.flops();
+    record(h, t, "fused_task_seq_k5", flops, [&] {
+      for (const ops::Displacement& disp : disps) {
+        Tensor r = ops::apply_task_compute(op, src, level, disp, opts);
+        (void)r;
+      }
     });
   }
 

@@ -4,6 +4,8 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 namespace mh::dht {
 
@@ -25,6 +27,48 @@ T read_pod(std::istream& is) {
   is.read(reinterpret_cast<char*>(&value), sizeof(T));
   MH_CHECK(static_cast<bool>(is), "checkpoint stream truncated");
   return value;
+}
+
+// Reads n doubles into `out` in bounded chunks, so a corrupt header that
+// promises more than the stream holds fails as truncated at most one chunk
+// past the stream's end, instead of allocating (and zeroing) the promised
+// size first: a k^d cube at k <= 64, d <= 6 can ask for 550 GB.
+void read_doubles(std::istream& is, std::size_t n, std::vector<double>& out) {
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  out.clear();
+  while (out.size() < n) {
+    const std::size_t at = out.size();
+    const std::size_t len = std::min(kChunk, n - at);
+    out.resize(at + len);
+    is.read(reinterpret_cast<char*>(out.data() + at),
+            static_cast<std::streamsize>(len * sizeof(double)));
+    MH_CHECK(static_cast<bool>(is), "checkpoint stream truncated");
+  }
+}
+
+// True when `leaves` tile the root box exactly once: no key repeats or
+// lies inside another, and every box above a leaf has each of its children
+// as a leaf or as a box above one.
+bool tiles_root(const std::vector<mra::Key>& leaves) {
+  if (leaves.empty()) return false;
+  std::unordered_set<mra::Key, mra::KeyHash> leaf;
+  std::unordered_set<mra::Key, mra::KeyHash> inner;
+  for (const mra::Key& key : leaves)
+    if (!leaf.insert(key).second) return false;
+  for (const mra::Key& key : leaves) {
+    for (mra::Key box = key; box.level() > 0;) {
+      box = box.parent();
+      if (leaf.contains(box)) return false;
+      if (!inner.insert(box).second) break;
+    }
+  }
+  for (const mra::Key& box : inner) {
+    for (std::size_t c = 0; c < box.num_children(); ++c) {
+      const mra::Key child = box.child(c);
+      if (!leaf.contains(child) && !inner.contains(child)) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -153,6 +197,8 @@ ElasticFunction ElasticFunction::restore(std::istream& is, std::size_t ranks,
   MH_CHECK(params.k >= 1 && params.k <= 64, "checkpoint: k out of range");
 
   ElasticFunction out(params, subtree_level, seed, ranks, replication);
+  std::vector<double> values;
+  std::vector<mra::Key> keys;
   const auto nleaves = read_pod<std::uint64_t>(is);
   for (std::uint64_t i = 0; i < nleaves; ++i) {
     const int level = read_pod<std::int32_t>(is);
@@ -167,18 +213,21 @@ ElasticFunction ElasticFunction::restore(std::istream& is, std::size_t ranks,
         static_cast<std::size_t>(read_pod<std::uint64_t>(is));
     MH_CHECK(tensor_ndim == params.ndim,
              "checkpoint: leaf tensor order does not match ndim");
-    std::array<std::size_t, kMaxTensorDim> shape{};
+    std::size_t size = 1;
     for (std::size_t m = 0; m < tensor_ndim; ++m) {
-      shape[m] = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
-      MH_CHECK(shape[m] == params.k,
+      MH_CHECK(read_pod<std::uint64_t>(is) == params.k,
                "checkpoint: leaf tensor is not a k^d cube");
+      size *= params.k;
     }
-    Tensor coeffs(std::span<const std::size_t>{shape.data(), tensor_ndim});
-    is.read(reinterpret_cast<char*>(coeffs.data()),
-            static_cast<std::streamsize>(coeffs.size() * sizeof(double)));
-    MH_CHECK(static_cast<bool>(is), "checkpoint stream truncated");
+    read_doubles(is, size, values);
+    Tensor coeffs = Tensor::cube(params.ndim, params.k);
+    std::copy(values.begin(), values.end(), coeffs.data());
     out.store_.put(/*from_rank=*/0, key, std::move(coeffs));
+    keys.push_back(key);
   }
+  // A function's leaves tile its domain: a repeated, nested or missing box
+  // (a corrupt count or key) would gather into another function.
+  MH_CHECK(tiles_root(keys), "checkpoint: leaves do not tile the domain");
   return out;
 }
 

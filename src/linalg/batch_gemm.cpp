@@ -6,6 +6,7 @@
 #include "linalg/batch_gemm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 
@@ -36,6 +37,18 @@ struct AddInto {
   void operator()(std::size_t, std::size_t r, std::size_t j,
                   double x) const {
     c[r * ldc + j] += x;
+  }
+};
+
+// Store: one block, c = 0.0 + acc (bitwise a zeroed c plus acc).
+struct StoreInto {
+  double* c;
+  std::size_t ldc;
+
+  StoreInto at(std::size_t i0) const { return {c + i0 * ldc, ldc}; }
+  void operator()(std::size_t, std::size_t r, std::size_t j,
+                  double x) const {
+    c[r * ldc + j] = 0.0 + x;
   }
 };
 
@@ -156,6 +169,13 @@ void mtxm_portable(std::size_t dimi, std::size_t dimj, std::size_t kc,
          AddInto{c, dimj});
 }
 
+void mtxm_store_portable(std::size_t dimi, std::size_t dimj, std::size_t kc,
+                         double* c, const double* a, const double* b,
+                         double* apack) {
+  panels(dimi, Segs{1, &kc}, PackPanel{kc, a, dimi}, &b, 1, dimj, apack,
+         StoreInto{c, dimj});
+}
+
 void fan_out_portable(const FanOut& f, double* apack) {
   panels(f.dimi, Segs{f.terms, f.kc}, PackStacked{f}, f.blocks, f.n, f.k,
          apack, AddIntoTargets{f.start, f.targets, f.k});
@@ -183,12 +203,23 @@ detail::FanOutKernelFn pick_fan_out() noexcept {
 
 detail::FanOutKernelFn g_fan_out = pick_fan_out();
 
+detail::MTxmKernelFn pick_store() noexcept {
+#if defined(MH_LINALG_HAVE_AVX2_TU)
+  if (g_kernel == detail::mtxm_avx2) return detail::mtxm_store_avx2;
+#endif
+  return detail::mtxm_store_portable;
+}
+
+detail::MTxmKernelFn g_store = pick_store();
+
 // Central packed-GEMM call: every engine entry point funnels through here.
-void run_packed(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
-                const double* a, const double* b, GemmWorkspace& ws) {
+// `kernel` adds the product into c (g_kernel) or stores it (g_store).
+void run_packed(detail::MTxmKernelFn kernel, std::size_t dimi,
+                std::size_t dimj, std::size_t kc, double* c, const double* a,
+                const double* b, GemmWorkspace& ws) {
   if (dimi == 0 || dimj == 0) return;
   double* apack = ws.pack_a(4 * std::max<std::size_t>(kc, 1));
-  g_kernel(dimi, dimj, kc, c, a, b, apack);
+  kernel(dimi, dimj, kc, c, a, b, apack);
   ws.stats().packed_gemms += 1;
   ws.stats().flops += 2.0 * static_cast<double>(dimi * dimj * kc);
 }
@@ -211,6 +242,17 @@ std::size_t span_product(std::span<const std::size_t> shape) {
 
 }  // namespace
 
+std::uint64_t BlockTable::fresh_id() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+void GemmWorkspace::StackRecord::forget() noexcept {
+  table = 0;
+  src.clear();
+  copied = nullptr;
+}
+
 double* GemmWorkspace::Buffer::ensure(std::size_t n) {
   if (n > capacity) {
     const std::size_t want = std::max(n, capacity * 2);
@@ -231,6 +273,7 @@ GemmWorkspace& thread_workspace() {
 
 namespace detail {
 FanOutKernelFn fan_out_kernel() noexcept { return g_fan_out; }
+MTxmKernelFn mtxm_store_kernel() noexcept { return g_store; }
 }  // namespace detail
 
 bool packed_kernels_use_avx2() noexcept {
@@ -244,7 +287,7 @@ bool packed_kernels_use_avx2() noexcept {
 void mTxm_packed(std::size_t dimi, std::size_t dimj, std::size_t dimk,
                  std::size_t kred, double* c, const double* a,
                  const double* b, GemmWorkspace& ws) {
-  run_packed(dimi, dimj, std::min(kred, dimk), c, a, b, ws);
+  run_packed(g_kernel, dimi, dimj, std::min(kred, dimk), c, a, b, ws);
 }
 
 std::size_t chain_output_size(std::span<const std::size_t> shape,
@@ -289,8 +332,8 @@ void fused_transform_chain(std::span<const std::size_t> shape,
     const std::size_t rest = cursize / rows;
     const std::size_t osize = rest * cols;
     double* dst = (m + 1 == n) ? out : (m % 2 == 0 ? ping : pong);
-    std::memset(dst, 0, osize * sizeof(double));
-    run_packed(rest, cols, std::min(kred, rows), dst, cur, mats[m].ptr, ws);
+    run_packed(g_store, rest, cols, std::min(kred, rows), dst, cur,
+               mats[m].ptr, ws);
     cur = dst;
     cursize = osize;
   }
@@ -302,10 +345,12 @@ namespace {
 // sc.entries, their columns sc.cols ([item * d + mode]) and, with per-item
 // ranks, their kc vectors sc.kc ([item * stride + term]); without, term mu
 // contracts sc.term_kc[mu] rows. Item i's block of term mu in mode m is
-// block(i, mu, m), the same for every item in one column.
+// block(i, mu, m), the same for every item in one column. `table` is the
+// blocks' BlockTable::id, 0 for none.
 template <class BlockOf>
-void walk(std::size_t d, std::size_t k, const BlockOf& block,
-          bool per_item_kc, std::size_t stride, GemmWorkspace& ws) {
+void walk(std::size_t d, std::size_t k, std::uint64_t table,
+          const BlockOf& block, bool per_item_kc, std::size_t stride,
+          GemmWorkspace& ws) {
   GemmWorkspace::ShareScratch& sc = ws.share_scratch();
   const std::size_t count = sc.entries.size();
   std::size_t terms = 0;
@@ -320,6 +365,29 @@ void walk(std::size_t d, std::size_t k, const BlockOf& block,
   const auto node = [&](std::size_t mu, std::size_t m) {
     return stack + (mu * depth + m) * size;
   };
+  // What the stacks hold carries over from the last call only within one
+  // table, and only for the source the record keeps a copy of, while that
+  // source still holds the copied values. A term whose stack came from
+  // another source is dropped: its values cannot be checked.
+  GemmWorkspace::StackRecord& rec = ws.stack_record();
+  if (table == 0 || rec.table != table || rec.d != d || rec.k != k) {
+    rec.forget();
+  } else if (rec.copied != nullptr &&
+             std::any_of(sc.entries.begin(), sc.entries.end(),
+                         [&](const auto& e) { return e.src == rec.copied; }) &&
+             std::memcmp(rec.copied, rec.copy.data(), size * sizeof(double))) {
+    rec.forget();
+  }
+  for (const double*& held : rec.src)
+    if (held != rec.copied) held = nullptr;
+  rec.table = table;
+  rec.d = d;
+  rec.k = k;
+  if (rec.src.size() < terms) {
+    rec.src.resize(terms, nullptr);
+    rec.kc.resize(terms);
+    rec.blocks.resize(terms * depth);
+  }
   const auto kc_of = [&](std::size_t i, std::size_t mu) {
     return per_item_kc ? sc.kc[i * stride + mu] : sc.term_kc[mu];
   };
@@ -395,27 +463,30 @@ void walk(std::size_t d, std::size_t k, const BlockOf& block,
               return ka[d + 1] < kb[d + 1];
             });
   BatchGemmStats& st = ws.stats();
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::size_t prev = kNone;  // the previous group's lead
   for (std::size_t pos = 0; pos < sc.order.size();) {
     const std::size_t li = sc.order[pos];
     const auto& lead = sc.entries[li];
     const std::size_t t = lead.terms;
+    if (table != 0 && lead.src != rec.copied) {
+      rec.copy.assign(lead.src, lead.src + size);
+      rec.copied = lead.src;
+    }
     // Each term's prefix: recompute modes 0..d-2 from the first whose
-    // (src, kc, block) differs from the previous group's.
+    // (src, kc, block) differs from the record's.
     std::size_t stacked = 0;
     for (std::size_t mu = 0; mu < t; ++mu) {
       const std::size_t kc = kc_of(li, mu);
+      const double** held = rec.blocks.data() + mu * depth;
       std::size_t m = 0;
-      if (prev != kNone && mu < sc.entries[prev].terms &&
-          sc.entries[prev].src == lead.src && kc_of(prev, mu) == kc) {
-        while (m < depth && block(prev, mu, m) == block(li, mu, m)) ++m;
+      if (rec.src[mu] == lead.src && rec.kc[mu] == kc) {
+        while (m < depth && held[m] == block(li, mu, m)) ++m;
       }
+      rec.src[mu] = lead.src;
+      rec.kc[mu] = kc;
       for (; m < depth; ++m) {
-        double* dst = node(mu, m);
-        std::memset(dst, 0, size * sizeof(double));
-        run_packed(rest, k, kc, dst, m == 0 ? lead.src : node(mu, m - 1),
-                   block(li, mu, m), ws);
+        held[m] = block(li, mu, m);
+        run_packed(g_store, rest, k, kc, node(mu, m),
+                   m == 0 ? lead.src : node(mu, m - 1), held[m], ws);
         ++st.prefix_nodes;
       }
       sc.group_kc[mu] = kc;
@@ -461,7 +532,6 @@ void walk(std::size_t d, std::size_t k, const BlockOf& block,
                  sc.fan_targets.data()},
                 stacked, ws);
     st.prefix_nodes += n * t;
-    prev = li;
     pos = end;
   }
   st.fused_chains += count;
@@ -505,7 +575,7 @@ void batch_fused_apply(std::size_t d, std::size_t k, const BlockTable& table,
     }
   }
   walk(
-      d, k,
+      d, k, table.id,
       [&](std::size_t i, std::size_t mu, std::size_t m) {
         return table.blocks[mu * table.width + sc.cols[i * d + m]];
       },
@@ -545,7 +615,7 @@ void batch_fused_apply(std::size_t d, std::size_t k,
   sc.cols.resize(items.size() * d);
   for (std::size_t c = 0; c < sc.cols.size(); ++c) sc.cols[c] = c;
   walk(
-      d, k,
+      d, k, /*table=*/0,
       [&](std::size_t i, std::size_t mu, std::size_t m) {
         return items[i].mats[mu * d + m].ptr;
       },

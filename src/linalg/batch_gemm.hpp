@@ -17,7 +17,10 @@
 //     term's mode-0..j intermediate depends only on the source, the term's
 //     contraction length and its leading j+1 blocks, so the tasks of one
 //     source leaf (whose displacements share leading components) run it
-//     once instead of once per task,
+//     once instead of once per task, and a workspace remembers what its
+//     stacks hold, so consecutive calls over one block table share it too,
+//   - stores each prefix node as 0.0 + acc from the tile's registers, with
+//     no zeroing pass before it,
 //   - stacks the terms in the last mode: a task's result is a sum over
 //     terms, sum_mu c_mu * P_mu^T H_mu = [c_0 P_0; ...]^T x [H_0; ...],
 //     so its whole last mode is ONE product of contraction length
@@ -47,7 +50,8 @@
 //
 // Numerical contract: every kernel here performs, per output element, the
 // exact same IEEE operation sequence as the scalar reference in gemm.cpp
-// (zeroed accumulator, ascending-k multiply-then-add, one final add into c)
+// (zeroed accumulator, ascending-k multiply-then-add, one final add into c,
+// or, into a node the kernel overwrites, the store of 0.0 + acc)
 // on the operands it contracts — for the stacked last mode, the terms'
 // rows one after the other, each A element rounded once as c_mu * P_mu.
 // No FMA contraction is used on any path (the TUs compile with
@@ -103,8 +107,35 @@ class GemmWorkspace {
   double* ping(std::size_t n) { return ping_.ensure(n); }
   double* pong(std::size_t n) { return pong_.ensure(n); }
   /// batch_fused_apply's prefix stacks: d - 1 mode-prefix intermediates
-  /// per term (8,750 doubles at d = 3, k = 5, M = 35).
-  double* prefix(std::size_t n) { return prefix_.ensure(n); }
+  /// per term (8,750 doubles at d = 3, k = 5, M = 35). Growing them moves
+  /// them, so the record of what they hold is forgotten.
+  double* prefix(std::size_t n) {
+    if (n > prefix_.capacity) record_.forget();
+    return prefix_.ensure(n);
+  }
+
+  /// What the prefix stacks hold, kept from one batch_fused_apply call to
+  /// the next: term mu's mode-m node (m < d - 1) was computed from src[mu]
+  /// at contraction length kc[mu] through blocks[mu * (d - 1) + 0..m],
+  /// blocks of the BlockTable whose id is `table` (0: none, and then
+  /// nothing carries over to the next call); src[mu] == nullptr, or mu
+  /// past src.size(), holds nothing. `copy` holds the k^d values `copied`
+  /// had when the stacks last read it, the one source whose stacks carry
+  /// over. Grow-only, like the buffers.
+  struct StackRecord {
+    std::uint64_t table = 0;
+    std::size_t d = 0;
+    std::size_t k = 0;
+    std::vector<const double*> src;
+    std::vector<std::size_t> kc;
+    std::vector<const double*> blocks;
+    const double* copied = nullptr;
+    std::vector<double> copy;
+
+    /// Holds nothing from here on.
+    void forget() noexcept;
+  };
+  StackRecord& stack_record() noexcept { return record_; }
 
   /// batch_fused_apply's grow-only bookkeeping: each item as the walk sees
   /// it (entries) with its table column per mode (cols) and, with per-item
@@ -153,6 +184,7 @@ class GemmWorkspace {
   Buffer ping_;
   Buffer pong_;
   Buffer prefix_;
+  StackRecord record_;
   ShareScratch share_;
   BatchGemmStats stats_;
 };
@@ -171,7 +203,8 @@ void mTxm_packed(std::size_t dimi, std::size_t dimj, std::size_t dimk,
                  std::size_t kred, double* c, const double* a,
                  const double* b, GemmWorkspace& ws);
 
-/// One fused pass over a whole transform chain with assignment semantics:
+/// One fused pass over a whole transform chain with assignment semantics
+/// (each step stores 0.0 + acc; `out` is never read):
 ///   out = src x_0 mats[0] x_1 mats[1] ... x_{n-1} mats[n-1]
 /// where x_m contracts the leading index of the running intermediate with
 /// mats[m] (rows must match that extent; the result appends cols as the
@@ -207,11 +240,22 @@ struct FusedApplyItem {
 /// blocks[mu * width + origin + m], and, when `ranks` is set, the rank it
 /// contracts at the call's tolerance is ranks[mu * width + origin + m].
 /// Non-owning; every entry an item reads must be valid for the call.
+///
+/// `id` names the table for the prefix stacks' record: a nonzero id
+/// (from fresh_id(), never an address) promises that the table's blocks
+/// never change, so an entry read by two calls with that id is the same
+/// block, bit for bit. Then a call may reuse the prefix intermediates the
+/// previous call on its workspace left. id 0 promises nothing: the call
+/// reuses nothing from earlier calls and leaves nothing for later ones.
 struct BlockTable {
   const double* const* blocks = nullptr;
   std::size_t width = 0;        ///< entries per term
   std::int64_t origin = 0;      ///< column of component 0
   const std::size_t* ranks = nullptr;  ///< optional: per-block ranks
+  std::uint64_t id = 0;         ///< write-once identity, 0: none
+
+  /// A nonzero id no other call of this process has returned.
+  static std::uint64_t fresh_id() noexcept;
 };
 
 /// One item of a displacement-keyed call: one Apply task,
@@ -247,12 +291,34 @@ constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
 /// last block, and walked in fan-out groups: runs of items with the same
 /// src, kc vector and components m_0..m_{d-2} (for pointer items: term
 /// count, weights and blocks of modes 0..d-2 in every term). Each term
-/// keeps its own stack of d - 1 intermediates (in the workspace),
-/// recomputed only from the first mode where the group's (src, kc, block)
-/// for that term differ from the previous group's. So an intermediate is computed once per run
-/// of adjacent groups that share it: once per call when the items' kc
-/// vectors agree (full rank, say), and again in every such run when mixed
-/// kc vectors interleave (EXPERIMENTS.md, "Term-stacked last mode"). The
+/// keeps its own stack of d - 1 intermediates in the workspace, and the
+/// workspace records what each stack holds (GemmWorkspace::StackRecord:
+/// the src, kc and block of every mode it was computed from). One rule
+/// runs the walk, inside a call and across calls: a group recomputes a
+/// term's stack from the first mode whose (src, kc, block) differ from the
+/// record. So an intermediate is computed once per run of adjacent groups
+/// that share it: once per call when the items' kc vectors agree (full
+/// rank, say), and again in every such run when mixed kc vectors
+/// interleave (EXPERIMENTS.md, "Term-stacked last mode").
+///
+/// Across calls the record holds only under two conditions, so reuse never
+/// changes a bit:
+///   - Table. The call's BlockTable::id is nonzero and equal to the
+///     previous call's on this workspace (with the same d and k). Equal ids
+///     mean the same write-once blocks, so an equal block pointer means an
+///     equal block. A call without an id (id 0, and every pointer-keyed
+///     call) starts from an empty record and leaves none behind.
+///   - Source. Only the stacks of the last group's source carry over, and
+///     only if the current call passes that pointer again and its k^d
+///     values are memcmp-equal to the copy the workspace took when the
+///     stacks read it; the copy is refreshed whenever a call loads another
+///     source. A recorded pointer is dereferenced only when the current
+///     call passes it.
+/// So consecutive one-item calls of one source leaf's tasks, in the
+/// operator's lexicographic task order, compute each shared prefix once,
+/// as a leaf batch does.
+///
+/// The
 /// group's last mode is then ONE fused kernel call with contraction length
 /// K = sum_mu kc_mu over its n slots (n <= fan_out_limit(k)), the distinct
 /// last-mode blocks (duplicates share a slot): A stacks each term's first
@@ -268,15 +334,20 @@ constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
 /// batch of M-term items, per thread: 70 KB at d = 3, k = 5, M = 35,
 /// 12.8 MB at d = 3, k = 20, M = 100 and 24 MB at d = 4, k = 10, M = 100.
 /// The nonstandard-form Apply's items carry 2M terms of extent 2k, so
-/// 2M * (d - 1) * (2k)^d doubles: 1.1 MB at d = 3, k = 5, M = 35.
+/// 2M * (d - 1) * (2k)^d doubles: 1.1 MB at d = 3, k = 5, M = 35. The
+/// record adds M * (d + 1) words and the k^d-double source copy (1 KB at
+/// d = 3, k = 5; 80 KB at d = 4, k = 10), taken once per call that loads
+/// a new source: once per leaf in a leaf-batched Apply.
 ///
 /// Every result is bitwise equal to mTxm_ref of its stacked operands —
 /// each term's chain of modes 0..d-2 through mTxm_reduced_ref into zeroed
 /// intermediates, A = [c_0 P_0[0..kc_0); ...], B = [H_0[0..kc_0); ...] —
-/// into a zeroed product, added into the result, whatever the grouping;
-/// so it is bitwise equal to that item's one-item call. Results must
-/// not overlap each other or any src. Warm calls allocate nothing: all
-/// scratch lives in `ws` and only grows.
+/// into a zeroed product, added into the result, whatever the grouping
+/// and whatever an earlier call left; so it is bitwise equal to that
+/// item's one-item call on a fresh workspace. A prefix node is stored as
+/// 0.0 + acc, bitwise the zeroed intermediate plus the product, without
+/// zeroing it first. Results must not overlap each other or any src. Warm
+/// calls allocate nothing: all scratch lives in `ws` and only grows.
 void batch_fused_apply(std::size_t d, std::size_t k, const BlockTable& table,
                        std::span<const double> coeffs,
                        std::span<const std::size_t> kcap,

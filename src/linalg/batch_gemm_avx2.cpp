@@ -14,8 +14,9 @@
 // weight as it is packed, and each slot's B is the terms' last blocks,
 // read in place one segment after the other; every tile runs the whole
 // stacked contraction in registers. Each tile hands its finished
-// accumulators to an epilogue: mtxm adds them into c; the fan-out kernel
-// adds 0.0 + acc into every result that reads the slot. Only
+// accumulators to an epilogue: mtxm adds them into c, the store kernel
+// writes 0.0 + acc to c; the fan-out kernel adds 0.0 + acc into every
+// result that reads the slot. Only
 // _mm256_mul_pd + _mm256_add_pd are used — never FMA — and each output
 // element sees exactly the reference operation order (zeroed accumulator,
 // ascending stacked k, one final add into c), so results are
@@ -76,6 +77,32 @@ struct AddInto {
     alignas(32) double lane[4];
     _mm256_store_pd(lane, acc);
     for (std::size_t r = 0; r < rows; ++r) c[r * ldc + j] += lane[r];
+  }
+};
+
+// Store: one block, c = 0.0 + acc (bitwise a zeroed c plus acc).
+struct StoreInto {
+  double* c;
+  std::size_t ldc;
+
+  StoreInto at(std::size_t i0) const { return {c + i0 * ldc, ldc}; }
+
+  template <int W>
+  void tile(std::size_t, std::size_t j, std::size_t rows,
+            const __m256d (&acc)[4][W]) const {
+    for (std::size_t r = 0; r < 4 && r < rows; ++r) {
+      double* p = c + r * ldc + j;
+      for (int w = 0; w < W; ++w) {
+        _mm256_storeu_pd(p + 4 * w,
+                         _mm256_add_pd(_mm256_setzero_pd(), acc[r][w]));
+      }
+    }
+  }
+  void column(std::size_t, std::size_t j, std::size_t rows,
+              __m256d acc) const {
+    alignas(32) double lane[4];
+    _mm256_store_pd(lane, _mm256_add_pd(_mm256_setzero_pd(), acc));
+    for (std::size_t r = 0; r < rows; ++r) c[r * ldc + j] = lane[r];
   }
 };
 
@@ -346,6 +373,13 @@ void mtxm_avx2(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
                const double* a, const double* b, double* apack) {
   panels(dimi, Segs{1, &kc}, PackPanel{kc, a, dimi}, &b, 1, dimj, apack,
          AddInto{c, dimj});
+}
+
+void mtxm_store_avx2(std::size_t dimi, std::size_t dimj, std::size_t kc,
+                     double* c, const double* a, const double* b,
+                     double* apack) {
+  panels(dimi, Segs{1, &kc}, PackPanel{kc, a, dimi}, &b, 1, dimj, apack,
+         StoreInto{c, dimj});
 }
 
 void fan_out_avx2(const FanOut& f, double* apack) {

@@ -8,7 +8,10 @@
 //   least 4 * max(kc, 1) doubles of caller scratch for the packed panel.
 // Per output element the IEEE operation sequence must be: accumulator
 // zeroed, ascending-k multiply-then-add (no FMA), one final add into c —
-// bitwise-identical to mTxm_ref / mTxm_reduced_ref.
+// bitwise-identical to mTxm_ref / mTxm_reduced_ref. A store kernel
+// (mtxm_store_*) ends instead with the assignment c = 0.0 + acc, which is
+// bitwise what adding acc into a zeroed c gives, signed zeros included, so
+// it replaces a memset and an add pass over c and never reads c.
 //
 // Contract for every fan-out kernel (batch_fused_apply's last mode): the
 // group's terms are stacked along the contraction, K = sum_mu kc[mu] rows,
@@ -56,14 +59,22 @@ using FanOutKernelFn = void (*)(const FanOut& f, double* apack);
 void mtxm_portable(std::size_t dimi, std::size_t dimj, std::size_t kc,
                    double* c, const double* a, const double* b,
                    double* apack);
+void mtxm_store_portable(std::size_t dimi, std::size_t dimj, std::size_t kc,
+                         double* c, const double* a, const double* b,
+                         double* apack);
 void fan_out_portable(const FanOut& f, double* apack);
 
 /// The fan-out kernel batch_fused_apply dispatches to on this CPU.
 FanOutKernelFn fan_out_kernel() noexcept;
+/// The store kernel the prefix nodes and transform chains dispatch to.
+MTxmKernelFn mtxm_store_kernel() noexcept;
 
 #if defined(MH_LINALG_HAVE_AVX2_TU)
 void mtxm_avx2(std::size_t dimi, std::size_t dimj, std::size_t kc, double* c,
                const double* a, const double* b, double* apack);
+void mtxm_store_avx2(std::size_t dimi, std::size_t dimj, std::size_t kc,
+                     double* c, const double* a, const double* b,
+                     double* apack);
 void fan_out_avx2(const FanOut& f, double* apack);
 #endif
 

@@ -52,7 +52,8 @@ struct ApplyOptions {
 
 /// Call fn(target, disp) for every task of one source box: each screened
 /// displacement whose target stays on (free) or wraps onto (periodic) the
-/// grid.
+/// grid, in displacements(n) order (lexicographic, component 0 slowest),
+/// so tasks that share a mode prefix (m_0, ..., m_j) are consecutive.
 void for_each_task(
     const SeparatedConvolution& op, const mra::Key& source,
     const std::function<void(const mra::Key&, const Displacement&)>& fn);
@@ -90,7 +91,13 @@ void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
 /// Compute one task's contribution tensor (Algorithm 5): the Formula 1 sum
 /// over the kernel's separated terms applied to the source coefficients,
 /// run as a one-item linalg::batch_fused_apply over the level's block
-/// table. `source` must be a k^d cube (mh::Error otherwise).
+/// table. The calling thread's workspace keeps the prefix intermediates
+/// the previous call left: a call of the same operator level and source
+/// (pointer and values) recomputes each term's stack only from the first
+/// mode whose block or contraction length differ. So a leaf's tasks run
+/// one call at a time in for_each_task order share their mode prefixes,
+/// and the result is bitwise what a fresh thread computes. `source` must
+/// be a k^d cube (mh::Error otherwise).
 Tensor apply_task_compute(const SeparatedConvolution& op, const Tensor& source,
                           int level, const Displacement& disp,
                           const ApplyOptions& opts = {},

@@ -291,7 +291,7 @@ linalg::BlockTable SeparatedConvolution::h_table(
   hits_.fetch_add(reads - misses + (rank_tol > 0.0 ? reads : 0),
                   std::memory_order_relaxed);
   return {lvl.h.get(), width_, reach_,
-          rank_tol > 0.0 ? ranks.data() : nullptr};
+          rank_tol > 0.0 ? ranks.data() : nullptr, lvl.h_id};
 }
 
 linalg::BlockTable SeparatedConvolution::ns_table(
@@ -304,7 +304,8 @@ linalg::BlockTable SeparatedConvolution::ns_table(
       if (n > 0) ns_block(mu, n, m, NsPart::kSsOnly);
     }
   }
-  return {level(n).ns.get(), width_, reach_, nullptr};
+  const Level& lvl = level(n);
+  return {lvl.ns.get(), width_, reach_, nullptr, lvl.ns_id};
 }
 
 const std::vector<Displacement>& SeparatedConvolution::displacements(
@@ -354,19 +355,8 @@ const std::vector<Displacement>& SeparatedConvolution::displacements(
     }
     if (dim == d) break;
   }
-  std::sort(out.begin(), out.end(), [d](const Displacement& a,
-                                        const Displacement& b) {
-    std::int64_t ra = 0, rb = 0;
-    for (std::size_t dim = 0; dim < d; ++dim) {
-      ra += a[dim] * a[dim];
-      rb += b[dim] * b[dim];
-    }
-    if (ra != rb) return ra < rb;
-    for (std::size_t dim = 0; dim < d; ++dim) {
-      if (a[dim] != b[dim]) return a[dim] < b[dim];
-    }
-    return false;
-  });
+  // Component 0 slowest (see the header); components past d are zero.
+  std::sort(out.begin(), out.end());
   return lvl.displacements.publish(
       std::make_unique<const std::vector<Displacement>>(std::move(out)));
 }

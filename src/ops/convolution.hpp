@@ -101,13 +101,20 @@ class SeparatedConvolution {
   std::size_t reduced_rank(std::size_t mu, int n, std::int64_t m,
                            double tol) const;
 
-  /// Displacements at level n that survive norm screening against thresh,
-  /// sorted by distance (m = 0 first). Cached per level.
+  /// Displacements at level n that survive norm screening against thresh
+  /// (m = 0 always does), sorted lexicographically, component 0 slowest.
+  /// Cached per level. This order is the Apply's task order: term mu's
+  /// mode-0..j intermediate of a task depends only on the source and
+  /// m_0..m_j, so consecutive tasks of one leaf share their longest mode
+  /// prefix, and one-task calls on one thread reuse it from the call before
+  /// (linalg::batch_fused_apply); a distance order scatters those prefixes.
   const std::vector<Displacement>& displacements(int n) const;
 
   /// Level n's operator table as linalg::batch_fused_apply reads it:
   /// rank() rows of 2 * reach + 1 entries, block (mu, m) at [mu][m + reach]
-  /// with reach = 2 max_disp + 1. It is the level's own table (no copy):
+  /// with reach = 2 max_disp + 1, and the level's id (BlockTable::id: its
+  /// blocks are write-once, so the id is the table's for the operator's
+  /// life and no other table's). It is the level's own table (no copy):
   /// every term's blocks at the items' displacement components are looked
   /// up first, counted as the items' rank() * ndim block reads each
   /// (h_block calls would count them so), and each of those entries is
@@ -119,7 +126,8 @@ class SeparatedConvolution {
                              std::span<const linalg::DisplacementItem> items,
                              double rank_tol) const;
 
-  /// Level n's nonstandard blocks as a table, like h_table: row mu holds
+  /// Level n's nonstandard blocks as a table, like h_table (with its own
+  /// id, distinct from the h table's): row mu holds
   /// term mu's kFull blocks and, at n > 0 (where the telescoping subtracts
   /// them), row rank() + mu its kSsOnly blocks, each looked up (ns_block)
   /// at the items' displacement components.
@@ -162,7 +170,7 @@ class SeparatedConvolution {
   /// Slots [mu][m + reach_] of one level, plus its screened displacements.
   /// h and ns are the table views h_table and ns_table hand out: each
   /// published block's data, [mu][m + reach_] and [part][mu][m + reach_],
-  /// written before the block is published.
+  /// written before the block is published; h_id and ns_id their ids.
   struct Level {
     explicit Level(std::size_t slots)
         : slot(new Slot[slots]),
@@ -171,6 +179,8 @@ class SeparatedConvolution {
     std::unique_ptr<Slot[]> slot;
     std::unique_ptr<const double*[]> h;
     std::unique_ptr<const double*[]> ns;
+    const std::uint64_t h_id = linalg::BlockTable::fresh_id();
+    const std::uint64_t ns_id = linalg::BlockTable::fresh_id();
     WriteOnce<const std::vector<Displacement>> displacements;
   };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -14,6 +15,7 @@
 #include "bitwise.hpp"
 #include "clustersim/churn.hpp"
 #include "common/diagnostics.hpp"
+#include "common/rng.hpp"
 #include "dht/elastic.hpp"
 #include "dht/owner_map.hpp"
 #include "obs/export.hpp"
@@ -242,6 +244,14 @@ TEST(Checkpoint, LeafThatIsNotAKCubeIsRejected) {
   }
 }
 
+// A function's checkpoint bytes.
+std::string snapshot_of(const mra::Function& f) {
+  ElasticFunction ef(f, 3, 1, /*replication=*/2, 7);
+  std::ostringstream os;
+  ef.checkpoint(os);
+  return os.str();
+}
+
 // A hand-written snapshot of one leaf whose k^d cube has no coefficient
 // bytes: if k^d wraps to 0 the leaf "restores" with no elements.
 std::string one_leaf_snapshot(std::uint64_t d, std::uint64_t k) {
@@ -284,6 +294,73 @@ TEST(Checkpoint, CubeWhoseSizeOverflowsIsRejected) {
   EXPECT_EQ(ElasticFunction::restore(is, 2, 2).num_leaves(), 1u);
 }
 
+TEST(Checkpoint, HeaderPromisingMoreThanTheStreamHoldsIsTruncated) {
+  // d = 6, k = 64 passes the header checks and promises a 550 GB leaf the
+  // stream does not hold: restore must fail as truncated, reading in
+  // bounded chunks, not allocate the promised cube first (std::bad_alloc,
+  // or on a smaller promise a zeroed multi-gigabyte tensor).
+  std::istringstream is(one_leaf_snapshot(6, 64));
+  EXPECT_THROW(ElasticFunction::restore(is, 2, 2), Error);
+}
+
+// A 1-D, k = 1 snapshot of the given (level, translation) leaves, each
+// holding the value 1.
+std::string snapshot_1d(const std::vector<std::pair<int, std::int64_t>>& keys) {
+  std::ostringstream os;
+  const auto pod = [&os](const auto& value) {
+    os.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  pod(std::uint32_t{0x4d48434bu});  // magic "MHCK"
+  pod(std::uint32_t{1});            // version
+  pod(std::int32_t{0});             // subtree level
+  pod(std::uint64_t{1});            // seed
+  pod(std::uint64_t{1});            // d
+  pod(std::uint64_t{1});            // k
+  pod(1e-6);                        // thresh
+  pod(std::int32_t{0});             // initial level
+  pod(std::int32_t{30});            // max level
+  pod(static_cast<std::uint64_t>(keys.size()));
+  for (const auto& [level, l] : keys) {
+    pod(std::int32_t{level});
+    pod(std::int64_t{l});
+    pod(std::uint64_t{1});  // tensor order
+    pod(std::uint64_t{1});  // extent
+    pod(1.0);
+  }
+  return os.str();
+}
+
+TEST(Checkpoint, LeavesThatDoNotTileTheDomainAreRejected) {
+  // A corrupt leaf count or key can leave a box out, repeat one or nest one
+  // in another; each would gather into another function (a hole, or an
+  // interior node with coefficients), so restore rejects it.
+  using Leaves = std::vector<std::pair<int, std::int64_t>>;
+  for (const Leaves& bad :
+       {Leaves{}, Leaves{{0, 0}, {0, 0}}, Leaves{{0, 0}, {1, 0}, {1, 1}},
+        Leaves{{1, 0}}, Leaves{{1, 0}, {2, 2}}, Leaves{{1, 1}, {1, 1}}}) {
+    std::istringstream is(snapshot_1d(bad));
+    EXPECT_THROW(ElasticFunction::restore(is, 2, 2), Error) << bad.size();
+  }
+  for (const Leaves& good :
+       {Leaves{{0, 0}}, Leaves{{1, 1}, {2, 0}, {2, 1}}}) {
+    std::istringstream is(snapshot_1d(good));
+    const ElasticFunction ef = ElasticFunction::restore(is, 2, 2);
+    EXPECT_EQ(ef.num_leaves(), good.size());
+    EXPECT_EQ(ef.gather().num_leaves(), good.size());
+  }
+  // A real snapshot whose leaf count lost one: the last leaf is left out.
+  const mra::Function f = make_test_function();
+  std::string snap = snapshot_of(f);
+  const std::size_t count_at = 4 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + 4;
+  std::uint64_t count = 0;
+  std::memcpy(&count, snap.data() + count_at, sizeof(count));
+  ASSERT_EQ(count, f.num_leaves());
+  --count;
+  std::memcpy(snap.data() + count_at, &count, sizeof(count));
+  std::istringstream is(snap);
+  EXPECT_THROW(ElasticFunction::restore(is, 2, 2), Error);
+}
+
 TEST(Checkpoint, CorruptMagicOrVersionIsRejected) {
   ElasticFunction ef(make_test_function(), 4, 2, 2, 1);
   std::ostringstream os;
@@ -310,6 +387,80 @@ TEST(Checkpoint, LostLeavesCannotBeCheckpointed) {
 }
 
 }  // namespace
+
+// Seeded mutation of checkpoint streams: snapshots of a 1-D and a 3-D
+// function, built in memory, are truncated, bit-flipped, spliced (a slice
+// pasted elsewhere) and overwritten word-wise (one 8-byte field copied
+// over another, so counts, levels and extents take each other's values).
+// Each case must restore into a store whose replica invariant holds and
+// whose every leaf gathers as a leaf, or throw a typed error (mh::Error):
+// never another exception, a crash or a sanitizer report. A failure names
+// the case's seed.
+std::string mutate_snapshot(const std::string& snap, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string out = snap;
+  const std::size_t edits = 1 + rng.below(3);
+  for (std::size_t e = 0; e < edits && !out.empty(); ++e) {
+    switch (rng.below(4)) {
+      case 0:  // truncation
+        out.resize(rng.below(out.size()));
+        break;
+      case 1:  // bit flip
+        out[rng.below(out.size())] ^= static_cast<char>(1u << rng.below(8));
+        break;
+      case 2: {  // splice
+        const std::string slice =
+            out.substr(rng.below(out.size()), 1 + rng.below(64));
+        out.insert(rng.below(out.size() + 1), slice);
+        break;
+      }
+      default: {  // one word over another
+        if (out.size() < 8) break;
+        const std::size_t from = rng.below(out.size() - 7);
+        const std::size_t to = rng.below(out.size() - 7);
+        const std::string word = out.substr(from, 8);
+        out.replace(to, 8, word);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(CheckpointMutation, RestoreGivesATypedErrorOrAValidStore) {
+  mra::FunctionParams p3;
+  p3.ndim = 3;
+  p3.k = 3;
+  p3.thresh = 1e-3;
+  p3.initial_level = 1;
+  const mra::Function f3 = mra::Function::project(
+      [](std::span<const double> x) {
+        return std::exp(-10.0 * (x[0] * x[0] + x[1] + x[2] * x[1]));
+      },
+      p3);
+  const std::string snapshots[2] = {snapshot_of(make_test_function()),
+                                    snapshot_of(f3)};
+  constexpr std::uint64_t kFirstSeed = 20261019;
+  constexpr std::uint64_t kCases = 3000;
+  std::size_t restored = 0;
+  for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kCases; ++seed) {
+    std::istringstream is(mutate_snapshot(snapshots[seed % 2], seed));
+    try {
+      const ElasticFunction ef =
+          ElasticFunction::restore(is, 1 + seed % 3, /*replication=*/2);
+      EXPECT_TRUE(ef.store().invariant_ok()) << "seed " << seed;
+      EXPECT_EQ(ef.gather().num_leaves(), ef.num_leaves()) << "seed " << seed;
+      ++restored;
+    } catch (const Error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "seed " << seed << ": untyped error: " << e.what();
+    }
+  }
+  // Mutations that miss the framing (a flipped coefficient bit, say)
+  // restore; most hit it.
+  EXPECT_GT(restored, 0u);
+  EXPECT_LT(restored, kCases);
+}
 
 // ---------------------------------------------------------------------------
 // Churn drill: the chaos CI scenario. These tests also run with MH_FAULTS

@@ -640,19 +640,41 @@ struct PrefixBatch {
     return true;
   }
 
+  /// The engine's stack record as the model keeps it: per term the (src,
+  /// kc, blocks of modes 0..d-2) its stack was computed from (empty: none),
+  /// and the source of the last group walked, the one whose stacks carry
+  /// over to the next call.
+  struct Record {
+    std::vector<std::vector<std::uintptr_t>> term;
+    std::uintptr_t last_src = 0;
+  };
+
   /// The counters batch_fused_apply's walk reaches, modelled from its
   /// contract: the items in the call's one order (src, term-0 blocks of
   /// modes 0..d-2, term count, kc vector from the last term down, term-0
   /// last block) cut into groups and the groups into calls of at most
   /// fan_out_limit(k) slots; each call first recomputes every term's
   /// prefix from the first mode where its (src, kc, blocks) differ from
-  /// the previous call's, then counts one last-mode node per term of each
-  /// slot. Items with equal order keys must share a group, so the order
-  /// is unique up to ties that change nothing. Flops: a prefix GEMM
-  /// contracts kc rows into a (k^{d-1}, k) node, 2 * k^d * kc; a fan-out
-  /// call contracts K = sum_mu kc_mu rows into each of its n slots,
-  /// 2 * k^d * K * n.
+  /// the record's, then counts one last-mode node per term of each slot.
+  /// Items with equal order keys must share a group, so the order is
+  /// unique up to ties that change nothing. Flops: a prefix GEMM contracts
+  /// kc rows into a (k^{d-1}, k) node, 2 * k^d * kc; a fan-out call
+  /// contracts K = sum_mu kc_mu rows into each of its n slots,
+  /// 2 * k^d * K * n. walk() is one call on a fresh workspace (or after a
+  /// call of another table); walk(rec, which) is a call of the slots
+  /// `which` that finds `rec` left by the previous call of the same
+  /// table, and leaves its own record there.
   BatchGemmStats walk() const {
+    std::vector<std::size_t> all(slots.size());
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+    Record fresh;
+    return walk(fresh, all);
+  }
+
+  BatchGemmStats walk(Record& rec, std::vector<std::size_t> order) const {
+    // Only the stacks of the source the engine keeps a copy of carry over.
+    for (auto& held : rec.term)
+      if (!held.empty() && held[0] != rec.last_src) held.clear();
     std::size_t size = 1;
     for (std::size_t m = 0; m < d; ++m) size *= k;
     const auto key = [&](const Slot& slot) {
@@ -666,8 +688,6 @@ struct PrefixBatch {
       out.push_back(reinterpret_cast<std::uintptr_t>(block(slot, 0, d - 1)));
       return out;
     };
-    std::vector<std::size_t> order(slots.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return key(slots[a]) < key(slots[b]);
     });
@@ -678,17 +698,24 @@ struct PrefixBatch {
           << "the model needs tied items to share a group";
     }
     BatchGemmStats st;
-    const Slot* prev = nullptr;
     for (std::size_t pos = 0; pos < order.size();) {
       const Slot& lead = slots[order[pos]];
+      const auto src =
+          reinterpret_cast<std::uintptr_t>(srcs[lead.src].data());
+      rec.last_src = src;
+      if (rec.term.size() < lead.nterms) rec.term.resize(lead.nterms);
       std::size_t stacked = 0;
       for (std::size_t mu = 0; mu < lead.nterms; ++mu) {
-        std::size_t m = 0;
-        if (prev != nullptr && mu < prev->nterms && prev->src == lead.src &&
-            kc_of(*prev, mu) == kc_of(lead, mu)) {
-          while (m + 1 < d && block(*prev, mu, m) == block(lead, mu, m)) ++m;
-        }
         const std::size_t kc = kc_of(lead, mu);
+        std::vector<std::uintptr_t> now{src, kc};
+        for (std::size_t m = 0; m + 1 < d; ++m)
+          now.push_back(reinterpret_cast<std::uintptr_t>(block(lead, mu, m)));
+        std::vector<std::uintptr_t>& held = rec.term[mu];
+        std::size_t m = 0;
+        if (!held.empty() && held[0] == src && held[1] == kc) {
+          while (m + 1 < d && held[2 + m] == now[2 + m]) ++m;
+        }
+        held = std::move(now);
         st.packed_gemms += d - 1 - m;
         st.prefix_nodes += d - 1 - m;
         st.flops += 2.0 * static_cast<double>((d - 1 - m) * size * kc);
@@ -710,10 +737,9 @@ struct PrefixBatch {
       st.packed_gemms += 1;
       st.prefix_nodes += seen.size() * lead.nterms;
       st.flops += 2.0 * static_cast<double>(size * stacked * seen.size());
-      prev = &lead;
       pos = end;
     }
-    st.fused_chains = slots.size();
+    st.fused_chains = order.size();
     return st;
   }
 
@@ -1057,6 +1083,97 @@ TEST(BatchGemm, DisplacementItemsCheckTheirTable) {
                Error);
 }
 
+TEST(BatchGemm, OneItemCallsCarryTheirPrefixStacksOver) {
+  // One-item calls on one workspace over one identified table, in the
+  // order one leaf's tasks run: a call recomputes each term's stack only
+  // from the first mode whose (src, kc, block) differ from what the call
+  // before left, exactly the modelled walk with the record carried over,
+  // and every result is memcmp-equal to the same call on a fresh
+  // workspace.
+  const std::size_t d = 3, k = 5;
+  PrefixBatch b(d, k, /*terms=*/3, /*sources=*/2, /*reach=*/2, 41);
+  const std::vector<std::pair<std::size_t, std::vector<std::int64_t>>> tasks{
+      {0, {0, 0, 0}},  {0, {0, 1, -1}}, {0, {0, 1, 2}},  {0, {1, 1, 2}},
+      {1, {1, 1, 2}},  {0, {1, 1, 2}},  {0, {1, -2, 0}}, {0, {1, -2, 0}}};
+  for (const auto& [s, disp] : tasks) b.add(s, disp);
+  std::vector<const double*> blocks;
+  for (const auto& h : b.table) blocks.push_back(h.data());
+  const BlockTable table{blocks.data(), b.width(), b.reach, nullptr,
+                         BlockTable::fresh_id()};
+  std::vector<std::vector<double>> results = b.initial_results();
+  const std::size_t bytes = results[0].size() * sizeof(double);
+  GemmWorkspace ws;
+  PrefixBatch::Record rec;
+  std::vector<std::size_t> nodes;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (i + 1 == tasks.size()) {
+      // The last call repeats the one before over a source edited in
+      // place: same pointer, new values, so nothing carries over.
+      b.srcs[0][7] += 1.0;
+      rec = {};
+    }
+    const DisplacementItem item{b.srcs[tasks[i].first].data(),
+                                tasks[i].second.data(), results[i].data()};
+    const BatchGemmStats before = ws.stats();
+    batch_fused_apply(d, k, table, b.coeffs, {}, {&item, 1}, ws);
+    const BatchGemmStats model = b.walk(rec, {i});
+    nodes.push_back(ws.stats().prefix_nodes - before.prefix_nodes);
+    EXPECT_EQ(nodes.back(), model.prefix_nodes) << "call " << i;
+    EXPECT_EQ(ws.stats().packed_gemms - before.packed_gemms,
+              model.packed_gemms)
+        << "call " << i;
+    std::vector<double> alone = b.slots[i].result;
+    DisplacementItem one = item;
+    one.result = alone.data();
+    GemmWorkspace fresh;
+    batch_fused_apply(d, k, table, b.coeffs, {}, {&one, 1}, fresh);
+    EXPECT_EQ(std::memcmp(results[i].data(), alone.data(), bytes), 0)
+        << "call " << i;
+  }
+  // Per term: a new (src, m_0) computes modes 0 and 1 and the last mode;
+  // a shared (src, m_0) mode 1 and the last; a shared (src, m_0, m_1) the
+  // last only. Only the last call's source carries over (call 5).
+  const std::size_t t = b.terms;
+  EXPECT_EQ(nodes, (std::vector<std::size_t>{3 * t, 2 * t, t, 3 * t, 3 * t,
+                                             3 * t, 2 * t, 3 * t}));
+}
+
+TEST(BatchGemm, CallsWithoutATableIdCarryNothingOver) {
+  // A table without an id, and a pointer-keyed call, promise nothing about
+  // their blocks: the same task twice computes every node twice, and a
+  // pointer-keyed call between two calls of an identified table clears
+  // what the first left.
+  const std::size_t d = 3, k = 4;
+  PrefixBatch b(d, k, /*terms=*/2, /*sources=*/1, /*reach=*/1, 5);
+  b.add(0, {1, 0, -1});
+  std::vector<const double*> blocks;
+  for (const auto& h : b.table) blocks.push_back(h.data());
+  const BlockTable anonymous{blocks.data(), b.width(), b.reach, nullptr};
+  BlockTable named = anonymous;
+  named.id = BlockTable::fresh_id();
+  std::vector<std::vector<double>> results = b.initial_results();
+  const std::vector<FusedApplyItem> pointer = b.items(results);
+  const std::int64_t disp[3] = {1, 0, -1};
+  const DisplacementItem task{b.srcs[0].data(), disp, results[0].data()};
+  GemmWorkspace ws;
+  const auto nodes_of = [&](const auto& call) {
+    const std::size_t before = ws.stats().prefix_nodes;
+    call();
+    return ws.stats().prefix_nodes - before;
+  };
+  const std::size_t all = 3 * b.terms;
+  const auto run = [&](const BlockTable& table) {
+    return nodes_of(
+        [&] { batch_fused_apply(d, k, table, b.coeffs, {}, {&task, 1}, ws); });
+  };
+  EXPECT_EQ(run(anonymous), all);
+  EXPECT_EQ(run(anonymous), all);
+  EXPECT_EQ(run(named), all);
+  EXPECT_EQ(run(named), b.terms);  // the last mode only
+  EXPECT_EQ(nodes_of([&] { batch_fused_apply(d, k, pointer, ws); }), all);
+  EXPECT_EQ(run(named), all);
+}
+
 TEST(BatchGemm, WarmCallsAllocateNothing) {
   // The workspace buffers (the packed panel and the per-term prefix
   // stacks), the call's order and its group and slot scratch only grow: a
@@ -1239,6 +1356,43 @@ TEST(BatchGemm, FanOutEpilogueKernelsAgreeBitwise) {
                             got[t].size() * sizeof(double)),
                 0)
           << "target " << t;
+    }
+  }
+}
+
+TEST(BatchGemm, StoreKernelsWriteWhatAZeroedTargetReceives) {
+  // Prefix nodes and transform-chain steps store c = 0.0 + acc instead of
+  // zeroing c and adding the product into it: bitwise the same, signed
+  // zeros included, and c's old contents (-0.0 or NaN here) never read.
+  // Portable and dispatched, on tiled shapes with column and row tails,
+  // at full, reduced and zero contraction length, over a random A and an
+  // all-zero one (whose products are -0.0 wherever B is negative).
+  for (const auto& [di, dj, dk] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{25, 5, 5},
+        {100, 10, 10},
+        {49, 7, 7},
+        {3, 9, 4}}) {
+    Rng rng(di * 3 + dj + dk);
+    const auto at = random_matrix(dk, di, rng);
+    const std::vector<double> zero_a(dk * di, 0.0);
+    const auto b = random_matrix(dk, dj, rng);
+    for (const double* a : {at.data(), zero_a.data()}) {
+      for (const std::size_t kc : {dk, dk / 2, std::size_t{0}}) {
+        std::vector<double> ref(di * dj, 0.0);
+        mTxm_reduced_ref(di, dj, dk, kc, ref.data(), a, b.data());
+        std::vector<double> apack(4 * std::max<std::size_t>(kc, 1));
+        for (const detail::MTxmKernelFn kernel :
+             {detail::mtxm_store_portable, detail::mtxm_store_kernel()}) {
+          for (const double fill : {-0.0, std::nan("")}) {
+            std::vector<double> c(di * dj, fill);
+            kernel(di, dj, kc, c.data(), a, b.data(), apack.data());
+            EXPECT_EQ(std::memcmp(c.data(), ref.data(),
+                                  c.size() * sizeof(double)),
+                      0)
+                << di << "x" << dj << " kc " << kc << " fill " << fill;
+          }
+        }
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <latch>
+#include <memory>
 #include <numbers>
 #include <thread>
 
@@ -175,16 +176,18 @@ TEST(Convolution, DisplacementsScreenedAndSorted) {
   // Sharp kernel at a fine level: only near displacements survive.
   SeparatedConvolution op(op_params(2, 5, 1e-6, 6), single_gaussian(0.05));
   const auto& disps = op.displacements(0);  // level 0: kernel tiny vs box
-  // m = 0 must always be present and first.
+  // m = 0 must always be present.
   ASSERT_FALSE(disps.empty());
-  EXPECT_EQ(disps[0][0], 0);
-  EXPECT_EQ(disps[0][1], 0);
-  // Sorted by squared distance.
-  auto dist2 = [](const Displacement& m) {
-    return m[0] * m[0] + m[1] * m[1];
-  };
-  for (std::size_t i = 1; i < disps.size(); ++i)
-    EXPECT_LE(dist2(disps[i - 1]), dist2(disps[i]));
+  EXPECT_EQ(std::count(disps.begin(), disps.end(), Displacement{}), 1);
+  // Sorted lexicographically, component 0 slowest, without repeats: the
+  // tasks of one leaf that share a mode prefix (m_0, ..., m_j) are
+  // consecutive.
+  for (std::size_t i = 1; i < disps.size(); ++i) {
+    EXPECT_TRUE(disps[i - 1][0] < disps[i][0] ||
+                (disps[i - 1][0] == disps[i][0] &&
+                 disps[i - 1][1] < disps[i][1]))
+        << "position " << i;
+  }
   // A broad kernel at the same level keeps more displacements.
   SeparatedConvolution broad(op_params(2, 5, 1e-6, 6), single_gaussian(5.0));
   EXPECT_GT(broad.displacements(3).size(), disps.size());
@@ -953,6 +956,126 @@ TEST(Apply, PeriodicTaskTargetsStayOnGrid) {
       EXPECT_GE(t.target.translation(m), 0);
       EXPECT_LT(t.target.translation(m),
                 std::int64_t{1} << t.target.level());
+    }
+  }
+}
+
+// The differential tier for one-task calls: seeded random sequences of
+// apply_task_compute calls on one thread, each memcmp-equal to the same
+// call on a fresh thread (so on a fresh workspace). Each thread's prefix
+// stacks carry over from call to call; between calls the sequence edits
+// a source in place (same pointer, new values), destroys and rebuilds the
+// operator with new blocks (which may land where the old ones were), and
+// interleaves pointer-keyed calls and calls of another shape, each of
+// which may leave stacks that must not be reused. A failure prints its
+// seed.
+// `call`'s result on this thread, memcmp-equal to its result on a fresh
+// thread.
+template <class Call>
+void expect_fresh_equal(const Call& call, std::size_t index,
+                        std::uint64_t event) {
+  const Tensor got = call();
+  Tensor want;
+  std::thread fresh([&] { want = call(); });
+  fresh.join();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0)
+      << "call " << index << " (event " << event << ")";
+}
+
+TEST(ApplyDifferential, OneTaskCallSequencesMatchFreshWorkspaces) {
+  constexpr std::uint64_t kFirstSeed = 20261019;
+  constexpr std::uint64_t kCases = 48;
+  constexpr std::size_t kCalls = 40;
+  for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kCases; ++seed) {
+    Rng rng(seed);
+    const std::size_t d = 1 + rng.below(3);
+    const std::size_t k = 3 + rng.below(5);
+    auto params =
+        op_params(d, k, 1e-8, 1 + static_cast<std::int64_t>(rng.below(3)));
+    params.periodic = rng.below(2) == 1;
+    SeparatedKernel kernel;
+    const std::size_t terms = 1 + rng.below(4);
+    for (std::size_t mu = 0; mu < terms; ++mu) {
+      const double width = rng.uniform(0.03, 0.4);
+      kernel.terms.push_back({rng.uniform(0.1, 2.0), 1.0 / (width * width)});
+    }
+    ApplyOptions opts;
+    opts.rank_reduce = rng.below(2) == 1;
+    if (opts.rank_reduce) opts.rank_tol = std::pow(10.0, rng.uniform(-8, -3));
+    auto op = std::make_unique<SeparatedConvolution>(params, kernel);
+    // Another shape, for the interleaved calls that forget the stacks.
+    const SeparatedConvolution other(op_params(d == 3 ? 2 : d + 1, k, 1e-8, 1),
+                                     single_gaussian(0.3));
+    std::vector<Tensor> sources;
+    for (std::size_t s = 0; s < 3; ++s) {
+      Tensor t = Tensor::cube(d, k);
+      const std::uint64_t kind = rng.below(6);
+      for (double& x : t.flat())
+        x = kind == 0 ? 0.0 : kind == 1 ? -0.0 : rng.uniform(-1.0, 1.0);
+      sources.push_back(std::move(t));
+    }
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << seed << ": d=" << d << " k=" << k
+                 << " terms=" << terms << " max_disp=" << params.max_disp
+                 << (params.periodic ? " periodic" : " free") << " rank_tol="
+                 << (opts.rank_reduce ? opts.rank_tol : 0.0));
+    std::vector<Tensor> scratch(terms * d, Tensor::cube(2, k));
+    // The current leaf: a source at a level, walked in task order.
+    std::size_t src = 0;
+    int level = 1;
+    std::size_t next = 0;
+    for (std::size_t call = 0; call < kCalls; ++call) {
+      const std::uint64_t event = rng.below(12);
+      if (event == 0) {
+        // Same pointer, new values: one element, or its sign.
+        double& x = sources[src].flat()[rng.below(sources[src].size())];
+        x = rng.below(2) == 0 ? -x : rng.uniform(-1.0, 1.0);
+      } else if (event == 1) {
+        // New blocks, possibly at the old ones' addresses.
+        for (auto& term : kernel.terms) term.exponent *= rng.uniform(0.5, 2.0);
+        op.reset();
+        op = std::make_unique<SeparatedConvolution>(params, kernel);
+      } else if (event == 2) {
+        // Two pointer-keyed calls over copies of a task's blocks in a
+        // scratch buffer they reuse: same addresses, new values.
+        const auto& disps = op->displacements(level);
+        for (int twice = 0; twice < 2; ++twice) {
+          const Displacement& disp = disps[rng.below(disps.size())];
+          std::vector<MatrixView> mats;
+          for (std::size_t mu = 0; mu < op->rank(); ++mu) {
+            for (std::size_t m = 0; m < d; ++m) {
+              Tensor& h = scratch[mu * d + m];
+              h = *op->h_block(mu, level, disp[m]);
+              mats.push_back(MatrixView(h));
+            }
+          }
+          const auto by_pointer = [&] {
+            Tensor r = Tensor::cube(d, k);
+            fused_apply_accumulate(sources[src], mats, op->term_coeffs(), {},
+                                   r);
+            return r;
+          };
+          expect_fresh_equal(by_pointer, call, event);
+        }
+      } else if (event == 3) {
+        Tensor t = Tensor::cube(other.params().ndim, k);
+        t.flat()[0] = 1.0;
+        apply_task_compute(other, t, 1, other.displacements(1)[0]);
+      } else if (event == 4) {
+        src = rng.below(sources.size());
+        level = static_cast<int>(rng.below(3));
+        next = rng.below(op->displacements(level).size());
+      }
+      const auto& disps = op->displacements(level);
+      const Displacement disp = disps[next++ % disps.size()];
+      expect_fresh_equal(
+          [&] {
+            return apply_task_compute(*op, sources[src], level, disp, opts);
+          },
+          call, event);
+      if (HasFailure()) return;
     }
   }
 }

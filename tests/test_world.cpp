@@ -607,7 +607,7 @@ DifferentialCase draw_case(std::uint64_t seed) {
   Rng rng(seed);
   DifferentialCase c;
   const std::size_t d = 1 + rng.below(3);
-  const std::size_t k = 3 + rng.below(4);
+  const std::size_t k = 3 + rng.below(5);
   // Deep enough for mixed leaf levels, shallow enough for a fast d = 3.
   const int max_level = d == 1 ? 6 : d == 2 ? 3 : 2;
   c.f = random_tree(rng, d, k, max_level, d == 1 ? 0.7 : 0.5);
