@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <utility>
 
 #include "common/diagnostics.hpp"
 #include "linalg/batch_gemm_kernels.hpp"
@@ -342,14 +345,13 @@ void fused_transform_chain(std::span<const std::size_t> shape,
 namespace {
 
 // The grouping walk both entry points run. The call's items are
-// sc.entries, their columns sc.cols ([item * d + mode]) and, with per-item
-// ranks, their kc vectors sc.kc ([item * stride + term]); without, term mu
-// contracts sc.term_kc[mu] rows. Item i's block of term mu in mode m is
-// block(i, mu, m), the same for every item in one column. `table` is the
-// blocks' BlockTable::id, 0 for none.
-template <class BlockOf>
-void walk(std::size_t d, std::size_t k, std::uint64_t table,
-          const BlockOf& block, bool per_item_kc, std::size_t stride,
+// sc.entries, their columns sc.cols ([item * d + mode]) and their kc
+// vectors sc.kc ([item * stride + term]; stride 0: one vector for all).
+// Term mu's block in column c is blocks[mu * width + c]. `table` is the
+// blocks' BlockTable::id, 0 for none. Every ordering and grouping decision
+// compares integers: source ranks, columns, term counts and kc.
+void walk(std::size_t d, std::size_t k, const double* const* blocks,
+          std::size_t width, std::uint64_t table, std::size_t stride,
           GemmWorkspace& ws) {
   GemmWorkspace::ShareScratch& sc = ws.share_scratch();
   const std::size_t count = sc.entries.size();
@@ -388,80 +390,54 @@ void walk(std::size_t d, std::size_t k, std::uint64_t table,
     rec.kc.resize(terms);
     rec.blocks.resize(terms * depth);
   }
-  const auto kc_of = [&](std::size_t i, std::size_t mu) {
-    return per_item_kc ? sc.kc[i * stride + mu] : sc.term_kc[mu];
-  };
-  const auto col = [&](std::size_t i, std::size_t m) {
-    return sc.cols[i * d + m];
-  };
-  // Items a and b (with as many terms) read the same blocks in mode m: the
-  // same column or, across columns, the same block in every term.
-  const auto same_blocks = [&](std::size_t a, std::size_t b, std::size_t m) {
-    if (col(a, m) == col(b, m)) return true;
-    for (std::size_t mu = 0; mu < sc.entries[a].terms; ++mu)
-      if (block(a, mu, m) != block(b, mu, m)) return false;
-    return true;
-  };
-  // Items of one group share every term's A segment: the same src, terms,
-  // weights, kc vector and blocks in modes 0..d-2.
-  const auto same_group = [&](std::size_t a, std::size_t b) {
+  const auto kcs = [&](std::size_t i) { return sc.kc.data() + i * stride; };
+  const auto cols = [&](std::size_t i) { return sc.cols.data() + i * d; };
+  // A source is an item's (src, weights), ranked by first appearance; the
+  // search starts at the latest, which a leaf's tasks hit at once.
+  sc.sources.clear();
+  for (auto& e : sc.entries) {
+    const std::pair source(e.src, e.coeffs);
+    auto seen = std::find(sc.sources.rbegin(), sc.sources.rend(), source);
+    if (seen == sc.sources.rend()) {
+      sc.sources.push_back(source);
+      seen = sc.sources.rbegin();
+    }
+    e.source = static_cast<std::size_t>(sc.sources.rend() - seen) - 1;
+  }
+  // Items compare by source rank, columns of modes 0..d-2, term count
+  // and kc vector, then by last column and position; those that tie on the
+  // first four share every term's A segment, so they may share a fan-out
+  // group. The groups of one prefix differ only in kc, and a term's prefix
+  // is shared between adjacent groups only, so their order decides how
+  // often it is recomputed: kc vectors compare from the last term down,
+  // which on the rank-reduced coulomb_smoothing input runs 4% fewer prefix
+  // GEMMs than comparing from term 0 up (EXPERIMENTS.md).
+  const auto group_order = [&](std::size_t a, std::size_t b) {
     const auto& ea = sc.entries[a];
     const auto& eb = sc.entries[b];
-    const std::size_t t = ea.terms;
-    if (ea.src != eb.src || eb.terms != t) return false;
-    if (ea.coeffs != eb.coeffs &&
-        std::memcmp(ea.coeffs, eb.coeffs, t * sizeof(double)))
-      return false;
-    for (std::size_t m = 0; m < depth; ++m)
-      if (!same_blocks(a, b, m)) return false;
-    for (std::size_t mu = 0; per_item_kc && mu < t; ++mu)
-      if (kc_of(a, mu) != kc_of(b, mu)) return false;
-    return true;
-  };
-  // One ordering per call: by (src, term-0 blocks 0..d-2, terms, kc
-  // vector, term-0 last block). A group's items end up adjacent when the
-  // later terms' blocks follow term 0's (see the header); otherwise a
-  // group only splits. The groups of one term-0 prefix differ only in kc,
-  // and a term's prefix is shared between adjacent groups only, so their
-  // order decides how often it is recomputed: kc vectors compare from the
-  // last term down, which on the rank-reduced coulomb_smoothing input runs
-  // 4% fewer prefix GEMMs than comparing from term 0 up (EXPERIMENTS.md).
-  const std::size_t key_width = d + 2;
-  sc.keys.resize(count * key_width);
-  sc.group_kc.resize(terms);
-  sc.group_a.resize(terms);
-  sc.slot_item.resize(count);
-  sc.fan_blocks.resize(count * terms);
-  sc.fan_slot.resize(count);
-  sc.fan_start.resize(count + 2);
-  sc.fan_targets.resize(count);
-  const auto row = [&](std::size_t i) {
-    return sc.keys.data() + i * key_width;
+    auto c = ea.source <=> eb.source;
+    if (c == 0) {
+      c = std::lexicographical_compare_three_way(cols(a), cols(a) + depth,
+                                                 cols(b), cols(b) + depth);
+    }
+    if (c == 0) c = ea.terms <=> eb.terms;
+    for (std::size_t mu = ea.terms; c == 0 && stride != 0 && mu-- > 0;)
+      c = kcs(a)[mu] <=> kcs(b)[mu];
+    return c;
   };
   sc.order.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (sc.entries[i].terms == 0) continue;
-    std::uintptr_t* key = row(i);
-    key[0] = reinterpret_cast<std::uintptr_t>(sc.entries[i].src);
-    for (std::size_t m = 0; m < depth; ++m)
-      key[1 + m] = reinterpret_cast<std::uintptr_t>(block(i, 0, m));
-    key[d] = sc.entries[i].terms;
-    key[d + 1] = reinterpret_cast<std::uintptr_t>(block(i, 0, depth));
-    sc.order.push_back(i);
-  }
+  for (std::size_t i = 0; i < count; ++i)
+    if (sc.entries[i].terms != 0) sc.order.push_back(i);
   std::sort(sc.order.begin(), sc.order.end(),
             [&](std::size_t a, std::size_t b) {
-              const std::uintptr_t* ka = row(a);
-              const std::uintptr_t* kb = row(b);
-              const auto diff = std::mismatch(ka, ka + d + 1, kb, kb + d + 1);
-              if (diff.first != ka + d + 1) return *diff.first < *diff.second;
-              for (std::size_t mu = ka[d]; per_item_kc && mu-- > 0;) {
-                const std::size_t x = kc_of(a, mu);
-                const std::size_t y = kc_of(b, mu);
-                if (x != y) return x < y;
-              }
-              return ka[d + 1] < kb[d + 1];
+              if (const auto c = group_order(a, b); c != 0) return c < 0;
+              return std::pair(cols(a)[depth], a) <
+                     std::pair(cols(b)[depth], b);
             });
+  sc.group_a.resize(terms);
+  sc.fan_blocks.resize(count * terms);
+  sc.fan_start.resize(count + 1);
+  sc.fan_targets.resize(count);
   BatchGemmStats& st = ws.stats();
   for (std::size_t pos = 0; pos < sc.order.size();) {
     const std::size_t li = sc.order[pos];
@@ -472,62 +448,48 @@ void walk(std::size_t d, std::size_t k, std::uint64_t table,
       rec.copied = lead.src;
     }
     // Each term's prefix: recompute modes 0..d-2 from the first whose
-    // (src, kc, block) differs from the record's.
+    // (src, kc, block) differs from the record's. The record keeps blocks,
+    // not columns: a term's stack depends on that term's blocks alone.
     std::size_t stacked = 0;
     for (std::size_t mu = 0; mu < t; ++mu) {
-      const std::size_t kc = kc_of(li, mu);
+      const std::size_t kc = kcs(li)[mu];
+      const double* const* row = blocks + mu * width;
       const double** held = rec.blocks.data() + mu * depth;
       std::size_t m = 0;
       if (rec.src[mu] == lead.src && rec.kc[mu] == kc) {
-        while (m < depth && held[m] == block(li, mu, m)) ++m;
+        while (m < depth && held[m] == row[cols(li)[m]]) ++m;
       }
       rec.src[mu] = lead.src;
       rec.kc[mu] = kc;
       for (; m < depth; ++m) {
-        held[m] = block(li, mu, m);
+        held[m] = row[cols(li)[m]];
         run_packed(g_store, rest, k, kc, node(mu, m),
                    m == 0 ? lead.src : node(mu, m - 1), held[m], ws);
         ++st.prefix_nodes;
       }
-      sc.group_kc[mu] = kc;
       sc.group_a[mu] = depth == 0 ? lead.src : node(mu, depth - 1);
       stacked += kc;
     }
-    // The group's slots: its distinct tuples of last blocks, up to the
-    // shape's fan-out limit; duplicates share a slot.
+    // The group's slots: its distinct last columns, up to the fan-out
+    // limit; the order keeps each slot's items (its targets) adjacent.
     const std::size_t cap = fan_out_limit(k);
     std::size_t n = 0;
     std::size_t end = pos;
     for (; end < sc.order.size(); ++end) {
       const std::size_t item = sc.order[end];
-      if (end > pos && !same_group(li, item)) break;
-      std::size_t slot = 0;
-      while (slot < n && !same_blocks(sc.slot_item[slot], item, depth))
-        ++slot;
-      if (slot == n) {
+      if (end > pos && group_order(li, item) != 0) break;
+      if (end == pos || cols(item)[depth] != cols(sc.order[end - 1])[depth]) {
         if (n == cap) break;
-        sc.slot_item[n++] = item;
+        for (std::size_t mu = 0; mu < t; ++mu)
+          sc.fan_blocks[n * t + mu] = blocks[mu * width + cols(item)[depth]];
+        sc.fan_start[n++] = end - pos;
       }
-      sc.fan_slot[end - pos] = slot;
+      sc.fan_targets[end - pos] = sc.entries[item].result;
     }
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::size_t mu = 0; mu < t; ++mu)
-        sc.fan_blocks[s * t + mu] = block(sc.slot_item[s], mu, depth);
-    }
-    // Each slot's targets: the items that read it, grouped by slot with a
-    // counting pass that leaves fan_start[s] at slot s's start.
-    std::fill_n(sc.fan_start.begin(), n + 2, 0);
-    for (std::size_t q = pos; q < end; ++q)
-      ++sc.fan_start[sc.fan_slot[q - pos] + 2];
-    for (std::size_t s = 2; s < n + 2; ++s)
-      sc.fan_start[s] += sc.fan_start[s - 1];
-    for (std::size_t q = pos; q < end; ++q) {
-      sc.fan_targets[sc.fan_start[sc.fan_slot[q - pos] + 1]++] =
-          sc.entries[sc.order[q]].result;
-    }
+    sc.fan_start[n] = end - pos;
     // Last mode: one packed pass over the stacked terms of the n slots,
     // adding each product into its results from the tile's registers.
-    run_fan_out({rest, k, t, sc.group_kc.data(), sc.group_a.data(),
+    run_fan_out({rest, k, t, kcs(li), sc.group_a.data(),
                  lead.coeffs, sc.fan_blocks.data(), n, sc.fan_start.data(),
                  sc.fan_targets.data()},
                 stacked, ws);
@@ -549,17 +511,16 @@ void batch_fused_apply(std::size_t d, std::size_t k, const BlockTable& table,
   MH_CHECK(kcap.empty() || kcap.size() == terms,
            "kcap must be empty or one per term");
   GemmWorkspace::ShareScratch& sc = ws.share_scratch();
-  sc.term_kc.resize(terms);
-  for (std::size_t mu = 0; mu < terms; ++mu)
-    sc.term_kc[mu] = kcap.empty() ? k : std::min(kcap[mu], k);
   const bool ranked = table.ranks != nullptr;
   sc.entries.resize(items.size());
   sc.cols.resize(items.size() * d);
-  if (ranked) sc.kc.resize(items.size() * terms);
+  sc.kc.resize(ranked ? items.size() * terms : terms);
+  for (std::size_t mu = 0; !ranked && mu < terms; ++mu)
+    sc.kc[mu] = kcap.empty() ? k : std::min(kcap[mu], k);
   const auto width = static_cast<std::int64_t>(table.width);
   for (std::size_t i = 0; i < items.size(); ++i) {
     const DisplacementItem& item = items[i];
-    sc.entries[i] = {item.src, item.result, coeffs.data(), terms};
+    sc.entries[i] = {item.src, item.result, coeffs.data(), terms, 0};
     std::size_t* cols = sc.cols.data() + i * d;
     for (std::size_t m = 0; m < d; ++m) {
       const std::int64_t c = table.origin + item.disp[m];
@@ -569,17 +530,12 @@ void batch_fused_apply(std::size_t d, std::size_t k, const BlockTable& table,
     // Each term contracts its least rank over the item's d blocks.
     for (std::size_t mu = 0; ranked && mu < terms; ++mu) {
       const std::size_t* ranks = table.ranks + mu * table.width;
-      std::size_t kc = sc.term_kc[mu];
+      std::size_t kc = kcap.empty() ? k : std::min(kcap[mu], k);
       for (std::size_t m = 0; m < d; ++m) kc = std::min(kc, ranks[cols[m]]);
       sc.kc[i * terms + mu] = kc;
     }
   }
-  walk(
-      d, k, table.id,
-      [&](std::size_t i, std::size_t mu, std::size_t m) {
-        return table.blocks[mu * table.width + sc.cols[i * d + m]];
-      },
-      ranked, terms, ws);
+  walk(d, k, table.blocks, table.width, table.id, ranked ? terms : 0, ws);
 }
 
 void batch_fused_apply(std::size_t d, std::size_t k,
@@ -600,26 +556,69 @@ void batch_fused_apply(std::size_t d, std::size_t k,
   }
   GemmWorkspace::ShareScratch& sc = ws.share_scratch();
   sc.entries.resize(items.size());
-  sc.term_kc.assign(terms, k);
-  if (ranked) sc.kc.resize(items.size() * terms);
+  sc.kc.assign(ranked ? items.size() * terms : terms, k);
   for (std::size_t i = 0; i < items.size(); ++i) {
     const FusedApplyItem& item = items[i];
     const std::size_t t = item.coeffs.size();
-    sc.entries[i] = {item.src, item.result, item.coeffs.data(), t};
+    sc.entries[i] = {item.src, item.result, item.coeffs.data(), t, 0};
     for (std::size_t mu = 0; ranked && mu < t; ++mu) {
       sc.kc[i * terms + mu] =
           item.kreds.empty() ? k : std::min(item.kreds[mu], k);
     }
   }
-  // One column per item and mode: its blocks are the item's own.
-  sc.cols.resize(items.size() * d);
-  for (std::size_t c = 0; c < sc.cols.size(); ++c) sc.cols[c] = c;
-  walk(
-      d, k, /*table=*/0,
-      [&](std::size_t i, std::size_t mu, std::size_t m) {
-        return items[i].mats[mu * d + m].ptr;
-      },
-      ranked, terms, ws);
+  // An item's blocks of one mode are a tuple (nullptr past its terms); the
+  // call's distinct tuples are the columns of a per-call table, numbered in
+  // address order, the blocks' only identity. Tuples that share term 0's
+  // block are almost always equal, so such a run is sorted only when not.
+  using Tuple = GemmWorkspace::ShareScratch::Tuple;
+  const auto block = [d](const Tuple& x, std::size_t mu) {
+    return mu < x.terms ? x.blocks[mu * d].ptr : nullptr;
+  };
+  const std::less<const double*> before;
+  const auto tuple_less = [&](const Tuple& a, const Tuple& b) {
+    std::size_t mu = 0;
+    while (mu < terms && block(a, mu) == block(b, mu)) ++mu;
+    return mu < terms && before(block(a, mu), block(b, mu));
+  };
+  const auto same = [d](const Tuple& a, const Tuple& b) {
+    if (a.terms != b.terms) return false;
+    for (std::size_t mu = 0; mu < a.terms; ++mu)
+      if (a.blocks[mu * d].ptr != b.blocks[mu * d].ptr) return false;
+    return true;
+  };
+  sc.tuples.clear();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    for (std::size_t m = 0; m < d; ++m)
+      sc.tuples.push_back(
+          {items[i].mats.data() + m, items[i].coeffs.size(), i * d + m});
+  }
+  std::sort(sc.tuples.begin(), sc.tuples.end(),
+            [&](const Tuple& a, const Tuple& b) {
+              return before(block(a, 0), block(b, 0));
+            });
+  sc.cols.resize(sc.tuples.size());
+  std::size_t width = 0;
+  for (auto run = sc.tuples.begin(); run != sc.tuples.end();) {
+    auto stop = run + 1;
+    bool uniform = true;
+    for (; stop != sc.tuples.end() && block(*stop, 0) == block(*run, 0);
+         ++stop)
+      uniform = uniform && same(*run, *stop);
+    if (!uniform) std::sort(run, stop, tuple_less);
+    for (auto x = run; x != stop; ++x) {
+      if (x == run || (!uniform && !same(x[-1], *x))) ++width;
+      sc.cols[x->at] = width - 1;
+    }
+    run = stop;
+  }
+  sc.table.resize(terms * width);
+  for (std::size_t q = 0; q < sc.tuples.size(); ++q) {
+    const std::size_t col = sc.cols[sc.tuples[q].at];
+    if (q > 0 && col == sc.cols[sc.tuples[q - 1].at]) continue;
+    for (std::size_t mu = 0; mu < terms; ++mu)
+      sc.table[mu * width + col] = block(sc.tuples[q], mu);
+  }
+  walk(d, k, sc.table.data(), width, /*table=*/0, ranked ? terms : 0, ws);
 }
 
 }  // namespace mh::linalg

@@ -13,38 +13,25 @@
 //   - fuses the whole M * d transform chain of one Apply task into a single
 //     packed pass over workspace buffers — zero allocations after warm-up —
 //     instead of M * d mTxm calls with fresh temporaries,
-//   - shares mode-prefix intermediates across the tasks of a batch: a
-//     term's mode-0..j intermediate depends only on the source, the term's
-//     contraction length and its leading j+1 blocks, so the tasks of one
-//     source leaf (whose displacements share leading components) run it
-//     once instead of once per task, and a workspace remembers what its
-//     stacks hold, so consecutive calls over one block table share it too,
-//   - stores each prefix node as 0.0 + acc from the tile's registers, with
-//     no zeroing pass before it,
+//   - shares mode-prefix intermediates across the tasks of a batch, and
+//     across consecutive calls over one block table,
 //   - stacks the terms in the last mode: a task's result is a sum over
 //     terms, sum_mu c_mu * P_mu^T H_mu = [c_0 P_0; ...]^T x [H_0; ...],
-//     so its whole last mode is ONE product of contraction length
-//     K = sum_mu kc_mu instead of M products of kc_mu each,
-//   - fans out that last mode: the tasks of one fan-out group share every
-//     term's mode-(d-2) intermediate and differ only in their last blocks,
-//     so the group's last mode is ONE fused kernel call over its n slots
-//     (distinct tuples of last blocks): it packs each 4-row panel of the
-//     stacked, weighted intermediates once, walks every slot's blocks in
-//     place, and in each tile's epilogue adds the product straight from
-//     registers into every task result that reads the slot — no product
-//     buffer and no separate accumulation pass.
+//     so the last mode of all the tasks below one prefix is ONE fused
+//     kernel call that adds each product straight from registers into its
+//     task's result (see batch_fused_apply).
 //
 // Items name their blocks through a table, as MADNESS stores its operator:
 // term mu's 1-D block for displacement component m is the table's entry
 // (mu, m), so an Apply item is (src, displacement, result) and its block of
 // term mu in mode j is entry (mu, disp[j]). Items that read one column read
-// the same blocks in every term, so the engine groups them on integers:
-// columns and kc vectors, ordered by the term-0 block of each column.
-// Pointer items (FusedApplyItem, M * d blocks each) get one column per
-// item and mode, and two columns count as one when every term's blocks in
-// them are the same. Sharing is complete when the items' kc vectors agree
-// (full rank, say) and, for pointer items, the later terms' blocks follow
-// term 0's, as an operator's follow the displacement: then the one
+// the same blocks in every term, so the engine knows a block only by its
+// column and orders and groups items on integers alone: its work depends
+// on the input, not on where the blocks were allocated. Pointer items
+// (FusedApplyItem) reach it through an adapter that numbers their blocks
+// into a per-call table. Sharing is complete when the items' kc vectors
+// agree (full rank, say) and, for pointer items, the later terms' blocks
+// follow term 0's, as an operator's follow the displacement: then the one
 // ordering keeps every group's items and every term's equal prefixes
 // adjacent. Otherwise results are unchanged and only some sharing is lost.
 //
@@ -66,6 +53,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace mh::linalg {
@@ -138,33 +126,36 @@ class GemmWorkspace {
   StackRecord& stack_record() noexcept { return record_; }
 
   /// batch_fused_apply's grow-only bookkeeping: each item as the walk sees
-  /// it (entries) with its table column per mode (cols) and, with per-item
-  /// ranks, its kc per term (kc); the per-term kc of calls without them;
-  /// the items' sort keys and their one ordering per call; the current group's per-term kc and A
-  /// segments; its slots (distinct last columns) by first item and their
-  /// blocks, slot-major; each item's slot; and the result lists the kernel
-  /// epilogue adds into: slot s's results are
-  /// fan_targets[fan_start[s] .. fan_start[s + 1]).
+  /// it (entries, ranked among the call's sources) with its table column
+  /// per mode (cols) and kc per term (kc; one row for all without per-item
+  /// ranks); the call's one ordering; the current group's A segments, slots'
+  /// blocks and the epilogue's results, slot s's at fan_targets[fan_start[s]
+  /// .. fan_start[s + 1]); the pointer-keyed entry point's table and tuples.
   struct ShareScratch {
     struct Entry {
       const double* src;
       double* result;
       const double* coeffs;
       std::size_t terms;
+      std::size_t source;
     };
     std::vector<Entry> entries;
     std::vector<std::size_t> cols;
     std::vector<std::size_t> kc;
-    std::vector<std::size_t> term_kc;
-    std::vector<std::uintptr_t> keys;
+    std::vector<std::pair<const double*, const double*>> sources;
     std::vector<std::size_t> order;
-    std::vector<std::size_t> group_kc;
     std::vector<const double*> group_a;
-    std::vector<std::size_t> slot_item;
     std::vector<const double*> fan_blocks;
-    std::vector<std::size_t> fan_slot;
     std::vector<std::size_t> fan_start;
     std::vector<double*> fan_targets;
+    /// A pointer item's blocks of one mode, term mu's at blocks[mu * d].
+    struct Tuple {
+      const GemmMat* blocks;
+      std::size_t terms;
+      std::size_t at;  ///< item * d + mode
+    };
+    std::vector<const double*> table;
+    std::vector<Tuple> tuples;
   };
   ShareScratch& share_scratch() noexcept { return share_; }
 
@@ -286,11 +277,11 @@ constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
 /// blocks in modes 0..j, that is, of its displacement components
 /// m_0..m_j.
 ///
-/// The items are ordered once per call, by src, the term-0 blocks of modes
-/// 0..d-2, kc vector (compared from the last term down) and the term-0
-/// last block, and walked in fan-out groups: runs of items with the same
-/// src, kc vector and components m_0..m_{d-2} (for pointer items: term
-/// count, weights and blocks of modes 0..d-2 in every term). Each term
+/// The items are ordered once per call, on integers only: by source (an
+/// item's src and weights, ranked by first appearance in the call),
+/// columns of modes 0..d-2, term count, kc vector (compared from the last
+/// term down), last column and position in the call. They are walked in
+/// fan-out groups: runs of items equal in all but the last two. Each term
 /// keeps its own stack of d - 1 intermediates in the workspace, and the
 /// workspace records what each stack holds (GemmWorkspace::StackRecord:
 /// the src, kc and block of every mode it was computed from). One rule
@@ -321,7 +312,7 @@ constexpr std::size_t fan_out_limit(std::size_t k) noexcept { return k; }
 /// The
 /// group's last mode is then ONE fused kernel call with contraction length
 /// K = sum_mu kc_mu over its n slots (n <= fan_out_limit(k)), the distinct
-/// last-mode blocks (duplicates share a slot): A stacks each term's first
+/// last columns (duplicates share a slot): A stacks each term's first
 /// kc_mu rows of its mode-(d-2) intermediate, weighted by coeffs[mu] as
 /// each 4-row panel is packed, once; each slot's B is its terms' last
 /// blocks, read in place one after the other; and each tile's epilogue
@@ -354,10 +345,12 @@ void batch_fused_apply(std::size_t d, std::size_t k, const BlockTable& table,
                        std::span<const DisplacementItem> items,
                        GemmWorkspace& ws);
 
-/// The pointer-keyed entry point: the same walk over items that carry
-/// their blocks, each its own term count, weights and kreds; a group also
-/// needs equal term counts and weights. The same tasks as displacement
-/// items give bitwise equal results and equal BatchGemmStats.
+/// The pointer-keyed entry point, an adapter onto the same walk: items
+/// carry their blocks, each its own term count, weights and kreds. The
+/// call's distinct per-mode tuples of blocks become the columns of a
+/// per-call table, numbered in address order, so the same tasks as
+/// displacement items give bitwise equal results, and equal BatchGemmStats
+/// when each term's blocks lie in column order in memory.
 void batch_fused_apply(std::size_t d, std::size_t k,
                        std::span<const FusedApplyItem> items,
                        GemmWorkspace& ws);

@@ -94,22 +94,15 @@ std::vector<ApplyTask> make_apply_tasks(const SeparatedConvolution& op,
   return tasks;
 }
 
-void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
-                      const Tensor& coeffs, const ApplyOptions& opts,
-                      ApplyStats* stats, const ContributionTarget& target) {
-  check_source(op, coeffs);
-  const std::size_t d = op.params().ndim;
-  const std::size_t k = op.params().k;
-  // Every task of the leaf names its displacement, and they run as ONE
-  // batch: they share the source, so the engine shares their mode-prefix
-  // GEMMs. Each task's result is its target's tensor, so the epilogue's
-  // 0.0 + acc lands in the output directly: target + (0.0 + acc) is
-  // bitwise what adding a zeroed result that received 0.0 + acc gives, and
-  // a zero-created target ends as that result itself. Results must not
-  // overlap, so a wrapped repeat of a target (periodic only: free-space
-  // displacements give distinct targets) gets a scratch result, added
-  // after the batch in for_each_task order. The items are reused per
-  // thread: steady state allocates nothing.
+void detail::run_leaf_batch(const SeparatedConvolution& op,
+                            const mra::Key& leaf, const Tensor& source,
+                            const ContributionTarget& target,
+                            const LeafBatchRun& run) {
+  // Each task's result is its target's tensor: target + (0.0 + acc) is
+  // bitwise what adding a zeroed result that received 0.0 + acc gives.
+  // Results must not overlap, so a wrapped repeat of a target (periodic
+  // only) gets a scratch result. The items are reused per thread: steady
+  // state allocates nothing.
   thread_local std::vector<linalg::DisplacementItem> items;
   items.clear();
   std::vector<std::pair<Tensor*, Tensor>> repeats;
@@ -117,16 +110,25 @@ void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
   for_each_task(op, leaf, [&](const mra::Key& to, const Displacement& m) {
     Tensor* sum = target(to);
     if (sum == nullptr) return;  // computed by another partition
-    MH_CHECK(sum->size() == coeffs.size(), "apply target must be a k^d cube");
+    MH_CHECK(sum->size() == source.size(), "apply target size mismatch");
     double* r = sum->data();
     if (periodic && std::ranges::any_of(items, [r](const auto& item) {
           return item.result == r;
         }))
-      r = repeats.emplace_back(sum, Tensor::cube(d, k)).second.data();
-    items.push_back({coeffs.data(), m.data(), r});
+      r = repeats.emplace_back(sum, Tensor(source.shape())).second.data();
+    items.push_back({source.data(), m.data(), r});
   });
-  run_tasks(op, leaf.level(), items, opts, stats);
+  run(items);
   for (auto& [sum, r] : repeats) *sum += r;
+}
+
+void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
+                      const Tensor& coeffs, const ApplyOptions& opts,
+                      ApplyStats* stats, const ContributionTarget& target) {
+  check_source(op, coeffs);
+  detail::run_leaf_batch(op, leaf, coeffs, target, [&](auto items) {
+    run_tasks(op, leaf.level(), items, opts, stats);
+  });
 }
 
 Tensor apply_task_compute(const SeparatedConvolution& op, const Tensor& source,

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "mra/function.hpp"
@@ -87,6 +88,16 @@ using ContributionTarget = std::function<Tensor*(const mra::Key&)>;
 void apply_leaf_tasks(const SeparatedConvolution& op, const mra::Key& leaf,
                       const Tensor& coeffs, const ApplyOptions& opts,
                       ApplyStats* stats, const ContributionTarget& target);
+
+namespace detail {
+/// apply_leaf_tasks' loop, shared with the nonstandard-form Apply: hands
+/// `run` one write-through item per task of `leaf` over `source`.
+using LeafBatchRun =
+    std::function<void(std::span<const linalg::DisplacementItem>)>;
+void run_leaf_batch(const SeparatedConvolution& op, const mra::Key& leaf,
+                    const Tensor& source, const ContributionTarget& target,
+                    const LeafBatchRun& run);
+}  // namespace detail
 
 /// Compute one task's contribution tensor (Algorithm 5): the Formula 1 sum
 /// over the kernel's separated terms applied to the source coefficients,

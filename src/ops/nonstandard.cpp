@@ -128,33 +128,27 @@ mra::Function apply_nonstandard(const SeparatedConvolution& op,
     coeffs[rank + mu] = -op.term_coeff(mu);
     kcap[rank + mu] = f.k();
   }
-  std::vector<std::pair<mra::Key, Tensor>> tasks;
-  std::vector<linalg::DisplacementItem> items;
+  // Tasks write through into zero-created result nodes, bitwise what
+  // adding a per-task result into each node gives.
+  const ContributionTarget into = [&](const mra::Key& to) {
+    auto [it, inserted] = result.try_emplace(to);
+    if (inserted) it->second = Tensor::cube(d, k2);
+    return &it->second;
+  };
   for (const auto& [key, u] : ns.nodes()) {
     const int n = key.level();
     const std::size_t terms = n > 0 ? 2 * rank : rank;
-    tasks.clear();
-    items.clear();
-    for_each_task(op, key, [&](const mra::Key& to, const Displacement& disp) {
-      tasks.emplace_back(to, Tensor::cube(d, k2));
-      items.push_back({u.data(), disp.data(), nullptr});
-    });
-    for (std::size_t i = 0; i < tasks.size(); ++i)
-      items[i].result = tasks[i].second.data();
-    linalg::batch_fused_apply(d, k2, op.ns_table(n, items),
-                              std::span{coeffs}.first(terms),
-                              std::span{kcap}.first(terms), items,
-                              linalg::thread_workspace());
-    for (auto& [to, r] : tasks) {
-      auto [it, inserted] = result.try_emplace(to, std::move(r));
-      if (!inserted) it->second += r;
-    }
-    if (stats != nullptr) {
-      stats->tasks += tasks.size();
-      stats->gemms += tasks.size() * terms * d;
-      stats->flops += static_cast<double>(tasks.size() * terms) *
+    detail::run_leaf_batch(op, key, u, into, [&](auto items) {
+      linalg::batch_fused_apply(d, k2, op.ns_table(n, items),
+                                std::span{coeffs}.first(terms),
+                                std::span{kcap}.first(terms), items,
+                                linalg::thread_workspace());
+      if (stats == nullptr) return;
+      stats->tasks += items.size();
+      stats->gemms += items.size() * terms * d;
+      stats->flops += static_cast<double>(items.size() * terms) *
                       transform_flops(d, k2);
-    }
+    });
   }
 
   return from_nonstandard(result, f.params());

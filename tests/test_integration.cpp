@@ -198,6 +198,28 @@ TEST(CoulombAccuracy, SmoothingApplyRunsCompleteSharing) {
   EXPECT_EQ(ws.flops - before.flops, 3740870000.0);
 }
 
+TEST(CoulombAccuracy, RankReducedSmoothingApplyRunsPinnedWork) {
+  // The same input through the rank-reduced (tol 1e-5) Apply that
+  // coulomb_smoothing runs. The items' kc vectors mix within a prefix run,
+  // so the counters depend on the walk's order, which is by table column:
+  // they are a function of the input alone, not of where the operator's
+  // blocks were allocated. The bound is the worse of the two counts an
+  // address-ordered walk read with the blocks filled in one order or the
+  // other (3,199,608 and 3,204,728).
+  const mra::Function rho = smoothing_density();
+  const auto op = apps::make_coulomb_operator(3, 5, 1e-3, 2, 1e-3);
+  ops::ApplyOptions rr;
+  rr.rank_reduce = true;
+  rr.rank_tol = 1e-5;
+  const linalg::BatchGemmStats& ws = linalg::thread_workspace().stats();
+  const linalg::BatchGemmStats before = ws;
+  ops::apply(op, rho, rr);
+  EXPECT_EQ(ws.prefix_nodes - before.prefix_nodes, 3204568u);
+  EXPECT_LE(ws.prefix_nodes - before.prefix_nodes, 3204728u);
+  EXPECT_EQ(ws.packed_gemms - before.packed_gemms, 883280u);
+  EXPECT_EQ(ws.flops - before.flops, 1494978000.0);
+}
+
 // ---------------------------------------------------------------------------
 // Multi-term kernels: a BSH-fit (tens of separated terms) conserves the
 // kernel mass through Apply.

@@ -473,6 +473,7 @@ TEST(BatchGemm, BatchedFusedApplySharesOneWorkspace) {
 struct PrefixBatch {
   struct Slot {
     std::size_t src = 0;
+    std::vector<std::int64_t> disp;  ///< term 0's displacement
     std::vector<GemmMat> mats;
     std::vector<std::size_t> kreds;
     std::size_t nterms = 0;
@@ -486,13 +487,25 @@ struct PrefixBatch {
     for (std::size_t m = 0; m < d; ++m) size *= k;
     for (std::size_t s = 0; s < sources; ++s)
       srcs.push_back(random_matrix(1, size, rng));
-    for (std::size_t i = 0; i < terms * width(); ++i)
-      table.push_back(random_matrix(k, k, rng));
+    table = random_matrix(terms * width(), k * k, rng);
     for (std::size_t mu = 0; mu < terms; ++mu)
       coeffs.push_back(rng.uniform(-2.0, 2.0));
   }
 
   std::size_t width() const { return static_cast<std::size_t>(2 * reach + 1); }
+
+  /// Term mu's block in table column `col` (displacement col - reach).
+  const double* block_at(std::size_t mu, std::size_t col) const {
+    return table.data() + (mu * width() + col) * k * k;
+  }
+
+  /// The table as a BlockTable reads it, [mu * width() + col].
+  std::vector<const double*> blocks() const {
+    std::vector<const double*> out;
+    for (std::size_t i = 0; i < terms * width(); ++i)
+      out.push_back(block_at(i / width(), i % width()));
+    return out;
+  }
 
   /// Item over source `s` at displacement `disp` (d components), with
   /// per-term reduced ranks `kreds` (empty: full rank) and `nterms` terms
@@ -511,10 +524,11 @@ struct PrefixBatch {
                     std::vector<std::size_t> kreds = {}) {
     Slot slot;
     slot.src = s;
+    slot.disp = disps[0];
     for (std::size_t mu = 0; mu < disps.size(); ++mu) {
       for (std::size_t m = 0; m < d; ++m) {
         const auto col = static_cast<std::size_t>(disps[mu][m] + reach);
-        slot.mats.push_back({table[mu * width() + col].data(), k, k});
+        slot.mats.push_back({block_at(mu, col), k, k});
       }
     }
     slot.kreds = std::move(kreds);
@@ -650,14 +664,16 @@ struct PrefixBatch {
   };
 
   /// The counters batch_fused_apply's walk reaches, modelled from its
-  /// contract: the items in the call's one order (src, term-0 blocks of
-  /// modes 0..d-2, term count, kc vector from the last term down, term-0
-  /// last block) cut into groups and the groups into calls of at most
-  /// fan_out_limit(k) slots; each call first recomputes every term's
-  /// prefix from the first mode where its (src, kc, blocks) differ from
-  /// the record's, then counts one last-mode node per term of each slot.
-  /// Items with equal order keys must share a group, so the order is
-  /// unique up to ties that change nothing. Flops: a prefix GEMM contracts
+  /// contract: the items in the call's one order (source by first
+  /// appearance, columns of modes 0..d-2, term count, kc vector from the
+  /// last term down, last column, position in the call) cut into groups
+  /// and the groups into calls of at most fan_out_limit(k) slots; each
+  /// call first recomputes every term's prefix from the first mode where
+  /// its (src, kc, blocks) differ from the record's, then counts one
+  /// last-mode node per term of each slot. A column is a mode's tuple of
+  /// blocks, one per term, and columns order as their tuples do: this
+  /// table's addresses are its column order, which is the order the
+  /// pointer path numbers tuples in. Flops: a prefix GEMM contracts
   /// kc rows into a (k^{d-1}, k) node, 2 * k^d * kc; a fan-out call
   /// contracts K = sum_mu kc_mu rows into each of its n slots,
   /// 2 * k^d * K * n. walk() is one call on a fresh workspace (or after a
@@ -677,24 +693,38 @@ struct PrefixBatch {
       if (!held.empty() && held[0] != rec.last_src) held.clear();
     std::size_t size = 1;
     for (std::size_t m = 0; m < d; ++m) size *= k;
-    const auto key = [&](const Slot& slot) {
-      std::vector<std::uintptr_t> out{
-          reinterpret_cast<std::uintptr_t>(srcs[slot.src].data())};
-      for (std::size_t m = 0; m + 1 < d; ++m)
-        out.push_back(reinterpret_cast<std::uintptr_t>(block(slot, 0, m)));
-      out.push_back(slot.nterms);
-      for (std::size_t mu = slot.nterms; mu-- > 0;)
-        out.push_back(kc_of(slot, mu));
-      out.push_back(reinterpret_cast<std::uintptr_t>(block(slot, 0, d - 1)));
+    std::vector<std::size_t> rank(srcs.size(), srcs.size());
+    std::size_t sources = 0;
+    for (const std::size_t i : order)
+      if (rank[slots[i].src] == srcs.size()) rank[slots[i].src] = sources++;
+    const auto tuple = [&](const Slot& slot, std::size_t m) {
+      std::vector<std::uintptr_t> out;
+      for (std::size_t mu = 0; mu < slot.nterms; ++mu)
+        out.push_back(reinterpret_cast<std::uintptr_t>(block(slot, mu, m)));
       return out;
     };
+    const auto key = [&](std::size_t i) {
+      const Slot& slot = slots[i];
+      std::vector<std::vector<std::uintptr_t>> out{{rank[slot.src]}};
+      for (std::size_t m = 0; m + 1 < d; ++m) out.push_back(tuple(slot, m));
+      out.push_back({slot.nterms});
+      out.emplace_back();
+      for (std::size_t mu = slot.nterms; mu-- > 0;)
+        out.back().push_back(kc_of(slot, mu));
+      out.push_back(tuple(slot, d - 1));
+      return out;
+    };
+    std::vector<std::size_t> at(slots.size());
+    for (std::size_t q = 0; q < order.size(); ++q) at[order[q]] = q;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return key(slots[a]) < key(slots[b]);
+      const auto ka = key(a);
+      const auto kb = key(b);
+      return ka != kb ? ka < kb : at[a] < at[b];
     });
     for (std::size_t q = 1; q < order.size(); ++q) {
       const Slot& a = slots[order[q - 1]];
       const Slot& b = slots[order[q]];
-      EXPECT_TRUE(key(a) != key(b) || same_group(a, b))
+      EXPECT_TRUE(key(order[q - 1]) != key(order[q]) || same_group(a, b))
           << "the model needs tied items to share a group";
     }
     BatchGemmStats st;
@@ -788,7 +818,10 @@ struct PrefixBatch {
   std::int64_t reach;
   Rng rng;
   std::vector<std::vector<double>> srcs;
-  std::vector<std::vector<double>> table;  ///< [mu * width() + m + reach]
+  /// One buffer, block (mu, m) at (mu * width() + m + reach) * k^2: the
+  /// pointer path numbers its tuples in address order, so pointer items
+  /// over this table walk in its column order, as displacement items do.
+  std::vector<double> table;
   std::vector<double> coeffs;
   std::vector<Slot> slots;
 };
@@ -1010,8 +1043,7 @@ void expect_entry_points_agree(std::size_t d, std::size_t k,
   GemmWorkspace pointer_ws;
   batch_fused_apply(d, k, b.items(by_pointer), pointer_ws);
 
-  std::vector<const double*> blocks;
-  for (const auto& h : b.table) blocks.push_back(h.data());
+  const std::vector<const double*> blocks = b.blocks();
   const BlockTable table{blocks.data(), b.width(), reach,
                          ranked ? ranks.data() : nullptr};
   std::vector<std::vector<double>> by_disp = b.initial_results();
@@ -1061,13 +1093,67 @@ TEST(BatchGemm, DisplacementAndPointerItemsAgreeBitwise) {
   }
 }
 
+TEST(BatchGemm, CountersDoNotDependOnAllocation) {
+  // One batch of displacement items over two tables with the same block
+  // values, one allocated in column order and one in the opposite order:
+  // the walk orders and groups by column, so both give the same counters
+  // and memcmp-equal results, at full rank and with per-block ranks that
+  // mix kc vectors within every prefix run.
+  for (const bool ranked : {false, true}) {
+    const std::size_t d = 3, k = 5;
+    const std::int64_t reach = 2;
+    PrefixBatch b(d, k, /*terms=*/3, /*sources=*/2, reach, 61);
+    Rng rng(62);
+    std::vector<std::size_t> ranks;
+    for (std::size_t i = 0; ranked && i < b.terms * b.width(); ++i)
+      ranks.push_back(1 + rng.next_u64() % k);
+    b.add_leaf();
+    for (const auto& slot : std::vector<PrefixBatch::Slot>(b.slots))
+      b.add(1, slot.disp);
+    const std::size_t width = b.width(), block = k * k;
+    std::vector<double> reversed(b.table.size());
+    std::vector<const double*> backwards(b.terms * width);
+    for (std::size_t mu = 0; mu < b.terms; ++mu) {
+      for (std::size_t c = 0; c < width; ++c) {
+        double* at = reversed.data() + (mu * width + width - 1 - c) * block;
+        std::copy_n(b.block_at(mu, c), block, at);
+        backwards[mu * width + c] = at;
+      }
+    }
+    const std::vector<const double*> forwards = b.blocks();
+    const auto run = [&](const std::vector<const double*>& blocks,
+                         std::vector<std::vector<double>>& results) {
+      const BlockTable table{blocks.data(), width, reach,
+                             ranked ? ranks.data() : nullptr};
+      std::vector<DisplacementItem> items;
+      for (std::size_t i = 0; i < b.slots.size(); ++i) {
+        items.push_back({b.srcs[b.slots[i].src].data(),
+                         b.slots[i].disp.data(), results[i].data()});
+      }
+      GemmWorkspace ws;
+      batch_fused_apply(d, k, table, b.coeffs, {}, items, ws);
+      return ws.stats();
+    };
+    std::vector<std::vector<double>> ahead = b.initial_results();
+    std::vector<std::vector<double>> behind = b.initial_results();
+    const BatchGemmStats p = run(forwards, ahead);
+    const BatchGemmStats q = run(backwards, behind);
+    EXPECT_EQ(p.prefix_nodes, q.prefix_nodes) << ranked;
+    EXPECT_EQ(p.packed_gemms, q.packed_gemms) << ranked;
+    EXPECT_EQ(p.flops, q.flops) << ranked;
+    EXPECT_EQ(p.fused_chains, q.fused_chains) << ranked;
+    const std::size_t bytes = ahead[0].size() * sizeof(double);
+    for (std::size_t i = 0; i < ahead.size(); ++i)
+      ASSERT_EQ(std::memcmp(ahead[i].data(), behind[i].data(), bytes), 0) << i;
+  }
+}
+
 TEST(BatchGemm, DisplacementItemsCheckTheirTable) {
   // A component outside the table, or kcap of the wrong length, is a
   // typed error, not a read past the table.
   const std::size_t k = 4;
   PrefixBatch b(2, k, /*terms=*/2, /*sources=*/1, /*reach=*/1, 3);
-  std::vector<const double*> blocks;
-  for (const auto& h : b.table) blocks.push_back(h.data());
+  const std::vector<const double*> blocks = b.blocks();
   const BlockTable table{blocks.data(), b.width(), 1, nullptr};
   std::vector<double> result(k * k, 0.0);
   const std::int64_t inside[2] = {1, -1};
@@ -1096,8 +1182,7 @@ TEST(BatchGemm, OneItemCallsCarryTheirPrefixStacksOver) {
       {0, {0, 0, 0}},  {0, {0, 1, -1}}, {0, {0, 1, 2}},  {0, {1, 1, 2}},
       {1, {1, 1, 2}},  {0, {1, 1, 2}},  {0, {1, -2, 0}}, {0, {1, -2, 0}}};
   for (const auto& [s, disp] : tasks) b.add(s, disp);
-  std::vector<const double*> blocks;
-  for (const auto& h : b.table) blocks.push_back(h.data());
+  const std::vector<const double*> blocks = b.blocks();
   const BlockTable table{blocks.data(), b.width(), b.reach, nullptr,
                          BlockTable::fresh_id()};
   std::vector<std::vector<double>> results = b.initial_results();
@@ -1146,8 +1231,7 @@ TEST(BatchGemm, CallsWithoutATableIdCarryNothingOver) {
   const std::size_t d = 3, k = 4;
   PrefixBatch b(d, k, /*terms=*/2, /*sources=*/1, /*reach=*/1, 5);
   b.add(0, {1, 0, -1});
-  std::vector<const double*> blocks;
-  for (const auto& h : b.table) blocks.push_back(h.data());
+  const std::vector<const double*> blocks = b.blocks();
   const BlockTable anonymous{blocks.data(), b.width(), b.reach, nullptr};
   BlockTable named = anonymous;
   named.id = BlockTable::fresh_id();
@@ -1176,28 +1260,43 @@ TEST(BatchGemm, CallsWithoutATableIdCarryNothingOver) {
 
 TEST(BatchGemm, WarmCallsAllocateNothing) {
   // The workspace buffers (the packed panel and the per-term prefix
-  // stacks), the call's order and its group and slot scratch only grow: a
-  // warm call, and a smaller batch after it, move none of them.
-  const std::size_t k = 5;
-  PrefixBatch b(3, k, /*terms=*/3, /*sources=*/1, /*reach=*/3, 5);
+  // stacks), the call's items, columns, sources and order, its group and
+  // slot scratch, and the pointer path's column table and tuple order only
+  // grow: a warm call of either entry point, and a smaller batch after
+  // it, move none of them.
+  const std::size_t d = 3, k = 5;
+  PrefixBatch b(d, k, /*terms=*/3, /*sources=*/1, /*reach=*/3, 5);
   b.add_leaf();  // 7 slots per group: past fan_out_limit(5)
   b.add(0, {0, 0, 0}, {k, 2, 4});
   std::vector<std::vector<double>> results = b.initial_results();
   const std::vector<FusedApplyItem> items = b.items(results);
+  const std::vector<const double*> blocks = b.blocks();
+  const BlockTable table{blocks.data(), b.width(), b.reach, nullptr};
+  std::vector<DisplacementItem> tasks;
+  for (std::size_t i = 0; i < b.slots.size(); ++i)
+    tasks.push_back(
+        {b.srcs[0].data(), b.slots[i].disp.data(), results[i].data()});
   GemmWorkspace ws;
   const auto storage = [&ws] {
     const GemmWorkspace::ShareScratch& sc = ws.share_scratch();
     return std::vector<const void*>{
-        ws.pack_a(0),          ws.prefix(0),          sc.keys.data(),
-        sc.order.data(),       sc.group_kc.data(),    sc.group_a.data(),
-        sc.slot_item.data(),   sc.fan_blocks.data(),  sc.fan_slot.data(),
-        sc.fan_start.data(),   sc.fan_targets.data()};
+        ws.pack_a(0),          ws.prefix(0),          sc.entries.data(),
+        sc.cols.data(),        sc.kc.data(),          sc.sources.data(),
+        sc.order.data(),       sc.group_a.data(),     sc.fan_blocks.data(),
+        sc.fan_start.data(),   sc.fan_targets.data(), sc.table.data(),
+        sc.tuples.data()};
   };
-  batch_fused_apply(3, k, items, ws);
+  const auto both = [&](std::size_t n) {
+    batch_fused_apply(d, k, {items.data(), n}, ws);
+    batch_fused_apply(d, k, table, b.coeffs, {}, {tasks.data(), n}, ws);
+  };
+  both(items.size());
   const std::vector<const void*> warm = storage();
-  batch_fused_apply(3, k, items, ws);
+  both(items.size());
   EXPECT_EQ(storage(), warm);
-  batch_fused_apply(3, k, {items.data(), items.size() / 2}, ws);
+  batch_fused_apply(d, k, {items.data(), items.size() / 2}, ws);
+  EXPECT_EQ(storage(), warm);
+  both(items.size() / 2);
   EXPECT_EQ(storage(), warm);
 }
 
