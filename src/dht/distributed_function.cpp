@@ -45,20 +45,6 @@ std::vector<mra::Key> DistributedFunction::leaf_keys() const {
   return keys;
 }
 
-std::vector<std::size_t> DistributedFunction::apply_loads(
-    const ops::SeparatedConvolution& op) const {
-  const std::vector<mra::Key> keys = leaf_keys();
-  const SlabOwnerMap slabs(op, keys, ranks());
-  std::vector<std::size_t> loads(ranks(), 0);
-  for (const mra::Key& key : keys) {
-    ops::for_each_task(op, key,
-                       [&](const mra::Key& target, const ops::Displacement&) {
-                         ++loads[slabs.owner(target)];
-                       });
-  }
-  return loads;
-}
-
 mra::Function DistributedFunction::gather() const {
   std::vector<std::pair<mra::Key, Tensor>> leaves;
   leaves.reserve(num_leaves());

@@ -5,7 +5,7 @@
 // World operators (world_apply, world_compress, world_reconstruct) run
 // over it. The process map places the *source* leaves; an Apply task
 // executes on the rank that computes its *target*, the target's
-// SlabOwnerMap owner, which receives each source leaf it needs from the
+// ops::SlabCut side, which receives each source leaf it needs from the
 // leaf's home rank as one active message. Replication and shard recovery
 // live in ElasticFunction (elastic.hpp).
 #pragma once
@@ -48,10 +48,12 @@ class DistributedFunction {
   std::vector<mra::Key> leaf_keys() const;
 
   /// Task-count load of every rank for one Apply of `op`: each task counts
-  /// on the rank that computes it in world_apply, its target's owner under
-  /// SlabOwnerMap(op, leaf_keys(), ranks()).
+  /// on the rank that computes it in world_apply, its target's side under
+  /// ops::SlabCut(op, leaf_keys(), ranks()).
   std::vector<std::size_t> apply_loads(
-      const ops::SeparatedConvolution& op) const;
+      const ops::SeparatedConvolution& op) const {
+    return ops::SlabCut(op, leaf_keys(), ranks()).loads();
+  }
 
   /// Reassemble a single-address-space Function (gather to rank 0).
   mra::Function gather() const;

@@ -1,27 +1,13 @@
 #include "dht/owner_map.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <map>
 #include <unordered_set>
 #include <utility>
 
 #include "common/diagnostics.hpp"
 #include "common/hash.hpp"
-#include "ops/apply.hpp"
 
 namespace mh::dht {
-namespace {
-
-/// Centre of the key's box along mode 0: (l_0 + 1/2) 2^-n, exact in a
-/// double and distinct for distinct (level, l_0).
-double mode0_centre(const mra::Key& key) {
-  return std::ldexp(static_cast<double>(key.translation(0)) + 0.5,
-                    -key.level());
-}
-
-}  // namespace
 
 OwnerMap::OwnerMap(std::size_t ranks) : ranks_(ranks) {
   MH_CHECK(ranks >= 1, "owner map needs at least one rank");
@@ -76,45 +62,6 @@ std::size_t SubtreeOwnerMap::owner(const mra::Key& key) const {
   return static_cast<std::size_t>(
       hash_combine(mix64(seed_), subtree_anchor(key, subtree_level_).hash()) %
       ranks_);
-}
-
-SlabOwnerMap::SlabOwnerMap(const ops::SeparatedConvolution& op,
-                           std::span<const mra::Key> leaves,
-                           std::size_t ranks)
-    : OwnerMap(ranks) {
-  std::map<double, std::size_t> columns;  // mode-0 centre -> tasks
-  std::size_t total = 0;
-  for (const mra::Key& leaf : leaves) {
-    ops::for_each_task(op, leaf,
-                       [&](const mra::Key& target, const ops::Displacement&) {
-                         ++columns[mode0_centre(target)];
-                         ++total;
-                       });
-  }
-  // Rank r starts at the column boundary whose prefix sum is nearest
-  // r * total / ranks; the nearest boundary only moves right as r grows.
-  // A rank whose boundary is past the last column owns nothing.
-  const double past_last = std::numeric_limits<double>::infinity();
-  auto col = columns.begin();
-  std::size_t before = 0;  // tasks in the columns left of `col`
-  for (std::size_t r = 1; r < ranks; ++r) {
-    const double quantile =
-        static_cast<double>(total * r) / static_cast<double>(ranks);
-    const auto miss = [quantile](std::size_t tasks) {
-      return std::abs(static_cast<double>(tasks) - quantile);
-    };
-    while (col != columns.end() && miss(before + col->second) < miss(before)) {
-      before += col->second;
-      ++col;
-    }
-    cuts_.push_back(col == columns.end() ? past_last : col->first);
-  }
-}
-
-std::size_t SlabOwnerMap::owner(const mra::Key& key) const {
-  return static_cast<std::size_t>(
-      std::upper_bound(cuts_.begin(), cuts_.end(), mode0_centre(key)) -
-      cuts_.begin());
 }
 
 int anchor_level(std::size_t ngroups, std::size_t ndim) {

@@ -10,22 +10,16 @@
 //                     one rank (the default locality-preserving MADNESS
 //                     map: neighbours co-located, less balance).
 //
-// Those two decide where a function's leaves live. SlabOwnerMap decides
-// where an Apply's targets are computed: it is built per Apply from the
-// operator and the source leaves (see world_apply).
+// Those two decide where a function's leaves live. Where an Apply's
+// targets are computed is not a process map: ops::SlabCut decides it per
+// Apply from the operator and the source leaves (see world_apply).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "mra/key.hpp"
-
-namespace mh::ops {
-class SeparatedConvolution;
-}  // namespace mh::ops
 
 namespace mh::dht {
 
@@ -79,26 +73,6 @@ class SubtreeOwnerMap final : public OwnerMap {
  private:
   int subtree_level_;
   std::uint64_t seed_;
-};
-
-/// Apply targets by mode-0 slab: a key's owner is a function of its box
-/// centre along mode 0 alone, so keys of every level and every mode-0
-/// translation map to one rank each, cut into `ranks` contiguous slabs.
-/// Every task sharing a mode-0 prefix (source, m_0) has one target mode-0
-/// translation, so a slab never splits a leaf's shared prefix GEMMs. The
-/// cuts sit at quantiles of the Apply's task count: each of `leaves`'
-/// tasks (ops::for_each_task) counts toward its target's column, the
-/// targets sharing one centre, and each cut falls on the column boundary
-/// nearest its quantile. So every rank's task count is within one column
-/// of the total over `ranks`.
-class SlabOwnerMap final : public OwnerMap {
- public:
-  SlabOwnerMap(const ops::SeparatedConvolution& op,
-               std::span<const mra::Key> leaves, std::size_t ranks);
-  std::size_t owner(const mra::Key& key) const override;
-
- private:
-  std::vector<double> cuts_;  ///< first mode-0 centre of ranks 1..ranks-1
 };
 
 /// Deterministic anchor keys for `ngroups` subtree groups: group g is the

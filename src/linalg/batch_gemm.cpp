@@ -293,18 +293,6 @@ void mTxm_packed(std::size_t dimi, std::size_t dimj, std::size_t dimk,
   run_packed(g_kernel, dimi, dimj, std::min(kred, dimk), c, a, b, ws);
 }
 
-std::size_t chain_output_size(std::span<const std::size_t> shape,
-                              std::span<const GemmMat> mats) {
-  MH_CHECK(mats.size() <= shape.size(),
-           "transform chain longer than tensor rank");
-  std::size_t size = span_product(shape);
-  for (std::size_t m = 0; m < mats.size(); ++m) {
-    MH_CHECK(mats[m].rows == shape[m], "contraction extent mismatch");
-    size = size / mats[m].rows * mats[m].cols;
-  }
-  return size;
-}
-
 void fused_transform_chain(std::span<const std::size_t> shape,
                            const double* src, std::span<const GemmMat> mats,
                            std::size_t kred, double* out, GemmWorkspace& ws) {

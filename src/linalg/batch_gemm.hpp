@@ -200,16 +200,13 @@ void mTxm_packed(std::size_t dimi, std::size_t dimj, std::size_t dimk,
 /// where x_m contracts the leading index of the running intermediate with
 /// mats[m] (rows must match that extent; the result appends cols as the
 /// trailing extent — exactly tensor/transform.hpp's inner_first cycling).
-/// `shape` is src's shape; `out` must hold the final element count
-/// (chain_output_size). kred >= extent disables row screening. All
-/// intermediates live in the workspace: no allocations after warm-up.
+/// `shape` is src's shape; `out` must hold the final element count (the
+/// product of `shape` with each mats[m].rows replaced by mats[m].cols).
+/// kred >= extent disables row screening. All intermediates live in the
+/// workspace: no allocations after warm-up.
 void fused_transform_chain(std::span<const std::size_t> shape,
                            const double* src, std::span<const GemmMat> mats,
                            std::size_t kred, double* out, GemmWorkspace& ws);
-
-/// Element count of fused_transform_chain's result.
-std::size_t chain_output_size(std::span<const std::size_t> shape,
-                              std::span<const GemmMat> mats);
 
 /// One item of a pointer-keyed fused-apply call, the paper's whole-task
 /// fusion: for a d-dimensional cube source of extent k,

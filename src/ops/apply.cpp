@@ -1,6 +1,9 @@
 #include "ops/apply.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -63,6 +66,19 @@ void run_tasks(const SeparatedConvolution& op, int level,
   }
 }
 
+/// Centre of the key's box along mode 0: (l_0 + 1/2) 2^-n, exact in a
+/// double and distinct for distinct (level, l_0).
+double mode0_centre(const mra::Key& key) {
+  return std::ldexp(static_cast<double>(key.translation(0)) + 0.5,
+                    -key.level());
+}
+
+/// The side whose slab holds `centre`, under cuts `cuts`.
+std::size_t side_of(const std::vector<double>& cuts, double centre) {
+  return static_cast<std::size_t>(
+      std::upper_bound(cuts.begin(), cuts.end(), centre) - cuts.begin());
+}
+
 }  // namespace
 
 void for_each_task(
@@ -92,6 +108,57 @@ std::vector<ApplyTask> make_apply_tasks(const SeparatedConvolution& op,
     });
   }
   return tasks;
+}
+
+SlabCut::SlabCut(const SeparatedConvolution& op,
+                 std::span<const mra::Key> leaves, std::size_t sides) {
+  MH_CHECK(sides >= 1, "slab cut needs at least one side");
+  std::map<double, std::size_t> columns;  // mode-0 centre -> tasks
+  std::size_t total = 0;
+  for (const mra::Key& leaf : leaves) {
+    std::vector<double>& runs = leaf_centres_[leaf];
+    for_each_task(op, leaf, [&](const mra::Key& target, const Displacement&) {
+      const double centre = mode0_centre(target);
+      ++columns[centre];
+      ++total;
+      if (runs.empty() || runs.back() != centre) runs.push_back(centre);
+    });
+  }
+  // Side s starts at the column boundary whose prefix sum is nearest
+  // s * total / sides; the nearest boundary only moves right as s grows.
+  // A side whose boundary is past the last column gets no cut and computes
+  // nothing.
+  auto col = columns.begin();
+  std::size_t before = 0;  // tasks in the columns left of `col`
+  for (std::size_t s = 1; s < sides; ++s) {
+    const double quantile =
+        static_cast<double>(total * s) / static_cast<double>(sides);
+    const auto miss = [quantile](std::size_t tasks) {
+      return std::abs(static_cast<double>(tasks) - quantile);
+    };
+    while (col != columns.end() && miss(before + col->second) < miss(before)) {
+      before += col->second;
+      ++col;
+    }
+    if (col == columns.end()) break;
+    cuts_.push_back(col->first);
+  }
+  loads_.assign(sides, 0);
+  for (const auto& [centre, tasks] : columns)
+    loads_[side_of(cuts_, centre)] += tasks;
+}
+
+std::size_t SlabCut::side(const mra::Key& target) const {
+  return side_of(cuts_, mode0_centre(target));
+}
+
+std::vector<std::size_t> SlabCut::computing_sides(
+    const mra::Key& leaf) const {
+  const auto it = leaf_centres_.find(leaf);
+  MH_CHECK(it != leaf_centres_.end(), "slab cut was not built over a leaf");
+  std::set<std::size_t> to;  // a periodic leaf's centres can wrap
+  for (const double centre : it->second) to.insert(side_of(cuts_, centre));
+  return {to.begin(), to.end()};
 }
 
 void detail::run_leaf_batch(const SeparatedConvolution& op,

@@ -3,14 +3,16 @@
 //
 // This header exposes the one-call reference CPU implementation, the leaf
 // task loop it and the World Apply run (one batch per source leaf, adding
-// each task's product straight into its target's tensor), and the task
+// each task's product straight into its target's tensor), the task
 // decomposition (enumerate -> compute -> accumulate) that the batching
-// runtime, the GPU simulator, and the cluster simulator schedule.
+// runtime, the GPU simulator, and the cluster simulator schedule, and the
+// owner-computes cut (SlabCut) that splits one Apply's targets into sides.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "mra/function.hpp"
@@ -63,6 +65,37 @@ void for_each_task(
 /// whose target stays on the grid. Requires f reconstructed.
 std::vector<ApplyTask> make_apply_tasks(const SeparatedConvolution& op,
                                         const mra::Function& f);
+
+/// The owner-computes cut of one Apply of `op` over `leaves` into `sides`
+/// (the World Apply's ranks): a target's side is a function of its box
+/// centre along mode 0 alone, so keys of every level and every mode-0
+/// translation map to one side each, cut into `sides` contiguous slabs.
+/// Every task sharing a mode-0 prefix (source, m_0) has one target mode-0
+/// translation, so a slab never splits a leaf's shared prefix GEMMs. The
+/// cuts sit at quantiles of the Apply's task count: each of `leaves`'
+/// tasks (for_each_task, enumerated once) counts toward its target's
+/// column, the targets sharing one centre, and each cut falls on the
+/// column boundary nearest its quantile. So every side's task count is
+/// within one column of the total over `sides`.
+class SlabCut {
+ public:
+  SlabCut(const SeparatedConvolution& op, std::span<const mra::Key> leaves,
+          std::size_t sides);
+  /// The side that computes `target`.
+  std::size_t side(const mra::Key& target) const;
+  /// The tasks each side computes.
+  const std::vector<std::size_t>& loads() const noexcept { return loads_; }
+  /// The sides that compute one of `leaf`'s targets, ascending. `leaf`
+  /// must be one the cut was built over (mh::Error otherwise).
+  std::vector<std::size_t> computing_sides(const mra::Key& leaf) const;
+
+ private:
+  std::vector<double> cuts_;  ///< first mode-0 centre of sides 1, 2, ...
+  std::vector<std::size_t> loads_;
+  /// Each leaf's target centres, one per run of equal centres.
+  std::unordered_map<mra::Key, std::vector<double>, mra::KeyHash>
+      leaf_centres_;
+};
 
 /// The k^d tensor a contribution to `target` is added into in place, or
 /// nullptr when the caller does not compute that target (the World Apply

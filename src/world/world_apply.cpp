@@ -1,7 +1,6 @@
 #include "world/world_apply.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 
@@ -24,8 +23,8 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
   double leaf_bytes = 8.0;
   for (std::size_t m = 0; m < d; ++m) leaf_bytes *= static_cast<double>(k);
 
-  // Partition: the rank that computes each target.
-  const dht::SlabOwnerMap slabs(op, f.leaf_keys(), ranks);
+  // Partition: the rank that computes each target, and each leaf's halo.
+  const ops::SlabCut cut(op, f.leaf_keys(), ranks);
 
   // Per rank: the source leaves it computes from (its own, and the halo it
   // receives) and its result shard. Each is touched only by its own rank's
@@ -39,23 +38,15 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
   // targets.
   for (std::size_t rank = 0; rank < ranks; ++rank) {
     world.submit(rank, [&, rank] {
-      std::vector<bool> computes(ranks);
       for (const auto& [key, coeffs] : f.shard(rank)) {
-        std::fill(computes.begin(), computes.end(), false);
-        ops::for_each_task(
-            op, key, [&](const mra::Key& target, const ops::Displacement&) {
-              computes[slabs.owner(target)] = true;
-            });
-        for (std::size_t to = 0; to < ranks; ++to) {
-          if (!computes[to]) continue;
-          if (to == rank) {
+        for (const std::size_t to : cut.computing_sides(key)) {
+          if (to == rank)
             own[rank].emplace_back(key, &coeffs);
-            continue;
-          }
-          world.send(rank, to, leaf_bytes,
-                     [&halo, to, key = key, leaf = coeffs]() mutable {
-                       halo[to].emplace_back(key, std::move(leaf));
-                     });
+          else
+            world.send(rank, to, leaf_bytes,
+                       [&halo, to, key = key, leaf = coeffs]() mutable {
+                         halo[to].emplace_back(key, std::move(leaf));
+                       });
         }
       }
     });
@@ -66,8 +57,7 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
   // serial Apply's leaf order.
   using Shard = std::unordered_map<mra::Key, Tensor, mra::KeyHash>;
   std::vector<Shard> results(ranks);
-  std::mutex stats_mu;  // stats are shared across ranks
-  ops::ApplyStats total_stats;
+  std::vector<ops::ApplyStats> rank_stats(ranks);
   for (std::size_t rank = 0; rank < ranks; ++rank) {
     world.submit(rank, [&, rank] {
       std::vector<Source> sources = std::move(own[rank]);
@@ -79,22 +69,23 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
                 });
       Shard& shard = results[rank];
       const ops::ContributionTarget into = [&](const mra::Key& key) -> Tensor* {
-        if (slabs.owner(key) != rank) return nullptr;
+        if (cut.side(key) != rank) return nullptr;
         Tensor& t = shard[key];
         if (t.empty()) t = Tensor::cube(d, k);
         return &t;
       };
-      ops::ApplyStats local;
       for (const auto& [key, coeffs] : sources)
-        ops::apply_leaf_tasks(op, key, *coeffs, opts, &local, into);
-      std::scoped_lock lock(stats_mu);
-      total_stats.tasks += local.tasks;
-      total_stats.gemms += local.gemms;
-      total_stats.flops += local.flops;
-      total_stats.rank_reduced_gemms += local.rank_reduced_gemms;
+        ops::apply_leaf_tasks(op, key, *coeffs, opts, &rank_stats[rank], into);
     });
   }
   world.fence();
+  for (const ops::ApplyStats& s : rank_stats) {
+    if (stats == nullptr) break;
+    stats->tasks += s.tasks;
+    stats->gemms += s.gemms;
+    stats->flops += s.flops;
+    stats->rank_reduced_gemms += s.rank_reduced_gemms;
+  }
 
   // Every target lives in exactly one shard, so the gather moves each
   // tensor into its node without an add.
@@ -103,7 +94,6 @@ mra::Function world_apply(World& world, const ops::SeparatedConvolution& op,
     for (auto& [key, r] : shard) out.accumulate(key, std::move(r));
   }
   out.sum_down();
-  if (stats != nullptr) *stats = total_stats;
   return out;
 }
 

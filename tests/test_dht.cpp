@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
 #include <set>
 
@@ -178,76 +177,6 @@ mra::Function make_test_function_2d() {
       p);
 }
 
-TEST(SlabOwnerMap, OwnerDependsOnlyOnLevelAndModeZeroTranslation) {
-  const mra::Function f = make_test_function_2d();
-  const auto op = apps::make_smoothing_operator(2, 5, 0.1, 3, 1e-6);
-  const SlabOwnerMap slabs(op, f.leaf_keys(), 3);
-  for (int level = 0; level <= 7; ++level) {
-    const std::int64_t boxes = std::int64_t{1} << level;
-    for (std::int64_t l0 = 0; l0 < boxes; ++l0) {
-      const std::int64_t a[2] = {l0, 0};
-      const std::size_t owner = slabs.owner(mra::Key(2, level, a));
-      for (const std::int64_t l1 : {boxes / 2, boxes - 1}) {
-        const std::int64_t b[2] = {l0, l1};
-        EXPECT_EQ(slabs.owner(mra::Key(2, level, b)), owner)
-            << "level " << level << " l0 " << l0;
-      }
-      // Slabs are contiguous along mode 0: owners rise with l0.
-      if (l0 > 0) {
-        const std::int64_t left[2] = {l0 - 1, 0};
-        EXPECT_LE(slabs.owner(mra::Key(2, level, left)), owner);
-      }
-    }
-  }
-}
-
-TEST(SlabOwnerMap, RankTaskCountsAreWithinOneColumnOfEven) {
-  // Every rank's share of the tasks is within one target column (the tasks
-  // whose targets share a level and a mode-0 translation) of total/ranks.
-  const mra::Function f = make_test_function_2d();
-  const auto op = apps::make_smoothing_operator(2, 5, 0.1, 3, 1e-6);
-  const std::vector<mra::Key> leaves = f.leaf_keys();
-  std::map<std::pair<int, std::int64_t>, std::size_t> columns;
-  std::size_t total = 0;
-  for (const mra::Key& leaf : leaves) {
-    ops::for_each_task(op, leaf,
-                       [&](const mra::Key& target, const ops::Displacement&) {
-                         ++columns[{target.level(), target.translation(0)}];
-                         ++total;
-                       });
-  }
-  std::size_t widest = 0;
-  for (const auto& [column, tasks] : columns) widest = std::max(widest, tasks);
-  ASSERT_LT(widest * 4, total);  // columns are narrower than a rank's share
-  for (const std::size_t ranks : {2, 3, 4}) {
-    SCOPED_TRACE(::testing::Message() << ranks << " ranks");
-    const SlabOwnerMap slabs(op, leaves, ranks);
-    std::vector<std::size_t> counts(ranks, 0);
-    for (const mra::Key& leaf : leaves) {
-      ops::for_each_task(
-          op, leaf, [&](const mra::Key& target, const ops::Displacement&) {
-            ++counts[slabs.owner(target)];
-          });
-    }
-    const double even =
-        static_cast<double>(total) / static_cast<double>(ranks);
-    for (std::size_t r = 0; r < ranks; ++r) {
-      const double off = std::abs(static_cast<double>(counts[r]) - even);
-      EXPECT_LE(off, static_cast<double>(widest)) << "rank " << r;
-    }
-  }
-}
-
-TEST(SlabOwnerMap, OneRankOwnsEverything) {
-  const mra::Function f = make_test_function();
-  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
-  const SlabOwnerMap slabs(op, f.leaf_keys(), 1);
-  for (int level = 0; level <= 6; ++level) {
-    for (std::int64_t l = 0; l < (std::int64_t{1} << level); ++l)
-      EXPECT_EQ(slabs.owner(key1d(level, l)), 0u);
-  }
-}
-
 TEST(DistributedFunction, ApplyLoadsCountTasksWhereTheyAreComputed) {
   // A task counts on its target's slab owner, so the loads depend on the
   // operator and the leaves, not on where the leaves are placed.
@@ -258,10 +187,10 @@ TEST(DistributedFunction, ApplyLoadsCountTasksWhereTheyAreComputed) {
   const auto loads = DistributedFunction(f, hash).apply_loads(op);
   EXPECT_EQ(DistributedFunction(f, subtree).apply_loads(op), loads);
 
-  const SlabOwnerMap slabs(op, f.leaf_keys(), 3);
+  const ops::SlabCut cut(op, f.leaf_keys(), 3);
   std::vector<std::size_t> want(3, 0);
   for (const ops::ApplyTask& task : ops::make_apply_tasks(op, f))
-    ++want[slabs.owner(task.target)];
+    ++want[cut.side(task.target)];
   EXPECT_EQ(loads, want);
 }
 

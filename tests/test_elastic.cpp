@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "dht/elastic.hpp"
 #include "dht/owner_map.hpp"
+#include "mutate.hpp"
 #include "obs/export.hpp"
 
 namespace mh::dht {
@@ -396,35 +397,12 @@ TEST(Checkpoint, LostLeavesCannotBeCheckpointed) {
 // whose every leaf gathers as a leaf, or throw a typed error (mh::Error):
 // never another exception, a crash or a sanitizer report. A failure names
 // the case's seed.
-std::string mutate_snapshot(const std::string& snap, std::uint64_t seed) {
-  Rng rng(seed);
-  std::string out = snap;
-  const std::size_t edits = 1 + rng.below(3);
-  for (std::size_t e = 0; e < edits && !out.empty(); ++e) {
-    switch (rng.below(4)) {
-      case 0:  // truncation
-        out.resize(rng.below(out.size()));
-        break;
-      case 1:  // bit flip
-        out[rng.below(out.size())] ^= static_cast<char>(1u << rng.below(8));
-        break;
-      case 2: {  // splice
-        const std::string slice =
-            out.substr(rng.below(out.size()), 1 + rng.below(64));
-        out.insert(rng.below(out.size() + 1), slice);
-        break;
-      }
-      default: {  // one word over another
-        if (out.size() < 8) break;
-        const std::size_t from = rng.below(out.size() - 7);
-        const std::size_t to = rng.below(out.size() - 7);
-        const std::string word = out.substr(from, 8);
-        out.replace(to, 8, word);
-        break;
-      }
-    }
-  }
-  return out;
+void overwrite_word(std::string& out, Rng& rng) {
+  if (out.size() < 8) return;
+  const std::size_t from = rng.below(out.size() - 7);
+  const std::size_t to = rng.below(out.size() - 7);
+  const std::string word = out.substr(from, 8);
+  out.replace(to, 8, word);
 }
 
 TEST(CheckpointMutation, RestoreGivesATypedErrorOrAValidStore) {
@@ -444,7 +422,7 @@ TEST(CheckpointMutation, RestoreGivesATypedErrorOrAValidStore) {
   constexpr std::uint64_t kCases = 3000;
   std::size_t restored = 0;
   for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kCases; ++seed) {
-    std::istringstream is(mutate_snapshot(snapshots[seed % 2], seed));
+    std::istringstream is(mutate(snapshots[seed % 2], seed, overwrite_word));
     try {
       const ElasticFunction ef =
           ElasticFunction::restore(is, 1 + seed % 3, /*replication=*/2);

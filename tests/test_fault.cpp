@@ -23,6 +23,7 @@
 #include "common/rng.hpp"
 #include "fault/fault.hpp"
 #include "mra/function.hpp"
+#include "mutate.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -218,34 +219,6 @@ TEST(FaultInjectorDeathTest, MalformedEnvSpecExitsWithStatusTwo) {
 // seed; the sanitizer death callback names the seed in flight.
 std::atomic<std::uint64_t> g_spec_seed{0};
 
-std::string mutate_spec(const std::vector<std::string>& corpus,
-                        std::uint64_t seed) {
-  Rng rng(seed);
-  const auto pick = [&rng](std::size_t n) {
-    return n == 0 ? 0 : static_cast<std::size_t>(rng.below(n));
-  };
-  std::string out = corpus[pick(corpus.size())];
-  const std::size_t edits = 1 + pick(3);
-  for (std::size_t e = 0; e < edits && !out.empty(); ++e) {
-    switch (pick(3)) {
-      case 0:  // truncation
-        out.resize(pick(out.size()));
-        break;
-      case 1:  // bit flip
-        out[pick(out.size())] ^= static_cast<char>(1u << pick(8));
-        break;
-      default: {  // splice: a slice of any valid spec pasted anywhere
-        const std::string& donor = corpus[pick(corpus.size())];
-        const std::string slice =
-            donor.substr(pick(donor.size()), 1 + pick(24));
-        out.insert(pick(out.size() + 1), slice);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 TEST(FaultInjector, SpecGrammarMutationsConfigureOrThrowInvalidArgument) {
   if (__sanitizer_set_death_callback != nullptr) {
     __sanitizer_set_death_callback([] {
@@ -271,7 +244,14 @@ TEST(FaultInjector, SpecGrammarMutationsConfigureOrThrowInvalidArgument) {
   std::size_t accepted = 0;
   for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
     g_spec_seed = seed;
-    const std::string spec = mutate_spec(corpus, seed);
+    // The domain edit splices a slice of any valid spec in anywhere.
+    const std::string spec = mutate(
+        corpus[seed % corpus.size()], seed, [&](std::string& out, Rng& rng) {
+          const std::string& donor = corpus[rng.below(corpus.size())];
+          const std::size_t from = rng.below(donor.size());
+          const std::string slice = donor.substr(from, 1 + rng.below(24));
+          out.insert(rng.below(out.size() + 1), slice);
+        });
     try {
       fi.configure(spec);
       ++accepted;

@@ -294,7 +294,6 @@ TEST(BatchGemm, FusedChainBitwiseEqualsSequentialComposition) {
   GemmWorkspace ws;
   fused_transform_chain({shape, 3}, src.data(), {mats, 3}, k, fused.data(),
                         ws);
-  ASSERT_EQ(chain_output_size({shape, 3}, {mats, 3}), size);
   for (std::size_t i = 0; i < size; ++i) ASSERT_EQ(fused[i], ref[i]);
 }
 

@@ -13,7 +13,6 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
-#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +21,7 @@
 #include "gpusim/device.hpp"
 #include "gpusim/device_cache.hpp"
 #include "gpusim/gpu_executor.hpp"
+#include "mutate.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
@@ -265,56 +265,32 @@ TEST(TraceReader, OutOfRangeNumbersAreTypedErrorsNamingTheField) {
 // in flight when a report ends the process.
 std::atomic<std::uint64_t> g_mutation_seed{0};
 
-std::string mutate(const std::string& doc, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  const auto pick = [&rng](std::size_t n) {
-    return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
-  };
-  std::string out = doc;
-  const std::size_t edits = 1 + pick(3);
-  for (std::size_t e = 0; e < edits && !out.empty(); ++e) {
-    switch (pick(4)) {
-      case 0:  // truncation
-        out.resize(pick(out.size()));
-        break;
-      case 1:  // byte flip
-        out[pick(out.size())] ^= static_cast<char>(1u << pick(8));
-        break;
-      case 2: {  // splice: a slice of the document pasted elsewhere
-        const std::size_t from = pick(out.size());
-        const std::string slice = out.substr(from, 1 + pick(64));
-        out.insert(pick(out.size() + 1), slice);
-        break;
-      }
-      default: {  // an exponent after a number: huge, tiny or negative
-        std::vector<std::size_t> ends;
-        for (std::size_t i = 0; i + 1 < out.size(); ++i) {
-          if (std::isdigit(static_cast<unsigned char>(out[i])) != 0 &&
-              std::isdigit(static_cast<unsigned char>(out[i + 1])) == 0) {
-            ends.push_back(i + 1);
-          }
-        }
-        if (ends.empty()) break;
-        static const char* const kExponents[] = {"e300", "e19", "e-400",
-                                                  "e400", "e9"};
-        std::size_t at = ends[pick(ends.size())];
-        if (pick(4) == 0) {
-          // Make the number negative too.
-          std::size_t start = at;
-          while (start > 0 && (std::isdigit(static_cast<unsigned char>(
-                                   out[start - 1])) != 0 ||
-                               out[start - 1] == '.')) {
-            --start;
-          }
-          out.insert(start, "-");
-          ++at;
-        }
-        out.insert(at, kExponents[pick(std::size(kExponents))]);
-        break;
-      }
+// The domain edit: an exponent after a number (huge, tiny or negative),
+// which reaches the readers' whole-number fields.
+void add_exponent(std::string& out, Rng& rng) {
+  std::vector<std::size_t> ends;
+  for (std::size_t i = 0; i + 1 < out.size(); ++i) {
+    if (std::isdigit(static_cast<unsigned char>(out[i])) != 0 &&
+        std::isdigit(static_cast<unsigned char>(out[i + 1])) == 0) {
+      ends.push_back(i + 1);
     }
   }
-  return out;
+  if (ends.empty()) return;
+  static const char* const kExponents[] = {"e300", "e19", "e-400", "e400",
+                                            "e9"};
+  std::size_t at = ends[rng.below(ends.size())];
+  if (rng.below(4) == 0) {
+    // Make the number negative too.
+    std::size_t start = at;
+    while (start > 0 &&
+           (std::isdigit(static_cast<unsigned char>(out[start - 1])) != 0 ||
+            out[start - 1] == '.')) {
+      --start;
+    }
+    out.insert(start, "-");
+    ++at;
+  }
+  out.insert(at, kExponents[rng.below(std::size(kExponents))]);
 }
 
 TEST(ReaderMutation, DashboardAndTraceReadersNeverCrashOrThrow) {
@@ -371,7 +347,7 @@ TEST(ReaderMutation, DashboardAndTraceReadersNeverCrashOrThrow) {
   for (std::uint64_t i = 1; i <= kCases; ++i) {
     const std::uint64_t seed = i;
     g_mutation_seed = seed;
-    const std::string doc = mutate(dashboard, seed);
+    const std::string doc = mutate(dashboard, seed, add_exponent);
     try {
       const DashboardCheck check = check_dashboard_text(doc);
       EXPECT_TRUE(check.ok || !check.problems.empty())
@@ -388,7 +364,7 @@ TEST(ReaderMutation, DashboardAndTraceReadersNeverCrashOrThrow) {
   for (std::uint64_t i = 1; i <= kCases; ++i) {
     const std::uint64_t seed = 10000 + i;
     g_mutation_seed = seed;
-    std::istringstream is(mutate(trace_text, seed));
+    std::istringstream is(mutate(trace_text, seed, add_exponent));
     ReadTrace trace;
     std::string error;
     try {

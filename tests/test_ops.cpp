@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstring>
 #include <latch>
+#include <map>
 #include <memory>
 #include <numbers>
+#include <set>
 #include <thread>
 
 #include "bitwise.hpp"
@@ -1077,6 +1079,167 @@ TEST(ApplyDifferential, OneTaskCallSequencesMatchFreshWorkspaces) {
           call, event);
       if (HasFailure()) return;
     }
+  }
+}
+
+// The owner-computes cut: SlabCut assigns each target to a side by its
+// mode-0 box centre, at task-count quantiles, from one enumeration.
+SeparatedConvolution smoothing(std::size_t d, std::size_t k, double width,
+                               std::int64_t max_disp, double thresh,
+                               bool periodic = false) {
+  auto p = op_params(d, k, thresh, max_disp);
+  p.periodic = periodic;
+  return {p, single_gaussian(width)};
+}
+
+mra::Function slab_input(std::size_t d, double centre0) {
+  mra::FunctionParams p;
+  p.ndim = d;
+  p.k = d == 1 ? 7 : 5;
+  p.thresh = d == 1 ? 1e-6 : 1e-4;
+  p.initial_level = d == 1 ? 3 : 2;
+  return mra::Function::project(
+      [d, centre0](std::span<const double> x) {
+        const double u = (x[0] - centre0) / 0.1;
+        if (d == 1) return std::exp(-u * u);
+        const double v = (x[1] - 0.55) / 0.2;
+        return std::exp(-u * u - v * v);
+      },
+      p);
+}
+
+mra::Key key1d(int level, std::int64_t l) {
+  const std::int64_t t[1] = {l};
+  return mra::Key(1, level, t);
+}
+
+TEST(SlabCut, SideDependsOnlyOnLevelAndModeZeroTranslation) {
+  const mra::Function f = slab_input(2, 0.4);
+  const auto op = smoothing(2, 5, 0.1, 3, 1e-6);
+  const SlabCut cut(op, f.leaf_keys(), 3);
+  for (int level = 0; level <= 7; ++level) {
+    const std::int64_t boxes = std::int64_t{1} << level;
+    for (std::int64_t l0 = 0; l0 < boxes; ++l0) {
+      const std::int64_t a[2] = {l0, 0};
+      const std::size_t side = cut.side(mra::Key(2, level, a));
+      for (const std::int64_t l1 : {boxes / 2, boxes - 1}) {
+        const std::int64_t b[2] = {l0, l1};
+        EXPECT_EQ(cut.side(mra::Key(2, level, b)), side)
+            << "level " << level << " l0 " << l0;
+      }
+      // Slabs are contiguous along mode 0: sides rise with l0.
+      if (l0 > 0) {
+        const std::int64_t left[2] = {l0 - 1, 0};
+        EXPECT_LE(cut.side(mra::Key(2, level, left)), side);
+      }
+    }
+  }
+}
+
+TEST(SlabCut, SideTaskCountsAreWithinOneColumnOfEven) {
+  // Every side's share of the tasks is within one target column (the tasks
+  // whose targets share a level and a mode-0 translation) of total/sides.
+  const mra::Function f = slab_input(2, 0.4);
+  const auto op = smoothing(2, 5, 0.1, 3, 1e-6);
+  const std::vector<mra::Key> leaves = f.leaf_keys();
+  std::map<std::pair<int, std::int64_t>, std::size_t> columns;
+  std::size_t total = 0;
+  for (const mra::Key& leaf : leaves) {
+    for_each_task(op, leaf, [&](const mra::Key& target, const Displacement&) {
+      ++columns[{target.level(), target.translation(0)}];
+      ++total;
+    });
+  }
+  std::size_t widest = 0;
+  for (const auto& [column, tasks] : columns) widest = std::max(widest, tasks);
+  ASSERT_LT(widest * 4, total);  // columns are narrower than a side's share
+  for (const std::size_t sides : {2, 3, 4}) {
+    SCOPED_TRACE(::testing::Message() << sides << " sides");
+    const SlabCut cut(op, leaves, sides);
+    std::vector<std::size_t> counts(sides, 0);
+    for (const mra::Key& leaf : leaves) {
+      for_each_task(op, leaf,
+                    [&](const mra::Key& target, const Displacement&) {
+                      ++counts[cut.side(target)];
+                    });
+    }
+    const double even = static_cast<double>(total) / static_cast<double>(sides);
+    for (std::size_t s = 0; s < sides; ++s) {
+      const double off = std::abs(static_cast<double>(counts[s]) - even);
+      EXPECT_LE(off, static_cast<double>(widest)) << "side " << s;
+    }
+  }
+}
+
+TEST(SlabCut, OneSideComputesEverything) {
+  const mra::Function f = slab_input(1, 0.45);
+  const auto op = smoothing(1, 7, 0.08, 8, 1e-7);
+  const SlabCut cut(op, f.leaf_keys(), 1);
+  for (int level = 0; level <= 6; ++level) {
+    for (std::int64_t l = 0; l < (std::int64_t{1} << level); ++l)
+      EXPECT_EQ(cut.side(key1d(level, l)), 0u);
+  }
+}
+
+// loads() and computing_sides() against side() of every enumerated task.
+void expect_cut_matches_task_sides(const SeparatedConvolution& op,
+                                   const std::vector<mra::Key>& leaves,
+                                   std::size_t sides) {
+  SCOPED_TRACE(::testing::Message() << sides << " sides");
+  const SlabCut cut(op, leaves, sides);
+  std::vector<std::size_t> loads(sides, 0);
+  for (const mra::Key& leaf : leaves) {
+    std::set<std::size_t> computing;
+    for_each_task(op, leaf, [&](const mra::Key& target, const Displacement&) {
+      ++loads[cut.side(target)];
+      computing.insert(cut.side(target));
+    });
+    EXPECT_EQ(cut.computing_sides(leaf),
+              std::vector<std::size_t>(computing.begin(), computing.end()));
+  }
+  EXPECT_EQ(cut.loads(), loads);
+}
+
+TEST(SlabCut, LoadsAndComputingSidesMatchTaskSides) {
+  const mra::Function f1 = slab_input(1, 0.45);
+  const mra::Function f2 = slab_input(2, 0.4);
+  for (std::size_t sides = 1; sides <= 4; ++sides) {
+    expect_cut_matches_task_sides(smoothing(1, 7, 0.08, 8, 1e-7),
+                                  f1.leaf_keys(), sides);
+    expect_cut_matches_task_sides(smoothing(2, 5, 0.1, 3, 1e-6),
+                                  f2.leaf_keys(), sides);
+  }
+  const SlabCut cut(smoothing(1, 7, 0.08, 8, 1e-7), f1.leaf_keys(), 2);
+  EXPECT_THROW(cut.computing_sides(key1d(9, 0)), Error);
+}
+
+TEST(SlabCut, PeriodicTargetsWrapAcrossTheDomainEdge) {
+  // On the torus, tasks of leaves at the domain edge wrap onto the far
+  // edge. A flat function on the 16 level-4 boxes has 3 tasks per leaf
+  // (displacements -1, 0, 1), so 3 sides cut at boxes 5 and 11, and the
+  // edge leaves are computed on the first and last sides but not the one
+  // between them.
+  mra::FunctionParams p;
+  p.ndim = 1;
+  p.k = 5;
+  p.thresh = 1e-4;
+  p.initial_level = 4;
+  const mra::Function flat =
+      mra::Function::project([](std::span<const double>) { return 1.0; }, p);
+  ASSERT_EQ(flat.num_leaves(), 16u);
+  const auto op = smoothing(1, 5, 0.02, 2, 1e-7, /*periodic=*/true);
+  const SlabCut cut(op, flat.leaf_keys(), 3);
+  EXPECT_EQ(cut.loads(), (std::vector<std::size_t>{15, 18, 15}));
+  for (const std::int64_t edge : {0, 15}) {
+    EXPECT_EQ(cut.computing_sides(key1d(4, edge)),
+              (std::vector<std::size_t>{0, 2}))
+        << "leaf " << edge;
+  }
+  const mra::Function near_edge = slab_input(1, 0.04);
+  const auto wide = smoothing(1, 7, 0.08, 8, 1e-7, /*periodic=*/true);
+  for (std::size_t sides = 1; sides <= 4; ++sides) {
+    expect_cut_matches_task_sides(op, flat.leaf_keys(), sides);
+    expect_cut_matches_task_sides(wide, near_edge.leaf_keys(), sides);
   }
 }
 

@@ -276,27 +276,33 @@ TEST(WorldApply, PeriodicMatchesSerialApply) {
   }
 }
 
+// The halo oracle, from for_each_task and SlabCut::side alone: a leaf
+// travels, as one message of k^d doubles, to every rank other than its
+// home that computes at least one of its targets.
+std::size_t halo_messages(const ops::SeparatedConvolution& op,
+                          const std::vector<mra::Key>& leaves,
+                          const dht::OwnerMap& owners) {
+  const ops::SlabCut cut(op, leaves, owners.ranks());
+  std::size_t messages = 0;
+  for (const mra::Key& leaf : leaves) {
+    std::set<std::size_t> to;
+    ops::for_each_task(op, leaf,
+                       [&](const mra::Key& target, const ops::Displacement&) {
+                         to.insert(cut.side(target));
+                       });
+    to.erase(owners.owner(leaf));
+    messages += to.size();
+  }
+  return messages;
+}
+
 TEST(WorldApply, HaloSendsEachLeafOnceToEveryOtherComputingRank) {
-  // Oracle from for_each_task and SlabOwnerMap alone: a leaf travels, as
-  // one message of k^d doubles, to every rank other than its home that
-  // computes at least one of its targets.
   const mra::Function f = make_test_function();
   const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
-  const std::vector<mra::Key> leaves = f.leaf_keys();
-  const dht::SlabOwnerMap slabs(op, leaves, 6);
   for (const bool subtree : {false, true}) {
     SCOPED_TRACE(subtree ? "subtree" : "hash");
     const auto owners = make_placement(subtree, 6, 5);
-    std::size_t messages = 0;
-    for (const mra::Key& leaf : leaves) {
-      std::set<std::size_t> to;
-      ops::for_each_task(
-          op, leaf, [&](const mra::Key& target, const ops::Displacement&) {
-            to.insert(slabs.owner(target));
-          });
-      to.erase(owners->owner(leaf));
-      messages += to.size();
-    }
+    const std::size_t messages = halo_messages(op, f.leaf_keys(), *owners);
     ASSERT_GT(messages, 0u);
 
     dht::DistributedFunction df(f, *owners);
@@ -307,6 +313,28 @@ TEST(WorldApply, HaloSendsEachLeafOnceToEveryOtherComputingRank) {
     EXPECT_DOUBLE_EQ(world.stats().bytes,
                      static_cast<double>(messages) * leaf_bytes);
   }
+}
+
+TEST(WorldApply, AddsIntoStatsLikeSerialApply) {
+  // Stats that already hold one serial Apply's counts hold twice them
+  // after one world_apply, as after a second ops::apply.
+  const mra::Function f = make_test_function();
+  const auto op = apps::make_smoothing_operator(1, 7, 0.08, 8, 1e-7);
+  ops::ApplyOptions opts;
+  opts.rank_reduce = true;
+  opts.rank_tol = 1e-6;
+  ops::ApplyStats once;
+  ops::apply(op, f, opts, &once);
+  ASSERT_GT(once.rank_reduced_gemms, 0u);
+  dht::HashOwnerMap owners(3, 17);
+  dht::DistributedFunction df(f, owners);
+  World world(3);
+  ops::ApplyStats stats = once;
+  world_apply(world, op, df, &stats, opts);
+  EXPECT_EQ(stats.tasks, 2 * once.tasks);
+  EXPECT_EQ(stats.gemms, 2 * once.gemms);
+  EXPECT_EQ(stats.flops, 2 * once.flops);
+  EXPECT_EQ(stats.rank_reduced_gemms, 2 * once.rank_reduced_gemms);
 }
 
 // The distributed Apply over a scattered DistributedFunction.
@@ -645,6 +673,8 @@ TEST(WorldApplyDifferential, RandomInputsMatchSerialBitwise) {
     ASSERT_TRUE(bitwise_equal(threaded, serial));
     ASSERT_EQ(stats.tasks, serial_stats.tasks);
     ASSERT_EQ(stats.rank_reduced_gemms, serial_stats.rank_reduced_gemms);
+    ASSERT_EQ(world.stats().messages,
+              halo_messages(op, c.f.leaf_keys(), *owners));
   }
 }
 
