@@ -19,9 +19,8 @@
 //   - the saturation knee (first load whose in-SLO goodput falls below
 //     90% of offered) and the overload point's goodput + shed%.
 //
-// MH_SERVE_* environment overrides (see README "Serving") apply to every
-// sweep point; MH_DASHBOARD=path attaches a health plane with the SLO-burn
-// rule to the 0.8-load deadline run and exports its dashboard there.
+// MH_DASHBOARD=path attaches a health plane with the SLO-burn rule to the
+// 0.8-load deadline run and exports its dashboard there.
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -112,7 +111,6 @@ int main(int argc, char** argv) {
       serve::ServeConfig cfg = serve::default_serve_config(load);
       cfg.duration = SimTime::seconds(duration_s);
       cfg.seed = seed;
-      serve::apply_env_overrides(cfg);
       cfg.policy = policy;  // the sweep's independent variable
       const bool flagship = policy == serve::FlushPolicy::kDeadline &&
                             std::abs(load - 0.8) < 1e-9;

@@ -64,9 +64,9 @@ void traced_multirank_point(Harness& h, const cluster::Workload& w,
     sessions.push_back(std::make_unique<obs::TraceSession>());
     cfg.node_traces.push_back(sessions.back().get());
   }
-  // Honors MH_STEAL_VICTIM / MH_STEAL_OWNED_FRACTION so a policy change
-  // can be traced and diffed (mh_trace_diff) against the checked-in
-  // baseline trace; defaults reproduce the baseline exactly.
+  // Honors MH_STEAL_VICTIM so a victim-policy change can be traced and
+  // diffed (mh_trace_diff) against the checked-in baseline trace; the
+  // default reproduces the baseline exactly.
   const auto dyn = cluster::run_cluster_apply_stealing(
       w, placement, homes, cfg, cluster::StealPolicy::from_env());
   if (!dyn.result.feasible) return;

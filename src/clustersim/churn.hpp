@@ -58,9 +58,6 @@ struct ChurnConfig {
   /// Snapshot the function every N completed tasks (0 = never). The R=1
   /// restart path needs at least one checkpoint to recover a lost shard.
   std::size_t checkpoint_every = 0;
-  // Interconnect model for replica write-through / recovery traffic.
-  double interconnect_bandwidth = 5e9;
-  SimTime message_latency = SimTime::micros(2.0);
   /// Fault injector consulted per remote ledger copy (site `send`);
   /// nullptr means the process injector configured from MH_FAULTS.
   fault::FaultInjector* faults = nullptr;

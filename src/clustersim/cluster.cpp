@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "common/diagnostics.hpp"
-#include "common/env.hpp"
 #include "common/hash.hpp"
 #include "obs/health.hpp"
 #include "runtime/dispatch.hpp"
@@ -20,6 +19,10 @@ namespace {
 // random-victim policy.
 constexpr std::size_t kStealsPerGroup = 4;
 constexpr std::uint64_t kStealSeed = 0x57ea1ULL;
+// Migration byte fraction charged when the thief already owns the group's
+// anchor coefficients in the DHT: only task descriptors cross the wire,
+// the coefficient blocks are already local.
+constexpr double kOwnedBytesFraction = 0.05;
 
 // Span sink for one node's phase track; a null session makes every call a
 // no-op so the simulation paths need no guards. Spans carry causal
@@ -420,7 +423,7 @@ StealScheduleResult schedule(const Workload& workload,
   // already local to the thief.
   const auto steal_bytes = [&](std::size_t g, bool owned) {
     return static_cast<double>(sizes[g]) * msg_bytes *
-           (owned ? policy->owned_bytes_fraction : 1.0);
+           (owned ? kOwnedBytesFraction : 1.0);
   };
   const auto steal_cost = [&](std::size_t g, bool owned) {
     return SimTime::seconds(3.0 * config.message_latency.sec() +
@@ -673,8 +676,6 @@ StealPolicy StealPolicy::from_env() {
       policy.victim = Victim::kLocalityBiased;
     }
   }
-  const double f = env_number("MH_STEAL_OWNED_FRACTION", -1.0);
-  if (f >= 0.0 && f <= 1.0) policy.owned_bytes_fraction = f;
   return policy;
 }
 

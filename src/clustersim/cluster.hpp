@@ -150,15 +150,9 @@ struct StealPolicy {
     kLocalityBiased,  ///< prefer groups whose anchor the thief owns
   };
   Victim victim = Victim::kLocalityBiased;
-  /// Migration byte fraction charged when the thief already owns the
-  /// group's anchor coefficients in the DHT: only task descriptors cross
-  /// the wire, the coefficient blocks are already local.
-  double owned_bytes_fraction = 0.05;
 
-  /// Defaults overridden from the environment: MH_STEAL_VICTIM
-  /// ("random" | "locality") and MH_STEAL_OWNED_FRACTION (a fraction in
-  /// [0, 1]). Unset or malformed values (another victim name, trailing
-  /// characters, a fraction outside [0, 1]) keep the defaults.
+  /// The default victim overridden by MH_STEAL_VICTIM, which must read
+  /// exactly "random" or "locality"; anything else keeps the default.
   static StealPolicy from_env();
 };
 
@@ -186,11 +180,10 @@ struct StealScheduleResult {
 /// `interconnect_bandwidth`, plus latency) on the simulated clock.
 /// `group_owner`, when non-empty, gives each group's coefficient home rank
 /// (dht::owners_of over the group anchors): the locality-biased policy
-/// steals owned groups first and pays only
-/// `StealPolicy::owned_bytes_fraction` of the bytes for them. Steal and
-/// migration spans land on the thief's "node<i>/phases" track, chained
-/// into its causal span chain, so mh_trace_analyze attributes migration
-/// cost like any other phase.
+/// steals owned groups first and pays only 5% of the bytes for them (only
+/// task descriptors cross the wire). Steal and migration spans land on the
+/// thief's "node<i>/phases" track, chained into its causal span chain, so
+/// mh_trace_analyze attributes migration cost like any other phase.
 StealScheduleResult run_cluster_apply_stealing(
     const Workload& workload, const GroupMap& placement,
     const std::vector<std::size_t>& group_owner, const ClusterConfig& config,

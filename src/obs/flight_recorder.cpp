@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "common/env.hpp"
 #include "obs/metrics.hpp"
 
 namespace mh::obs {
@@ -75,8 +74,6 @@ FlightRecorder* FlightRecorder::arm_from_env() {
   if (path == nullptr || *path == '\0') return nullptr;
   Config cfg;
   cfg.path = path;
-  const auto spans = env_integer<std::size_t>("MH_FLIGHT_RECORDER_SPANS", 0);
-  if (spans > 0) cfg.spans_per_thread = spans;
   return arm(std::move(cfg));
 }
 

@@ -8,9 +8,8 @@
 // failure paths, so the first FaultError of a run leaves behind the trace
 // of what led up to it without anyone having re-run with MH_TRACE.
 //
-// Arming conventions:
-//   MH_FLIGHT_RECORDER=path        dump destination (arms the recorder)
-//   MH_FLIGHT_RECORDER_SPANS=N     per-thread span budget (default 8192)
+// Arming convention: MH_FLIGHT_RECORDER=path names the dump destination
+// and arms the recorder with the default per-thread span budget (8192).
 //
 // arm()/arm_from_env() create the process-global recorder once, install its
 // session as TraceSession::current() when no session is installed yet (so
@@ -63,8 +62,8 @@ class FlightRecorder {
   /// instance). Installs the session as TraceSession::current() if none is
   /// installed and registers the atexit dump per cfg.
   static FlightRecorder* arm(Config cfg);
-  /// arm() from MH_FLIGHT_RECORDER / MH_FLIGHT_RECORDER_SPANS; returns
-  /// nullptr (and stays unarmed) when the env var is unset or empty.
+  /// arm() from MH_FLIGHT_RECORDER; returns nullptr (and stays unarmed)
+  /// when the env var is unset or empty.
   static FlightRecorder* arm_from_env();
   /// The armed global recorder, or nullptr.
   static FlightRecorder* armed() noexcept;

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <limits>
 #include <optional>
 #include <queue>
 #include <string>
-#include <string_view>
 
 #include "common/diagnostics.hpp"
-#include "common/env.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "obs/telemetry.hpp"
@@ -29,6 +26,37 @@ const char* request_class_name(RequestClass c) noexcept {
 }
 
 namespace {
+
+/// Parallel batch servers; worker w is bound to rank w % kBackendRanks.
+constexpr std::size_t kWorkers = 2;
+constexpr std::size_t kBackendRanks = 4;
+/// kTimer: dispatch a class once its oldest item is this old. One fixed
+/// window must serve every class — the compromise the deadline policy
+/// escapes (each class gets its own last-responsible-moment window).
+constexpr SimTime kFlushWindow = SimTime::millis(1.0);
+/// kDeadline: safety margin in flush_at = deadline - estimate - margin.
+/// The estimate covers the batch's own service; the margin covers what
+/// it cannot see — the wait for a free worker, up to one full batch
+/// service of the most expensive class.
+constexpr SimTime kDeadlineMargin = SimTime::millis(2.5);
+/// Batch cost model per class: setup + n * per_item of worker time.
+/// Deliberately heterogeneous — reconstruct's setup is ~8x apply's
+/// (deep-refinement trees ship whole ancestor paths), so it only
+/// amortizes in near-full batches that take milliseconds to accumulate
+/// at its low arrival share.
+constexpr std::array<SimTime, kRequestClasses> kBatchSetup{
+    SimTime::micros(200.0), SimTime::micros(400.0), SimTime::micros(2000.0)};
+constexpr std::array<SimTime, kRequestClasses> kPerItem{
+    SimTime::micros(8.0), SimTime::micros(10.0), SimTime::micros(20.0)};
+/// Typed error responses land this long after the failed dispatch.
+constexpr SimTime kErrorLatency = SimTime::micros(50.0);
+/// A killed rank rejoins (empty) after this much simulated time.
+constexpr SimTime kRankRestart = SimTime::millis(50.0);
+constexpr SimTime kTelemetryPeriod = SimTime::millis(10.0);
+/// Every tenant's request-class mix. Apply dominates; reconstruct is the
+/// rare, setup-heavy class whose batches are the flush policy's hard case.
+constexpr std::array<double, kRequestClasses> kMix{0.75, 0.2, 0.05};
+constexpr double kMixTotal = kMix[0] + kMix[1] + kMix[2];
 
 struct Request {
   SimTime arrival;
@@ -68,25 +96,19 @@ class Sim {
         metrics_(config.metrics != nullptr ? *config.metrics
                                            : obs::MetricsRegistry::global()) {
     MH_CHECK(!cfg_.tenants.empty(), "serve needs at least one tenant");
-    MH_CHECK(cfg_.workers >= 1, "serve needs at least one worker");
-    MH_CHECK(cfg_.backend_ranks >= 1, "serve needs at least one rank");
-    MH_CHECK(cfg_.max_batch >= 1, "batch cap must be positive");
+    // Normalized class mix as a CDF for the per-request class draw.
+    double cum = 0.0;
+    for (std::size_t c = 0; c < kRequestClasses; ++c) {
+      cum += kMix[c] / kMixTotal;
+      mix_cdf_[c] = cum;
+    }
+    mix_cdf_[kRequestClasses - 1] = 1.0;
     tenants_.resize(cfg_.tenants.size());
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
       Tenant& ten = tenants_[t];
       const TenantSpec& spec = cfg_.tenants[t];
       ten.rng = Rng(hash_combine(cfg_.seed, 0x7e4a7c15u + t));
       ten.tokens = spec.burst;
-      // Normalized class mix as a CDF for the per-request class draw.
-      double total = 0.0;
-      for (double m : spec.mix) total += std::max(m, 0.0);
-      if (total <= 0.0) total = 1.0;
-      double cum = 0.0;
-      for (std::size_t c = 0; c < kRequestClasses; ++c) {
-        cum += std::max(spec.mix[c], 0.0) / total;
-        ten.mix_cdf[c] = cum;
-      }
-      ten.mix_cdf[kRequestClasses - 1] = 1.0;
       ten.stats.name = spec.name;
       const obs::Labels labels{{"tenant", spec.name}};
       ten.m_latency = &metrics_.histogram(
@@ -104,11 +126,11 @@ class Sim {
           "mh_serve_requests_total", {},
           {{"tenant", spec.name}, {"outcome", "backend_error"}});
     }
-    workers_.resize(cfg_.workers);
+    workers_.resize(kWorkers);
     for (std::size_t w = 0; w < workers_.size(); ++w) {
-      workers_[w].rank = w % cfg_.backend_ranks;
+      workers_[w].rank = w % kBackendRanks;
     }
-    alive_.assign(cfg_.backend_ranks, true);
+    alive_.assign(kBackendRanks, true);
     if (cfg_.health != nullptr) {
       tel_.emplace(tenants_.size());
     }
@@ -120,7 +142,7 @@ class Sim {
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
       schedule_next_arrival(t, 0.0);
     }
-    if (tel_) schedule(cfg_.telemetry_period.sec(), Event::kTelemetryTick, 0);
+    if (tel_) schedule(kTelemetryPeriod.sec(), Event::kTelemetryTick, 0);
 
     while (!events_.empty()) {
       const Event ev = events_.top();
@@ -143,7 +165,6 @@ class Sim {
     Rng rng{0};
     double tokens = 0.0;
     SimTime last_refill;
-    std::array<double, kRequestClasses> mix_cdf{};
     std::array<std::deque<Request>, kRequestClasses> queue;
     std::size_t queued = 0;  ///< across the three class FIFOs
     // Telemetry window accumulators (reset every tick).
@@ -181,7 +202,7 @@ class Sim {
   RequestClass draw_class(Tenant& ten) {
     const double u = ten.rng.next_double();
     for (std::size_t c = 0; c < kRequestClasses; ++c) {
-      if (u < ten.mix_cdf[c]) return static_cast<RequestClass>(c);
+      if (u < mix_cdf_[c]) return static_cast<RequestClass>(c);
     }
     return RequestClass::kReconstruct;
   }
@@ -215,7 +236,7 @@ class Sim {
         Request{snow, snow + spec.slo, static_cast<std::uint32_t>(t)});
     ++ten.queued;
     ++pending_[c];
-    if (pending_[c] >= cfg_.max_batch) {
+    if (pending_[c] >= kMaxBatch) {
       try_dispatch(now);
     } else {
       schedule_class_check(c, now);
@@ -246,22 +267,21 @@ class Sim {
 
   /// Simulated seconds a class-c batch of n items keeps a worker busy.
   double service_time(std::size_t c, std::size_t n) const {
-    return cfg_.batch_setup[c].sec() +
-           static_cast<double>(n) * cfg_.per_item[c].sec();
+    return kBatchSetup[c].sec() + static_cast<double>(n) * kPerItem[c].sec();
   }
 
   /// When the class's next batch must be dispatched (policy-dependent).
   double flush_due_at(std::size_t c) const {
     if (cfg_.policy == FlushPolicy::kTimer) {
-      return oldest_arrival(c) + cfg_.flush_window.sec();
+      return oldest_arrival(c) + kFlushWindow.sec();
     }
     // The serving discipline: the last-responsible-moment arithmetic of
     // rt::deadline_flush_at, with the known-cost service estimate of the
     // class's next batch.
     return rt::deadline_flush_at(
         earliest_deadline(c),
-        service_time(c, std::min(pending_[c], cfg_.max_batch)),
-        cfg_.deadline_margin.sec());
+        service_time(c, std::min(pending_[c], kMaxBatch)),
+        kDeadlineMargin.sec());
   }
 
   void schedule_class_check(std::size_t c, double now) {
@@ -284,9 +304,9 @@ class Sim {
   /// starve the others (its surplus waits for its next turn).
   std::vector<Request> form_batch(std::size_t c) {
     std::vector<Request> batch;
-    batch.reserve(std::min(pending_[c], cfg_.max_batch));
+    batch.reserve(std::min(pending_[c], kMaxBatch));
     std::size_t empty_visits = 0;
-    while (batch.size() < cfg_.max_batch && pending_[c] > 0 &&
+    while (batch.size() < kMaxBatch && pending_[c] > 0 &&
            empty_visits < tenants_.size()) {
       const std::size_t t = rr_[c];
       rr_[c] = (rr_[c] + 1) % tenants_.size();
@@ -299,7 +319,7 @@ class Sim {
       const std::size_t quantum = static_cast<std::size_t>(
           std::max<long long>(1, std::llround(cfg_.tenants[t].weight)));
       for (std::size_t k = 0; k < quantum && !ten.queue[c].empty() &&
-                              batch.size() < cfg_.max_batch;
+                              batch.size() < kMaxBatch;
            ++k) {
         batch.push_back(ten.queue[c].front());
         ten.queue[c].pop_front();
@@ -320,7 +340,7 @@ class Sim {
       bool pick_size = false;
       for (std::size_t c = 0; c < kRequestClasses; ++c) {
         if (pending_[c] == 0) continue;
-        const bool size_trigger = pending_[c] >= cfg_.max_batch;
+        const bool size_trigger = pending_[c] >= kMaxBatch;
         if (!size_trigger && now < flush_due_at(c)) continue;
         const double dl = earliest_deadline(c);
         if (dl < pick_deadline) {
@@ -355,10 +375,9 @@ class Sim {
       if (alive_[worker.rank]) {
         alive_[worker.rank] = false;
         ++stats_.rank_deaths;
-        schedule(now + cfg_.rank_restart.sec(), Event::kRankRestart,
-                 worker.rank);
+        schedule(now + kRankRestart.sec(), Event::kRankRestart, worker.rank);
       }
-      const double respond_at = now + cfg_.error_latency.sec();
+      const double respond_at = now + kErrorLatency.sec();
       for (const Request& req : batch) {
         Tenant& ten = tenants_[req.tenant];
         ++ten.stats.backend_errors;
@@ -438,10 +457,10 @@ class Sim {
     std::size_t queued = 0;
     for (const Tenant& ten : tenants_) queued += ten.queued;
     if (now < cfg_.duration.sec() || queued > 0 || busy_workers_ > 0) {
-      schedule(now + cfg_.telemetry_period.sec(), Event::kTelemetryTick, 0);
+      schedule(now + kTelemetryPeriod.sec(), Event::kTelemetryTick, 0);
     } else if (grace_ticks_ > 0) {
       --grace_ticks_;
-      schedule(now + cfg_.telemetry_period.sec(), Event::kTelemetryTick, 0);
+      schedule(now + kTelemetryPeriod.sec(), Event::kTelemetryTick, 0);
     }
   }
 
@@ -477,6 +496,7 @@ class Sim {
   ServeConfig cfg_;
   fault::FaultInjector* faults_;
   obs::MetricsRegistry& metrics_;
+  std::array<double, kRequestClasses> mix_cdf_{};
   std::vector<Tenant> tenants_;
   std::vector<Worker> workers_;
   std::vector<bool> alive_;
@@ -507,20 +527,15 @@ double capacity_rps(const ServeConfig& config) {
   double weight_total = 0.0;
   double cost = 0.0;
   for (const TenantSpec& spec : config.tenants) {
-    double mix_total = 0.0;
-    for (double m : spec.mix) mix_total += std::max(m, 0.0);
-    if (mix_total <= 0.0) mix_total = 1.0;
     for (std::size_t c = 0; c < kRequestClasses; ++c) {
-      const double w =
-          spec.arrival_rps * std::max(spec.mix[c], 0.0) / mix_total;
+      const double w = spec.arrival_rps * kMix[c] / kMixTotal;
       weight_total += w;
-      cost += w * (config.batch_setup[c].sec() /
-                       static_cast<double>(config.max_batch) +
-                   config.per_item[c].sec());
+      cost += w * (kBatchSetup[c].sec() / static_cast<double>(kMaxBatch) +
+                   kPerItem[c].sec());
     }
   }
   if (weight_total <= 0.0 || cost <= 0.0) return 0.0;
-  return static_cast<double>(config.workers) * weight_total / cost;
+  return static_cast<double>(kWorkers) * weight_total / cost;
 }
 
 ServeConfig default_serve_config(double load) {
@@ -548,42 +563,9 @@ ServeConfig default_serve_config(double load) {
     // Admission provisioned above fair share: the saturation knee shows
     // queueing first, shedding caps the far side of the curve.
     spec.rate_rps = 1.25 * shares[t] * capacity;
-    spec.burst = 2.0 * static_cast<double>(config.max_batch);
+    spec.burst = 2.0 * static_cast<double>(kMaxBatch);
   }
   return config;
-}
-
-void apply_env_overrides(ServeConfig& config) {
-  config.workers = std::max<std::size_t>(
-      1, env_integer("MH_SERVE_WORKERS", config.workers));
-  config.backend_ranks = std::max<std::size_t>(
-      1, env_integer("MH_SERVE_RANKS", config.backend_ranks));
-  config.max_batch = std::max<std::size_t>(
-      1, env_integer("MH_SERVE_MAX_BATCH", config.max_batch));
-  config.flush_window =
-      SimTime::micros(env_number("MH_SERVE_WINDOW_US",
-                                 config.flush_window.us()));
-  config.deadline_margin =
-      SimTime::micros(env_number("MH_SERVE_MARGIN_US",
-                                 config.deadline_margin.us()));
-  config.duration =
-      SimTime::seconds(env_number("MH_SERVE_DURATION_S",
-                                  config.duration.sec()));
-  config.seed = env_integer("MH_SERVE_SEED", config.seed);
-  const double slo_ms = env_number("MH_SERVE_SLO_MS", 0.0);
-  const double load = env_number("MH_SERVE_LOAD", 0.0);
-  for (TenantSpec& spec : config.tenants) {
-    if (slo_ms > 0.0) spec.slo = SimTime::millis(slo_ms);
-    if (load > 0.0) spec.arrival_rps *= load;
-  }
-  if (const char* policy = std::getenv("MH_SERVE_POLICY")) {
-    const std::string_view s(policy);
-    if (s == "timer") {
-      config.policy = FlushPolicy::kTimer;
-    } else if (s == "deadline") {
-      config.policy = FlushPolicy::kDeadline;
-    }
-  }
 }
 
 }  // namespace mh::serve

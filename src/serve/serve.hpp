@@ -14,22 +14,22 @@
 //      kShedQueueFull): backpressure is a first-class answer, never a
 //      silent drop or an unbounded queue.
 //   2. Fair-share batching — admitted requests queue per (tenant, class);
-//      batches are formed per class by weighted round-robin across
-//      tenants, so a hog tenant saturating its own queue cannot starve
-//      the others. Flush discipline is configurable:
-//        kTimer    — classic size/timer cadence (flush_window), the
-//                    batching.hpp default;
+//      batches of at most kMaxBatch are formed per class by weighted
+//      round-robin across tenants, so a hog tenant saturating its own
+//      queue cannot starve the others. Flush discipline is configurable:
+//        kTimer    — classic size/timer cadence (a fixed 1 ms window),
+//                    the batching.hpp default;
 //        kDeadline — the serving discipline: flush at the last
 //                    responsible moment for the earliest enqueued
 //                    deadline (rt::deadline_flush_at in
 //                    runtime/deadline.hpp).
-//   3. Service — `workers` parallel batch servers, each bound to a
-//      backend rank; a batch costs batch_setup[class] +
-//      n * per_item[class] of simulated time. Every dispatch consults
-//      the fault injector's `send` site: a hit kills the worker's rank
-//      (capacity loss until rank_restart elapses) and answers the whole
-//      batch with typed kBackendError responses — under chaos the server
-//      sheds and errors, it never hangs.
+//   3. Service — two parallel batch servers, each bound to one of four
+//      backend ranks; a batch costs a per-class setup + n * a per-class
+//      item cost of simulated time (constants in serve.cpp). Every
+//      dispatch consults the fault injector's `send` site: a hit kills
+//      the worker's rank (capacity loss until the rank restarts) and
+//      answers the whole batch with typed kBackendError responses — under
+//      chaos the server sheds and errors, it never hangs.
 //
 // Everything runs single-threaded on a discrete-event simulated clock, so
 // latency distributions, flush-reason counts, and shed totals are
@@ -39,12 +39,11 @@
 // Observability: per-tenant latency histograms land in the provided
 // MetricsRegistry (mh_serve_latency_ms{tenant=...}); when a HealthPlane is
 // attached, per-tenant SLO-burn / queue-depth lanes are published every
-// telemetry_period and the kSloBurn AlertRule (serve_rules) fires and
+// 10 ms of simulated time and the kSloBurn AlertRule (serve_rules) fires and
 // resolves on the simulated clock — the dashboard CI validates with
 // mh_health --check is written by that plane.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -78,6 +77,9 @@ enum class Outcome : std::uint8_t {
 
 enum class FlushPolicy : std::uint8_t { kTimer = 0, kDeadline = 1 };
 
+/// Batch size cap: a class dispatches as soon as this many items queue.
+inline constexpr std::size_t kMaxBatch = 64;
+
 struct TenantSpec {
   std::string name = "tenant";
   /// Fair-share weight: items taken per round-robin visit when forming a
@@ -90,46 +92,17 @@ struct TenantSpec {
   std::size_t queue_cap = 512;
   /// Per-request latency budget; deadline = arrival + slo.
   SimTime slo = SimTime::millis(8.0);
-  /// Open-loop offered load (Poisson arrivals, exponential interarrival).
+  /// Open-loop offered load (Poisson arrivals, exponential interarrival)
+  /// over the fixed request-class mix in serve.cpp.
   double arrival_rps = 5000.0;
-  /// Request-class mix (normalized internally). Apply dominates;
-  /// reconstruct is the rare, setup-heavy class whose batches are the
-  /// flush policy's hard case.
-  std::array<double, kRequestClasses> mix{0.75, 0.2, 0.05};
 };
 
 struct ServeConfig {
   std::vector<TenantSpec> tenants;
-  /// Parallel batch servers; worker w is bound to rank w % backend_ranks.
-  std::size_t workers = 2;
-  std::size_t backend_ranks = 4;
-  std::size_t max_batch = 64;
-  /// kTimer: dispatch a class once its oldest item is this old. One fixed
-  /// window must serve every class — the compromise the deadline policy
-  /// escapes (each class gets its own last-responsible-moment window).
-  SimTime flush_window = SimTime::millis(1.0);
   FlushPolicy policy = FlushPolicy::kDeadline;
-  /// kDeadline: safety margin in flush_at = deadline - estimate - margin.
-  /// The estimate covers the batch's own service; the margin covers what
-  /// it cannot see — the wait for a free worker, up to one full batch
-  /// service of the most expensive class.
-  SimTime deadline_margin = SimTime::millis(2.5);
   /// Arrivals stop after this much simulated time; queued work drains.
   SimTime duration = SimTime::seconds(2.0);
   std::uint64_t seed = 0x5eedULL;
-  /// Batch cost model per class: setup + n * per_item of worker time.
-  /// Deliberately heterogeneous — reconstruct's setup is ~8x apply's
-  /// (deep-refinement trees ship whole ancestor paths), so it only
-  /// amortizes in near-full batches that take milliseconds to accumulate
-  /// at its low arrival share.
-  std::array<SimTime, kRequestClasses> batch_setup{
-      SimTime::micros(200.0), SimTime::micros(400.0), SimTime::micros(2000.0)};
-  std::array<SimTime, kRequestClasses> per_item{
-      SimTime::micros(8.0), SimTime::micros(10.0), SimTime::micros(20.0)};
-  /// Typed error responses land this long after the failed dispatch.
-  SimTime error_latency = SimTime::micros(50.0);
-  /// A killed rank rejoins (empty) after this much simulated time.
-  SimTime rank_restart = SimTime::millis(50.0);
   /// Send-site injector consulted once per batch dispatch; nullptr means
   /// the process injector configured from MH_FAULTS.
   fault::FaultInjector* faults = nullptr;
@@ -137,10 +110,9 @@ struct ServeConfig {
   /// means the process registry (obs::MetricsRegistry::global()).
   obs::MetricsRegistry* metrics = nullptr;
   /// Live health plane on the simulated clock: per-tenant SLO-burn and
-  /// queue-depth lanes published every telemetry_period (tenant index is
+  /// queue-depth lanes published every telemetry tick (tenant index is
   /// the lane "rank"). Non-owning; nullptr disables telemetry.
   obs::HealthPlane* health = nullptr;
-  SimTime telemetry_period = SimTime::millis(10.0);
 };
 
 struct TenantStats {
@@ -190,7 +162,7 @@ ServeResult run_serve(const ServeConfig& config);
 std::vector<obs::AlertRule> serve_rules(double burn_threshold = 0.5);
 
 /// Closed-form full-batch capacity estimate (requests/s): workers divided
-/// by the arrival-weighted per-item cost setup/max_batch + per_item.
+/// by the arrival-weighted per-item cost setup/kMaxBatch + per_item.
 double capacity_rps(const ServeConfig& config);
 
 /// The standard 4-tenant scenario offered at `load` x capacity_rps:
@@ -198,10 +170,5 @@ double capacity_rps(const ServeConfig& config);
 /// 1.25 x fair share so the saturation knee shows queueing before
 /// shedding takes over.
 ServeConfig default_serve_config(double load);
-
-/// Apply MH_SERVE_* environment overrides (see README "Serving"):
-/// WORKERS, RANKS, MAX_BATCH, WINDOW_US, MARGIN_US, POLICY, SLO_MS,
-/// DURATION_S, LOAD (rescales every tenant's arrival_rps), SEED.
-void apply_env_overrides(ServeConfig& config);
 
 }  // namespace mh::serve

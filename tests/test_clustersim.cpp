@@ -535,21 +535,16 @@ TEST(ClusterSteal, BalancedOneGroupPerNodeRunIsTheStaticRun) {
 TEST(ClusterSteal, PolicyFromEnvKeepsDefaultsOnMalformedValues) {
   const StealPolicy defaults;
   ::setenv("MH_STEAL_VICTIM", "random", 1);
-  ::setenv("MH_STEAL_OWNED_FRACTION", "0.5", 1);
   StealPolicy p = StealPolicy::from_env();
   EXPECT_EQ(p.victim, StealPolicy::Victim::kRandom);
-  EXPECT_EQ(p.owned_bytes_fraction, 0.5);
-  // Unknown victim names, trailing characters, out-of-range and non-finite
-  // fractions all keep the defaults, as unset variables do.
-  for (const char* bad : {"0.5x", "1.5", "-0.1", "nan", "inf", ""}) {
-    ::setenv("MH_STEAL_VICTIM", "nearest", 1);
-    ::setenv("MH_STEAL_OWNED_FRACTION", bad, 1);
+  // Unknown victim names, other case and trailing characters keep the
+  // default, as an unset variable does.
+  for (const char* bad : {"nearest", "Random", "random ", ""}) {
+    ::setenv("MH_STEAL_VICTIM", bad, 1);
     p = StealPolicy::from_env();
-    EXPECT_EQ(p.victim, defaults.victim) << bad;
-    EXPECT_EQ(p.owned_bytes_fraction, defaults.owned_bytes_fraction) << bad;
+    EXPECT_EQ(p.victim, defaults.victim) << '"' << bad << '"';
   }
   ::unsetenv("MH_STEAL_VICTIM");
-  ::unsetenv("MH_STEAL_OWNED_FRACTION");
 }
 
 TEST(ClusterSteal, LocalityBiasStealsOwnedGroupsCheaper) {

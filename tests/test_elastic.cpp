@@ -5,11 +5,14 @@
 // reference while ranks die and rejoin mid-run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/coulomb.hpp"
 #include "bitwise.hpp"
@@ -18,6 +21,7 @@
 #include "common/rng.hpp"
 #include "dht/elastic.hpp"
 #include "dht/owner_map.hpp"
+#include "differential.hpp"
 #include "mutate.hpp"
 #include "obs/export.hpp"
 
@@ -563,6 +567,105 @@ TEST(ChurnDrill, InjectedSendDropsSelfHeal) {
   const cluster::ChurnResult churned = cluster::run_churn_apply(op, f, churn);
   EXPECT_GT(fi.stats(fault::FaultSite::kSend).injected, 0u);
   EXPECT_TRUE(bitwise_equal(churned.result, ref.result));
+}
+
+
+// ---------------------------------------------------------------------------
+// Churn differential: run_churn_apply under seeded churn scripts against
+// the empty script, memcmp, on the generated inputs of differential.hpp. A
+// failure names the case's seed and the script; the case re-runs alone
+// from that seed.
+
+// One to four events at times in [0, horizon): a kill only while more than
+// two ranks are live, so R = 2 covers every loss and nothing restarts, and
+// a re-add only of a rank the script killed.
+std::vector<cluster::ChurnEvent> replicated_script(Rng& rng, std::size_t ranks,
+                                                   SimTime horizon) {
+  std::vector<double> at(1 + rng.below(4));
+  for (double& t : at) t = rng.uniform(0.0, horizon.sec());
+  std::sort(at.begin(), at.end());
+  std::vector<std::size_t> live(ranks);
+  std::iota(live.begin(), live.end(), std::size_t{0});
+  std::vector<std::size_t> dead;
+  std::vector<cluster::ChurnEvent> events;
+  for (const double t : at) {
+    const bool kill =
+        live.size() > 2 && (dead.empty() || rng.below(2) == 0);
+    if (!kill && dead.empty()) continue;
+    std::vector<std::size_t>& from = kill ? live : dead;
+    const std::size_t i = rng.below(from.size());
+    const std::size_t rank = from[i];
+    from.erase(from.begin() + static_cast<std::ptrdiff_t>(i));
+    (kill ? dead : live).push_back(rank);
+    events.push_back({kill ? cluster::ChurnEvent::Kind::kKill
+                           : cluster::ChurnEvent::Kind::kAdd,
+                      SimTime::seconds(t), rank});
+  }
+  return events;
+}
+
+std::string describe_script(const cluster::ChurnConfig& config) {
+  std::ostringstream os;
+  os << "R=" << config.replication << " checkpoint_every="
+     << config.checkpoint_every << " script:";
+  for (const cluster::ChurnEvent& e : config.events) {
+    os << (e.kind == cluster::ChurnEvent::Kind::kKill ? " kill " : " add ")
+       << e.rank << "@" << e.at.us() << "us";
+  }
+  return os.str();
+}
+
+TEST(ChurnDifferential, GeneratedScriptsMatchFaultFreeBitwise) {
+  constexpr std::uint64_t kFirstSeed = 20261020;
+  constexpr std::uint64_t kCases = 24;
+  constexpr std::size_t kReplicatedScripts = 2;
+  for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kCases; ++seed) {
+    const DifferentialCase c = draw_case(seed);
+    const ops::SeparatedConvolution op(c.params, c.kernel);
+    Rng rng(~seed);  // the world and its scripts; the input drew from seed
+    cluster::ChurnConfig config;
+    config.ranks = 3 + rng.below(4);
+    config.subtree_level = static_cast<int>(rng.below(3));
+    config.seed = seed;
+    std::ostringstream trace;
+    trace << describe(seed, c) << " ranks=" << config.ranks
+          << " subtree_level=" << config.subtree_level;
+    SCOPED_TRACE(trace.str());
+    const cluster::ChurnResult ref = cluster::run_churn_apply(op, c.f, config);
+
+    for (std::size_t s = 0; s < kReplicatedScripts; ++s) {
+      cluster::ChurnConfig churn = config;
+      churn.events = replicated_script(rng, config.ranks, ref.stats.makespan);
+      const cluster::ChurnResult churned =
+          cluster::run_churn_apply(op, c.f, churn);
+      ASSERT_EQ(churned.stats.kills + churned.stats.revives,
+                churn.events.size())
+          << describe_script(churn);
+      ASSERT_EQ(churned.stats.restarts, 0u) << describe_script(churn);
+      ASSERT_TRUE(bitwise_equal(churned.result, ref.result))
+          << describe_script(churn);
+    }
+
+    // R = 1: killing a rank that holds leaves loses them, so the run
+    // restarts from its last checkpoint into the survivors; the rank then
+    // rejoins as a fresh one. The kill comes late enough that a checkpoint
+    // has been taken.
+    cluster::ChurnConfig single = config;
+    single.replication = 1;
+    single.checkpoint_every =
+        std::max<std::size_t>(1, ref.stats.tasks / (2 + rng.below(7)));
+    const SimTime kill_at = ref.stats.makespan * rng.uniform(0.6, 0.8);
+    const std::size_t victim = loaded_rank(c.f, single);
+    single.events = {
+        {cluster::ChurnEvent::Kind::kKill, kill_at, victim},
+        {cluster::ChurnEvent::Kind::kAdd, kill_at * 1.25, victim},
+    };
+    const cluster::ChurnResult restarted =
+        cluster::run_churn_apply(op, c.f, single);
+    ASSERT_EQ(restarted.stats.restarts, 1u) << describe_script(single);
+    ASSERT_TRUE(bitwise_equal(restarted.result, ref.result))
+        << describe_script(single);
+  }
 }
 
 }  // namespace

@@ -11,9 +11,7 @@
 // fire and resolve on the exported dashboard.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
-#include <utility>
 
 #include "fault/fault.hpp"
 #include "obs/health.hpp"
@@ -157,7 +155,7 @@ TEST(Serve, FlushReasonAccountingIsExhaustive) {
                                  t.stats.deadline_flushes);
   EXPECT_GT(t.stats.timer_flushes, 0u);
   EXPECT_EQ(t.stats.deadline_flushes, 0u);
-  EXPECT_LE(t.stats.max_batch_seen, cfg.max_batch);
+  EXPECT_LE(t.stats.max_batch_seen, serve::kMaxBatch);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,83 +211,6 @@ TEST(Serve, WeightedRoundRobinPreventsQueueStarvation) {
     EXPECT_EQ(victim.completed, victim.admitted) << victim.name;
     EXPECT_LT(victim.latency.p99, hog.latency.p99 / 4.0) << victim.name;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Env overrides
-
-TEST(Serve, EnvOverridesParseClampAndDefault) {
-  serve::ServeConfig cfg = serve::default_serve_config(0.5);
-  const double base_arrival = cfg.tenants[0].arrival_rps;
-  ::setenv("MH_SERVE_WORKERS", "0", 1);  // clamped to >= 1
-  ::setenv("MH_SERVE_MAX_BATCH", "32", 1);
-  ::setenv("MH_SERVE_WINDOW_US", "750", 1);
-  ::setenv("MH_SERVE_POLICY", "timer", 1);
-  ::setenv("MH_SERVE_SLO_MS", "4.5", 1);
-  ::setenv("MH_SERVE_LOAD", "2", 1);
-  serve::apply_env_overrides(cfg);
-  EXPECT_EQ(cfg.workers, 1u);
-  EXPECT_EQ(cfg.max_batch, 32u);
-  EXPECT_DOUBLE_EQ(cfg.flush_window.us(), 750.0);
-  EXPECT_EQ(cfg.policy, serve::FlushPolicy::kTimer);
-  EXPECT_DOUBLE_EQ(cfg.tenants[0].slo.ms(), 4.5);
-  EXPECT_DOUBLE_EQ(cfg.tenants[0].arrival_rps, 2.0 * base_arrival);
-  ::unsetenv("MH_SERVE_WORKERS");
-  ::unsetenv("MH_SERVE_MAX_BATCH");
-  ::unsetenv("MH_SERVE_WINDOW_US");
-  ::unsetenv("MH_SERVE_POLICY");
-  ::unsetenv("MH_SERVE_SLO_MS");
-  ::unsetenv("MH_SERVE_LOAD");
-  // Unset, the overrides leave the config untouched.
-  serve::ServeConfig fresh = serve::default_serve_config(0.5);
-  serve::apply_env_overrides(fresh);
-  EXPECT_DOUBLE_EQ(fresh.tenants[0].arrival_rps, base_arrival);
-
-  // Hostile values keep the default, as unset does: a non-finite duration
-  // would never end the run, a nan window would flush every batch at
-  // once, and a count or seed outside its integer type would wrap.
-  const serve::ServeConfig defaults = serve::default_serve_config(0.5);
-  const struct {
-    const char* name;
-    const char* value;
-  } hostile[] = {
-      {"MH_SERVE_DURATION_S", "inf"}, {"MH_SERVE_WINDOW_US", "nan"},
-      {"MH_SERVE_WORKERS", "1e30"},   {"MH_SERVE_SEED", "4x"},
-      {"MH_SERVE_SEED", "-1"},
-  };
-  for (const auto& h : hostile) {
-    ::setenv(h.name, h.value, 1);
-    serve::ServeConfig c = serve::default_serve_config(0.5);
-    serve::apply_env_overrides(c);
-    ::unsetenv(h.name);
-    EXPECT_EQ(c.duration.sec(), defaults.duration.sec()) << h.name;
-    EXPECT_EQ(c.flush_window.sec(), defaults.flush_window.sec()) << h.name;
-    EXPECT_EQ(c.workers, defaults.workers) << h.name;
-    EXPECT_EQ(c.seed, defaults.seed) << h.name;
-  }
-
-  // The policy takes exactly "timer" or "deadline"; a typo or other case
-  // keeps the caller's choice instead of silently selecting kDeadline.
-  for (const serve::FlushPolicy caller :
-       {serve::FlushPolicy::kTimer, serve::FlushPolicy::kDeadline}) {
-    for (const char* bad : {"timr", "Timer", "deadline ", ""}) {
-      ::setenv("MH_SERVE_POLICY", bad, 1);
-      serve::ServeConfig c = serve::default_serve_config(0.5);
-      c.policy = caller;
-      serve::apply_env_overrides(c);
-      EXPECT_EQ(c.policy, caller) << '"' << bad << '"';
-    }
-    for (const auto& [value, want] :
-         {std::pair{"timer", serve::FlushPolicy::kTimer},
-          std::pair{"deadline", serve::FlushPolicy::kDeadline}}) {
-      ::setenv("MH_SERVE_POLICY", value, 1);
-      serve::ServeConfig c = serve::default_serve_config(0.5);
-      c.policy = caller;
-      serve::apply_env_overrides(c);
-      EXPECT_EQ(c.policy, want) << value;
-    }
-  }
-  ::unsetenv("MH_SERVE_POLICY");
 }
 
 // ---------------------------------------------------------------------------

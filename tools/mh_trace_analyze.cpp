@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
               << " spans were dropped by the recorder ring buffer\n";
     if (check) {
       std::cerr << "check FAILED: refusing to attribute a truncated trace "
-                   "(re-run with a larger MH_FLIGHT_RECORDER_SPANS or "
-                   "unbounded MH_TRACE)\n";
+                   "(re-run with an unbounded MH_TRACE)\n";
       return 1;
     }
   }
