@@ -114,14 +114,12 @@ void ablate_device_cache(Harness& h) {
 void ablate_rank_reduction(Harness& h) {
   print_header("Ablation 4 — rank reduction: CPU vs GPU (paper §II-D)");
   const gpu::ApplyTaskShape shape{3, 30, 100};
-  const cluster::CpuSpec cpu = cluster::CpuSpec::titan_interlagos();
   const double rank_fraction = 0.33;  // kred/k for the k=30 operator
 
   TextTable t({"configuration", "time per 60-task batch (ms)", "gain"});
-  const double cpu_full =
-      cluster::cpu_batch_time(cpu, shape, 60, 16).sec() * 1e3;
+  const double cpu_full = cluster::cpu_batch_time(shape, 60, 16).sec() * 1e3;
   const double cpu_rr =
-      cluster::cpu_batch_time(cpu, shape, 60, 16, rank_fraction).sec() * 1e3;
+      cluster::cpu_batch_time(shape, 60, 16, rank_fraction).sec() * 1e3;
   t.add_row({"CPU, full rank", fmt(cpu_full), "1.0"});
   t.add_row({"CPU, rank reduced", fmt(cpu_rr),
              fmt(cpu_full / cpu_rr, 2) + "x faster"});
@@ -157,7 +155,6 @@ void ablate_dynamic_parallelism(Harness& h) {
   t.add_row({"full rank (Fermi)", fmt(baseline), "1.00"});
 
   gpu::BatchConfig fermi_rr = base;
-  fermi_rr.gpu_rank_reduce = true;
   fermi_rr.gpu_rank_fraction = 0.33;
   const double f = batch_seconds(batch, fermi_rr) * 1e3;
   t.add_row({"rank reduced, no dyn. parallelism (Fermi)", fmt(f),

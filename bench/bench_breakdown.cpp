@@ -193,13 +193,13 @@ int run(int argc, char** argv) {
 
   auto gpu = base;
   gpu.mode = cluster::ComputeMode::kGpuOnly;
-  gpu.node.gpu_streams = 5;
+  gpu.gpu.streams = 5;
   add_mode(t, h, "gpu", "GPU-only (5 streams)", w, gpu, gpu_session);
 
   auto hyb = base;
   hyb.mode = cluster::ComputeMode::kHybrid;
   hyb.cpu_compute_threads = 10;
-  hyb.node.gpu_streams = 5;
+  hyb.gpu.streams = 5;
   add_mode(t, h, "hybrid", "hybrid (10 thr + 5 str)", w, hyb,
            hybrid_session);
 

@@ -23,7 +23,6 @@ struct FigPoint {
 inline FigPoint measure_batched_gemm(std::size_t ndim, std::size_t k,
                                      std::size_t count, std::size_t streams) {
   const gpu::DeviceSpec spec = gpu::DeviceSpec::gtx480();
-  const gpu::KernelTuning tuning;
 
   // Flops of the whole batch.
   gpu::ApplyTaskShape unit{ndim, k, 1};
@@ -40,8 +39,7 @@ inline FigPoint measure_batched_gemm(std::size_t ndim, std::size_t k,
     const std::size_t terms = (per_kernel + ndim - 1) / ndim;
     gpu::ApplyTaskShape shape{ndim, k, terms > 0 ? terms : 1};
     // Scale the duration so exactly `count` multiplications are charged.
-    const SimTime full =
-        gpu::custom_task_duration(spec, shape, tuning);
+    const SimTime full = gpu::custom_task_duration(spec, shape);
     const SimTime per_step = full / static_cast<double>(shape.steps());
     SimTime done = SimTime::zero();
     std::size_t remaining = count;
@@ -62,8 +60,7 @@ inline FigPoint measure_batched_gemm(std::size_t ndim, std::size_t k,
   // cuBLAS: one launch per multiplication, round-robin over streams.
   {
     gpu::GpuDevice dev(spec, streams);
-    const SimTime step =
-        gpu::cublas_step_duration(spec, unit.rows(), k, tuning);
+    const SimTime step = gpu::cublas_step_duration(spec, unit.rows(), k);
     std::vector<SimTime> ready(streams, SimTime::zero());
     SimTime done = SimTime::zero();
     for (std::size_t i = 0; i < count; ++i) {

@@ -23,7 +23,7 @@ int run(int argc, char** argv) {
       "Table I — Coulomb d=3, k=10, precision 1e-8 (no rank reduction), "
       "1 Titan node");
   std::cout << "workload: " << w.name << ", " << w.tasks
-            << " compute tasks in batches of " << base.batch_size << "\n\n";
+            << " compute tasks in batches of " << cluster::kBatchSize << "\n\n";
 
   // --- CPU-only thread scale-up.
   {
@@ -55,7 +55,7 @@ int run(int argc, char** argv) {
       if (h.quick() && streams[i] != 1 && streams[i] != 5) continue;
       auto cfg = base;
       cfg.mode = cluster::ComputeMode::kGpuOnly;
-      cfg.node.gpu_streams = static_cast<std::size_t>(streams[i]);
+      cfg.gpu.streams = static_cast<std::size_t>(streams[i]);
       const RunSec r = run_cluster(w, loads, cfg);
       t.add_row({std::to_string(streams[i]), fmt(r), fmt(paper[i])});
       h.scalar("gpu_streams_" + std::to_string(streams[i]) + "_s", r.sec, "s");
@@ -73,13 +73,13 @@ int run(int argc, char** argv) {
 
     auto gpu_cfg = base;
     gpu_cfg.mode = cluster::ComputeMode::kGpuOnly;
-    gpu_cfg.node.gpu_streams = 5;
+    gpu_cfg.gpu.streams = 5;
     const double n = run_cluster(w, loads, gpu_cfg).sec;
 
     auto hyb_cfg = base;
     hyb_cfg.mode = cluster::ComputeMode::kHybrid;
     hyb_cfg.cpu_compute_threads = 10;
-    hyb_cfg.node.gpu_streams = 5;
+    hyb_cfg.gpu.streams = 5;
     const double actual = run_cluster(w, loads, hyb_cfg).sec;
     const double optimal = rt::optimal_overlap_time(m, n);
 

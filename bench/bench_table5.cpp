@@ -44,7 +44,6 @@ int run(int argc, char** argv) {
     const RunSec cpu = run_cluster(w, loads, cpu_cfg);
 
     auto rr_cfg = cpu_cfg;
-    rr_cfg.rank_reduce = true;
     rr_cfg.rank_fraction = apps::table5_rank_fraction();
     const RunSec cpu_rr = run_cluster(w, loads, rr_cfg);
 

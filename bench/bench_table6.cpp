@@ -39,7 +39,6 @@ int run(int argc, char** argv) {
     auto cpu_cfg = apps::titan_config();
     cpu_cfg.nodes = nodes[i];
     cpu_cfg.mode = cluster::ComputeMode::kCpuOnly;
-    cpu_cfg.rank_reduce = true;
     cpu_cfg.rank_fraction = apps::table6_rank_fraction();
     const RunSec cpu = run_cluster(w, loads, cpu_cfg);
 
@@ -52,7 +51,6 @@ int run(int argc, char** argv) {
     auto hyb_cfg = gpu_cfg;
     hyb_cfg.mode = cluster::ComputeMode::kHybrid;
     hyb_cfg.cpu_compute_threads = 14;  // paper: 9-14 threads
-    hyb_cfg.rank_reduce = true;
     hyb_cfg.rank_fraction = apps::table6_rank_fraction();
     const RunSec hybrid = run_cluster(w, loads, hyb_cfg);
 

@@ -26,7 +26,6 @@ int main() {
   auto base = apps::titan_config();
   base.nodes = nodes;
   base.gpu.use_custom_kernel = false;  // 4-D: cuBLAS regime
-  base.rank_reduce = true;
   base.rank_fraction = apps::table6_rank_fraction();
 
   auto cpu_cfg = base;

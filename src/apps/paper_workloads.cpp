@@ -16,12 +16,7 @@ Workload named(const char* name, ApplyTaskShape shape, std::size_t tasks,
 
 cluster::ClusterConfig titan_config() {
   cluster::ClusterConfig cfg;
-  cfg.node = cluster::NodeSpec::titan();
-  cfg.node.gpu_streams = 6;
-  cfg.batch_size = 60;  // "a computation batch of 60 independent tasks"
-  cfg.cpu_compute_threads = 16;
-  cfg.gpu.data_threads = 12;
-  cfg.gpu.cublas_aggregate = true;  // cluster scale: one event per task
+  cfg.gpu.cublas_aggregate = true;  // cluster scale: one event per batch
   return cfg;
 }
 

@@ -18,9 +18,11 @@
 
 namespace mh::apps {
 
-/// The calibrated runtime configuration used by all table benches: Titan
-/// node (16-core Interlagos + M2090), batches of 60 compute tasks, 12 data
-/// threads, dispatcher and kernel tuning per DESIGN.md §5.
+/// The runtime configuration used by all table benches: the default
+/// cluster configuration (Titan nodes of 16-core Interlagos + M2090,
+/// batches of 60 compute tasks, 16 CPU threads, 6 CUDA streams; the model
+/// constants per DESIGN.md §5) with cuBLAS-like batches booked as one
+/// analytic span each.
 cluster::ClusterConfig titan_config();
 
 /// Paper reference numbers for one table row (negative = not reported).

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "clustersim/cluster.hpp"
 #include "common/diagnostics.hpp"
 #include "common/hash.hpp"
 #include "obs/health.hpp"
@@ -19,10 +20,6 @@ constexpr std::size_t kNoRank = std::numeric_limits<std::size_t>::max();
 constexpr double kMessageHeaderBytes = 64.0;
 // Per-task compute time on the simulated clock.
 constexpr SimTime kTaskTime = SimTime::micros(50.0);
-// Interconnect model for replica write-through / recovery traffic (the
-// ClusterConfig defaults).
-constexpr double kInterconnectBandwidth = 5e9;
-constexpr SimTime kMessageLatency = SimTime::micros(2.0);
 
 /// One entry of the exactly-once result ledger: a task's contribution
 /// tensor, addressed to the target key it accumulates into.
@@ -79,6 +76,8 @@ ChurnResult run_churn_apply(const ops::SeparatedConvolution& op,
 
   const double entry_bytes =
       tensor_bytes(Tensor::cube(ndim, f.params().k));
+  // Replica write-through and recovery traffic on the cluster's
+  // interconnect model.
   const auto wire_time = [](double bytes, std::size_t messages) {
     return SimTime::seconds(bytes / kInterconnectBandwidth) +
            kMessageLatency * static_cast<double>(messages);

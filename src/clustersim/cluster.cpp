@@ -6,6 +6,7 @@
 #include <memory>
 #include <numeric>
 
+#include "clustersim/cpu_model.hpp"
 #include "common/diagnostics.hpp"
 #include "common/hash.hpp"
 #include "obs/health.hpp"
@@ -23,6 +24,9 @@ constexpr std::uint64_t kStealSeed = 0x57ea1ULL;
 // anchor coefficients in the DHT: only task descriptors cross the wire,
 // the coefficient blocks are already local.
 constexpr double kOwnedBytesFraction = 0.05;
+
+// Every node's accelerator (paper §III).
+const gpu::DeviceSpec kNodeDevice = gpu::DeviceSpec::tesla_m2090();
 
 // Span sink for one node's phase track; a null session makes every call a
 // no-op so the simulation paths need no guards. Spans carry causal
@@ -72,13 +76,12 @@ std::vector<gpu::GpuTaskDesc> make_batch(const Workload& workload,
 }
 
 // GPU device-memory feasibility: input tree share + write-once cache.
-bool gpu_fits(const Workload& workload, std::size_t tasks,
-              const ClusterConfig& config) {
+bool gpu_fits(const Workload& workload, std::size_t tasks) {
   const double cache_bytes = static_cast<double>(workload.unique_h_blocks) *
                              workload.shape.h_block_bytes();
   const double data_bytes =
       static_cast<double>(tasks) * workload.gpu_bytes_per_task;
-  return cache_bytes + data_bytes <= config.node.device.memory_bytes;
+  return cache_bytes + data_bytes <= kNodeDevice.memory_bytes;
 }
 
 // Records the batch's phase spans and returns the id of the last one, so
@@ -126,15 +129,8 @@ std::uint64_t record_batch(NodeBreakdown* bd, const NodeTracer& tracer,
 // CPU share of a hybrid batch).
 SimTime cpu_time(const Workload& workload, const ClusterConfig& config,
                  std::size_t tasks) {
-  return cpu_batch_time(config.node.cpu, workload.shape, tasks,
-                        config.cpu_compute_threads,
-                        config.rank_reduce ? config.rank_fraction : 1.0);
-}
-
-gpu::BatchConfig gpu_config(const ClusterConfig& config) {
-  gpu::BatchConfig gcfg = config.gpu;
-  gcfg.streams = config.node.gpu_streams;
-  return gcfg;
+  return cpu_batch_time(workload.shape, tasks, config.cpu_compute_threads,
+                        config.rank_fraction);
 }
 
 // CPU-only (m) and GPU-only (n) times of one `probe`-task batch with a
@@ -148,11 +144,11 @@ ProbeTimes probe_times(const Workload& workload, const ClusterConfig& config,
                        std::size_t probe) {
   ProbeTimes out{cpu_time(workload, config, probe), SimTime::zero()};
   if (config.mode != ComputeMode::kCpuOnly) {
-    gpu::GpuDevice device(config.node.device, config.node.gpu_streams);
+    gpu::GpuDevice device(kNodeDevice, config.gpu.streams);
     std::size_t warm = 0;
     out.n = gpu::run_apply_batch(device, nullptr,
-                                 make_batch(workload, probe, warm),
-                                 gpu_config(config), SimTime::zero())
+                                 make_batch(workload, probe, warm), config.gpu,
+                                 SimTime::zero())
                 .elapsed();
   }
   return out;
@@ -170,7 +166,7 @@ SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
                          const std::string& node_track,
                          std::uint64_t* last_span, SimTime start,
                          std::uint64_t chain_from) {
-  gpu::GpuDevice device(config.node.device, config.node.gpu_streams);
+  gpu::GpuDevice device(kNodeDevice, config.gpu.streams);
   if (tracer.session != nullptr) {
     device.set_trace(tracer.session, node_track + "/gpu/");
   }
@@ -181,8 +177,8 @@ SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
   double frac = cpu_fraction;
   double gpu_per_item_s = 0.0;  // probe GPU-only seconds per item
   if (frac < 0.0) {
-    const std::size_t probe = std::min<std::size_t>(
-        std::max<std::size_t>(tasks, 1), config.batch_size);
+    const std::size_t probe =
+        std::min<std::size_t>(std::max<std::size_t>(tasks, 1), kBatchSize);
     const auto [m, n] = probe_times(workload, config, probe);
     frac = rt::optimal_cpu_fraction(m.sec(), n.sec());
     gpu_per_item_s = n.sec() / static_cast<double>(probe);
@@ -204,7 +200,7 @@ SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
   std::size_t left = tasks;
   std::uint64_t prev_last = chain_from;
   while (left > 0) {
-    const std::size_t count = std::min(left, config.batch_size);
+    const std::size_t count = std::min(left, kBatchSize);
     std::size_t ncpu = rt::cpu_share(count, frac);
     // Quantization-aware refinement (auto-split only): cpu_batch_time runs
     // in whole rounds of cpu_compute_threads items, so the continuous k*
@@ -250,7 +246,7 @@ SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
       const auto batch = make_batch(workload, ngpu, remaining_new);
       device.set_trace_link({prev_last, task});
       const auto timing =
-          gpu::run_apply_batch(device, nullptr, batch, gpu_config(config), t);
+          gpu::run_apply_batch(device, nullptr, batch, config.gpu, t);
       gpu_last = record_batch(breakdown, tracer, timing, {prev_last, task});
       gpu_done = timing.total_done;
     }
@@ -277,9 +273,7 @@ SimTime hybrid_node_time(const Workload& workload, std::size_t tasks,
 // explicit split's max side.
 double estimate_task_seconds(const Workload& workload,
                              const ClusterConfig& config) {
-  const std::size_t probe =
-      std::max<std::size_t>(std::size_t{1}, config.batch_size);
-  const auto [m, n] = probe_times(workload, config, probe);
+  const auto [m, n] = probe_times(workload, config, kBatchSize);
   double batch_s = m.sec();
   if (config.mode == ComputeMode::kGpuOnly) {
     batch_s = n.sec();
@@ -288,7 +282,7 @@ double estimate_task_seconds(const Workload& workload,
                   ? rt::overlap_time(m.sec(), n.sec(), config.cpu_fraction)
                   : rt::optimal_overlap_time(m.sec(), n.sec());
   }
-  return batch_s / static_cast<double>(probe);
+  return batch_s / static_cast<double>(kBatchSize);
 }
 
 // The one cluster loop: per-node FIFO queues of whole groups (sizes[g]
@@ -332,7 +326,7 @@ StealScheduleResult schedule(const Workload& workload,
   if (config.mode != ComputeMode::kCpuOnly) {
     const std::size_t worst =
         *std::max_element(initial.begin(), initial.end());
-    if (!gpu_fits(workload, worst, config)) {
+    if (!gpu_fits(workload, worst)) {
       result.feasible = false;
       result.note = "data per node too large for the GPU RAM";
       return out;
@@ -426,7 +420,7 @@ StealScheduleResult schedule(const Workload& workload,
            (owned ? kOwnedBytesFraction : 1.0);
   };
   const auto steal_cost = [&](std::size_t g, bool owned) {
-    return SimTime::seconds(3.0 * config.message_latency.sec() +
+    return SimTime::seconds(3.0 * kMessageLatency.sec() +
                             steal_bytes(g, owned) /
                                 config.interconnect_bandwidth);
   };
@@ -512,8 +506,7 @@ StealScheduleResult schedule(const Workload& workload,
     vic.pending -= sizes[group];
     const double bytes = steal_bytes(group, owned);
     const SimTime cost = steal_cost(group, owned);
-    const SimTime request_done = me.t + config.message_latency +
-                                 config.message_latency;
+    const SimTime request_done = me.t + kMessageLatency + kMessageLatency;
     const std::uint64_t req = me.tracer.span(
         "steal", obs::Category::kComm, me.t, request_done, {me.chain, 0},
         {{"victim", static_cast<double>(victim)},
@@ -601,7 +594,7 @@ StealScheduleResult schedule(const Workload& workload,
       const double msgs =
           static_cast<double>(tasks) * workload.remote_fraction;
       const SimTime comm =
-          SimTime::seconds(msgs * (config.message_latency.sec() +
+          SimTime::seconds(msgs * (kMessageLatency.sec() +
                                    msg_bytes / config.interconnect_bandwidth));
       n.tracer.span("comm", obs::Category::kComm, n.t, n.t + comm,
                     {n.chain, 0});

@@ -1,7 +1,7 @@
 // Cluster-level simulation of a MADNESS Apply run (paper §III).
 //
 // Each node owns the tasks its process map assigned; within a node the run
-// proceeds in batches of `batch_size` compute tasks flowing through the
+// proceeds in batches of kBatchSize compute tasks flowing through the
 // CPU-only, GPU-only, or hybrid path. One discrete-event scheduler runs
 // every node's queue of whole subtree groups on per-node simulated clocks
 // and adds each node's communication tail; the two entry points differ
@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "clustersim/cpu_model.hpp"
 #include "clustersim/process_map.hpp"
 #include "clustersim/workload.hpp"
 #include "common/sim_time.hpp"
@@ -38,35 +37,33 @@ class HealthPlane;
 
 namespace mh::cluster {
 
-struct NodeSpec {
-  CpuSpec cpu = CpuSpec::titan_interlagos();
-  gpu::DeviceSpec device = gpu::DeviceSpec::tesla_m2090();
-  std::size_t gpu_streams = 6;
+/// Every node is a Titan XK6/XK7-style node (paper §III): the 16-core
+/// Interlagos of cpu_model.hpp and one Tesla M2090, fed in batches of this
+/// many compute tasks ("a computation batch of 60 independent tasks").
+inline constexpr std::size_t kBatchSize = 60;
 
-  /// A Titan XK6/XK7-style node: 16-core Interlagos + Tesla M2090.
-  static NodeSpec titan() { return NodeSpec{}; }
-};
+/// Interconnect (Gemini-class; the paper reports no network bottleneck):
+/// the default bandwidth and the latency of every message.
+inline constexpr double kInterconnectBandwidth = 5e9;
+inline constexpr SimTime kMessageLatency = SimTime::micros(2.0);
 
 enum class ComputeMode { kCpuOnly, kGpuOnly, kHybrid };
 
 struct ClusterConfig {
   std::size_t nodes = 1;
-  NodeSpec node;
   ComputeMode mode = ComputeMode::kHybrid;
   /// Worker threads for CPU compute (paper: 16 CPU-only; 15 in hybrid, one
   /// core driving the GPU as dispatcher).
   std::size_t cpu_compute_threads = 16;
-  std::size_t batch_size = 60;
-  bool rank_reduce = false;
-  double rank_fraction = 1.0;  ///< kred/k flop scale when rank_reduce is on
+  /// kred/k flop scale of the CPU's rank reduction (paper §II-D); 1.0 is
+  /// full rank.
+  double rank_fraction = 1.0;
   /// Hybrid split: fraction of each batch on the CPU; < 0 derives the
   /// optimal k* = n/(m+n) from the model's own rates (probe batch).
   double cpu_fraction = -1.0;
-  gpu::BatchConfig gpu;  ///< kernel choice, streams etc. (streams overridden
-                         ///< by node.gpu_streams)
-  // Interconnect (Gemini-class; the paper reports no network bottleneck).
-  double interconnect_bandwidth = 5e9;
-  SimTime message_latency = SimTime::micros(2.0);
+  /// Kernel choice, CUDA streams (one device per node) etc.
+  gpu::BatchConfig gpu = {.streams = 6};
+  double interconnect_bandwidth = kInterconnectBandwidth;
 
   /// Simulated-time span sink: per-node phase spans land on
   /// "node<i>/phases" tracks and device events on "node<i>/gpu/..."

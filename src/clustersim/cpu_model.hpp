@@ -20,38 +20,25 @@
 
 namespace mh::cluster {
 
-struct CpuSpec {
-  std::size_t cores = 16;
-  double peak_flops_per_core = 6.0e9;  ///< hand-tuned mtxmq on Interlagos
-  double l2_bytes = 16.0 * 1024 * 1024;  ///< aggregate L2 per node
-  double per_core_cache_bytes = 1.0 * 1024 * 1024;  ///< effective per core
-  double contention = 0.08;  ///< thread-scaling efficiency loss per thread
-  std::size_t memory_saturation_threads = 10;  ///< cap when L2 overflows
-
-  static CpuSpec titan_interlagos() { return CpuSpec{}; }
-};
-
 /// Approximate per-task working set: source + result + temporaries plus the
 /// operator blocks streamed through the caches.
 double task_working_set_bytes(const gpu::ApplyTaskShape& shape);
 
 /// Effective per-core flop rate for this task shape (cache-decline model).
-double per_core_rate(const CpuSpec& spec, const gpu::ApplyTaskShape& shape);
+double per_core_rate(const gpu::ApplyTaskShape& shape);
 
 /// One task on one core. `rank_fraction` scales flops for the paper's §II-D
 /// rank reduction (kred/k, 1.0 = full rank).
-SimTime cpu_task_time(const CpuSpec& spec, const gpu::ApplyTaskShape& shape,
+SimTime cpu_task_time(const gpu::ApplyTaskShape& shape,
                       double rank_fraction = 1.0);
 
 /// Parallel speedup of `threads` workers on this shape: contention-limited
 /// and L2-saturation-capped.
-double thread_speedup(const CpuSpec& spec, const gpu::ApplyTaskShape& shape,
-                      std::size_t threads);
+double thread_speedup(const gpu::ApplyTaskShape& shape, std::size_t threads);
 
 /// A batch of `tasks` independent tasks on `threads` workers, including the
 /// ceil-quantization of task rounds.
-SimTime cpu_batch_time(const CpuSpec& spec, const gpu::ApplyTaskShape& shape,
-                       std::size_t tasks, std::size_t threads,
-                       double rank_fraction = 1.0);
+SimTime cpu_batch_time(const gpu::ApplyTaskShape& shape, std::size_t tasks,
+                       std::size_t threads, double rank_fraction = 1.0);
 
 }  // namespace mh::cluster

@@ -7,6 +7,10 @@
 
 namespace mh::gpu {
 namespace {
+
+// CUDA streams a simulated card offers.
+constexpr std::size_t kMaxStreams = 16;
+
 // Process-wide gpusim counters (global registry): devices come and go per
 // run, so the aggregate across all of them is what the sampler exports.
 // Function-local statics register once and hand back stable handles.
@@ -37,8 +41,6 @@ DeviceSpec DeviceSpec::tesla_m2090() {
   s.num_sms = 16;
   s.flops_per_sm = 665.0e9 / 16.0;  // 665 GF DP peak
   s.memory_bytes = 6e9;             // 6 GB GDDR5
-  s.pinned_bandwidth = 8e9;         // PCIe 2.0 x16 practical
-  s.pageable_bandwidth = 3e9;
   return s;
 }
 
@@ -50,14 +52,12 @@ DeviceSpec DeviceSpec::gtx480() {
   // ~168 GF DP across the card.
   s.flops_per_sm = 168.0e9 / 15.0;
   s.memory_bytes = 1.5e9;
-  s.pinned_bandwidth = 8e9;
-  s.pageable_bandwidth = 3e9;
   return s;
 }
 
 GpuDevice::GpuDevice(DeviceSpec spec, std::size_t num_streams)
     : spec_(std::move(spec)) {
-  MH_CHECK(num_streams >= 1 && num_streams <= spec_.max_streams,
+  MH_CHECK(num_streams >= 1 && num_streams <= kMaxStreams,
            "stream count out of range");
   MH_CHECK(spec_.num_sms >= 1, "device needs SMs");
   stream_ready_.assign(num_streams, SimTime::zero());
@@ -69,11 +69,11 @@ SimTime GpuDevice::enqueue_transfer(std::size_t stream, double bytes,
                                     bool to_device) {
   MH_CHECK(stream < stream_ready_.size(), "stream out of range");
   MH_CHECK(bytes >= 0.0, "negative transfer size");
-  const double bw = pinned ? spec_.pinned_bandwidth : spec_.pageable_bandwidth;
+  const double bw = pinned ? kPinnedBandwidth : kPageableBandwidth;
   const SimTime start =
       max(max(ready, stream_ready_[stream]), copy_engine_free_);
   const SimTime done =
-      start + spec_.transfer_latency + SimTime::seconds(bytes / bw);
+      start + kTransferLatency + SimTime::seconds(bytes / bw);
   stream_ready_[stream] = done;
   copy_engine_free_ = done;
   ++stats_.transfers;
@@ -101,7 +101,7 @@ SimTime GpuDevice::enqueue_kernel(std::size_t stream, std::size_t sms,
   // the paper's "CPU threads for data access"); the kernel cannot start
   // before its stream drains, its launch retires, and its data is ready.
   const SimTime earliest =
-      max(ready, stream_ready_[stream]) + spec_.kernel_launch_overhead;
+      max(ready, stream_ready_[stream]) + kKernelLaunchOverhead;
 
   // Gang-schedule `sms` SMs: pick the soonest-free ones; the kernel starts
   // when the last of them frees up (they must be resident together for the

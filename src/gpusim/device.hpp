@@ -31,6 +31,17 @@
 
 namespace mh::gpu {
 
+// PCIe transfer model, the same for both cards (PCIe 2.0 x16 practical;
+// paper §II: page-locking at least doubles speed): bytes/s with and
+// without page-locked host memory, and the latency of every transfer.
+inline constexpr double kPinnedBandwidth = 8e9;
+inline constexpr double kPageableBandwidth = 3e9;
+inline constexpr SimTime kTransferLatency = SimTime::micros(10.0);
+
+/// Host-side launch cost of every kernel.
+inline constexpr SimTime kKernelLaunchOverhead = SimTime::micros(7.0);
+
+/// What differs between the two simulated cards.
 struct DeviceSpec {
   std::string name;
   std::size_t num_sms = 16;
@@ -38,14 +49,6 @@ struct DeviceSpec {
   double flops_per_sm = 41.6e9;
   /// Device memory for data + the write-once operator cache.
   double memory_bytes = 6e9;
-
-  // PCIe transfer model (paper §II: page-locking at least doubles speed).
-  double pinned_bandwidth = 8e9;    ///< bytes/s with page-locked host memory
-  double pageable_bandwidth = 3e9;  ///< bytes/s without
-  SimTime transfer_latency = SimTime::micros(10.0);
-
-  SimTime kernel_launch_overhead = SimTime::micros(7.0);
-  std::size_t max_streams = 16;
 
   /// Titan's accelerator: Tesla M2090 (Fermi), 16 SMs, 665 GF DP peak.
   static DeviceSpec tesla_m2090();

@@ -8,6 +8,20 @@
 namespace mh::gpu {
 namespace {
 
+// Host-side (CPU) data handling: the paper's "CPU threads for data access"
+// running preprocess/postprocess (their count, bytes/s per thread and cost
+// per task), and the single dispatcher thread that rearranges and batches
+// data for the GPU (§III-A; cost per batch and staging bytes/s).
+constexpr std::size_t kDataThreads = 12;
+constexpr double kHostDataRate = 150e6;
+constexpr SimTime kHostTaskOverhead = SimTime::micros(30.0);
+constexpr SimTime kDispatchPerBatch = SimTime::millis(0.2);
+constexpr double kDispatchRate = 150e6;
+// Dispatcher cost per multiplication step: assembling the kernel's h-block
+// pointer tables (hundreds of pointers per kernel, §III-A "the dispatcher
+// CPU thread has to rearrange and batch data for the GPU").
+constexpr SimTime kDispatchPerStep = SimTime::micros(0.15);
+
 // Resolve a task's h-block transfer needs against the device cache.
 // Returns {touched, missed} block counts.
 std::pair<std::size_t, std::size_t> resolve_blocks(DeviceCache* cache,
@@ -36,35 +50,20 @@ SimTime enqueue_task_kernels(GpuDevice& device, const GpuTaskDesc& task,
                              SimTime ready) {
   const ApplyTaskShape& shape = task.shape;
   if (config.use_custom_kernel) {
-    if (config.gpu_rank_reduce) {
-      const bool dp = config.dynamic_parallelism;
-      const std::size_t sms =
-          dp ? custom_sms_required_reduced(shape, config.gpu_rank_fraction)
-             : custom_sms_required(shape);
+    const double fraction = config.gpu_rank_fraction;
+    if (config.dynamic_parallelism && fraction < 1.0) {
       return device.enqueue_kernel(
-          stream, sms,
-          custom_task_duration_reduced(device.spec(), shape, config.tuning,
-                                       config.gpu_rank_fraction, dp),
+          stream, custom_sms_required_reduced(shape, fraction),
+          custom_task_duration_reduced(device.spec(), shape, fraction,
+                                       /*dynamic_parallelism=*/true),
           ready);
     }
     return device.enqueue_kernel(stream, custom_sms_required(shape),
-                                 custom_task_duration(device.spec(), shape,
-                                                      config.tuning),
+                                 custom_task_duration(device.spec(), shape),
                                  ready);
   }
   const SimTime step =
-      cublas_step_duration(device.spec(), shape.rows(), shape.k,
-                           config.tuning);
-  if (config.cublas_aggregate) {
-    // One equivalent all-SM kernel. Host-side launches pipeline with device
-    // compute in steady state, so each step costs max(compute, launch);
-    // GpuDevice adds one launch overhead for the aggregate itself.
-    const SimTime per_step = max(step, device.spec().kernel_launch_overhead);
-    const SimTime dur = per_step * static_cast<double>(shape.steps()) -
-                        device.spec().kernel_launch_overhead;
-    return device.enqueue_kernel(stream, device.spec().num_sms,
-                                 max(dur, SimTime::zero()), ready);
-  }
+      cublas_step_duration(device.spec(), shape.rows(), shape.k);
   SimTime done = ready;
   for (std::size_t s = 0; s < shape.steps(); ++s) {
     done = device.enqueue_kernel(stream, device.spec().num_sms, step, done);
@@ -80,7 +79,6 @@ BatchTiming run_apply_batch(GpuDevice& device, DeviceCache* cache,
   MH_CHECK(!tasks.empty(), "empty batch");
   MH_CHECK(config.streams >= 1 && config.streams <= device.num_streams(),
            "stream count exceeds device streams");
-  MH_CHECK(config.data_threads >= 1, "need at least one data thread");
 
   BatchTiming timing;
   timing.start = start;
@@ -103,10 +101,10 @@ BatchTiming run_apply_batch(GpuDevice& device, DeviceCache* cache,
   // --- Preprocess: data threads fetch operands and hash inputs (parallel).
   SimTime prep = SimTime::zero();
   for (const GpuTaskDesc& task : tasks) {
-    prep += config.host_task_overhead +
-            SimTime::seconds(task.shape.tensor_bytes() / config.host_data_rate);
+    prep += kHostTaskOverhead +
+            SimTime::seconds(task.shape.tensor_bytes() / kHostDataRate);
   }
-  prep = prep / static_cast<double>(config.data_threads);
+  prep = prep / static_cast<double>(kDataThreads);
   timing.host_prep = prep;
   SimTime t = start + prep;
 
@@ -116,9 +114,8 @@ BatchTiming run_apply_batch(GpuDevice& device, DeviceCache* cache,
     std::size_t total_steps = 0;
     for (const GpuTaskDesc& task : tasks) total_steps += task.shape.steps();
     const SimTime dispatch_done =
-        t + config.dispatch_per_batch +
-        SimTime::seconds(in_bytes / config.dispatch_rate) +
-        config.dispatch_per_step * static_cast<double>(total_steps);
+        t + kDispatchPerBatch + SimTime::seconds(in_bytes / kDispatchRate) +
+        kDispatchPerStep * static_cast<double>(total_steps);
     timing.dispatch = dispatch_done - t;
     t = dispatch_done;
 
@@ -142,12 +139,11 @@ BatchTiming run_apply_batch(GpuDevice& device, DeviceCache* cache,
       std::vector<SimTime> stream_launch(config.streams, SimTime::zero());
       for (std::size_t i = 0; i < tasks.size(); ++i) {
         const auto& shape = tasks[i].shape;
-        const SimTime step = cublas_step_duration(device.spec(), shape.rows(),
-                                                  shape.k, config.tuning);
+        const SimTime step =
+            cublas_step_duration(device.spec(), shape.rows(), shape.k);
         sm_bound += step * static_cast<double>(shape.steps());
         stream_launch[i % config.streams] +=
-            device.spec().kernel_launch_overhead *
-            static_cast<double>(shape.steps());
+            kKernelLaunchOverhead * static_cast<double>(shape.steps());
       }
       SimTime launch_bound = SimTime::zero();
       for (SimTime s : stream_launch) launch_bound = max(launch_bound, s);
@@ -156,7 +152,7 @@ BatchTiming run_apply_batch(GpuDevice& device, DeviceCache* cache,
       // stream state stay consistent.
       kernels_done = device.enqueue_kernel(
           0, device.spec().num_sms,
-          max(span - device.spec().kernel_launch_overhead, SimTime::zero()),
+          max(span - kKernelLaunchOverhead, SimTime::zero()),
           xfer);
     } else if (!config.use_custom_kernel && !config.cublas_aggregate) {
       // Per-step cuBLAS kernels: interleave steps across tasks so that
@@ -173,8 +169,7 @@ BatchTiming run_apply_batch(GpuDevice& device, DeviceCache* cache,
           if (left[i] == 0) continue;
           const std::size_t stream = i % config.streams;
           const SimTime step = cublas_step_duration(
-              device.spec(), tasks[i].shape.rows(), tasks[i].shape.k,
-              config.tuning);
+              device.spec(), tasks[i].shape.rows(), tasks[i].shape.k);
           ready[i] = device.enqueue_kernel(stream, device.spec().num_sms,
                                            step, ready[i]);
           --left[i];
@@ -224,10 +219,10 @@ BatchTiming run_apply_batch(GpuDevice& device, DeviceCache* cache,
   // --- Postprocess: data threads accumulate results into the tree.
   SimTime post = SimTime::zero();
   for (const GpuTaskDesc& task : tasks) {
-    post += config.host_task_overhead +
-            SimTime::seconds(task.shape.tensor_bytes() / config.host_data_rate);
+    post += kHostTaskOverhead +
+            SimTime::seconds(task.shape.tensor_bytes() / kHostDataRate);
   }
-  post = post / static_cast<double>(config.data_threads);
+  post = post / static_cast<double>(kDataThreads);
   timing.host_post = post;
   timing.total_done = t + post;
 

@@ -44,32 +44,17 @@ struct BatchConfig {
   bool batched = true;       ///< paper's aggregation vs naive per-task port
   bool pinned = true;        ///< staged through pre-locked pinned slabs
   bool device_cache = true;  ///< write-once h cache on the device
-  /// Enqueue cuBLAS-like tasks as one aggregate kernel of equivalent
-  /// duration instead of one event per GEMM step (cluster-scale runs).
+  /// Book a batched cuBLAS-like batch as one analytic span instead of one
+  /// event per GEMM step (cluster-scale runs).
   bool cublas_aggregate = false;
 
-  /// Rank reduction on the GPU (paper §II-D): without dynamic parallelism
-  /// it changes nothing (SMs reserved at launch); with it (the paper's §VI
-  /// future work, Kepler) steps shrink by gpu_rank_fraction and the kernel
-  /// reserves only the SMs the reduced tiles need.
-  bool gpu_rank_reduce = false;
+  /// Rank reduction on the GPU (paper §II-D), kred/k with 1.0 = full rank:
+  /// without dynamic parallelism it changes nothing (SMs reserved at
+  /// launch); with it (the paper's §VI future work, Kepler) steps shrink by
+  /// this fraction and the kernel reserves only the SMs the reduced tiles
+  /// need.
   double gpu_rank_fraction = 1.0;
   bool dynamic_parallelism = false;
-
-  // Host-side (CPU) data handling: the paper's "CPU threads for data
-  // access" running preprocess/postprocess, and the single dispatcher
-  // thread that rearranges and batches data for the GPU (§III-A).
-  std::size_t data_threads = 12;
-  double host_data_rate = 150e6;  ///< bytes/s per data thread
-  SimTime host_task_overhead = SimTime::micros(30.0);  ///< per task
-  SimTime dispatch_per_batch = SimTime::millis(0.2);
-  double dispatch_rate = 150e6;  ///< dispatcher staging bytes/s
-  /// Dispatcher cost per multiplication step: assembling the kernel's
-  /// h-block pointer tables (hundreds of pointers per kernel, §III-A "the
-  /// dispatcher CPU thread has to rearrange and batch data for the GPU").
-  SimTime dispatch_per_step = SimTime::micros(0.15);
-
-  KernelTuning tuning;
 };
 
 struct BatchTiming {

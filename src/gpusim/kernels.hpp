@@ -52,31 +52,20 @@ struct ApplyTaskShape {
   }
 };
 
-/// Calibration constants of the kernel cost models. Defaults are tuned so
-/// the paper's comparative shapes (Tables I-VI, Figures 5-6) reproduce; see
-/// DESIGN.md §5 and EXPERIMENTS.md.
-struct KernelTuning {
-  // Custom fused kernel.
-  double custom_eff0 = 0.55;        ///< step efficiency as k -> 0
-  double custom_eff_kscale = 45.0;  ///< eff = eff0 / (1 + (k/kscale)^2)
-  SimTime barrier_cost = SimTime::micros(1.2);  ///< inter-block barrier/step
-  /// Shared memory per SM: once the working set (two tensor tiles + one h
-  /// block) spills past sms * this, efficiency degrades quadratically —
-  /// the regime where the paper switches to cuBLAS (4-D, large k).
-  double shared_mem_bytes = 48.0 * 1024.0;
-  /// Floor rate of a fully spilled kernel instance (global-memory-bound
-  /// streaming): the quadratic penalty bottoms out here.
-  double custom_spill_floor_flops = 2.0e9;
-  // cuBLAS-like per-step kernels (calibrated to ~20 GFLOPS at the k=10
-  // batched DGEMM shape and ~44 GFLOPS asymptotically on the M2090 —
-  // the small-matrix regime, far under the card's large-GEMM peak).
-  double cublas_eff_max = 0.075;      ///< asymptotic tiling efficiency
-  double cublas_halfwork = 2.5e4;     ///< flops/GEMM at half efficiency
-  SimTime cublas_min_kernel = SimTime::micros(1.0);  ///< per-kernel floor
-  /// Device-side subkernel launch cost (Kepler dynamic parallelism),
-  /// roughly an order cheaper than a host launch.
-  SimTime device_launch_overhead = SimTime::micros(0.8);
-};
+// Calibration constants of the kernel cost models that tests read; the
+// rest live in kernels.cpp. They are tuned so the paper's comparative
+// shapes (Tables I-VI, Figures 5-6) reproduce; see DESIGN.md §5 and
+// EXPERIMENTS.md.
+
+/// Inter-block barrier cost per step of the custom fused kernel.
+inline constexpr SimTime kBarrierCost = SimTime::micros(1.2);
+/// Shared memory per SM: once the custom kernel's working set (two tensor
+/// tiles + one h block) spills past sms * this, efficiency degrades
+/// quadratically — the regime where the paper switches to cuBLAS (4-D,
+/// large k).
+inline constexpr double kSharedMemBytes = 48.0 * 1024.0;
+/// Asymptotic tiling efficiency of the cuBLAS-like per-step kernels.
+inline constexpr double kCublasEffMax = 0.075;
 
 /// SMs the custom kernel must reserve: 2 for small tensors, 3 once the
 /// working set outgrows one SM's shared memory + register budget (§II-C).
@@ -85,8 +74,7 @@ std::size_t custom_sms_required(const ApplyTaskShape& shape);
 /// Duration of the custom fused kernel body (excludes launch overhead,
 /// which GpuDevice charges per kernel).
 SimTime custom_task_duration(const DeviceSpec& spec,
-                             const ApplyTaskShape& shape,
-                             const KernelTuning& tuning);
+                             const ApplyTaskShape& shape);
 
 /// --- CUDA 5 dynamic parallelism (the paper's §II-D / §VI future work) ---
 /// Rank reduction shrinks each multiplication to a kred x kred corner, but
@@ -106,20 +94,17 @@ std::size_t custom_sms_required_reduced(const ApplyTaskShape& shape,
 /// true, steps shrink by rank_fraction plus a per-step device-side launch.
 SimTime custom_task_duration_reduced(const DeviceSpec& spec,
                                      const ApplyTaskShape& shape,
-                                     const KernelTuning& tuning,
                                      double rank_fraction,
                                      bool dynamic_parallelism);
 
 /// Duration of ONE cuBLAS-like DGEMM step (excludes launch overhead).
 SimTime cublas_step_duration(const DeviceSpec& spec, std::size_t rows,
-                             std::size_t k, const KernelTuning& tuning);
+                             std::size_t k);
 
 /// Efficiency curves (exposed for tests and figure benches). The custom
 /// efficiency depends on the whole shape: tiles that spill shared memory
 /// pay a quadratic penalty.
-double custom_step_efficiency(const ApplyTaskShape& shape,
-                              const KernelTuning& tuning);
-double cublas_gemm_efficiency(double flops_per_gemm,
-                              const KernelTuning& tuning);
+double custom_step_efficiency(const ApplyTaskShape& shape);
+double cublas_gemm_efficiency(double flops_per_gemm);
 
 }  // namespace mh::gpu

@@ -75,11 +75,10 @@ TEST(PaperWorkloads, GroupStructureSupportsLocalityMaps) {
 
 TEST(PaperWorkloads, TitanConfigMatchesPaperSetup) {
   const auto cfg = titan_config();
-  EXPECT_EQ(cfg.batch_size, 60u);           // §III: batches of 60 tasks
-  EXPECT_EQ(cfg.node.cpu.cores, 16u);       // 16-core Interlagos
-  EXPECT_EQ(cfg.node.device.num_sms, 16u);  // Tesla M2090
-  EXPECT_EQ(cfg.node.gpu_streams, 6u);
-  EXPECT_EQ(cfg.gpu.data_threads, 12u);
+  EXPECT_EQ(cluster::kBatchSize, 60u);      // §III: batches of 60 tasks
+  EXPECT_EQ(cfg.cpu_compute_threads, 16u);  // 16-core Interlagos
+  EXPECT_EQ(cfg.gpu.streams, 6u);
+  EXPECT_TRUE(cfg.gpu.cublas_aggregate);
 }
 
 TEST(PaperWorkloads, RankFractionsAreReductions) {

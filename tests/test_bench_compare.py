@@ -18,12 +18,12 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(REPO, "tools", "bench_compare.py")
 
 
-def record(bench, scalars):
+def record(bench, scalars, direction="lower"):
     """A minimal BENCH record: scalars = [(name, value, gate), ...]."""
     return {
         "bench": bench,
         "scalars": [
-            {"name": n, "value": v, "direction": "lower", "gate": g}
+            {"name": n, "value": v, "direction": direction, "gate": g}
             for n, v, g in scalars
         ],
         "measures": [],
@@ -119,6 +119,32 @@ class BenchCompareTest(unittest.TestCase):
         self.write(self.cur_dir, record("sim", [("residual", 1e-3, True)]))
         code, out = self.run_compare()
         self.assertEqual(code, 1, out)
+
+    def test_negative_baseline_lower_is_better(self):
+        # -10 -> -5 rose (worse for lower-is-better); -10 -> -20 fell.
+        self.write(self.base_dir, record("sim", [("offset", -10.0, True)]))
+        self.write(self.cur_dir, record("sim", [("offset", -5.0, True)]))
+        code, out = self.run_compare()
+        self.assertEqual(code, 1, out)
+        self.assertIn("+50.0%", out)
+        self.write(self.cur_dir, record("sim", [("offset", -20.0, True)]))
+        code, out = self.run_compare()
+        self.assertEqual(code, 0, out)
+        self.assertIn("-100.0%", out)
+
+    def test_negative_baseline_higher_is_better(self):
+        # The mirror image: -10 -> -20 fell (worse); -10 -> -5 rose.
+        self.write(self.base_dir,
+                   record("sim", [("gain", -10.0, True)], "higher"))
+        self.write(self.cur_dir,
+                   record("sim", [("gain", -20.0, True)], "higher"))
+        code, out = self.run_compare()
+        self.assertEqual(code, 1, out)
+        self.assertIn("regressed", out)
+        self.write(self.cur_dir,
+                   record("sim", [("gain", -5.0, True)], "higher"))
+        code, out = self.run_compare()
+        self.assertEqual(code, 0, out)
 
 
 if __name__ == "__main__":

@@ -27,59 +27,54 @@ const gpu::ApplyTaskShape kBig3d{3, 30, 100};
 const gpu::ApplyTaskShape kTdse4d{4, 14, 100};
 
 TEST(CpuModel, PerCoreRateDeclinesWithWorkingSet) {
-  const CpuSpec spec = CpuSpec::titan_interlagos();
-  EXPECT_GT(per_core_rate(spec, kSmall3d), per_core_rate(spec, kBig3d));
-  EXPECT_GT(per_core_rate(spec, kSmall3d), per_core_rate(spec, kTdse4d));
+  EXPECT_GT(per_core_rate(kSmall3d), per_core_rate(kBig3d));
+  EXPECT_GT(per_core_rate(kSmall3d), per_core_rate(kTdse4d));
   // Small 3-D tensors run near the hand-tuned 6 GFLOPS/core figure.
-  EXPECT_GT(per_core_rate(spec, kSmall3d), 4.0e9);
-  EXPECT_LE(per_core_rate(spec, kSmall3d), 6.0e9);
+  EXPECT_GT(per_core_rate(kSmall3d), 4.0e9);
+  EXPECT_LE(per_core_rate(kSmall3d), 6.0e9);
 }
 
 TEST(CpuModel, TaskTimeScalesWithFlopsAndRankFraction) {
-  const CpuSpec spec = CpuSpec::titan_interlagos();
-  const SimTime full = cpu_task_time(spec, kSmall3d);
+  const SimTime full = cpu_task_time(kSmall3d);
   EXPECT_GT(full.sec(), 0.0);
-  const SimTime reduced = cpu_task_time(spec, kSmall3d, 0.4);
+  const SimTime reduced = cpu_task_time(kSmall3d, 0.4);
   EXPECT_NEAR(reduced.sec(), 0.4 * full.sec(), 1e-15);
-  EXPECT_THROW(cpu_task_time(spec, kSmall3d, 0.0), Error);
-  EXPECT_THROW(cpu_task_time(spec, kSmall3d, 1.5), Error);
+  EXPECT_THROW(cpu_task_time(kSmall3d, 0.0), Error);
+  EXPECT_THROW(cpu_task_time(kSmall3d, 1.5), Error);
 }
 
 TEST(CpuModel, ThreadScalingIsSublinearButReal) {
-  const CpuSpec spec = CpuSpec::titan_interlagos();
-  const double s1 = thread_speedup(spec, kSmall3d, 1);
-  const double s2 = thread_speedup(spec, kSmall3d, 2);
-  const double s16 = thread_speedup(spec, kSmall3d, 16);
+  const double s1 = thread_speedup(kSmall3d, 1);
+  const double s2 = thread_speedup(kSmall3d, 2);
+  const double s16 = thread_speedup(kSmall3d, 16);
   EXPECT_NEAR(s1, 1.0, 1e-12);
   EXPECT_GT(s2, 1.7);
   EXPECT_LT(s2, 2.0 + 1e-12);
   EXPECT_GT(s16, 5.0);   // Table I: ~6.7x at 16 threads
   EXPECT_LT(s16, 9.0);
-  EXPECT_GT(s16, thread_speedup(spec, kSmall3d, 8));
+  EXPECT_GT(s16, thread_speedup(kSmall3d, 8));
 }
 
 TEST(CpuModel, LargeWorkingSetSaturatesAroundTenThreads) {
-  const CpuSpec spec = CpuSpec::titan_interlagos();
   // k = 30 working set overflows the aggregate L2 (Table V discussion).
-  const double s10 = thread_speedup(spec, kBig3d, 10);
-  const double s16 = thread_speedup(spec, kBig3d, 16);
+  const double s10 = thread_speedup(kBig3d, 10);
+  const double s16 = thread_speedup(kBig3d, 16);
   EXPECT_NEAR(s10, s16, 1e-12);  // no benefit past the saturation cap
   // The small shape keeps scaling to 16.
-  EXPECT_GT(thread_speedup(spec, kSmall3d, 16),
-            thread_speedup(spec, kSmall3d, 10));
+  EXPECT_GT(thread_speedup(kSmall3d, 16),
+            thread_speedup(kSmall3d, 10));
 }
 
 TEST(CpuModel, BatchQuantizationPenalizesTinyBatches) {
-  const CpuSpec spec = CpuSpec::titan_interlagos();
-  const SimTime t1 = cpu_batch_time(spec, kSmall3d, 1, 16);
-  const SimTime t16 = cpu_batch_time(spec, kSmall3d, 16, 16);
+  const SimTime t1 = cpu_batch_time(kSmall3d, 1, 16);
+  const SimTime t16 = cpu_batch_time(kSmall3d, 16, 16);
   // One task on 16 threads still costs one full (contended) round: the
   // other 15 cores idle.
   EXPECT_NEAR(t1.sec(), t16.sec(), 1e-12);
   // Full batches amortize: 160 tasks = 10 rounds.
-  const SimTime t160 = cpu_batch_time(spec, kSmall3d, 160, 16);
+  const SimTime t160 = cpu_batch_time(kSmall3d, 160, 16);
   EXPECT_NEAR(t160.sec(), 10.0 * t16.sec(), 1e-12);
-  EXPECT_DOUBLE_EQ(cpu_batch_time(spec, kSmall3d, 0, 16).sec(), 0.0);
+  EXPECT_DOUBLE_EQ(cpu_batch_time(kSmall3d, 0, 16).sec(), 0.0);
 }
 
 TEST(ProcessMap, EvenMapDistributesWithRemainder) {

@@ -19,7 +19,7 @@ TEST(DeviceSpec, PresetsAreSane) {
   const DeviceSpec m2090 = DeviceSpec::tesla_m2090();
   EXPECT_EQ(m2090.num_sms, 16u);
   EXPECT_NEAR(m2090.flops_per_sm * 16.0, 665e9, 1e9);
-  EXPECT_GT(m2090.pinned_bandwidth, 1.9 * m2090.pageable_bandwidth);
+  EXPECT_GT(kPinnedBandwidth, 1.9 * kPageableBandwidth);
   const DeviceSpec gtx = DeviceSpec::gtx480();
   EXPECT_EQ(gtx.num_sms, 15u);
   EXPECT_LT(gtx.flops_per_sm, m2090.flops_per_sm);  // GeForce DP is capped
@@ -36,8 +36,8 @@ TEST(GpuDevice, TransferTimeScalesWithBytesAndBandwidth) {
   // Page-locked transfers at least double the speed (paper §II-A).
   EXPECT_GT(pageable.sec(), 1.9 * pinned.sec());
   EXPECT_NEAR(pinned.sec(),
-              dev.spec().transfer_latency.sec() +
-                  bytes / dev.spec().pinned_bandwidth,
+              kTransferLatency.sec() +
+                  bytes / kPinnedBandwidth,
               1e-12);
 }
 
@@ -46,7 +46,7 @@ TEST(GpuDevice, CopyEngineSerializesTransfersAcrossStreams) {
   const double bytes = 8e6;
   const SimTime a = dev.enqueue_transfer(0, bytes, true, SimTime::zero());
   const SimTime b = dev.enqueue_transfer(1, bytes, true, SimTime::zero());
-  EXPECT_GE(b.sec(), a.sec() + bytes / dev.spec().pinned_bandwidth - 1e-12);
+  EXPECT_GE(b.sec(), a.sec() + bytes / kPinnedBandwidth - 1e-12);
 }
 
 TEST(GpuDevice, SameStreamOperationsSerialize) {
@@ -95,7 +95,7 @@ TEST(GpuDevice, LaunchOverheadIsCharged) {
   GpuDevice dev(DeviceSpec::tesla_m2090(), 1);
   const SimTime done =
       dev.enqueue_kernel(0, 1, SimTime::zero(), SimTime::zero());
-  EXPECT_NEAR(done.sec(), dev.spec().kernel_launch_overhead.sec(), 1e-15);
+  EXPECT_NEAR(done.sec(), kKernelLaunchOverhead.sec(), 1e-15);
 }
 
 TEST(GpuDevice, StatsAndOccupancyAccounting) {
@@ -128,64 +128,58 @@ TEST(Kernels, SmRequirementGrowsWithTensorSize) {
 }
 
 TEST(Kernels, CustomEfficiencyDecreasesWithK) {
-  const KernelTuning t;
   const ApplyTaskShape k10{3, 10, 100}, k20{3, 20, 100}, k28{3, 28, 100};
-  EXPECT_GT(custom_step_efficiency(k10, t), custom_step_efficiency(k20, t));
-  EXPECT_GT(custom_step_efficiency(k20, t), custom_step_efficiency(k28, t));
+  EXPECT_GT(custom_step_efficiency(k10), custom_step_efficiency(k20));
+  EXPECT_GT(custom_step_efficiency(k20), custom_step_efficiency(k28));
 }
 
 TEST(Kernels, SharedMemorySpillCrushesLargeTiles) {
-  const KernelTuning t;
   // k = 20 in 3-D still fits 3 SMs' shared memory; k = 28 spills hard.
   const ApplyTaskShape fits{3, 20, 100}, spills{3, 28, 100};
-  EXPECT_GT(custom_step_efficiency(fits, t) /
-                custom_step_efficiency(spills, t),
+  EXPECT_GT(custom_step_efficiency(fits) /
+                custom_step_efficiency(spills),
             3.0);
   // Every 4-D shape spills — the reason the paper uses cuBLAS for TDSE.
   const ApplyTaskShape tdse{4, 14, 100};
   const double ws = 2.0 * tdse.tensor_bytes() + tdse.h_block_bytes();
-  EXPECT_GT(ws, 3.0 * t.shared_mem_bytes);
+  EXPECT_GT(ws, 3.0 * kSharedMemBytes);
 }
 
 TEST(Kernels, CublasEfficiencyIncreasesWithWork) {
-  const KernelTuning t;
-  EXPECT_LT(cublas_gemm_efficiency(2e4, t), cublas_gemm_efficiency(2e5, t));
-  EXPECT_LT(cublas_gemm_efficiency(2e5, t), cublas_gemm_efficiency(2e6, t));
-  EXPECT_LE(cublas_gemm_efficiency(1e12, t), t.cublas_eff_max);
+  EXPECT_LT(cublas_gemm_efficiency(2e4), cublas_gemm_efficiency(2e5));
+  EXPECT_LT(cublas_gemm_efficiency(2e5), cublas_gemm_efficiency(2e6));
+  EXPECT_LE(cublas_gemm_efficiency(1e12), kCublasEffMax);
 }
 
 TEST(Kernels, TypicalCustom3DKernelIsOrderOneMillisecond) {
   // Paper §II-A: a typical 3-D MADNESS CUDA kernel runs ~1 ms.
   const ApplyTaskShape shape{3, 10, 100};
-  const SimTime dur = custom_task_duration(DeviceSpec::tesla_m2090(), shape,
-                                           KernelTuning{});
+  const SimTime dur = custom_task_duration(DeviceSpec::tesla_m2090(), shape);
   EXPECT_GT(dur.ms(), 0.2);
   EXPECT_LT(dur.ms(), 5.0);
 }
 
 TEST(Kernels, CustomBeatsCublasPerTaskAtSmallK) {
   const DeviceSpec spec = DeviceSpec::tesla_m2090();
-  const KernelTuning tuning;
   const ApplyTaskShape shape{3, 10, 100};
-  const SimTime custom = custom_task_duration(spec, shape, tuning) +
-                         spec.kernel_launch_overhead;
+  const SimTime custom = custom_task_duration(spec, shape) +
+                         kKernelLaunchOverhead;
   const SimTime cublas =
-      (cublas_step_duration(spec, shape.rows(), shape.k, tuning) +
-       spec.kernel_launch_overhead) *
+      (cublas_step_duration(spec, shape.rows(), shape.k) +
+       kKernelLaunchOverhead) *
       static_cast<double>(shape.steps());
   EXPECT_GT(cublas / custom, 1.5);
 }
 
 TEST(Kernels, CublasCatchesUpAtLargeK) {
   const DeviceSpec spec = DeviceSpec::tesla_m2090();
-  const KernelTuning tuning;
   auto ratio = [&](std::size_t k) {
     const ApplyTaskShape shape{3, k, 100};
-    const SimTime custom = custom_task_duration(spec, shape, tuning) +
-                           spec.kernel_launch_overhead;
+    const SimTime custom = custom_task_duration(spec, shape) +
+                           kKernelLaunchOverhead;
     const SimTime cublas =
-        (cublas_step_duration(spec, shape.rows(), shape.k, tuning) +
-         spec.kernel_launch_overhead) *
+        (cublas_step_duration(spec, shape.rows(), shape.k) +
+         kKernelLaunchOverhead) *
         static_cast<double>(shape.steps());
     return cublas / custom;
   };
@@ -198,20 +192,18 @@ TEST(Kernels, RankReductionWithoutDynamicParallelismGainsNothing) {
   // Paper §II-D: the SMs were already reserved, so the reduced kernel runs
   // exactly as long as the full one.
   const DeviceSpec spec = DeviceSpec::tesla_m2090();
-  const KernelTuning tuning;
   const ApplyTaskShape shape{3, 30, 100};
-  const SimTime full = custom_task_duration(spec, shape, tuning);
+  const SimTime full = custom_task_duration(spec, shape);
   const SimTime reduced = custom_task_duration_reduced(
-      spec, shape, tuning, /*rank_fraction=*/0.33, /*dp=*/false);
+      spec, shape, /*rank_fraction=*/0.33, /*dp=*/false);
   EXPECT_DOUBLE_EQ(full.sec(), reduced.sec());
 }
 
 TEST(Kernels, DynamicParallelismMakesRankReductionPayOff) {
   const DeviceSpec spec = DeviceSpec::tesla_m2090();
-  const KernelTuning tuning;
   const ApplyTaskShape shape{3, 30, 100};
-  const SimTime full = custom_task_duration(spec, shape, tuning);
-  const SimTime dp = custom_task_duration_reduced(spec, shape, tuning, 0.33,
+  const SimTime full = custom_task_duration(spec, shape);
+  const SimTime dp = custom_task_duration_reduced(spec, shape, 0.33,
                                                   /*dp=*/true);
   EXPECT_LT(dp.sec(), full.sec());
   // For small tiles the SM reservation also shrinks — more kernels fit
@@ -227,17 +219,15 @@ TEST(Kernels, DynamicParallelismLaunchCostBoundsTheGain) {
   // At full rank, dynamic parallelism only adds device-side launches; the
   // duration must not be shorter than the plain kernel.
   const DeviceSpec spec = DeviceSpec::tesla_m2090();
-  const KernelTuning tuning;
   const ApplyTaskShape shape{3, 10, 100};
-  const SimTime plain = custom_task_duration(spec, shape, tuning);
+  const SimTime plain = custom_task_duration(spec, shape);
   const SimTime dp_full =
-      custom_task_duration_reduced(spec, shape, tuning, 1.0, /*dp=*/true);
+      custom_task_duration_reduced(spec, shape, 1.0, /*dp=*/true);
   // Same SMs at full rank for small shapes is not guaranteed, but the
   // per-step launch overhead must appear in the duration.
   EXPECT_GT(dp_full.sec() + 1e-12,
-            plain.sec() - shape.steps() * tuning.barrier_cost.sec());
-  EXPECT_THROW(custom_task_duration_reduced(spec, shape, tuning, 0.0, true),
-               Error);
+            plain.sec() - shape.steps() * kBarrierCost.sec());
+  EXPECT_THROW(custom_task_duration_reduced(spec, shape, 0.0, true), Error);
 }
 
 TEST(DeviceCache, HitsAndMissesAccounted) {
@@ -421,11 +411,10 @@ TEST(Executor, StatisticalBlockCountsMatchExplicitIds) {
 
 TEST(Executor, GpuRankReductionNeedsDynamicParallelismToHelp) {
   const auto batch = make_batch(60, 30, 3, 100, 50);
-  auto run = [&](bool rr, bool dp) {
+  auto run = [&](double rank_fraction, bool dp) {
     BatchConfig cfg;
     cfg.streams = 6;
-    cfg.gpu_rank_reduce = rr;
-    cfg.gpu_rank_fraction = 0.33;
+    cfg.gpu_rank_fraction = rank_fraction;
     cfg.dynamic_parallelism = dp;
     GpuDevice dev(DeviceSpec::tesla_m2090(), 8);
     DeviceCache cache(dev.spec().memory_bytes);
@@ -433,9 +422,9 @@ TEST(Executor, GpuRankReductionNeedsDynamicParallelismToHelp) {
         .elapsed()
         .sec();
   };
-  const double baseline = run(false, false);
-  const double fermi_rr = run(true, false);
-  const double kepler_rr = run(true, true);
+  const double baseline = run(1.0, false);
+  const double fermi_rr = run(0.33, false);
+  const double kepler_rr = run(0.33, true);
   EXPECT_DOUBLE_EQ(baseline, fermi_rr);  // paper's §II-D observation
   EXPECT_LT(kepler_rr, 0.8 * baseline);  // the §VI projected win
 }

@@ -307,25 +307,23 @@ TEST(FourDimensionalApply, SeparableClosedFormHolds) {
 // ---------------------------------------------------------------------------
 TEST(SimulatorProperties, CustomKernelDurationMonotoneInShape) {
   const gpu::DeviceSpec spec = gpu::DeviceSpec::tesla_m2090();
-  const gpu::KernelTuning tuning;
   double prev = 0.0;
   for (std::size_t k : {8u, 10u, 14u, 20u, 24u, 28u}) {
     const double d =
-        gpu::custom_task_duration(spec, {3, k, 100}, tuning).sec();
+        gpu::custom_task_duration(spec, {3, k, 100}).sec();
     EXPECT_GT(d, prev) << "k=" << k;
     prev = d;
   }
   // And in the term count at fixed k.
-  EXPECT_LT(gpu::custom_task_duration(spec, {3, 10, 50}, tuning).sec(),
-            gpu::custom_task_duration(spec, {3, 10, 200}, tuning).sec());
+  EXPECT_LT(gpu::custom_task_duration(spec, {3, 10, 50}).sec(),
+            gpu::custom_task_duration(spec, {3, 10, 200}).sec());
 }
 
 TEST(SimulatorProperties, CublasStepMonotoneInRows) {
   const gpu::DeviceSpec spec = gpu::DeviceSpec::tesla_m2090();
-  const gpu::KernelTuning tuning;
   double prev = 0.0;
   for (std::size_t rows : {100u, 400u, 2744u, 21952u}) {
-    const double d = gpu::cublas_step_duration(spec, rows, 14, tuning).sec();
+    const double d = gpu::cublas_step_duration(spec, rows, 14).sec();
     EXPECT_GE(d, prev) << "rows=" << rows;
     prev = d;
   }
@@ -354,7 +352,7 @@ TEST(SimulatorProperties, GpuModeMonotoneInStreams) {
   const cluster::NodeLoads loads{w.tasks};
   double prev = 1e300;
   for (std::size_t streams : {1u, 2u, 4u, 6u}) {
-    cfg.node.gpu_streams = streams;
+    cfg.gpu.streams = streams;
     const auto r = cluster::run_cluster_apply(w, loads, cfg);
     ASSERT_TRUE(r.feasible);
     EXPECT_LE(r.makespan.sec(), prev + 1e-9) << streams << " streams";

@@ -4,14 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numbers>
+#include <set>
 #include <span>
+#include <sstream>
 #include <vector>
 
 #include "common/diagnostics.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "differential.hpp"
 #include "linalg/batch_gemm.hpp"
 #include "mra/twoscale.hpp"
 #include "ops/apply.hpp"
@@ -483,6 +490,167 @@ TEST(NsApply, BatchedEngineMatchesPerTermComposition) {
     const Tensor& expect = ref.leaf_coeffs(key);
     ASSERT_EQ(got.size(), expect.size());
     EXPECT_LE(max_abs_diff(got, expect), 1e-12 * scale);
+  }
+}
+
+// The differential tier's nonstandard-form slice: apply_nonstandard
+// against the per-term composition on the generated inputs of
+// differential.hpp, within 1e-12 of the result's largest magnitude and
+// with the same logical work. The NS Apply has no rank reduction, so the
+// cases' rank options go unused. A failure names the case's seed.
+TEST(NsApplyDifferential, GeneratedInputsMatchPerTermComposition) {
+  constexpr std::uint64_t kFirstSeed = 20261019;
+  constexpr std::uint64_t kCases = 32;
+  for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kCases; ++seed) {
+    const DifferentialCase c = draw_case(seed);
+    SCOPED_TRACE(describe(seed, c));
+    const SeparatedConvolution op(c.params, c.kernel);
+    ApplyStats stats, want;
+    const mra::Function g = apply_nonstandard(op, c.f, &stats);
+    const mra::Function ref = from_nonstandard(
+        composed_nonstandard(op, NsForm::from(c.f), want), c.f.params());
+    ASSERT_EQ(stats.tasks, want.tasks);
+    ASSERT_EQ(stats.gemms, want.gemms);
+    const std::vector<mra::Key> keys = ref.leaf_keys();
+    ASSERT_EQ(g.leaf_keys(), keys);
+    double scale = 0.0;
+    for (const mra::Key& key : keys)
+      for (const double x : ref.leaf_coeffs(key).flat())
+        scale = std::max(scale, std::abs(x));
+    for (const mra::Key& key : keys) {
+      ASSERT_LE(max_abs_diff(g.leaf_coeffs(key), ref.leaf_coeffs(key)),
+                1e-12 * scale)
+          << key;
+    }
+  }
+}
+
+// 64-bit hash of a tensor's coefficient bits.
+std::uint64_t hash_bits(std::uint64_t h, const Tensor& t) {
+  for (const double x : t.flat())
+    h = hash_combine(h, std::bit_cast<std::uint64_t>(x));
+  return h;
+}
+
+// A function's leaf coefficients, hashed in leaf_keys() order.
+std::uint64_t hash_leaves(const mra::Function& f) {
+  std::uint64_t h = 0;
+  for (const mra::Key& key : f.leaf_keys())
+    h = hash_bits(h, f.leaf_coeffs(key));
+  return h;
+}
+
+// The operator blocks that tasks from `sources` read: every term's block
+// at each (level, displacement component) a task of theirs names, in
+// (level, component, term) order; `ns` picks ns_block's kFull and, above
+// level 0, kSsOnly blocks instead of h_block.
+std::uint64_t hash_blocks(const SeparatedConvolution& op,
+                          const std::vector<mra::Key>& sources, bool ns) {
+  using NsPart = SeparatedConvolution::NsPart;
+  std::set<std::pair<int, std::int64_t>> read;
+  for (const mra::Key& key : sources) {
+    for_each_task(op, key, [&](const mra::Key&, const Displacement& disp) {
+      for (std::size_t dim = 0; dim < op.params().ndim; ++dim)
+        read.insert({key.level(), disp[dim]});
+    });
+  }
+  std::uint64_t h = 0;
+  for (const auto& [n, m] : read) {
+    for (std::size_t mu = 0; mu < op.rank(); ++mu) {
+      if (!ns) {
+        h = hash_bits(h, *op.h_block(mu, n, m));
+        continue;
+      }
+      h = hash_bits(h, *op.ns_block(mu, n, m, NsPart::kFull));
+      if (n > 0) h = hash_bits(h, *op.ns_block(mu, n, m, NsPart::kSsOnly));
+    }
+  }
+  return h;
+}
+
+// Golden hashes of both Apply paths on the first 24 generated inputs of
+// differential.hpp (raw coefficients, no projection): ops::apply with the
+// case's options and apply_nonstandard, each beside the hash of the
+// operator blocks it reads, so a failure says whether the operator or the
+// Apply moved. Every other Apply test compares two paths of this code; this
+// one holds them to values fixed outside it. The values are IEEE-exact on
+// any conforming double arithmetic (the GEMM units compile without FMA
+// contraction), so a hash moves only when an output bit does.
+TEST(ApplyGolden, OutputsHashToPinnedValues) {
+  constexpr std::uint64_t kFirstSeed = 20261019;
+  struct Golden {
+    std::uint64_t apply, h_blocks, nonstandard, ns_blocks;
+  };
+  constexpr std::array<Golden, 24> kGolden{{
+      {0x1629ed1c6f0b3fd8ULL, 0x53fbae19fbc483a7ULL, 0xf3a443bf582e32c6ULL,
+       0xf993f4364e3332b4ULL},
+      {0xb4d8a30b5a38050cULL, 0x1dd70c581cbd7fcfULL, 0x22597ed492af196dULL,
+       0xc796826c199a8368ULL},
+      {0xff3c33514e8d417aULL, 0xe9b6bd280ac52074ULL, 0xb6b0b581e66bdb59ULL,
+       0xa3da0c1f6df2dfc0ULL},
+      {0x1f2d43f01c2196aaULL, 0x48dd394050aad05cULL, 0x1eff9eed20bcd26cULL,
+       0x686036e79a7fb4e2ULL},
+      {0x4dd012349682daa0ULL, 0xe8463f34b29c6958ULL, 0xc9e4d04fdf7f16beULL,
+       0x4458bcd2e9f6884fULL},
+      {0x209d2b38b1886981ULL, 0x8271af2cf57ed2e7ULL, 0x0c372d8627afa296ULL,
+       0x56e1ff697cece4e2ULL},
+      {0x59a1f0b726eca8feULL, 0x69b6cd70101397adULL, 0xd28858831b83d225ULL,
+       0x8b23ef41e17d3c8bULL},
+      {0x722eddb490f63235ULL, 0x109ab44378e0071bULL, 0xefabd21161cb1045ULL,
+       0xb4388d5fb5df8b74ULL},
+      {0x65fca8f7a264f2efULL, 0x7d7176f3bc9b7a32ULL, 0x79292d54525c2b2eULL,
+       0x061ee84866a991a7ULL},
+      {0x8a31e03155d79529ULL, 0x471bbeff2e09bd77ULL, 0xb8458b5d66a06903ULL,
+       0x351500952f0eeb5bULL},
+      {0xf89c8c228992c466ULL, 0xdc9ba6f5f4147a4dULL, 0x6c44ef67c8dc7630ULL,
+       0xbe397fb46832215eULL},
+      {0xaf631341e5d941bfULL, 0x14343a24e480ffc6ULL, 0xfe23ffb351253e5dULL,
+       0x64685a603381cc6eULL},
+      {0xeb4f4197b723dd5aULL, 0x63816e77ecf0f2a0ULL, 0x23c3a2dcea31b2b2ULL,
+       0xdd651779f0050578ULL},
+      {0x8f2a5e1e0b4854a3ULL, 0x173d538fa5a53ab9ULL, 0xc7a901a4bd5181e6ULL,
+       0xb51b14d143da3ca2ULL},
+      {0x0b4d0f4349218e4cULL, 0xb25a0f3ef8fea5d4ULL, 0x41b8ce6894b6bee7ULL,
+       0x851fb87993be57c8ULL},
+      {0x2115353b4bdda1d3ULL, 0x22706749e1a94638ULL, 0xa0cc6b7434b61e53ULL,
+       0x3db9df51131de3aaULL},
+      {0x5e4e34bae4f97793ULL, 0x3108ab70125af998ULL, 0xb0ef0581a500ba99ULL,
+       0x43ef3832cd323bb8ULL},
+      {0x6b0649243e29d04fULL, 0x21e74dc5fb247bc7ULL, 0x7530d728240fa7afULL,
+       0x8c517af0d3344bdaULL},
+      {0xf24b47536262e54dULL, 0xf4bf565b51e2dfb7ULL, 0x28aec9ce4204dabfULL,
+       0xf174c3e592258ea5ULL},
+      {0xe7a06338df9fcafeULL, 0x78188eece32f1cb4ULL, 0x2117c40dd9c68445ULL,
+       0x8d13874a185eb5eeULL},
+      {0xdaf33c9fe024c74fULL, 0x5231c756af3886b8ULL, 0xc3fc3898b74698ceULL,
+       0xd9dbc250b557409eULL},
+      {0xe4eb6b4813da4848ULL, 0x87100e766e8c3a40ULL, 0x5cacf6cd5fc54e50ULL,
+       0x5ca9812cd359c24cULL},
+      {0x946fc30f5620a4beULL, 0xe2960cb3b3de8d2dULL, 0x55be34bfb1986a20ULL,
+       0x9e251457d6743524ULL},
+      {0x166f12684b6e2856ULL, 0xa6a0c08a2f6c3507ULL, 0x270ec855856b0939ULL,
+       0x267d128df5d55c56ULL},
+  }};
+  for (std::uint64_t i = 0; i < kGolden.size(); ++i) {
+    const std::uint64_t seed = kFirstSeed + i;
+    const DifferentialCase c = draw_case(seed);
+    std::ostringstream trace;
+    trace << describe(seed, c) << " rank_tol="
+          << (c.opts.rank_reduce ? c.opts.rank_tol : 0.0);
+    SCOPED_TRACE(trace.str());
+    const SeparatedConvolution op(c.params, c.kernel);
+    const NsForm ns = NsForm::from(c.f);
+    std::vector<mra::Key> ns_nodes;
+    for (const auto& node : ns.nodes()) ns_nodes.push_back(node.first);
+    const Golden got{hash_leaves(apply(op, c.f, c.opts)),
+                     hash_blocks(op, c.f.leaf_keys(), /*ns=*/false),
+                     hash_leaves(apply_nonstandard(op, c.f)),
+                     hash_blocks(op, ns_nodes, /*ns=*/true)};
+    EXPECT_EQ(got.h_blocks, kGolden[i].h_blocks) << "operator h blocks";
+    EXPECT_EQ(got.apply, kGolden[i].apply) << "ops::apply output";
+    EXPECT_EQ(got.ns_blocks, kGolden[i].ns_blocks) << "nonstandard blocks";
+    EXPECT_EQ(got.nonstandard, kGolden[i].nonstandard)
+        << "apply_nonstandard output";
   }
 }
 

@@ -4,8 +4,12 @@
 Every bench binary writes one BENCH_<name>.json (see bench/bench_harness.hpp)
 containing scalars (deterministic simulated results) and measures (wall-clock
 summaries). Entries carry a direction ("lower"/"higher" is better) and a
-`gate` flag: only gated entries can fail this script — deterministic
-simulated-time results gate, native wall-clock results ride along as context.
+`gate` flag: only gated entries can fail this script. The deterministic
+simulated-time results gate, and so does one wall-clock ratio
+(bench_kernels_micro's flight_recorder_overhead_ratio); every other
+wall-clock result rides along as context. A gated entry fails when its
+signed change relative to |baseline| moves past the threshold in its worse
+direction, so negative baselines compare the right way round.
 
 Exit status: 0 when every gated entry is within the threshold of its
 baseline, 1 on any regression (or a gated entry/file missing from the
@@ -178,20 +182,23 @@ def compare(bench, base, cur, threshold, zero_epsilon, zero_tolerance):
             rows.append((bench, key, base_val, cur_val,
                          f"{delta:+.3g} abs", "FAIL" if worse else "ok"))
             continue
-        ratio = cur_val / base_val
-        delta_pct = f"{(ratio - 1.0) * 100:+.1f}%"
+        # Signed change against |baseline|: positive means the value rose,
+        # whatever the baseline's sign (a plain cur/base ratio flips the
+        # verdict when the baseline is negative).
+        change = (cur_val - base_val) / abs(base_val)
+        delta_pct = f"{change * 100:+.1f}%"
         worse = False
-        if direction == "lower" and ratio > 1.0 + threshold:
+        if direction == "lower" and change > threshold:
             worse = True
             failures.append(
                 f"{bench}: {key} regressed {base_val:.6g} -> {cur_val:.6g} "
-                f"(+{(ratio - 1.0) * 100:.1f}%, limit +{threshold * 100:.0f}%)"
+                f"(+{change * 100:.1f}%, limit +{threshold * 100:.0f}%)"
             )
-        elif direction == "higher" and ratio < 1.0 - threshold:
+        elif direction == "higher" and change < -threshold:
             worse = True
             failures.append(
                 f"{bench}: {key} regressed {base_val:.6g} -> {cur_val:.6g} "
-                f"(-{(1.0 - ratio) * 100:.1f}%, limit -{threshold * 100:.0f}%)"
+                f"({change * 100:.1f}%, limit -{threshold * 100:.0f}%)"
             )
         rows.append((bench, key, base_val, cur_val, delta_pct,
                      "FAIL" if worse else "ok"))
