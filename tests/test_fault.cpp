@@ -137,6 +137,33 @@ TEST(FaultInjector, SitesHaveIndependentStreams) {
   EXPECT_EQ(kernel_alone, kernel_mixed);
 }
 
+TEST(FaultInjector, KeptSiteStreamsArePinned) {
+  // The first 64 decisions of p=0.5 under seed 42, bit i = event i + 1.
+  // Each site's stream is seeded from (seed, salt) with a salt that never
+  // changes, so a seeded chaos run injects the same events at a site
+  // whatever other sites exist, and whether or not the other site is armed.
+  constexpr std::uint64_t kGpuKernelMask = 0xcf7ed2dd6c1e7304ULL;
+  constexpr std::uint64_t kSendMask = 0x057fa04d9cf40f13ULL;
+  const auto draw = [](FaultInjector& fi, FaultSite site) {
+    std::uint64_t mask = 0;
+    for (int i = 0; i < 64; ++i) {
+      if (fi.should_fail(site)) mask |= std::uint64_t{1} << i;
+    }
+    return mask;
+  };
+  for (const FaultSite site : {FaultSite::kGpuKernel, FaultSite::kSend}) {
+    FaultInjector alone(42);
+    alone.set_rule(site, prob_rule(0.5));
+    EXPECT_EQ(draw(alone, site),
+              site == FaultSite::kGpuKernel ? kGpuKernelMask : kSendMask)
+        << fault::site_name(site);
+  }
+  FaultInjector both(42);
+  both.configure("gpu_kernel:p=0.5;send:p=0.5;seed=42");
+  EXPECT_EQ(draw(both, FaultSite::kGpuKernel), kGpuKernelMask);
+  EXPECT_EQ(draw(both, FaultSite::kSend), kSendMask);
+}
+
 TEST(FaultInjector, StallReturnsConfiguredDelay) {
   FaultInjector fi(1);
   SiteRule rule;

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <latch>
 #include <mutex>
 #include <random>
 #include <set>
@@ -170,6 +171,33 @@ TEST(ThreadPool, SelfResubmittingTaskDoesNotStarveLaterWork) {
   EXPECT_LT(pos(kOutside), pos(kResubmits));
   // Submission order exactly: first link, outside task, then the chain.
   EXPECT_EQ(pos(kOutside), 1);
+}
+
+TEST(ThreadPool, BlockedWorkerPinsOnlyItself) {
+  // A slow worker pins only itself: while one worker is held inside its
+  // task, the other keeps draining the shared FIFO queue.
+  ThreadPool pool(2);
+  std::latch release(1);
+  std::atomic<bool> blocked_running{false}, blocked_done{false};
+  pool.submit([&] {
+    blocked_running = true;
+    release.wait();
+    blocked_done = true;
+  });
+  while (!blocked_running) std::this_thread::sleep_for(100us);
+
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 20; ++i) {
+    pool.submit([&ran] { ++ran; });
+  }
+  // All 20 finish on the free worker while the first is still held.
+  while (ran.load() < 20) std::this_thread::sleep_for(100us);
+  EXPECT_FALSE(blocked_done.load());
+
+  release.count_down();
+  pool.wait_idle();
+  EXPECT_TRUE(blocked_done.load());
+  EXPECT_EQ(pool.executed(), 21u);
 }
 
 TEST(Dispatch, OptimalFractionFormula) {
