@@ -26,7 +26,6 @@
 #include "linalg/batch_gemm.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_reader.hpp"
 #include "runtime/batching.hpp"
@@ -101,10 +100,10 @@ void overlap_analysis(Harness& h, obs::TraceSession& session) {
 
 // A short real-thread BatchingEngine pass traced into `session`, so an
 // exported file demonstrates both clock domains: wall-clock batch/compute
-// spans here, simulated-time node/stream spans from the cluster run. A
-// background obs::Sampler probes the engine while it runs — the final
+// spans here, simulated-time node/stream spans from the cluster run. After
+// the pass the engine publishes its levels once: the
 // mh_batching_split_fraction / mh_batching_split_kstar gauges show the
-// auto-tuned CPU share converging to k* = n/(m+n) from live rates.
+// auto-tuned CPU share next to k* = n/(m+n) from the live rates.
 void live_engine_pass(Harness& h, obs::TraceSession& session) {
   using Engine = rt::BatchingEngine<int, double>;
   // Each item is a real Apply-shaped compute: one whole fused transform
@@ -141,10 +140,6 @@ void live_engine_pass(Harness& h, obs::TraceSession& session) {
   cfg.cpu_chunk = 8;
   cfg.trace = &session;
   Engine engine(cfg);
-  obs::Sampler sampler({std::chrono::milliseconds(1), nullptr});
-  const std::uint64_t probe =
-      sampler.add_probe([&engine] { engine.sample_metrics(); });
-  sampler.start();
   std::atomic<double> sum{0.0};
   const rt::KindId kind = engine.register_kind(
       {[&compute](const int& x) { return compute(x); },
@@ -160,8 +155,7 @@ void live_engine_pass(Harness& h, obs::TraceSession& session) {
        /*input_hash=*/0xb27eadull});
   for (int i = 0; i < 1024; ++i) engine.submit(kind, i);
   engine.wait();
-  sampler.sample_now();
-  sampler.remove_probe(probe);  // engine dies before the sampler
+  engine.sample_metrics();
   auto& reg = obs::MetricsRegistry::global();
   const obs::Labels labels{{"kind", std::to_string(kind)}};
   // Wall-clock rates from real threads — context, not a gate.

@@ -90,7 +90,7 @@ struct HistogramSnapshot {
 HistogramSnapshot merge(const HistogramSnapshot& a,
                         const HistogramSnapshot& b) noexcept;
 
-/// The descriptive summary benches and the metrics sampler report: one
+/// The descriptive summary benches and the metrics exporters report: one
 /// struct so p50/p95/p99/p999/CoV are derived in exactly one place.
 struct SampleSummary {
   std::size_t count = 0;

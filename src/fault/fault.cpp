@@ -21,7 +21,13 @@ FaultError::FaultError(ErrorCode code, const std::string& what)
 namespace {
 
 constexpr std::array<const char*, kFaultSiteCount> kSiteNames = {
-    "gpu_kernel", "h2d", "d2h", "worker_slow", "send"};
+    "gpu_kernel", "send"};
+
+// Each site's decision stream is seeded from (seed, salt). A salt belongs
+// to its site, not to the site's index, so a seeded spec keeps injecting
+// the same events at a site when other sites are added or removed
+// (FaultInjector.KeptSiteStreamsArePinned holds both streams).
+constexpr std::array<std::uint64_t, kFaultSiteCount> kSiteSalts = {1, 5};
 
 [[noreturn]] void bad_spec(const std::string& token, const char* why) {
   throw std::invalid_argument("MH_FAULTS: " + std::string(why) + " in '" +
@@ -54,36 +60,6 @@ double parse_prob(const std::string& token, const std::string& value) {
   return p;
 }
 
-std::chrono::microseconds parse_delay(const std::string& token,
-                                      const std::string& value) {
-  std::size_t used = 0;
-  double magnitude = 0.0;
-  try {
-    magnitude = std::stod(value, &used);
-  } catch (const std::exception&) {
-    bad_spec(token, "expected a duration");
-  }
-  const std::string unit = value.substr(used);
-  double to_us = 0.0;
-  if (unit == "us") {
-    to_us = 1.0;
-  } else if (unit == "ms") {
-    to_us = 1e3;
-  } else if (unit == "s") {
-    to_us = 1e6;
-  } else {
-    bad_spec(token, "duration needs a unit (us|ms|s)");
-  }
-  // Bounded so the conversion to whole microseconds is defined (this also
-  // rejects nan and inf): a stall longer than a day is a typo.
-  const double us = magnitude * to_us;
-  if (!(us >= 0.0 && us <= 86400e6)) {
-    bad_spec(token, "duration must be in [0, 1 day]");
-  }
-  return std::chrono::microseconds(
-      static_cast<std::chrono::microseconds::rep>(us));
-}
-
 }  // namespace
 
 const char* site_name(FaultSite site) noexcept {
@@ -93,7 +69,6 @@ const char* site_name(FaultSite site) noexcept {
 const char* error_code_name(ErrorCode code) noexcept {
   switch (code) {
     case ErrorCode::kGpuKernelFailed: return "gpu_kernel_failed";
-    case ErrorCode::kTransferTimeout: return "transfer_timeout";
     case ErrorCode::kGpuRetriesExhausted: return "gpu_retries_exhausted";
     case ErrorCode::kRankDead: return "rank_dead";
     case ErrorCode::kDataLost: return "data_lost";
@@ -145,7 +120,8 @@ FaultInjector& FaultInjector::global() {
 void FaultInjector::reseed_locked(SiteState& state, FaultSite site) {
   // One independent stream per site: decisions at one site never perturb
   // another site's sequence.
-  state.rng = Rng(hash_combine(seed_, static_cast<std::uint64_t>(site) + 1));
+  state.rng =
+      Rng(hash_combine(seed_, kSiteSalts[static_cast<std::size_t>(site)]));
   state.events = 0;
   state.injected = 0;
 }
@@ -162,17 +138,23 @@ void FaultInjector::refresh_armed_locked() {
   any_armed_.store(any, std::memory_order_relaxed);
 }
 
-void FaultInjector::set_rule(FaultSite site, SiteRule rule) {
-  std::scoped_lock lock(mu_);
+void FaultInjector::install_rule_locked(FaultSite site, SiteRule rule) {
   SiteState& state = site_state(site);
   state.rule = std::move(rule);
   std::sort(state.rule.at.begin(), state.rule.at.end());
   reseed_locked(state, site);
+  // Registered on first installation, so a site no rule ever named exports
+  // no series.
   if (state.injected_counter == nullptr) {
     state.injected_counter = &obs::MetricsRegistry::global().counter(
         "mh_fault_injected_total", "faults injected by site",
         {{"site", site_name(site)}});
   }
+}
+
+void FaultInjector::set_rule(FaultSite site, SiteRule rule) {
+  std::scoped_lock lock(mu_);
+  install_rule_locked(site, std::move(rule));
   refresh_armed_locked();
 }
 
@@ -246,10 +228,8 @@ void FaultInjector::configure(const std::string& spec) {
       } else if (key == "every") {
         rule.every = parse_uint(field, value);
         if (rule.every == 0) bad_spec(field, "every must be >= 1");
-      } else if (key == "delay") {
-        rule.delay = parse_delay(field, value);
       } else {
-        bad_spec(field, "unknown field (p|at|every|delay)");
+        bad_spec(field, "unknown field (p|at|every)");
       }
     }
   }
@@ -257,14 +237,12 @@ void FaultInjector::configure(const std::string& spec) {
   std::scoped_lock lock(mu_);
   seed_ = seed;
   for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
-    SiteState& state = sites_[i];
-    state.rule = present[i] ? std::move(rules[i]) : SiteRule{};
-    std::sort(state.rule.at.begin(), state.rule.at.end());
-    reseed_locked(state, static_cast<FaultSite>(i));
-    if (present[i] && state.injected_counter == nullptr) {
-      state.injected_counter = &obs::MetricsRegistry::global().counter(
-          "mh_fault_injected_total", "faults injected by site",
-          {{"site", site_name(static_cast<FaultSite>(i))}});
+    const auto site = static_cast<FaultSite>(i);
+    if (present[i]) {
+      install_rule_locked(site, std::move(rules[i]));
+    } else {
+      sites_[i].rule = SiteRule{};
+      reseed_locked(sites_[i], site);
     }
   }
   refresh_armed_locked();
@@ -287,12 +265,6 @@ bool FaultInjector::should_fail(FaultSite site) {
     if (state.injected_counter != nullptr) state.injected_counter->inc();
   }
   return fail;
-}
-
-std::chrono::microseconds FaultInjector::stall(FaultSite site) {
-  if (!should_fail(site)) return std::chrono::microseconds{0};
-  std::scoped_lock lock(mu_);
-  return site_state(site).rule.delay;
 }
 
 FaultInjector::SiteStats FaultInjector::stats(FaultSite site) const {

@@ -1,21 +1,20 @@
 // Deterministic fault injection for the hybrid runtime.
 //
 // On Titan-scale machines the failures the paper's dispatcher quietly
-// assumes away — a kernel launch that errors, a PCIe transfer that stalls,
-// a worker thread descheduled for tens of milliseconds, a dropped message
-// to a remote rank — are routine. This module injects exactly those
-// events, reproducibly, at the places the running system consults it: the
-// BatchingEngine's GPU attempt (kernel and transfer sites), the CPU pool's
-// workers (worker_slow), and remote sends in World, the replicated DHT,
-// churn and serve (send). The resilience machinery above it (BatchingEngine
-// retries + circuit breaker, World send retries) can then be
-// regression-tested like any other code path.
+// assumes away — a kernel launch that errors, a dropped message to a
+// remote rank — are routine. This module injects exactly those events,
+// reproducibly, at the places the running system consults it: the
+// BatchingEngine's GPU attempt (gpu_kernel), and remote sends in World,
+// the replicated DHT, churn and serve (send). The resilience machinery
+// above it (BatchingEngine retries + circuit breaker + CPU fallback, World
+// send retries) can then be regression-tested like any other code path.
 //
 // A FaultInjector holds one rule per *site* (the place in the runtime an
 // event can fail). Each site keeps its own event counter and its own
-// xoshiro stream seeded from (seed, site), so the decision sequence for a
-// site depends only on the seed, the rule, and how many events that site
-// has seen — never on wall time or thread interleaving. Rules trigger by
+// xoshiro stream seeded from (seed, the site's fixed salt), so the
+// decision sequence for a site depends only on the seed, the rule, and how
+// many events that site has seen — never on wall time, thread interleaving
+// or the other site. Rules trigger by
 //   - exact ordinals  (at=3,7   — the 3rd and 7th event fail),
 //   - a fixed cadence (every=4  — every 4th event fails),
 //   - probability     (p=0.05   — each event fails with probability 0.05).
@@ -23,13 +22,13 @@
 // Configuration is programmatic (set_rule) or textual via the MH_FAULTS
 // environment variable, parsed into the process-wide global() injector:
 //
-//   MH_FAULTS="gpu_kernel:p=1;h2d:at=3,7;worker_slow:p=0.01,delay=10ms;seed=42"
+//   MH_FAULTS="gpu_kernel:p=0.5,at=1;send:every=7;seed=42"
 //
 // spec     := entry (';' entry)*
 // entry    := 'seed=' uint | site ':' field (',' field)*
-// site     := 'gpu_kernel' | 'h2d' | 'd2h' | 'worker_slow' | 'send'
+// site     := 'gpu_kernel' | 'send'
 // field    := 'p=' float in [0,1] | 'at=' uint (repeatable, 1-based)
-//           | 'every=' uint | 'delay=' duration ('us'|'ms'|'s')
+//           | 'every=' uint
 //
 // Injected faults surface as FaultError, an exception carrying a typed
 // ErrorCode, and are counted in mh_fault_injected_total{site=...} so every
@@ -39,7 +38,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -55,26 +53,21 @@ namespace mh::fault {
 /// Places in the runtime where an event can be made to fail.
 enum class FaultSite : std::uint8_t {
   kGpuKernel = 0,  ///< a GPU kernel launch/execution
-  kTransferH2D,    ///< a host-to-device transfer
-  kTransferD2H,    ///< a device-to-host transfer
-  kWorkerSlow,     ///< a worker task runs slow/stalled (injected delay)
   kSend,           ///< a remote active-message send
 };
-inline constexpr std::size_t kFaultSiteCount = 5;
+inline constexpr std::size_t kFaultSiteCount = 2;
 
-/// Spec name of a site ("gpu_kernel", "h2d", ...).
+/// Spec name of a site ("gpu_kernel" or "send").
 const char* site_name(FaultSite site) noexcept;
 
-/// Typed error codes for fault-induced failures. The first two are raised
-/// when the BatchingEngine's GPU attempt draws an injected fault (site
-/// gpu_kernel, sites h2d/d2h); the rest are produced by the resilience
-/// layer when it gives up (retries exhausted, rank declared dead, every
-/// replica of a DHT entry lost with the ranks that held it). A worker
-/// stall only delays its task, and a failed send is retried or ends in
-/// kRankDead, so neither has a code of its own.
+/// Typed error codes for fault-induced failures. The first is raised when
+/// the BatchingEngine's GPU attempt draws an injected fault (site
+/// gpu_kernel); the rest are produced by the resilience layer when it
+/// gives up (retries exhausted, rank declared dead, every replica of a DHT
+/// entry lost with the ranks that held it). A failed send is retried or
+/// ends in kRankDead, so it has no code of its own.
 enum class ErrorCode : std::uint8_t {
   kGpuKernelFailed = 0,
-  kTransferTimeout,
   kGpuRetriesExhausted,  ///< GPU batch failed every attempt, no CPU fallback
   kRankDead,             ///< remote sends to the rank failed permanently
   kDataLost,             ///< every replica of a DHT entry is on a dead rank
@@ -102,7 +95,6 @@ struct SiteRule {
   double probability = 0.0;        ///< per-event failure probability
   std::vector<std::uint64_t> at;   ///< exact 1-based event ordinals
   std::uint64_t every = 0;         ///< every Nth event fails (0 = off)
-  std::chrono::microseconds delay{0};  ///< stall length for kWorkerSlow
 };
 
 /// Retry delay in milliseconds before re-attempt `attempt` (0-based):
@@ -153,11 +145,6 @@ class FaultInjector {
   /// the seed and the site's event order.
   bool should_fail(FaultSite site);
 
-  /// should_fail + the site's configured delay: returns the stall to apply
-  /// to the next event (zero when the event is not selected). For
-  /// kWorkerSlow-style sites.
-  std::chrono::microseconds stall(FaultSite site);
-
   struct SiteStats {
     std::uint64_t events = 0;    ///< events consulted
     std::uint64_t injected = 0;  ///< events selected to fail
@@ -181,6 +168,7 @@ class FaultInjector {
     return sites_[static_cast<std::size_t>(site)];
   }
   void reseed_locked(SiteState& state, FaultSite site);
+  void install_rule_locked(FaultSite site, SiteRule rule);
   void refresh_armed_locked();
 
   mutable std::mutex mu_;

@@ -12,7 +12,7 @@ namespace {
 constexpr std::size_t kMaxStreams = 16;
 
 // Process-wide gpusim counters (global registry): devices come and go per
-// run, so the aggregate across all of them is what the sampler exports.
+// run, so the aggregate across all of them is what the metrics export reads.
 // Function-local statics register once and hand back stable handles.
 obs::Counter& kernels_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
@@ -36,23 +36,19 @@ obs::Counter& bytes_counter(bool to_device) {
 }  // namespace
 
 DeviceSpec DeviceSpec::tesla_m2090() {
-  DeviceSpec s;
-  s.name = "Tesla M2090 (Fermi)";
-  s.num_sms = 16;
-  s.flops_per_sm = 665.0e9 / 16.0;  // 665 GF DP peak
-  s.memory_bytes = 6e9;             // 6 GB GDDR5
-  return s;
+  return {.name = "Tesla M2090 (Fermi)",
+          .num_sms = 16,
+          .flops_per_sm = 665.0e9 / 16.0,  // 665 GF DP peak
+          .memory_bytes = 6e9};            // 6 GB GDDR5
 }
 
 DeviceSpec DeviceSpec::gtx480() {
-  DeviceSpec s;
-  s.name = "GeForce GTX 480 (Fermi)";
-  s.num_sms = 15;
   // GeForce Fermi runs double precision at 1/4 the Tesla rate class:
   // ~168 GF DP across the card.
-  s.flops_per_sm = 168.0e9 / 15.0;
-  s.memory_bytes = 1.5e9;
-  return s;
+  return {.name = "GeForce GTX 480 (Fermi)",
+          .num_sms = 15,
+          .flops_per_sm = 168.0e9 / 15.0,
+          .memory_bytes = 1.5e9};
 }
 
 GpuDevice::GpuDevice(DeviceSpec spec, std::size_t num_streams)

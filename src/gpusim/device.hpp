@@ -41,14 +41,15 @@ inline constexpr SimTime kTransferLatency = SimTime::micros(10.0);
 /// Host-side launch cost of every kernel.
 inline constexpr SimTime kKernelLaunchOverhead = SimTime::micros(7.0);
 
-/// What differs between the two simulated cards.
+/// What differs between the two simulated cards. Built only by the presets
+/// below, which name every field.
 struct DeviceSpec {
   std::string name;
-  std::size_t num_sms = 16;
+  std::size_t num_sms;
   /// Peak double-precision flops of one SM.
-  double flops_per_sm = 41.6e9;
+  double flops_per_sm;
   /// Device memory for data + the write-once operator cache.
-  double memory_bytes = 6e9;
+  double memory_bytes;
 
   /// Titan's accelerator: Tesla M2090 (Fermi), 16 SMs, 665 GF DP peak.
   static DeviceSpec tesla_m2090();

@@ -5,8 +5,8 @@
 namespace mh::gpu {
 namespace {
 // Aggregated across every cache instance in the process; the hit-ratio
-// gauge is recomputed from the two counters on each lookup so a sampler
-// tick always sees a consistent cumulative ratio.
+// gauge is recomputed from the two counters on each lookup so an export
+// always sees a consistent cumulative ratio.
 struct CacheMetrics {
   obs::Counter& hits;
   obs::Counter& misses;

@@ -226,8 +226,8 @@ BatchTiming run_apply_batch(GpuDevice& device, DeviceCache* cache,
   timing.host_post = post;
   timing.total_done = t + post;
 
-  // Publish the device's cumulative SM occupancy after each batch; a
-  // sampler tick between batches then reads the latest level.
+  // Publish the device's cumulative SM occupancy after each batch; an
+  // export between batches then reads the latest level.
   static obs::Gauge& occupancy_gauge = obs::MetricsRegistry::global().gauge(
       "mh_gpusim_stream_occupancy",
       "busy fraction of SM-time on the device that ran the last batch");

@@ -17,9 +17,10 @@
 // Instruments are registered once (mutex) and updated lock-free (relaxed
 // atomics) — an update is one atomic RMW, cheap enough to leave always on.
 // Handles returned by the registry are stable for the registry's lifetime;
-// hot paths cache them. A background Sampler (sampler.hpp) periodically
-// copies runtime levels into gauges; exporters (export.hpp) serialize a
-// snapshot as Prometheus text exposition or JSON.
+// hot paths cache them. Runtime objects copy their levels into gauges when
+// asked (BatchingEngine::sample_metrics, ThreadPool::sample_metrics);
+// exporters (export.hpp) serialize a snapshot as Prometheus text exposition
+// or JSON.
 #pragma once
 
 #include <array>

@@ -31,7 +31,7 @@
 // explicit flush (this is what preserves batch amortisation — ablation #1).
 //
 // Resilience: the GPU side of a batch can fail (injected via src/fault at
-// the kernel and transfer sites, or a thrown compute_gpu). A failed GPU
+// the gpu_kernel site, or a thrown compute_gpu). A failed GPU
 // batch is retried with exponential backoff + deterministic jitter
 // (fault::backoff_ms) up to gpu_max_retries; a run of breaker_threshold
 // consecutive failures opens a GPU-health circuit breaker that re-routes
@@ -196,8 +196,6 @@ class BatchingEngine {
         cpu_pool_(std::max<std::size_t>(1, config.cpu_threads), "cpu-pool"),
         gpu_driver_(1, "gpu-driver") {
     MH_CHECK(config_.max_batch >= 1, "batch cap must be positive");
-    // Worker-stall injection (site worker_slow) applies to the CPU workers.
-    cpu_pool_.set_fault_injector(faults_);
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
   }
 
@@ -226,7 +224,8 @@ class BatchingEngine {
     std::scoped_lock lock(mu_);
     kinds_.push_back(std::make_unique<Kind>(std::move(spec)));
     const KindId id = kinds_.size() - 1;
-    // Per-kind sampler targets (one time series per kind id).
+    // Per-kind gauges (one time series per kind id), set by
+    // sample_metrics().
     Kind& kind = *kinds_.back();
     const obs::Labels labels{{"kind", std::to_string(id)}};
     kind.pending_gauge = &metrics_.gauge(
@@ -327,8 +326,8 @@ class BatchingEngine {
 
   /// Publish the engine's levels into its metrics registry: per-kind
   /// pending depth, live split fraction and its k* target, plus the two
-  /// pools' queue/utilization gauges. Wire this into an obs::Sampler probe:
-  ///   sampler.add_probe([&engine] { engine.sample_metrics(); });
+  /// pools' queue/utilization gauges. The levels are read at the time of
+  /// the call; call it right before the registry is read or exported.
   void sample_metrics() {
     {
       std::scoped_lock lock(mu_);
@@ -361,8 +360,8 @@ class BatchingEngine {
     bool size_trigger = false;
     RateEstimator cpu_rate;
     RateEstimator gpu_rate;
-    // Sampler targets, registered in register_kind (stable for the
-    // registry's lifetime).
+    // Gauges set by sample_metrics(), registered in register_kind (stable
+    // for the registry's lifetime).
     obs::Gauge* pending_gauge = nullptr;
     obs::Gauge* split_gauge = nullptr;
     obs::Gauge* kstar_gauge = nullptr;
@@ -647,7 +646,7 @@ class BatchingEngine {
 
   // --- GPU-side resilience --------------------------------------------
 
-  /// One GPU attempt: injected transfer/kernel faults and the aggregated
+  /// One GPU attempt: an injected kernel fault and the aggregated
   /// compute_gpu call. Throws on any failure; on success records the rate
   /// sample and submits postprocess tasks.
   void gpu_attempt(Kind* kptr, double kind_id,
@@ -660,25 +659,15 @@ class BatchingEngine {
           {{"kind", kind_id},
            {"items", static_cast<double>(work->items.size())}});
       gpu_span_id = gpu_span.id();
-      if (faults_->armed()) {
-        if (faults_->should_fail(fault::FaultSite::kTransferH2D)) {
-          throw fault::FaultError(fault::ErrorCode::kTransferTimeout,
-                                  "injected H2D transfer timeout");
-        }
-        if (faults_->should_fail(fault::FaultSite::kGpuKernel)) {
-          throw fault::FaultError(fault::ErrorCode::kGpuKernelFailed,
-                                  "injected GPU kernel failure");
-        }
+      if (faults_->armed() &&
+          faults_->should_fail(fault::FaultSite::kGpuKernel)) {
+        throw fault::FaultError(fault::ErrorCode::kGpuKernelFailed,
+                                "injected GPU kernel failure");
       }
       const auto t0 = std::chrono::steady_clock::now();
       outs = kptr->spec.compute_gpu(
           std::span<const Input>{work->items.data(), work->items.size()});
       const auto dt = std::chrono::steady_clock::now() - t0;
-      if (faults_->armed() &&
-          faults_->should_fail(fault::FaultSite::kTransferD2H)) {
-        throw fault::FaultError(fault::ErrorCode::kTransferTimeout,
-                                "injected D2H transfer timeout");
-      }
       MH_CHECK(outs.size() == work->items.size(),
                "GPU batch must return one output per input");
       const std::chrono::duration<double> secs = dt;

@@ -36,7 +36,7 @@ void RateEstimator::record(std::size_t items, double seconds) {
   MH_CHECK(seconds >= 0.0, "negative duration");
   const double sample = seconds / static_cast<double>(items);
   per_item_ = samples_ == 0 ? sample
-                            : alpha_ * sample + (1.0 - alpha_) * per_item_;
+                            : kAlpha * sample + (1.0 - kAlpha) * per_item_;
   ++samples_;
 }
 

@@ -29,10 +29,11 @@ double optimal_overlap_time(double cpu_only_time, double gpu_only_time);
 std::size_t cpu_share(std::size_t batch_size, double k);
 
 /// Exponentially-weighted running estimate of per-item cost, used by the
-/// BatchingEngine's auto split mode.
+/// BatchingEngine's auto split mode. Each sample weighs kAlpha against the
+/// running estimate.
 class RateEstimator {
  public:
-  explicit RateEstimator(double alpha = 0.3) : alpha_(alpha) {}
+  static constexpr double kAlpha = 0.3;
 
   /// Record that `items` items took `seconds` in total.
   void record(std::size_t items, double seconds);
@@ -42,7 +43,6 @@ class RateEstimator {
   std::size_t samples() const noexcept { return samples_; }
 
  private:
-  double alpha_;
   double per_item_ = 0.0;
   std::size_t samples_ = 0;
 };

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/diagnostics.hpp"
-#include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -53,19 +52,6 @@ void ThreadPool::worker_loop(std::size_t index) {
     ++active_;
     lock.unlock();
 
-    // Injected worker stall (site worker_slow): the task still runs, just
-    // late — modeling a descheduled or page-faulting worker thread.
-    if (fault::FaultInjector* injector =
-            injector_.load(std::memory_order_acquire);
-        injector != nullptr &&
-        injector->armed(fault::FaultSite::kWorkerSlow)) {
-      const auto stall = injector->stall(fault::FaultSite::kWorkerSlow);
-      if (stall.count() > 0) {
-        obs::ScopedSpan span(obs::TraceSession::current(), "worker-stall",
-                             obs::Category::kOther);
-        std::this_thread::sleep_for(stall);
-      }
-    }
     std::exception_ptr error;
     const auto t0 = std::chrono::steady_clock::now();
     try {

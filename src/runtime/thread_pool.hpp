@@ -13,7 +13,6 @@
 // sessions. The destructor runs every task still queued before it returns.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -29,10 +28,6 @@
 namespace mh::obs {
 class MetricsRegistry;
 }  // namespace mh::obs
-
-namespace mh::fault {
-class FaultInjector;
-}  // namespace mh::fault
 
 namespace mh::rt {
 
@@ -58,9 +53,9 @@ class ThreadPool {
   /// Total tasks completed (including ones that threw).
   std::size_t executed() const;
 
-  /// One consistent reading of the pool's health, as the metrics sampler
-  /// consumes it (obs/sampler.hpp). utilization is the busy fraction of
-  /// total worker-seconds since construction.
+  /// One consistent reading of the pool's health, as sample_metrics()
+  /// publishes it. utilization is the busy fraction of total worker-seconds
+  /// since construction.
   struct Stats {
     std::size_t workers = 0;
     std::size_t queued = 0;     ///< tasks waiting in the queue
@@ -76,15 +71,8 @@ class ThreadPool {
   Stats stats() const;
 
   /// Publish this pool's levels as "mh_pool_*" gauges labelled
-  /// pool=<name>. Called from a Sampler probe (any thread).
+  /// pool=<name>, read at the time of the call (safe from any thread).
   void sample_metrics(obs::MetricsRegistry& registry) const;
-
-  /// Fault injector consulted by workers before each task for injected
-  /// stalls (site worker_slow — a descheduled/slow worker). nullptr (the
-  /// default) disables injection for this pool.
-  void set_fault_injector(fault::FaultInjector* injector) noexcept {
-    injector_.store(injector, std::memory_order_release);
-  }
 
  private:
   void worker_loop(std::size_t index);
@@ -103,7 +91,6 @@ class ThreadPool {
   std::uint64_t busy_ns_ = 0;
   bool stop_ = false;
   std::exception_ptr first_error_;
-  std::atomic<fault::FaultInjector*> injector_{nullptr};
   std::vector<std::thread> threads_;  // last: workers use every member above
 };
 

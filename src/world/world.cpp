@@ -17,8 +17,8 @@ constexpr double kSendBackoffMaxMs = 20.0;
 constexpr std::uint64_t kSendSeed = 0x5eedULL;
 }  // namespace
 
-World::World(std::size_t ranks, obs::MetricsRegistry* metrics)
-    : metrics_(metrics ? *metrics : obs::MetricsRegistry::global()),
+World::World(std::size_t ranks)
+    : metrics_(obs::MetricsRegistry::global()),
       m_tasks_(metrics_.counter("mh_world_tasks_total",
                                 "tasks and AM handlers executed")),
       m_send_retries_(metrics_.counter(

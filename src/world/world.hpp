@@ -35,9 +35,9 @@ namespace mh::world {
 
 class World {
  public:
-  /// `metrics`: registry for the per-rank message/byte counters; nullptr
-  /// means the process registry (obs::MetricsRegistry::global()).
-  explicit World(std::size_t ranks, obs::MetricsRegistry* metrics = nullptr);
+  /// The per-rank message/byte counters land in the process registry
+  /// (obs::MetricsRegistry::global()).
+  explicit World(std::size_t ranks);
   ~World();
 
   World(const World&) = delete;

@@ -30,7 +30,6 @@
 #include "obs/trace_reader.hpp"
 #include "ops/apply.hpp"
 #include "runtime/batching.hpp"
-#include "runtime/thread_pool.hpp"
 #include "world/world.hpp"
 
 // Provided by the sanitizer runtimes; null in a build without them.
@@ -73,14 +72,14 @@ TEST(FaultInjector, UnarmedInjectsNothing) {
 
 TEST(FaultInjector, AtTriggersFireOnExactOrdinals) {
   FaultInjector fi(1);
-  fi.set_rule(FaultSite::kTransferH2D, at_rule({3, 7}));
+  fi.set_rule(FaultSite::kGpuKernel, at_rule({7, 3}));
   std::vector<int> failed;
   for (int event = 1; event <= 10; ++event) {
-    if (fi.should_fail(FaultSite::kTransferH2D)) failed.push_back(event);
+    if (fi.should_fail(FaultSite::kGpuKernel)) failed.push_back(event);
   }
   EXPECT_EQ(failed, (std::vector<int>{3, 7}));
-  EXPECT_EQ(fi.stats(FaultSite::kTransferH2D).events, 10u);
-  EXPECT_EQ(fi.stats(FaultSite::kTransferH2D).injected, 2u);
+  EXPECT_EQ(fi.stats(FaultSite::kGpuKernel).events, 10u);
+  EXPECT_EQ(fi.stats(FaultSite::kGpuKernel).injected, 2u);
 }
 
 TEST(FaultInjector, EveryCadenceIsExact) {
@@ -164,35 +163,26 @@ TEST(FaultInjector, KeptSiteStreamsArePinned) {
   EXPECT_EQ(draw(both, FaultSite::kSend), kSendMask);
 }
 
-TEST(FaultInjector, StallReturnsConfiguredDelay) {
-  FaultInjector fi(1);
-  SiteRule rule;
-  rule.probability = 1.0;
-  rule.delay = 2ms;
-  fi.set_rule(FaultSite::kWorkerSlow, rule);
-  EXPECT_EQ(fi.stall(FaultSite::kWorkerSlow), 2000us);
-  fi.clear();
-  EXPECT_EQ(fi.stall(FaultSite::kWorkerSlow), 0us);
-}
-
 TEST(FaultInjector, SpecGrammarRoundTrips) {
   FaultInjector fi(1);
-  fi.configure(
-      "gpu_kernel:p=0.5; h2d:at=3,at=7 ;send:every=4;"
-      "worker_slow:p=1,delay=2ms;seed=99");
+  fi.configure(" gpu_kernel:at=3,at=7 ;send:every=4,p=0;seed=99");
   EXPECT_TRUE(fi.armed(FaultSite::kGpuKernel));
-  EXPECT_TRUE(fi.armed(FaultSite::kTransferH2D));
-  EXPECT_FALSE(fi.armed(FaultSite::kTransferD2H));
-  std::vector<int> h2d_failed;
+  EXPECT_TRUE(fi.armed(FaultSite::kSend));
+  std::vector<int> kernel_failed;
   for (int event = 1; event <= 8; ++event) {
-    if (fi.should_fail(FaultSite::kTransferH2D)) h2d_failed.push_back(event);
+    if (fi.should_fail(FaultSite::kGpuKernel)) kernel_failed.push_back(event);
   }
-  EXPECT_EQ(h2d_failed, (std::vector<int>{3, 7}));
+  EXPECT_EQ(kernel_failed, (std::vector<int>{3, 7}));
   EXPECT_FALSE(fi.should_fail(FaultSite::kSend));  // events 1..3 pass
   EXPECT_FALSE(fi.should_fail(FaultSite::kSend));
   EXPECT_FALSE(fi.should_fail(FaultSite::kSend));
   EXPECT_TRUE(fi.should_fail(FaultSite::kSend));  // every=4
-  EXPECT_EQ(fi.stall(FaultSite::kWorkerSlow), 2000us);
+  // A new spec replaces every rule: gpu_kernel is disarmed, send fails
+  // each event.
+  fi.configure("send:p=1");
+  EXPECT_FALSE(fi.armed(FaultSite::kGpuKernel));
+  EXPECT_TRUE(fi.should_fail(FaultSite::kSend));
+  EXPECT_EQ(fi.stats(FaultSite::kSend).events, 1u);
 }
 
 TEST(FaultInjector, SpecGrammarRejectsBadInput) {
@@ -201,24 +191,29 @@ TEST(FaultInjector, SpecGrammarRejectsBadInput) {
   EXPECT_THROW(fi.configure("gpu_kernel:q=1"), std::invalid_argument);
   EXPECT_THROW(fi.configure("gpu_kernel:p=1.5"), std::invalid_argument);
   EXPECT_THROW(fi.configure("gpu_kernel:p=-0.1"), std::invalid_argument);
-  EXPECT_THROW(fi.configure("worker_slow:delay=5"), std::invalid_argument);
   EXPECT_THROW(fi.configure("send:every=0"), std::invalid_argument);
   EXPECT_THROW(fi.configure("send:at=x"), std::invalid_argument);
   EXPECT_THROW(fi.configure("no_colon_here"), std::invalid_argument);
   EXPECT_THROW(fi.configure("seed=99999999999999999999999"),
                std::invalid_argument);
   EXPECT_THROW(fi.configure("gpu_kernel:p=nan"), std::invalid_argument);
-  EXPECT_THROW(fi.configure("worker_slow:delay=1e300s"),
-               std::invalid_argument);
-  EXPECT_THROW(fi.configure("worker_slow:delay=infms"),
-               std::invalid_argument);
-  // Page-locked allocation is not an injection site: the token is named.
-  try {
-    fi.configure("pinned:p=1");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("'pinned:p=1'"), std::string::npos)
-        << e.what();
+  // Page-locked allocation, transfers and worker stalls are no injection
+  // sites, and no site has a delay: each rejection names its token.
+  for (const auto& [spec, token] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"pinned:p=1", "pinned:p=1"},
+           {"h2d:p=1", "h2d:p=1"},
+           {"d2h:p=1", "d2h:p=1"},
+           {"worker_slow:p=1", "worker_slow:p=1"},
+           {"gpu_kernel:delay=1ms", "delay=1ms"}}) {
+    try {
+      fi.configure(spec);
+      ADD_FAILURE() << "expected std::invalid_argument for " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + token + "'"),
+                std::string::npos)
+          << e.what();
+    }
   }
   // A failed configure leaves the injector unchanged (still unarmed).
   EXPECT_FALSE(fi.armed());
@@ -237,6 +232,18 @@ TEST(FaultInjectorDeathTest, MalformedEnvSpecExitsWithStatusTwo) {
       },
       ::testing::ExitedWithCode(2),
       "unknown fault site in 'pinned:p=1' \\(MH_FAULTS=\"pinned:p=1\"\\)");
+  // Transfer and worker-stall sites and a delay field exit the same way.
+  for (const char* spec :
+       {"h2d:p=1", "d2h:p=1", "worker_slow:p=1", "gpu_kernel:delay=1ms"}) {
+    EXPECT_EXIT(
+        {
+          setenv("MH_FAULTS", spec, 1);
+          FaultInjector::global();
+        },
+        ::testing::ExitedWithCode(2),
+        "\\(MH_FAULTS=\"" + std::string(spec) + "\"\\)")
+        << spec;
+  }
 }
 
 // Seeded mutation of the MH_FAULTS grammar: valid specs are truncated,
@@ -254,11 +261,10 @@ TEST(FaultInjector, SpecGrammarMutationsConfigureOrThrowInvalidArgument) {
     });
   }
   const std::vector<std::string> corpus = {
-      "gpu_kernel:p=0.5; h2d:at=3,at=7 ;send:every=4;"
-      "worker_slow:p=1,delay=2ms;seed=99",
+      "gpu_kernel:p=0.5; send:at=3,at=7 ;gpu_kernel:every=4;seed=99",
       "send:every=7;seed=20260808",
-      "d2h:p=0.01;worker_slow:every=3,delay=1.5us;gpu_kernel:at=1,at=2",
-      "h2d:p=1e-3,delay=4s;seed=18446744073709551615",
+      "send:p=0.01,every=3;gpu_kernel:at=1,at=2",
+      "gpu_kernel:p=1e-3,at=5;send:p=1;seed=18446744073709551615",
   };
   FaultInjector fi(1);
   for (const std::string& spec : corpus) {
@@ -299,69 +305,13 @@ TEST(FaultInjector, SpecGrammarMutationsConfigureOrThrowInvalidArgument) {
 
 TEST(FaultInjector, InjectionIsCountedInGlobalMetrics) {
   auto& counter = obs::MetricsRegistry::global().counter(
-      "mh_fault_injected_total", {}, {{"site", "d2h"}});
+      "mh_fault_injected_total", {}, {{"site", "send"}});
   const double before = counter.value();
   FaultInjector fi(1);
-  fi.set_rule(FaultSite::kTransferD2H, prob_rule(1.0));
-  fi.should_fail(FaultSite::kTransferD2H);
-  fi.should_fail(FaultSite::kTransferD2H);
+  fi.set_rule(FaultSite::kSend, prob_rule(1.0));
+  fi.should_fail(FaultSite::kSend);
+  fi.should_fail(FaultSite::kSend);
   EXPECT_DOUBLE_EQ(counter.value(), before + 2.0);
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool: injected worker stalls.
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolFaults, WorkerSlowStallsTasks) {
-  FaultInjector fi(3);
-  SiteRule rule;
-  rule.probability = 1.0;
-  rule.delay = 5ms;
-  fi.set_rule(FaultSite::kWorkerSlow, rule);
-  rt::ThreadPool pool(1);
-  pool.set_fault_injector(&fi);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::atomic<int> ran{0};
-  pool.submit([&] { ++ran; });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_GE(std::chrono::steady_clock::now() - t0, 5ms);
-  EXPECT_GE(fi.stats(FaultSite::kWorkerSlow).injected, 1u);
-}
-
-TEST(ThreadPoolFaults, StallPinsOneWorkerWhileOthersDrain) {
-  // An injected stall (site consulted at task pickup, ordinal 1 = the
-  // first task claimed) must pin only the claiming worker: the other
-  // worker keeps draining the remaining tasks while the victim sits in its
-  // delay.
-  FaultInjector fi(11);
-  SiteRule rule;
-  rule.at = {1};
-  rule.delay = 200ms;
-  fi.set_rule(FaultSite::kWorkerSlow, rule);
-  rt::ThreadPool pool(2, "faulty");
-  pool.set_fault_injector(&fi);
-
-  std::atomic<bool> victim_done{false};
-  pool.submit([&] { victim_done = true; });
-  // The victim is the only task, so the first pickup (the stalled ordinal)
-  // is necessarily its claim; wait until the injector has seen it.
-  while (fi.stats(FaultSite::kWorkerSlow).events < 1) {
-    std::this_thread::sleep_for(100us);
-  }
-
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&ran] { ++ran; });
-  }
-  // All 20 must finish on the healthy worker before the 200ms stall ends.
-  while (ran.load() < 20) std::this_thread::sleep_for(100us);
-  EXPECT_FALSE(victim_done.load());
-
-  pool.wait_idle();
-  EXPECT_TRUE(victim_done.load());
-  EXPECT_EQ(fi.stats(FaultSite::kWorkerSlow).injected, 1u);
-  EXPECT_EQ(fi.stats(FaultSite::kWorkerSlow).events, 21u);
 }
 
 // ---------------------------------------------------------------------------

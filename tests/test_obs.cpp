@@ -1,7 +1,7 @@
 // Tests for src/obs: span recording on both clock domains, nesting, thread
 // tracks, counters/histograms, aggregation, the Chrome trace exporter
 // (the JSON it writes must actually parse), the metrics registry, the
-// background health sampler, and the Prometheus/JSON exporters.
+// runtime objects' published gauges, and the Prometheus/JSON exporters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +28,6 @@
 #include "obs/health.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_diff.hpp"
@@ -681,65 +680,15 @@ TEST(Export, WriteMetricsFilesProducesBothFormats) {
   std::remove((path + ".prom").c_str());
 }
 
-// ---------------------------------------------------------------------------
-// Sampler
-
-TEST(Sampler, CountersStayMonotonicAcrossTicks) {
-  MetricsRegistry reg;
-  Sampler sampler({std::chrono::milliseconds(1), &reg});
-  std::atomic<int> probe_runs{0};
-  sampler.add_probe([&probe_runs] { ++probe_runs; });
-
-  const Counter& ticks = reg.counter("mh_sampler_ticks_total");
-  double last = ticks.value();
-  EXPECT_DOUBLE_EQ(last, 0.0);
-  for (int i = 0; i < 5; ++i) {
-    sampler.sample_now();
-    const double now = ticks.value();
-    EXPECT_GT(now, last);  // strictly increasing: one tick per call
-    last = now;
-  }
-  EXPECT_EQ(probe_runs.load(), 5);
-  EXPECT_EQ(sampler.ticks(), 5u);
-
-  sampler.start();
-  EXPECT_TRUE(sampler.running());
-  while (ticks.value() < 8.0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  sampler.stop();
-  EXPECT_FALSE(sampler.running());
-  const double after_stop = ticks.value();
-  EXPECT_GE(after_stop, 8.0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_DOUBLE_EQ(ticks.value(), after_stop);  // no ticks after stop
-}
-
-TEST(Sampler, RemovedProbesStopRunning) {
-  MetricsRegistry reg;
-  Sampler sampler({std::chrono::milliseconds(100), &reg});
-  std::atomic<int> a{0}, b{0};
-  const std::uint64_t ida = sampler.add_probe([&a] { ++a; });
-  sampler.add_probe([&b] { ++b; });
-  sampler.sample_now();
-  sampler.remove_probe(ida);
-  sampler.sample_now();
-  EXPECT_EQ(a.load(), 1);
-  EXPECT_EQ(b.load(), 2);
-}
-
-TEST(Sampler, ProbesPublishThreadPoolGauges) {
+TEST(Metrics, ThreadPoolPublishesItsGauges) {
   MetricsRegistry reg;
   rt::ThreadPool pool(2, "probe-pool");
-  Sampler sampler({std::chrono::milliseconds(1), &reg});
-  sampler.add_probe([&pool, &reg] { pool.sample_metrics(reg); });
-
   std::atomic<int> ran{0};
   for (int i = 0; i < 32; ++i) {
     pool.submit([&ran] { ++ran; });
   }
   pool.wait_idle();
-  sampler.sample_now();
+  pool.sample_metrics(reg);
 
   const Labels labels{{"pool", "probe-pool"}};
   EXPECT_DOUBLE_EQ(reg.gauge("mh_pool_workers", "", labels).value(), 2.0);
@@ -1038,48 +987,6 @@ TEST(CriticalPath, AttributionTelescopesToSyntheticMakespan) {
   EXPECT_NEAR(analysis.critical[Category::kPostprocess], 10.0, 1e-6);
   EXPECT_NEAR(analysis.critical.wait_us, 10.0, 1e-6);
   EXPECT_EQ(analysis.path.size(), 3u);
-}
-
-TEST(Sampler, StopRunsOneFinalProbePass) {
-  MetricsRegistry reg;
-  // Period far beyond the test: the background loop never ticks on its own,
-  // so the only tick is the final flush stop() performs after the join —
-  // without it a run shorter than one period would publish nothing.
-  Sampler sampler({std::chrono::milliseconds(3600 * 1000), &reg});
-  std::atomic<int> runs{0};
-  sampler.add_probe([&runs] { ++runs; });
-  sampler.start();
-  sampler.stop();
-  EXPECT_EQ(runs.load(), 1);
-  EXPECT_EQ(sampler.ticks(), 1u);
-  sampler.stop();  // idempotent: no thread to join, no extra tick
-  EXPECT_EQ(runs.load(), 1);
-}
-
-TEST(Sampler, SlowProbeDoesNotStretchTheSchedule) {
-  // Regression: the loop used to wait_for(period) *after* each tick, so a
-  // probe taking P milliseconds turned a T-period schedule into T+P — the
-  // sampler drifted further behind with every tick. Deadline-based
-  // wait_until absorbs probe time into the idle wait instead: a probe
-  // using ~75% of the period must not cost ~43% of the ticks.
-  MetricsRegistry reg;
-  const auto period = std::chrono::milliseconds(40);
-  Sampler sampler({period, &reg});
-  sampler.add_probe(
-      [] { std::this_thread::sleep_for(std::chrono::milliseconds(30)); });
-  sampler.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(1200));
-  sampler.stop();
-  // Ideal: 30 periodic ticks (+1 final flush). The drifting loop would
-  // manage only ~17. Bounds are generous for noisy CI machines but far
-  // above what drift could ever produce.
-  EXPECT_GE(sampler.ticks(), 22u);
-  EXPECT_LE(sampler.ticks(), 33u);  // no catch-up bursts either
-  // The lag gauge is exported and sane: a tick fires at-or-after its
-  // deadline, never before.
-  const double lag = reg.gauge("mh_sampler_tick_lag_seconds").value();
-  EXPECT_GE(lag, 0.0);
-  EXPECT_LT(lag, 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -227,11 +227,13 @@ TEST(Dispatch, CpuShareRoundsAndClamps) {
 }
 
 TEST(Dispatch, RateEstimatorConverges) {
-  RateEstimator est(0.5);
+  RateEstimator est;
   EXPECT_FALSE(est.ready());
   est.record(10, 1.0);  // 0.1 s/item
   EXPECT_TRUE(est.ready());
   EXPECT_NEAR(est.per_item(), 0.1, 1e-12);
+  est.record(10, 2.0);  // one sample moves kAlpha of the way to 0.2
+  EXPECT_NEAR(est.per_item(), 0.1 + RateEstimator::kAlpha * 0.1, 1e-12);
   for (int i = 0; i < 20; ++i) est.record(10, 2.0);  // drift to 0.2
   EXPECT_NEAR(est.per_item(), 0.2, 1e-3);
   EXPECT_THROW(est.record(0, 1.0), Error);
