@@ -107,10 +107,10 @@ void overlap_analysis(Harness& h, obs::TraceSession& session) {
 void live_engine_pass(Harness& h, obs::TraceSession& session) {
   using Engine = rt::BatchingEngine<int, double>;
   // Each item is a real Apply-shaped compute: one whole fused transform
-  // chain (d=3, k=10, M=4 terms) through the packed batch-GEMM engine.
-  // The CPU share drains in chunks of 8 items per pool task
-  // (Config::cpu_chunk), so the live m/n rates — and the k* the split
-  // converges to — reflect the actual fused-kernel throughput, not a toy.
+  // chain (d=3, k=10, M=4 terms) through the packed batch-GEMM engine, so
+  // the live m/n rates — and the k* the split converges to — reflect the
+  // actual fused-kernel throughput, not a toy. max_batch caps each batch,
+  // so the 1,024 submits make at least 16 batches.
   constexpr std::size_t d = 3, k = 10, terms = 4;
   constexpr std::size_t size = k * k * k;
   Rng rng(0xb27eadull);
@@ -137,7 +137,6 @@ void live_engine_pass(Harness& h, obs::TraceSession& session) {
   cfg.cpu_threads = 4;
   cfg.flush_interval = std::chrono::milliseconds(1);
   cfg.max_batch = 64;
-  cfg.cpu_chunk = 8;
   cfg.trace = &session;
   Engine engine(cfg);
   std::atomic<double> sum{0.0};

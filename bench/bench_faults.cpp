@@ -204,12 +204,8 @@ Engine::Stats throughput_run(std::uint64_t seed, double p, std::size_t items) {
          sink.fetch_add(static_cast<long>(v), std::memory_order_relaxed);
        },
        2});
-  // Waves with a wait between them: the dispatcher would otherwise coalesce
-  // the whole submission into one giant batch (max_batch is a dispatch
-  // trigger, not a size cap) and the GPU side would see a single fault draw.
   for (std::size_t i = 0; i < items; ++i) {
     engine.submit(busy, static_cast<int>(i % 97));
-    if ((i + 1) % 64 == 0) engine.wait();
   }
   engine.wait();
   return engine.stats();

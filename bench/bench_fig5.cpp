@@ -29,7 +29,8 @@ int run(int argc, char** argv) {
     t.add_row({std::to_string(k), fmt(p.custom_gflops, 1),
                fmt(p.cublas_gflops, 1),
                fmt(p.custom_gflops / p.cublas_gflops, 2)});
-    const std::string prefix = "k" + std::to_string(k);
+    std::string prefix = "k";
+    prefix += std::to_string(k);
     h.scalar(prefix + "_custom_gflops", p.custom_gflops, "GFLOPS",
              Direction::kHigherIsBetter);
     h.scalar(prefix + "_cublas_gflops", p.cublas_gflops, "GFLOPS",

@@ -98,8 +98,8 @@ int run(int argc, char** argv) {
   }
 
   // Batched whole-task fusion: distinct Apply tasks (nothing to share)
-  // through one shared workspace — the aggregated call the batching
-  // runtime's cpu_chunk path issues per pool task.
+  // through one shared workspace, as a batching-runtime CPU run drains
+  // its items through its worker's workspace.
   for (const std::size_t k : h.quick() ? std::vector<std::size_t>{10, 20}
                                        : std::vector<std::size_t>{10, 20}) {
     const std::size_t d = 3, terms = 8, nitems = 4;

@@ -7,11 +7,18 @@
 //                  in batches split between CPU workers and the GPU,
 //   postprocess -> runs on a CPU worker after compute.
 //
-// Batches are dispatched when a timer expires or a batch reaches its size
-// cap, paying CPU-GPU latency once per batch instead of once per task. The
-// split between CPU and GPU follows the optimal-overlap fraction
-// k* = n/(m+n) (see dispatch.hpp), either fixed by the caller or estimated
-// online from observed per-item rates.
+// Batches are dispatched when a timer expires or a kind holds max_batch
+// items, paying CPU-GPU latency once per batch instead of once per task. A
+// batch holds at most max_batch items: a size trigger stages whole batches
+// and leaves the rest aggregating; a timer or explicit flush sends all that
+// is pending in batches of at most max_batch. The split between CPU and GPU
+// follows the optimal-overlap fraction k* = n/(m+n) (see dispatch.hpp),
+// either fixed by the caller or estimated online from observed rates.
+//
+// The engine moves batches, not items: a batch's CPU share reaches the CPU
+// pool as one contiguous run per worker, its GPU outputs are postprocessed
+// in order as one run, and a failed GPU share falls back in per-worker
+// runs. Spans, provenance and error isolation stay per item.
 //
 // The "kind" of a task combines the identity of its compute function with a
 // user-defined hash of the input shape (paper §II-A footnote 2), so that a
@@ -19,20 +26,20 @@
 //
 // Locking discipline: mu_ protects the pending queues, stats, and rate
 // estimators. The dispatcher *stages* ready batches under mu_ and submits
-// them to the worker pools only after releasing it — worker lambdas
-// re-acquire mu_ in complete_one()/rate recording, so submitting while
-// locked would serialize every batch against its own workers.
+// them to the worker pools only after releasing it — a run re-acquires mu_
+// once at its end to count its items complete with its CPU-rate sample, so
+// submitting while locked would serialize every batch against its workers.
 //
-// Flush-reason accounting: every per-kind batch dispatch is attributed to
-// exactly one of {timer, size, explicit}, so
+// Flush-reason accounting: every staged batch is attributed to exactly one
+// of {timer, size, explicit}, so
 //   timer_flushes + size_flushes + explicit_flushes == batches
 // holds at all times. A size trigger on one kind dispatches only that kind;
 // the other kinds keep aggregating until their own trigger, timer, or an
 // explicit flush (this is what preserves batch amortisation — ablation #1).
 //
 // Resilience: the GPU side of a batch can fail (injected via src/fault at
-// the gpu_kernel site, or a thrown compute_gpu). A failed GPU
-// batch is retried with exponential backoff + deterministic jitter
+// the gpu_kernel site, or a thrown compute_gpu). A failed GPU batch is
+// retried with exponential backoff + deterministic jitter
 // (fault::backoff_ms) up to gpu_max_retries; a run of breaker_threshold
 // consecutive failures opens a GPU-health circuit breaker that re-routes
 // whole batches to the CPU side (the live split degrades from k* to 1.0).
@@ -40,9 +47,8 @@
 // probe item to the GPU: success closes it (the auto-tuned split is
 // restored from the surviving rate estimators), failure re-opens it. When
 // retries are exhausted — or the breaker is open — a hybrid kind falls
-// back to per-item CPU execution, so every submitted item still completes;
-// a GPU-only kind surfaces a typed fault::FaultError from wait() instead
-// of hanging.
+// back to CPU runs, so every submitted item still completes; a GPU-only
+// kind surfaces a typed fault::FaultError from wait() instead of hanging.
 #pragma once
 
 #include <chrono>
@@ -78,14 +84,9 @@ class BatchingEngine {
     double cpu_fraction = -1.0;
     /// Batch window: pending computes are dispatched when this expires.
     std::chrono::milliseconds flush_interval{5};
-    /// Dispatch immediately once a kind has this many pending items.
+    /// Dispatch immediately once a kind has this many pending items; also
+    /// the most items one batch holds.
     std::size_t max_batch = 256;
-    /// Items per CPU pool task when fanning a batch's CPU share out
-    /// (<= 1: one task per item, the classic cadence). Larger chunks hand
-    /// a worker whole runs of small compute calls and keep its thread-local
-    /// GemmWorkspace hot across the run; per-item postprocess, error
-    /// isolation and completion accounting are unchanged.
-    std::size_t cpu_chunk = 1;
     /// Span sink; nullptr falls back to obs::TraceSession::current()
     /// at construction (still tracing-off if that is null too).
     obs::TraceSession* trace = nullptr;
@@ -353,9 +354,9 @@ class BatchingEngine {
     std::vector<Input> pending;
     /// Causal context of each pending item, parallel to `pending`.
     std::vector<obs::TraceContext> pending_ctx;
-    /// When the oldest currently-pending item arrived (valid while
-    /// pending is non-empty); bounds how long a partial batch can sit
-    /// while other kinds' size triggers keep waking the dispatcher.
+    /// When the oldest pending item arrived, or the size flush that left it
+    /// pending (valid while pending is non-empty); bounds how long a partial
+    /// batch can sit while other kinds' size triggers wake the dispatcher.
     std::chrono::steady_clock::time_point oldest_pending{};
     bool size_trigger = false;
     RateEstimator cpu_rate;
@@ -384,11 +385,9 @@ class BatchingEngine {
     FlushReason reason = kTimerFlush;
   };
 
-  /// The GPU share of a staged batch plus the causal plumbing the retry /
-  /// fallback machinery needs: each item's own context (postprocess and CPU
-  /// fallback keep the item's task id) and the batch span's context (the
-  /// gpu-batch span chains to it).
-  struct GpuWork {
+  /// Items of one batch side bound for a pool, each with its own context,
+  /// plus the batch span's (a GPU share's gpu-batch span chains to it).
+  struct Run {
     std::vector<Input> items;
     std::vector<obs::TraceContext> ctxs;  ///< parallel to items
     obs::TraceContext batch_ctx;
@@ -449,30 +448,26 @@ class BatchingEngine {
         const bool size_trigger = kind.size_trigger;
         kind.size_trigger = false;
         if (kind.pending.empty()) continue;
-        // Attribute this kind's dispatch to exactly one reason — or leave
-        // the kind aggregating: a size trigger on kind A must not break up
-        // kind B's still-small batch (that is ablation #1's amortisation).
+        // Pick this kind's one flush reason — or leave the kind
+        // aggregating: a size trigger on kind A must not break up kind B's
+        // still-small batch (that is ablation #1's amortisation). A size
+        // flush takes only whole batches; the rest keeps aggregating.
+        std::size_t n = kind.pending.size();
         FlushReason reason;
         if (explicit_flush) {
           reason = kExplicitFlush;
-          ++stats_.explicit_flushes;
-          m_flush_explicit_.inc();
         } else if (size_trigger) {
           reason = kSizeFlush;
-          ++stats_.size_flushes;
-          m_flush_size_.inc();
+          n -= n % config_.max_batch;
         } else if (now - kind.oldest_pending >= config_.flush_interval) {
-          // The batch outwaited its aggregation window.
-          reason = kTimerFlush;
-          ++stats_.timer_flushes;
-          m_flush_timer_.inc();
+          reason = kTimerFlush;  // the batch outwaited its window
         } else {
           continue;  // woken for another kind's trigger: keep aggregating
         }
-        staged.push_back(stage_batch_locked(kind, id, reason));
+        stage_batches_locked(kind, id, reason, n, staged);
       }
       if (staged.empty()) continue;
-      // Submit with mu_ released: worker lambdas take mu_ immediately.
+      // Submit with mu_ released: the runs take mu_ too.
       lock.unlock();
       for (StagedBatch& batch : staged) submit_batch(std::move(batch));
       staged.clear();
@@ -480,53 +475,68 @@ class BatchingEngine {
     }
   }
 
-  StagedBatch stage_batch_locked(Kind& kind, KindId id, FlushReason reason) {
-    StagedBatch staged;
-    staged.kind = &kind;
-    staged.kind_id = id;
-    staged.items = std::move(kind.pending);
-    kind.pending.clear();
-    staged.ctxs = std::move(kind.pending_ctx);
-    kind.pending_ctx.clear();
-    staged.reason = reason;
-    ++stats_.batches;
-    stats_.max_batch_seen = std::max(stats_.max_batch_seen, staged.items.size());
-    m_batches_.inc();
-    m_batch_items_.observe(static_cast<double>(staged.items.size()));
-
-    staged.split = split_fraction_locked(kind);
-    staged.ncpu = cpu_share(staged.items.size(), staged.split);
-    // Auto-tune cold start: rounding (e.g. cpu_share(1, 0.5) == 1) can starve
-    // the GPU forever — gpu_rate never gets a sample, so the split never
-    // leaves 0.5. Reserve at least one warm-up item for the GPU until its
-    // rate estimator has seen a batch.
-    if (config_.cpu_fraction < 0.0 && kind.spec.compute_gpu &&
-        !kind.gpu_rate.ready() && staged.ncpu == staged.items.size()) {
-      staged.ncpu = staged.items.size() - 1;
-    }
-    // Circuit breaker: while the GPU is unhealthy, degrade the split to 1.0
-    // (all CPU) for hybrid kinds; in half-open, send exactly one probe item
-    // to the GPU — at most one probe in flight at a time.
-    if (kind.spec.compute_gpu && kind.spec.compute_cpu &&
-        breaker_ != BreakerState::kClosed) {
-      update_breaker_locked();
-      if (breaker_ == BreakerState::kOpen ||
-          (breaker_ == BreakerState::kHalfOpen && probe_inflight_)) {
-        staged.ncpu = staged.items.size();
-        staged.split = 1.0;
-      } else if (breaker_ == BreakerState::kHalfOpen) {
+  /// Stage the first `n` pending items of `kind` as batches of at most
+  /// max_batch items, each counted once toward `reason` and given its CPU
+  /// share. Items left pending (a size flush's tail) restart the window.
+  void stage_batches_locked(Kind& kind, KindId id, FlushReason reason,
+                            std::size_t n, std::vector<StagedBatch>& out) {
+    std::size_t* const counts[] = {&stats_.timer_flushes, &stats_.size_flushes,
+                                   &stats_.explicit_flushes};
+    obs::Counter* const metrics[] = {&m_flush_timer_, &m_flush_size_,
+                                     &m_flush_explicit_};
+    const auto pos = [](auto& v, std::size_t i) {
+      return v.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    for (std::size_t i0 = 0; i0 < n; i0 += config_.max_batch) {
+      const std::size_t i1 = std::min(n, i0 + config_.max_batch);
+      StagedBatch& staged = out.emplace_back();
+      staged.kind = &kind;
+      staged.kind_id = id;
+      staged.items.assign(std::make_move_iterator(pos(kind.pending, i0)),
+                          std::make_move_iterator(pos(kind.pending, i1)));
+      staged.ctxs.assign(pos(kind.pending_ctx, i0), pos(kind.pending_ctx, i1));
+      staged.reason = reason;
+      ++*counts[reason];
+      metrics[reason]->inc();
+      ++stats_.batches;
+      stats_.max_batch_seen = std::max(stats_.max_batch_seen, i1 - i0);
+      m_batches_.inc();
+      m_batch_items_.observe(static_cast<double>(i1 - i0));
+      staged.split = split_fraction_locked(kind);
+      staged.ncpu = cpu_share(staged.items.size(), staged.split);
+      // Auto-tune cold start: rounding (e.g. cpu_share(1, 0.5) == 1) would
+      // starve the GPU's rate estimator and freeze the split at 0.5, so the
+      // GPU gets a warm-up item until its estimator has seen a batch.
+      if (config_.cpu_fraction < 0.0 && kind.spec.compute_gpu &&
+          !kind.gpu_rate.ready() && staged.ncpu == staged.items.size()) {
         staged.ncpu = staged.items.size() - 1;
-        staged.split = static_cast<double>(staged.ncpu) /
-                       static_cast<double>(staged.items.size());
-        probe_inflight_ = true;
       }
+      // Circuit breaker: while the GPU is unhealthy, degrade the split to
+      // 1.0 (all CPU) for hybrid kinds; in half-open, send exactly one probe
+      // item to the GPU — at most one probe in flight at a time.
+      if (kind.spec.compute_gpu && kind.spec.compute_cpu &&
+          breaker_ != BreakerState::kClosed) {
+        update_breaker_locked();
+        if (breaker_ == BreakerState::kOpen ||
+            (breaker_ == BreakerState::kHalfOpen && probe_inflight_)) {
+          staged.ncpu = staged.items.size();
+          staged.split = 1.0;
+        } else if (breaker_ == BreakerState::kHalfOpen) {
+          staged.ncpu = staged.items.size() - 1;
+          staged.split = static_cast<double>(staged.ncpu) /
+                         static_cast<double>(staged.items.size());
+          probe_inflight_ = true;
+        }
+      }
+      stats_.cpu_items += staged.ncpu;
+      stats_.gpu_items += staged.items.size() - staged.ncpu;
+      m_cpu_items_.inc(static_cast<double>(staged.ncpu));
+      m_gpu_items_.inc(static_cast<double>(staged.items.size() - staged.ncpu));
+      kind.split_gauge->set(staged.split);
     }
-    stats_.cpu_items += staged.ncpu;
-    stats_.gpu_items += staged.items.size() - staged.ncpu;
-    m_cpu_items_.inc(static_cast<double>(staged.ncpu));
-    m_gpu_items_.inc(static_cast<double>(staged.items.size() - staged.ncpu));
-    kind.split_gauge->set(staged.split);
-    return staged;
+    kind.pending.erase(kind.pending.begin(), pos(kind.pending, n));
+    kind.pending_ctx.erase(kind.pending_ctx.begin(), pos(kind.pending_ctx, n));
+    kind.oldest_pending = std::chrono::steady_clock::now();
   }
 
   void submit_batch(StagedBatch staged) {
@@ -554,15 +564,12 @@ class BatchingEngine {
     // so postprocess — and CPU fallback after a failed batch — keep each
     // item's task id.
     if (staged.items.size() > ncpu) {
-      auto work = std::make_shared<GpuWork>();
+      const auto gpu_begin = static_cast<std::ptrdiff_t>(ncpu);
+      auto work = std::make_shared<Run>();
       work->items.assign(
-          std::make_move_iterator(staged.items.begin() +
-                                  static_cast<std::ptrdiff_t>(ncpu)),
+          std::make_move_iterator(staged.items.begin() + gpu_begin),
           std::make_move_iterator(staged.items.end()));
-      work->ctxs.assign(staged.ctxs.begin() + static_cast<std::ptrdiff_t>(
-                                                  std::min(ncpu,
-                                                           staged.ctxs.size())),
-                        staged.ctxs.end());
+      work->ctxs.assign(staged.ctxs.begin() + gpu_begin, staged.ctxs.end());
       work->batch_ctx = span.context();
       gpu_driver_.submit([this, kptr, kind_id, work] {
         obs::ScopedContext provenance(work->batch_ctx);
@@ -570,87 +577,74 @@ class BatchingEngine {
       });
     }
 
-    // CPU side: the batch's CPU share fans out over the CPU pool
-    // in chunks of Config::cpu_chunk items (1 = one task per item; they are
-    // independent MADNESS tasks either way). Each item keeps its own task
-    // id; its compute span chains to the batch dispatch.
-    const std::size_t chunk = std::max<std::size_t>(1, config_.cpu_chunk);
-    for (std::size_t i0 = 0; i0 < ncpu; i0 += chunk) {
-      submit_cpu_chunk(kptr, kind_id, staged.items, staged.ctxs, i0,
-                       std::min(ncpu, i0 + chunk), batch_id);
-    }
+    // CPU side: the batch's CPU share goes to the pool as one contiguous
+    // run per CPU worker. Each item keeps its own task id; its compute span
+    // chains to the batch dispatch.
+    submit_cpu_runs(kptr, kind_id, staged.items, staged.ctxs, ncpu, batch_id);
   }
 
-  /// Compute+postprocess items [i0, i1) of `src` (moved out) on the CPU
-  /// pool as ONE pool task: a run of a batch's CPU share, or one item of a
-  /// failed GPU batch falling back to the CPU. One worker runs the whole
-  /// chunk, so its thread-local scratch (e.g. linalg's GemmWorkspace)
-  /// stays hot across it. Each item's causal context (task id + producer
-  /// span; `batch_id`, when nonzero, replaces the producer) is re-installed
-  /// on the worker so its compute span continues the item's chain. Spans,
-  /// postprocess, error isolation and completion accounting are per item;
-  /// the CPU rate sample is aggregated over the chunk (rate.record(n, dt)).
-  void submit_cpu_chunk(Kind* kptr, double kind_id, std::vector<Input>& src,
-                        const std::vector<obs::TraceContext>& src_ctxs,
-                        std::size_t i0, std::size_t i1,
-                        std::uint64_t batch_id) {
-    auto items = std::make_shared<std::vector<Input>>();
-    auto ctxs = std::make_shared<std::vector<obs::TraceContext>>();
-    items->reserve(i1 - i0);
-    ctxs->reserve(i1 - i0);
-    for (std::size_t i = i0; i < i1; ++i) {
-      obs::TraceContext ctx =
-          i < src_ctxs.size() ? src_ctxs[i] : obs::TraceContext{};
-      if (batch_id != 0) ctx.span = batch_id;
-      items->push_back(std::move(src[i]));
-      ctxs->push_back(ctx);
-    }
-    cpu_pool_.submit([this, kptr, kind_id, items, ctxs] {
-      double chunk_secs = 0.0;
-      std::size_t computed = 0;
-      for (std::size_t i = 0; i < items->size(); ++i) {
-        obs::ScopedContext provenance((*ctxs)[i]);
-        try {
-          obs::TraceContext chain = (*ctxs)[i];
-          Output out = [&] {
-            obs::ScopedSpan cpu_span(trace_, "cpu-compute",
-                                     obs::Category::kCpuCompute,
-                                     {{"kind", kind_id}});
-            if (cpu_span.id() != 0) chain = cpu_span.context();
-            const auto t0 = std::chrono::steady_clock::now();
-            Output result = kptr->spec.compute_cpu((*items)[i]);
-            const std::chrono::duration<double> dt =
-                std::chrono::steady_clock::now() - t0;
-            chunk_secs += dt.count();
-            ++computed;
-            return result;
-          }();
-          // Postprocess chains to the compute span (the compute span has
-          // already closed, so the ambient context must be re-installed).
-          obs::ScopedContext after(chain);
-          obs::ScopedSpan post_span(trace_, "postprocess",
-                                    obs::Category::kPostprocess,
-                                    {{"kind", kind_id}});
-          kptr->spec.postprocess(std::move(out));
-        } catch (...) {
-          record_error(std::current_exception());
+  /// Hand items [0, n) of `src` (moved out) to the CPU pool as one
+  /// contiguous run per CPU worker: a batch's CPU share, or a failed GPU
+  /// share falling back. A run computes+postprocesses its items in order on
+  /// one worker, so its thread-local scratch (e.g. linalg's GemmWorkspace)
+  /// stays hot. Each item's causal context (task id + producer span;
+  /// `batch_id`, when nonzero, replaces the producer) is re-installed so its
+  /// compute span continues the item's chain. Spans, postprocess and error
+  /// isolation are per item; the CPU rate sample and completion, per run.
+  void submit_cpu_runs(Kind* kptr, double kind_id, std::vector<Input>& src,
+                       const std::vector<obs::TraceContext>& src_ctxs,
+                       std::size_t n, std::uint64_t batch_id) {
+    const std::size_t per_run = (n + cpu_pool_.size() - 1) / cpu_pool_.size();
+    for (std::size_t i0 = 0; i0 < n; i0 += per_run) {
+      auto run = std::make_shared<Run>();
+      const std::size_t i1 = std::min(n, i0 + per_run);
+      run->items.reserve(i1 - i0);
+      run->ctxs.reserve(i1 - i0);
+      for (std::size_t i = i0; i < i1; ++i) {
+        run->items.push_back(std::move(src[i]));
+        run->ctxs.push_back(src_ctxs[i]);
+        if (batch_id != 0) run->ctxs.back().span = batch_id;
+      }
+      cpu_pool_.submit([this, kptr, kind_id, run] {
+        double secs = 0.0;
+        std::size_t computed = 0;
+        for (std::size_t i = 0; i < run->items.size(); ++i) {
+          obs::ScopedContext provenance(run->ctxs[i]);
+          try {
+            obs::TraceContext chain = run->ctxs[i];
+            Output out = [&] {
+              obs::ScopedSpan cpu_span(trace_, "cpu-compute",
+                                       obs::Category::kCpuCompute,
+                                       {{"kind", kind_id}});
+              if (cpu_span.id() != 0) chain = cpu_span.context();
+              const auto t0 = std::chrono::steady_clock::now();
+              Output result = kptr->spec.compute_cpu(run->items[i]);
+              const std::chrono::duration<double> dt =
+                  std::chrono::steady_clock::now() - t0;
+              secs += dt.count();
+              ++computed;
+              return result;
+            }();
+            // Postprocess chains to the compute span (the compute span has
+            // already closed, so the ambient context must be re-installed).
+            obs::ScopedContext after(chain);
+            postprocess_one(kptr, kind_id, std::move(out));
+          } catch (...) {
+            record_error(std::current_exception());
+          }
         }
-        complete_one();
-      }
-      if (computed > 0) {
-        std::scoped_lock lock(mu_);
-        kptr->cpu_rate.record(computed, chunk_secs);
-      }
-    });
+        finish_run(kptr, run->items.size(), computed, secs);
+      });
+    }
   }
 
   // --- GPU-side resilience --------------------------------------------
 
   /// One GPU attempt: an injected kernel fault and the aggregated
   /// compute_gpu call. Throws on any failure; on success records the rate
-  /// sample and submits postprocess tasks.
+  /// sample and submits the postprocess run.
   void gpu_attempt(Kind* kptr, double kind_id,
-                   const std::shared_ptr<GpuWork>& work) {
+                   const std::shared_ptr<Run>& work) {
     std::vector<Output> outs;
     std::uint64_t gpu_span_id = 0;
     {
@@ -674,27 +668,20 @@ class BatchingEngine {
       std::scoped_lock lock(mu_);
       kptr->gpu_rate.record(work->items.size(), secs.count());
     }
+    // The batch's outputs are postprocessed in order as one CPU-pool run.
     // Each item's enqueue span joined the batch already; the item's
     // postprocess keeps its own task id but chains to the gpu-batch span
     // that actually produced its output.
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-      auto boxed = std::make_shared<Output>(std::move(outs[i]));
-      obs::TraceContext ctx = i < work->ctxs.size() ? work->ctxs[i]
-                                                    : obs::TraceContext{};
-      if (gpu_span_id != 0) ctx.span = gpu_span_id;
-      cpu_pool_.submit([this, kptr, kind_id, boxed, ctx] {
+    auto results = std::make_shared<std::vector<Output>>(std::move(outs));
+    cpu_pool_.submit([this, kptr, kind_id, work, results, gpu_span_id] {
+      for (std::size_t i = 0; i < results->size(); ++i) {
+        obs::TraceContext ctx = work->ctxs[i];
+        if (gpu_span_id != 0) ctx.span = gpu_span_id;
         obs::ScopedContext provenance(ctx);
-        try {
-          obs::ScopedSpan post_span(trace_, "postprocess",
-                                    obs::Category::kPostprocess,
-                                    {{"kind", kind_id}});
-          kptr->spec.postprocess(std::move(*boxed));
-        } catch (...) {
-          record_error(std::current_exception());
-        }
-        complete_one();
-      });
-    }
+        postprocess_one(kptr, kind_id, std::move((*results)[i]));
+      }
+      finish_run(kptr, results->size(), 0, 0.0);
+    });
   }
 
   /// Retry loop around gpu_attempt, run on the gpu-driver thread. Bounded
@@ -702,7 +689,7 @@ class BatchingEngine {
   /// (or an open breaker) the batch falls back to the CPU side, or — for a
   /// GPU-only kind — surfaces a typed error from wait().
   void run_gpu_batch(Kind* kptr, double kind_id,
-                     const std::shared_ptr<GpuWork>& work) {
+                     const std::shared_ptr<Run>& work) {
     for (std::size_t attempt = 0;; ++attempt) {
       try {
         gpu_attempt(kptr, kind_id, work);
@@ -777,9 +764,7 @@ class BatchingEngine {
   void open_breaker_locked() {
     if (breaker_ != BreakerState::kOpen) {
       // Entering open from closed starts the degradation interval; a failed
-      // half-open probe re-opens without restarting interval accounting
-      // (breaker_opened_at_ keeps the original open timestamp only when
-      // transitioning from closed).
+      // half-open probe re-opens without restarting it.
       if (breaker_ == BreakerState::kClosed) {
         breaker_opened_at_ = std::chrono::steady_clock::now();
         ++stats_.breaker_opens;
@@ -809,7 +794,7 @@ class BatchingEngine {
   /// fallback for hybrid kinds, a typed recorded error otherwise. Either
   /// way every item is accounted for, so wait() never hangs.
   void finish_failed_gpu_batch(
-      Kind* kptr, double kind_id, const std::shared_ptr<GpuWork>& work,
+      Kind* kptr, double kind_id, const std::shared_ptr<Run>& work,
       const std::exception_ptr& cause, std::size_t attempts) {
     if (kptr->spec.compute_cpu) {
       {
@@ -819,9 +804,8 @@ class BatchingEngine {
       m_fallback_items_.inc(static_cast<double>(work->items.size()));
       // Fallback items keep their provenance: the compute span on the CPU
       // side continues each item's original task chain.
-      for (std::size_t i = 0; i < work->items.size(); ++i) {
-        submit_cpu_chunk(kptr, kind_id, work->items, work->ctxs, i, i + 1, 0);
-      }
+      submit_cpu_runs(kptr, kind_id, work->items, work->ctxs,
+                      work->items.size(), 0);
       return;
     }
     std::string why = "unknown error";
@@ -835,12 +819,29 @@ class BatchingEngine {
         fault::ErrorCode::kGpuRetriesExhausted,
         "GPU batch failed after " + std::to_string(attempts) +
             " attempt(s) with no CPU fallback: " + why)));
-    for (std::size_t i = 0; i < work->items.size(); ++i) complete_one();
+    finish_run(kptr, work->items.size(), 0, 0.0);
   }
 
-  void complete_one() {
+  /// One item's postprocess span and call; a throw is recorded, and the
+  /// item still counts as complete.
+  void postprocess_one(Kind* kptr, double kind_id, Output&& out) {
+    try {
+      obs::ScopedSpan post_span(trace_, "postprocess",
+                                obs::Category::kPostprocess,
+                                {{"kind", kind_id}});
+      kptr->spec.postprocess(std::move(out));
+    } catch (...) {
+      record_error(std::current_exception());
+    }
+  }
+
+  /// Count a run's `n` items complete, with its CPU-rate sample of
+  /// `computed` items in `secs` (if any), under one mu_ acquisition.
+  void finish_run(Kind* kptr, std::size_t n, std::size_t computed,
+                  double secs) {
     std::scoped_lock lock(mu_);
-    ++stats_.completed;
+    if (computed > 0) kptr->cpu_rate.record(computed, secs);
+    stats_.completed += n;
     if (stats_.completed == stats_.submitted) done_cv_.notify_all();
   }
 

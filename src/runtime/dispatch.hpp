@@ -40,7 +40,6 @@ class RateEstimator {
   bool ready() const noexcept { return samples_ > 0; }
   /// Estimated seconds per item (0 until the first record()).
   double per_item() const noexcept { return per_item_; }
-  std::size_t samples() const noexcept { return samples_; }
 
  private:
   double per_item_ = 0.0;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/diagnostics.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/batching.hpp"
 #include "runtime/deadline.hpp"
 #include "runtime/dispatch.hpp"
@@ -278,12 +279,10 @@ TEST(BatchingEngine, ProcessesEveryItemExactlyOnce) {
 }
 
 TEST(BatchingEngine, CpuChunkingProcessesEveryItemExactlyOnce) {
-  // cpu_chunk > 1 aggregates several items into one pool task (one packed
-  // engine call in the real Apply kind) without changing the contract:
-  // every item computed and postprocessed exactly once, same stats.
-  auto cfg = quick_config(1.0);  // CPU-only: every item takes the chunk path
-  cfg.cpu_chunk = 8;
-  Engine engine(cfg);
+  // A batch's CPU share runs as one pool task per CPU worker without
+  // changing the contract: every item computed and postprocessed exactly
+  // once, same stats.
+  Engine engine(quick_config(1.0));  // CPU-only: every item runs on the CPU
   std::mutex mu;
   std::multiset<int> seen;
   const KindId kind = engine.register_kind(
@@ -309,11 +308,9 @@ TEST(BatchingEngine, CpuChunkingProcessesEveryItemExactlyOnce) {
 }
 
 TEST(BatchingEngine, CpuChunkingIsolatesPerItemErrors) {
-  // One poisoned item inside a chunk must not take its chunk-mates down:
+  // One poisoned item inside a CPU run must not take its run-mates down:
   // the error surfaces from wait(), every other item still completes.
-  auto cfg = quick_config(1.0);
-  cfg.cpu_chunk = 16;
-  Engine engine(cfg);
+  Engine engine(quick_config(1.0));
   std::atomic<int> done{0};
   const KindId kind = engine.register_kind(
       {[](const int& x) {
@@ -328,6 +325,64 @@ TEST(BatchingEngine, CpuChunkingIsolatesPerItemErrors) {
   for (int i = 0; i < 300; ++i) engine.submit(kind, i);
   EXPECT_THROW(engine.wait(), std::runtime_error);
   EXPECT_EQ(done.load(), 299);
+}
+
+// The engine moves batches, not items: each batch reaches the CPU pool as
+// at most one run per CPU worker plus one GPU postprocess run. The pool's
+// own executed-task count pins that exactly, whatever the timing.
+TEST(BatchingEngine, CpuPoolRunsOncePerBatchSide) {
+  obs::MetricsRegistry reg;
+  auto cfg = quick_config(0.5);
+  cfg.flush_interval = 10min;  // size and explicit flushes only
+  cfg.metrics = &reg;
+  Engine engine(cfg);
+  std::atomic<int> done{0};
+  const KindId kind = engine.register_kind(
+      {[](const int& x) { return x; },
+       [](std::span<const int> xs) {
+         return std::vector<int>(xs.begin(), xs.end());
+       },
+       [&](int&&) { ++done; },
+       23});
+  for (int i = 0; i < 2000; ++i) engine.submit(kind, i);
+  engine.wait();
+  engine.sample_metrics();
+  const auto stats = engine.stats();
+  EXPECT_EQ(done.load(), 2000);
+  EXPECT_EQ(stats.batches, 32u);  // 31 full batches of 64, then 16
+  EXPECT_GT(stats.cpu_items, 0u);
+  EXPECT_GT(stats.gpu_items, 0u);
+  const double executed =
+      reg.gauge("mh_pool_executed", {}, {{"pool", "cpu-pool"}}).value();
+  EXPECT_GT(executed, 0.0);
+  EXPECT_LE(executed,
+            static_cast<double>(stats.batches * (cfg.cpu_threads + 1)));
+}
+
+// One throwing postprocess inside a GPU batch's postprocess run neither
+// drops the other items nor hangs wait().
+TEST(BatchingEngine, GpuPostprocessRunIsolatesPerItemErrors) {
+  auto cfg = quick_config(0.0);  // GPU-only split
+  cfg.flush_interval = 10min;
+  Engine engine(cfg);
+  std::atomic<int> done{0};
+  const KindId kind = engine.register_kind(
+      {nullptr,
+       [](std::span<const int> xs) {
+         return std::vector<int>(xs.begin(), xs.end());
+       },
+       [&](int&& out) {
+         if (out == 17) throw std::runtime_error("poisoned postprocess");
+         ++done;
+       },
+       24});
+  for (int i = 0; i < 64; ++i) engine.submit(kind, i);  // one GPU batch
+  EXPECT_THROW(engine.wait(), std::runtime_error);
+  EXPECT_EQ(done.load(), 63);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.gpu_items, 64u);
+  EXPECT_EQ(stats.completed, stats.submitted);
 }
 
 TEST(BatchingEngine, CpuOnlyFractionNeverCallsGpu) {
@@ -447,6 +502,52 @@ TEST(BatchingEngine, SizeCapTriggersEarlyDispatch) {
   }
   EXPECT_EQ(done.load(), 8);
   EXPECT_GE(engine.stats().size_flushes, 1u);
+}
+
+// max_batch caps a batch, not only triggers one. With the timer off, a
+// size flush stages only whole batches of max_batch and leaves the tail
+// aggregating, and wait()'s explicit flush sends the tail in batches of at
+// most max_batch, so 10 * max_batch + 3 items always make 11 batches —
+// however far the dispatcher lags behind the submitter.
+TEST(BatchingEngine, BatchesNeverExceedMaxBatch) {
+  auto cfg = quick_config(0.0);
+  cfg.max_batch = 8;
+  cfg.flush_interval = 10min;  // timer effectively off
+  Engine engine(cfg);
+  std::mutex mu;
+  std::vector<std::size_t> sizes;
+  std::atomic<int> done{0};
+  const KindId kind = engine.register_kind(
+      {nullptr,
+       [&](std::span<const int> xs) {
+         {
+           std::scoped_lock lock(mu);
+           sizes.push_back(xs.size());
+         }
+         return std::vector<int>(xs.begin(), xs.end());
+       },
+       [&](int&&) { ++done; },
+       25});
+  for (int i = 0; i < 83; ++i) engine.submit(kind, i);
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (done.load() < 80 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  std::this_thread::sleep_for(20ms);
+  EXPECT_EQ(done.load(), 80) << "the size flush's tail must keep aggregating";
+  EXPECT_EQ(engine.stats().size_flushes, 10u);
+  engine.wait();
+  EXPECT_EQ(done.load(), 83);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.batches, 11u);
+  EXPECT_LE(stats.max_batch_seen, cfg.max_batch);
+  EXPECT_EQ(stats.size_flushes, 10u);
+  EXPECT_EQ(stats.explicit_flushes, 1u);
+  EXPECT_EQ(stats.timer_flushes + stats.size_flushes + stats.explicit_flushes,
+            stats.batches);
+  std::scoped_lock lock(mu);
+  ASSERT_EQ(sizes.size(), 11u);
+  for (std::size_t n : sizes) EXPECT_LE(n, cfg.max_batch);
 }
 
 TEST(BatchingEngine, TimerFlushesPartialBatch) {
