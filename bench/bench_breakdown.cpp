@@ -102,8 +102,10 @@ void overlap_analysis(Harness& h, obs::TraceSession& session) {
 // exported file demonstrates both clock domains: wall-clock batch/compute
 // spans here, simulated-time node/stream spans from the cluster run. After
 // the pass the engine publishes its levels once: the
-// mh_batching_split_fraction / mh_batching_split_kstar gauges show the
-// auto-tuned CPU share next to k* = n/(m+n) from the live rates.
+// mh_batching_split_fraction gauge shows the CPU share the last staged
+// batch ran at, next to mh_batching_split_kstar, k* = n/(m+n) from the
+// live rates. wait()'s explicit flush may stage batches before any rate
+// sample, which run at the cold-start 0.5.
 void live_engine_pass(Harness& h, obs::TraceSession& session) {
   using Engine = rt::BatchingEngine<int, double>;
   // Each item is a real Apply-shaped compute: one whole fused transform

@@ -22,6 +22,7 @@
 #include "common/rng.hpp"
 #include "gpusim/kernels.hpp"
 #include "linalg/batch_gemm.hpp"
+#include "linalg/batch_gemm_kernels.hpp"
 #include "linalg/gemm.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
@@ -95,6 +96,45 @@ int run(int argc, char** argv) {
     record(h, t, name, linalg::gemm_flops(rows, k, k), [&, rows, k] {
       linalg::mTxm(rows, k, k, c.data(), a.data(), b.data());
     });
+  }
+
+  // The two k = 5 kernel calls a one-task Coulomb Apply is made of: the
+  // 25x5x5 store GEMM of each prefix node, and the one-slot fan-out of the
+  // last mode over the M = 35 terms stacked (K = 175). Both run a 4x5 tile
+  // per panel.
+  {
+    constexpr std::size_t k = 5, rows = k * k, terms = 35;
+    Rng rng(h.seed_or(8));
+    std::vector<double> a(k * rows), b(k * k), c(rows * k);
+    for (auto& x : a) x = rng.uniform(-1.0, 1.0);
+    for (auto& x : b) x = rng.uniform(-1.0, 1.0);
+    const std::size_t shape[] = {k, k, k};
+    const linalg::GemmMat mat{b.data(), k, k};
+    linalg::GemmWorkspace ws;
+    record(h, t, "mTxm_store_k5", linalg::gemm_flops(rows, k, k), [&] {
+      linalg::fused_transform_chain(shape, a.data(), {&mat, 1}, k, c.data(),
+                                    ws);
+    });
+    std::vector<double> as(terms * k * rows), blocks(terms * k * k);
+    for (auto& x : as) x = rng.uniform(-1.0, 1.0);
+    for (auto& x : blocks) x = rng.uniform(-1.0, 1.0);
+    std::vector<const double*> segs, slot;
+    for (std::size_t mu = 0; mu < terms; ++mu) {
+      segs.push_back(as.data() + mu * k * rows);
+      slot.push_back(blocks.data() + mu * k * k);
+    }
+    const std::vector<std::size_t> kc(terms, k);
+    const std::vector<double> coeffs(terms, 1.0);
+    const std::size_t start[] = {0, 1};
+    double* const target[] = {c.data()};
+    const linalg::detail::FanOut f{
+        rows, k, terms, kc.data(), segs.data(), coeffs.data(), slot.data(),
+        1, start, target};
+    double* apack = ws.pack_a(4 * terms * k);
+    const linalg::detail::FanOutKernelFn fan_out =
+        linalg::detail::fan_out_kernel();
+    record(h, t, "fan_out_1slot_k5", linalg::gemm_flops(rows, k, terms * k),
+           [&] { fan_out(f, apack); });
   }
 
   // Batched whole-task fusion: distinct Apply tasks (nothing to share)

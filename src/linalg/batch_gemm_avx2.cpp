@@ -5,10 +5,15 @@
 // Structure: 4-wide i-panels of a are packed k-major into `apack` (tail
 // panels zero-padded so the microkernel shape never changes), then 4x8 and
 // 4x4 register tiles walk contiguous rows of each b block. The 1..3
-// columns a block leaves over run as column vectors on the same panel, the
-// leftovers of all blocks in one run: one 4-lane accumulator per column
-// (lane r = row r), up to eight columns per pass so their add chains
-// overlap. The contraction is a list of segments: mtxm has one, the
+// columns a block leaves over run as column vectors on the same panel: one
+// 4-lane accumulator per column (lane r = row r). Behind a 4x4 tile
+// (widths 5..7, 13..15) they are folded into that tile's loop, a 4x5 tile
+// at k = 5, so their add chains run beside the tile's. Otherwise (widths
+// 1..3, and 9..11 behind a 4x8 tile, which already holds 8 accumulators)
+// the leftovers of all blocks run after the tiles in one run, up to eight
+// columns per pass so their add chains overlap. Either way each element
+// keeps its own accumulator and order. The contraction is a list of
+// segments: mtxm has one, the
 // fan-out kernel (batch_fused_apply's last mode) one per separated term.
 // Its packed panel stacks every term's rows, each scaled by the term's
 // weight as it is packed, and each slot's B is the terms' last blocks,
@@ -186,7 +191,12 @@ inline void micro_4x8(Segs sg, const double* ap, const double* const* b,
   epi.tile(s, j, rows, acc);
 }
 
-template <class Epi>
+// One 4x4 tile with the slot's T = 0..3 columns past it folded in as
+// column vectors (lane r = row r): a 4x(4+T) tile, columns j..j+4+T, so
+// at k = 5 the fifth column's add chain runs beside the tile's four
+// instead of as a one-chain pass after it. 4 + T accumulators + 1 b-load
+// + 1 panel load + 1 broadcast stay within 11 ymm.
+template <int T, class Epi>
 inline void micro_4x4(Segs sg, const double* ap, const double* const* b,
                       std::size_t ldb, std::size_t s, std::size_t j,
                       std::size_t rows, const Epi& epi) {
@@ -194,12 +204,17 @@ inline void micro_4x4(Segs sg, const double* ap, const double* const* b,
   __m256d acc1 = _mm256_setzero_pd();
   __m256d acc2 = _mm256_setzero_pd();
   __m256d acc3 = _mm256_setzero_pd();
+  // Named, not an array: GCC keeps an array of accumulators in memory.
+  __m256d tail0 = _mm256_setzero_pd();
+  __m256d tail1 = _mm256_setzero_pd();
+  __m256d tail2 = _mm256_setzero_pd();
   for (std::size_t mu = 0; mu < sg.terms; ++mu) {
     const double* bm = b[mu] + j;
     const std::size_t kc = sg.kc[mu];
 #pragma GCC unroll 2
     for (std::size_t k = 0; k < kc; ++k) {
-      const __m256d b0 = _mm256_loadu_pd(bm + k * ldb);
+      const double* bk = bm + k * ldb;
+      const __m256d b0 = _mm256_loadu_pd(bk);
       const double* apk = ap + 4 * k;
       acc0 =
           _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_broadcast_sd(apk), b0));
@@ -209,11 +224,27 @@ inline void micro_4x4(Segs sg, const double* ap, const double* const* b,
                            _mm256_mul_pd(_mm256_broadcast_sd(apk + 2), b0));
       acc3 = _mm256_add_pd(acc3,
                            _mm256_mul_pd(_mm256_broadcast_sd(apk + 3), b0));
+      if constexpr (T > 0) {
+        const __m256d av = _mm256_loadu_pd(apk);
+        tail0 = _mm256_add_pd(
+            tail0, _mm256_mul_pd(av, _mm256_broadcast_sd(bk + 4)));
+        if constexpr (T > 1) {
+          tail1 = _mm256_add_pd(
+              tail1, _mm256_mul_pd(av, _mm256_broadcast_sd(bk + 5)));
+        }
+        if constexpr (T > 2) {
+          tail2 = _mm256_add_pd(
+              tail2, _mm256_mul_pd(av, _mm256_broadcast_sd(bk + 6)));
+        }
+      }
     }
     ap += 4 * kc;
   }
   const __m256d acc[4][1] = {{acc0}, {acc1}, {acc2}, {acc3}};
   epi.tile(s, j, rows, acc);
+  if constexpr (T > 0) epi.column(s, j + 4, rows, tail0);
+  if constexpr (T > 1) epi.column(s, j + 5, rows, tail1);
+  if constexpr (T > 2) epi.column(s, j + 6, rows, tail2);
 }
 
 // The columns past the blocks' 4-wide tiles, columns first..width-1 of
@@ -319,21 +350,31 @@ struct PackStacked {
 };
 
 // Every tile of one packed panel across n slots of (K, width) segmented
-// blocks: each slot's 4x8 and 4x4 tiles, then the 1..3 columns left in
-// every slot as one run of column vectors, up to 8 per pass so their add
-// chains overlap.
+// blocks. A slot whose last tile is a 4x4 folds its 1..3 remaining
+// columns into that tile (micro_4x4<T>). Otherwise (width < 4, or a
+// 4x8 last tile at width 9..11) the columns left in every slot run after
+// the tiles as one cross-slot run of column vectors, up to 8 per pass so
+// their add chains overlap (a 4x8 tile already holds 8 accumulators).
 template <class Epi>
 [[gnu::always_inline]] inline void panel_tiles(
     Segs sg, const double* apack, const double* const* blocks,
     std::size_t n, std::size_t width, std::size_t rows, const Epi& epi) {
   const std::size_t tiled = width - width % 4;
+  const bool fold = tiled % 8 == 4;  // the last tile is a 4x4
   for (std::size_t s = 0; s < n; ++s) {
     const double* const* b = blocks + s * sg.terms;
     std::size_t j0 = 0;
     for (; j0 + 8 <= tiled; j0 += 8)
       micro_4x8(sg, apack, b, width, s, j0, rows, epi);
-    if (j0 < tiled) micro_4x4(sg, apack, b, width, s, j0, rows, epi);
+    if (!fold) continue;
+    switch (width - tiled) {
+      case 0: micro_4x4<0>(sg, apack, b, width, s, j0, rows, epi); break;
+      case 1: micro_4x4<1>(sg, apack, b, width, s, j0, rows, epi); break;
+      case 2: micro_4x4<2>(sg, apack, b, width, s, j0, rows, epi); break;
+      default: micro_4x4<3>(sg, apack, b, width, s, j0, rows, epi); break;
+    }
   }
+  if (fold) return;
   std::size_t left = n * (width - tiled);
   std::size_t s = 0, j = tiled;
   for (; left >= 8; left -= 8)

@@ -24,6 +24,26 @@ std::shared_ptr<const Tensor> borrowed(const Tensor& t) {
   return {std::shared_ptr<const Tensor>(), &t};
 }
 
+/// The calling thread's hit counter of the operator it used last, and of
+/// every operator it has used, keyed by serial (never reused, so an entry
+/// of a destroyed operator is never matched). The last one is two plain
+/// thread-locals: the lookup path reads them without a TLS guard.
+thread_local std::uint64_t last_serial = 0;
+thread_local std::atomic<std::size_t>* last_hits = nullptr;
+thread_local std::vector<std::pair<std::uint64_t, std::atomic<std::size_t>*>>
+    all_hits;
+
+/// The calling thread's row of ranks for one (level table, tolerance):
+/// ranks[mu * width + c] for every column c with filled[c] set.
+struct RankRow {
+  std::uint64_t table = 0;
+  double tol = 0.0;
+  std::vector<unsigned char> filled;
+  std::vector<std::size_t> ranks;
+  std::vector<std::int64_t> fresh;  ///< a call's columns not yet filled
+};
+thread_local RankRow rank_row;
+
 /// The distinct displacement components `items` read in their `d` modes,
 /// each within the table's `width` columns around 0; a per-thread list
 /// valid until the calling thread's next call.
@@ -192,11 +212,30 @@ const SeparatedConvolution::Block& SeparatedConvolution::block(
   return entry.publish(std::move(b));
 }
 
+void SeparatedConvolution::count_hits(std::size_t hits) const {
+  if (hits == 0) return;
+  if (last_serial != serial_) {
+    auto it = std::find_if(
+        all_hits.rbegin(), all_hits.rend(),
+        [this](const auto& e) { return e.first == serial_; });
+    if (it == all_hits.rend()) {
+      std::scoped_lock lock(hits_mu_);
+      all_hits.emplace_back(
+          serial_, &hits_.emplace_back(std::make_unique<HitCounter>())->hits);
+      it = all_hits.rbegin();
+    }
+    last_serial = serial_;
+    last_hits = it->second;
+  }
+  last_hits->store(last_hits->load(std::memory_order_relaxed) + hits,
+                   std::memory_order_relaxed);
+}
+
 const SeparatedConvolution::Block& SeparatedConvolution::lookup(
     std::size_t mu, int n, std::int64_t m) const {
   std::size_t hits = 0;
   const Block& b = block(level(n), mu, n, m, hits);
-  if (hits != 0) hits_.fetch_add(hits, std::memory_order_relaxed);
+  count_hits(hits);
   return b;
 }
 
@@ -239,7 +278,7 @@ std::shared_ptr<const Tensor> SeparatedConvolution::ns_block(
       }
     }
   }
-  hits_.fetch_add(hits, std::memory_order_relaxed);
+  count_hits(hits);
 
   // U = W M W^T: rotate both indices into the combined {phi, psi} basis.
   const mra::TwoScaleCoeffs& ts = mra::two_scale(k);
@@ -273,25 +312,42 @@ linalg::BlockTable SeparatedConvolution::h_table(
     int n, std::span<const linalg::DisplacementItem> items,
     double rank_tol) const {
   const Level& lvl = level(n);
-  thread_local std::vector<std::size_t> ranks;
-  if (rank_tol > 0.0) ranks.resize(rank() * width_);
-  const std::vector<std::int64_t>& read =
-      components(items, params_.ndim, width_);
-  std::size_t hits = 0;
-  for (std::size_t mu = 0; mu < rank(); ++mu) {
-    for (const std::int64_t m : read) {
-      const Block& b = block(lvl, mu, n, m, hits);
-      if (rank_tol > 0.0) ranks[index(mu, m)] = b.rank_for(rank_tol);
+  RankRow& row = rank_row;
+  if (row.table != lvl.h_id || row.tol != rank_tol) {
+    row.table = lvl.h_id;
+    row.tol = rank_tol;
+    row.filled.assign(width_, 0);
+    if (rank_tol > 0.0) row.ranks.resize(rank() * width_);
+  }
+  // The items' columns this thread has not looked up under this key, in
+  // first-read order; each is marked filled only once all its terms are.
+  row.fresh.clear();
+  for (const linalg::DisplacementItem& item : items) {
+    for (std::size_t dim = 0; dim < params_.ndim; ++dim) {
+      const std::int64_t m = item.disp[dim];
+      MH_CHECK(m >= -reach_ && m <= reach_,
+               "displacement outside the operator table");
+      if (row.filled[static_cast<std::size_t>(m + reach_)] == 0 &&
+          std::find(row.fresh.begin(), row.fresh.end(), m) == row.fresh.end())
+        row.fresh.push_back(m);
     }
   }
+  std::size_t hits = 0;
+  for (std::size_t mu = 0; mu < rank(); ++mu) {
+    for (const std::int64_t m : row.fresh) {
+      const Block& b = block(lvl, mu, n, m, hits);
+      if (rank_tol > 0.0) row.ranks[index(mu, m)] = b.rank_for(rank_tol);
+    }
+  }
+  for (const std::int64_t m : row.fresh)
+    row.filled[static_cast<std::size_t>(m + reach_)] = 1;
   // Each item reads rank() * ndim blocks (and as many ranks): every read
-  // but the first fills (the misses above) is a hit.
+  // but this call's first fills (the misses above) is a hit.
   const std::size_t reads = items.size() * rank() * params_.ndim;
-  const std::size_t misses = rank() * read.size() - hits;
-  hits_.fetch_add(reads - misses + (rank_tol > 0.0 ? reads : 0),
-                  std::memory_order_relaxed);
+  const std::size_t misses = rank() * row.fresh.size() - hits;
+  count_hits(reads - misses + (rank_tol > 0.0 ? reads : 0));
   return {lvl.h.get(), width_, reach_,
-          rank_tol > 0.0 ? ranks.data() : nullptr, lvl.h_id};
+          rank_tol > 0.0 ? row.ranks.data() : nullptr, lvl.h_id};
 }
 
 linalg::BlockTable SeparatedConvolution::ns_table(
@@ -327,7 +383,7 @@ const std::vector<Displacement>& SeparatedConvolution::displacements(
           block(lvl, mu, n, m, hits).tail[0];
     }
   }
-  hits_.fetch_add(hits, std::memory_order_relaxed);
+  count_hits(hits);
 
   std::vector<Displacement> out;
   // Enumerate the lattice [-cap, cap]^d with product screening: the operator
@@ -362,8 +418,11 @@ const std::vector<Displacement>& SeparatedConvolution::displacements(
 }
 
 CacheStats SeparatedConvolution::cache_stats() const {
-  return {hits_.load(std::memory_order_relaxed),
-          misses_.load(std::memory_order_relaxed)};
+  CacheStats stats{0, misses_.load(std::memory_order_relaxed)};
+  std::scoped_lock lock(hits_mu_);
+  for (const auto& counter : hits_)
+    stats.hits += counter->hits.load(std::memory_order_relaxed);
+  return stats;
 }
 
 }  // namespace mh::ops

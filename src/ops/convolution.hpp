@@ -122,6 +122,13 @@ class SeparatedConvolution {
   /// blocks' reduced ranks (reduced_rank(mu, n, m, rank_tol)), counted as
   /// as many more reads, in a per-thread table valid until the calling
   /// thread's next call.
+  ///
+  /// The calling thread keeps its row of ranks for its last (level table,
+  /// rank_tol) with a mask of the columns already looked up, so a call
+  /// looks up and ranks only the columns that thread has not seen under
+  /// that key: consecutive one-task calls of one leaf cost about what one
+  /// leaf batch does. Hits still count every read: reads minus this call's
+  /// misses (the first fills among the columns it looked up).
   linalg::BlockTable h_table(int n,
                              std::span<const linalg::DisplacementItem> items,
                              double rank_tol) const;
@@ -135,6 +142,7 @@ class SeparatedConvolution {
       int n, std::span<const linalg::DisplacementItem> items) const;
 
   /// Each block lookup is one hit or one miss (the first fill of a block).
+  /// The hits are the sum of the per-thread counters, each read once.
   CacheStats cache_stats() const;
 
  private:
@@ -193,6 +201,8 @@ class SeparatedConvolution {
   const Block& block(const Level& level, std::size_t mu, int n, std::int64_t m,
                      std::size_t& hits) const;
   const Block& lookup(std::size_t mu, int n, std::int64_t m) const;
+  /// Adds `hits` to the calling thread's counter (see hits_).
+  void count_hits(std::size_t hits) const;
 
   Params params_;
   SeparatedKernel kernel_;
@@ -203,9 +213,20 @@ class SeparatedConvolution {
   std::size_t width_ = 0;
   mutable std::recursive_mutex mu_;  ///< serializes first fills only
   mutable std::array<WriteOnce<Level>, kLevels> levels_;
-  // Own cache line: every lookup adds to it, and levels_ is read as often.
-  alignas(64) mutable std::atomic<std::size_t> hits_{0};
-  mutable std::atomic<std::size_t> misses_{0};
+  mutable std::atomic<std::size_t> misses_{0};  ///< added under mu_
+  /// One hit counter per thread that read a block, each on its own cache
+  /// line. Only its thread writes it, with a relaxed load and store (no
+  /// read-modify-write, no lock prefix), so a block read makes no write to
+  /// a line another thread writes; cache_stats() sums them. A thread finds
+  /// its counter through a thread-local entry keyed by serial_, which no
+  /// other operator of the process shares. The counters outlive their
+  /// threads and are freed with the operator.
+  struct alignas(64) HitCounter {
+    std::atomic<std::size_t> hits{0};
+  };
+  const std::uint64_t serial_ = linalg::BlockTable::fresh_id();
+  mutable std::mutex hits_mu_;  ///< guards hits_, not the counts
+  mutable std::vector<std::unique_ptr<HitCounter>> hits_;
 };
 
 }  // namespace mh::ops

@@ -42,7 +42,9 @@
 // retried with exponential backoff + deterministic jitter
 // (fault::backoff_ms) up to gpu_max_retries; a run of breaker_threshold
 // consecutive failures opens a GPU-health circuit breaker that re-routes
-// whole batches to the CPU side (the live split degrades from k* to 1.0).
+// whole batches to the CPU side (the live split degrades from k* to 1.0),
+// batches staged before it opened included: the GPU driver checks it
+// before a batch's first attempt.
 // After breaker_cooldown the breaker goes half-open and sends a single
 // probe item to the GPU: success closes it (the auto-tuned split is
 // restored from the surviving rate estimators), failure re-opens it. When
@@ -234,7 +236,8 @@ class BatchingEngine {
         labels);
     kind.split_gauge = &metrics_.gauge(
         "mh_batching_split_fraction",
-        "CPU share of the next batch (the live hybrid split)", labels);
+        "CPU share the last staged batch ran at (the live hybrid split)",
+        labels);
     kind.kstar_gauge = &metrics_.gauge(
         "mh_batching_split_kstar",
         "optimal split k* = n/(m+n) from the observed per-item rates",
@@ -326,16 +329,17 @@ class BatchingEngine {
   }
 
   /// Publish the engine's levels into its metrics registry: per-kind
-  /// pending depth, live split fraction and its k* target, plus the two
+  /// pending depth and the k* target of the observed rates, plus the two
   /// pools' queue/utilization gauges. The levels are read at the time of
-  /// the call; call it right before the registry is read or exported.
+  /// the call; call it right before the registry is read or exported. The
+  /// split gauge is not sampled: staging sets it to the split each batch
+  /// ran at, so it shows the last one, cold start or breaker included.
   void sample_metrics() {
     {
       std::scoped_lock lock(mu_);
       for (auto& kind_ptr : kinds_) {
         Kind& kind = *kind_ptr;
         kind.pending_gauge->set(static_cast<double>(kind.pending.size()));
-        kind.split_gauge->set(split_fraction_locked(kind));
         if (kind.cpu_rate.ready() && kind.gpu_rate.ready() &&
             kind.cpu_rate.per_item() > 0.0 && kind.gpu_rate.per_item() > 0.0) {
           kind.kstar_gauge->set(optimal_cpu_fraction(
@@ -361,8 +365,9 @@ class BatchingEngine {
     bool size_trigger = false;
     RateEstimator cpu_rate;
     RateEstimator gpu_rate;
-    // Gauges set by sample_metrics(), registered in register_kind (stable
-    // for the registry's lifetime).
+    // Gauges registered in register_kind (stable for the registry's
+    // lifetime): the split is set as each batch is staged, the others by
+    // sample_metrics().
     obs::Gauge* pending_gauge = nullptr;
     obs::Gauge* split_gauge = nullptr;
     obs::Gauge* kstar_gauge = nullptr;
@@ -687,9 +692,15 @@ class BatchingEngine {
   /// Retry loop around gpu_attempt, run on the gpu-driver thread. Bounded
   /// retries with backoff while the breaker stays closed; on exhaustion
   /// (or an open breaker) the batch falls back to the CPU side, or — for a
-  /// GPU-only kind — surfaces a typed error from wait().
+  /// GPU-only kind — surfaces a typed error from wait(). A hybrid batch
+  /// staged before the breaker opened and picked up while it is open falls
+  /// back without a GPU attempt.
   void run_gpu_batch(Kind* kptr, double kind_id,
                      const std::shared_ptr<Run>& work) {
+    if (kptr->spec.compute_cpu && breaker_state() == BreakerState::kOpen) {
+      finish_failed_gpu_batch(kptr, kind_id, work, nullptr, 0);
+      return;
+    }
     for (std::size_t attempt = 0;; ++attempt) {
       try {
         gpu_attempt(kptr, kind_id, work);

@@ -405,6 +405,47 @@ TEST(EngineResilience, BreakerOpensAndEverythingCompletesOnCpu) {
                    1.0);
 }
 
+// The GPU driver consults the breaker before a batch's first attempt: a
+// batch staged before the breaker opened falls back to CPU runs without
+// one. 80 items at max_batch 16 make 5 batches however the dispatcher cuts
+// them; the first GPU share fails 3 times and opens the breaker, and the
+// driver runs one batch at a time, so every later share is picked up with
+// the breaker open and no GPU failure beyond the threshold is counted.
+TEST(EngineResilience, BatchStagedBeforeTheBreakerOpenedSkipsTheGpu) {
+  FaultInjector fi(11);
+  fi.set_rule(FaultSite::kGpuKernel, prob_rule(1.0));
+  obs::MetricsRegistry reg;
+  auto cfg = chaos_config(&fi, &reg);
+  cfg.gpu_max_retries = 2;
+  cfg.breaker_threshold = 3;
+  cfg.breaker_cooldown = 10s;  // stay open for the whole test
+  Engine engine(cfg);
+  std::atomic<long> sum{0};
+  const rt::KindId kind = engine.register_kind(
+      {[](const int& x) { return 2 * x; },
+       [](std::span<const int> xs) {
+         std::vector<int> out;
+         for (int x : xs) out.push_back(2 * x);
+         return out;
+       },
+       [&](int&& v) { sum.fetch_add(v, std::memory_order_relaxed); },
+       1});
+  long expect = 0;
+  for (int i = 0; i < 80; ++i) {
+    engine.submit(kind, i);
+    expect += 2 * i;
+  }
+  ASSERT_NO_THROW(engine.wait());
+  EXPECT_EQ(sum.load(), expect);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.batches, 5u);
+  EXPECT_EQ(stats.completed, 80u);
+  EXPECT_EQ(stats.gpu_failures, cfg.breaker_threshold);
+  EXPECT_EQ(stats.gpu_retries, cfg.breaker_threshold - 1);
+  EXPECT_EQ(stats.breaker_opens, 1u);
+  EXPECT_EQ(stats.gpu_fallback_items, stats.gpu_items);
+}
+
 TEST(EngineResilience, WaitPropagatesTypedErrorWithoutCpuFallback) {
   FaultInjector fi(11);
   fi.set_rule(FaultSite::kGpuKernel, prob_rule(1.0));

@@ -1521,6 +1521,57 @@ TEST(BatchGemm, StackedKernelParityCases) {
   }
 }
 
+TEST(BatchGemm, FoldedTailTilesAgreeBitwise) {
+  // Behind a 4x4 tile (widths 5..7 and 13) the AVX2 kernels fold a slot's
+  // 1..3 remaining columns into that tile; the other widths keep the
+  // cross-slot column run. The add, store and fan-out kernels, portable and
+  // dispatched, each bitwise against mTxm_ref at every width 1..9 and 13,
+  // over 1..3-row tail panels (dimi 1, 2, 3, 5, 6, 7, 25), with a mixed
+  // kc vector and 1, 2, 5 and 6 slots.
+  const std::vector<std::size_t> widths{1, 2, 3, 4, 5, 6, 7, 8, 9, 13};
+  const std::vector<std::size_t> rows{1, 2, 3, 5, 6, 7, 25};
+  const std::vector<std::size_t> kc{3, 1, 5, 2};
+  for (const std::size_t dj : widths) {
+    for (const std::size_t di : rows) {
+      Rng rng(di * 131 + dj);
+      const std::size_t dk = 6;
+      const auto at = random_matrix(dk, di, rng);
+      const auto b = random_matrix(dk, dj, rng);
+      const auto init = random_matrix(di, dj, rng);
+      std::vector<double> apack(4 * dk);
+      GemmWorkspace ws;
+      for (const std::size_t k : {dk, std::size_t{5}, std::size_t{1}}) {
+        std::vector<double> ref = init;
+        mTxm_reduced_ref(di, dj, dk, k, ref.data(), at.data(), b.data());
+        std::vector<double> packed = init;
+        std::vector<double> portable = init;
+        mTxm_packed(di, dj, dk, k, packed.data(), at.data(), b.data(), ws);
+        detail::mtxm_portable(di, dj, k, portable.data(), at.data(),
+                              b.data(), apack.data());
+        EXPECT_EQ(packed, ref) << di << "x" << dj << " kc " << k;
+        EXPECT_EQ(portable, ref) << di << "x" << dj << " kc " << k;
+        std::vector<double> zeroed(di * dj, 0.0);
+        mTxm_reduced_ref(di, dj, dk, k, zeroed.data(), at.data(), b.data());
+        for (const detail::MTxmKernelFn kernel :
+             {detail::mtxm_store_portable, detail::mtxm_store_kernel()}) {
+          std::vector<double> c(di * dj, std::nan(""));
+          kernel(di, dj, k, c.data(), at.data(), b.data(), apack.data());
+          EXPECT_EQ(std::memcmp(c.data(), zeroed.data(),
+                                c.size() * sizeof(double)),
+                    0)
+              << "store " << di << "x" << dj << " kc " << k;
+        }
+      }
+      for (const std::size_t n : {1, 2, 5, 6}) {
+        for (const detail::FanOutKernelFn kernel :
+             {detail::fan_out_portable, detail::fan_out_kernel()}) {
+          check_fan_out(kernel, di, dj, kc, n, di * 1009 + dj * 17 + n);
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchGemm, EmptyBatchIsANoOp) {
   GemmWorkspace ws;
   batch_fused_apply(3, 5, {}, ws);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <latch>
@@ -11,6 +12,7 @@
 #include <numbers>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "bitwise.hpp"
 #include "common/diagnostics.hpp"
@@ -358,6 +360,127 @@ TEST(Convolution, ConcurrentFirstFillsAgreeWithOneThread) {
   }
   for (std::size_t i = 0; i < expect.disps.size(); ++i) {
     EXPECT_EQ(*seen[0].disps[i], *expect.disps[i]) << "level " << i;
+  }
+}
+
+TEST(Convolution, ConcurrentMixedReadsCountEveryHit) {
+  // Each thread counts hits into its own counter; cache_stats() sums them.
+  // Four threads mixing h_block, reduced_rank and h_table reads (full rank
+  // and ranked) on one cold operator: every read is one hit or one miss,
+  // and each block is missed once.
+  const auto params = op_params(2, 5, 1e-6, 2);
+  const SeparatedConvolution op(params,
+                                fit_coulomb(1e-3, 1e-3, std::sqrt(2.0)));
+  constexpr int kLevels = 4;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 40;
+  std::vector<std::size_t> reads(kThreads, 0);
+  using BlockKey = std::tuple<int, std::size_t, std::int64_t>;
+  std::vector<std::set<BlockKey>> blocks(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+        return lo + static_cast<std::int64_t>(rng.next_u64() %
+                                              static_cast<std::uint64_t>(
+                                                  hi - lo + 1));
+      };
+      start.arrive_and_wait();
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        const int n = static_cast<int>(pick(0, kLevels - 1));
+        const auto mu = static_cast<std::size_t>(
+            pick(0, static_cast<std::int64_t>(op.rank()) - 1));
+        const std::int64_t m0 = pick(-2, 2), m1 = pick(-2, 2);
+        op.h_block(mu, n, m0);
+        op.reduced_rank(mu, n, m1, 1e-6);
+        reads[t] += 2;
+        blocks[t].insert({n, mu, m0});
+        blocks[t].insert({n, mu, m1});
+        std::array<std::array<std::int64_t, 2>, 3> disps;
+        std::vector<linalg::DisplacementItem> items;
+        for (auto& disp : disps) {
+          disp = {pick(-2, 2), pick(-2, 2)};
+          items.push_back({nullptr, disp.data(), nullptr});
+          if (items.size() == 1 + round % 3) break;
+        }
+        const double tol = round % 2 == 0 ? 0.0 : 1e-6;
+        op.h_table(n, items, tol);
+        reads[t] += items.size() * op.rank() * 2 * (tol > 0.0 ? 2 : 1);
+        for (const auto& item : items) {
+          for (std::size_t j = 0; j < op.rank(); ++j) {
+            blocks[t].insert({n, j, item.disp[0]});
+            blocks[t].insert({n, j, item.disp[1]});
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::size_t total = 0;
+  std::set<BlockKey> distinct;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    total += reads[t];
+    distinct.insert(blocks[t].begin(), blocks[t].end());
+  }
+  const CacheStats stats = op.cache_stats();
+  EXPECT_EQ(stats.misses, distinct.size());
+  EXPECT_EQ(stats.hits, total - distinct.size());
+}
+
+TEST(Convolution, RankRowsFollowOperatorLevelAndTolerance) {
+  // h_table keeps the calling thread's rank row for its last (level table,
+  // tolerance). One thread alternating two operators (different ranks and
+  // widths), levels and tolerances must read every block's reduced_rank,
+  // and each operator counts exactly its own reads.
+  const SeparatedConvolution a(op_params(2, 5, 1e-6, 2),
+                               fit_coulomb(1e-3, 1e-3, std::sqrt(2.0)));
+  const SeparatedConvolution b(op_params(2, 6, 1e-6, 3),
+                               fit_coulomb(1e-4, 1e-3, std::sqrt(2.0)));
+  ASSERT_NE(a.rank(), b.rank());
+  const double tols[] = {1e-4, 1e-6, 0.0};
+  Rng rng(7);
+  const auto pick = [&rng](std::uint64_t count) {
+    return rng.next_u64() % count;
+  };
+  std::size_t checked = 0;
+  std::map<const SeparatedConvolution*, std::size_t> reads;
+  for (int step = 0; step < 300; ++step) {
+    const SeparatedConvolution& op = pick(2) == 0 ? a : b;
+    const int n = static_cast<int>(pick(3));
+    const double tol = tols[pick(3)];
+    const auto reach = 2 * op.params().max_disp + 1;
+    std::array<std::array<std::int64_t, 2>, 2> disps;
+    std::vector<linalg::DisplacementItem> items;
+    for (auto& disp : disps) {
+      for (auto& m : disp)
+        m = static_cast<std::int64_t>(pick(2 * reach + 1)) - reach;
+      items.push_back({nullptr, disp.data(), nullptr});
+    }
+    const linalg::BlockTable table = op.h_table(n, items, tol);
+    reads[&op] += items.size() * op.rank() * 2 * (tol > 0.0 ? 2 : 1);
+    ASSERT_EQ(table.ranks == nullptr, tol == 0.0);
+    for (const auto& disp : disps) {
+      for (const std::int64_t m : disp) {
+        for (std::size_t mu = 0; mu < op.rank(); ++mu) {
+          const std::size_t at =
+              mu * table.width + static_cast<std::size_t>(table.origin + m);
+          ASSERT_EQ(table.blocks[at], op.h_block(mu, n, m)->data());
+          ++reads[&op];
+          if (tol == 0.0) continue;
+          ASSERT_EQ(table.ranks[at], op.reduced_rank(mu, n, m, tol))
+              << "step " << step << " mu " << mu << " m " << m;
+          ++reads[&op];
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  for (const SeparatedConvolution* op : {&a, &b}) {
+    const CacheStats stats = op->cache_stats();
+    EXPECT_EQ(stats.hits + stats.misses, reads[op]);
   }
 }
 

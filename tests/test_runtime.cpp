@@ -771,6 +771,54 @@ TEST(BatchingEngine, AutoTuneColdStartWarmsUpTheGpu) {
   EXPECT_EQ(stats.cpu_items + stats.gpu_items, 21u);
 }
 
+// The split gauge shows the split batches ran at, not k*. With every
+// compute held until the three batches are staged, no rate sample exists
+// when they are, so all run at the cold-start 0.5; once they finish, the
+// k* gauge reads k* of the observed rates (a slow CPU side: well below 0.5)
+// while the split gauge still reads 0.5.
+TEST(BatchingEngine, SplitGaugeReadsTheStagedSplitNotKstar) {
+  obs::MetricsRegistry reg;
+  auto cfg = quick_config(-1.0);
+  cfg.max_batch = 8;
+  cfg.flush_interval = 10min;  // timer effectively off
+  cfg.metrics = &reg;
+  Engine engine(cfg);
+  std::latch gate(1);
+  std::atomic<int> done{0};
+  const KindId kind = engine.register_kind(
+      {[&](const int& x) {
+         gate.wait();
+         std::this_thread::sleep_for(1ms);
+         return x;
+       },
+       [&](std::span<const int> xs) {
+         gate.wait();
+         std::this_thread::sleep_for(100us);
+         return std::vector<int>(xs.begin(), xs.end());
+       },
+       [&](int&&) { ++done; },
+       41});
+  for (int i = 0; i < 24; ++i) engine.submit(kind, i);
+  engine.flush();
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (engine.stats().batches < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(engine.stats().batches, 3u);
+  gate.count_down();
+  engine.wait();
+  engine.sample_metrics();
+  EXPECT_EQ(done.load(), 24);
+  EXPECT_EQ(engine.stats().cpu_items, 12u);  // 4 of 8 per batch
+  const obs::Labels labels{{"kind", std::to_string(kind)}};
+  EXPECT_DOUBLE_EQ(reg.gauge("mh_batching_split_fraction", {}, labels).value(),
+                   0.5);
+  const double kstar = reg.gauge("mh_batching_split_kstar", {}, labels).value();
+  EXPECT_GT(kstar, 0.0);
+  EXPECT_LT(kstar, 0.5);
+}
+
 // Stress: concurrent submitters x kinds x random explicit flushes x injected
 // exceptions. Nothing may be lost or duplicated, and the stats invariants
 // must hold exactly.
